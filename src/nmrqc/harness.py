@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from . import reference_tables as ref
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig
-from .integrator import convergence_report, evolve
+from .integrator import IntegratorConfig, convergence_report, evolve
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, build_cnot,
                        build_grover, build_qa, prepare_input, run_program,
                        with_duration_offset)
@@ -55,6 +55,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"style must be one of {STYLES}, got {self.style!r}")
         if not self.k_list:
             raise ConfigurationError("k_list must be non-empty")
+        IntegratorConfig(delta=self.delta)  # rejects a bad step size here
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))

@@ -20,6 +20,17 @@ Three interchangeable propagator constructions:
   substep via eigendecomposition.  Slower, split-free; serves as the
   independent reference when validating the product formula.
 
+Both stepped methods share one loop.  When the drive period 1/omega
+(over 2*pi) is a whole number P of steps, i.e. 1/(omega*delta) is an
+integer to a relative 1e-12, and the EO spans at least 2P full substeps,
+the fields repeat exactly every P substeps (Floquet; Shirley, Phys. Rev.
+138, B979 (1965)).  The product of the first P substeps, U_T, is then
+built once and raised to q = n_full // P by repeated squaring; the
+n_full mod P leftover substeps are stepped at their true midpoints.  In
+every other case (omega = 0, a period that is not a whole number of
+steps or is shorter than one step, a pulse shorter than two periods)
+every substep is stepped, in vectorized chunks.
+
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
 rotation angle, which is exactly the sensitivity under study.  The field
@@ -28,6 +39,7 @@ phase origin is t=0 at the start of each EO; pass ``t0`` to offset it
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,6 +56,7 @@ DENSE_MIDPOINT_ORACLE = "dense_midpoint_oracle"
 _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps vectorized per block
+_PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,9 @@ class IntegratorConfig:
     method: str = PRODUCT_FORMULA
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ConfigurationError(
+                f"delta must be positive and finite, got {self.delta}")
         if self.method not in _METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; expected one of {_METHODS}")
@@ -105,9 +119,10 @@ def _chain(mats: np.ndarray) -> np.ndarray:
 def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     """Polar projection onto the unitary group.
 
-    Products of millions of individually unitary factors pick up a few
-    1e-10 of float noise; projecting per chunk removes it (the exact
-    propagator is unitary, so this perturbs by no more than the noise).
+    Long products of individually unitary factors (a chunk of substeps,
+    or repeated squares of a period propagator) pick up float noise;
+    projecting after each product removes it (the exact propagator is
+    unitary, so this perturbs by no more than the noise).
     """
     u, _s, vh = np.linalg.svd(m)
     return u @ vh
@@ -120,30 +135,66 @@ def _fields_at(eo: EOParams, t):
             eo.h2x + eo.sf2x * sx, eo.h2y + eo.sf2y * sy)
 
 
-def _product_formula_block(eo: EOParams, mids, dt, ez) -> np.ndarray:
+def _product_formula_block(eo: EOParams, mids, dt) -> np.ndarray:
     """Propagator for a block of equal-length substeps at given midpoints."""
     f1x, f1y, f2x, f2y = _fields_at(eo, mids)
     r1 = _halfstep_rotations(f1x, f1y, dt)
     r2 = _halfstep_rotations(f2x, f2y, dt)
     n = mids.size
     t_half = np.einsum("nij,nkl->nikjl", r2, r1).reshape(n, 4, 4)
+    ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
     d = np.broadcast_to(np.exp(-1j * dt * ez), (n, 4))
     return _chain(np.einsum("nab,nb,nbc->nac", t_half, d, t_half))
 
 
-def _product_formula_propagator(eo: EOParams, delta: float, t0: float) -> np.ndarray:
+def _dense_block(eo: EOParams, mids, dt) -> np.ndarray:
+    hs = np.stack([hamiltonian_at(eo, float(t)) for t in mids])
+    w, v = np.linalg.eigh(hs)
+    return _chain(np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * dt * w), v.conj()))
+
+
+def _period_steps(omega: float, delta: float) -> int:
+    """Substeps per drive period, or 0 when that is not a whole number."""
+    rate = abs(omega) * delta
+    steps = 1.0 / rate if rate > 0.0 else math.inf
+    if not math.isfinite(steps):
+        return 0
+    p = round(steps)
+    return p if p >= 1 and abs(steps - p) <= _PERIOD_RTOL * steps else 0
+
+
+def _unitary_power(u: np.ndarray, q: int) -> np.ndarray:
+    """u**q by repeated squaring, polar-projecting every product."""
+    out = np.eye(4, dtype=complex)
+    while q:
+        if q & 1:
+            out = _nearest_unitary(u @ out)
+        q >>= 1
+        if q:
+            u = _nearest_unitary(u @ u)
+    return out
+
+
+def _stepped_propagator(eo: EOParams, delta: float, t0: float, block) -> np.ndarray:
+    """Product of `block` over the substep schedule, folded by drive period."""
     n_full, rem = _step_schedule(eo.tau, delta)
     dt = delta * TWO_PI
-    ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
     u = np.eye(4, dtype=complex)
-    for start in range(0, n_full, _CHUNK):
-        m = min(_CHUNK, n_full - start)
-        mids = t0 + (start + np.arange(m) + 0.5) * dt
-        u = _nearest_unitary(_product_formula_block(eo, mids, dt, ez) @ u)
+    start = 0
+    period = _period_steps(eo.omega, delta)
+    if period and n_full >= 2 * period:
+        q = n_full // period
+        u_period = block(eo, t0 + (np.arange(period) + 0.5) * dt, dt)
+        u = _unitary_power(_nearest_unitary(u_period), q)
+        start = q * period
+    for lo in range(start, n_full, _CHUNK):
+        m = min(_CHUNK, n_full - lo)
+        mids = t0 + (lo + np.arange(m) + 0.5) * dt
+        u = _nearest_unitary(block(eo, mids, dt) @ u)
     if rem > 0.0:
         dt_rem = rem * TWO_PI
         mid = np.array([t0 + n_full * dt + dt_rem / 2.0])
-        u = _nearest_unitary(_product_formula_block(eo, mid, dt_rem, ez) @ u)
+        u = _nearest_unitary(block(eo, mid, dt_rem) @ u)
     return u
 
 
@@ -156,35 +207,14 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
     return np.diag(np.exp(-1j * TWO_PI * eo.tau * ez))
 
 
-def _dense_block(eo: EOParams, mids, dt) -> np.ndarray:
-    hs = np.stack([hamiltonian_at(eo, float(t)) for t in mids])
-    w, v = np.linalg.eigh(hs)
-    return _chain(np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * dt * w), v.conj()))
-
-
-def _dense_propagator(eo: EOParams, delta: float, t0: float) -> np.ndarray:
-    n_full, rem = _step_schedule(eo.tau, delta)
-    dt = delta * TWO_PI
-    u = np.eye(4, dtype=complex)
-    for start in range(0, n_full, _CHUNK):
-        m = min(_CHUNK, n_full - start)
-        mids = t0 + (start + np.arange(m) + 0.5) * dt
-        u = _nearest_unitary(_dense_block(eo, mids, dt) @ u)
-    if rem > 0.0:
-        dt_rem = rem * TWO_PI
-        mid = np.array([t0 + n_full * dt + dt_rem / 2.0])
-        u = _nearest_unitary(_dense_block(eo, mid, dt_rem) @ u)
-    return u
-
-
 @lru_cache(maxsize=1024)
 def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
     if method == EXACT_DIAGONAL:
         u = _exact_diagonal_propagator(eo)
     elif method == PRODUCT_FORMULA:
-        u = _product_formula_propagator(eo, delta, t0)
+        u = _stepped_propagator(eo, delta, t0, _product_formula_block)
     elif method == DENSE_MIDPOINT_ORACLE:
-        u = _dense_propagator(eo, delta, t0)
+        u = _stepped_propagator(eo, delta, t0, _dense_block)
     else:  # pragma: no cover - guarded by IntegratorConfig
         raise ConfigurationError(f"unknown method {method!r}")
     u.setflags(write=False)

@@ -159,6 +159,17 @@ def test_cli_missing_config_file(capsys):
     assert main(["run", "/nonexistent/spec.json"]) == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_delta_is_bad_input(bad, tmp_path, capsys):
+    with pytest.raises(ConfigurationError):
+        ExperimentSpec(delta=bad)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "qa", "k_list": [1], "delta": bad}))
+    assert main(["run", str(path)]) == 2
+    assert main(["tables", "table5", "--delta", str(bad)]) == 2
+    assert "delta must be positive and finite" in capsys.readouterr().err
+
+
 def test_cli_verify_quick(capsys):
     rc = main(["verify", "--quick"])
     out = capsys.readouterr().out

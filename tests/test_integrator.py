@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, EOParams,
-                   IntegratorConfig, MethodError, NumericalIntegrityError,
-                   convergence_report, eo_propagator, evolve, evolve_reference,
-                   ideal_eo_params, ideal_gate, prepare_basis_state,
-                   prepare_singlet, build_qa, design_pulse)
+from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
+                   EOParams, IntegratorConfig, MethodError,
+                   NumericalIntegrityError, convergence_report, eo_propagator,
+                   evolve, evolve_reference, ideal_eo_params, ideal_gate,
+                   prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import _step_schedule
+from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _dense_block,
+                              _product_formula_block, _step_schedule,
+                              _stepped_propagator)
 from nmrqc.operators import TWO_PI, state_phase_distance
 from nmrqc.states import StateVector
 
@@ -165,3 +167,72 @@ def test_convergence_report_flags_and_ratio():
 
     rep3 = convergence_report(eo, prepare_basis_state(2, [0, 0]), [0.01])
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
+
+
+BLOCKS = {PRODUCT_FORMULA: _product_formula_block,
+          DENSE_MIDPOINT_ORACLE: _dense_block}
+
+
+def chained_reference(eo, delta, t0, block):
+    """Every substep at its own midpoint, chained in one product, no folding."""
+    n_full, rem = _step_schedule(eo.tau, delta)
+    dt = delta * TWO_PI
+    u = np.eye(4, dtype=complex)
+    if n_full:
+        u = block(eo, t0 + (np.arange(n_full) + 0.5) * dt, dt)
+    if rem > 0.0:
+        dt_rem = rem * TWO_PI
+        u = block(eo, np.array([t0 + n_full * dt + dt_rem / 2.0]), dt_rem) @ u
+    return u
+
+
+@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("mode", ["rotating", "static_axis"])
+@pytest.mark.parametrize("name", ["Y1", "X2"])
+def test_period_folded_equals_stepped(name, mode, method):
+    # both offsets leave a partial period; 0.1037 adds a sub-step remainder
+    base = pulse_eo(name, mode=mode)
+    cfg = IntegratorConfig(0.01, method)
+    for offset in (-0.1, 0.1037):
+        eo = base.replace(tau=base.tau + offset)
+        for t0 in (0.0, TWO_PI * 3.37):
+            u = eo_propagator(eo, cfg, t0=t0)
+            ref = chained_reference(eo, 0.01, t0, BLOCKS[method])
+            assert np.max(np.abs(u - ref)) < 1e-11, (offset, t0)
+
+
+@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+def test_unfoldable_schedules_step_every_substep(method):
+    y2 = pulse_eo("Y2", mode="static_axis")
+    constant = EOParams(tau=3.0037, j=J, h1x=0.02, h2y=0.005, h1z=1.0,
+                        h2z=0.25)
+    # period 133.3 steps; period shorter than one step; no drive at all
+    for eo, delta in ((y2, 0.03), (y2, 5.0), (constant, 0.01)):
+        for t0 in (0.0, TWO_PI * 3.37):
+            u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
+            ref = chained_reference(eo, delta, t0, BLOCKS[method])
+            assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta, t0)
+
+
+def test_fold_steps_one_period_then_the_tail():
+    sizes = []
+
+    def counting_block(eo, mids, dt):
+        sizes.append(mids.size)
+        return _product_formula_block(eo, mids, dt)
+
+    eo = pulse_eo("Y2").replace(tau=128.1037)   # 12810 steps + remainder
+    _stepped_propagator(eo, 0.01, 0.0, counting_block)
+    assert sizes == [400, 10, 1]   # one period, partial period, remainder
+    sizes.clear()
+    _stepped_propagator(eo, 0.03, 0.0, counting_block)
+    assert sizes == [4270, 1]      # 1/(0.25*0.03) is not a whole number
+    sizes.clear()
+    _stepped_propagator(eo.replace(tau=7.99), 0.01, 0.0, counting_block)
+    assert sizes == [799]          # shorter than two periods
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_delta_rejected(bad):
+    with pytest.raises(ConfigurationError):
+        IntegratorConfig(delta=bad)
