@@ -47,30 +47,27 @@ def _write_out(text: str, out: str | None):
         print(text)
 
 
-def _spec_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
+def _run_spec(spec: ExperimentSpec, args) -> int:
+    """Apply the command-line overrides to the spec, run it and emit the table."""
     d = spec.to_dict()
     if args.delta is not None:
         d["delta"] = args.delta
-    if getattr(args, "final_rotation_style", None):
+    if args.final_rotation_style:
         d["final_rotation_style"] = args.final_rotation_style
     if getattr(args, "tau_offset", None):
         d["tau_offsets"] = [float(x) for x in args.tau_offset]
-    return ExperimentSpec.from_dict(d)
+    table = run_experiment(ExperimentSpec.from_dict(d))
+    _write_out(emit_table(table, args.format), args.out)
+    return 0
 
 
 def _cmd_run(args) -> int:
-    spec = ExperimentSpec.from_json(Path(args.config).read_text(encoding="utf-8"))
-    spec = _spec_overrides(spec, args)
-    table = run_experiment(spec)
-    _write_out(emit_table(table, args.format), args.out)
-    return 0
+    return _run_spec(ExperimentSpec.from_json(
+        Path(args.config).read_text(encoding="utf-8")), args)
 
 
 def _cmd_tables(args) -> int:
-    spec = _spec_overrides(canned_spec(args.name), args)
-    table = run_experiment(spec)
-    _write_out(emit_table(table, args.format), args.out)
-    return 0
+    return _run_spec(canned_spec(args.name), args)
 
 
 def _design_row(name, design, eo) -> str:
@@ -100,14 +97,13 @@ def _cmd_design(args) -> int:
 
 def _cmd_sweep(args) -> int:
     style = {"rotating": ROTATING_SF, "static": STATIC_SF}.get(args.style, args.style)
-    spec = ExperimentSpec(
-        kind=args.kind, style=style, cnot_variant=args.variant,
-        k_list=tuple(int(k) for k in args.k_list.split(",")),
-        delta=args.delta if args.delta is not None else 0.01,
-        final_rotation_style=args.final_rotation_style or "program")
-    table = run_experiment(spec)
-    _write_out(emit_table(table, args.format), args.out)
-    return 0
+    try:
+        k_list = tuple(int(k) for k in args.k_list.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(
+            f"--k-list must be comma-separated whole numbers, got {args.k_list!r}") from exc
+    return _run_spec(ExperimentSpec(kind=args.kind, style=style,
+                                    cnot_variant=args.variant, k_list=k_list), args)
 
 
 def _cmd_verify(args) -> int:
@@ -127,12 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to a file")
         sp.add_argument("--delta", type=float, default=None,
                         help="integrator step over 2*pi")
+        sp.add_argument("--final-rotation-style", dest="final_rotation_style",
+                        choices=["program", "exact"], default=None)
 
     sp = sub.add_parser("run", help="run an experiment from a JSON spec")
     sp.add_argument("config")
     common(sp)
-    sp.add_argument("--final-rotation-style", dest="final_rotation_style",
-                    choices=["program", "exact"], default=None)
     sp.add_argument("--tau-offset", dest="tau_offset", action="append",
                     help="duration offset for the phase evolution (repeatable)")
     sp.set_defaults(func=_cmd_run)
@@ -140,8 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tables", help="run a canned benchmark suite")
     sp.add_argument("name", choices=list(canned_names()))
     common(sp)
-    sp.add_argument("--final-rotation-style", dest="final_rotation_style",
-                    choices=["program", "exact"], default=None)
     sp.add_argument("--tau-offset", dest="tau_offset", action="append")
     sp.set_defaults(func=_cmd_tables)
 
@@ -163,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", type=int, default=1, choices=[1, 2, 3])
     sp.add_argument("--k-list", dest="k_list", default="1,2,4,8,32")
     common(sp)
-    sp.add_argument("--final-rotation-style", dest="final_rotation_style",
-                    choices=["program", "exact"], default=None)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the verification suite")
@@ -180,10 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, MachineValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigurationError, MachineValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

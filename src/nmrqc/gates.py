@@ -13,12 +13,14 @@ search iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, diagonal_energies
 from .operators import TWO_PI, embed, rotation
+from .states import frozen_unitary
 
 _BASE_ROTATIONS = {
     # name -> (spin, axis, direction, turns); angle = 2*pi*turns, and
@@ -131,14 +133,16 @@ class IdealGate:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen_unitary(self.matrix))
 
 
 def ideal_gate(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> IdealGate:
-    """The exact unitary for a named gate."""
-    cname = canonical_name(name)
+    """The exact unitary for a named gate (memoized; aliases share one entry)."""
+    return _ideal_gate(canonical_name(name), machine)
+
+
+@lru_cache(maxsize=1024)
+def _ideal_gate(cname: str, machine: MachineConfig) -> IdealGate:
     if cname in _BASE_ROTATIONS or cname in _PRIMED_AXES:
         spin, axis, direction, turns = gate_rotation(cname, machine)
         m = embed(spin, rotation(axis, direction * TWO_PI * turns))
@@ -154,7 +158,7 @@ def ideal_gate(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> IdealGate
                          [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
         m = np.exp(1j * np.pi / 4) * perm
     else:
-        raise ConfigurationError(f"unknown gate name {name!r}")
+        raise ConfigurationError(f"unknown gate name {cname!r}")
     return IdealGate(cname, m)
 
 

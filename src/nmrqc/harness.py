@@ -10,19 +10,24 @@ two decimals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import reference_tables as ref
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig
-from .integrator import IntegratorConfig, convergence_report, evolve
-from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, build_cnot,
-                       build_grover, build_qa, prepare_input, run_program,
-                       with_duration_offset)
+from .integrator import IntegratorConfig, convergence_report
+from .programs import (CNOT_SEQUENCES, IDEAL, ROTATING_SF, STATIC_SF, STYLES,
+                       EOStep, build_cnot, build_grover, build_qa, prepare_input,
+                       run_program, with_duration_offset)
 from .states import qubit_values
 
 QA_INPUTS = ("00", "10", "01", "11", "singlet")
+
+# The pulses drive at the spins' z-fields; delta times the fastest of
+# them may not exceed this, i.e. at least two steps per drive period.
+MAX_DELTA_TIMES_DRIVE = 0.5
 
 
 def round2(x: float) -> float:
@@ -53,9 +58,21 @@ class ExperimentSpec:
             raise ConfigurationError(f"kind must be 'qa' or 'grover', got {self.kind!r}")
         if self.style not in STYLES:
             raise ConfigurationError(f"style must be one of {STYLES}, got {self.style!r}")
+        if self.cnot_variant not in CNOT_SEQUENCES:
+            raise ConfigurationError(
+                f"cnot_variant must be 1, 2 or 3, got {self.cnot_variant!r}")
         if not self.k_list:
             raise ConfigurationError("k_list must be non-empty")
+        for k in self.k_list:
+            if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+                raise ConfigurationError(
+                    f"k_list entries must be whole numbers >= 1, got {k!r}")
         IntegratorConfig(delta=self.delta)  # rejects a bad step size here
+        fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
+        if self.delta * fastest > MAX_DELTA_TIMES_DRIVE:
+            raise ConfigurationError(
+                f"delta {self.delta} does not resolve the drive at frequency "
+                f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "items", tuple(self.items))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
@@ -79,9 +96,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
+        d = _known_keys(cls, d, "spec")
         if "machine" in d:
-            d["machine"] = MachineConfig.from_dict(d["machine"])
+            d["machine"] = MachineConfig.from_dict(
+                _known_keys(MachineConfig, d["machine"], "machine"))
         for key in ("inputs", "items", "k_list", "tau_offsets"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
@@ -89,7 +107,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"spec is not valid JSON: {exc}") from exc
+        return cls.from_dict(d)
+
+
+def _known_keys(cls, d, what: str) -> dict:
+    """Copy of the mapping d, whose keys must all be fields of cls."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{what} must be a mapping, got {type(d).__name__}")
+    unknown = sorted(map(str, set(d) - {f.name for f in fields(cls)}))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {', '.join(unknown)}")
+    return dict(d)
 
 
 @dataclass
@@ -107,36 +139,27 @@ class ResultTable:
     def cell(self, row: str, col) -> tuple[float, float]:
         return self.cells[(row, str(col))]
 
-    def to_markdown(self) -> str:
+    def _grid(self, fmt) -> list[list[str]]:
+        """Header, then per row its label, ideal (a, b) and every column's (a, b)."""
         header = [self.row_header, "a", "b"]
         for c in self.col_labels:
             header += [f"a_{c}", f"b_{c}"]
-        lines = [" | ".join(header),
-                 " | ".join(["---"] * len(header))]
+        grid = [header]
         for r in self.row_labels:
-            ia, ib = self.ideal.get(r, (float("nan"),) * 2)
-            row = [r, f"{round2(ia):.2f}", f"{round2(ib):.2f}"]
-            for c in self.col_labels:
-                a, b = self.cells[(r, c)]
-                row += [f"{round2(a):.2f}", f"{round2(b):.2f}"]
-            lines.append(" | ".join(row))
-        for n in self.notes:
-            lines.append(f"note: {n}")
+            pairs = [self.ideal.get(r, (float("nan"),) * 2)]
+            pairs += [self.cells[(r, c)] for c in self.col_labels]
+            grid.append([r] + [fmt(x) for pair in pairs for x in pair])
+        return grid
+
+    def to_markdown(self) -> str:
+        header, *rows = self._grid(lambda x: f"{round2(x):.2f}")
+        lines = [" | ".join(header), " | ".join(["---"] * len(header))]
+        lines += [" | ".join(row) for row in rows]
+        lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        header = [self.row_header, "a", "b"]
-        for c in self.col_labels:
-            header += [f"a_{c}", f"b_{c}"]
-        lines = [",".join(header)]
-        for r in self.row_labels:
-            ia, ib = self.ideal.get(r, (float("nan"),) * 2)
-            row = [r, f"{ia:.12g}", f"{ib:.12g}"]
-            for c in self.col_labels:
-                a, b = self.cells[(r, c)]
-                row += [f"{a:.12g}", f"{b:.12g}"]
-            lines.append(",".join(row))
-        return "\n".join(lines)
+        return "\n".join(",".join(row) for row in self._grid(lambda x: f"{x:.12g}"))
 
     def to_json(self) -> str:
         payload = {
@@ -167,14 +190,10 @@ def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
 
 
 def _qa_program(spec: ExperimentSpec, input_spec: str, k: int):
-    if input_spec == "singlet":
-        return build_qa("QA2", "singlet", cnot_variant=spec.cnot_variant,
-                        style=spec.style, k=k, machine=spec.machine,
-                        delta=spec.delta,
-                        final_rotation_style=spec.final_rotation_style)
-    return build_qa("QA1", input_spec, cnot_variant=spec.cnot_variant,
-                    style=spec.style, k=k, machine=spec.machine,
-                    delta=spec.delta)
+    return build_qa("QA2" if input_spec == "singlet" else "QA1", input_spec,
+                    cnot_variant=spec.cnot_variant, style=spec.style, k=k,
+                    machine=spec.machine, delta=spec.delta,
+                    final_rotation_style=spec.final_rotation_style)
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
@@ -335,13 +354,6 @@ def compare_against_reference(table: ResultTable, reference: dict,
     return failures
 
 
-def _qa_reference_failures(spec, reference, tol=ref.RESULT_TOL, suspects=frozenset()):
-    table = run_experiment(spec)
-    return compare_against_reference(
-        table, reference, lambda r: _qa_row_label(spec, r),
-        [str(s) for s in ref.S_VALUES], tol, suspects)
-
-
 def verify_suite(include_tables: bool = True) -> VerifyReport:
     """Run the standing checks and report one line per check.
 
@@ -378,12 +390,9 @@ def verify_suite(include_tables: bool = True) -> VerifyReport:
     # Coupling during pulses is negligible: J=0 inside pulse EOs changes
     # nothing at two digits.
     base = qubit_values(run_program(qa2))
-    stripped = [s.eo.replace(j=0.0) if not s.eo.is_diagonal else s.eo
-                for s in qa2.steps]
-    state = prepare_input("singlet")
-    for eo in stripped:
-        state = evolve(state, eo)
-    got = qubit_values(state)
+    stripped = replace(qa2, steps=tuple(
+        s if s.eo.is_diagonal else EOStep(s.eo.replace(j=0.0)) for s in qa2.steps))
+    got = qubit_values(run_program(stripped))
     same = all(round2(x) == round2(y) for x, y in zip(base, got))
     report.add("coupling off during pulses leaves results unchanged", 0.0, same,
                f"with J: {tuple(round2(v) for v in base)}, "
@@ -391,17 +400,16 @@ def verify_suite(include_tables: bool = True) -> VerifyReport:
 
     if include_tables:
         cases = [
-            ("rotating CNOT1 suite", canned_spec("table5"), ref.QA_ROTATING_CNOT1,
-             frozenset()),
-            ("rotating CNOT2 suite", canned_spec("table6"), ref.QA_ROTATING_CNOT2,
-             frozenset()),
-            ("rotating CNOT3 suite", canned_spec("table7"), ref.QA_ROTATING_CNOT3,
-             frozenset()),
-            ("single-axis CNOT1 suite", canned_spec("table8"), ref.QA_STATIC_CNOT1,
-             frozenset()),
+            ("rotating CNOT1 suite", "table5", ref.QA_ROTATING_CNOT1),
+            ("rotating CNOT2 suite", "table6", ref.QA_ROTATING_CNOT2),
+            ("rotating CNOT3 suite", "table7", ref.QA_ROTATING_CNOT3),
+            ("single-axis CNOT1 suite", "table8", ref.QA_STATIC_CNOT1),
         ]
-        for name, spec, reference, suspects in cases:
-            fails = _qa_reference_failures(spec, reference, suspects=suspects)
+        for name, spec_name, reference in cases:
+            spec = canned_spec(spec_name)
+            fails = compare_against_reference(
+                run_experiment(spec), reference, lambda r: _qa_row_label(spec, r),
+                [str(s) for s in ref.S_VALUES], ref.RESULT_TOL)
             report.add(f"benchmark: {name}", ref.RESULT_TOL, not fails,
                        "; ".join(f"{r}@{c}:{comp} got {g:.3f} want {w}"
                                  for r, c, comp, g, w in fails[:4]))

@@ -275,11 +275,7 @@ class ConvergenceReport:
 
 def _run_sequence(state: StateVector, eos, delta: float) -> StateVector:
     for eo in eos:
-        if eo.is_diagonal:
-            cfg = IntegratorConfig(delta=1.0, method=EXACT_DIAGONAL)
-        else:
-            cfg = IntegratorConfig(delta=delta, method=PRODUCT_FORMULA)
-        state = evolve(state, eo, cfg)
+        state = evolve(state, eo.replace(delta=delta))
     return state
 
 

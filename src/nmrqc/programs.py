@@ -10,22 +10,28 @@ machine-field phase evolution "Ip" plus compensating primed rotations.
 A Program stores steps in application order (element 0 acts first).
 Exact-matrix steps appear only where a construction is defined by a
 matrix rather than an evolution (the conditional phase gate in ideal
-style, and optionally the final readout rotation).
+style, and optionally the final readout rotation).  program_unitary is
+the one walk over the steps; run_program applies its 4x4 product to the
+input.  Gate steps and gate matrices are memoized, so rebuilding a
+program re-designs no pulse and its ideal answer is one matrix product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .gates import canonical_name, gate_rotation, ideal_eo_params, ideal_gate
+from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
+                    ideal_gate)
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from .integrator import eo_propagator
 from .operators import TWO_PI
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
-from .states import StateVector, apply_unitary, prepare_basis_state, prepare_singlet
+from .states import (StateVector, frozen_unitary, prepare_basis_state,
+                     prepare_singlet, qubit_values)
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -97,9 +103,7 @@ class MatrixStep:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", frozen_unitary(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,9 @@ def prepare_input(spec: str) -> StateVector:
     raise ConfigurationError(f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
 
 
+@lru_cache(maxsize=1024)
 def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
-               gamma: RationalGamma, delta: float):
+               gamma: RationalGamma, delta: float) -> EOStep:
     """One program step realizing a named gate in the given style."""
     cname = canonical_name(name)
     if cname == "Gcore":
@@ -165,11 +170,14 @@ def _coerce_style(style, k: int) -> GateImplStyle:
 
 def _ideal_output(steps_names: list[str], input_spec: str,
                   machine: MachineConfig) -> tuple[float, float]:
-    state = prepare_input(input_spec)
-    for name in steps_names:
-        state = apply_unitary(state, ideal_gate(name, machine).matrix)
-    weights = np.abs(state.amplitudes) ** 2
-    return (float(weights[1] + weights[3]), float(weights[2] + weights[3]))
+    u = compose(reversed(steps_names), machine)
+    return qubit_values(StateVector(u @ prepare_input(input_spec).amplitudes))
+
+
+def _cnot_names(variant: int) -> list[str]:
+    if variant not in CNOT_SEQUENCES:
+        raise ConfigurationError(f"variant must be 1, 2 or 3, got {variant!r}")
+    return list(CNOT_SEQUENCES[variant])
 
 
 def build_cnot(variant: int, style, k: int = 1,
@@ -178,9 +186,7 @@ def build_cnot(variant: int, style, k: int = 1,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant 1, 2 or 3)."""
     style = _coerce_style(style, k)
-    if variant not in CNOT_SEQUENCES:
-        raise ConfigurationError(f"variant must be 1, 2 or 3, got {variant!r}")
-    names = list(CNOT_SEQUENCES[variant])
+    names = _cnot_names(variant)
     steps = _expand(names, style, machine, gamma, delta)
     ideal_ab = _ideal_output(names, input_spec, machine)
     return Program(name=f"CNOT{variant}[{style.style},k={style.k}]",
@@ -212,7 +218,7 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
     if qa == "2" and input_spec != "singlet":
         raise ConfigurationError("QA2 takes the singlet input")
 
-    names = list(CNOT_SEQUENCES[cnot_variant]) * 5
+    names = _cnot_names(cnot_variant) * 5
     steps = _expand(names, style, machine, gamma, delta)
     if qa == "2":
         names.append("Y1")
@@ -243,29 +249,19 @@ def build_grover(item: int, style=IDEAL, k: int = 1,
 def run_program(program: Program, input_state: StateVector | None = None,
                 delta: float | None = None,
                 sf_phase_continuity: bool = False) -> StateVector:
-    """Evolve the declared (or given) input through every step in order.
-
-    With sf_phase_continuity the sinusoidal fields of successive EOs run
-    on one shared clock instead of restarting at phase phi each EO.
-    """
+    """Apply the program's unitary to the declared (or given) input state."""
     state = prepare_input(program.input_spec) if input_state is None else input_state
-    t0 = 0.0
-    for step in program.steps:
-        if isinstance(step, MatrixStep):
-            state = apply_unitary(state, step.matrix)
-            continue
-        eo = step.eo if delta is None else step.eo.replace(delta=delta)
-        state = StateVector(
-            eo_propagator(eo, t0=t0 if sf_phase_continuity else 0.0)
-            @ state.amplitudes)
-        if sf_phase_continuity:
-            t0 += TWO_PI * eo.tau
-    return state
+    return StateVector(program_unitary(program, delta, sf_phase_continuity)
+                       @ state.amplitudes)
 
 
 def program_unitary(program: Program, delta: float | None = None,
                     sf_phase_continuity: bool = False) -> np.ndarray:
-    """The full 4x4 matrix of the program (product of step propagators)."""
+    """The full 4x4 matrix of the program (product of step propagators).
+
+    With sf_phase_continuity the sinusoidal fields of successive EOs run
+    on one shared clock instead of restarting at phase phi each EO.
+    """
     u = np.eye(4, dtype=complex)
     t0 = 0.0
     for step in program.steps:

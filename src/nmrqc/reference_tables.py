@@ -13,7 +13,6 @@ forces; comparisons exclude them and report the substitution.
 from __future__ import annotations
 
 S_VALUES = (8, 16, 32, 64, 256)
-K_FOR_S = {8: 1, 16: 2, 32: 4, 64: 8, 256: 32}
 
 # ----------------------------------------------------------------------
 # Controlled-NOT truth table: input -> (output bits, a, b)

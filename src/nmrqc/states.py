@@ -100,13 +100,19 @@ def qubit_values(state: StateVector) -> tuple[float, ...]:
                  for j in range(1, state.n_qubits + 1))
 
 
-def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    """Apply a unitary matrix, checking unitarity first."""
-    u = np.asarray(u, dtype=complex)
-    dim = state.amplitudes.size
-    if u.shape != (dim, dim):
-        raise ConfigurationError(f"matrix shape {u.shape} does not match dim {dim}")
+def frozen_unitary(m) -> np.ndarray:
+    """Read-only complex copy of m, which must be unitary to UNITARITY_TOL."""
+    u = np.array(m, dtype=complex)
     defect = max_unitarity_defect(u)
     if defect > UNITARITY_TOL:
         raise NumericalIntegrityError(f"matrix is not unitary (defect {defect:.3e})")
-    return StateVector(u @ state.amplitudes)
+    u.setflags(write=False)
+    return u
+
+
+def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
+    """Apply a unitary matrix, checking unitarity first."""
+    dim = state.amplitudes.size
+    if np.shape(u) != (dim, dim):
+        raise ConfigurationError(f"matrix shape {np.shape(u)} does not match dim {dim}")
+    return StateVector(frozen_unitary(u) @ state.amplitudes)

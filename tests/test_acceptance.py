@@ -252,7 +252,8 @@ def test_criterion_8_commensurability_utilities():
     m1, _ = commensurability_margin(RationalGamma(1, 4), 1)
     m2, _ = commensurability_margin(RationalGamma(11, 40), 1)
     durations = hypothetical_durations(RationalGamma(11, 40), 1)
-    ok = (m1 == 24 and m2 == 25520 and durations == (9680, 128000))
+    ok = (m1 == ref.MARGIN_CASES[(1, 4, 1)] and m2 == ref.MARGIN_CASES[(11, 40, 1)]
+          and durations == ref.DURATION_CASES[(11, 40, 1)])
     assert _report(8, ok, f"(margins {m1}, {m2}; durations {durations})")
 
 

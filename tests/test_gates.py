@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, GATE_NAMES, compose,
                    coupling_pi_duration, derive_primed_angles, ideal_eo_params,
                    ideal_gate, phase_gate, prepare_basis_state)
@@ -146,6 +147,12 @@ def test_ideal_eo_parameter_sheet():
     assert i_eo.h1z == i_eo.h2z == pytest.approx(0.215e-6)
     with pytest.raises(ConfigurationError):
         ideal_eo_params("CNOT")
+    # the stored 4-decimal sheet, every gate and the phase-evolution duration
+    for name, (tau, field, value) in ref.IDEAL_EO_FIELDS.items():
+        eo = ideal_eo_params(name)
+        assert eo.tau == tau, name
+        assert round(getattr(eo, field), 4) == value, name
+    assert round(coupling_pi_duration(), 4) == ref.IP_DURATION
 
 
 def test_primed_angles_reject_bad_machine():
@@ -154,6 +161,12 @@ def test_primed_angles_reject_bad_machine():
 
 
 def test_gate_aliases():
-    assert np.allclose(ideal_gate("X1'").matrix, ideal_gate("X1p").matrix)
-    assert np.allclose(ideal_gate("I'").matrix, ideal_gate("Ip").matrix)
-    assert np.allclose(ideal_gate("Y2bar").matrix, ideal_gate("Y2b").matrix)
+    # aliases share one memoized entry, so they return the very same matrix
+    assert ideal_gate("X1'").matrix is ideal_gate("X1p").matrix
+    assert ideal_gate("I'").matrix is ideal_gate("Ip").matrix
+    assert ideal_gate("Y2bar").matrix is ideal_gate("Y2b").matrix
+    assert not np.allclose(ideal_gate("X2p", MachineConfig(h2z=0.3)).matrix,
+                           ideal_gate("X2p").matrix)
+    for name in GATE_NAMES:
+        with pytest.raises(ValueError):
+            ideal_gate(name).matrix[0, 0] = 0.0

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from nmrqc import (ConfigurationError, ExperimentSpec, canned_names,
-                   canned_spec, emit_table, round2, run_experiment)
+from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_qa,
+                   canned_names, canned_spec, emit_table, round2, run_experiment)
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import _qa_row_label
 
@@ -83,6 +83,28 @@ def test_spec_validation():
         ExperimentSpec(style="bogus")
     with pytest.raises(ConfigurationError):
         ExperimentSpec(k_list=())
+    for k_list in ((1.5,), (0,), ("2",), (float("inf"),)):
+        with pytest.raises(ConfigurationError, match="whole numbers"):
+            ExperimentSpec(k_list=k_list)
+    assert ExperimentSpec(k_list=(2.0,)).k_list == (2,)
+    with pytest.raises(ConfigurationError, match="cnot_variant"):
+        ExperimentSpec(cnot_variant=4)
+    with pytest.raises(ConfigurationError, match="variant"):
+        build_qa("QA1", "00", cnot_variant=4)
+    # the fastest drive (spin 1, frequency 1) needs two steps per period
+    assert ExperimentSpec(delta=0.5).delta == 0.5
+    with pytest.raises(ConfigurationError, match="does not resolve"):
+        ExperimentSpec(delta=5)
+    with pytest.raises(ConfigurationError, match="does not resolve"):
+        ExperimentSpec(delta=0.3, machine=MachineConfig(h1z=2.0, h2z=0.5))
+    with pytest.raises(ConfigurationError, match="unknown spec keys: bogus"):
+        ExperimentSpec.from_dict({"bogus": 1, "kind": "qa"})
+    with pytest.raises(ConfigurationError, match="unknown machine keys: h3z"):
+        ExperimentSpec.from_dict({"machine": {"h3z": 1.0}})
+    with pytest.raises(ConfigurationError, match="mapping"):
+        ExperimentSpec.from_dict([1, 2])
+    with pytest.raises(ConfigurationError, match="not valid JSON"):
+        ExperimentSpec.from_json('{"kind": "qa",')
 
 
 def test_canned_specs_exist():
@@ -157,6 +179,28 @@ def test_cli_tables_markdown(capsys):
 
 def test_cli_missing_config_file(capsys):
     assert main(["run", "/nonexistent/spec.json"]) == 2
+
+
+@pytest.mark.parametrize("text", ['{"kind": "qa",', '{"bogus": 1}',
+                                  '{"cnot_variant": 4}', '{"k_list": [1.5]}',
+                                  '{"delta": 5}'])
+def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--k-list", "1,x"],
+    ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
+    ["tables", "table5", "--delta", "5"],
+])
+def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from nmrqc import (ConfigurationError, Program, build_cnot, build_grover,
-                   build_qa, grover_sequence, ideal_gate, parse_program_text,
-                   prepare_basis_state, program_unitary,
+from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
+                   build_cnot, build_grover, build_qa, eo_propagator,
+                   grover_sequence, ideal_gate, parse_program_text,
+                   prepare_basis_state, prepare_input, program_unitary,
                    qubit_values, run_program, with_duration_offset)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.operators import global_phase_distance, state_phase_distance
-from nmrqc.programs import CNOT_SEQUENCES, EOStep, MatrixStep
+from nmrqc.operators import TWO_PI, global_phase_distance, state_phase_distance
+from nmrqc.programs import CNOT_SEQUENCES, STYLES, EOStep, MatrixStep
 
 
 def test_ideal_cnot_variants_match_exact_gate():
@@ -110,6 +111,49 @@ def test_grover_sf_expands_conditional_phase():
 def test_program_unitary_identity_for_empty():
     empty = Program(name="empty", steps=(), input_spec="00")
     assert np.allclose(program_unitary(empty), np.eye(4))
+
+
+def test_matrix_step_rejects_non_unitary_at_construction():
+    with pytest.raises(NumericalIntegrityError):
+        MatrixStep("bad", np.eye(4) * 1.5)
+    step = MatrixStep("G", ideal_gate("G").matrix)
+    with pytest.raises(ValueError):
+        step.matrix[0, 0] = 0.0
+
+
+def _stepwise(program, delta=None, sf_phase_continuity=False):
+    """Reference: carry the input state across each step's propagator in turn."""
+    amps = prepare_input(program.input_spec).amplitudes
+    t0 = 0.0
+    for step in program.steps:
+        if isinstance(step, MatrixStep):
+            amps = step.matrix @ amps
+            continue
+        eo = step.eo if delta is None else step.eo.replace(delta=delta)
+        amps = eo_propagator(eo, t0=t0 if sf_phase_continuity else 0.0) @ amps
+        if sf_phase_continuity:
+            t0 += TWO_PI * eo.tau
+    return amps
+
+
+_PROGRAMS = {
+    "qa1": lambda style: build_qa("QA1", "10", 1, style, k=1),
+    "qa2_program": lambda style: build_qa("QA2", "singlet", 2, style, k=1),
+    "qa2_exact": lambda style: build_qa("QA2", "singlet", 3, style, k=1,
+                                        final_rotation_style="exact"),
+    "grover": lambda style: build_grover(1, style, k=1),
+}
+
+
+@pytest.mark.parametrize("options", [{}, {"delta": 0.02},
+                                     {"sf_phase_continuity": True}],
+                         ids=["own_delta", "delta_0.02", "continuous_clock"])
+@pytest.mark.parametrize("program", sorted(_PROGRAMS))
+@pytest.mark.parametrize("style", STYLES)
+def test_run_program_matches_stepwise_reference(style, program, options):
+    p = _PROGRAMS[program](style)
+    got = run_program(p, **options).amplitudes
+    assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
 
 
 def test_program_unitary_long_pulse_close_to_ideal():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, RationalGamma,
                    commensurability_check_n, commensurability_margin,
                    design_pulse, hypothetical_durations, spectator_excess_angle,
@@ -96,16 +97,16 @@ def test_angle_domain():
 
 
 def test_commensurability_margin_values():
-    assert commensurability_margin(RationalGamma(1, 4), 1) == (24, "poor")
-    assert commensurability_margin(RationalGamma(11, 40), 1) == (25520, "good")
-    assert commensurability_margin(RationalGamma(1, 4), 32) == (768, "good")
+    verdicts = {(1, 4, 1): "poor", (11, 40, 1): "good", (1, 4, 32): "good"}
+    for (n, m, k), margin in ref.MARGIN_CASES.items():
+        assert commensurability_margin(RationalGamma(n, m), k) == (
+            margin, verdicts[(n, m, k)])
     assert commensurability_margin(RationalGamma(1, 4), 4)[1] == "marginal"
 
 
 def test_hypothetical_durations():
-    assert hypothetical_durations(RationalGamma(11, 40), 1) == (9680, 128000)
-    assert hypothetical_durations(RationalGamma(1, 4), 1) == (8, 128)
-    assert hypothetical_durations(RationalGamma(1, 4), 32) == (256, 4096)
+    for (n, m, k), durations in ref.DURATION_CASES.items():
+        assert hypothetical_durations(RationalGamma(n, m), k) == durations
 
 
 def test_spectator_residual_accurate_hypothetical_machine():
