@@ -55,7 +55,7 @@ def _run_spec(spec: ExperimentSpec, args) -> int:
     if args.final_rotation_style:
         d["final_rotation_style"] = args.final_rotation_style
     if getattr(args, "tau_offset", None):
-        d["tau_offsets"] = [float(x) for x in args.tau_offset]
+        d["tau_offsets"] = args.tau_offset
     table = run_experiment(ExperimentSpec.from_dict(d))
     _write_out(emit_table(table, args.format), args.out)
     return 0
@@ -129,14 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("run", help="run an experiment from a JSON spec")
     sp.add_argument("config")
     common(sp)
-    sp.add_argument("--tau-offset", dest="tau_offset", action="append",
+    sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append",
                     help="duration offset for the phase evolution (repeatable)")
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser("tables", help="run a canned benchmark suite")
     sp.add_argument("name", choices=list(canned_names()))
     common(sp)
-    sp.add_argument("--tau-offset", dest="tau_offset", action="append")
+    sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append")
     sp.set_defaults(func=_cmd_tables)
 
     sp = sub.add_parser("design", help="design a single-spin pulse")

@@ -6,21 +6,30 @@ markdown rendering mirrors the benchmark layout: ideal (a, b) first,
 then one (a_s, b_s) pair per duration label s.  Machine formats (csv,
 json) carry full precision; the display rounds half away from zero to
 two decimals.
+
+Rows that run the same program share it: in each column, all basis-state
+rows of a QA suite run one QA1 program and the singlet row QA2, while
+every search item is its own program.  Each program is built and
+integrated once per column, and its one unitary (and its memoized ideal
+unitary) is applied to every row of its group.
 """
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
+from functools import partial
 
 from . import reference_tables as ref
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig
 from .integrator import IntegratorConfig, convergence_report
-from .programs import (CNOT_SEQUENCES, IDEAL, ROTATING_SF, STATIC_SF, STYLES,
-                       EOStep, build_cnot, build_grover, build_qa, prepare_input,
-                       run_program, with_duration_offset)
+from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
+                       STATIC_SF, STYLES, EOStep, Program, build_cnot,
+                       build_grover, build_qa, input_values, prepare_input,
+                       run_inputs, run_program, with_duration_offset)
 from .states import qubit_values
 
 QA_INPUTS = ("00", "10", "01", "11", "singlet")
@@ -61,12 +70,35 @@ class ExperimentSpec:
         if self.cnot_variant not in CNOT_SEQUENCES:
             raise ConfigurationError(
                 f"cnot_variant must be 1, 2 or 3, got {self.cnot_variant!r}")
-        if not self.k_list:
-            raise ConfigurationError("k_list must be non-empty")
+        if self.final_rotation_style not in ("program", "exact"):
+            raise ConfigurationError(
+                "final_rotation_style must be 'program' or 'exact', "
+                f"got {self.final_rotation_style!r}")
+        for name in ("inputs", "items", "k_list", "tau_offsets"):
+            value = getattr(self, name)
+            if name == "tau_offsets" and value is None:
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ConfigurationError(
+                    f"{name} must be a list, got {type(value).__name__}")
+            if not value:
+                raise ConfigurationError(f"{name} must be non-empty")
+        for r in self.inputs:
+            if r not in INPUT_SPECS:
+                raise ConfigurationError(
+                    f"inputs entries must be one of {INPUT_SPECS}, got {r!r}")
+        for i in self.items:
+            if not (_is_whole(i) and 0 <= i <= 3):
+                raise ConfigurationError(
+                    f"items entries must be whole numbers 0..3, got {i!r}")
         for k in self.k_list:
-            if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 1):
+            if not (_is_whole(k) and k >= 1):
                 raise ConfigurationError(
                     f"k_list entries must be whole numbers >= 1, got {k!r}")
+        for o in self.tau_offsets or ():
+            if not (isinstance(o, numbers.Real) and math.isfinite(o)):
+                raise ConfigurationError(
+                    f"tau_offsets entries must be finite numbers, got {o!r}")
         IntegratorConfig(delta=self.delta)  # rejects a bad step size here
         fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
         if self.delta * fastest > MAX_DELTA_TIMES_DRIVE:
@@ -74,7 +106,7 @@ class ExperimentSpec:
                 f"delta {self.delta} does not resolve the drive at frequency "
                 f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "items", tuple(self.items))
+        object.__setattr__(self, "items", tuple(int(i) for i in self.items))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
         if self.tau_offsets is not None:
             object.__setattr__(self, "tau_offsets",
@@ -100,9 +132,6 @@ class ExperimentSpec:
         if "machine" in d:
             d["machine"] = MachineConfig.from_dict(
                 _known_keys(MachineConfig, d["machine"], "machine"))
-        for key in ("inputs", "items", "k_list", "tau_offsets"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
         return cls(**d)
 
     @classmethod
@@ -112,6 +141,10 @@ class ExperimentSpec:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _is_whole(x) -> bool:
+    return isinstance(x, numbers.Real) and float(x).is_integer()
 
 
 def _known_keys(cls, d, what: str) -> dict:
@@ -189,11 +222,36 @@ def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
     raise ConfigurationError(f"unknown format {fmt!r}; expected markdown, csv or json")
 
 
-def _qa_program(spec: ExperimentSpec, input_spec: str, k: int):
-    return build_qa("QA2" if input_spec == "singlet" else "QA1", input_spec,
-                    cnot_variant=spec.cnot_variant, style=spec.style, k=k,
-                    machine=spec.machine, delta=spec.delta,
-                    final_rotation_style=spec.final_rotation_style)
+def _program_groups(spec: ExperimentSpec):
+    """(row keys, their input specs, k -> Program) per program the rows share.
+
+    The basis-state rows of a QA suite all run one QA1 program and the
+    singlet row runs QA2; every search item is its own program on |00>.
+    """
+    if spec.kind == "grover":
+        return [((str(i),), ("00",),
+                 partial(build_grover, i, style=spec.style, machine=spec.machine,
+                         delta=spec.delta))
+                for i in spec.items]
+    groups = []
+    for which, rows in (("QA1", tuple(r for r in spec.inputs if r != "singlet")),
+                        ("QA2", tuple(r for r in spec.inputs if r == "singlet"))):
+        if rows:
+            groups.append((rows, rows, partial(
+                build_qa, which, rows[0], cnot_variant=spec.cnot_variant,
+                style=spec.style, machine=spec.machine, delta=spec.delta,
+                final_rotation_style=spec.final_rotation_style)))
+    return groups
+
+
+def _record(table: ResultTable, col: str, labels: dict, keys, inputs,
+            program: Program) -> None:
+    """Run the program once for all its rows; store their cells and ideals."""
+    for key, input_spec, ab in zip(keys, inputs, run_inputs(program, inputs)):
+        label = labels[key]
+        table.cells[(label, col)] = ab
+        if label not in table.ideal:
+            table.ideal[label] = input_values(program.ideal_unitary, input_spec)
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
@@ -203,36 +261,31 @@ def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
     return base
 
 
+def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
+    """(row key, row label) of every table row, in table order."""
+    if spec.kind == "qa":
+        return [(r, _qa_row_label(spec, r)) for r in spec.inputs]
+    return [(str(i), str(i)) for i in spec.items]
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute the grid and tabulate (a, b) per (row, duration)."""
     if spec.tau_offsets is not None:
         return perturb_duration_study(spec, spec.tau_offsets)
 
-    if spec.kind == "qa":
-        rows = list(spec.inputs)
-        labels = {r: _qa_row_label(spec, r) for r in rows}
-    else:
-        rows = [str(i) for i in spec.items]
-        labels = {r: r for r in rows}
-    col_labels = []
+    rows = _rows(spec)
+    labels = dict(rows)
     table = ResultTable(
         title=spec.title or f"{spec.kind}:{spec.style}",
         row_header="Operation" if spec.kind == "qa" else "Item position",
-        row_labels=[labels[r] for r in rows], col_labels=col_labels)
-
+        row_labels=[label for _, label in rows], col_labels=[])
+    groups = _program_groups(spec)
     k_list = spec.k_list if spec.style != IDEAL else spec.k_list[:1]
     for k in k_list:
         col = str(8 * k) if spec.style != IDEAL else "ideal"
-        col_labels.append(col)
-        for r in rows:
-            if spec.kind == "qa":
-                program = _qa_program(spec, r, k)
-            else:
-                program = build_grover(int(r), style=spec.style, k=k,
-                                       machine=spec.machine, delta=spec.delta)
-            out = run_program(program)
-            table.cells[(labels[r], col)] = qubit_values(out)
-            table.ideal[labels[r]] = program.ideal_expectations
+        table.col_labels.append(col)
+        for keys, inputs, build in groups:
+            _record(table, col, labels, keys, inputs, build(k=k))
     return table
 
 
@@ -245,22 +298,21 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
     if spec.kind != "qa":
         raise ConfigurationError("perturbation study is defined for QA suites")
     k = spec.k_list[-1]
-    rows = list(spec.inputs)
-    labels = {r: _qa_row_label(spec, r) for r in rows}
+    rows = _rows(spec)
+    labels = dict(rows)
     offsets = [float(o) for o in tau_offsets]
     table = ResultTable(
         title=spec.title or f"duration perturbation (s={8 * k})",
         row_header="Operation",
-        row_labels=[labels[r] for r in rows],
+        row_labels=[label for _, label in rows],
         col_labels=[f"{o:+g}" for o in offsets])
-    for r in rows:
-        program = _qa_program(spec, r, k)
-        table.ideal[labels[r]] = program.ideal_expectations
-        for o in offsets:
-            perturbed = (program if o == 0.0
-                         else with_duration_offset(program, spec.perturb_label, o))
-            out = run_program(perturbed)
-            table.cells[(labels[r], f"{o:+g}")] = qubit_values(out)
+    groups = [(keys, inputs, build(k=k))
+              for keys, inputs, build in _program_groups(spec)]
+    for o, col in zip(offsets, table.col_labels):
+        for keys, inputs, program in groups:
+            if o != 0.0:
+                program = with_duration_offset(program, spec.perturb_label, o)
+            _record(table, col, labels, keys, inputs, program)
     return table
 
 

@@ -209,14 +209,15 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
+    # Validated on every miss; a raising call stores nothing, so bad
+    # arguments raise on every lookup.
+    IntegratorConfig(delta=delta, method=method)
     if method == EXACT_DIAGONAL:
         u = _exact_diagonal_propagator(eo)
     elif method == PRODUCT_FORMULA:
         u = _stepped_propagator(eo, delta, t0, _product_formula_block)
-    elif method == DENSE_MIDPOINT_ORACLE:
+    else:
         u = _stepped_propagator(eo, delta, t0, _dense_block)
-    else:  # pragma: no cover - guarded by IntegratorConfig
-        raise ConfigurationError(f"unknown method {method!r}")
     u.setflags(write=False)
     return u
 
@@ -230,7 +231,7 @@ def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None,
     step size).
     """
     if cfg is None:
-        cfg = IntegratorConfig(delta=eo.delta, method=default_method(eo))
+        return _cached_propagator(eo, eo.delta, default_method(eo), t0)
     return _cached_propagator(eo, cfg.delta, cfg.method, t0)
 
 

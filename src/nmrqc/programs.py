@@ -11,9 +11,11 @@ A Program stores steps in application order (element 0 acts first).
 Exact-matrix steps appear only where a construction is defined by a
 matrix rather than an evolution (the conditional phase gate in ideal
 style, and optionally the final readout rotation).  program_unitary is
-the one walk over the steps; run_program applies its 4x4 product to the
-input.  Gate steps and gate matrices are memoized, so rebuilding a
-program re-designs no pulse and its ideal answer is one matrix product.
+the one walk over the steps.  run_inputs applies its 4x4 product to
+every input that runs the program, so rows sharing a program share one
+integration; run_program is the one-input case.  Gate steps, gate
+matrices and each gate sequence's ideal unitary are memoized, so
+rebuilding a program re-designs no pulse and recomposes no gate.
 """
 from __future__ import annotations
 
@@ -111,7 +113,15 @@ class Program:
     name: str
     steps: tuple
     input_spec: str = "00"
-    ideal_expectations: tuple[float, float] | None = None
+    ideal_unitary: np.ndarray | None = field(default=None, repr=False,
+                                             compare=False)  # read-only
+
+    @property
+    def ideal_expectations(self) -> tuple[float, float] | None:
+        """(a, b) of the declared input under the ideal gates, if known."""
+        if self.ideal_unitary is None:
+            return None
+        return input_values(self.ideal_unitary, self.input_spec)
 
     @property
     def eos(self) -> tuple[EOParams, ...]:
@@ -168,10 +178,10 @@ def _coerce_style(style, k: int) -> GateImplStyle:
     return GateImplStyle(style=style, k=k)
 
 
-def _ideal_output(steps_names: list[str], input_spec: str,
-                  machine: MachineConfig) -> tuple[float, float]:
-    u = compose(reversed(steps_names), machine)
-    return qubit_values(StateVector(u @ prepare_input(input_spec).amplitudes))
+@lru_cache(maxsize=256)
+def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray:
+    """Read-only product of the ideal gates, names in application order."""
+    return frozen_unitary(compose(reversed(names), machine))
 
 
 def _cnot_names(variant: int) -> list[str]:
@@ -188,10 +198,9 @@ def build_cnot(variant: int, style, k: int = 1,
     style = _coerce_style(style, k)
     names = _cnot_names(variant)
     steps = _expand(names, style, machine, gamma, delta)
-    ideal_ab = _ideal_output(names, input_spec, machine)
     return Program(name=f"CNOT{variant}[{style.style},k={style.k}]",
                    steps=tuple(steps), input_spec=input_spec,
-                   ideal_expectations=ideal_ab)
+                   ideal_unitary=_ideal_unitary(tuple(names), machine))
 
 
 def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
@@ -226,10 +235,9 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
             steps.append(MatrixStep("Y1", ideal_gate("Y1", machine).matrix))
         else:
             steps.append(_gate_step("Y1", style, machine, gamma, delta))
-    ideal_ab = _ideal_output(names, input_spec, machine)
     return Program(name=f"QA{qa}[CNOT{cnot_variant},{style.style},k={style.k}]",
                    steps=tuple(steps), input_spec=input_spec,
-                   ideal_expectations=ideal_ab)
+                   ideal_unitary=_ideal_unitary(tuple(names), machine))
 
 
 def build_grover(item: int, style=IDEAL, k: int = 1,
@@ -238,12 +246,22 @@ def build_grover(item: int, style=IDEAL, k: int = 1,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
     style = _coerce_style(style, k)
-    names = list(reversed(grover_sequence(item)))  # application order
+    names = tuple(reversed(grover_sequence(item)))  # application order
     steps = _expand(names, style, machine, gamma, delta)
-    ideal_ab = _ideal_output(names, "00", machine)
     return Program(name=f"Grover{item}[{style.style},k={style.k}]",
                    steps=tuple(steps), input_spec="00",
-                   ideal_expectations=ideal_ab)
+                   ideal_unitary=_ideal_unitary(names, machine))
+
+
+def input_values(u: np.ndarray, input_spec: str) -> tuple[float, float]:
+    """Qubit values (a, b) after the 4x4 unitary u acts on the named input."""
+    return qubit_values(StateVector(u @ prepare_input(input_spec).amplitudes))
+
+
+def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
+    """Qubit values of each named input under one program_unitary(program)."""
+    u = program_unitary(program)
+    return [input_values(u, spec) for spec in input_specs]
 
 
 def run_program(program: Program, input_state: StateVector | None = None,

@@ -28,3 +28,42 @@ def table_cache():
         return cache[name]
 
     return get
+
+
+def per_row_reference(spec):
+    """Labels, cells and ideals of spec's table, each row built and run alone.
+
+    The reference for the harness, which builds one program per group of
+    rows and applies its unitary to every row of the group.
+    """
+    from nmrqc import (build_grover, build_qa, qubit_values, run_program,
+                       with_duration_offset)
+    from nmrqc.harness import _qa_row_label
+
+    if spec.kind == "qa":
+        rows = [(r, _qa_row_label(spec, r)) for r in spec.inputs]
+    else:
+        rows = [(str(i), str(i)) for i in spec.items]
+    if spec.tau_offsets is not None:
+        columns = [(f"{o:+g}", spec.k_list[-1], o) for o in spec.tau_offsets]
+    elif spec.style == "ideal":
+        columns = [("ideal", spec.k_list[0], 0.0)]
+    else:
+        columns = [(str(8 * k), k, 0.0) for k in spec.k_list]
+    cells, ideal = {}, {}
+    for key, label in rows:
+        for col, k, offset in columns:
+            if spec.kind == "qa":
+                program = build_qa("QA2" if key == "singlet" else "QA1", key,
+                                   cnot_variant=spec.cnot_variant,
+                                   style=spec.style, k=k, machine=spec.machine,
+                                   delta=spec.delta,
+                                   final_rotation_style=spec.final_rotation_style)
+            else:
+                program = build_grover(int(key), style=spec.style, k=k,
+                                       machine=spec.machine, delta=spec.delta)
+            if offset != 0.0:
+                program = with_duration_offset(program, spec.perturb_label, offset)
+            cells[(label, col)] = qubit_values(run_program(program))
+            ideal[label] = program.ideal_expectations
+    return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal

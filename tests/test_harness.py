@@ -8,6 +8,8 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_qa,
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import _qa_row_label
 
+from conftest import per_row_reference
+
 
 @pytest.fixture(scope="module")
 def small_spec():
@@ -105,6 +107,24 @@ def test_spec_validation():
         ExperimentSpec.from_dict([1, 2])
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         ExperimentSpec.from_json('{"kind": "qa",')
+    for bad, match in [({"inputs": 5}, "inputs must be a list"),
+                       ({"inputs": "00"}, "inputs must be a list"),
+                       ({"items": 5}, "items must be a list"),
+                       ({"k_list": 3}, "k_list must be a list"),
+                       ({"tau_offsets": "ab"}, "tau_offsets must be a list"),
+                       ({"inputs": []}, "inputs must be non-empty"),
+                       ({"items": []}, "items must be non-empty"),
+                       ({"tau_offsets": []}, "tau_offsets must be non-empty"),
+                       ({"inputs": ["00", "02"]}, "inputs entries"),
+                       ({"items": [4]}, "items entries"),
+                       ({"items": [-1]}, "items entries"),
+                       ({"items": [1.5]}, "items entries"),
+                       ({"tau_offsets": ["ab"]}, "tau_offsets entries"),
+                       ({"tau_offsets": [float("nan")]}, "tau_offsets entries"),
+                       ({"final_rotation_style": "bogus"}, "final_rotation_style")]:
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentSpec.from_dict(bad)
+    assert ExperimentSpec(items=(2.0,)).items == (2,)
 
 
 def test_canned_specs_exist():
@@ -114,6 +134,47 @@ def test_canned_specs_exist():
         canned_spec(name)
     with pytest.raises(ConfigurationError):
         canned_spec("table99")
+
+
+_BATCH_CASES = {
+    "qa_reordered": dict(inputs=("11", "singlet", "00"), k_list=(1, 2)),
+    "singlet_only": dict(inputs=("singlet",), style="static_sf", k_list=(1,)),
+    "basis_only": dict(inputs=("00", "10", "01", "11"), cnot_variant=3,
+                       k_list=(1,)),
+    "duplicated_input": dict(inputs=("01", "singlet", "01"), k_list=(1,)),
+    "grover": dict(kind="grover", items=(2, 0, 3), k_list=(1, 2)),
+    "ideal_style": dict(style="ideal", cnot_variant=2),
+    "exact_final_rotation": dict(inputs=("10", "singlet"), k_list=(1,),
+                                 final_rotation_style="exact"),
+    "tau_offsets": dict(inputs=("00", "singlet", "11"), k_list=(1,),
+                        tau_offsets=(-0.1, 0.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_run_experiment_matches_per_row_reference(case):
+    spec = ExperimentSpec(**_BATCH_CASES[case])
+    table = run_experiment(spec)
+    rows, cols, cells, ideal = per_row_reference(spec)
+    assert (table.row_labels, table.col_labels) == (rows, cols)
+    assert table.cells == cells
+    assert table.ideal == ideal
+
+
+@pytest.mark.parametrize("fields, programs", [
+    (dict(k_list=(1, 2)), 4),                       # QA1 + QA2 per column
+    (dict(inputs=("00", "11"), k_list=(1,)), 1),
+    (dict(kind="grover", k_list=(1, 2)), 8),        # one per item and column
+    (dict(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1)), 6),
+])
+def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
+    import nmrqc.harness
+    calls = []
+    run_inputs = nmrqc.harness.run_inputs
+    monkeypatch.setattr(nmrqc.harness, "run_inputs",
+                        lambda p, inputs: calls.append(p) or run_inputs(p, inputs))
+    run_experiment(ExperimentSpec(**fields))
+    assert len(calls) == programs
 
 
 def test_perturbation_zero_offset_matches_base():
@@ -150,6 +211,13 @@ def test_cli_design_rejects_bad_axis(capsys):
     assert rc == 2
 
 
+def test_cli_bad_tau_offset_is_bad_input(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "table10", "--tau-offset", "ab"])
+    assert exc.value.code == 2
+    assert "invalid float value: 'ab'" in capsys.readouterr().err
+
+
 def test_cli_run_with_config(tmp_path, capsys):
     cfg = {"kind": "qa", "style": "rotating_sf", "cnot_variant": 1,
            "inputs": ["00"], "k_list": [1], "title": "cli smoke"}
@@ -183,7 +251,12 @@ def test_cli_missing_config_file(capsys):
 
 @pytest.mark.parametrize("text", ['{"kind": "qa",', '{"bogus": 1}',
                                   '{"cnot_variant": 4}', '{"k_list": [1.5]}',
-                                  '{"delta": 5}'])
+                                  '{"delta": 5}', '{"inputs": 5}',
+                                  '{"items": 5}', '{"k_list": 3}',
+                                  '{"tau_offsets": "ab"}', '{"inputs": "00"}',
+                                  '{"inputs": []}', '{"items": []}',
+                                  '{"inputs": ["02"]}', '{"items": [4]}',
+                                  '{"final_rotation_style": "bogus"}'])
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(text)

@@ -236,3 +236,7 @@ def test_fold_steps_one_period_then_the_tail():
 def test_non_finite_delta_rejected(bad):
     with pytest.raises(ConfigurationError):
         IntegratorConfig(delta=bad)
+    for eo in (pulse_eo(), ideal_eo_params("Ip")):
+        for _ in range(2):  # a lookup that raised left nothing in the cache
+            with pytest.raises(ConfigurationError, match="delta"):
+                eo_propagator(eo.replace(delta=bad))

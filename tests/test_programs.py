@@ -6,9 +6,12 @@ from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
                    grover_sequence, ideal_gate, parse_program_text,
                    prepare_basis_state, prepare_input, program_unitary,
                    qubit_values, run_program, with_duration_offset)
-from nmrqc.gates import coupling_pi_duration
+from nmrqc.integrator import _cached_propagator
+from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import TWO_PI, global_phase_distance, state_phase_distance
-from nmrqc.programs import CNOT_SEQUENCES, STYLES, EOStep, MatrixStep
+from nmrqc.programs import (CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
+                            MatrixStep, run_inputs)
+from nmrqc.states import StateVector
 
 
 def test_ideal_cnot_variants_match_exact_gate():
@@ -48,6 +51,18 @@ def test_qa1_ideal_truth_table():
         got = qubit_values(run_program(p))
         assert got == pytest.approx(want, abs=1e-6)
         assert p.ideal_expectations == pytest.approx(want, abs=1e-12)
+
+
+def test_ideal_unitary_is_memoized_and_read_only():
+    a = build_qa("QA1", "00", 1, "rotating_sf", k=1)
+    b = build_qa("QA1", "11", 1, "static_sf", k=2)
+    assert a.ideal_unitary is b.ideal_unitary
+    assert not a.ideal_unitary.flags.writeable
+    assert build_qa("QA1", "00", 2).ideal_unitary is not a.ideal_unitary
+    names = list(reversed(CNOT_SEQUENCES[1] * 5))
+    want = qubit_values(StateVector(compose(names) @ prepare_input("11").amplitudes))
+    assert b.ideal_expectations == want
+    assert parse_program_text("gate X1").ideal_expectations is None
 
 
 def test_qa2_ideal_gives_definite_answer():
@@ -154,6 +169,32 @@ def test_run_program_matches_stepwise_reference(style, program, options):
     p = _PROGRAMS[program](style)
     got = run_program(p, **options).amplitudes
     assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_run_inputs_equals_run_program_per_input(style):
+    for which, inputs in (("QA1", ("00", "10", "01", "11")), ("QA2", ("singlet",))):
+        program = build_qa(which, inputs[0], 2, style, k=1)
+        want = [qubit_values(run_program(program, prepare_input(s)))
+                for s in inputs]
+        assert run_inputs(program, inputs) == want
+
+
+def _lookups():
+    info = _cached_propagator.cache_info()
+    return info.hits + info.misses
+
+
+@pytest.mark.parametrize("program", sorted(_PROGRAMS))
+def test_one_propagator_lookup_per_eo_step(program):
+    """One cache lookup per EO step, however many inputs share the unitary."""
+    p = _PROGRAMS[program]("rotating_sf")
+    before = _lookups()
+    program_unitary(p)
+    assert _lookups() - before == len(p.eos)
+    before = _lookups()
+    run_inputs(p, INPUT_SPECS)
+    assert _lookups() - before == len(p.eos)
 
 
 def test_program_unitary_long_pulse_close_to_ideal():

@@ -1,0 +1,50 @@
+"""Property-based tests: spec serialization and the batched harness."""
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nmrqc import ExperimentSpec, MachineConfig, run_experiment
+from nmrqc.programs import INPUT_SPECS, STYLES
+
+from conftest import per_row_reference
+
+_offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
+
+specs = st.builds(
+    ExperimentSpec,
+    kind=st.sampled_from(["qa", "grover"]),
+    style=st.sampled_from(STYLES),
+    cnot_variant=st.sampled_from([1, 2, 3]),
+    inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=6),
+    items=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    k_list=st.lists(st.integers(1, 64), min_size=1, max_size=5),
+    delta=st.floats(1e-4, 0.25),
+    final_rotation_style=st.sampled_from(["program", "exact"]),
+    tau_offsets=st.none() | _offsets,
+    perturb_label=st.sampled_from(["Ip", "Y2"]),
+    machine=st.sampled_from([MachineConfig(), MachineConfig(h1z=2.0, h2z=0.5)]),
+    title=st.text(max_size=20),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs)
+def test_spec_dict_and_json_round_trip(spec):
+    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    assert ExperimentSpec.from_json(json.dumps(spec.to_dict())) == spec
+
+
+@settings(max_examples=12, deadline=None)
+@given(inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5),
+       k=st.sampled_from([1, 2]),
+       variant=st.sampled_from([1, 2, 3]),
+       style=st.sampled_from(["rotating_sf", "static_sf"]))
+def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
+    spec = ExperimentSpec(inputs=tuple(inputs), k_list=(k,), cnot_variant=variant,
+                          style=style)
+    table = run_experiment(spec)
+    rows, cols, cells, ideal = per_row_reference(spec)
+    assert (table.row_labels, table.col_labels) == (rows, cols)
+    assert table.cells == cells
+    assert table.ideal == ideal
