@@ -15,6 +15,7 @@ verbatim; time arguments of hamiltonian_at are plain (radian) time.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,19 @@ class EOParams:
         """True when only S^z terms are present (exactly solvable)."""
         return not any((self.h1x, self.h1y, self.h2x, self.h2y,
                         self.sf1x, self.sf1y, self.sf2x, self.sf2y))
+
+    @property
+    def is_rotating(self) -> bool:
+        """True when the drive turns rigidly about z at omega.
+
+        That needs no static transverse field, equal x and y amplitudes
+        on each spin and phi_y - phi_x = pi/2 exactly; then
+        H(t + theta) = Z H(t) Z^dagger with Z = exp(+i omega theta S^z_tot).
+        """
+        return (self.omega != 0.0
+                and not any((self.h1x, self.h1y, self.h2x, self.h2y))
+                and self.sf1x == self.sf1y and self.sf2x == self.sf2y
+                and self.phi_y - self.phi_x == math.pi / 2.0)
 
     def replace(self, **kw) -> "EOParams":
         return dataclasses.replace(self, **kw)

@@ -294,25 +294,31 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
 
     Offsets (in tau/2pi units) apply to every EO labeled 'Ip', i.e. the
     diagonal evolution inside each CNOT; pulse durations are untouched.
+    Each k of the spec gets one block of offset columns.  A single k
+    labels its columns by offset alone ('+0.05'); several label them by
+    offset and duration ('+0.05@s=256').
     """
     if spec.kind != "qa":
         raise ConfigurationError("perturbation study is defined for QA suites")
-    k = spec.k_list[-1]
     rows = _rows(spec)
     labels = dict(rows)
     offsets = [float(o) for o in tau_offsets]
+    durations = ", ".join(str(8 * k) for k in spec.k_list)
     table = ResultTable(
-        title=spec.title or f"duration perturbation (s={8 * k})",
+        title=spec.title or f"duration perturbation (s={durations})",
         row_header="Operation",
-        row_labels=[label for _, label in rows],
-        col_labels=[f"{o:+g}" for o in offsets])
-    groups = [(keys, inputs, build(k=k))
-              for keys, inputs, build in _program_groups(spec)]
-    for o, col in zip(offsets, table.col_labels):
-        for keys, inputs, program in groups:
-            if o != 0.0:
-                program = with_duration_offset(program, spec.perturb_label, o)
-            _record(table, col, labels, keys, inputs, program)
+        row_labels=[label for _, label in rows], col_labels=[])
+    for k in spec.k_list:
+        suffix = f"@s={8 * k}" if len(spec.k_list) > 1 else ""
+        groups = [(keys, inputs, build(k=k))
+                  for keys, inputs, build in _program_groups(spec)]
+        for o in offsets:
+            col = f"{o:+g}{suffix}"
+            table.col_labels.append(col)
+            for keys, inputs, program in groups:
+                if o != 0.0:
+                    program = with_duration_offset(program, spec.perturb_label, o)
+                _record(table, col, labels, keys, inputs, program)
     return table
 
 

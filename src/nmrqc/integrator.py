@@ -20,16 +20,31 @@ Three interchangeable propagator constructions:
   substep via eigendecomposition.  Slower, split-free; serves as the
   independent reference when validating the product formula.
 
-Both stepped methods share one loop.  When the drive period 1/omega
-(over 2*pi) is a whole number P of steps, i.e. 1/(omega*delta) is an
-integer to a relative 1e-12, and the EO spans at least 2P full substeps,
-the fields repeat exactly every P substeps (Floquet; Shirley, Phys. Rev.
-138, B979 (1965)).  The product of the first P substeps, U_T, is then
-built once and raised to q = n_full // P by repeated squaring; the
-n_full mod P leftover substeps are stepped at their true midpoints.  In
-every other case (omega = 0, a period that is not a whole number of
-steps or is shorter than one step, a pulse shorter than two periods)
-every substep is stepped, in vectorized chunks.
+Both stepped methods share one loop, which folds the substep product by
+a symmetry of the drive wherever one holds exactly:
+
+* A rotating drive (``EOParams.is_rotating``: no static transverse
+  field, equal x/y amplitudes, phi_y - phi_x = pi/2) turns rigidly
+  about z.  The Ising and z terms commute with total S^z, so every
+  substep block is a z-conjugate of the first one,
+  B(t + theta) = Z(theta) B(t) Z(theta)^dagger with
+  Z(theta) = exp(+i omega theta S^z_tot), and the n full substeps give
+  exactly U = Z(n dt) (Z(dt)^dagger B(t0 + dt/2))^n (the rotating frame;
+  Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
+  single-midpoint block is built and raised to the n-th power.
+* Otherwise, when the drive period 1/omega (over 2*pi) is a whole number
+  P of steps, i.e. 1/(omega*delta) is an integer to a relative 1e-12,
+  and the EO spans at least 2P full substeps, the fields repeat exactly
+  every P substeps (Floquet; Shirley, Phys. Rev. 138, B979 (1965)).  The
+  product of the first P substeps is built once and raised to
+  q = n_full // P; the n_full mod P leftover substeps are stepped at
+  their true midpoints.
+* In every other case (omega = 0, a period that is not a whole number of
+  steps or is shorter than one step, a static pulse shorter than two
+  periods) every substep is stepped, in vectorized chunks.
+
+Powers are taken by repeated squaring, and the finished propagator is
+polar-projected onto the unitary group once.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -57,6 +72,7 @@ _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps vectorized per block
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
+_SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
 
 
 @dataclass(frozen=True)
@@ -119,10 +135,10 @@ def _chain(mats: np.ndarray) -> np.ndarray:
 def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     """Polar projection onto the unitary group.
 
-    Long products of individually unitary factors (a chunk of substeps,
-    or repeated squares of a period propagator) pick up float noise;
-    projecting after each product removes it (the exact propagator is
-    unitary, so this perturbs by no more than the noise).
+    A long product of individually unitary factors (repeated squares of
+    a block, or chunks of substeps) picks up float noise; projecting the
+    finished product once removes it (the exact propagator is unitary,
+    so this perturbs by no more than the noise).
     """
     u, _s, vh = np.linalg.svd(m)
     return u @ vh
@@ -163,39 +179,42 @@ def _period_steps(omega: float, delta: float) -> int:
     return p if p >= 1 and abs(steps - p) <= _PERIOD_RTOL * steps else 0
 
 
-def _unitary_power(u: np.ndarray, q: int) -> np.ndarray:
-    """u**q by repeated squaring, polar-projecting every product."""
-    out = np.eye(4, dtype=complex)
-    while q:
-        if q & 1:
-            out = _nearest_unitary(u @ out)
-        q >>= 1
-        if q:
-            u = _nearest_unitary(u @ u)
-    return out
+def _frame(eo: EOParams, theta: float) -> np.ndarray:
+    """Diagonal of Z(theta) = exp(+i omega theta S^z_tot)."""
+    return np.exp(1j * eo.omega * theta * _SZ_TOTAL)
 
 
-def _stepped_propagator(eo: EOParams, delta: float, t0: float, block) -> np.ndarray:
-    """Product of `block` over the substep schedule, folded by drive period."""
-    n_full, rem = _step_schedule(eo.tau, delta)
+def _folded_power(eo: EOParams, n_full: int, delta: float, t0: float,
+                  block) -> tuple[np.ndarray, int]:
+    """Product of the leading substeps folded by symmetry, and their count."""
     dt = delta * TWO_PI
-    u = np.eye(4, dtype=complex)
-    start = 0
+    if eo.is_rotating and n_full:
+        first = block(eo, np.array([t0 + dt / 2.0]), dt)
+        step = _frame(eo, dt).conj()[:, None] * first
+        return (_frame(eo, n_full * dt)[:, None]
+                * np.linalg.matrix_power(step, n_full)), n_full
     period = _period_steps(eo.omega, delta)
     if period and n_full >= 2 * period:
         q = n_full // period
         u_period = block(eo, t0 + (np.arange(period) + 0.5) * dt, dt)
-        u = _unitary_power(_nearest_unitary(u_period), q)
-        start = q * period
+        return np.linalg.matrix_power(u_period, q), q * period
+    return np.eye(4, dtype=complex), 0
+
+
+def _stepped_propagator(eo: EOParams, delta: float, t0: float, block) -> np.ndarray:
+    """Product of `block` over the substep schedule, folded by symmetry."""
+    n_full, rem = _step_schedule(eo.tau, delta)
+    dt = delta * TWO_PI
+    u, start = _folded_power(eo, n_full, delta, t0, block)
     for lo in range(start, n_full, _CHUNK):
         m = min(_CHUNK, n_full - lo)
         mids = t0 + (lo + np.arange(m) + 0.5) * dt
-        u = _nearest_unitary(block(eo, mids, dt) @ u)
+        u = block(eo, mids, dt) @ u
     if rem > 0.0:
         dt_rem = rem * TWO_PI
         mid = np.array([t0 + n_full * dt + dt_rem / 2.0])
-        u = _nearest_unitary(block(eo, mid, dt_rem) @ u)
-    return u
+        u = block(eo, mid, dt_rem) @ u
+    return _nearest_unitary(u)
 
 
 def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:

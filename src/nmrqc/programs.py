@@ -14,8 +14,9 @@ style, and optionally the final readout rotation).  program_unitary is
 the one walk over the steps.  run_inputs applies its 4x4 product to
 every input that runs the program, so rows sharing a program share one
 integration; run_program is the one-input case.  Gate steps, gate
-matrices and each gate sequence's ideal unitary are memoized, so
-rebuilding a program re-designs no pulse and recomposes no gate.
+matrices, each gate sequence's ideal unitary and the five input states
+are memoized, so rebuilding a program re-designs no pulse and
+recomposes no gate, and reading a cell prepares no input.
 """
 from __future__ import annotations
 
@@ -133,11 +134,18 @@ class Program:
 
 
 def prepare_input(spec: str) -> StateVector:
+    """The named input state: one shared, read-only StateVector per spec."""
+    if spec not in INPUT_SPECS:
+        raise ConfigurationError(
+            f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
+    return _input_state(spec)
+
+
+@lru_cache(maxsize=None)
+def _input_state(spec: str) -> StateVector:
     if spec == "singlet":
         return prepare_singlet()
-    if spec in INPUT_SPECS:
-        return prepare_basis_state(2, [int(spec[0]), int(spec[1])])
-    raise ConfigurationError(f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
+    return prepare_basis_state(2, [int(spec[0]), int(spec[1])])
 
 
 @lru_cache(maxsize=1024)

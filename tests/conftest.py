@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from nmrqc import run_experiment
+from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA, run_experiment
+from nmrqc.integrator import _dense_block, _product_formula_block, _step_schedule
+from nmrqc.operators import TWO_PI
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +47,9 @@ def per_row_reference(spec):
     else:
         rows = [(str(i), str(i)) for i in spec.items]
     if spec.tau_offsets is not None:
-        columns = [(f"{o:+g}", spec.k_list[-1], o) for o in spec.tau_offsets]
+        several = len(spec.k_list) > 1
+        columns = [(f"{o:+g}" + (f"@s={8 * k}" if several else ""), k, o)
+                   for k in spec.k_list for o in spec.tau_offsets]
     elif spec.style == "ideal":
         columns = [("ideal", spec.k_list[0], 0.0)]
     else:
@@ -67,3 +71,20 @@ def per_row_reference(spec):
             cells[(label, col)] = qubit_values(run_program(program))
             ideal[label] = program.ideal_expectations
     return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal
+
+
+BLOCKS = {PRODUCT_FORMULA: _product_formula_block,
+          DENSE_MIDPOINT_ORACLE: _dense_block}
+
+
+def chained_reference(eo, delta, t0, block):
+    """Every substep at its own midpoint, chained in one product, no folding."""
+    n_full, rem = _step_schedule(eo.tau, delta)
+    dt = delta * TWO_PI
+    u = np.eye(4, dtype=complex)
+    if n_full:
+        u = block(eo, t0 + (np.arange(n_full) + 0.5) * dt, dt)
+    if rem > 0.0:
+        dt_rem = rem * TWO_PI
+        u = block(eo, np.array([t0 + n_full * dt + dt_rem / 2.0]), dt_rem) @ u
+    return u

@@ -110,3 +110,15 @@ def test_is_diagonal_flag():
     assert EOParams(j=J, h1z=1.0, h2z=0.25).is_diagonal
     assert not EOParams(sf1x=0.1).is_diagonal
     assert not EOParams(h2y=0.1).is_diagonal
+
+
+def test_is_rotating_flag():
+    eo = EOParams(h1z=1.0, h2z=0.25, sf1x=0.1, sf1y=0.1, sf2x=0.025,
+                  sf2y=0.025, omega=1.0, phi_x=-np.pi / 2, phi_y=0.0)
+    assert eo.is_rotating
+    assert eo.replace(phi_x=0.0, phi_y=np.pi / 2).is_rotating
+    for near_miss in (dict(omega=0.0), dict(h1x=1e-9), dict(h2y=1e-9),
+                      dict(sf1y=0.1000001), dict(sf2x=0.0),
+                      dict(phi_x=np.pi / 2),             # turns the other way
+                      dict(phi_y=1e-15)):
+        assert not eo.replace(**near_miss).is_rotating, near_miss

@@ -148,6 +148,8 @@ _BATCH_CASES = {
                                  final_rotation_style="exact"),
     "tau_offsets": dict(inputs=("00", "singlet", "11"), k_list=(1,),
                         tau_offsets=(-0.1, 0.0, 0.1)),
+    "tau_offsets_two_k": dict(inputs=("singlet", "10"), k_list=(2, 1),
+                              tau_offsets=(0.1, 0.0)),
 }
 
 
@@ -166,6 +168,7 @@ def test_run_experiment_matches_per_row_reference(case):
     (dict(inputs=("00", "11"), k_list=(1,)), 1),
     (dict(kind="grover", k_list=(1, 2)), 8),        # one per item and column
     (dict(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1)), 6),
+    (dict(k_list=(1, 2), tau_offsets=(-0.1, 0.0, 0.1)), 12),
 ])
 def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
     import nmrqc.harness
@@ -187,6 +190,18 @@ def test_perturbation_zero_offset_matches_base():
                        tau_offsets=(0.0,)))
     row = _qa_row_label(spec, "singlet")
     assert pert.cell(row, "+0") == pytest.approx(base.cell(row, 8), abs=1e-12)
+
+
+def test_perturbation_keeps_every_k():
+    # one block of offset columns per k; none is dropped
+    spec = ExperimentSpec.from_dict({"k_list": [1, 2], "tau_offsets": [0.0]})
+    pert = run_experiment(spec)
+    base = run_experiment(ExperimentSpec(k_list=(1, 2)))
+    assert pert.title == "duration perturbation (s=8, 16)"
+    assert pert.col_labels == ["+0@s=8", "+0@s=16"]
+    for row in pert.row_labels:
+        assert pert.cell(row, "+0@s=8") == base.cell(row, 8)
+        assert pert.cell(row, "+0@s=16") == base.cell(row, 16)
 
 
 def test_parse_angle_forms():

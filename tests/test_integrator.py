@@ -7,11 +7,12 @@ from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
                    evolve, evolve_reference, ideal_eo_params, ideal_gate,
                    prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _dense_block,
-                              _product_formula_block, _step_schedule,
-                              _stepped_propagator)
+from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _product_formula_block,
+                              _step_schedule, _stepped_propagator)
 from nmrqc.operators import TWO_PI, state_phase_distance
 from nmrqc.states import StateVector
+
+from conftest import BLOCKS, chained_reference
 
 J = -0.43e-6
 
@@ -169,23 +170,6 @@ def test_convergence_report_flags_and_ratio():
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
 
 
-BLOCKS = {PRODUCT_FORMULA: _product_formula_block,
-          DENSE_MIDPOINT_ORACLE: _dense_block}
-
-
-def chained_reference(eo, delta, t0, block):
-    """Every substep at its own midpoint, chained in one product, no folding."""
-    n_full, rem = _step_schedule(eo.tau, delta)
-    dt = delta * TWO_PI
-    u = np.eye(4, dtype=complex)
-    if n_full:
-        u = block(eo, t0 + (np.arange(n_full) + 0.5) * dt, dt)
-    if rem > 0.0:
-        dt_rem = rem * TWO_PI
-        u = block(eo, np.array([t0 + n_full * dt + dt_rem / 2.0]), dt_rem) @ u
-    return u
-
-
 @pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
 @pytest.mark.parametrize("mode", ["rotating", "static_axis"])
 @pytest.mark.parametrize("name", ["Y1", "X2"])
@@ -214,22 +198,73 @@ def test_unfoldable_schedules_step_every_substep(method):
             assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta, t0)
 
 
-def test_fold_steps_one_period_then_the_tail():
+def _counted_blocks(eo, delta):
     sizes = []
 
     def counting_block(eo, mids, dt):
         sizes.append(mids.size)
         return _product_formula_block(eo, mids, dt)
 
-    eo = pulse_eo("Y2").replace(tau=128.1037)   # 12810 steps + remainder
-    _stepped_propagator(eo, 0.01, 0.0, counting_block)
-    assert sizes == [400, 10, 1]   # one period, partial period, remainder
-    sizes.clear()
-    _stepped_propagator(eo, 0.03, 0.0, counting_block)
-    assert sizes == [4270, 1]      # 1/(0.25*0.03) is not a whole number
-    sizes.clear()
-    _stepped_propagator(eo.replace(tau=7.99), 0.01, 0.0, counting_block)
-    assert sizes == [799]          # shorter than two periods
+    _stepped_propagator(eo, delta, 0.0, counting_block)
+    return sizes
+
+
+def test_fold_steps_one_period_then_the_tail():
+    # a static drive does not turn rigidly, so it folds by period
+    eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
+    assert not eo.is_rotating                   # 12810 steps + remainder
+    assert _counted_blocks(eo, 0.01) == [400, 10, 1]   # period, partial, remainder
+    assert _counted_blocks(eo, 0.03) == [4270, 1]  # 1/(0.25*0.03) not whole
+    assert _counted_blocks(eo.replace(tau=7.99), 0.01) == [799]  # < two periods
+
+
+def test_rotating_pulse_steps_one_midpoint_then_the_tail():
+    eo = pulse_eo("Y2").replace(tau=128.1037)
+    assert eo.is_rotating
+    for delta in (0.01, 0.03):  # no commensurability condition
+        assert _counted_blocks(eo, delta) == [1, 1]
+    assert _counted_blocks(eo.replace(tau=7.99), 0.01) == [1]
+    assert _counted_blocks(eo.replace(tau=0.005), 0.01) == [1]  # remainder only
+
+
+def _frame(eo, theta):
+    """Z(theta) = exp(+i omega theta S^z_tot); S^z_tot = diag(1, 0, 0, -1)."""
+    return np.diag(np.exp(1j * eo.omega * theta * np.array([1.0, 0.0, 0.0, -1.0])))
+
+
+@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("name", ["X1", "Y2b", "X2p"])
+def test_rotating_block_is_a_z_conjugate(name, method):
+    eo = pulse_eo(name, k=2)
+    block, dt = BLOCKS[method], 0.01 * TWO_PI
+    for t in (0.5 * dt, 3.7):
+        for theta in (dt, 17 * dt, -2.3):
+            z = _frame(eo, theta)
+            shifted = block(eo, np.array([t + theta]), dt)
+            conj = z @ block(eo, np.array([t]), dt) @ z.conj().T
+            assert np.max(np.abs(shifted - conj)) < 1e-14, (t, theta)
+    # the other sense of rotation is far off: this pins the sign of Z
+    z = _frame(eo, -1.0)
+    wrong = z @ block(eo, np.array([3.7]), dt) @ z.conj().T
+    assert np.max(np.abs(block(eo, np.array([4.7]), dt) - wrong)) > 1e-5
+
+
+_NEAR_MISSES = {
+    "phase_minus_quarter": lambda eo: eo.replace(phi_x=eo.phi_y + np.pi / 2),
+    "unequal_amplitudes": lambda eo: eo.replace(sf1y=1.001 * eo.sf1x),
+    "static_transverse": lambda eo: eo.replace(h1x=1e-3),
+    "static_axis": lambda eo: pulse_eo("X2", mode="static_axis"),
+}
+
+
+@pytest.mark.parametrize("miss", sorted(_NEAR_MISSES))
+def test_near_rotating_pulses_fall_back(miss):
+    eo = _NEAR_MISSES[miss](pulse_eo("X2")).replace(tau=128.1037)
+    assert pulse_eo("X2").is_rotating and not eo.is_rotating
+    for t0 in (0.0, TWO_PI * 3.37):
+        u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA), t0=t0)
+        ref = chained_reference(eo, 0.01, t0, _product_formula_block)
+        assert np.max(np.abs(u - ref)) < 1e-11, t0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

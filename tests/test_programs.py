@@ -65,6 +65,19 @@ def test_ideal_unitary_is_memoized_and_read_only():
     assert parse_program_text("gate X1").ideal_expectations is None
 
 
+def test_input_states_are_memoized_and_read_only():
+    for spec in INPUT_SPECS:
+        state = prepare_input(spec)
+        assert prepare_input(spec) is state
+        assert not state.amplitudes.flags.writeable
+    assert np.array_equal(prepare_input("10").amplitudes,
+                          prepare_basis_state(2, [1, 0]).amplitudes)
+    for bad in ("2", "0 0", ["00"], None):
+        for _ in range(2):  # nothing is cached for an unknown spec
+            with pytest.raises(ConfigurationError, match="unknown input spec"):
+                prepare_input(bad)
+
+
 def test_qa2_ideal_gives_definite_answer():
     p = build_qa("QA2", "singlet", style="ideal")
     out = run_program(p)

@@ -1,13 +1,18 @@
-"""Property-based tests: spec serialization and the batched harness."""
+"""Property-based tests: spec serialization, the batched harness and the
+folded pulse propagators."""
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqc import ExperimentSpec, MachineConfig, run_experiment
+from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
+                   run_experiment)
+from nmrqc.integrator import _product_formula_block
+from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES
 
-from conftest import per_row_reference
+from conftest import chained_reference, per_row_reference
 
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
 
@@ -48,3 +53,21 @@ def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
     assert (table.row_labels, table.col_labels) == (rows, cols)
     assert table.cells == cells
     assert table.ideal == ideal
+
+
+@settings(max_examples=16, deadline=None)
+@given(spin=st.sampled_from([1, 2]), axis=st.sampled_from(["x", "y"]),
+       direction=st.sampled_from([1, -1]), k=st.integers(1, 4),
+       turns=st.sampled_from([0.25, 0.5, 0.75]),
+       mode=st.sampled_from(["rotating", "static_axis"]),
+       offset=st.floats(-0.5, 0.5), t0=st.floats(0.0, 10.0))
+def test_folded_pulse_equals_stepped(spin, axis, direction, k, turns, mode,
+                                     offset, t0):
+    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
+                         direction=direction)
+    assert eo.is_rotating == (mode == "rotating")
+    eo = eo.replace(tau=eo.tau + offset)
+    u = eo_propagator(eo, t0=TWO_PI * t0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+    ref = chained_reference(eo, eo.delta, TWO_PI * t0, _product_formula_block)
+    assert np.max(np.abs(u - ref)) < 1e-11
