@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,12 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace.
+    """
     p = argparse.ArgumentParser(prog="nmrqc", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -109,17 +109,19 @@ class EOParams:
         return cls(**d)
 
 
-def diagonal_energies(j: float, h1z: float, h2z: float) -> np.ndarray:
+# S1z and S2z eigenvalues of |00>, |10>, |01>, |11>.
+_S1Z_EIG = np.array([0.5, -0.5, 0.5, -0.5])
+_S2Z_EIG = np.array([0.5, 0.5, -0.5, -0.5])
+
+
+def diagonal_energies(j, h1z, h2z) -> np.ndarray:
     """Eigenvalues of the diagonal part, ordered |00>, |10>, |01>, |11>.
 
     E(b1, b2) = -j s1 s2 - h1z s1 - h2z s2 with s = +1/2 for bit 0.
+    Arguments may be arrays that broadcast against the four states, e.g.
+    columns of one entry per EO.
     """
-    out = np.empty(4)
-    for idx in range(4):
-        s1 = 0.5 if (idx & 1) == 0 else -0.5
-        s2 = 0.5 if (idx >> 1) == 0 else -0.5
-        out[idx] = -j * s1 * s2 - h1z * s1 - h2z * s2
-    return out
+    return -j * _S1Z_EIG * _S2Z_EIG - h1z * _S1Z_EIG - h2z * _S2Z_EIG
 
 
 def hamiltonian_at(eo: EOParams, t: float) -> np.ndarray:

@@ -12,6 +12,12 @@ rows of a QA suite run one QA1 program and the singlet row QA2, while
 every search item is its own program.  Each program is built and
 integrated once per column, and its one unitary (and its memoized ideal
 unitary) is applied to every row of its group.
+
+A table builds all of its programs before it runs any, and announces
+their EO steps to the integrator (``integrator.expect``), lazily.  On a
+cold table the first rotating pulse that misses the propagator cache
+then integrates every rotating pulse of the table in one stack; a warm
+table never expands the announcement.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from functools import partial
 from . import reference_tables as ref
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig
-from .integrator import IntegratorConfig, convergence_report
+from .integrator import IntegratorConfig, convergence_report, expect
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, EOStep, Program, build_cnot,
                        build_grover, build_qa, input_values, prepare_input,
@@ -244,14 +250,26 @@ def _program_groups(spec: ExperimentSpec):
     return groups
 
 
-def _record(table: ResultTable, col: str, labels: dict, keys, inputs,
-            program: Program) -> None:
-    """Run the program once for all its rows; store their cells and ideals."""
-    for key, input_spec, ab in zip(keys, inputs, run_inputs(program, inputs)):
-        label = labels[key]
-        table.cells[(label, col)] = ab
-        if label not in table.ideal:
-            table.ideal[label] = input_values(program.ideal_unitary, input_spec)
+def _record(table: ResultTable, labels: dict, runs) -> None:
+    """Run each (column, row keys, inputs, program) once for all its rows.
+
+    Every program is built before any runs: the integrator is told of all
+    their EO steps, so a cold table integrates its rotating pulses in one
+    stack.  Stores the cells and the ideal value of each row.
+    """
+    expect(s.eo for *_, program in runs for s in program.steps
+           if isinstance(s, EOStep))
+    try:
+        for col, keys, inputs, program in runs:
+            for key, input_spec, ab in zip(keys, inputs,
+                                           run_inputs(program, inputs)):
+                label = labels[key]
+                table.cells[(label, col)] = ab
+                if label not in table.ideal:
+                    table.ideal[label] = input_values(program.ideal_unitary,
+                                                      input_spec)
+    finally:
+        expect()
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
@@ -281,11 +299,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         row_labels=[label for _, label in rows], col_labels=[])
     groups = _program_groups(spec)
     k_list = spec.k_list if spec.style != IDEAL else spec.k_list[:1]
+    runs = []
     for k in k_list:
         col = str(8 * k) if spec.style != IDEAL else "ideal"
         table.col_labels.append(col)
-        for keys, inputs, build in groups:
-            _record(table, col, labels, keys, inputs, build(k=k))
+        runs += [(col, keys, inputs, build(k=k)) for keys, inputs, build in groups]
+    _record(table, labels, runs)
     return table
 
 
@@ -308,6 +327,7 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
         title=spec.title or f"duration perturbation (s={durations})",
         row_header="Operation",
         row_labels=[label for _, label in rows], col_labels=[])
+    runs = []
     for k in spec.k_list:
         suffix = f"@s={8 * k}" if len(spec.k_list) > 1 else ""
         groups = [(keys, inputs, build(k=k))
@@ -315,10 +335,10 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
         for o in offsets:
             col = f"{o:+g}{suffix}"
             table.col_labels.append(col)
-            for keys, inputs, program in groups:
-                if o != 0.0:
-                    program = with_duration_offset(program, spec.perturb_label, o)
-                _record(table, col, labels, keys, inputs, program)
+            runs += [(col, keys, inputs, program if o == 0.0 else
+                      with_duration_offset(program, spec.perturb_label, o))
+                     for keys, inputs, program in groups]
+    _record(table, labels, runs)
     return table
 
 
@@ -417,7 +437,7 @@ def verify_suite(include_tables: bool = True) -> VerifyReport:
 
     The ideal baseline, integration-step independence, and
     coupling-during-pulse insensitivity are quick; the benchmark-table
-    comparisons dominate the runtime (a couple of minutes).
+    comparisons dominate the runtime (under a second in all).
     """
     report = VerifyReport()
 

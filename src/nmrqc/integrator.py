@@ -46,6 +46,23 @@ a symmetry of the drive wherever one holds exactly:
 Powers are taken by repeated squaring, and the finished propagator is
 polar-projected onto the unitary group once.
 
+The loop runs on a stack of EOs: the field parameters, the blocks and
+every step above carry a leading EO axis, and each EO has its own t0
+and step count.  A rotating stack is integrated in one pass: one
+single-midpoint block per EO, the frame factors, repeated squaring over
+the bits of the largest n (each EO keeps its partial product where its
+own n lacks a bit), the remainder blocks and one stacked SVD.  Each
+EO's result is bit-identical whatever else shares its stack.  Static
+and constant-field EOs go through the same loop one at a time.
+
+Propagators are cached per (EO, delta, method, t0).  ``expect`` lets a
+caller announce the EOs its next lookups will ask for, lazily: at the
+first rotating product-formula miss the announcement is expanded, and
+every expected rotating EO of that step size is integrated in the same
+stack.  Those propagators wait until their own key's first lookup, so
+the cache still counts one miss per key; the next ``expect`` and
+``clear_propagator_cache`` drop whatever still waits.
+
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
 rotation angle, which is exactly the sensitivity under study.  The field
@@ -55,14 +72,15 @@ phase origin is t=0 at the start of each EO; pass ``t0`` to offset it
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import ConfigurationError, MethodError, NumericalIntegrityError
-from .hamiltonian import EOParams, diagonal_energies, hamiltonian_at
-from .operators import TWO_PI
+from .hamiltonian import EOParams, diagonal_energies
+from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 from .states import NORM_TOL, StateVector, qubit_values
 
 PRODUCT_FORMULA = "product_formula"
@@ -73,6 +91,7 @@ _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 _CHUNK = 1 << 15  # substeps vectorized per block
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
+_EYE = np.eye(4, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -99,41 +118,72 @@ def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
     """Number of full steps and the remainder, all in over-2*pi units."""
     if tau < 0:
         raise ConfigurationError(f"duration must be non-negative, got {tau}")
-    n_full = int(np.floor(tau / delta + 1e-9))
+    n_full = math.floor(tau / delta + 1e-9)
     rem = tau - n_full * delta
     if rem <= 1e-12 * max(1.0, abs(tau)):
         rem = 0.0
     return n_full, rem
 
 
-def _halfstep_rotations(fx, fy, dt):
-    """Stacked 2x2 factors exp(i (dt/2) (fx S^x + fy S^y)) for one spin."""
-    alpha = dt / 4.0  # S = sigma/2 and the factor spans half a step
+class _Drives:
+    """Field parameters of a stack of EOs, one row per EO.
+
+    Each EO keeps its own phase origin t0.  A stack is either one EO or
+    EOs that all turn rigidly about z (``rotating``).
+    """
+
+    def __init__(self, eos, t0s, rotating: bool):
+        p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
+                       e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
+                      for e in eos])
+        self.eos = tuple(eos)
+        self.t0 = np.array(t0s, dtype=float)
+        self.omega = p[:, 0]
+        self.phi = p[:, 1:3]                          # x, y
+        self.static = p[:, 3:7].reshape(-1, 2, 2)     # [spin, axis]
+        self.amp = p[:, 7:11].reshape(-1, 2, 2)       # [spin, axis]
+        self.ez = diagonal_energies(p[:, 11:12], p[:, 12:13], p[:, 13:14])
+        self.rotating = rotating
+
+
+def _fields_at(d: _Drives, mids):
+    """Transverse fields [EO, substep, spin, axis] at midpoints mids[EO, substep]."""
+    s = np.sin(d.omega[:, None, None] * mids[..., None] + d.phi[:, None, :])
+    return d.static[:, None] + d.amp[:, None] * s[:, :, None, :]
+
+
+def _halfstep_rotations(fx, fy, alpha):
+    """Stacked 2x2 factors exp(i (dt/2) (fx S^x + fy S^y)), alpha = dt/4.
+
+    A spin without transverse field (rho = 0) gets the identity: its
+    off-diagonal entries are zero whatever sin(alpha rho)/rho reads.
+    """
     rho = np.hypot(fx, fy)
-    c = np.cos(alpha * rho)
-    snc = np.where(rho > 1e-300,
-                   np.sin(alpha * rho) / np.maximum(rho, 1e-300), alpha)
+    angle = alpha * rho
+    c = np.cos(angle)
+    i_snc = 1j * (np.sin(angle) / np.maximum(rho, 1e-300))
+    i_fy = 1j * fy
     out = np.empty(fx.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = c
     out[..., 1, 1] = c
-    out[..., 0, 1] = 1j * snc * (fx - 1j * fy)
-    out[..., 1, 0] = 1j * snc * (fx + 1j * fy)
+    out[..., 0, 1] = i_snc * (fx - i_fy)
+    out[..., 1, 0] = i_snc * (fx + i_fy)
     return out
 
 
 def _chain(mats: np.ndarray) -> np.ndarray:
-    """Ordered product of a stack of matrices; index 0 acts first."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        paired = mats[1:n - (n % 2):2] @ mats[0:n - (n % 2):2]
+    """Ordered product over axis 1 of mats[EO, substep]; substep 0 acts first."""
+    while mats.shape[1] > 1:
+        n = mats.shape[1]
+        paired = mats[:, 1:n - (n % 2):2] @ mats[:, 0:n - (n % 2):2]
         if n % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
+            paired = np.concatenate([paired, mats[:, -1:]], axis=1)
         mats = paired
-    return mats[0]
+    return mats[:, 0]
 
 
 def _nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group.
+    """Polar projection of each matrix of a stack onto the unitary group.
 
     A long product of individually unitary factors (repeated squares of
     a block, or chunks of substeps) picks up float noise; projecting the
@@ -144,29 +194,33 @@ def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _fields_at(eo: EOParams, t):
-    sx = np.sin(eo.omega * t + eo.phi_x)
-    sy = np.sin(eo.omega * t + eo.phi_y)
-    return (eo.h1x + eo.sf1x * sx, eo.h1y + eo.sf1y * sy,
-            eo.h2x + eo.sf2x * sx, eo.h2y + eo.sf2y * sy)
+def _product_formula_block(d: _Drives, mids, dt) -> np.ndarray:
+    """Per EO, the propagator of equal-length substeps at mids[EO, substep].
+
+    dt is one step length, or one per EO as an (EO, 1) array.
+    """
+    dt = np.reshape(dt, (-1, 1))
+    f = _fields_at(d, mids)
+    r = _halfstep_rotations(f[..., 0], f[..., 1], (dt / 4.0)[..., None])
+    r1, r2 = r[:, :, 0], r[:, :, 1]
+    n_eo, m = mids.shape
+    t_half = (r2[..., :, None, :, None]
+              * r1[..., None, :, None, :]).reshape(n_eo, m, 4, 4)
+    phases = np.exp(-1j * dt * d.ez)[:, None, :]
+    return _chain(np.einsum("...ab,...b,...bc->...ac", t_half, phases, t_half))
 
 
-def _product_formula_block(eo: EOParams, mids, dt) -> np.ndarray:
-    """Propagator for a block of equal-length substeps at given midpoints."""
-    f1x, f1y, f2x, f2y = _fields_at(eo, mids)
-    r1 = _halfstep_rotations(f1x, f1y, dt)
-    r2 = _halfstep_rotations(f2x, f2y, dt)
-    n = mids.size
-    t_half = np.einsum("nij,nkl->nikjl", r2, r1).reshape(n, 4, 4)
-    ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
-    d = np.broadcast_to(np.exp(-1j * dt * ez), (n, 4))
-    return _chain(np.einsum("nab,nb,nbc->nac", t_half, d, t_half))
+_TRANSVERSE = np.array([[S1X, S1Y], [S2X, S2Y]])  # [spin, axis]
 
 
-def _dense_block(eo: EOParams, mids, dt) -> np.ndarray:
-    hs = np.stack([hamiltonian_at(eo, float(t)) for t in mids])
+def _dense_block(d: _Drives, mids, dt) -> np.ndarray:
+    """As _product_formula_block, with the dense exponential of H(mid)."""
+    dt = np.reshape(dt, (-1, 1))
+    hs = ((d.ez[:, :, None] * np.eye(4))[:, None]
+          - np.einsum("emsa,saij->emij", _fields_at(d, mids), _TRANSVERSE))
     w, v = np.linalg.eigh(hs)
-    return _chain(np.einsum("nij,nj,nkj->nik", v, np.exp(-1j * dt * w), v.conj()))
+    phases = np.exp(-1j * dt[..., None] * w)
+    return _chain(np.einsum("...ij,...j,...kj->...ik", v, phases, v.conj()))
 
 
 def _period_steps(omega: float, delta: float) -> int:
@@ -179,41 +233,81 @@ def _period_steps(omega: float, delta: float) -> int:
     return p if p >= 1 and abs(steps - p) <= _PERIOD_RTOL * steps else 0
 
 
-def _frame(eo: EOParams, theta: float) -> np.ndarray:
-    """Diagonal of Z(theta) = exp(+i omega theta S^z_tot)."""
-    return np.exp(1j * eo.omega * theta * _SZ_TOTAL)
+def _frame(d: _Drives, theta) -> np.ndarray:
+    """Diagonals of Z(theta) = exp(+i omega theta S^z_tot); theta[..., EO]."""
+    return np.exp(1j * d.omega[:, None] * theta[..., None] * _SZ_TOTAL)
 
 
-def _folded_power(eo: EOParams, n_full: int, delta: float, t0: float,
-                  block) -> tuple[np.ndarray, int]:
-    """Product of the leading substeps folded by symmetry, and their count."""
+def _powers(base: np.ndarray, ns) -> np.ndarray:
+    """base[e] ** ns[e] for a stack, by repeated squaring; some n >= 1.
+
+    One pass over the bits of the largest n; an EO whose exponent lacks
+    a bit keeps its partial product, the identity until its first set
+    bit.  A product with the identity is exact, so each EO gets the
+    products of the binary method (those of np.linalg.matrix_power for
+    n != 3), whatever else is in the stack.
+    """
+    every = reduce(operator.and_, ns)
+    some = reduce(operator.or_, ns)
+    out = None
+    for b in range(max(ns).bit_length()):
+        if b:
+            base = base @ base
+        if not (some >> b) & 1:
+            continue
+        product = base if out is None else out @ base
+        if (every >> b) & 1:
+            out = product
+        else:
+            has = np.array([(n >> b) & 1 for n in ns], dtype=bool)
+            out = np.where(has[:, None, None], product,
+                           _EYE if out is None else out)
+    return out
+
+
+def _folded_power(d: _Drives, n_full, delta: float,
+                  block) -> tuple[np.ndarray, int | None]:
+    """Per EO, the product of its leading substeps folded by symmetry.
+
+    Also returns how many substeps that covers for a lone non-rotating EO,
+    which may leave a tail; a rotating stack is covered whole.
+    """
+    if not any(n_full):
+        return np.broadcast_to(_EYE, (len(n_full), 4, 4)), 0
     dt = delta * TWO_PI
-    if eo.is_rotating and n_full:
-        first = block(eo, np.array([t0 + dt / 2.0]), dt)
-        step = _frame(eo, dt).conj()[:, None] * first
-        return (_frame(eo, n_full * dt)[:, None]
-                * np.linalg.matrix_power(step, n_full)), n_full
-    period = _period_steps(eo.omega, delta)
-    if period and n_full >= 2 * period:
-        q = n_full // period
-        u_period = block(eo, t0 + (np.arange(period) + 0.5) * dt, dt)
+    if d.rotating:
+        first = block(d, (d.t0 + dt / 2.0)[:, None], dt)
+        # Z(dt) and Z(n dt) of each EO
+        z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
+        return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
+                                          n_full), None
+    (n,) = n_full
+    period = _period_steps(d.omega[0], delta)
+    if period and n >= 2 * period:
+        q = n // period
+        u_period = block(d, d.t0[:, None] + (np.arange(period) + 0.5) * dt, dt)
         return np.linalg.matrix_power(u_period, q), q * period
-    return np.eye(4, dtype=complex), 0
+    return _EYE[None], 0
 
 
-def _stepped_propagator(eo: EOParams, delta: float, t0: float, block) -> np.ndarray:
-    """Product of `block` over the substep schedule, folded by symmetry."""
-    n_full, rem = _step_schedule(eo.tau, delta)
+def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
+    """Per EO, the product of `block` over its substep schedule, folded by
+    symmetry and polar-projected: a stack of 4x4 propagators."""
+    n_full, rem = zip(*(_step_schedule(e.tau, delta) for e in d.eos))
     dt = delta * TWO_PI
-    u, start = _folded_power(eo, n_full, delta, t0, block)
-    for lo in range(start, n_full, _CHUNK):
-        m = min(_CHUNK, n_full - lo)
-        mids = t0 + (lo + np.arange(m) + 0.5) * dt
-        u = block(eo, mids, dt) @ u
-    if rem > 0.0:
-        dt_rem = rem * TWO_PI
-        mid = np.array([t0 + n_full * dt + dt_rem / 2.0])
-        u = block(eo, mid, dt_rem) @ u
+    u, start = _folded_power(d, n_full, delta, block)
+    if not d.rotating:
+        (n,) = n_full
+        for lo in range(start, n, _CHUNK):
+            m = min(_CHUNK, n - lo)
+            mids = d.t0[:, None] + (lo + np.arange(m) + 0.5) * dt
+            u = block(d, mids, dt) @ u
+    if any(rem):
+        dt_rem = np.array(rem) * TWO_PI
+        mid = d.t0 + np.array(n_full) * dt + dt_rem / 2.0
+        stepped = block(d, mid[:, None], dt_rem[:, None]) @ u
+        u = stepped if all(rem) else np.where(dt_rem[:, None, None] > 0.0,
+                                              stepped, u)
     return _nearest_unitary(u)
 
 
@@ -226,18 +320,75 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
     return np.diag(np.exp(-1j * TWO_PI * eo.tau * ez))
 
 
+# Look-ahead: the EOs announced by expect(), expanded at the first
+# rotating product-formula miss, and the propagators integrated ahead of
+# their first lookup, keyed like _cached_propagator.
+_expected = None
+_waiting: dict[tuple, np.ndarray] = {}
+
+
+def expect(eos=()) -> None:
+    """Announce the EOs whose propagators the coming lookups will ask for.
+
+    `eos` may be lazy; it is expanded only at the first rotating
+    product-formula miss, which then integrates every expected rotating
+    EO of its step size in one stack.  Each such propagator waits until
+    its key's own first lookup.  Whatever is still waiting from an
+    earlier announcement is dropped.
+    """
+    global _expected
+    _expected = eos
+    _waiting.clear()
+
+
+def _expected_rotating(delta: float) -> dict:
+    """The announced rotating EOs of step size delta, once per announcement.
+
+    Their keys are those of eo_propagator(eo): the EO's own step, the
+    product formula and t0 = 0.
+    """
+    global _expected
+    eos, _expected = _expected, None
+    if eos is None:
+        return {}
+    unique = {id(eo): eo for eo in eos}.values()  # programs share memoized steps
+    return {eo: None for eo in unique if eo.is_rotating and eo.delta == delta}
+
+
+def _integrate(eo: EOParams, delta: float, method: str, t0: float) -> np.ndarray:
+    """The propagator of one key.
+
+    A rotating product-formula key is integrated in one stack with every
+    expected rotating key of its step size; the others wait for their
+    first lookup.
+    """
+    if method == EXACT_DIAGONAL:
+        return _exact_diagonal_propagator(eo)
+    keys = [(eo, t0)]
+    rotating = eo.is_rotating
+    if rotating and method == PRODUCT_FORMULA:
+        ahead = _expected_rotating(delta)
+        if t0 == 0.0:
+            ahead.pop(eo, None)
+        keys += [(e, 0.0) for e in ahead]
+    block = _product_formula_block if method == PRODUCT_FORMULA else _dense_block
+    eos, t0s = zip(*keys)
+    us = _stepped_propagator(_Drives(eos, t0s, rotating), delta, block)
+    us.setflags(write=False)
+    for (e, t), u in zip(keys[1:], us[1:]):
+        _waiting[(e, delta, method, t)] = u
+    return us[0]
+
+
 @lru_cache(maxsize=1024)
 def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
     # Validated on every miss; a raising call stores nothing, so bad
     # arguments raise on every lookup.
     IntegratorConfig(delta=delta, method=method)
-    if method == EXACT_DIAGONAL:
-        u = _exact_diagonal_propagator(eo)
-    elif method == PRODUCT_FORMULA:
-        u = _stepped_propagator(eo, delta, t0, _product_formula_block)
-    else:
-        u = _stepped_propagator(eo, delta, t0, _dense_block)
-    u.setflags(write=False)
+    u = _waiting.pop((eo, delta, method, t0), None) if _waiting else None
+    if u is None:
+        u = _integrate(eo, delta, method, t0)
+        u.setflags(write=False)
     return u
 
 
@@ -335,4 +486,6 @@ def convergence_report(eos, state: StateVector, deltas,
 
 
 def clear_propagator_cache() -> None:
+    """Empty the propagator cache and drop any announced or waiting EOs."""
     _cached_propagator.cache_clear()
+    expect()

@@ -2,13 +2,29 @@ import numpy as np
 import pytest
 
 from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA, run_experiment
-from nmrqc.integrator import _dense_block, _product_formula_block, _step_schedule
+from nmrqc.integrator import (_dense_block, _Drives, _product_formula_block,
+                              _step_schedule)
 from nmrqc.operators import TWO_PI
 
 
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250811)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Sizes of the stacks the stepping kernel integrates, one per call."""
+    import nmrqc.integrator
+    calls = []
+    kernel = nmrqc.integrator._stepped_propagator
+
+    def counting(drives, delta, block):
+        calls.append(len(drives.eos))
+        return kernel(drives, delta, block)
+
+    monkeypatch.setattr(nmrqc.integrator, "_stepped_propagator", counting)
+    return calls
 
 
 def random_unitary(rng, dim=4):
@@ -73,8 +89,16 @@ def per_row_reference(spec):
     return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal
 
 
-BLOCKS = {PRODUCT_FORMULA: _product_formula_block,
-          DENSE_MIDPOINT_ORACLE: _dense_block}
+def single_eo(block):
+    """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4."""
+    def one(eo, mids, dt):
+        drives = _Drives((eo,), (0.0,), eo.is_rotating)
+        return block(drives, np.reshape(mids, (1, -1)), dt)[0]
+    return one
+
+
+BLOCKS = {PRODUCT_FORMULA: single_eo(_product_formula_block),
+          DENSE_MIDPOINT_ORACLE: single_eo(_dense_block)}
 
 
 def chained_reference(eo, delta, t0, block):

@@ -180,6 +180,30 @@ def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
     assert len(calls) == programs
 
 
+@pytest.mark.parametrize("name", ["table5", "table9", "table10"])
+def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
+    """A cold table misses once per distinct EO key and looks up once per
+    EO step walked; its rotating pulses are integrated in one stack, and
+    a warm rerun integrates nothing."""
+    import nmrqc.harness
+    import nmrqc.integrator
+    programs = []
+    run_inputs = nmrqc.harness.run_inputs
+    monkeypatch.setattr(nmrqc.harness, "run_inputs",
+                        lambda p, inputs: programs.append(p) or run_inputs(p, inputs))
+    info = nmrqc.integrator._cached_propagator.cache_info
+    nmrqc.integrator.clear_propagator_cache()
+    cold = run_experiment(canned_spec(name))
+    eos = [eo for p in programs for eo in p.eos]
+    assert (info().misses, info().hits + info().misses) == (len(set(eos)), len(eos))
+    assert kernel_calls == [len({eo for eo in eos if eo.is_rotating})]
+    assert not nmrqc.integrator._waiting          # every stacked key was used
+
+    warm = run_experiment(canned_spec(name))
+    assert info().misses == len(set(eos)) and len(kernel_calls) == 1
+    assert warm.to_json() == cold.to_json()
+
+
 def test_perturbation_zero_offset_matches_base():
     spec = ExperimentSpec(kind="qa", style="rotating_sf", cnot_variant=1,
                           inputs=("singlet",), k_list=(1,))
@@ -317,6 +341,22 @@ def test_cli_tables_tau_offset_override(capsys):
     assert rc == 0
     header = out.splitlines()[0]
     assert "a_+0" in header and "a_+0.05" in header
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
+    from nmrqc import reference_tables as ref
+    from nmrqc.cli import build_parser
+    assert build_parser() is build_parser()
+    for _ in range(2):  # a second --tau-offset does not add to the first
+        assert main(["tables", "table10", "--tau-offset", "0.1",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["columns"] == ["+0.1"]
+    assert main(["tables", "table10", "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["columns"] == [
+        f"{o:+g}" for o in ref.PERTURBATION_OFFSETS]
+    assert plain.strip() == emit_table(run_experiment(canned_spec("table10")),
+                                       "json")
 
 
 def test_grover_static_suite_spot_cells():

@@ -7,8 +7,10 @@ from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
                    evolve, evolve_reference, ideal_eo_params, ideal_gate,
                    prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _product_formula_block,
-                              _step_schedule, _stepped_propagator)
+from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _Drives,
+                              _product_formula_block, _step_schedule,
+                              _stepped_propagator, clear_propagator_cache,
+                              expect)
 from nmrqc.operators import TWO_PI, state_phase_distance
 from nmrqc.states import StateVector
 
@@ -201,11 +203,12 @@ def test_unfoldable_schedules_step_every_substep(method):
 def _counted_blocks(eo, delta):
     sizes = []
 
-    def counting_block(eo, mids, dt):
+    def counting_block(drives, mids, dt):
         sizes.append(mids.size)
-        return _product_formula_block(eo, mids, dt)
+        return _product_formula_block(drives, mids, dt)
 
-    _stepped_propagator(eo, delta, 0.0, counting_block)
+    _stepped_propagator(_Drives((eo,), (0.0,), eo.is_rotating), delta,
+                        counting_block)
     return sizes
 
 
@@ -263,7 +266,7 @@ def test_near_rotating_pulses_fall_back(miss):
     assert pulse_eo("X2").is_rotating and not eo.is_rotating
     for t0 in (0.0, TWO_PI * 3.37):
         u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA), t0=t0)
-        ref = chained_reference(eo, 0.01, t0, _product_formula_block)
+        ref = chained_reference(eo, 0.01, t0, BLOCKS[PRODUCT_FORMULA])
         assert np.max(np.abs(u - ref)) < 1e-11, t0
 
 
@@ -275,3 +278,85 @@ def test_non_finite_delta_rejected(bad):
         for _ in range(2):  # a lookup that raised left nothing in the cache
             with pytest.raises(ConfigurationError, match="delta"):
                 eo_propagator(eo.replace(delta=bad))
+
+
+def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls):
+    import nmrqc.integrator
+    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    consumed = []
+
+    def announced():
+        for eo in eos + [ideal_eo_params("Ip"), eos[0]]:
+            consumed.append(eo)
+            yield eo
+
+    clear_propagator_cache()
+    expect(announced())
+    try:
+        eo_propagator(ideal_eo_params("Ip"))   # a diagonal miss expands nothing
+        assert consumed == [] and kernel_calls == []
+        first = eo_propagator(eos[0])
+        assert kernel_calls == [3]                 # the static Ip is left out
+        assert set(nmrqc.integrator._waiting) == {
+            (eo, eo.delta, PRODUCT_FORMULA, 0.0) for eo in eos[1:]}
+        rest = [eo_propagator(eo) for eo in eos[1:]]   # popped, not integrated
+        assert kernel_calls == [3] and not nmrqc.integrator._waiting
+        assert not any(u.flags.writeable for u in [first] + rest)
+        for eo, u in zip(eos, [first] + rest):
+            alone = _stepped_propagator(_Drives((eo,), (0.0,), True), eo.delta,
+                                        _product_formula_block)[0]
+            assert np.array_equal(u, alone)
+    finally:
+        expect()
+
+
+@pytest.mark.parametrize("drop", ["clear_propagator_cache", "expect"])
+def test_waiting_propagators_are_dropped(drop, kernel_calls):
+    import nmrqc.integrator
+    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    clear_propagator_cache()
+    expect(iter(eos))
+    eo_propagator(eos[0])
+    assert len(nmrqc.integrator._waiting) == 2
+    getattr(nmrqc.integrator, drop)()
+    assert not nmrqc.integrator._waiting
+    eo_propagator(eos[1])                  # integrated anew, alone
+    assert kernel_calls == [3, 1]
+    expect()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bad_delta_raises_while_an_expectation_is_pending(bad):
+    eos = [pulse_eo(name).replace(delta=bad) for name in ("X1", "Y2")]
+    expect(iter(eos))
+    try:
+        for _ in range(2):
+            for eo in eos:
+                with pytest.raises(ConfigurationError, match="delta"):
+                    eo_propagator(eo)
+    finally:
+        expect()
+
+
+def test_a_miss_at_its_own_t0_shares_the_stack():
+    eo = pulse_eo("Y1", k=2)
+    t0 = TWO_PI * 3.37
+    clear_propagator_cache()
+    expect([eo])
+    try:
+        u = eo_propagator(eo, t0=t0)       # stacked with the expected t0 = 0
+        assert np.max(np.abs(u - chained_reference(
+            eo, eo.delta, t0, BLOCKS[PRODUCT_FORMULA]))) < 1e-11
+        assert np.array_equal(eo_propagator(eo), _stepped_propagator(
+            _Drives((eo,), (0.0,), True), eo.delta, _product_formula_block)[0])
+    finally:
+        expect()
+
+
+def test_stacked_powers_equal_matrix_power(rng):
+    from conftest import random_unitary
+    from nmrqc.integrator import _powers
+    ns = [0, 1, 2, 5, 6, 800, 801, 409600]  # matrix_power special-cases 3
+    base = np.stack([random_unitary(rng) for _ in ns])
+    for i, u in enumerate(_powers(base, ns)):   # no EO's product is touched
+        assert np.array_equal(u, np.linalg.matrix_power(base[i], ns[i])), ns[i]

@@ -1,5 +1,5 @@
-"""Property-based tests: spec serialization, the batched harness and the
-folded pulse propagators."""
+"""Property-based tests: spec serialization, the batched harness, the
+folded pulse propagators and the stacked rotating kernel."""
 import json
 
 import numpy as np
@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
                    run_experiment)
-from nmrqc.integrator import _product_formula_block
+from nmrqc.integrator import _Drives, _product_formula_block, _stepped_propagator
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES
 
-from conftest import chained_reference, per_row_reference
+from conftest import BLOCKS, chained_reference, per_row_reference
 
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
 
@@ -69,5 +69,32 @@ def test_folded_pulse_equals_stepped(spin, axis, direction, k, turns, mode,
     eo = eo.replace(tau=eo.tau + offset)
     u = eo_propagator(eo, t0=TWO_PI * t0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    ref = chained_reference(eo, eo.delta, TWO_PI * t0, _product_formula_block)
+    ref = chained_reference(eo, eo.delta, TWO_PI * t0, BLOCKS["product_formula"])
     assert np.max(np.abs(u - ref)) < 1e-11
+
+
+rotating_pulses = st.tuples(
+    st.sampled_from([1, 2]), st.sampled_from(["x", "y"]), st.sampled_from([1, -1]),
+    st.sampled_from([0.25, 0.5, 0.75]), st.integers(1, 4),
+    st.sampled_from([0.0, -0.1, 0.1037]) | st.floats(-0.5, 0.5),  # remainders
+    st.floats(0.0, 10.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(rotating_pulses, min_size=1, max_size=5))
+def test_stacked_rotating_kernel(pulses):
+    eos, t0s = [], []
+    for spin, axis, direction, turns, k, offset, t0 in pulses:
+        _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
+        eos.append(eo.replace(tau=eo.tau + offset))
+        t0s.append(TWO_PI * t0)
+    delta = eos[0].delta
+    stack = _stepped_propagator(_Drives(eos, t0s, True), delta,
+                                _product_formula_block)
+    for eo, t0, u in zip(eos, t0s, stack):
+        assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+        ref = chained_reference(eo, delta, t0, BLOCKS["product_formula"])
+        assert np.max(np.abs(u - ref)) < 1e-11
+        alone = _stepped_propagator(_Drives((eo,), (t0,), True), delta,
+                                    _product_formula_block)
+        assert np.array_equal(u, alone[0])   # whatever shares its stack
