@@ -29,7 +29,8 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, EOStep,
                        GateImplStyle, MatrixStep, Program, build_cnot,
                        build_grover, build_qa, grover_sequence, parse_program_text,
-                       prepare_input, program_unitary, run_inputs, run_program,
+                       prepare_input, program_unitaries, program_unitary,
+                       run_inputs, run_program,
                        with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
                       emit_table, perturb_duration_study, round2, run_experiment,

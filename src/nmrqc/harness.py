@@ -9,15 +9,18 @@ two decimals.
 
 Rows that run the same program share it: in each column, all basis-state
 rows of a QA suite run one QA1 program and the singlet row QA2, while
-every search item is its own program.  Each program is built and
-integrated once per column, and its one unitary (and its memoized ideal
-unitary) is applied to every row of its group.
+every search item is its own program.  Each program is built once per
+column.
 
 A table builds all of its programs before it runs any, and announces
 their EO steps to the integrator (``integrator.expect``), lazily.  On a
 cold table the first rotating pulse that misses the propagator cache
 then integrates every rotating pulse of the table in one stack; a warm
-table never expands the announcement.
+table never expands the announcement.  One stacked walk
+(``programs.program_unitaries``) then gives every program's unitary,
+looking each distinct propagator up once, and one batched readout
+applies each unitary (and each memoized ideal unitary) to the inputs of
+its rows.
 """
 from __future__ import annotations
 
@@ -28,14 +31,17 @@ from dataclasses import dataclass, field, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 
+import numpy as np
+
 from . import reference_tables as ref
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig
 from .integrator import IntegratorConfig, convergence_report, expect
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
-                       STATIC_SF, STYLES, EOStep, Program, build_cnot,
-                       build_grover, build_qa, input_values, prepare_input,
-                       run_inputs, run_program, with_duration_offset)
+                       STATIC_SF, STYLES, EOStep, build_cnot, build_grover,
+                       build_qa, input_amplitudes, prepare_input,
+                       program_unitaries, readout, run_program,
+                       with_duration_offset)
 from .states import qubit_values
 
 QA_INPUTS = ("00", "10", "01", "11", "singlet")
@@ -251,25 +257,32 @@ def _program_groups(spec: ExperimentSpec):
 
 
 def _record(table: ResultTable, labels: dict, runs) -> None:
-    """Run each (column, row keys, inputs, program) once for all its rows.
+    """Run every (column, row keys, inputs, program) of a table in one walk.
 
-    Every program is built before any runs: the integrator is told of all
-    their EO steps, so a cold table integrates its rotating pulses in one
-    stack.  Stores the cells and the ideal value of each row.
+    The integrator is told of all the programs' EO steps, so a cold table
+    integrates its rotating pulses in one stack.  program_unitaries then
+    gives every program's unitary at once; one batched readout applies
+    each to the inputs of its rows, and another gives each row's ideal
+    value from the programs' ideal unitaries.
     """
-    expect(s.eo for *_, program in runs for s in program.steps
-           if isinstance(s, EOStep))
+    programs = [program for *_, program in runs]
+    expect(s.eo for p in programs for s in p.steps if isinstance(s, EOStep))
     try:
-        for col, keys, inputs, program in runs:
-            for key, input_spec, ab in zip(keys, inputs,
-                                           run_inputs(program, inputs)):
-                label = labels[key]
-                table.cells[(label, col)] = ab
-                if label not in table.ideal:
-                    table.ideal[label] = input_values(program.ideal_unitary,
-                                                      input_spec)
+        us = program_unitaries(programs)
     finally:
         expect()
+    which, specs, cells = [], [], []           # one entry per table cell
+    for p, (col, keys, inputs, _) in enumerate(runs):
+        for key, spec in zip(keys, inputs):
+            which.append(p)
+            specs.append(spec)
+            cells.append((labels[key], col))
+    states = input_amplitudes(specs)
+    ideals = np.array([p.ideal_unitary for p in programs])
+    for cell, ab, ideal in zip(cells, readout(us[which], states),
+                               readout(ideals[which], states)):
+        table.cells[cell] = ab
+        table.ideal.setdefault(cell[0], ideal)
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:

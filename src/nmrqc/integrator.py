@@ -58,10 +58,11 @@ and constant-field EOs go through the same loop one at a time.
 Propagators are cached per (EO, delta, method, t0).  ``expect`` lets a
 caller announce the EOs its next lookups will ask for, lazily: at the
 first rotating product-formula miss the announcement is expanded, and
-every expected rotating EO of that step size is integrated in the same
-stack.  Those propagators wait until their own key's first lookup, so
-the cache still counts one miss per key; the next ``expect`` and
-``clear_propagator_cache`` drop whatever still waits.
+every expected rotating EO of that step size not yet cached is
+integrated in the same stack.  Those propagators wait until their own
+key's first lookup, so the cache still counts one miss per key; the
+next ``expect`` and ``clear_propagator_cache`` drop whatever still
+waits.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -89,6 +90,7 @@ DENSE_MIDPOINT_ORACLE = "dense_midpoint_oracle"
 _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps vectorized per block
+_CACHE_SIZE = 1024  # propagators kept by the cache
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
 _EYE = np.eye(4, dtype=complex)
@@ -316,15 +318,20 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
         raise MethodError(
             f"EO {eo.label!r} has transverse fields; exact_diagonal "
             "applies only to pure Ising/z evolutions")
+    if eo.tau < 0:
+        raise ConfigurationError(f"duration must be non-negative, got {eo.tau}")
     ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
     return np.diag(np.exp(-1j * TWO_PI * eo.tau * ez))
 
 
 # Look-ahead: the EOs announced by expect(), expanded at the first
-# rotating product-formula miss, and the propagators integrated ahead of
-# their first lookup, keyed like _cached_propagator.
+# rotating product-formula miss, the propagators integrated ahead of
+# their first lookup and the last _CACHE_SIZE keys cached since the last
+# clear_propagator_cache() (a dict used as an insertion-ordered set), all
+# keyed like _cached_propagator.
 _expected = None
 _waiting: dict[tuple, np.ndarray] = {}
+_integrated: dict[tuple, None] = {}
 
 
 def expect(eos=()) -> None:
@@ -345,14 +352,17 @@ def _expected_rotating(delta: float) -> dict:
     """The announced rotating EOs of step size delta, once per announcement.
 
     Their keys are those of eo_propagator(eo): the EO's own step, the
-    product formula and t0 = 0.
+    product formula and t0 = 0.  Keys among the last _CACHE_SIZE cached
+    are left out; one the cache has since evicted is integrated alone at
+    its lookup.
     """
     global _expected
     eos, _expected = _expected, None
     if eos is None:
         return {}
     unique = {id(eo): eo for eo in eos}.values()  # programs share memoized steps
-    return {eo: None for eo in unique if eo.is_rotating and eo.delta == delta}
+    return {eo: None for eo in unique if eo.is_rotating and eo.delta == delta
+            and (eo, delta, PRODUCT_FORMULA, 0.0) not in _integrated}
 
 
 def _integrate(eo: EOParams, delta: float, method: str, t0: float) -> np.ndarray:
@@ -380,7 +390,7 @@ def _integrate(eo: EOParams, delta: float, method: str, t0: float) -> np.ndarray
     return us[0]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
     # Validated on every miss; a raising call stores nothing, so bad
     # arguments raise on every lookup.
@@ -389,6 +399,9 @@ def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
     if u is None:
         u = _integrate(eo, delta, method, t0)
         u.setflags(write=False)
+    _integrated[(eo, delta, method, t0)] = None
+    if len(_integrated) > _CACHE_SIZE:
+        del _integrated[next(iter(_integrated))]
     return u
 
 
@@ -488,4 +501,5 @@ def convergence_report(eos, state: StateVector, deltas,
 def clear_propagator_cache() -> None:
     """Empty the propagator cache and drop any announced or waiting EOs."""
     _cached_propagator.cache_clear()
+    _integrated.clear()
     expect()

@@ -10,13 +10,18 @@ machine-field phase evolution "Ip" plus compensating primed rotations.
 A Program stores steps in application order (element 0 acts first).
 Exact-matrix steps appear only where a construction is defined by a
 matrix rather than an evolution (the conditional phase gate in ideal
-style, and optionally the final readout rotation).  program_unitary is
-the one walk over the steps.  run_inputs applies its 4x4 product to
-every input that runs the program, so rows sharing a program share one
-integration; run_program is the one-input case.  Gate steps, gate
-matrices, each gate sequence's ideal unitary and the five input states
-are memoized, so rebuilding a program re-designs no pulse and
-recomposes no gate, and reading a cell prepares no input.
+style, and optionally the final readout rotation).
+
+program_unitaries is the one walk over program steps, and it walks a
+whole stack of programs at once: each distinct propagator is looked up
+once, and the products are folded with one batched 4x4 product per step
+position.  readout applies a stack of unitaries to a stack of input
+states and reads the qubit values of every row in one product.
+program_unitary, run_inputs and run_program are the one-program calls.
+Gate steps, whole gate-sequence expansions, gate matrices, each gate
+sequence's ideal unitary and the five input states are memoized, so
+rebuilding a program re-designs no pulse and recomposes no gate, and
+reading a cell prepares no input.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalIntegrityError
 from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
                     ideal_gate)
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
@@ -33,8 +38,8 @@ from .integrator import eo_propagator
 from .operators import TWO_PI
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
-from .states import (StateVector, frozen_unitary, prepare_basis_state,
-                     prepare_singlet, qubit_values)
+from .states import (NORM_TOL, StateVector, frozen_unitary,
+                     prepare_basis_state, prepare_singlet)
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -44,6 +49,8 @@ STYLES = (IDEAL, STATIC_SF, ROTATING_SF)
 _STYLE_MODE = {STATIC_SF: STATIC_AXIS, ROTATING_SF: ROTATING}
 
 INPUT_SPECS = ("00", "10", "01", "11", "singlet")
+
+_EYE = np.eye(4, dtype=complex)
 
 # Application-order gate lists (first entry acts first on the state).
 #
@@ -122,7 +129,9 @@ class Program:
         """(a, b) of the declared input under the ideal gates, if known."""
         if self.ideal_unitary is None:
             return None
-        return input_values(self.ideal_unitary, self.input_spec)
+        (ab,) = readout(self.ideal_unitary[None],
+                        input_amplitudes([self.input_spec]))
+        return ab
 
     @property
     def eos(self) -> tuple[EOParams, ...]:
@@ -167,7 +176,10 @@ def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
     return EOStep(eo)
 
 
-def _expand(names, style, machine, gamma, delta):
+@lru_cache(maxsize=1024)
+def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig,
+            gamma: RationalGamma, delta: float) -> tuple:
+    """The steps of a gate sequence, names in application order."""
     steps = []
     for name in names:
         if name == "G" and style.style == IDEAL:
@@ -177,7 +189,7 @@ def _expand(names, style, machine, gamma, delta):
                          for n in G_EXPANSION)
         else:
             steps.append(_gate_step(name, style, machine, gamma, delta))
-    return steps
+    return tuple(steps)
 
 
 def _coerce_style(style, k: int) -> GateImplStyle:
@@ -192,10 +204,10 @@ def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray
     return frozen_unitary(compose(reversed(names), machine))
 
 
-def _cnot_names(variant: int) -> list[str]:
+def _cnot_names(variant: int) -> tuple[str, ...]:
     if variant not in CNOT_SEQUENCES:
         raise ConfigurationError(f"variant must be 1, 2 or 3, got {variant!r}")
-    return list(CNOT_SEQUENCES[variant])
+    return CNOT_SEQUENCES[variant]
 
 
 def build_cnot(variant: int, style, k: int = 1,
@@ -205,10 +217,10 @@ def build_cnot(variant: int, style, k: int = 1,
     """One controlled-NOT realization (variant 1, 2 or 3)."""
     style = _coerce_style(style, k)
     names = _cnot_names(variant)
-    steps = _expand(names, style, machine, gamma, delta)
     return Program(name=f"CNOT{variant}[{style.style},k={style.k}]",
-                   steps=tuple(steps), input_spec=input_spec,
-                   ideal_unitary=_ideal_unitary(tuple(names), machine))
+                   steps=_expand(names, style, machine, gamma, delta),
+                   input_spec=input_spec,
+                   ideal_unitary=_ideal_unitary(names, machine))
 
 
 def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
@@ -224,9 +236,10 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
     substitutes the exact matrix.
     """
     style = _coerce_style(style, k)
-    qa = str(which).upper().lstrip("QA") or str(which)
-    if qa not in ("1", "2"):
+    qa = str(which).upper()
+    if qa not in ("QA1", "QA2", "1", "2"):
         raise ConfigurationError(f"which must be QA1 or QA2, got {which!r}")
+    qa = qa[-1]
     if final_rotation_style not in ("program", "exact"):
         raise ConfigurationError(
             f"final_rotation_style must be 'program' or 'exact', got {final_rotation_style!r}")
@@ -238,14 +251,14 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
     names = _cnot_names(cnot_variant) * 5
     steps = _expand(names, style, machine, gamma, delta)
     if qa == "2":
-        names.append("Y1")
+        names += ("Y1",)
         if final_rotation_style == "exact":
-            steps.append(MatrixStep("Y1", ideal_gate("Y1", machine).matrix))
+            steps += (MatrixStep("Y1", ideal_gate("Y1", machine).matrix),)
         else:
-            steps.append(_gate_step("Y1", style, machine, gamma, delta))
+            steps += (_gate_step("Y1", style, machine, gamma, delta),)
     return Program(name=f"QA{qa}[CNOT{cnot_variant},{style.style},k={style.k}]",
-                   steps=tuple(steps), input_spec=input_spec,
-                   ideal_unitary=_ideal_unitary(tuple(names), machine))
+                   steps=steps, input_spec=input_spec,
+                   ideal_unitary=_ideal_unitary(names, machine))
 
 
 def build_grover(item: int, style=IDEAL, k: int = 1,
@@ -255,21 +268,39 @@ def build_grover(item: int, style=IDEAL, k: int = 1,
     """Four-item database search for the given item position; input |00>."""
     style = _coerce_style(style, k)
     names = tuple(reversed(grover_sequence(item)))  # application order
-    steps = _expand(names, style, machine, gamma, delta)
     return Program(name=f"Grover{item}[{style.style},k={style.k}]",
-                   steps=tuple(steps), input_spec="00",
+                   steps=_expand(names, style, machine, gamma, delta),
+                   input_spec="00",
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
-def input_values(u: np.ndarray, input_spec: str) -> tuple[float, float]:
-    """Qubit values (a, b) after the 4x4 unitary u acts on the named input."""
-    return qubit_values(StateVector(u @ prepare_input(input_spec).amplitudes))
+def input_amplitudes(input_specs) -> np.ndarray:
+    """The named input states stacked as rows, shape (R, 4)."""
+    return np.array([prepare_input(spec).amplitudes
+                     for spec in input_specs]).reshape(-1, 4)
+
+
+def readout(us: np.ndarray, states: np.ndarray) -> list[tuple[float, float]]:
+    """Qubit values (a, b) of each row r after us[r] acts on states[r].
+
+    One batched product for all rows; us may be a single (1, 4, 4)
+    unitary shared by every row.  With w = |amplitude|^2, a = w1 + w3 and
+    b = w2 + w3 are summed in the order qubit_values sums them, so each
+    pair is exactly qubit_values(StateVector(us[r] @ states[r])).  A row
+    whose norm is off by more than NORM_TOL raises NumericalIntegrityError.
+    """
+    amps = (us @ states[..., None])[..., 0]
+    norms = np.linalg.norm(amps, axis=-1)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)   # NaN counts as off
+    if off.any():
+        raise NumericalIntegrityError(f"state norm {norms[off][0]!r} deviates from 1")
+    w = np.abs(amps) ** 2
+    return list(zip((w[:, 1] + w[:, 3]).tolist(), (w[:, 2] + w[:, 3]).tolist()))
 
 
 def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
-    """Qubit values of each named input under one program_unitary(program)."""
-    u = program_unitary(program)
-    return [input_values(u, spec) for spec in input_specs]
+    """Qubit values of each named input under the program's one unitary."""
+    return readout(program_unitaries([program]), input_amplitudes(input_specs))
 
 
 def run_program(program: Program, input_state: StateVector | None = None,
@@ -283,37 +314,70 @@ def run_program(program: Program, input_state: StateVector | None = None,
 
 def program_unitary(program: Program, delta: float | None = None,
                     sf_phase_continuity: bool = False) -> np.ndarray:
-    """The full 4x4 matrix of the program (product of step propagators).
+    """The full 4x4 matrix of the program (product of step propagators);
+    the options are those of program_unitaries."""
+    return program_unitaries([program], delta, sf_phase_continuity)[0]
+
+
+def program_unitaries(programs, delta: float | None = None,
+                      sf_phase_continuity: bool = False) -> np.ndarray:
+    """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
+
+    Each distinct propagator is looked up once, through eo_propagator,
+    keyed by the step object and then by its (EO, t0).  Every program
+    becomes a row of indices into those matrices, padded with the
+    identity, and the products are folded in application order, one
+    batched product per step position.  Each unitary is bit-identical to
+    multiplying its program's propagators one by one.
 
     With sf_phase_continuity the sinusoidal fields of successive EOs run
-    on one shared clock instead of restarting at phase phi each EO.
+    on one shared clock (each program's own, from 0) instead of
+    restarting at phase phi each EO.
     """
-    u = np.eye(4, dtype=complex)
-    t0 = 0.0
-    for step in program.steps:
-        if isinstance(step, MatrixStep):
-            u = step.matrix @ u
-            continue
-        eo = step.eo if delta is None else step.eo.replace(delta=delta)
-        u = eo_propagator(eo, t0=t0 if sf_phase_continuity else 0.0) @ u
-        if sf_phase_continuity:
-            t0 += TWO_PI * eo.tau
+    programs = list(programs)  # keeps every step alive while keyed by id
+    mats = [_EYE]
+    by_step, by_eo = {}, {}
+    rows = []
+    for program in programs:
+        row, t0 = [], 0.0
+        for step in program.steps:
+            i = by_step.get((id(step), t0))
+            if i is None:
+                if isinstance(step, MatrixStep):
+                    i = len(mats)
+                    mats.append(step.matrix)
+                else:
+                    eo = step.eo if delta is None else step.eo.replace(delta=delta)
+                    i = by_eo.get((eo, t0))
+                    if i is None:
+                        i = by_eo[(eo, t0)] = len(mats)
+                        mats.append(eo_propagator(eo, t0=t0))
+                by_step[(id(step), t0)] = i
+            row.append(i)
+            if sf_phase_continuity and isinstance(step, EOStep):
+                t0 += TWO_PI * step.eo.tau
+        rows.append(row)
+    width = max(map(len, rows), default=0)
+    index = np.array([row + [0] * (width - len(row)) for row in rows],
+                     dtype=np.intp).reshape(len(rows), width)
+    u = np.repeat(_EYE[None], len(rows), axis=0)
+    for factors in np.array(mats)[index.T]:   # (P, 4, 4) per step position
+        u = factors @ u
     return u
 
 
 def with_duration_offset(program: Program, label: str, offset: float) -> Program:
-    """Copy of the program with `offset` added to tau of every EO named `label`."""
-    steps = []
-    hits = 0
-    for step in program.steps:
-        if isinstance(step, EOStep) and step.eo.label == label:
-            steps.append(EOStep(step.eo.replace(tau=step.eo.tau + offset)))
-            hits += 1
-        else:
-            steps.append(step)
-    if hits == 0:
+    """Copy of the program with `offset` added to tau of every EO named `label`.
+
+    Each distinct step gets one shifted copy, shared by all its places.
+    """
+    shifted = {}
+    for s in program.steps:
+        if isinstance(s, EOStep) and s.eo.label == label and id(s) not in shifted:
+            shifted[id(s)] = EOStep(s.eo.replace(tau=s.eo.tau + offset))
+    if not shifted:
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
-    return replace(program, steps=tuple(steps),
+    return replace(program, steps=tuple(shifted.get(id(s), s) for s in program.steps),
                    name=f"{program.name}(d{label}={offset:+g})")
 
 

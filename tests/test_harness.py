@@ -163,6 +163,16 @@ def test_run_experiment_matches_per_row_reference(case):
     assert table.ideal == ideal
 
 
+def _count_runs(monkeypatch):
+    """The program lists the harness passes to program_unitaries, one per call."""
+    import nmrqc.harness
+    calls = []
+    walk = nmrqc.harness.program_unitaries
+    monkeypatch.setattr(nmrqc.harness, "program_unitaries",
+                        lambda ps: calls.append(list(ps)) or walk(calls[-1]))
+    return calls
+
+
 @pytest.mark.parametrize("fields, programs", [
     (dict(k_list=(1, 2)), 4),                       # QA1 + QA2 per column
     (dict(inputs=("00", "11"), k_list=(1,)), 1),
@@ -171,37 +181,76 @@ def test_run_experiment_matches_per_row_reference(case):
     (dict(k_list=(1, 2), tau_offsets=(-0.1, 0.0, 0.1)), 12),
 ])
 def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
+    """Each group of rows builds its program once per k, and every program
+    of the table (one per column and group) runs once, in one stacked walk."""
     import nmrqc.harness
-    calls = []
-    run_inputs = nmrqc.harness.run_inputs
-    monkeypatch.setattr(nmrqc.harness, "run_inputs",
-                        lambda p, inputs: calls.append(p) or run_inputs(p, inputs))
-    run_experiment(ExperimentSpec(**fields))
-    assert len(calls) == programs
+    spec = ExperimentSpec(**fields)
+    groups = (len(spec.items) if spec.kind == "grover"
+              else len({r == "singlet" for r in spec.inputs}))
+    built = []
+    for name in ("build_qa", "build_grover"):
+        build = getattr(nmrqc.harness, name)
+        monkeypatch.setattr(nmrqc.harness, name,
+                            lambda *a, _b=build, **kw: built.append(a) or _b(*a, **kw))
+    calls = _count_runs(monkeypatch)
+    run_experiment(spec)
+    assert len(built) == groups * len(spec.k_list)
+    assert [len(ps) for ps in calls] == [programs]
+    assert len({id(p) for p in calls[0]}) == programs
 
 
 @pytest.mark.parametrize("name", ["table5", "table9", "table10"])
 def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
-    """A cold table misses once per distinct EO key and looks up once per
-    EO step walked; its rotating pulses are integrated in one stack, and
-    a warm rerun integrates nothing."""
-    import nmrqc.harness
+    """A cold table looks up and misses once per distinct EO key; its
+    rotating pulses are integrated in one stack, and a warm rerun looks
+    each key up once more and integrates nothing."""
     import nmrqc.integrator
-    programs = []
-    run_inputs = nmrqc.harness.run_inputs
-    monkeypatch.setattr(nmrqc.harness, "run_inputs",
-                        lambda p, inputs: programs.append(p) or run_inputs(p, inputs))
+    calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
     nmrqc.integrator.clear_propagator_cache()
     cold = run_experiment(canned_spec(name))
-    eos = [eo for p in programs for eo in p.eos]
-    assert (info().misses, info().hits + info().misses) == (len(set(eos)), len(eos))
-    assert kernel_calls == [len({eo for eo in eos if eo.is_rotating})]
+    (programs,) = calls
+    keys = {eo for p in programs for eo in p.eos}
+    assert (info().misses, info().hits) == (len(keys), 0)
+    assert kernel_calls == [len({eo for eo in keys if eo.is_rotating})]
     assert not nmrqc.integrator._waiting          # every stacked key was used
 
     warm = run_experiment(canned_spec(name))
-    assert info().misses == len(set(eos)) and len(kernel_calls) == 1
+    assert (info().misses, info().hits) == (len(keys), len(keys))
+    assert len(kernel_calls) == 1
     assert warm.to_json() == cold.to_json()
+
+
+def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
+    """Tables sharing pulses, run one after another from an empty cache,
+    integrate each distinct rotating key once: the look-ahead of a later
+    table leaves out what an earlier one cached."""
+    import nmrqc.integrator
+    stacks = []
+    kernel = nmrqc.integrator._stepped_propagator
+    monkeypatch.setattr(
+        nmrqc.integrator, "_stepped_propagator",
+        lambda d, delta, block: (stacks.append(d.eos) if d.rotating else None)
+        or kernel(d, delta, block))
+    calls = _count_runs(monkeypatch)
+    nmrqc.integrator.clear_propagator_cache()
+    for style in ("rotating_sf", "static_sf"):
+        for variant in (1, 2, 3):
+            run_experiment(ExperimentSpec(style=style, cnot_variant=variant,
+                                          k_list=(1, 2)))
+        run_experiment(ExperimentSpec(kind="grover", style=style, k_list=(1, 2)))
+    for k in (1, 2):
+        run_experiment(ExperimentSpec(k_list=(k,), tau_offsets=(-0.1, 0.0, 0.1)))
+    keys = {eo for ps in calls for p in ps for eo in p.eos if eo.is_rotating}
+    integrated = [eo for stack in stacks for eo in stack]
+    assert len(keys) == 26
+    assert len(integrated) == len(keys) and set(integrated) == keys
+
+    stacks.clear()                  # clearing the cache forgets them all
+    nmrqc.integrator.clear_propagator_cache()
+    run_experiment(ExperimentSpec(k_list=(1,)))
+    assert [set(s) for s in stacks] == [
+        {eo for p in calls[-1] for eo in p.eos if eo.is_rotating}]
 
 
 def test_perturbation_zero_offset_matches_base():
@@ -324,6 +373,16 @@ def test_non_finite_delta_is_bad_input(bad, tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     assert main(["tables", "table5", "--delta", str(bad)]) == 2
     assert "delta must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_negative_phase_evolution_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "qa", "k_list": [1],
+                                "tau_offsets": [-2000000.0], "inputs": ["00"]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration must be non-negative")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_verify_quick(capsys):

@@ -325,6 +325,25 @@ def test_waiting_propagators_are_dropped(drop, kernel_calls):
     expect()
 
 
+def test_cached_keys_leave_the_look_ahead(kernel_calls):
+    """An announced pulse that is already cached is not integrated again,
+    and the record of cached keys is bounded like the cache itself."""
+    import nmrqc.integrator
+    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    clear_propagator_cache()
+    eo_propagator(eos[0])
+    expect(iter(eos))
+    eo_propagator(eos[1])
+    assert kernel_calls == [1, 2]          # X1 was cached: Y2 and X2p only
+    expect()
+    ip = ideal_eo_params("Ip")
+    for tau in range(nmrqc.integrator._CACHE_SIZE + 5):
+        eo_propagator(ip.replace(tau=float(tau)))
+    assert len(nmrqc.integrator._integrated) == nmrqc.integrator._CACHE_SIZE
+    clear_propagator_cache()
+    assert not nmrqc.integrator._integrated
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bad_delta_raises_while_an_expectation_is_pending(bad):
     eos = [pulse_eo(name).replace(delta=bad) for name in ("X1", "Y2")]

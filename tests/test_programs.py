@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_qa, eo_propagator,
@@ -10,7 +12,8 @@ from nmrqc.integrator import _cached_propagator
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import TWO_PI, global_phase_distance, state_phase_distance
 from nmrqc.programs import (CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
-                            MatrixStep, run_inputs)
+                            MatrixStep, input_amplitudes, program_unitaries,
+                            readout, run_inputs)
 from nmrqc.states import StateVector
 
 
@@ -149,9 +152,11 @@ def test_matrix_step_rejects_non_unitary_at_construction():
         step.matrix[0, 0] = 0.0
 
 
-def _stepwise(program, delta=None, sf_phase_continuity=False):
-    """Reference: carry the input state across each step's propagator in turn."""
-    amps = prepare_input(program.input_spec).amplitudes
+def _stepwise(program, delta=None, sf_phase_continuity=False, amps=None):
+    """Reference: carry the input state (or the given amplitudes, e.g. the
+    identity for the unitary) across each step's propagator in turn."""
+    if amps is None:
+        amps = prepare_input(program.input_spec).amplitudes
     t0 = 0.0
     for step in program.steps:
         if isinstance(step, MatrixStep):
@@ -200,14 +205,102 @@ def _lookups():
 
 @pytest.mark.parametrize("program", sorted(_PROGRAMS))
 def test_one_propagator_lookup_per_eo_step(program):
-    """One cache lookup per EO step, however many inputs share the unitary."""
+    """One cache lookup per distinct EO step, however often the program
+    repeats it and however many inputs share the unitary."""
     p = _PROGRAMS[program]("rotating_sf")
+    distinct = len(set(p.eos))
+    assert distinct < len(p.eos)               # five CNOTs repeat their steps
     before = _lookups()
     program_unitary(p)
-    assert _lookups() - before == len(p.eos)
+    assert _lookups() - before == distinct
     before = _lookups()
     run_inputs(p, INPUT_SPECS)
+    assert _lookups() - before == distinct
+    copy = Program(name="copy", steps=tuple(
+        EOStep(s.eo) if isinstance(s, EOStep) else s for s in p.steps))
+    before = _lookups()
+    program_unitaries([p, _PROGRAMS[program]("rotating_sf"), copy, p])
+    assert _lookups() - before == distinct
+    before = _lookups()
+    program_unitary(p, sf_phase_continuity=True)   # a key per (EO, t0)
     assert _lookups() - before == len(p.eos)
+
+
+def _unitary_stack():
+    """Steps shared between programs, equal EOs in distinct step objects,
+    exact matrices and a diagonal evolution; each a separate choice."""
+    cnot = build_cnot(1, "rotating_sf", k=1).steps
+    static = build_cnot(3, "static_sf", k=1).steps
+    return st.sampled_from(
+        cnot[:3] + static[3:5]
+        + (EOStep(cnot[0].eo), EOStep(static[3].eo),
+           MatrixStep("G", ideal_gate("G").matrix),
+           MatrixStep("Y1", ideal_gate("Y1").matrix),
+           EOStep(cnot[1].eo.replace(label="diagonal", tau=3.25))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.lists(st.lists(_unitary_stack(), max_size=9), max_size=5),
+       delta=st.sampled_from([None, 0.02]), continuity=st.booleans(),
+       rows=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(INPUT_SPECS)),
+                     max_size=8))
+def test_program_unitaries_equal_the_sequential_walk(steps, delta, continuity,
+                                                     rows):
+    programs = [Program(name=f"p{i}", steps=tuple(s)) for i, s in enumerate(steps)]
+    us = program_unitaries(programs, delta, continuity)
+    assert us.shape == (len(programs), 4, 4)
+    for p, u in zip(programs, us):
+        assert np.array_equal(u, _stepwise(p, delta, continuity,
+                                           amps=np.eye(4, dtype=complex)))
+    rows = [(i, spec) for i, spec in rows if i < len(programs)]
+    which = [i for i, _ in rows]
+    states = input_amplitudes([spec for _, spec in rows])
+    assert readout(us[which], states) == [
+        qubit_values(StateVector(us[i] @ prepare_input(spec).amplitudes))
+        for i, spec in rows]
+
+
+def test_readout_rejects_an_unnormalized_row():
+    us = np.stack([ideal_gate("CNOT").matrix, np.eye(4)])
+    states = input_amplitudes(["10", "singlet"])
+    assert readout(us, states) == [
+        qubit_values(StateVector(u @ a)) for u, a in zip(us, states)]
+    for scale in (1.5, 1.0 + 1e-6, np.nan):
+        bad = states.copy()
+        bad[1] *= scale
+        with pytest.raises(NumericalIntegrityError, match="deviates from 1"):
+            readout(us, bad)
+    assert readout(us[:0], states[:0]) == []
+
+
+def test_duration_offset_copies_each_distinct_step_once():
+    p = build_qa("QA1", "00", 1, "rotating_sf", k=1)
+    q = with_duration_offset(p, "Ip", 0.1)
+    ip = [s for s in q.steps if s.label == "Ip"]
+    assert len(ip) == 5 and len({id(s) for s in ip}) == 1
+    assert [s for s in q.steps if s.label != "Ip"] == \
+        [s for s in p.steps if s.label != "Ip"]
+
+
+def test_negative_diagonal_duration_is_rejected():
+    p = parse_program_text("diagonal -3")
+    for _ in range(2):  # nothing is cached for a bad key
+        with pytest.raises(ConfigurationError, match="must be non-negative"):
+            run_program(p)
+    assert run_program(parse_program_text("diagonal 0")).amplitudes[0] == 1.0
+
+
+@pytest.mark.parametrize("which", ["QA1", "qa1", "Qa1", "1", 1])
+def test_qa_name_accepts_exact_forms(which):
+    assert build_qa(which, "00").name.startswith("QA1[")
+    assert build_qa(str(which).replace("1", "2"), "singlet").name.startswith("QA2[")
+
+
+@pytest.mark.parametrize("which", ["AQ1", "qaqa2", "QAQ1", "Q1", "A1", "QA", "",
+                                   "QA12", "qa 1", "QA01", 3, None])
+def test_qa_name_rejects_other_forms(which):
+    with pytest.raises(ConfigurationError, match="which must be QA1 or QA2"):
+        build_qa(which, "singlet")
 
 
 def test_program_unitary_long_pulse_close_to_ideal():
