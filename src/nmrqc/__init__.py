@@ -17,8 +17,7 @@ from .states import (QubitExpectation, StateVector, apply_unitary,
                      expectation_qubit, prepare_basis_state, prepare_singlet,
                      qubit_values)
 from .integrator import (DENSE_MIDPOINT_ORACLE, EXACT_DIAGONAL, PRODUCT_FORMULA,
-                         IntegratorConfig, convergence_report, eo_propagator,
-                         evolve, evolve_reference)
+                         IntegratorConfig, eo_propagator, evolve, evolve_reference)
 from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,
                     coupling_pi_duration, derive_primed_angles, ideal_eo_params,
                     ideal_gate, phase_gate)
@@ -28,10 +27,10 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
                      spectator_excess_angle, spectator_residual)
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, EOStep,
                        GateImplStyle, MatrixStep, Program, build_cnot,
-                       build_grover, build_qa, grover_sequence, parse_program_text,
-                       prepare_input, program_unitaries, program_unitary,
-                       run_inputs, run_program,
-                       with_duration_offset)
+                       build_grover, build_qa, convergence_report,
+                       grover_sequence, parse_program_text, prepare_input,
+                       program_unitaries, program_unitary, run_inputs,
+                       run_program, with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
                       emit_table, perturb_duration_study, round2, run_experiment,
                       verify_suite)

@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MachineValidationError
+from .errors import ConfigurationError, MachineValidationError
 from .operators import S1X, S1Y, S1Z, S2X, S2Y, S2Z, SZZ
+
+
+def is_finite_number(x) -> bool:
+    """A finite real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -35,6 +41,15 @@ class MachineConfig:
     coupling: float = -0.43e-6
     h1z: float = 1.0
     h2z: float = 0.25
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not is_finite_number(value):
+                raise ConfigurationError(
+                    f"machine {f.name} must be a finite number, got {value!r}")
+        if self.h1z == 0:
+            raise ConfigurationError("machine h1z must be non-zero")
 
     @property
     def gamma(self) -> float:

@@ -80,9 +80,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import ConfigurationError, MethodError, NumericalIntegrityError
-from .hamiltonian import EOParams, diagonal_energies
+from .hamiltonian import EOParams, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
-from .states import NORM_TOL, StateVector, qubit_values
+from .states import NORM_TOL, StateVector
 
 PRODUCT_FORMULA = "product_formula"
 EXACT_DIAGONAL = "exact_diagonal"
@@ -104,9 +104,9 @@ class IntegratorConfig:
     method: str = PRODUCT_FORMULA
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (is_finite_number(self.delta) and self.delta > 0):
             raise ConfigurationError(
-                f"delta must be positive and finite, got {self.delta}")
+                f"delta must be positive and finite, got {self.delta!r}")
         if self.method not in _METHODS:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; expected one of {_METHODS}")
@@ -431,71 +431,6 @@ def evolve_reference(state: StateVector, eo: EOParams,
     """Dense-exponential reference evolution at a fine step size."""
     cfg = IntegratorConfig(delta=fine_delta, method=DENSE_MIDPOINT_ORACLE)
     return evolve(state, eo, cfg)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    delta: float
-    expectations: tuple[float, ...]
-    max_amplitude_deviation: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
-    reference_delta: float
-    two_digit_flag: bool | None
-
-    def __str__(self):
-        lines = [f"{'delta':>10}  {'expectations':<24} max amp deviation"]
-        for r in self.rows:
-            exps = " ".join(f"{v:.6f}" for v in r.expectations)
-            lines.append(f"{r.delta:>10g}  {exps:<24} {r.max_amplitude_deviation:.3e}")
-        if self.two_digit_flag is not None:
-            status = "DIFFER" if self.two_digit_flag else "agree"
-            lines.append(f"two-digit results at delta 0.01 vs 0.001: {status}")
-        return "\n".join(lines)
-
-
-def _run_sequence(state: StateVector, eos, delta: float) -> StateVector:
-    for eo in eos:
-        state = evolve(state, eo.replace(delta=delta))
-    return state
-
-
-def convergence_report(eos, state: StateVector, deltas,
-                       reference_delta: float | None = None) -> ConvergenceReport:
-    """Re-run an EO sequence at several step sizes and tabulate deviations.
-
-    Deviations are measured against a product-formula run at
-    reference_delta (default: min(deltas)/10).  Diagonal EOs keep the
-    exact propagator throughout, so only pulse steps are swept.
-    """
-    if isinstance(eos, EOParams):
-        eos = [eos]
-    deltas = sorted(set(float(d) for d in deltas), reverse=True)
-    if not deltas:
-        raise ConfigurationError("need at least one delta")
-    if reference_delta is None:
-        reference_delta = min(deltas) / 10.0
-    ref = _run_sequence(state, eos, reference_delta).amplitudes
-
-    rows = []
-    by_delta = {}
-    for d in deltas:
-        out = _run_sequence(state, eos, d)
-        dev = float(np.max(np.abs(out.amplitudes - ref)))
-        exps = qubit_values(out)
-        rows.append(ConvergenceRow(d, exps, dev))
-        by_delta[d] = exps
-
-    flag = None
-    pair = [d for d in (0.01, 0.001) if d in by_delta]
-    if len(pair) == 2:
-        r1 = tuple(round(v, 2) for v in by_delta[0.01])
-        r2 = tuple(round(v, 2) for v in by_delta[0.001])
-        flag = r1 != r2
-    return ConvergenceReport(tuple(rows), reference_delta, flag)
 
 
 def clear_propagator_cache() -> None:

@@ -17,11 +17,12 @@ whole stack of programs at once: each distinct propagator is looked up
 once, and the products are folded with one batched 4x4 product per step
 position.  readout applies a stack of unitaries to a stack of input
 states and reads the qubit values of every row in one product.
-program_unitary, run_inputs and run_program are the one-program calls.
-Gate steps, whole gate-sequence expansions, gate matrices, each gate
-sequence's ideal unitary and the five input states are memoized, so
-rebuilding a program re-designs no pulse and recomposes no gate, and
-reading a cell prepares no input.
+program_unitary, run_inputs and run_program are the one-program calls,
+and convergence_report re-runs a sequence of EOs through them at
+several step sizes.  Gate steps, whole gate-sequence expansions, gate
+matrices, each gate sequence's ideal unitary and the five input states
+are memoized, so rebuilding a program re-designs no pulse and
+recomposes no gate, and reading a cell prepares no input.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .operators import TWO_PI
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
 from .states import (NORM_TOL, StateVector, frozen_unitary,
-                     prepare_basis_state, prepare_singlet)
+                     prepare_basis_state, prepare_singlet, qubit_values)
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -379,6 +380,59 @@ def with_duration_offset(program: Program, label: str, offset: float) -> Program
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
     return replace(program, steps=tuple(shifted.get(id(s), s) for s in program.steps),
                    name=f"{program.name}(d{label}={offset:+g})")
+
+
+@dataclass(frozen=True)
+class ConvergenceRow:
+    delta: float
+    expectations: tuple[float, ...]
+    max_amplitude_deviation: float
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    rows: tuple[ConvergenceRow, ...]
+    reference_delta: float
+    two_digit_flag: bool | None
+
+    def __str__(self):
+        lines = [f"{'delta':>10}  {'expectations':<24} max amp deviation"]
+        for r in self.rows:
+            exps = " ".join(f"{v:.6f}" for v in r.expectations)
+            lines.append(f"{r.delta:>10g}  {exps:<24} {r.max_amplitude_deviation:.3e}")
+        if self.two_digit_flag is not None:
+            status = "DIFFER" if self.two_digit_flag else "agree"
+            lines.append(f"two-digit results at delta 0.01 vs 0.001: {status}")
+        return "\n".join(lines)
+
+
+def convergence_report(eos, state: StateVector, deltas,
+                       reference_delta: float | None = None) -> ConvergenceReport:
+    """Re-run an EO sequence at several step sizes and tabulate deviations.
+
+    The EOs run as one program of EO steps, through program_unitary with
+    each step size.  Deviations are measured against the run at
+    reference_delta (default: min(deltas)/10).  Diagonal EOs keep the
+    exact propagator throughout, so only pulse steps are swept.
+    """
+    if isinstance(eos, EOParams):
+        eos = [eos]
+    deltas = sorted(set(float(d) for d in deltas), reverse=True)
+    if not deltas:
+        raise ConfigurationError("need at least one delta")
+    if reference_delta is None:
+        reference_delta = min(deltas) / 10.0
+    program = Program("convergence", tuple(EOStep(eo) for eo in eos))
+    ref = run_program(program, state, delta=reference_delta).amplitudes
+    rows = []
+    for d in deltas:
+        out = run_program(program, state, delta=d)
+        rows.append(ConvergenceRow(d, qubit_values(out),
+                                   float(np.max(np.abs(out.amplitudes - ref)))))
+    two_digit = {r.delta: tuple(round(v, 2) for v in r.expectations) for r in rows}
+    flag = (two_digit[0.01] != two_digit[0.001]
+            if {0.01, 0.001} <= two_digit.keys() else None)
+    return ConvergenceReport(tuple(rows), reference_delta, flag)
 
 
 def parse_program_text(text: str, style=IDEAL, k: int = 1,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA, run_experiment
+from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA
 from nmrqc.integrator import (_dense_block, _Drives, _product_formula_block,
                               _step_schedule)
 from nmrqc.operators import TWO_PI
@@ -31,21 +31,6 @@ def random_unitary(rng, dim=4):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@pytest.fixture(scope="session")
-def table_cache():
-    """Benchmark tables computed once per session (propagators are cached
-    inside the integrator, so repeated suites share the heavy work)."""
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            from nmrqc import canned_spec
-            cache[name] = run_experiment(canned_spec(name))
-        return cache[name]
-
-    return get
 
 
 def per_row_reference(spec):

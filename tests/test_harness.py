@@ -1,12 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_qa,
-                   canned_names, canned_spec, emit_table, round2, run_experiment)
+                   canned_names, canned_spec, emit_table, round2, run_experiment,
+                   verify_suite)
 from nmrqc.cli import main, parse_angle
-from nmrqc.harness import _qa_row_label
+from nmrqc.harness import CHECKS, _qa_row_label
 
 from conftest import per_row_reference
 
@@ -344,7 +347,12 @@ def test_cli_missing_config_file(capsys):
                                   '{"tau_offsets": "ab"}', '{"inputs": "00"}',
                                   '{"inputs": []}', '{"items": []}',
                                   '{"inputs": ["02"]}', '{"items": [4]}',
-                                  '{"final_rotation_style": "bogus"}'])
+                                  '{"final_rotation_style": "bogus"}',
+                                  '{"delta": "x"}', '{"delta": null}',
+                                  '{"machine": {"h1z": 0}}',
+                                  '{"machine": {"h2z": "x"}}',
+                                  '{"machine": {"coupling": "x"}}',
+                                  '{"cnot_variant": true}', '{"k_list": [true]}'])
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -389,7 +397,8 @@ def test_cli_verify_quick(capsys):
     rc = main(["verify", "--quick"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "[PASS] ideal baseline" in out
+    assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == [
+        c.name for c in CHECKS if not c.runs_tables]
     assert out.strip().endswith("verification PASSED")
 
 
@@ -403,7 +412,6 @@ def test_cli_tables_tau_offset_override(capsys):
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
-    from nmrqc import reference_tables as ref
     from nmrqc.cli import build_parser
     assert build_parser() is build_parser()
     for _ in range(2):  # a second --tau-offset does not add to the first
@@ -426,14 +434,36 @@ def test_grover_static_suite_spot_cells():
 
 
 def test_verify_suite_passes_and_logs_exclusions():
-    from nmrqc import verify_suite
     report = verify_suite(include_tables=True)
     text = str(report)
     assert report.passed, text
     names = [c.name for c in report.checks]
-    assert any("ideal baseline" in n for n in names)
-    assert any("step-size independence" in n for n in names)
-    assert any("coupling off during pulses" in n for n in names)
-    assert sum("benchmark" in n for n in names) >= 7
-    assert any("excluded" in n for n in report.notes)
+    assert names == [c.name for c in CHECKS]
+    assert {"ideal-baseline", "step-size-independence",
+            "coupling-off-during-pulses", *canned_names()} <= set(names)
+    excluded = [ref.SUSPECT_GROVER_ROTATING, ref.SUSPECT_GROVER_STATIC,
+                ref.SUSPECT_PERTURBATION, ref.SUSPECT_ROTATING_SPIN2]
+    assert sum("excluded" in n for n in report.notes) == sum(map(len, excluded))
     assert text.strip().endswith("verification PASSED")
+
+
+def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
+    ideal, ((a, b), *rest) = ref.QA_ROTATING_CNOT1["singlet"]
+    spec = canned_spec("table5")
+    got = run_experiment(spec).cell(_qa_row_label(spec, "singlet"), 8)[0]
+    comp, forced, why = ref.SUSPECT_PERTURBATION[("01", 0.0)]
+    # a published cell off the print by 0.05, then just outside and just
+    # inside the tolerance; a forced duration-study value off by 0.05
+    edits = [(ref.QA_ROTATING_CNOT1, "singlet", (ideal, [(moved, b), *rest]), failing)
+             for moved, failing in [(a + 0.05, "table5"),
+                                    (got + 1.01 * ref.RESULT_TOL, "table5"),
+                                    (got - 0.99 * ref.RESULT_TOL, None)]]
+    edits.append((ref.SUSPECT_PERTURBATION, ("01", 0.0), (comp, forced - 0.05, why),
+                  "table10"))
+    for sheet, key, value, failing in edits:
+        with monkeypatch.context() as m:
+            m.setitem(sheet, key, value)
+            assert [c.name for c in verify_suite().checks if not c.passed] == (
+                [failing] if failing else [])
+            assert main(["verify"]) == (1 if failing else 0)
+            assert (f"[FAIL] {failing} " in capsys.readouterr().out) == bool(failing)
