@@ -13,9 +13,8 @@ from .errors import (ConfigurationError, MachineValidationError, MethodError,
                      NumericalIntegrityError)
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig,
                           hamiltonian_at, machine_violations, validate_machine)
-from .states import (QubitExpectation, StateVector, apply_unitary,
-                     expectation_qubit, prepare_basis_state, prepare_singlet,
-                     qubit_values)
+from .states import (QubitExpectation, StateVector, expectation_qubit,
+                     prepare_basis_state, prepare_singlet, qubit_values)
 from .integrator import (DENSE_MIDPOINT_ORACLE, EXACT_DIAGONAL, PRODUCT_FORMULA,
                          IntegratorConfig, eo_propagator, evolve, evolve_reference)
 from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,

@@ -52,6 +52,10 @@ def canonical_name(name: str) -> str:
 
 def coupling_pi_duration(machine: MachineConfig = DEFAULT_MACHINE) -> float:
     """Duration (over 2*pi) for which tau * J = -pi."""
+    if machine.coupling == 0:
+        raise ConfigurationError(
+            "machine coupling must be non-zero: without it no duration "
+            "makes the conditional phase evolution")
     return -1.0 / (2.0 * machine.coupling)
 
 

@@ -35,10 +35,26 @@ a symmetry of the drive wherever one holds exactly:
 * Otherwise, when the drive period 1/omega (over 2*pi) is a whole number
   P of steps, i.e. 1/(omega*delta) is an integer to a relative 1e-12,
   and the EO spans at least 2P full substeps, the fields repeat exactly
-  every P substeps (Floquet; Shirley, Phys. Rev. 138, B979 (1965)).  The
-  product of the first P substeps is built once and raised to
-  q = n_full // P; the n_full mod P leftover substeps are stepped at
-  their true midpoints.
+  every P substeps (Floquet; Shirley, Phys. Rev. 138, B979 (1965)), so
+  one period's product U_T is raised to q = n_full // P; the
+  n_full mod P leftover substeps are stepped at their true midpoints.
+  A single-axis drive (one axis driven, phi_x = phi_y = 0, no static
+  transverse field) starting at t0 = 0 with P a multiple of 4 has two
+  more exact symmetries, so only its first P/4 substeps are built, as
+  their product Q:
+  - half period: the field at t + T/2 is minus the field at t, and
+    Zpi = exp(i pi S^z_tot) = diag(-1, 1, 1, -1) flips both transverse
+    operators while commuting with the rest, so
+    U_T = (Zpi U_{T/2})^2 and U_T^q = (Zpi U_{T/2})^(2q);
+  - time reversal: the field over half a period is symmetric about
+    T/4, so the second quarter runs the first one's substeps in reverse
+    order.  An x drive makes H real, so every substep block is
+    complex-symmetric (for the Strang split T D T as for the dense
+    exponential) and U_{T/2} = Q^T Q.  Conjugation by Z(pi/2) makes a y
+    drive real; undone, it gives U_{T/2} = Zpi Q^T Zpi Q.
+  Any other periodic drive (phi != 0, a static transverse field, both
+  axes driven, t0 != 0 or P not a multiple of 4) builds the product
+  of all P substeps.
 * In every other case (omega = 0, a period that is not a whole number of
   steps or is shorter than one step, a static pulse shorter than two
   periods) every substep is stepped, in vectorized chunks.
@@ -53,7 +69,9 @@ single-midpoint block per EO, the frame factors, repeated squaring over
 the bits of the largest n (each EO keeps its partial product where its
 own n lacks a bit), the remainder blocks and one stacked SVD.  Each
 EO's result is bit-identical whatever else shares its stack.  Static
-and constant-field EOs go through the same loop one at a time.
+and constant-field EOs go through the same loop one at a time, with
+the quarter-period, full-period or chunked product above: their cost is
+per-substep arithmetic, which stacking does not cut.
 
 Propagators are cached per (EO, delta, method, t0).  ``expect`` lets a
 caller announce the EOs its next lookups will ask for, lazily: at the
@@ -93,6 +111,7 @@ _CHUNK = 1 << 15  # substeps vectorized per block
 _CACHE_SIZE = 1024  # propagators kept by the cache
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
+_Z_PI = np.array([-1.0, 1.0, 1.0, -1.0])  # exp(i pi S^z_tot)
 _EYE = np.eye(4, dtype=complex)
 
 
@@ -272,7 +291,9 @@ def _folded_power(d: _Drives, n_full, delta: float,
     """Per EO, the product of its leading substeps folded by symmetry.
 
     Also returns how many substeps that covers for a lone non-rotating EO,
-    which may leave a tail; a rotating stack is covered whole.
+    which may leave a tail; a rotating stack is covered whole.  A lone
+    single-axis drive at t0 = 0 builds a quarter period, any other
+    periodic drive a full one (see the module docstring).
     """
     if not any(n_full):
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), 0
@@ -285,11 +306,21 @@ def _folded_power(d: _Drives, n_full, delta: float,
                                           n_full), None
     (n,) = n_full
     period = _period_steps(d.omega[0], delta)
-    if period and n >= 2 * period:
-        q = n // period
-        u_period = block(d, d.t0[:, None] + (np.arange(period) + 0.5) * dt, dt)
-        return np.linalg.matrix_power(u_period, q), q * period
-    return _EYE[None], 0
+    if not (period and n >= 2 * period):
+        return _EYE[None], 0
+    q = n // period
+    axes = d.amp[0].any(axis=0)  # driven x, y
+    if (period % 4 == 0 and d.t0[0] == 0.0 and axes.sum() == 1
+            and not d.phi.any() and not d.static.any()):
+        # Zpi U_{T/2} from Q, the first P/4 substeps: Zpi Q^T Q for an x
+        # drive, Q^T Zpi Q for a y drive.
+        quarter = block(d, (np.arange(period // 4) + 0.5)[None] * dt, dt)
+        mirrored = np.swapaxes(quarter, -1, -2)
+        z_pi_half = (mirrored @ (_Z_PI[:, None] * quarter) if axes[1]
+                     else _Z_PI[:, None] * (mirrored @ quarter))
+        return np.linalg.matrix_power(z_pi_half, 2 * q), q * period
+    u_period = block(d, d.t0[:, None] + (np.arange(period) + 0.5) * dt, dt)
+    return np.linalg.matrix_power(u_period, q), q * period
 
 
 def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:

@@ -109,10 +109,3 @@ def frozen_unitary(m) -> np.ndarray:
     u.setflags(write=False)
     return u
 
-
-def apply_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    """Apply a unitary matrix, checking unitarity first."""
-    dim = state.amplitudes.size
-    if np.shape(u) != (dim, dim):
-        raise ConfigurationError(f"matrix shape {np.shape(u)} does not match dim {dim}")
-    return StateVector(frozen_unitary(u) @ state.amplitudes)

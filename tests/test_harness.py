@@ -352,6 +352,7 @@ def test_cli_missing_config_file(capsys):
                                   '{"machine": {"h1z": 0}}',
                                   '{"machine": {"h2z": "x"}}',
                                   '{"machine": {"coupling": "x"}}',
+                                  '{"machine": {"coupling": 0}, "k_list": [1]}',
                                   '{"cnot_variant": true}', '{"k_list": [true]}'])
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -200,25 +200,50 @@ def test_unfoldable_schedules_step_every_substep(method):
             assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta, t0)
 
 
-def _counted_blocks(eo, delta):
+def _counted_blocks(eo, delta, t0=0.0):
     sizes = []
 
     def counting_block(drives, mids, dt):
         sizes.append(mids.size)
         return _product_formula_block(drives, mids, dt)
 
-    _stepped_propagator(_Drives((eo,), (0.0,), eo.is_rotating), delta,
+    _stepped_propagator(_Drives((eo,), (t0,), eo.is_rotating), delta,
                         counting_block)
     return sizes
 
 
 def test_fold_steps_one_period_then_the_tail():
-    # a static drive does not turn rigidly, so it folds by period
+    # a static single-axis drive does not turn rigidly, so it folds by
+    # period, and builds only the first quarter of that period
     eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
     assert not eo.is_rotating                   # 12810 steps + remainder
-    assert _counted_blocks(eo, 0.01) == [400, 10, 1]   # period, partial, remainder
+    assert _counted_blocks(eo, 0.01) == [100, 10, 1]  # quarter, partial, remainder
     assert _counted_blocks(eo, 0.03) == [4270, 1]  # 1/(0.25*0.03) not whole
     assert _counted_blocks(eo.replace(tau=7.99), 0.01) == [799]  # < two periods
+
+
+_FULL_PERIOD_FALLBACKS = {  # -> (eo, delta, t0); the base drives x only
+    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, 0.0),
+    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01, 0.0),
+    "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
+                             0.01, 0.0),
+    "t0": lambda eo: (eo, 0.01, TWO_PI * 3.37),
+    "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
+        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02, 0.0),
+}
+
+
+@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("case", sorted(_FULL_PERIOD_FALLBACKS))
+def test_quarter_fold_fallbacks_build_a_full_period(case, method):
+    base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
+    eo, delta, t0 = _FULL_PERIOD_FALLBACKS[case](base)
+    assert not eo.is_rotating
+    period = round(1.0 / (eo.omega * delta))
+    assert _counted_blocks(eo, delta, t0)[0] == period
+    u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
+    ref = chained_reference(eo, delta, t0, BLOCKS[method])
+    assert np.max(np.abs(u - ref)) < 1e-11
 
 
 def test_rotating_pulse_steps_one_midpoint_then_the_tail():
@@ -250,6 +275,27 @@ def test_rotating_block_is_a_z_conjugate(name, method):
     z = _frame(eo, -1.0)
     wrong = z @ block(eo, np.array([3.7]), dt) @ z.conj().T
     assert np.max(np.abs(block(eo, np.array([4.7]), dt) - wrong)) > 1e-5
+
+
+@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("name", ["Y1", "X2"])  # static: x drive, y drive
+def test_static_block_half_period_and_time_reversal(name, method):
+    eo = pulse_eo(name, k=2, mode="static_axis")
+    y_drive = eo.sf1y != 0.0
+    assert y_drive == (eo.sf1x == 0.0)
+    block, dt = BLOCKS[method], 0.01 * TWO_PI
+    half = np.pi / eo.omega                      # T/2 in radian time
+    z_pi, z_half_pi = _frame(eo, half), _frame(eo, half / 2)
+    assert np.allclose(np.diag(z_pi), [-1, 1, 1, -1], atol=1e-15)
+    for t in (0.5 * dt, 3.7):
+        b = block(eo, np.array([t]), dt)
+        shifted = block(eo, np.array([t + half]), dt)
+        assert np.max(np.abs(shifted - z_pi @ b @ z_pi)) < 1e-14, t
+        assert np.max(np.abs(shifted - b)) > 1e-7   # the flip is not trivial
+        real = z_half_pi @ b @ z_half_pi.conj().T if y_drive else b
+        assert np.max(np.abs(real - real.T)) < 1e-14, t
+        if y_drive:  # complex-symmetric only after the conjugation
+            assert np.max(np.abs(b - b.T)) > 1e-7
 
 
 _NEAR_MISSES = {

@@ -1,13 +1,14 @@
 """Property-based tests: spec serialization, the batched harness, the
-folded pulse propagators and the stacked rotating kernel."""
+folded pulse propagators (static pulses folded by quarter periods among
+them) and the stacked rotating kernel."""
 import json
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
-                   run_experiment)
+from nmrqc import (ExperimentSpec, IntegratorConfig, MachineConfig, design_pulse,
+                   eo_propagator, run_experiment)
 from nmrqc.integrator import _Drives, _product_formula_block, _stepped_propagator
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES
@@ -70,6 +71,23 @@ def test_folded_pulse_equals_stepped(spin, axis, direction, k, turns, mode,
     u = eo_propagator(eo, t0=TWO_PI * t0)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     ref = chained_reference(eo, eo.delta, TWO_PI * t0, BLOCKS["product_formula"])
+    assert np.max(np.abs(u - ref)) < 1e-11
+
+
+@settings(max_examples=16, deadline=None)
+@given(spin=st.sampled_from([1, 2]), axis=st.sampled_from(["x", "y"]),
+       direction=st.sampled_from([1, -1]), k=st.integers(1, 3),
+       turns=st.sampled_from([0.25, 0.5, 0.75]), offset=st.floats(-0.5, 0.5),
+       method=st.sampled_from(sorted(BLOCKS)))
+def test_quarter_folded_static_pulse_equals_stepped(spin, axis, direction, k,
+                                                    turns, offset, method):
+    # a designed static pulse drives one axis with phi = 0, its period is
+    # 100 or 400 steps and it spans at least two: it folds by quarters
+    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                         direction=direction)
+    eo = eo.replace(tau=eo.tau + offset)
+    u = eo_propagator(eo, IntegratorConfig(eo.delta, method))
+    ref = chained_reference(eo, eo.delta, 0.0, BLOCKS[method])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 

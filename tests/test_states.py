@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from nmrqc import (ConfigurationError, NumericalIntegrityError, StateVector,
-                   apply_unitary, expectation_qubit, ideal_gate,
-                   prepare_basis_state, prepare_singlet, qubit_values)
+                   expectation_qubit, ideal_gate, prepare_basis_state,
+                   prepare_singlet, qubit_values)
 from nmrqc.operators import S1Z, S2Z
 
 from conftest import random_unitary
@@ -70,24 +70,16 @@ def test_expectation_matches_spin_matrix():
             assert expectation_qubit(s, j).value == pytest.approx(direct, abs=1e-12)
 
 
-def test_apply_identity_is_noop():
-    s = prepare_singlet()
-    out = apply_unitary(s, np.eye(4))
-    assert np.allclose(out.amplitudes, s.amplitudes)
-
-
 def test_apply_x1_rotation_example():
     # X1 |11> = (|11> + i|01>)/sqrt(2)
-    s = prepare_basis_state(2, [1, 1])
-    out = apply_unitary(s, ideal_gate("X1").matrix)
-    assert np.allclose(out.amplitudes, [0, 0, 1j * SQ2, SQ2], atol=1e-12)
+    out = ideal_gate("X1").matrix @ prepare_basis_state(2, [1, 1]).amplitudes
+    assert np.allclose(out, [0, 0, 1j * SQ2, SQ2], atol=1e-12)
 
 
 def test_apply_y2_rotation_example():
     # Y2 |11> = (|10> + |11>)/sqrt(2)
-    s = prepare_basis_state(2, [1, 1])
-    out = apply_unitary(s, ideal_gate("Y2").matrix)
-    assert np.allclose(out.amplitudes, [0, SQ2, 0, SQ2], atol=1e-12)
+    out = ideal_gate("Y2").matrix @ prepare_basis_state(2, [1, 1]).amplitudes
+    assert np.allclose(out, [0, SQ2, 0, SQ2], atol=1e-12)
 
 
 def test_x1_gate_is_block_diagonal_in_second_qubit():
@@ -98,16 +90,10 @@ def test_x1_gate_is_block_diagonal_in_second_qubit():
     assert np.allclose(m[0:2, 0:2], m[2:4, 2:4])
 
 
-def test_apply_unitary_rejects_nonunitary():
-    s = prepare_singlet()
-    with pytest.raises(NumericalIntegrityError):
-        apply_unitary(s, np.eye(4) * 1.5)
-
-
 def test_norm_conserved_under_random_unitaries(rng):
     s = prepare_basis_state(2, [0, 0])
     for _ in range(50):
-        s = apply_unitary(s, random_unitary(rng))
+        s = StateVector(random_unitary(rng) @ s.amplitudes)
         assert abs(s.norm() - 1.0) < 1e-10
 
 
