@@ -15,8 +15,10 @@ column.
 A table builds all of its programs before it runs any, and announces
 their EO steps to the integrator (``integrator.expect``), lazily.  On a
 cold table the first rotating pulse that misses the propagator cache
-then integrates every rotating pulse of the table in one stack; a warm
-table never expands the announcement.  One stacked walk
+then integrates every rotating pulse of the table in one stack, and the
+first static single-axis pulse of each drive frequency every such pulse
+of that frequency, in stacks capped in size; a warm table never expands
+the announcement.  One stacked walk
 (``programs.program_unitaries``) then gives every program's unitary,
 looking each distinct propagator up once, and one batched readout
 applies each unitary (and each memoized ideal unitary) to the inputs of
@@ -268,7 +270,9 @@ def _record(table: ResultTable, labels: dict, runs) -> None:
     """Run every (column, row keys, inputs, program) of a table in one walk.
 
     The integrator is told of all the programs' EO steps, so a cold table
-    integrates its rotating pulses in one stack.  program_unitaries then
+    integrates its rotating pulses in one stack and its static
+    single-axis pulses in a few stacks, one per drive frequency, split
+    by size.  program_unitaries then
     gives every program's unitary at once; one batched readout applies
     each to the inputs of its rows, and another gives each row's ideal
     value from the programs' ideal unitaries.

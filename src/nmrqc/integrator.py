@@ -64,23 +64,32 @@ polar-projected onto the unitary group once.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
 every step above carry a leading EO axis, and each EO has its own t0
-and step count.  A rotating stack is integrated in one pass: one
-single-midpoint block per EO, the frame factors, repeated squaring over
-the bits of the largest n (each EO keeps its partial product where its
-own n lacks a bit), the remainder blocks and one stacked SVD.  Each
-EO's result is bit-identical whatever else shares its stack.  Static
-and constant-field EOs go through the same loop one at a time, with
-the quarter-period, full-period or chunked product above: their cost is
-per-substep arithmetic, which stacking does not cut.
+and step count.  A stack shares one fold (``_fold``):
+- a rotating stack is integrated in one pass: one single-midpoint block
+  per EO, the frame factors, repeated squaring over the bits of the
+  largest n (each EO keeps its partial product where its own n lacks a
+  bit), the remainder blocks and one stacked SVD;
+- a quarter-folded stack holds static EOs of one drive frequency, x and
+  y drives alike: one quarter-period block over all of them, Zpi placed
+  per EO, each EO's own power 2q, the tails (an EO whose tail is
+  shorter takes substeps of length 0, exactly the identity, at its
+  end), the remainders and one SVD.  A quarter period is only 25 or
+  100 substeps at delta = 0.01, so a block's fixed cost per call
+  outweighs its substeps; a stack is split into groups so that no
+  block holds more than _STACK_SUBSTEPS substep matrices.
+Each EO's result is bit-identical whatever else shares its stack, and a
+lone EO is a stack of one.  Other EOs (a full-period or chunked
+product, and every dense-oracle EO) are integrated alone.
 
 Propagators are cached per (EO, delta, method, t0).  ``expect`` lets a
 caller announce the EOs its next lookups will ask for, lazily: at the
-first rotating product-formula miss the announcement is expanded, and
-every expected rotating EO of that step size not yet cached is
-integrated in the same stack.  Those propagators wait until their own
-key's first lookup, so the cache still counts one miss per key; the
-next ``expect`` and ``clear_propagator_cache`` drop whatever still
-waits.
+first product-formula miss of a key that folds, the announcement is
+expanded, and every expected EO of that key's stack (all rotating EOs
+of its step size, or all quarter-folded EOs of its step size and drive
+frequency) not yet cached is integrated with it.  Those propagators
+wait until their own key's first lookup, so the cache still counts one
+miss per key; the next ``expect`` and ``clear_propagator_cache`` drop
+whatever still waits.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -108,8 +117,10 @@ DENSE_MIDPOINT_ORACLE = "dense_midpoint_oracle"
 _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps vectorized per block
+_STACK_SUBSTEPS = 512  # substeps per block of a quarter-folded stack
 _CACHE_SIZE = 1024  # propagators kept by the cache
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
+_MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
 _Z_PI = np.array([-1.0, 1.0, 1.0, -1.0])  # exp(i pi S^z_tot)
 _EYE = np.eye(4, dtype=complex)
@@ -139,21 +150,47 @@ def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
     """Number of full steps and the remainder, all in over-2*pi units."""
     if tau < 0:
         raise ConfigurationError(f"duration must be non-negative, got {tau}")
-    n_full = math.floor(tau / delta + 1e-9)
+    steps = tau / delta + 1e-9
+    if not steps < _MAX_STEPS:
+        raise ConfigurationError(
+            f"duration {tau!r} is too long for the step {delta!r}")
+    n_full = math.floor(steps)
     rem = tau - n_full * delta
     if rem <= 1e-12 * max(1.0, abs(tau)):
         rem = 0.0
     return n_full, rem
 
 
+_ROTATING = "rotating"  # the drive turns rigidly about z
+_QUARTER = "quarter"    # a single-axis static drive, folded from a quarter period
+
+
+def _fold(eo: EOParams, delta: float, t0: float) -> str | None:
+    """The symmetry that folds an EO's substeps: _ROTATING, _QUARTER, or
+    None for a whole period or every substep (see the module docstring)."""
+    if eo.is_rotating:
+        return _ROTATING
+    period = _period_steps(eo.omega, delta)
+    if not period or period % 4 or t0 != 0.0:
+        return None
+    single_axis = bool(eo.sf1x or eo.sf2x) != bool(eo.sf1y or eo.sf2y)
+    if (single_axis and not any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x,
+                                 eo.h2y))
+            and _step_schedule(eo.tau, delta)[0] >= 2 * period):
+        return _QUARTER
+    return None
+
+
 class _Drives:
     """Field parameters of a stack of EOs, one row per EO.
 
     Each EO keeps its own phase origin t0.  A stack is either one EO or
-    EOs that all turn rigidly about z (``rotating``).
+    EOs that share a fold (``_fold``): EOs that all turn rigidly about z
+    (_ROTATING), or quarter-folded static EOs of one drive frequency
+    (_QUARTER).
     """
 
-    def __init__(self, eos, t0s, rotating: bool):
+    def __init__(self, eos, t0s, fold: str | None):
         p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
                        e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
                       for e in eos])
@@ -164,7 +201,7 @@ class _Drives:
         self.static = p[:, 3:7].reshape(-1, 2, 2)     # [spin, axis]
         self.amp = p[:, 7:11].reshape(-1, 2, 2)       # [spin, axis]
         self.ez = diagonal_energies(p[:, 11:12], p[:, 12:13], p[:, 13:14])
-        self.rotating = rotating
+        self.fold = fold
 
 
 def _fields_at(d: _Drives, mids):
@@ -218,16 +255,18 @@ def _nearest_unitary(m: np.ndarray) -> np.ndarray:
 def _product_formula_block(d: _Drives, mids, dt) -> np.ndarray:
     """Per EO, the propagator of equal-length substeps at mids[EO, substep].
 
-    dt is one step length, or one per EO as an (EO, 1) array.
+    dt is one step length, one per EO as an (EO, 1) array, or one per
+    substep as an (EO, substep) array; a substep of length 0 is exactly
+    the identity.
     """
-    dt = np.reshape(dt, (-1, 1))
+    dt = np.atleast_2d(dt)
     f = _fields_at(d, mids)
     r = _halfstep_rotations(f[..., 0], f[..., 1], (dt / 4.0)[..., None])
     r1, r2 = r[:, :, 0], r[:, :, 1]
     n_eo, m = mids.shape
     t_half = (r2[..., :, None, :, None]
               * r1[..., None, :, None, :]).reshape(n_eo, m, 4, 4)
-    phases = np.exp(-1j * dt * d.ez)[:, None, :]
+    phases = np.exp(-1j * dt[..., None] * d.ez[:, None, :])
     return _chain(np.einsum("...ab,...b,...bc->...ac", t_half, phases, t_half))
 
 
@@ -236,7 +275,7 @@ _TRANSVERSE = np.array([[S1X, S1Y], [S2X, S2Y]])  # [spin, axis]
 
 def _dense_block(d: _Drives, mids, dt) -> np.ndarray:
     """As _product_formula_block, with the dense exponential of H(mid)."""
-    dt = np.reshape(dt, (-1, 1))
+    dt = np.atleast_2d(dt)
     hs = ((d.ez[:, :, None] * np.eye(4))[:, None]
           - np.einsum("emsa,saij->emij", _fields_at(d, mids), _TRANSVERSE))
     w, v = np.linalg.eigh(hs)
@@ -260,13 +299,14 @@ def _frame(d: _Drives, theta) -> np.ndarray:
 
 
 def _powers(base: np.ndarray, ns) -> np.ndarray:
-    """base[e] ** ns[e] for a stack, by repeated squaring; some n >= 1.
+    """base[e] ** ns[e] for a stack, by repeated squaring.
 
-    One pass over the bits of the largest n; an EO whose exponent lacks
-    a bit keeps its partial product, the identity until its first set
-    bit.  A product with the identity is exact, so each EO gets the
-    products of the binary method (those of np.linalg.matrix_power for
-    n != 3), whatever else is in the stack.
+    Each n >= 0, and at least one n >= 1; n = 0 gives the identity.  One
+    pass over the bits of the largest n; an EO whose exponent lacks a
+    bit keeps its partial product, the identity until its first set bit.
+    A product with the identity is exact, so each EO gets the products
+    of the binary method (those of np.linalg.matrix_power for n != 3),
+    whatever else is in the stack.
     """
     every = reduce(operator.and_, ns)
     some = reduce(operator.or_, ns)
@@ -286,41 +326,40 @@ def _powers(base: np.ndarray, ns) -> np.ndarray:
     return out
 
 
-def _folded_power(d: _Drives, n_full, delta: float,
-                  block) -> tuple[np.ndarray, int | None]:
-    """Per EO, the product of its leading substeps folded by symmetry.
+def _folded_power(d: _Drives, n_full, delta: float, block):
+    """Per EO, the product of its leading substeps folded by symmetry,
+    and how many substeps that covers; the rest are the EO's tail.
 
-    Also returns how many substeps that covers for a lone non-rotating EO,
-    which may leave a tail; a rotating stack is covered whole.  A lone
-    single-axis drive at t0 = 0 builds a quarter period, any other
-    periodic drive a full one (see the module docstring).
+    A rotating stack is covered whole.  A quarter-folded stack builds
+    one quarter period per EO, any other periodic EO a full period (see
+    the module docstring); an EO that does not fold covers nothing.
     """
     if not any(n_full):
-        return np.broadcast_to(_EYE, (len(n_full), 4, 4)), 0
+        return np.broadcast_to(_EYE, (len(n_full), 4, 4)), n_full
     dt = delta * TWO_PI
-    if d.rotating:
+    if d.fold == _ROTATING:
         first = block(d, (d.t0 + dt / 2.0)[:, None], dt)
         # Z(dt) and Z(n dt) of each EO
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
-                                          n_full), None
-    (n,) = n_full
+                                          n_full), n_full
     period = _period_steps(d.omega[0], delta)
-    if not (period and n >= 2 * period):
-        return _EYE[None], 0
-    q = n // period
-    axes = d.amp[0].any(axis=0)  # driven x, y
-    if (period % 4 == 0 and d.t0[0] == 0.0 and axes.sum() == 1
-            and not d.phi.any() and not d.static.any()):
+    qs = [n // period for n in n_full] if period else [0]
+    if d.fold == _QUARTER:
         # Zpi U_{T/2} from Q, the first P/4 substeps: Zpi Q^T Q for an x
         # drive, Q^T Zpi Q for a y drive.
-        quarter = block(d, (np.arange(period // 4) + 0.5)[None] * dt, dt)
+        quarter = block(d, d.t0[:, None] + (np.arange(period // 4) + 0.5) * dt,
+                        dt)
         mirrored = np.swapaxes(quarter, -1, -2)
-        z_pi_half = (mirrored @ (_Z_PI[:, None] * quarter) if axes[1]
-                     else _Z_PI[:, None] * (mirrored @ quarter))
-        return np.linalg.matrix_power(z_pi_half, 2 * q), q * period
+        y_drive = d.amp[:, :, 1].any(axis=1)
+        z_pi_half = np.where(y_drive[:, None, None],
+                             mirrored @ (_Z_PI[:, None] * quarter),
+                             _Z_PI[:, None] * (mirrored @ quarter))
+        return _powers(z_pi_half, [2 * q for q in qs]), [q * period for q in qs]
+    if qs[0] < 2:
+        return _EYE[None], [0]
     u_period = block(d, d.t0[:, None] + (np.arange(period) + 0.5) * dt, dt)
-    return np.linalg.matrix_power(u_period, q), q * period
+    return _powers(u_period, qs), [qs[0] * period]
 
 
 def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
@@ -329,12 +368,14 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     n_full, rem = zip(*(_step_schedule(e.tau, delta) for e in d.eos))
     dt = delta * TWO_PI
     u, start = _folded_power(d, n_full, delta, block)
-    if not d.rotating:
-        (n,) = n_full
-        for lo in range(start, n, _CHUNK):
-            m = min(_CHUNK, n - lo)
-            mids = d.t0[:, None] + (lo + np.arange(m) + 0.5) * dt
-            u = block(d, mids, dt) @ u
+    tail = np.subtract(n_full, start)
+    ragged = (tail != tail[0]).any()
+    for lo in range(0, tail.max(), _CHUNK):
+        steps = lo + np.arange(min(_CHUNK, tail.max() - lo))
+        mids = d.t0[:, None] + (np.add.outer(start, steps) + 0.5) * dt
+        # past the end of its own tail, an EO takes substeps of length 0
+        u = block(d, mids, np.where(steps < tail[:, None], dt, 0.0)
+                  if ragged else dt) @ u
     if any(rem):
         dt_rem = np.array(rem) * TWO_PI
         mid = d.t0 + np.array(n_full) * dt + dt_rem / 2.0
@@ -352,15 +393,22 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
     if eo.tau < 0:
         raise ConfigurationError(f"duration must be non-negative, got {eo.tau}")
     ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
-    return np.diag(np.exp(-1j * TWO_PI * eo.tau * ez))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = TWO_PI * eo.tau * ez
+    if not np.isfinite(phase).all():
+        raise ConfigurationError(f"duration {eo.tau!r} is too long: its phase "
+                                 "is not finite")
+    return np.diag(np.exp(-1j * phase))
 
 
-# Look-ahead: the EOs announced by expect(), expanded at the first
-# rotating product-formula miss, the propagators integrated ahead of
-# their first lookup and the last _CACHE_SIZE keys cached since the last
-# clear_propagator_cache() (a dict used as an insertion-ordered set), all
-# keyed like _cached_propagator.
-_expected = None
+# Look-ahead: the EOs announced by expect(), kept lazy until the first
+# miss of a key that folds; the announced EOs that fold, by stack, once
+# expanded; the propagators integrated ahead of their first lookup; and
+# the last _CACHE_SIZE keys cached since the last clear_propagator_cache()
+# (a dict used as an insertion-ordered set).  Keys are those of
+# _cached_propagator.
+_announced = None
+_expected: dict[tuple, dict] = {}
 _waiting: dict[tuple, np.ndarray] = {}
 _integrated: dict[tuple, None] = {}
 
@@ -368,57 +416,86 @@ _integrated: dict[tuple, None] = {}
 def expect(eos=()) -> None:
     """Announce the EOs whose propagators the coming lookups will ask for.
 
-    `eos` may be lazy; it is expanded only at the first rotating
-    product-formula miss, which then integrates every expected rotating
-    EO of its step size in one stack.  Each such propagator waits until
-    its key's own first lookup.  Whatever is still waiting from an
+    `eos` may be lazy; it is expanded only at the first product-formula
+    miss of a key that folds, which then integrates every expected
+    EO of that key's stack (``_stack``).  Each such propagator waits
+    until its key's own first lookup.  Whatever is still waiting from an
     earlier announcement is dropped.
     """
-    global _expected
-    _expected = eos
+    global _announced
+    _announced = eos
+    _expected.clear()
     _waiting.clear()
 
 
-def _expected_rotating(delta: float) -> dict:
-    """The announced rotating EOs of step size delta, once per announcement.
+def _stack(eo: EOParams, delta: float, fold: str) -> tuple:
+    """The stack of a product-formula key that folds: every rotating EO
+    of its step size, or every quarter-folded EO of its step size and
+    drive frequency."""
+    return delta, fold, eo.omega if fold == _QUARTER else None
+
+
+def _expected_in(stack: tuple) -> dict:
+    """The announced EOs of a stack, once per announcement.
 
     Their keys are those of eo_propagator(eo): the EO's own step, the
     product formula and t0 = 0.  Keys among the last _CACHE_SIZE cached
     are left out; one the cache has since evicted is integrated alone at
     its lookup.
     """
-    global _expected
-    eos, _expected = _expected, None
-    if eos is None:
-        return {}
-    unique = {id(eo): eo for eo in eos}.values()  # programs share memoized steps
-    return {eo: None for eo in unique if eo.is_rotating and eo.delta == delta
-            and (eo, delta, PRODUCT_FORMULA, 0.0) not in _integrated}
+    global _announced
+    if _announced is not None:
+        eos, _announced = _announced, None
+        unique = {id(eo): eo for eo in eos}.values()  # programs share memoized steps
+        for eo in unique:
+            fold = None if eo.is_diagonal else _fold(eo, eo.delta, 0.0)
+            if fold is not None:
+                _expected.setdefault(_stack(eo, eo.delta, fold), {})[eo] = None
+    delta = stack[0]
+    return {eo: None for eo in _expected.pop(stack, ())
+            if (eo, delta, PRODUCT_FORMULA, 0.0) not in _integrated}
+
+
+def _chunks(keys: list, fold: str | None, delta: float) -> list:
+    """The (EO, t0) keys of a stack in the groups integrated together.
+
+    A quarter-folded stack is split so that no block holds more than
+    _STACK_SUBSTEPS substep matrices: the quarter period, or the widest
+    tail, times the EOs of a group.
+    """
+    if fold != _QUARTER:
+        return [keys]
+    period = _period_steps(keys[0][0].omega, delta)
+    widest = max([period // 4] + [_step_schedule(eo.tau, delta)[0] % period
+                                  for eo, _ in keys])
+    size = max(1, _STACK_SUBSTEPS // widest)
+    return [keys[i:i + size] for i in range(0, len(keys), size)]
 
 
 def _integrate(eo: EOParams, delta: float, method: str, t0: float) -> np.ndarray:
     """The propagator of one key.
 
-    A rotating product-formula key is integrated in one stack with every
-    expected rotating key of its step size; the others wait for their
-    first lookup.
+    A product-formula key that folds is integrated in one stack with
+    every expected EO of its stack (``_stack``); the others wait for
+    their first lookup.
     """
     if method == EXACT_DIAGONAL:
         return _exact_diagonal_propagator(eo)
+    fold = _fold(eo, delta, t0)
     keys = [(eo, t0)]
-    rotating = eo.is_rotating
-    if rotating and method == PRODUCT_FORMULA:
-        ahead = _expected_rotating(delta)
+    if fold is not None and method == PRODUCT_FORMULA:
+        ahead = _expected_in(_stack(eo, delta, fold))
         if t0 == 0.0:
             ahead.pop(eo, None)
         keys += [(e, 0.0) for e in ahead]
     block = _product_formula_block if method == PRODUCT_FORMULA else _dense_block
-    eos, t0s = zip(*keys)
-    us = _stepped_propagator(_Drives(eos, t0s, rotating), delta, block)
-    us.setflags(write=False)
-    for (e, t), u in zip(keys[1:], us[1:]):
-        _waiting[(e, delta, method, t)] = u
-    return us[0]
+    for chunk in _chunks(keys, fold, delta):
+        eos, t0s = zip(*chunk)
+        us = _stepped_propagator(_Drives(eos, t0s, fold), delta, block)
+        us.setflags(write=False)
+        for (e, t), u in zip(chunk, us):
+            _waiting[(e, delta, method, t)] = u
+    return _waiting.pop((eo, delta, method, t0))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -1,10 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA
 from nmrqc.integrator import (_dense_block, _Drives, _product_formula_block,
                               _step_schedule)
 from nmrqc.operators import TWO_PI
+
+
+# Derandomized property tests, so that a failure in CI reproduces locally
+# with CI set.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")
@@ -14,13 +24,14 @@ def rng():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Sizes of the stacks the stepping kernel integrates, one per call."""
+    """(fold, size) of each stack the stepping kernel integrates, one per
+    call; the fold is "rotating", "quarter" or None (see integrator._fold)."""
     import nmrqc.integrator
     calls = []
     kernel = nmrqc.integrator._stepped_propagator
 
     def counting(drives, delta, block):
-        calls.append(len(drives.eos))
+        calls.append((drives.fold, len(drives.eos)))
         return kernel(drives, delta, block)
 
     monkeypatch.setattr(nmrqc.integrator, "_stepped_propagator", counting)
@@ -77,7 +88,7 @@ def per_row_reference(spec):
 def single_eo(block):
     """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4."""
     def one(eo, mids, dt):
-        drives = _Drives((eo,), (0.0,), eo.is_rotating)
+        drives = _Drives((eo,), (0.0,), None)  # a block ignores the fold
         return block(drives, np.reshape(mids, (1, -1)), dt)[0]
     return one
 

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -202,11 +203,30 @@ def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
     assert len({id(p) for p in calls[0]}) == programs
 
 
-@pytest.mark.parametrize("name", ["table5", "table9", "table10"])
+def _expected_stacks(keys) -> list:
+    """(fold, size) of the stacks a cold table integrates: one per rotating
+    step size, and one per static (omega, delta) group split so that a
+    block holds at most _STACK_SUBSTEPS substeps (no canned static pulse
+    leaves a tail)."""
+    import nmrqc.integrator
+    rotating = Counter(eo.delta for eo in keys if eo.is_rotating)
+    static = Counter((eo.omega, eo.delta) for eo in keys
+                     if not (eo.is_rotating or eo.is_diagonal))
+    stacks = [("rotating", n) for n in rotating.values()]
+    for (omega, delta), n in static.items():
+        quarter = round(1.0 / (omega * delta)) // 4
+        size = nmrqc.integrator._STACK_SUBSTEPS // quarter
+        stacks += [("quarter", min(size, n - i)) for i in range(0, n, size)]
+    return sorted(stacks)
+
+
+@pytest.mark.parametrize("name", ["table5", "table9", "table10", "table8",
+                                  "grover_static"])
 def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     """A cold table looks up and misses once per distinct EO key; its
-    rotating pulses are integrated in one stack, and a warm rerun looks
-    each key up once more and integrates nothing."""
+    rotating pulses are integrated in one stack and its static pulses in
+    one stack per drive frequency, split by the cap, and a warm rerun
+    looks each key up once more and integrates nothing."""
     import nmrqc.integrator
     calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
@@ -215,25 +235,30 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     (programs,) = calls
     keys = {eo for p in programs for eo in p.eos}
     assert (info().misses, info().hits) == (len(keys), 0)
-    assert kernel_calls == [len({eo for eo in keys if eo.is_rotating})]
+    assert sorted(kernel_calls) == _expected_stacks(keys)
     assert not nmrqc.integrator._waiting          # every stacked key was used
+    spin2, spin1 = {"table8": (15, 15), "grover_static": (30, 20)}.get(name, (0, 0))
+    if spin2:          # spin 2 (100-substep quarters) splits, spin 1 (25) does not
+        assert sorted(kernel_calls) == ([("quarter", 5)] * (spin2 // 5)
+                                        + [("quarter", spin1)])
 
+    n_calls = len(kernel_calls)
     warm = run_experiment(canned_spec(name))
     assert (info().misses, info().hits) == (len(keys), len(keys))
-    assert len(kernel_calls) == 1
+    assert len(kernel_calls) == n_calls
     assert warm.to_json() == cold.to_json()
 
 
 def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     """Tables sharing pulses, run one after another from an empty cache,
-    integrate each distinct rotating key once: the look-ahead of a later
-    table leaves out what an earlier one cached."""
+    integrate each distinct rotating and static pulse key once: the
+    look-ahead of a later table leaves out what an earlier one cached."""
     import nmrqc.integrator
     stacks = []
     kernel = nmrqc.integrator._stepped_propagator
     monkeypatch.setattr(
         nmrqc.integrator, "_stepped_propagator",
-        lambda d, delta, block: (stacks.append(d.eos) if d.rotating else None)
+        lambda d, delta, block: stacks.append((d.fold, d.eos))
         or kernel(d, delta, block))
     calls = _count_runs(monkeypatch)
     nmrqc.integrator.clear_propagator_cache()
@@ -244,15 +269,18 @@ def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
         run_experiment(ExperimentSpec(kind="grover", style=style, k_list=(1, 2)))
     for k in (1, 2):
         run_experiment(ExperimentSpec(k_list=(k,), tau_offsets=(-0.1, 0.0, 0.1)))
-    keys = {eo for ps in calls for p in ps for eo in p.eos if eo.is_rotating}
-    integrated = [eo for stack in stacks for eo in stack]
-    assert len(keys) == 26
-    assert len(integrated) == len(keys) and set(integrated) == keys
+    for fold in ("rotating", "quarter"):
+        keys = {eo for ps in calls for p in ps for eo in p.eos
+                if eo.is_rotating == (fold == "rotating") and not eo.is_diagonal}
+        integrated = [eo for f, stack in stacks if f == fold for eo in stack]
+        assert len(keys) == 26
+        assert len(integrated) == len(keys) and set(integrated) == keys
+    assert {f for f, _ in stacks} == {"rotating", "quarter"}
 
     stacks.clear()                  # clearing the cache forgets them all
     nmrqc.integrator.clear_propagator_cache()
     run_experiment(ExperimentSpec(k_list=(1,)))
-    assert [set(s) for s in stacks] == [
+    assert [set(s) for _, s in stacks] == [
         {eo for p in calls[-1] for eo in p.eos if eo.is_rotating}]
 
 
@@ -353,7 +381,14 @@ def test_cli_missing_config_file(capsys):
                                   '{"machine": {"h2z": "x"}}',
                                   '{"machine": {"coupling": "x"}}',
                                   '{"machine": {"coupling": 0}, "k_list": [1]}',
-                                  '{"cnot_variant": true}', '{"k_list": [true]}'])
+                                  '{"cnot_variant": true}', '{"k_list": [true]}',
+                                  '{"k_list": [1], "tau_offsets": [1e308]}',
+                                  '{"k_list": [1], "tau_offsets": [1e308, -1e308]}',
+                                  '{"k_list": [1], "perturb_label": "Y2", '
+                                  '"tau_offsets": [1e308]}',
+                                  '{"k_list": [1], "perturb_label": "Y2", '
+                                  '"tau_offsets": [1e300]}'])
+@pytest.mark.filterwarnings("error")  # a warning would print a line of its own
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -366,7 +401,9 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["sweep", "--k-list", "1,x"],
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
     ["tables", "table5", "--delta", "5"],
+    ["tables", "table5", "--tau-offset", "1e308"],
 ])
+@pytest.mark.filterwarnings("error")
 def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err

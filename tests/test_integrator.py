@@ -7,7 +7,7 @@ from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
                    evolve, evolve_reference, ideal_eo_params, ideal_gate,
                    prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _Drives,
+from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _Drives, _fold,
                               _product_formula_block, _step_schedule,
                               _stepped_propagator, clear_propagator_cache,
                               expect)
@@ -207,7 +207,7 @@ def _counted_blocks(eo, delta, t0=0.0):
         sizes.append(mids.size)
         return _product_formula_block(drives, mids, dt)
 
-    _stepped_propagator(_Drives((eo,), (t0,), eo.is_rotating), delta,
+    _stepped_propagator(_Drives((eo,), (t0,), _fold(eo, delta, t0)), delta,
                         counting_block)
     return sizes
 
@@ -327,14 +327,24 @@ def test_non_finite_delta_rejected(bad):
 
 
 def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls):
+    """The rotating pulses stack at the first rotating miss, the static
+    ones at the first miss of their own drive frequency; each result is
+    the pulse integrated alone."""
     import nmrqc.integrator
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
     consumed = []
 
     def announced():
-        for eo in eos + [ideal_eo_params("Ip"), eos[0]]:
+        for eo in eos + static + [ideal_eo_params("Ip"), eos[0]]:
             consumed.append(eo)
             yield eo
+
+    def waiting():
+        return set(nmrqc.integrator._waiting)
+
+    def keys(pulses):
+        return {(eo, eo.delta, PRODUCT_FORMULA, 0.0) for eo in pulses}
 
     clear_propagator_cache()
     expect(announced())
@@ -342,16 +352,65 @@ def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls):
         eo_propagator(ideal_eo_params("Ip"))   # a diagonal miss expands nothing
         assert consumed == [] and kernel_calls == []
         first = eo_propagator(eos[0])
-        assert kernel_calls == [3]                 # the static Ip is left out
-        assert set(nmrqc.integrator._waiting) == {
-            (eo, eo.delta, PRODUCT_FORMULA, 0.0) for eo in eos[1:]}
+        assert kernel_calls == [("rotating", 3)]   # the diagonal Ip is left out
+        assert waiting() == keys(eos[1:])
         rest = [eo_propagator(eo) for eo in eos[1:]]   # popped, not integrated
-        assert kernel_calls == [3] and not nmrqc.integrator._waiting
-        assert not any(u.flags.writeable for u in [first] + rest)
-        for eo, u in zip(eos, [first] + rest):
-            alone = _stepped_propagator(_Drives((eo,), (0.0,), True), eo.delta,
-                                        _product_formula_block)[0]
+        assert kernel_calls == [("rotating", 3)]
+        assert not nmrqc.integrator._waiting
+        us = [eo_propagator(static[0])]       # spin 2: Y2 and X2 stack
+        assert kernel_calls[1:] == [("quarter", 2)] and waiting() == keys(static[1:2])
+        us += [eo_propagator(eo) for eo in static[1:]]   # spin 1: Y1 alone
+        assert kernel_calls[1:] == [("quarter", 2), ("quarter", 1)]
+        assert not nmrqc.integrator._waiting
+        results = [first] + rest + us
+        assert not any(u.flags.writeable for u in results)
+        for eo, u in zip(eos + static, results):
+            alone = _stepped_propagator(_Drives((eo,), (0.0,), _fold(eo, eo.delta, 0.0)),
+                                        eo.delta, _product_formula_block)[0]
             assert np.array_equal(u, alone)
+    finally:
+        expect()
+
+
+_STACK_FALLBACKS = {  # -> (eo, delta, t0, method, announced key stacks); the base drives x
+    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, 0.0, PRODUCT_FORMULA, False),
+    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01, 0.0,
+                                     PRODUCT_FORMULA, False),
+    "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
+                             0.01, 0.0, PRODUCT_FORMULA, False),
+    "t0": lambda eo: (eo, 0.01, TWO_PI * 3.37, PRODUCT_FORMULA, True),
+    "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
+        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02, 0.0,
+        PRODUCT_FORMULA, False),
+    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01, 0.0,
+                                     PRODUCT_FORMULA, False),
+    "incommensurate": lambda eo: (eo, 0.03, 0.0, PRODUCT_FORMULA, False),
+    "dense_oracle": lambda eo: (eo, 0.01, 0.0, DENSE_MIDPOINT_ORACLE, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACK_FALLBACKS))
+def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
+    """A static key that does not fold by quarter periods, or is not a
+    product-formula key, is integrated alone and expands nothing."""
+    import nmrqc.integrator
+    base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
+    eo, delta, t0, method, stacks = _STACK_FALLBACKS[case](base)
+    eo = eo.replace(delta=delta)
+    partners = [pulse_eo(name, k=k, mode="static_axis")
+                for name, k in (("X2", 1), ("Y2b", 2))]
+    clear_propagator_cache()
+    expect([eo] + partners)
+    try:
+        u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
+        fold = _fold(eo, delta, t0)
+        assert kernel_calls == [(fold, 1)] and not nmrqc.integrator._waiting
+        assert fold == ("quarter" if method == DENSE_MIDPOINT_ORACLE else None)
+        for p in partners:
+            eo_propagator(p)
+        assert kernel_calls[1:] == [("quarter", len(partners) + stacks)]
+        ref = chained_reference(eo, delta, t0, BLOCKS[method])
+        assert np.max(np.abs(u - ref)) < 1e-11
     finally:
         expect()
 
@@ -367,7 +426,7 @@ def test_waiting_propagators_are_dropped(drop, kernel_calls):
     getattr(nmrqc.integrator, drop)()
     assert not nmrqc.integrator._waiting
     eo_propagator(eos[1])                  # integrated anew, alone
-    assert kernel_calls == [3, 1]
+    assert kernel_calls == [("rotating", 3), ("rotating", 1)]
     expect()
 
 
@@ -380,7 +439,7 @@ def test_cached_keys_leave_the_look_ahead(kernel_calls):
     eo_propagator(eos[0])
     expect(iter(eos))
     eo_propagator(eos[1])
-    assert kernel_calls == [1, 2]          # X1 was cached: Y2 and X2p only
+    assert kernel_calls == [("rotating", 1), ("rotating", 2)]  # X1 was cached
     expect()
     ip = ideal_eo_params("Ip")
     for tau in range(nmrqc.integrator._CACHE_SIZE + 5):
@@ -413,7 +472,8 @@ def test_a_miss_at_its_own_t0_shares_the_stack():
         assert np.max(np.abs(u - chained_reference(
             eo, eo.delta, t0, BLOCKS[PRODUCT_FORMULA]))) < 1e-11
         assert np.array_equal(eo_propagator(eo), _stepped_propagator(
-            _Drives((eo,), (0.0,), True), eo.delta, _product_formula_block)[0])
+            _Drives((eo,), (0.0,), "rotating"), eo.delta,
+            _product_formula_block)[0])
     finally:
         expect()
 
@@ -421,7 +481,9 @@ def test_a_miss_at_its_own_t0_shares_the_stack():
 def test_stacked_powers_equal_matrix_power(rng):
     from conftest import random_unitary
     from nmrqc.integrator import _powers
-    ns = [0, 1, 2, 5, 6, 800, 801, 409600]  # matrix_power special-cases 3
+    # matrix_power special-cases 3; 16 .. 2048 are the exponents 2q of the
+    # quarter-folded static pulses of the canned tables
+    ns = [0, 1, 2, 5, 6, 800, 801, 409600, 16, 32, 64, 128, 256, 512, 2048]
     base = np.stack([random_unitary(rng) for _ in ns])
     for i, u in enumerate(_powers(base, ns)):   # no EO's product is touched
         assert np.array_equal(u, np.linalg.matrix_power(base[i], ns[i])), ns[i]

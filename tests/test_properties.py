@@ -1,15 +1,18 @@
 """Property-based tests: spec serialization, the batched harness, the
 folded pulse propagators (static pulses folded by quarter periods among
-them) and the stacked rotating kernel."""
+them) and the stacked rotating and static kernels."""
 import json
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (ExperimentSpec, IntegratorConfig, MachineConfig, design_pulse,
                    eo_propagator, run_experiment)
-from nmrqc.integrator import _Drives, _product_formula_block, _stepped_propagator
+import nmrqc.integrator
+from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
+                              _stepped_propagator, clear_propagator_cache, expect)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES
 
@@ -107,12 +110,54 @@ def test_stacked_rotating_kernel(pulses):
         eos.append(eo.replace(tau=eo.tau + offset))
         t0s.append(TWO_PI * t0)
     delta = eos[0].delta
-    stack = _stepped_propagator(_Drives(eos, t0s, True), delta,
+    stack = _stepped_propagator(_Drives(eos, t0s, "rotating"), delta,
                                 _product_formula_block)
     for eo, t0, u in zip(eos, t0s, stack):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         ref = chained_reference(eo, delta, t0, BLOCKS["product_formula"])
         assert np.max(np.abs(u - ref)) < 1e-11
-        alone = _stepped_propagator(_Drives((eo,), (t0,), True), delta,
+        alone = _stepped_propagator(_Drives((eo,), (t0,), "rotating"), delta,
+                                    _product_formula_block)
+        assert np.array_equal(u, alone[0])   # whatever shares its stack
+
+
+static_pulses = st.tuples(
+    st.sampled_from([1, 2]), st.sampled_from(["x", "y"]), st.sampled_from([1, -1]),
+    st.sampled_from([0.25, 0.5, 0.75]), st.integers(1, 32),
+    st.sampled_from([0.0, 0.0, 0.0, -0.1, 0.1037, 0.5]))  # tails, remainders
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(static_pulses, min_size=1, max_size=30).flatmap(st.permutations))
+@example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 8)])  # split by the cap
+def test_stacked_static_kernel(pulses):
+    """Announced static pulses, shuffled and mixed, are integrated in stacks
+    of one drive frequency, split so that no block holds more than
+    _STACK_SUBSTEPS substeps; each equals the pulse integrated alone."""
+    eos = []
+    for spin, axis, direction, turns, k, offset in pulses:
+        _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                             direction=direction)
+        eos.append(eo.replace(tau=eo.tau + offset))
+    blocks, stacks = [], []
+    kernel = nmrqc.integrator._stepped_propagator
+
+    def block(d, mids, dt):
+        blocks.append(mids.size)
+        return _product_formula_block(d, mids, dt)
+
+    def counting(d, delta, _block):
+        stacks.append(len(d.eos))
+        return kernel(d, delta, block)
+
+    clear_propagator_cache()
+    expect(eos)
+    with mock.patch.object(nmrqc.integrator, "_stepped_propagator", counting):
+        us = [eo_propagator(eo) for eo in eos]
+    expect()
+    assert sum(stacks) == len(set(eos))               # each pulse integrated once
+    assert max(blocks) <= _STACK_SUBSTEPS
+    for eo, u in zip(eos, us):
+        alone = _stepped_propagator(_Drives((eo,), (0.0,), "quarter"), eo.delta,
                                     _product_formula_block)
         assert np.array_equal(u, alone[0])   # whatever shares its stack
