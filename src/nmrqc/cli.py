@@ -30,14 +30,14 @@ def parse_angle(text: str) -> float:
     """Angle in radians; accepts plain floats and 'pi' forms like 2pi/3."""
     t = text.strip().lower().replace("*", "")
     m = re.match(r"^(-?)([0-9.]*)pi(?:/([0-9.]+))?$", t)
-    if m:
+    try:
+        if not m:
+            return float(t)
         sign = -1.0 if m.group(1) else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
         return sign * num * np.pi / den
-    try:
-        return float(t)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"cannot parse angle {text!r}") from exc
 
 

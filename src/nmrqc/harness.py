@@ -12,17 +12,13 @@ rows of a QA suite run one QA1 program and the singlet row QA2, while
 every search item is its own program.  Each program is built once per
 column.
 
-A table builds all of its programs before it runs any, and announces
-their EO steps to the integrator (``integrator.expect``), lazily.  On a
-cold table the first rotating pulse that misses the propagator cache
-then integrates every rotating pulse of the table in one stack, and the
-first static single-axis pulse of each drive frequency every such pulse
-of that frequency, in stacks capped in size; a warm table never expands
-the announcement.  One stacked walk
-(``programs.program_unitaries``) then gives every program's unitary,
-looking each distinct propagator up once, and one batched readout
-applies each unitary (and each memoized ideal unitary) to the inputs of
-its rows.
+A table builds all of its programs before it runs any.  One stacked
+walk (``programs.program_unitaries``) then gives every program's
+unitary, looking each distinct propagator up once; on a cold table it
+integrates every rotating pulse of the table in one stack, and every
+static single-axis pulse of each drive frequency in stacks capped in
+size.  One batched readout applies each unitary (and each memoized
+ideal unitary) to the inputs of its rows.
 
 Verification is one list, CHECKS, of named checks: the ideal baseline,
 the integrator's numerical properties, coupling off during pulses, one
@@ -45,8 +41,7 @@ from . import reference_tables as ref
 from .errors import ConfigurationError
 from .gates import gate_rotation
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig, is_finite_number
-from .integrator import (DENSE_MIDPOINT_ORACLE, IntegratorConfig, eo_propagator,
-                         expect)
+from .integrator import DENSE_MIDPOINT_ORACLE, IntegratorConfig, eo_propagator
 from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, EOStep, build_cnot, build_grover,
@@ -269,20 +264,12 @@ def _program_groups(spec: ExperimentSpec):
 def _record(table: ResultTable, labels: dict, runs) -> None:
     """Run every (column, row keys, inputs, program) of a table in one walk.
 
-    The integrator is told of all the programs' EO steps, so a cold table
-    integrates its rotating pulses in one stack and its static
-    single-axis pulses in a few stacks, one per drive frequency, split
-    by size.  program_unitaries then
-    gives every program's unitary at once; one batched readout applies
-    each to the inputs of its rows, and another gives each row's ideal
-    value from the programs' ideal unitaries.
+    program_unitaries gives every program's unitary at once; one batched
+    readout applies each to the inputs of its rows, and another gives
+    each row's ideal value from the programs' ideal unitaries.
     """
     programs = [program for *_, program in runs]
-    expect(s.eo for p in programs for s in p.steps if isinstance(s, EOStep))
-    try:
-        us = program_unitaries(programs)
-    finally:
-        expect()
+    us = program_unitaries(programs)
     which, specs, cells = [], [], []           # one entry per table cell
     for p, (col, keys, inputs, _) in enumerate(runs):
         for key, spec in zip(keys, inputs):

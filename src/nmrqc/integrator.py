@@ -29,7 +29,7 @@ a symmetry of the drive wherever one holds exactly:
   substep block is a z-conjugate of the first one,
   B(t + theta) = Z(theta) B(t) Z(theta)^dagger with
   Z(theta) = exp(+i omega theta S^z_tot), and the n full substeps give
-  exactly U = Z(n dt) (Z(dt)^dagger B(t0 + dt/2))^n (the rotating frame;
+  exactly U = Z(n dt) (Z(dt)^dagger B(dt/2))^n (the rotating frame;
   Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
   single-midpoint block is built and raised to the n-th power.
 * Otherwise, when the drive period 1/omega (over 2*pi) is a whole number
@@ -39,9 +39,9 @@ a symmetry of the drive wherever one holds exactly:
   one period's product U_T is raised to q = n_full // P; the
   n_full mod P leftover substeps are stepped at their true midpoints.
   A single-axis drive (one axis driven, phi_x = phi_y = 0, no static
-  transverse field) starting at t0 = 0 with P a multiple of 4 has two
-  more exact symmetries, so only its first P/4 substeps are built, as
-  their product Q:
+  transverse field) with P a multiple of 4 has two more exact
+  symmetries, so only its first P/4 substeps are built, as their
+  product Q:
   - half period: the field at t + T/2 is minus the field at t, and
     Zpi = exp(i pi S^z_tot) = diag(-1, 1, 1, -1) flips both transverse
     operators while commuting with the rest, so
@@ -53,18 +53,20 @@ a symmetry of the drive wherever one holds exactly:
     exponential) and U_{T/2} = Q^T Q.  Conjugation by Z(pi/2) makes a y
     drive real; undone, it gives U_{T/2} = Zpi Q^T Zpi Q.
   Any other periodic drive (phi != 0, a static transverse field, both
-  axes driven, t0 != 0 or P not a multiple of 4) builds the product
-  of all P substeps.
+  axes driven or P not a multiple of 4) builds the product of all P
+  substeps.
 * In every other case (omega = 0, a period that is not a whole number of
   steps or is shorter than one step, a static pulse shorter than two
-  periods) every substep is stepped, in vectorized chunks.
+  periods) every substep is stepped.
 
-Powers are taken by repeated squaring, and the finished propagator is
-polar-projected onto the unitary group once.
+Every run of substeps (a quarter period, a period, a tail) is built in
+vectorized blocks of at most _CHUNK substeps per EO.  Powers are taken
+by repeated squaring, and the finished propagator is polar-projected
+onto the unitary group once.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
-every step above carry a leading EO axis, and each EO has its own t0
-and step count.  A stack shares one fold (``_fold``):
+every step above carry a leading EO axis, and each EO has its own step
+count.  A stack shares one fold (``_fold``):
 - a rotating stack is integrated in one pass: one single-midpoint block
   per EO, the frame factors, repeated squaring over the bits of the
   largest n (each EO keeps its partial product where its own n lacks a
@@ -81,21 +83,20 @@ Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
 product, and every dense-oracle EO) are integrated alone.
 
-Propagators are cached per (EO, delta, method, t0).  ``expect`` lets a
-caller announce the EOs its next lookups will ask for, lazily: at the
-first product-formula miss of a key that folds, the announcement is
-expanded, and every expected EO of that key's stack (all rotating EOs
-of its step size, or all quarter-folded EOs of its step size and drive
-frequency) not yet cached is integrated with it.  Those propagators
-wait until their own key's first lookup, so the cache still counts one
-miss per key; the next ``expect`` and ``clear_propagator_cache`` drop
-whatever still waits.
+Propagators are cached per (EO, delta, method).  ``expect`` lets a
+program walk announce the distinct EOs it is about to look up: at the
+first product-formula miss of a key that folds, every announced EO of
+that key's stack (all rotating EOs of its step size, or all
+quarter-folded EOs of its step size and drive frequency) not
+integrated yet is integrated with it.  The last _CACHE_SIZE integrated
+propagators are kept, so each key of a stack is still a miss of its
+own first lookup, which takes the stored result.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
 rotation angle, which is exactly the sensitivity under study.  The field
-phase origin is t=0 at the start of each EO; pass ``t0`` to offset it
-(e.g. to chain EOs on one continuous clock).
+clock of every EO starts at t = 0 (its drive phases phi are the phases
+at its start).
 """
 from __future__ import annotations
 
@@ -116,7 +117,7 @@ EXACT_DIAGONAL = "exact_diagonal"
 DENSE_MIDPOINT_ORACLE = "dense_midpoint_oracle"
 _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
-_CHUNK = 1 << 15  # substeps vectorized per block
+_CHUNK = 1 << 15  # substeps of one EO vectorized per block
 _STACK_SUBSTEPS = 512  # substeps per block of a quarter-folded stack
 _CACHE_SIZE = 1024  # propagators kept by the cache
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
@@ -165,13 +166,13 @@ _ROTATING = "rotating"  # the drive turns rigidly about z
 _QUARTER = "quarter"    # a single-axis static drive, folded from a quarter period
 
 
-def _fold(eo: EOParams, delta: float, t0: float) -> str | None:
+def _fold(eo: EOParams, delta: float) -> str | None:
     """The symmetry that folds an EO's substeps: _ROTATING, _QUARTER, or
     None for a whole period or every substep (see the module docstring)."""
     if eo.is_rotating:
         return _ROTATING
     period = _period_steps(eo.omega, delta)
-    if not period or period % 4 or t0 != 0.0:
+    if not period or period % 4:
         return None
     single_axis = bool(eo.sf1x or eo.sf2x) != bool(eo.sf1y or eo.sf2y)
     if (single_axis and not any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x,
@@ -184,18 +185,16 @@ def _fold(eo: EOParams, delta: float, t0: float) -> str | None:
 class _Drives:
     """Field parameters of a stack of EOs, one row per EO.
 
-    Each EO keeps its own phase origin t0.  A stack is either one EO or
-    EOs that share a fold (``_fold``): EOs that all turn rigidly about z
+    A stack is either one EO or EOs that share a fold (``_fold``): EOs that all turn rigidly about z
     (_ROTATING), or quarter-folded static EOs of one drive frequency
     (_QUARTER).
     """
 
-    def __init__(self, eos, t0s, fold: str | None):
+    def __init__(self, eos, fold: str | None):
         p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
                        e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
                       for e in eos])
         self.eos = tuple(eos)
-        self.t0 = np.array(t0s, dtype=float)
         self.omega = p[:, 0]
         self.phi = p[:, 1:3]                          # x, y
         self.static = p[:, 3:7].reshape(-1, 2, 2)     # [spin, axis]
@@ -326,6 +325,23 @@ def _powers(base: np.ndarray, ns) -> np.ndarray:
     return out
 
 
+def _substeps(d: _Drives, start, count, dt: float, block, u=None):
+    """Per EO e, its substeps start[e] .. start[e] + count[e] - 1 at their
+    midpoints, multiplied onto u (none: their product alone).
+
+    At most _CHUNK substeps of each EO go into one block; past the end
+    of its own count, an EO takes substeps of length 0.
+    """
+    start, count = np.asarray(start), np.asarray(count)
+    ragged = (count != count[0]).any()
+    for lo in range(0, count.max(), _CHUNK):
+        steps = lo + np.arange(min(_CHUNK, count.max() - lo))
+        b = block(d, (np.add.outer(start, steps) + 0.5) * dt,
+                  np.where(steps < count[:, None], dt, 0.0) if ragged else dt)
+        u = b if u is None else b @ u
+    return u
+
+
 def _folded_power(d: _Drives, n_full, delta: float, block):
     """Per EO, the product of its leading substeps folded by symmetry,
     and how many substeps that covers; the rest are the EO's tail.
@@ -338,18 +354,18 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), n_full
     dt = delta * TWO_PI
     if d.fold == _ROTATING:
-        first = block(d, (d.t0 + dt / 2.0)[:, None], dt)
+        first = block(d, np.full((len(n_full), 1), dt / 2.0), dt)
         # Z(dt) and Z(n dt) of each EO
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           n_full), n_full
     period = _period_steps(d.omega[0], delta)
     qs = [n // period for n in n_full] if period else [0]
+    zeros = np.zeros(len(n_full), dtype=int)
     if d.fold == _QUARTER:
         # Zpi U_{T/2} from Q, the first P/4 substeps: Zpi Q^T Q for an x
         # drive, Q^T Zpi Q for a y drive.
-        quarter = block(d, d.t0[:, None] + (np.arange(period // 4) + 0.5) * dt,
-                        dt)
+        quarter = _substeps(d, zeros, zeros + period // 4, dt, block)
         mirrored = np.swapaxes(quarter, -1, -2)
         y_drive = d.amp[:, :, 1].any(axis=1)
         z_pi_half = np.where(y_drive[:, None, None],
@@ -358,8 +374,8 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
         return _powers(z_pi_half, [2 * q for q in qs]), [q * period for q in qs]
     if qs[0] < 2:
         return _EYE[None], [0]
-    u_period = block(d, d.t0[:, None] + (np.arange(period) + 0.5) * dt, dt)
-    return _powers(u_period, qs), [qs[0] * period]
+    return (_powers(_substeps(d, zeros, zeros + period, dt, block), qs),
+            [qs[0] * period])
 
 
 def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
@@ -368,17 +384,10 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     n_full, rem = zip(*(_step_schedule(e.tau, delta) for e in d.eos))
     dt = delta * TWO_PI
     u, start = _folded_power(d, n_full, delta, block)
-    tail = np.subtract(n_full, start)
-    ragged = (tail != tail[0]).any()
-    for lo in range(0, tail.max(), _CHUNK):
-        steps = lo + np.arange(min(_CHUNK, tail.max() - lo))
-        mids = d.t0[:, None] + (np.add.outer(start, steps) + 0.5) * dt
-        # past the end of its own tail, an EO takes substeps of length 0
-        u = block(d, mids, np.where(steps < tail[:, None], dt, 0.0)
-                  if ragged else dt) @ u
+    u = _substeps(d, start, np.subtract(n_full, start), dt, block, u)
     if any(rem):
         dt_rem = np.array(rem) * TWO_PI
-        mid = d.t0 + np.array(n_full) * dt + dt_rem / 2.0
+        mid = np.array(n_full) * dt + dt_rem / 2.0
         stepped = block(d, mid[:, None], dt_rem[:, None]) @ u
         u = stepped if all(rem) else np.where(dt_rem[:, None, None] > 0.0,
                                               stepped, u)
@@ -401,31 +410,27 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
     return np.diag(np.exp(-1j * phase))
 
 
-# Look-ahead: the EOs announced by expect(), kept lazy until the first
-# miss of a key that folds; the announced EOs that fold, by stack, once
-# expanded; the propagators integrated ahead of their first lookup; and
-# the last _CACHE_SIZE keys cached since the last clear_propagator_cache()
-# (a dict used as an insertion-ordered set).  Keys are those of
-# _cached_propagator.
-_announced = None
-_expected: dict[tuple, dict] = {}
-_waiting: dict[tuple, np.ndarray] = {}
-_integrated: dict[tuple, None] = {}
+# Look-ahead: the distinct EOs announced by expect(), kept as given until
+# the first miss of a key that folds; the announced EOs that fold, by
+# stack, once grouped; and the last _CACHE_SIZE propagators integrated
+# since the last clear_propagator_cache(), by key (the arguments of
+# _cached_propagator; a dict kept in insertion order).
+_announced: tuple = ()
+_expected: dict[tuple, list] = {}
+_integrated: dict[tuple, np.ndarray] = {}
 
 
 def expect(eos=()) -> None:
-    """Announce the EOs whose propagators the coming lookups will ask for.
+    """Announce the distinct EOs the coming lookups will ask for, at their
+    own step size; expect() clears the announcement.
 
-    `eos` may be lazy; it is expanded only at the first product-formula
-    miss of a key that folds, which then integrates every expected
-    EO of that key's stack (``_stack``).  Each such propagator waits
-    until its key's own first lookup.  Whatever is still waiting from an
-    earlier announcement is dropped.
+    They are grouped by stack (``_stack``) only at the first
+    product-formula miss of a key that folds, which then integrates
+    every announced EO of that key's stack.
     """
     global _announced
-    _announced = eos
+    _announced = tuple(eos)
     _expected.clear()
-    _waiting.clear()
 
 
 def _stack(eo: EOParams, delta: float, fold: str) -> tuple:
@@ -435,86 +440,76 @@ def _stack(eo: EOParams, delta: float, fold: str) -> tuple:
     return delta, fold, eo.omega if fold == _QUARTER else None
 
 
-def _expected_in(stack: tuple) -> dict:
-    """The announced EOs of a stack, once per announcement.
+def _expected_in(stack: tuple) -> list:
+    """The announced EOs of a stack not integrated yet, once per
+    announcement.
 
-    Their keys are those of eo_propagator(eo): the EO's own step, the
-    product formula and t0 = 0.  Keys among the last _CACHE_SIZE cached
-    are left out; one the cache has since evicted is integrated alone at
-    its lookup.
+    Their keys are those of eo_propagator(eo): the EO's own step and
+    the product formula.  One integrated so long ago that it has left
+    _integrated is integrated again.
     """
     global _announced
-    if _announced is not None:
-        eos, _announced = _announced, None
-        unique = {id(eo): eo for eo in eos}.values()  # programs share memoized steps
-        for eo in unique:
-            fold = None if eo.is_diagonal else _fold(eo, eo.delta, 0.0)
-            if fold is not None:
-                _expected.setdefault(_stack(eo, eo.delta, fold), {})[eo] = None
+    for eo in _announced:
+        fold = None if eo.is_diagonal else _fold(eo, eo.delta)
+        if fold is not None:
+            _expected.setdefault(_stack(eo, eo.delta, fold), []).append(eo)
+    _announced = ()
     delta = stack[0]
-    return {eo: None for eo in _expected.pop(stack, ())
-            if (eo, delta, PRODUCT_FORMULA, 0.0) not in _integrated}
+    return [eo for eo in _expected.pop(stack, ())
+            if (eo, delta, PRODUCT_FORMULA) not in _integrated]
 
 
-def _chunks(keys: list, fold: str | None, delta: float) -> list:
-    """The (EO, t0) keys of a stack in the groups integrated together.
+def _chunks(eos: list, fold: str | None, delta: float) -> list:
+    """The EOs of a stack in the groups integrated together.
 
     A quarter-folded stack is split so that no block holds more than
     _STACK_SUBSTEPS substep matrices: the quarter period, or the widest
     tail, times the EOs of a group.
     """
     if fold != _QUARTER:
-        return [keys]
-    period = _period_steps(keys[0][0].omega, delta)
+        return [eos]
+    period = _period_steps(eos[0].omega, delta)
     widest = max([period // 4] + [_step_schedule(eo.tau, delta)[0] % period
-                                  for eo, _ in keys])
+                                  for eo in eos])
     size = max(1, _STACK_SUBSTEPS // widest)
-    return [keys[i:i + size] for i in range(0, len(keys), size)]
+    return [eos[i:i + size] for i in range(0, len(eos), size)]
 
 
-def _integrate(eo: EOParams, delta: float, method: str, t0: float) -> np.ndarray:
-    """The propagator of one key.
+def _integrate(eo: EOParams, delta: float, method: str) -> np.ndarray:
+    """The propagator of one key, kept in _integrated.
 
     A product-formula key that folds is integrated in one stack with
-    every expected EO of its stack (``_stack``); the others wait for
-    their first lookup.
+    every announced EO of its stack not integrated yet (``_stack``),
+    and their propagators are kept too.
     """
     if method == EXACT_DIAGONAL:
-        return _exact_diagonal_propagator(eo)
-    fold = _fold(eo, delta, t0)
-    keys = [(eo, t0)]
-    if fold is not None and method == PRODUCT_FORMULA:
-        ahead = _expected_in(_stack(eo, delta, fold))
-        if t0 == 0.0:
-            ahead.pop(eo, None)
-        keys += [(e, 0.0) for e in ahead]
-    block = _product_formula_block if method == PRODUCT_FORMULA else _dense_block
-    for chunk in _chunks(keys, fold, delta):
-        eos, t0s = zip(*chunk)
-        us = _stepped_propagator(_Drives(eos, t0s, fold), delta, block)
-        us.setflags(write=False)
-        for (e, t), u in zip(chunk, us):
-            _waiting[(e, delta, method, t)] = u
-    return _waiting.pop((eo, delta, method, t0))
+        done = [(eo, _exact_diagonal_propagator(eo))]
+    else:
+        fold = _fold(eo, delta)
+        eos = [eo]
+        if fold is not None and method == PRODUCT_FORMULA:
+            eos += [e for e in _expected_in(_stack(eo, delta, fold)) if e != eo]
+        block = _product_formula_block if method == PRODUCT_FORMULA else _dense_block
+        done = [pair for chunk in _chunks(eos, fold, delta) for pair in zip(
+            chunk, _stepped_propagator(_Drives(chunk, fold), delta, block))]
+    for e, u in done:
+        u.setflags(write=False)
+        _integrated[(e, delta, method)] = u
+    while len(_integrated) > _CACHE_SIZE:
+        del _integrated[next(iter(_integrated))]
+    return done[0][1]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _cached_propagator(eo: EOParams, delta: float, method: str, t0: float):
+def _cached_propagator(eo: EOParams, delta: float, method: str):
     # Validated on every miss; a raising call stores nothing, so bad
     # arguments raise on every lookup.
     IntegratorConfig(delta=delta, method=method)
-    u = _waiting.pop((eo, delta, method, t0), None) if _waiting else None
-    if u is None:
-        u = _integrate(eo, delta, method, t0)
-        u.setflags(write=False)
-    _integrated[(eo, delta, method, t0)] = None
-    if len(_integrated) > _CACHE_SIZE:
-        del _integrated[next(iter(_integrated))]
-    return u
+    u = _integrated.get((eo, delta, method))
+    return _integrate(eo, delta, method) if u is None else u
 
 
-def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None,
-                  t0: float = 0.0) -> np.ndarray:
+def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None) -> np.ndarray:
     """The unitary carrying a state across one EO.
 
     With cfg=None the EO's own step size is used and diagonal EOs take
@@ -522,16 +517,16 @@ def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None,
     step size).
     """
     if cfg is None:
-        return _cached_propagator(eo, eo.delta, default_method(eo), t0)
-    return _cached_propagator(eo, cfg.delta, cfg.method, t0)
+        return _cached_propagator(eo, eo.delta, default_method(eo))
+    return _cached_propagator(eo, cfg.delta, cfg.method)
 
 
-def evolve(state: StateVector, eo: EOParams, cfg: IntegratorConfig | None = None,
-           t0: float = 0.0) -> StateVector:
+def evolve(state: StateVector, eo: EOParams,
+           cfg: IntegratorConfig | None = None) -> StateVector:
     """Solve the equation of motion across one EO."""
     if abs(state.norm() - 1.0) > NORM_TOL:
         raise NumericalIntegrityError("input state is not normalized")
-    return StateVector(eo_propagator(eo, cfg, t0) @ state.amplitudes)
+    return StateVector(eo_propagator(eo, cfg) @ state.amplitudes)
 
 
 def evolve_reference(state: StateVector, eo: EOParams,
@@ -542,7 +537,7 @@ def evolve_reference(state: StateVector, eo: EOParams,
 
 
 def clear_propagator_cache() -> None:
-    """Empty the propagator cache and drop any announced or waiting EOs."""
+    """Empty the propagator cache and forget the announced EOs."""
     _cached_propagator.cache_clear()
     _integrated.clear()
     expect()

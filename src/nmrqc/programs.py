@@ -13,10 +13,12 @@ matrix rather than an evolution (the conditional phase gate in ideal
 style, and optionally the final readout rotation).
 
 program_unitaries is the one walk over program steps, and it walks a
-whole stack of programs at once: each distinct propagator is looked up
-once, and the products are folded with one batched 4x4 product per step
-position.  readout applies a stack of unitaries to a stack of input
-states and reads the qubit values of every row in one product.
+whole stack of programs at once: it announces their distinct EOs to the
+integrator (``integrator.expect``), so that the cold ones are integrated
+in stacks, looks each one up once, and folds the products with one
+batched 4x4 product per step position.  readout applies a stack of
+unitaries to a stack of input states and reads the qubit values of every
+row in one product.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report re-runs a sequence of EOs through them at
 several step sizes.  Gate steps, whole gate-sequence expansions, gate
@@ -35,7 +37,7 @@ from .errors import ConfigurationError, NumericalIntegrityError
 from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
                     ideal_gate)
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
-from .integrator import eo_propagator
+from .integrator import eo_propagator, expect
 from .operators import TWO_PI
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
@@ -305,59 +307,57 @@ def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
 
 
 def run_program(program: Program, input_state: StateVector | None = None,
-                delta: float | None = None,
-                sf_phase_continuity: bool = False) -> StateVector:
+                delta: float | None = None) -> StateVector:
     """Apply the program's unitary to the declared (or given) input state."""
     state = prepare_input(program.input_spec) if input_state is None else input_state
-    return StateVector(program_unitary(program, delta, sf_phase_continuity)
-                       @ state.amplitudes)
+    return StateVector(program_unitary(program, delta) @ state.amplitudes)
 
 
-def program_unitary(program: Program, delta: float | None = None,
-                    sf_phase_continuity: bool = False) -> np.ndarray:
-    """The full 4x4 matrix of the program (product of step propagators);
-    the options are those of program_unitaries."""
-    return program_unitaries([program], delta, sf_phase_continuity)[0]
+def program_unitary(program: Program, delta: float | None = None) -> np.ndarray:
+    """The full 4x4 matrix of the program (product of step propagators),
+    with every EO at its own step size or at `delta`."""
+    return program_unitaries([program], delta)[0]
 
 
-def program_unitaries(programs, delta: float | None = None,
-                      sf_phase_continuity: bool = False) -> np.ndarray:
+def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
     """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
 
-    Each distinct propagator is looked up once, through eo_propagator,
-    keyed by the step object and then by its (EO, t0).  Every program
-    becomes a row of indices into those matrices, padded with the
-    identity, and the products are folded in application order, one
-    batched product per step position.  Each unitary is bit-identical to
-    multiplying its program's propagators one by one.
-
-    With sf_phase_continuity the sinusoidal fields of successive EOs run
-    on one shared clock (each program's own, from 0) instead of
-    restarting at phase phi each EO.
+    The walk first collects the distinct EOs of all the steps (each step
+    object read once), with every EO at its own step size or at `delta`,
+    and announces them to the integrator, so that a cold lookup
+    integrates its whole stack.  It then looks each one up once, through
+    eo_propagator.  Every program becomes a row of indices into those
+    matrices, padded with the identity, and the products are folded in
+    application order, one batched product per step position.  Each
+    unitary is bit-identical to multiplying its program's propagators
+    one by one.
     """
     programs = list(programs)  # keeps every step alive while keyed by id
     mats = [_EYE]
     by_step, by_eo = {}, {}
     rows = []
     for program in programs:
-        row, t0 = [], 0.0
+        row = []
         for step in program.steps:
-            i = by_step.get((id(step), t0))
+            i = by_step.get(id(step))
             if i is None:
+                i = len(mats)
                 if isinstance(step, MatrixStep):
-                    i = len(mats)
                     mats.append(step.matrix)
                 else:
                     eo = step.eo if delta is None else step.eo.replace(delta=delta)
-                    i = by_eo.get((eo, t0))
-                    if i is None:
-                        i = by_eo[(eo, t0)] = len(mats)
-                        mats.append(eo_propagator(eo, t0=t0))
-                by_step[(id(step), t0)] = i
+                    i = by_eo.setdefault(eo, i)
+                    if i == len(mats):
+                        mats.append(None)   # looked up below
+                by_step[id(step)] = i
             row.append(i)
-            if sf_phase_continuity and isinstance(step, EOStep):
-                t0 += TWO_PI * step.eo.tau
         rows.append(row)
+    expect(by_eo)
+    try:
+        for eo, i in by_eo.items():
+            mats[i] = eo_propagator(eo)
+    finally:
+        expect()
     width = max(map(len, rows), default=0)
     index = np.array([row + [0] * (width - len(row)) for row in rows],
                      dtype=np.intp).reshape(len(rows), width)

@@ -88,7 +88,7 @@ def per_row_reference(spec):
 def single_eo(block):
     """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4."""
     def one(eo, mids, dt):
-        drives = _Drives((eo,), (0.0,), None)  # a block ignores the fold
+        drives = _Drives((eo,), None)  # a block ignores the fold
         return block(drives, np.reshape(mids, (1, -1)), dt)[0]
     return one
 
@@ -97,14 +97,14 @@ BLOCKS = {PRODUCT_FORMULA: single_eo(_product_formula_block),
           DENSE_MIDPOINT_ORACLE: single_eo(_dense_block)}
 
 
-def chained_reference(eo, delta, t0, block):
+def chained_reference(eo, delta, block):
     """Every substep at its own midpoint, chained in one product, no folding."""
     n_full, rem = _step_schedule(eo.tau, delta)
     dt = delta * TWO_PI
     u = np.eye(4, dtype=complex)
     if n_full:
-        u = block(eo, t0 + (np.arange(n_full) + 0.5) * dt, dt)
+        u = block(eo, (np.arange(n_full) + 0.5) * dt, dt)
     if rem > 0.0:
         dt_rem = rem * TWO_PI
-        u = block(eo, np.array([t0 + n_full * dt + dt_rem / 2.0]), dt_rem) @ u
+        u = block(eo, np.array([n_full * dt + dt_rem / 2.0]), dt_rem) @ u
     return u

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import nmrqc.reference_tables as ref
-from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_qa,
-                   canned_names, canned_spec, emit_table, round2, run_experiment,
-                   verify_suite)
+from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
+                   build_qa, canned_names, canned_spec, emit_table,
+                   program_unitaries, round2, run_experiment, verify_suite)
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import CHECKS, _qa_row_label
 
@@ -236,7 +236,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     keys = {eo for p in programs for eo in p.eos}
     assert (info().misses, info().hits) == (len(keys), 0)
     assert sorted(kernel_calls) == _expected_stacks(keys)
-    assert not nmrqc.integrator._waiting          # every stacked key was used
+    assert len(nmrqc.integrator._integrated) == len(keys)  # none integrated twice
     spin2, spin1 = {"table8": (15, 15), "grover_static": (30, 20)}.get(name, (0, 0))
     if spin2:          # spin 2 (100-substep quarters) splits, spin 1 (25) does not
         assert sorted(kernel_calls) == ([("quarter", 5)] * (spin2 // 5)
@@ -247,6 +247,24 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     assert (info().misses, info().hits) == (len(keys), len(keys))
     assert len(kernel_calls) == n_calls
     assert warm.to_json() == cold.to_json()
+
+
+def test_cold_walk_stacks_without_the_harness(kernel_calls):
+    """program_unitaries on its own, from an empty cache, integrates the
+    stacks a table of the same programs would: it announces its EOs
+    itself."""
+    import nmrqc.integrator
+    programs = ([build_qa("QA1", "00", variant, style, k=k)
+                 for variant in (1, 2, 3) for style in ("rotating_sf", "static_sf")
+                 for k in (1, 2, 4)]
+                + [build_grover(item, "static_sf", k=2) for item in range(4)])
+    keys = {eo for p in programs for eo in p.eos}
+    nmrqc.integrator.clear_propagator_cache()
+    program_unitaries(programs)
+    info = nmrqc.integrator._cached_propagator.cache_info()
+    assert (info.misses, info.hits) == (len(keys), 0)
+    assert sorted(kernel_calls) == _expected_stacks(keys)
+    assert ("quarter", 5) in kernel_calls and ("rotating", 1) not in kernel_calls
 
 
 def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
@@ -402,6 +420,9 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
     ["tables", "table5", "--delta", "5"],
     ["tables", "table5", "--tau-offset", "1e308"],
+    ["design", "1", "pi/0", "x", "rotating", "1"],
+    ["design", "1", "pi/.", "x", "rotating", "1"],
+    ["design", "1", "1.2.3pi", "x", "rotating", "1"],
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import nmrqc.integrator
+
 from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
                    EOParams, IntegratorConfig, MethodError,
                    NumericalIntegrityError, convergence_report, eo_propagator,
@@ -11,6 +13,7 @@ from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _Drives, _fold,
                               _product_formula_block, _step_schedule,
                               _stepped_propagator, clear_propagator_cache,
                               expect)
+from nmrqc.programs import EOStep, Program, program_unitaries
 from nmrqc.operators import TWO_PI, state_phase_distance
 from nmrqc.states import StateVector
 
@@ -130,14 +133,15 @@ def test_second_order_convergence_ratio():
     assert 3.5 < ratio < 4.5
 
 
-def test_composition_with_carried_phase_origin():
-    eo = pulse_eo("Y1")
-    full = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA))
-    half = eo.replace(tau=eo.tau / 2)
-    first = eo_propagator(half, IntegratorConfig(0.01, PRODUCT_FORMULA), t0=0.0)
-    second = eo_propagator(half, IntegratorConfig(0.01, PRODUCT_FORMULA),
-                           t0=TWO_PI * half.tau)
-    assert np.max(np.abs(second @ first - full)) < 1e-10
+def test_composition_over_whole_drive_periods():
+    # every EO starts its field clock at 0, so a pulse is the square of
+    # its first half when that half spans whole drive periods
+    for mode in ("rotating", "static_axis"):
+        eo = pulse_eo("Y1", mode=mode)
+        half = eo.replace(tau=eo.tau / 2)
+        assert (half.tau * eo.omega).is_integer()
+        u_half = eo_propagator(half)
+        assert np.max(np.abs(u_half @ u_half - eo_propagator(eo))) < 1e-10, mode
 
     diag = EOParams(tau=50.0, j=J, h1z=1.0, h2z=0.25)
     u_full = eo_propagator(diag, IntegratorConfig(1.0, EXACT_DIAGONAL))
@@ -181,10 +185,9 @@ def test_period_folded_equals_stepped(name, mode, method):
     cfg = IntegratorConfig(0.01, method)
     for offset in (-0.1, 0.1037):
         eo = base.replace(tau=base.tau + offset)
-        for t0 in (0.0, TWO_PI * 3.37):
-            u = eo_propagator(eo, cfg, t0=t0)
-            ref = chained_reference(eo, 0.01, t0, BLOCKS[method])
-            assert np.max(np.abs(u - ref)) < 1e-11, (offset, t0)
+        u = eo_propagator(eo, cfg)
+        ref = chained_reference(eo, 0.01, BLOCKS[method])
+        assert np.max(np.abs(u - ref)) < 1e-11, offset
 
 
 @pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
@@ -194,22 +197,23 @@ def test_unfoldable_schedules_step_every_substep(method):
                         h2z=0.25)
     # period 133.3 steps; period shorter than one step; no drive at all
     for eo, delta in ((y2, 0.03), (y2, 5.0), (constant, 0.01)):
-        for t0 in (0.0, TWO_PI * 3.37):
-            u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
-            ref = chained_reference(eo, delta, t0, BLOCKS[method])
-            assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta, t0)
+        u = eo_propagator(eo, IntegratorConfig(delta, method))
+        ref = chained_reference(eo, delta, BLOCKS[method])
+        assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta)
 
 
-def _counted_blocks(eo, delta, t0=0.0):
+def _counted_blocks(eo, delta):
+    """Substeps per block call of the EO's product-formula integration,
+    and its propagator."""
     sizes = []
 
     def counting_block(drives, mids, dt):
         sizes.append(mids.size)
         return _product_formula_block(drives, mids, dt)
 
-    _stepped_propagator(_Drives((eo,), (t0,), _fold(eo, delta, t0)), delta,
-                        counting_block)
-    return sizes
+    u = _stepped_propagator(_Drives((eo,), _fold(eo, delta)), delta,
+                            counting_block)
+    return sizes, u[0]
 
 
 def test_fold_steps_one_period_then_the_tail():
@@ -217,19 +221,18 @@ def test_fold_steps_one_period_then_the_tail():
     # period, and builds only the first quarter of that period
     eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
     assert not eo.is_rotating                   # 12810 steps + remainder
-    assert _counted_blocks(eo, 0.01) == [100, 10, 1]  # quarter, partial, remainder
-    assert _counted_blocks(eo, 0.03) == [4270, 1]  # 1/(0.25*0.03) not whole
-    assert _counted_blocks(eo.replace(tau=7.99), 0.01) == [799]  # < two periods
+    assert _counted_blocks(eo, 0.01)[0] == [100, 10, 1]  # quarter, partial, remainder
+    assert _counted_blocks(eo, 0.03)[0] == [4270, 1]  # 1/(0.25*0.03) not whole
+    assert _counted_blocks(eo.replace(tau=7.99), 0.01)[0] == [799]  # < two periods
 
 
-_FULL_PERIOD_FALLBACKS = {  # -> (eo, delta, t0); the base drives x only
-    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, 0.0),
-    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01, 0.0),
+_FULL_PERIOD_FALLBACKS = {  # -> (eo, delta); the base drives x only
+    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01),
+    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01),
     "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
-                             0.01, 0.0),
-    "t0": lambda eo: (eo, 0.01, TWO_PI * 3.37),
+                             0.01),
     "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
-        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02, 0.0),
+        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02),
 }
 
 
@@ -237,12 +240,26 @@ _FULL_PERIOD_FALLBACKS = {  # -> (eo, delta, t0); the base drives x only
 @pytest.mark.parametrize("case", sorted(_FULL_PERIOD_FALLBACKS))
 def test_quarter_fold_fallbacks_build_a_full_period(case, method):
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
-    eo, delta, t0 = _FULL_PERIOD_FALLBACKS[case](base)
+    eo, delta = _FULL_PERIOD_FALLBACKS[case](base)
     assert not eo.is_rotating
     period = round(1.0 / (eo.omega * delta))
-    assert _counted_blocks(eo, delta, t0)[0] == period
-    u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
-    ref = chained_reference(eo, delta, t0, BLOCKS[method])
+    assert _counted_blocks(eo, delta)[0][0] == period
+    u = eo_propagator(eo, IntegratorConfig(delta, method))
+    ref = chained_reference(eo, delta, BLOCKS[method])
+    assert np.max(np.abs(u - ref)) < 1e-11
+
+
+@pytest.mark.parametrize("case", ["quarter", "phase"])
+def test_long_periods_are_built_in_chunks(case, monkeypatch):
+    """A quarter period (or a period) longer than _CHUNK substeps is built
+    in blocks of at most _CHUNK substeps, as the tail is."""
+    monkeypatch.setattr(nmrqc.integrator, "_CHUNK", 16)
+    eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
+    eo = eo.replace(phi_x=0.3) if case == "phase" else eo
+    sizes, u = _counted_blocks(eo, 0.01)     # quarter 100, period 400
+    built = [16] * 6 + [4] if case == "quarter" else [16] * 25
+    assert sizes == built + [10, 1]           # then the tail and the remainder
+    ref = chained_reference(eo, 0.01, BLOCKS[PRODUCT_FORMULA])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 
@@ -250,9 +267,9 @@ def test_rotating_pulse_steps_one_midpoint_then_the_tail():
     eo = pulse_eo("Y2").replace(tau=128.1037)
     assert eo.is_rotating
     for delta in (0.01, 0.03):  # no commensurability condition
-        assert _counted_blocks(eo, delta) == [1, 1]
-    assert _counted_blocks(eo.replace(tau=7.99), 0.01) == [1]
-    assert _counted_blocks(eo.replace(tau=0.005), 0.01) == [1]  # remainder only
+        assert _counted_blocks(eo, delta)[0] == [1, 1]
+    assert _counted_blocks(eo.replace(tau=7.99), 0.01)[0] == [1]
+    assert _counted_blocks(eo.replace(tau=0.005), 0.01)[0] == [1]  # remainder only
 
 
 def _frame(eo, theta):
@@ -310,10 +327,9 @@ _NEAR_MISSES = {
 def test_near_rotating_pulses_fall_back(miss):
     eo = _NEAR_MISSES[miss](pulse_eo("X2")).replace(tau=128.1037)
     assert pulse_eo("X2").is_rotating and not eo.is_rotating
-    for t0 in (0.0, TWO_PI * 3.37):
-        u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA), t0=t0)
-        ref = chained_reference(eo, 0.01, t0, BLOCKS[PRODUCT_FORMULA])
-        assert np.max(np.abs(u - ref)) < 1e-11, t0
+    u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA))
+    ref = chained_reference(eo, 0.01, BLOCKS[PRODUCT_FORMULA])
+    assert np.max(np.abs(u - ref)) < 1e-11
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -326,90 +342,75 @@ def test_non_finite_delta_rejected(bad):
                 eo_propagator(eo.replace(delta=bad))
 
 
-def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls):
-    """The rotating pulses stack at the first rotating miss, the static
-    ones at the first miss of their own drive frequency; each result is
-    the pulse integrated alone."""
-    import nmrqc.integrator
+def _alone(eo, delta=None, block=_product_formula_block):
+    """The EO's propagator integrated in a stack of one."""
+    delta = eo.delta if delta is None else delta
+    return _stepped_propagator(_Drives((eo,), _fold(eo, delta)), delta, block)[0]
+
+
+def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls,
+                                                         monkeypatch):
+    """A cold walk integrates its rotating pulses in one stack at the first
+    rotating miss, and its static ones in one stack per drive frequency;
+    a diagonal EO joins none, an EO repeated in another step is looked up
+    once, and each result is the pulse integrated alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
-    consumed = []
-
-    def announced():
-        for eo in eos + static + [ideal_eo_params("Ip"), eos[0]]:
-            consumed.append(eo)
-            yield eo
-
-    def waiting():
-        return set(nmrqc.integrator._waiting)
-
-    def keys(pulses):
-        return {(eo, eo.delta, PRODUCT_FORMULA, 0.0) for eo in pulses}
-
+    program = Program("p", tuple(EOStep(eo) for eo in
+                                 [ideal_eo_params("Ip")] + eos + static + [eos[0]]))
+    info = nmrqc.integrator._cached_propagator.cache_info
     clear_propagator_cache()
-    expect(announced())
-    try:
-        eo_propagator(ideal_eo_params("Ip"))   # a diagonal miss expands nothing
-        assert consumed == [] and kernel_calls == []
-        first = eo_propagator(eos[0])
-        assert kernel_calls == [("rotating", 3)]   # the diagonal Ip is left out
-        assert waiting() == keys(eos[1:])
-        rest = [eo_propagator(eo) for eo in eos[1:]]   # popped, not integrated
-        assert kernel_calls == [("rotating", 3)]
-        assert not nmrqc.integrator._waiting
-        us = [eo_propagator(static[0])]       # spin 2: Y2 and X2 stack
-        assert kernel_calls[1:] == [("quarter", 2)] and waiting() == keys(static[1:2])
-        us += [eo_propagator(eo) for eo in static[1:]]   # spin 1: Y1 alone
-        assert kernel_calls[1:] == [("quarter", 2), ("quarter", 1)]
-        assert not nmrqc.integrator._waiting
-        results = [first] + rest + us
-        assert not any(u.flags.writeable for u in results)
-        for eo, u in zip(eos + static, results):
-            alone = _stepped_propagator(_Drives((eo,), (0.0,), _fold(eo, eo.delta, 0.0)),
-                                        eo.delta, _product_formula_block)[0]
-            assert np.array_equal(u, alone)
-    finally:
-        expect()
+    program_unitaries([program])
+    # spin 2 (Y2, X2) stacks at its first miss, then spin 1 (Y1) alone
+    assert kernel_calls == [("rotating", 3), ("quarter", 2), ("quarter", 1)]
+    assert (info().misses, info().hits) == (7, 0)
+    assert nmrqc.integrator._announced == () and not nmrqc.integrator._expected
+    results = [eo_propagator(eo) for eo in eos + static]
+    assert not any(u.flags.writeable for u in results)
+    for eo, u in zip(eos + static, results):
+        assert np.array_equal(u, _alone(eo))
+    monkeypatch.setattr(nmrqc.integrator, "_fold", None)  # a warm walk groups nothing
+    program_unitaries([program])
+    assert len(kernel_calls) == 3 and info().misses == 7
 
 
-_STACK_FALLBACKS = {  # -> (eo, delta, t0, method, announced key stacks); the base drives x
-    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, 0.0, PRODUCT_FORMULA, False),
-    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01, 0.0,
+_STACK_FALLBACKS = {  # -> (eo, delta, method, announced key stacks); the base drives x
+    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, PRODUCT_FORMULA, False),
+    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01,
                                      PRODUCT_FORMULA, False),
     "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
-                             0.01, 0.0, PRODUCT_FORMULA, False),
-    "t0": lambda eo: (eo, 0.01, TWO_PI * 3.37, PRODUCT_FORMULA, True),
+                             0.01, PRODUCT_FORMULA, False),
     "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
-        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02, 0.0,
+        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02,
         PRODUCT_FORMULA, False),
-    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01, 0.0,
+    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01,
                                      PRODUCT_FORMULA, False),
-    "incommensurate": lambda eo: (eo, 0.03, 0.0, PRODUCT_FORMULA, False),
-    "dense_oracle": lambda eo: (eo, 0.01, 0.0, DENSE_MIDPOINT_ORACLE, True),
+    "incommensurate": lambda eo: (eo, 0.03, PRODUCT_FORMULA, False),
+    "dense_oracle": lambda eo: (eo, 0.01, DENSE_MIDPOINT_ORACLE, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_STACK_FALLBACKS))
 def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
     """A static key that does not fold by quarter periods, or is not a
-    product-formula key, is integrated alone and expands nothing."""
-    import nmrqc.integrator
+    product-formula key, is integrated alone and groups nothing."""
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
-    eo, delta, t0, method, stacks = _STACK_FALLBACKS[case](base)
+    eo, delta, method, stacks = _STACK_FALLBACKS[case](base)
     eo = eo.replace(delta=delta)
     partners = [pulse_eo(name, k=k, mode="static_axis")
                 for name, k in (("X2", 1), ("Y2b", 2))]
     clear_propagator_cache()
     expect([eo] + partners)
     try:
-        u = eo_propagator(eo, IntegratorConfig(delta, method), t0=t0)
-        fold = _fold(eo, delta, t0)
-        assert kernel_calls == [(fold, 1)] and not nmrqc.integrator._waiting
+        u = eo_propagator(eo, IntegratorConfig(delta, method))
+        fold = _fold(eo, delta)
+        assert kernel_calls == [(fold, 1)] and len(nmrqc.integrator._integrated) == 1
+        assert nmrqc.integrator._announced       # not grouped by this miss
         assert fold == ("quarter" if method == DENSE_MIDPOINT_ORACLE else None)
         for p in partners:
             eo_propagator(p)
         assert kernel_calls[1:] == [("quarter", len(partners) + stacks)]
-        ref = chained_reference(eo, delta, t0, BLOCKS[method])
+        ref = chained_reference(eo, delta, BLOCKS[method])
         assert np.max(np.abs(u - ref)) < 1e-11
     finally:
         expect()
@@ -417,30 +418,54 @@ def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
 
 @pytest.mark.parametrize("drop", ["clear_propagator_cache", "expect"])
 def test_waiting_propagators_are_dropped(drop, kernel_calls):
-    import nmrqc.integrator
+    """The announced EOs of a stack not integrated yet are forgotten by
+    expect() and by clear_propagator_cache: a later miss integrates alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2")]
     clear_propagator_cache()
-    expect(iter(eos))
-    eo_propagator(eos[0])
-    assert len(nmrqc.integrator._waiting) == 2
+    expect(eos + static)
+    eo_propagator(eos[0])                  # groups every stack, integrates one
+    assert [len(s) for s in nmrqc.integrator._expected.values()] == [2]
     getattr(nmrqc.integrator, drop)()
-    assert not nmrqc.integrator._waiting
-    eo_propagator(eos[1])                  # integrated anew, alone
-    assert kernel_calls == [("rotating", 3), ("rotating", 1)]
+    assert not nmrqc.integrator._expected and not nmrqc.integrator._announced
+    u = eo_propagator(static[0])           # integrated anew, alone
+    assert kernel_calls == [("rotating", 3), ("quarter", 1)]
+    assert np.array_equal(u, _alone(static[0]))
     expect()
+
+
+def test_stacked_propagators_are_kept_until_cleared(kernel_calls):
+    """What a stack integrated ahead stays usable after the announcement
+    ends, until clear_propagator_cache forgets it."""
+    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    ip = ideal_eo_params("Ip")
+    clear_propagator_cache()
+    expect([ip] + eos)
+    eo_propagator(ip)                      # a diagonal miss groups nothing
+    assert nmrqc.integrator._announced and not kernel_calls
+    eo_propagator(eos[0])
+    expect()
+    u = eo_propagator(eos[1])              # a miss that integrates nothing
+    assert kernel_calls == [("rotating", 3)]
+    assert np.array_equal(u, _alone(eos[1]))
+    clear_propagator_cache()
+    assert not nmrqc.integrator._integrated
+    eo_propagator(eos[2])                  # integrated anew, alone
+    assert kernel_calls == [("rotating", 3), ("rotating", 1)]
 
 
 def test_cached_keys_leave_the_look_ahead(kernel_calls):
-    """An announced pulse that is already cached is not integrated again,
-    and the record of cached keys is bounded like the cache itself."""
-    import nmrqc.integrator
+    """An announced pulse that is already integrated is not integrated
+    again, and the store of integrated propagators is bounded like the
+    cache itself."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     clear_propagator_cache()
     eo_propagator(eos[0])
-    expect(iter(eos))
-    eo_propagator(eos[1])
+    program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos))])
     assert kernel_calls == [("rotating", 1), ("rotating", 2)]  # X1 was cached
-    expect()
+    extra = pulse_eo("Y1", k=2)
+    program_unitaries([Program("q", tuple(EOStep(eo) for eo in eos + [extra]))])
+    assert kernel_calls[2:] == [("rotating", 1)]
     ip = ideal_eo_params("Ip")
     for tau in range(nmrqc.integrator._CACHE_SIZE + 5):
         eo_propagator(ip.replace(tau=float(tau)))
@@ -451,29 +476,20 @@ def test_cached_keys_leave_the_look_ahead(kernel_calls):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bad_delta_raises_while_an_expectation_is_pending(bad):
-    eos = [pulse_eo(name).replace(delta=bad) for name in ("X1", "Y2")]
-    expect(iter(eos))
+    """A bad step size raises on every lookup, inside a walk or under an
+    announcement, and the walk still clears its announcement."""
+    eos = [pulse_eo(name) for name in ("X1", "Y2")]
+    program = Program("p", tuple(EOStep(eo) for eo in eos))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="delta"):
+            program_unitaries([program], delta=bad)
+        assert nmrqc.integrator._announced == ()
+    expect([eo.replace(delta=bad) for eo in eos])
     try:
         for _ in range(2):
             for eo in eos:
                 with pytest.raises(ConfigurationError, match="delta"):
-                    eo_propagator(eo)
-    finally:
-        expect()
-
-
-def test_a_miss_at_its_own_t0_shares_the_stack():
-    eo = pulse_eo("Y1", k=2)
-    t0 = TWO_PI * 3.37
-    clear_propagator_cache()
-    expect([eo])
-    try:
-        u = eo_propagator(eo, t0=t0)       # stacked with the expected t0 = 0
-        assert np.max(np.abs(u - chained_reference(
-            eo, eo.delta, t0, BLOCKS[PRODUCT_FORMULA]))) < 1e-11
-        assert np.array_equal(eo_propagator(eo), _stepped_propagator(
-            _Drives((eo,), (0.0,), "rotating"), eo.delta,
-            _product_formula_block)[0])
+                    eo_propagator(eo.replace(delta=bad))
     finally:
         expect()
 

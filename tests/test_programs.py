@@ -8,9 +8,9 @@ from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
                    grover_sequence, ideal_gate, parse_program_text,
                    prepare_basis_state, prepare_input, program_unitary,
                    qubit_values, run_program, with_duration_offset)
-from nmrqc.integrator import _cached_propagator
+from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
-from nmrqc.operators import TWO_PI, global_phase_distance, state_phase_distance
+from nmrqc.operators import global_phase_distance, state_phase_distance
 from nmrqc.programs import (CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
                             MatrixStep, input_amplitudes, program_unitaries,
                             readout, run_inputs)
@@ -152,20 +152,17 @@ def test_matrix_step_rejects_non_unitary_at_construction():
         step.matrix[0, 0] = 0.0
 
 
-def _stepwise(program, delta=None, sf_phase_continuity=False, amps=None):
+def _stepwise(program, delta=None, amps=None):
     """Reference: carry the input state (or the given amplitudes, e.g. the
     identity for the unitary) across each step's propagator in turn."""
     if amps is None:
         amps = prepare_input(program.input_spec).amplitudes
-    t0 = 0.0
     for step in program.steps:
         if isinstance(step, MatrixStep):
             amps = step.matrix @ amps
             continue
         eo = step.eo if delta is None else step.eo.replace(delta=delta)
-        amps = eo_propagator(eo, t0=t0 if sf_phase_continuity else 0.0) @ amps
-        if sf_phase_continuity:
-            t0 += TWO_PI * eo.tau
+        amps = eo_propagator(eo) @ amps
     return amps
 
 
@@ -178,15 +175,24 @@ _PROGRAMS = {
 }
 
 
-@pytest.mark.parametrize("options", [{}, {"delta": 0.02},
-                                     {"sf_phase_continuity": True}],
-                         ids=["own_delta", "delta_0.02", "continuous_clock"])
+@pytest.mark.parametrize("options", [{}, {"delta": 0.02}, None],
+                         ids=["own_delta", "delta_0.02", "cold_cache"])
 @pytest.mark.parametrize("program", sorted(_PROGRAMS))
 @pytest.mark.parametrize("style", STYLES)
 def test_run_program_matches_stepwise_reference(style, program, options):
+    """run_program equals the steps applied one by one.  From a cold cache,
+    where the walk integrates its pulses in stacks and the reference one
+    at a time, the program's unitary is the product of the steps' bit for
+    bit."""
     p = _PROGRAMS[program](style)
-    got = run_program(p, **options).amplitudes
-    assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
+    if options is not None:
+        got = run_program(p, **options).amplitudes
+        assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
+        return
+    clear_propagator_cache()
+    want = _stepwise(p, amps=np.eye(4, dtype=complex))
+    clear_propagator_cache()
+    assert np.array_equal(program_unitary(p), want)
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -221,9 +227,6 @@ def test_one_propagator_lookup_per_eo_step(program):
     before = _lookups()
     program_unitaries([p, _PROGRAMS[program]("rotating_sf"), copy, p])
     assert _lookups() - before == distinct
-    before = _lookups()
-    program_unitary(p, sf_phase_continuity=True)   # a key per (EO, t0)
-    assert _lookups() - before == len(p.eos)
 
 
 def _unitary_stack():
@@ -241,17 +244,22 @@ def _unitary_stack():
 
 @settings(max_examples=40, deadline=None)
 @given(steps=st.lists(st.lists(_unitary_stack(), max_size=9), max_size=5),
-       delta=st.sampled_from([None, 0.02]), continuity=st.booleans(),
+       delta=st.sampled_from([None, 0.02]), cold=st.booleans(),
        rows=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(INPUT_SPECS)),
                      max_size=8))
-def test_program_unitaries_equal_the_sequential_walk(steps, delta, continuity,
-                                                     rows):
+def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
+    """Bit for bit; from a cold cache, the reference integrates each step
+    alone and the walk in stacks."""
     programs = [Program(name=f"p{i}", steps=tuple(s)) for i, s in enumerate(steps)]
-    us = program_unitaries(programs, delta, continuity)
+    if cold:
+        clear_propagator_cache()
+    want = [_stepwise(p, delta, amps=np.eye(4, dtype=complex)) for p in programs]
+    if cold:
+        clear_propagator_cache()
+    us = program_unitaries(programs, delta)
     assert us.shape == (len(programs), 4, 4)
-    for p, u in zip(programs, us):
-        assert np.array_equal(u, _stepwise(p, delta, continuity,
-                                           amps=np.eye(4, dtype=complex)))
+    for u, w in zip(us, want):
+        assert np.array_equal(u, w)
     rows = [(i, spec) for i, spec in rows if i < len(programs)]
     which = [i for i, _ in rows]
     states = input_amplitudes([spec for _, spec in rows])
@@ -351,28 +359,6 @@ def test_duration_offset_applies_to_every_labeled_eo():
     assert all(t == pytest.approx(f + 0.1, abs=1e-9) for t in offsets)
     with pytest.raises(ConfigurationError):
         with_duration_offset(p, "nope", 0.1)
-
-
-def test_sf_phase_continuity_flag():
-    # back-to-back pulses span whole field periods, so restarting the
-    # field clock per EO or running one shared clock agree exactly...
-    from nmrqc import design_pulse
-    from nmrqc.gates import gate_rotation
-    from nmrqc.operators import TWO_PI
-    steps = []
-    for name in ("Y1", "Y2"):
-        spin, axis, d, turns = gate_rotation(name)
-        _, eo = design_pulse(spin, TWO_PI * turns, axis, k=1, direction=d,
-                             label=name)
-        steps.append(EOStep(eo))
-    pair = Program(name="pair", steps=tuple(steps), input_spec="00")
-    assert np.max(np.abs(program_unitary(pair)
-                         - program_unitary(pair, sf_phase_continuity=True))) < 1e-12
-    # ...but the long diagonal evolution advances the shared clock by a
-    # fractional period, so the two conventions then genuinely differ
-    p = build_cnot(1, "rotating_sf", k=1)
-    assert global_phase_distance(program_unitary(p),
-                                 program_unitary(p, sf_phase_continuity=True)) > 0.1
 
 
 def test_parse_program_text_round_trip_semantics():

@@ -12,9 +12,9 @@ from nmrqc import (ExperimentSpec, IntegratorConfig, MachineConfig, design_pulse
                    eo_propagator, run_experiment)
 import nmrqc.integrator
 from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
-                              _stepped_propagator, clear_propagator_cache, expect)
+                              _stepped_propagator, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
-from nmrqc.programs import INPUT_SPECS, STYLES
+from nmrqc.programs import INPUT_SPECS, STYLES, EOStep, Program, program_unitaries
 
 from conftest import BLOCKS, chained_reference, per_row_reference
 
@@ -64,16 +64,16 @@ def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
        direction=st.sampled_from([1, -1]), k=st.integers(1, 4),
        turns=st.sampled_from([0.25, 0.5, 0.75]),
        mode=st.sampled_from(["rotating", "static_axis"]),
-       offset=st.floats(-0.5, 0.5), t0=st.floats(0.0, 10.0))
+       offset=st.floats(-0.5, 0.5))
 def test_folded_pulse_equals_stepped(spin, axis, direction, k, turns, mode,
-                                     offset, t0):
+                                     offset):
     _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
                          direction=direction)
     assert eo.is_rotating == (mode == "rotating")
     eo = eo.replace(tau=eo.tau + offset)
-    u = eo_propagator(eo, t0=TWO_PI * t0)
+    u = eo_propagator(eo)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    ref = chained_reference(eo, eo.delta, TWO_PI * t0, BLOCKS["product_formula"])
+    ref = chained_reference(eo, eo.delta, BLOCKS["product_formula"])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 
@@ -90,33 +90,31 @@ def test_quarter_folded_static_pulse_equals_stepped(spin, axis, direction, k,
                          direction=direction)
     eo = eo.replace(tau=eo.tau + offset)
     u = eo_propagator(eo, IntegratorConfig(eo.delta, method))
-    ref = chained_reference(eo, eo.delta, 0.0, BLOCKS[method])
+    ref = chained_reference(eo, eo.delta, BLOCKS[method])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 
 rotating_pulses = st.tuples(
     st.sampled_from([1, 2]), st.sampled_from(["x", "y"]), st.sampled_from([1, -1]),
     st.sampled_from([0.25, 0.5, 0.75]), st.integers(1, 4),
-    st.sampled_from([0.0, -0.1, 0.1037]) | st.floats(-0.5, 0.5),  # remainders
-    st.floats(0.0, 10.0))
+    st.sampled_from([0.0, -0.1, 0.1037]) | st.floats(-0.5, 0.5))  # remainders
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.lists(rotating_pulses, min_size=1, max_size=5))
 def test_stacked_rotating_kernel(pulses):
-    eos, t0s = [], []
-    for spin, axis, direction, turns, k, offset, t0 in pulses:
+    eos = []
+    for spin, axis, direction, turns, k, offset in pulses:
         _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
         eos.append(eo.replace(tau=eo.tau + offset))
-        t0s.append(TWO_PI * t0)
     delta = eos[0].delta
-    stack = _stepped_propagator(_Drives(eos, t0s, "rotating"), delta,
+    stack = _stepped_propagator(_Drives(eos, "rotating"), delta,
                                 _product_formula_block)
-    for eo, t0, u in zip(eos, t0s, stack):
+    for eo, u in zip(eos, stack):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-        ref = chained_reference(eo, delta, t0, BLOCKS["product_formula"])
+        ref = chained_reference(eo, delta, BLOCKS["product_formula"])
         assert np.max(np.abs(u - ref)) < 1e-11
-        alone = _stepped_propagator(_Drives((eo,), (t0,), "rotating"), delta,
+        alone = _stepped_propagator(_Drives((eo,), "rotating"), delta,
                                     _product_formula_block)
         assert np.array_equal(u, alone[0])   # whatever shares its stack
 
@@ -131,8 +129,8 @@ static_pulses = st.tuples(
 @given(st.lists(static_pulses, min_size=1, max_size=30).flatmap(st.permutations))
 @example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 8)])  # split by the cap
 def test_stacked_static_kernel(pulses):
-    """Announced static pulses, shuffled and mixed, are integrated in stacks
-    of one drive frequency, split so that no block holds more than
+    """Static pulses, shuffled and mixed in one cold walk, are integrated in
+    stacks of one drive frequency, split so that no block holds more than
     _STACK_SUBSTEPS substeps; each equals the pulse integrated alone."""
     eos = []
     for spin, axis, direction, turns, k, offset in pulses:
@@ -151,13 +149,12 @@ def test_stacked_static_kernel(pulses):
         return kernel(d, delta, block)
 
     clear_propagator_cache()
-    expect(eos)
     with mock.patch.object(nmrqc.integrator, "_stepped_propagator", counting):
-        us = [eo_propagator(eo) for eo in eos]
-    expect()
+        program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos))])
     assert sum(stacks) == len(set(eos))               # each pulse integrated once
     assert max(blocks) <= _STACK_SUBSTEPS
-    for eo, u in zip(eos, us):
-        alone = _stepped_propagator(_Drives((eo,), (0.0,), "quarter"), eo.delta,
+    for eo in eos:
+        u = eo_propagator(eo)
+        alone = _stepped_propagator(_Drives((eo,), "quarter"), eo.delta,
                                     _product_formula_block)
         assert np.array_equal(u, alone[0])   # whatever shares its stack
