@@ -113,6 +113,16 @@ class EOParams:
                 and self.sf1x == self.sf1y and self.sf2x == self.sf2y
                 and self.phi_y - self.phi_x == math.pi / 2.0)
 
+    def __post_init__(self):
+        # Lookups hash EOs often; the fields, here all of vars(self), are fixed.
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt: a str hashes differently in another process
+        return EOParams, tuple(self.to_dict().values())
+
     def replace(self, **kw) -> "EOParams":
         return dataclasses.replace(self, **kw)
 

@@ -94,6 +94,10 @@ class ExperimentSpec:
             raise ConfigurationError(
                 "final_rotation_style must be 'program' or 'exact', "
                 f"got {self.final_rotation_style!r}")
+        for name in ("perturb_label", "title"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(f"{name} must be a string, got "
+                                         f"{type(getattr(self, name)).__name__}")
         for name, (ok, what) in _ENTRIES.items():
             value = getattr(self, name)
             if name == "tau_offsets" and value is None:

@@ -83,14 +83,9 @@ Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
 product, and every dense-oracle EO) are integrated alone.
 
-Propagators are cached per (EO, delta, method).  ``expect`` lets a
-program walk announce the distinct EOs it is about to look up: at the
-first product-formula miss of a key that folds, every announced EO of
-that key's stack (all rotating EOs of its step size, or all
-quarter-folded EOs of its step size and drive frequency) not
-integrated yet is integrated with it.  The last _CACHE_SIZE integrated
-propagators are kept, so each key of a stack is still a miss of its
-own first lookup, which takes the stored result.
+``integrate`` integrates the EOs of a list not stored yet, in stacks of
+one step size; a program walk calls it once, then looks each EO up.
+One store keeps the last _CACHE_SIZE propagators used.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -102,8 +97,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,7 +116,7 @@ _METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps of one EO vectorized per block
 _STACK_SUBSTEPS = 512  # substeps per block of a quarter-folded stack
-_CACHE_SIZE = 1024  # propagators kept by the cache
+_CACHE_SIZE = 1024  # propagators kept by the store
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
@@ -410,55 +407,6 @@ def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
     return np.diag(np.exp(-1j * phase))
 
 
-# Look-ahead: the distinct EOs announced by expect(), kept as given until
-# the first miss of a key that folds; the announced EOs that fold, by
-# stack, once grouped; and the last _CACHE_SIZE propagators integrated
-# since the last clear_propagator_cache(), by key (the arguments of
-# _cached_propagator; a dict kept in insertion order).
-_announced: tuple = ()
-_expected: dict[tuple, list] = {}
-_integrated: dict[tuple, np.ndarray] = {}
-
-
-def expect(eos=()) -> None:
-    """Announce the distinct EOs the coming lookups will ask for, at their
-    own step size; expect() clears the announcement.
-
-    They are grouped by stack (``_stack``) only at the first
-    product-formula miss of a key that folds, which then integrates
-    every announced EO of that key's stack.
-    """
-    global _announced
-    _announced = tuple(eos)
-    _expected.clear()
-
-
-def _stack(eo: EOParams, delta: float, fold: str) -> tuple:
-    """The stack of a product-formula key that folds: every rotating EO
-    of its step size, or every quarter-folded EO of its step size and
-    drive frequency."""
-    return delta, fold, eo.omega if fold == _QUARTER else None
-
-
-def _expected_in(stack: tuple) -> list:
-    """The announced EOs of a stack not integrated yet, once per
-    announcement.
-
-    Their keys are those of eo_propagator(eo): the EO's own step and
-    the product formula.  One integrated so long ago that it has left
-    _integrated is integrated again.
-    """
-    global _announced
-    for eo in _announced:
-        fold = None if eo.is_diagonal else _fold(eo, eo.delta)
-        if fold is not None:
-            _expected.setdefault(_stack(eo, eo.delta, fold), []).append(eo)
-    _announced = ()
-    delta = stack[0]
-    return [eo for eo in _expected.pop(stack, ())
-            if (eo, delta, PRODUCT_FORMULA) not in _integrated]
-
-
 def _chunks(eos: list, fold: str | None, delta: float) -> list:
     """The EOs of a stack in the groups integrated together.
 
@@ -475,50 +423,89 @@ def _chunks(eos: list, fold: str | None, delta: float) -> list:
     return [eos[i:i + size] for i in range(0, len(eos), size)]
 
 
-def _integrate(eo: EOParams, delta: float, method: str) -> np.ndarray:
-    """The propagator of one key, kept in _integrated.
+class _Store(OrderedDict):
+    """Read-only propagators by key (``_key``), least recently used
+    first.  cache_info() has the hits and misses of a functools LRU
+    cache: misses are the propagators integrated since the last clear,
+    hits the other lookups."""
 
-    A product-formula key that folds is integrated in one stack with
-    every announced EO of its stack not integrated yet (``_stack``),
-    and their propagators are kept too.
+    lookups = integrated = 0
+
+    def cache_info(self) -> SimpleNamespace:
+        return SimpleNamespace(hits=self.lookups - self.integrated,
+                               misses=self.integrated)
+
+
+# The one propagator store, under the name bench/worker.py reads.
+_cached_propagator = _Store()
+
+
+def _key(eo: EOParams, cfg: IntegratorConfig | None):
+    """The store key of eo_propagator(eo, cfg): the EO itself at its own
+    step size and default method, else (EO, delta, method)."""
+    if cfg is None or (cfg.delta, cfg.method) == (eo.delta, default_method(eo)):
+        return eo
+    return eo, cfg.delta, cfg.method
+
+
+def integrate(eos, cfg: IntegratorConfig | None = None) -> None:
+    """Store the propagator of each EO whose key (that of eo_propagator(eo,
+    cfg)) is not stored yet; a stored key counts as used.
+
+    Product-formula EOs that fold are integrated in stacks: the rotating
+    EOs of one step size in one, the quarter-folded EOs of one step size
+    and drive frequency in the groups of ``_chunks``; every other EO
+    alone.  A bad key raises before any is integrated.
     """
-    if method == EXACT_DIAGONAL:
-        done = [(eo, _exact_diagonal_propagator(eo))]
-    else:
-        fold = _fold(eo, delta)
-        eos = [eo]
-        if fold is not None and method == PRODUCT_FORMULA:
-            eos += [e for e in _expected_in(_stack(eo, delta, fold)) if e != eo]
-        block = _product_formula_block if method == PRODUCT_FORMULA else _dense_block
-        done = [pair for chunk in _chunks(eos, fold, delta) for pair in zip(
-            chunk, _stepped_propagator(_Drives(chunk, fold), delta, block))]
-    for e, u in done:
-        u.setflags(write=False)
-        _integrated[(e, delta, method)] = u
-    while len(_integrated) > _CACHE_SIZE:
-        del _integrated[next(iter(_integrated))]
-    return done[0][1]
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _cached_propagator(eo: EOParams, delta: float, method: str):
-    # Validated on every miss; a raising call stores nothing, so bad
-    # arguments raise on every lookup.
-    IntegratorConfig(delta=delta, method=method)
-    u = _integrated.get((eo, delta, method))
-    return _integrate(eo, delta, method) if u is None else u
+    store = _cached_propagator
+    stacks: dict[tuple, dict] = {}
+    for eo in eos:
+        key = _key(eo, cfg)
+        try:
+            store.move_to_end(key)
+            continue
+        except KeyError:
+            pass
+        delta, method = ((eo.delta, default_method(eo)) if cfg is None
+                         else (cfg.delta, cfg.method))
+        IntegratorConfig(delta=delta, method=method)
+        fold = None if method == EXACT_DIAGONAL else _fold(eo, delta)
+        alone = fold is None or method != PRODUCT_FORMULA
+        shared = eo if alone else eo.omega if fold == _QUARTER else None
+        stacks.setdefault((delta, method, fold, shared), {})[eo] = key
+    for (delta, method, fold, _), stack in stacks.items():
+        group = list(stack)
+        if method == EXACT_DIAGONAL:
+            done = [_exact_diagonal_propagator(group[0])]
+        else:
+            block = (_product_formula_block if method == PRODUCT_FORMULA
+                     else _dense_block)
+            done = [u for chunk in _chunks(group, fold, delta)
+                    for u in _stepped_propagator(_Drives(chunk, fold), delta, block)]
+        for key, u in zip(stack.values(), done):
+            u.setflags(write=False)
+            store[key] = u
+        store.integrated += len(done)
+        while len(store) > _CACHE_SIZE:
+            store.popitem(last=False)
 
 
 def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None) -> np.ndarray:
-    """The unitary carrying a state across one EO.
+    """The unitary carrying a state across one EO, read-only, from the
+    store; a key not stored is integrated alone first.
 
     With cfg=None the EO's own step size is used and diagonal EOs take
     the exact closed form (identical physics for commuting terms, at any
     step size).
     """
-    if cfg is None:
-        return _cached_propagator(eo, eo.delta, default_method(eo))
-    return _cached_propagator(eo, cfg.delta, cfg.method)
+    store = _cached_propagator
+    store.lookups += 1
+    key = _key(eo, cfg)
+    try:
+        store.move_to_end(key)
+    except KeyError:
+        integrate((eo,), cfg)
+    return store[key]
 
 
 def evolve(state: StateVector, eo: EOParams,
@@ -537,7 +524,6 @@ def evolve_reference(state: StateVector, eo: EOParams,
 
 
 def clear_propagator_cache() -> None:
-    """Empty the propagator cache and forget the announced EOs."""
-    _cached_propagator.cache_clear()
-    _integrated.clear()
-    expect()
+    """Empty the propagator store and reset its statistics."""
+    _cached_propagator.clear()
+    _cached_propagator.lookups = _cached_propagator.integrated = 0

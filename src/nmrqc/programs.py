@@ -13,12 +13,12 @@ matrix rather than an evolution (the conditional phase gate in ideal
 style, and optionally the final readout rotation).
 
 program_unitaries is the one walk over program steps, and it walks a
-whole stack of programs at once: it announces their distinct EOs to the
-integrator (``integrator.expect``), so that the cold ones are integrated
-in stacks, looks each one up once, and folds the products with one
-batched 4x4 product per step position.  readout applies a stack of
-unitaries to a stack of input states and reads the qubit values of every
-row in one product.
+whole stack of programs at once: it has the integrator integrate their
+distinct EOs (``integrator.integrate``), so that the cold ones are
+integrated in stacks, looks each one up once, and folds the products
+with one batched 4x4 product per step position.  readout applies a
+stack of unitaries to a stack of input states and reads the qubit
+values of every row in one product.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report re-runs a sequence of EOs through them at
 several step sizes.  Gate steps, whole gate-sequence expansions, gate
@@ -37,7 +37,7 @@ from .errors import ConfigurationError, NumericalIntegrityError
 from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
                     ideal_gate)
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
-from .integrator import eo_propagator, expect
+from .integrator import eo_propagator, integrate
 from .operators import TWO_PI
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
@@ -324,8 +324,8 @@ def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
 
     The walk first collects the distinct EOs of all the steps (each step
     object read once), with every EO at its own step size or at `delta`,
-    and announces them to the integrator, so that a cold lookup
-    integrates its whole stack.  It then looks each one up once, through
+    and has those not stored yet integrated in stacks, in one call to
+    ``integrate``.  It then looks each one up once, through
     eo_propagator.  Every program becomes a row of indices into those
     matrices, padded with the identity, and the products are folded in
     application order, one batched product per step position.  Each
@@ -352,12 +352,9 @@ def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
                 by_step[id(step)] = i
             row.append(i)
         rows.append(row)
-    expect(by_eo)
-    try:
-        for eo, i in by_eo.items():
-            mats[i] = eo_propagator(eo)
-    finally:
-        expect()
+    integrate(by_eo)
+    for eo, i in by_eo.items():
+        mats[i] = eo_propagator(eo)
     width = max(map(len, rows), default=0)
     index = np.array([row + [0] * (width - len(row)) for row in rows],
                      dtype=np.intp).reshape(len(rows), width)

@@ -106,6 +106,19 @@ def test_eoparams_json_round_trip():
     assert EOParams.from_dict(eo.to_dict()) == eo
 
 
+def test_eoparams_hash_follows_equality():
+    """The hash is computed once, from the fields alone, and a copy or an
+    unpickled EO (rebuilt, not given the stored hash) hashes alike."""
+    import copy
+    import pickle
+    eo = EOParams(label="pulse", tau=8.0, sf1x=0.03125, omega=1.0)
+    for twin in (EOParams.from_dict(eo.to_dict()), eo.replace(tau=8.0),
+                 copy.deepcopy(eo), pickle.loads(pickle.dumps(eo))):
+        assert twin == eo and hash(twin) == hash(eo)
+    assert eo.to_dict() == pickle.loads(pickle.dumps(eo)).to_dict()
+    assert hash(eo.replace(tau=8.5)) != hash(eo)
+
+
 def test_is_diagonal_flag():
     assert EOParams(j=J, h1z=1.0, h2z=0.25).is_diagonal
     assert not EOParams(sf1x=0.1).is_diagonal

@@ -236,7 +236,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     keys = {eo for p in programs for eo in p.eos}
     assert (info().misses, info().hits) == (len(keys), 0)
     assert sorted(kernel_calls) == _expected_stacks(keys)
-    assert len(nmrqc.integrator._integrated) == len(keys)  # none integrated twice
+    assert len(nmrqc.integrator._cached_propagator) == len(keys)  # one store
     spin2, spin1 = {"table8": (15, 15), "grover_static": (30, 20)}.get(name, (0, 0))
     if spin2:          # spin 2 (100-substep quarters) splits, spin 1 (25) does not
         assert sorted(kernel_calls) == ([("quarter", 5)] * (spin2 // 5)
@@ -251,7 +251,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
 
 def test_cold_walk_stacks_without_the_harness(kernel_calls):
     """program_unitaries on its own, from an empty cache, integrates the
-    stacks a table of the same programs would: it announces its EOs
+    stacks a table of the same programs would: it has them integrated
     itself."""
     import nmrqc.integrator
     programs = ([build_qa("QA1", "00", variant, style, k=k)
@@ -269,8 +269,8 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
 
 def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     """Tables sharing pulses, run one after another from an empty cache,
-    integrate each distinct rotating and static pulse key once: the
-    look-ahead of a later table leaves out what an earlier one cached."""
+    integrate each distinct rotating and static pulse key once: a later
+    table's walk leaves out what an earlier one cached."""
     import nmrqc.integrator
     stacks = []
     kernel = nmrqc.integrator._stepped_propagator
@@ -405,7 +405,10 @@ def test_cli_missing_config_file(capsys):
                                   '{"k_list": [1], "perturb_label": "Y2", '
                                   '"tau_offsets": [1e308]}',
                                   '{"k_list": [1], "perturb_label": "Y2", '
-                                  '"tau_offsets": [1e300]}'])
+                                  '"tau_offsets": [1e300]}',
+                                  '{"title": ["x"], "k_list": [1], "style": "ideal"}',
+                                  '{"perturb_label": 5, "k_list": [1], '
+                                  '"style": "ideal"}'])
 @pytest.mark.filterwarnings("error")  # a warning would print a line of its own
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"

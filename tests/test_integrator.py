@@ -9,10 +9,10 @@ from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
                    evolve, evolve_reference, ideal_eo_params, ideal_gate,
                    prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import (DENSE_MIDPOINT_ORACLE, _Drives, _fold,
-                              _product_formula_block, _step_schedule,
-                              _stepped_propagator, clear_propagator_cache,
-                              expect)
+from nmrqc.integrator import (_CACHE_SIZE, DENSE_MIDPOINT_ORACLE, _Drives,
+                              _cached_propagator, _fold, _product_formula_block,
+                              _step_schedule, _stepped_propagator,
+                              clear_propagator_cache, integrate)
 from nmrqc.programs import EOStep, Program, program_unitaries
 from nmrqc.operators import TWO_PI, state_phase_distance
 from nmrqc.states import StateVector
@@ -348,23 +348,21 @@ def _alone(eo, delta=None, block=_product_formula_block):
     return _stepped_propagator(_Drives((eo,), _fold(eo, delta)), delta, block)[0]
 
 
-def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls,
-                                                         monkeypatch):
-    """A cold walk integrates its rotating pulses in one stack at the first
-    rotating miss, and its static ones in one stack per drive frequency;
-    a diagonal EO joins none, an EO repeated in another step is looked up
-    once, and each result is the pulse integrated alone."""
+def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
+    """A cold walk integrates its rotating pulses in one stack and its
+    static ones in one stack per drive frequency; a diagonal EO joins
+    none, an EO repeated in another step is integrated once, and each
+    result is read-only and the pulse integrated alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
     program = Program("p", tuple(EOStep(eo) for eo in
                                  [ideal_eo_params("Ip")] + eos + static + [eos[0]]))
-    info = nmrqc.integrator._cached_propagator.cache_info
+    info = _cached_propagator.cache_info
     clear_propagator_cache()
     program_unitaries([program])
-    # spin 2 (Y2, X2) stacks at its first miss, then spin 1 (Y1) alone
+    # spin 2 (Y2, X2) in one stack, spin 1 (Y1) in another
     assert kernel_calls == [("rotating", 3), ("quarter", 2), ("quarter", 1)]
     assert (info().misses, info().hits) == (7, 0)
-    assert nmrqc.integrator._announced == () and not nmrqc.integrator._expected
     results = [eo_propagator(eo) for eo in eos + static]
     assert not any(u.flags.writeable for u in results)
     for eo, u in zip(eos + static, results):
@@ -374,7 +372,7 @@ def test_expected_rotating_pulses_integrate_in_one_stack(kernel_calls,
     assert len(kernel_calls) == 3 and info().misses == 7
 
 
-_STACK_FALLBACKS = {  # -> (eo, delta, method, announced key stacks); the base drives x
+_STACK_FALLBACKS = {  # -> (eo, delta, method, joins the partners); base drives x
     "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, PRODUCT_FORMULA, False),
     "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01,
                                      PRODUCT_FORMULA, False),
@@ -393,105 +391,100 @@ _STACK_FALLBACKS = {  # -> (eo, delta, method, announced key stacks); the base d
 @pytest.mark.parametrize("case", sorted(_STACK_FALLBACKS))
 def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
     """A static key that does not fold by quarter periods, or is not a
-    product-formula key, is integrated alone and groups nothing."""
+    product-formula key, is integrated alone, even next to pulses of its
+    drive frequency that stack; its product-formula key at its own step
+    joins them if it folds."""
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
-    eo, delta, method, stacks = _STACK_FALLBACKS[case](base)
+    eo, delta, method, joins = _STACK_FALLBACKS[case](base)
     eo = eo.replace(delta=delta)
+    cfg = IntegratorConfig(delta, method)
     partners = [pulse_eo(name, k=k, mode="static_axis")
                 for name, k in (("X2", 1), ("Y2b", 2))]
     clear_propagator_cache()
-    expect([eo] + partners)
-    try:
-        u = eo_propagator(eo, IntegratorConfig(delta, method))
-        fold = _fold(eo, delta)
-        assert kernel_calls == [(fold, 1)] and len(nmrqc.integrator._integrated) == 1
-        assert nmrqc.integrator._announced       # not grouped by this miss
-        assert fold == ("quarter" if method == DENSE_MIDPOINT_ORACLE else None)
-        for p in partners:
-            eo_propagator(p)
-        assert kernel_calls[1:] == [("quarter", len(partners) + stacks)]
-        ref = chained_reference(eo, delta, BLOCKS[method])
-        assert np.max(np.abs(u - ref)) < 1e-11
-    finally:
-        expect()
-
-
-@pytest.mark.parametrize("drop", ["clear_propagator_cache", "expect"])
-def test_waiting_propagators_are_dropped(drop, kernel_calls):
-    """The announced EOs of a stack not integrated yet are forgotten by
-    expect() and by clear_propagator_cache: a later miss integrates alone."""
-    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
-    static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2")]
+    integrate([eo] + [p.replace(delta=delta) for p in partners], cfg)
+    fold = _fold(eo, delta)
+    assert fold == ("quarter" if method == DENSE_MIDPOINT_ORACLE else None)
+    assert kernel_calls[0] == (fold, 1)
+    assert sum(n for _, n in kernel_calls) == 1 + len(partners)
+    if method == DENSE_MIDPOINT_ORACLE:       # no dense-oracle key stacks
+        assert kernel_calls == [(fold, 1)] * (1 + len(partners))
+    n_calls = len(kernel_calls)
+    u = eo_propagator(eo, cfg)
+    assert len(kernel_calls) == n_calls       # stored, not integrated again
+    ref = chained_reference(eo, delta, BLOCKS[method])
+    assert np.max(np.abs(u - ref)) < 1e-11
+    del kernel_calls[:]
     clear_propagator_cache()
-    expect(eos + static)
-    eo_propagator(eos[0])                  # groups every stack, integrates one
-    assert [len(s) for s in nmrqc.integrator._expected.values()] == [2]
-    getattr(nmrqc.integrator, drop)()
-    assert not nmrqc.integrator._expected and not nmrqc.integrator._announced
-    u = eo_propagator(static[0])           # integrated anew, alone
-    assert kernel_calls == [("rotating", 3), ("quarter", 1)]
-    assert np.array_equal(u, _alone(static[0]))
-    expect()
+    integrate(partners + [eo])   # at their own step, by the product formula
+    assert kernel_calls == ([("quarter", len(partners) + joins)]
+                            + [(None, 1)] * (not joins))
 
 
 def test_stacked_propagators_are_kept_until_cleared(kernel_calls):
-    """What a stack integrated ahead stays usable after the announcement
-    ends, until clear_propagator_cache forgets it."""
+    """What a walk, a lookup or integrate stored is left out by later
+    ones, until clear_propagator_cache empties the store; a lookup that
+    misses integrates its key alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
-    ip = ideal_eo_params("Ip")
-    clear_propagator_cache()
-    expect([ip] + eos)
-    eo_propagator(ip)                      # a diagonal miss groups nothing
-    assert nmrqc.integrator._announced and not kernel_calls
-    eo_propagator(eos[0])
-    expect()
-    u = eo_propagator(eos[1])              # a miss that integrates nothing
-    assert kernel_calls == [("rotating", 3)]
-    assert np.array_equal(u, _alone(eos[1]))
-    clear_propagator_cache()
-    assert not nmrqc.integrator._integrated
-    eo_propagator(eos[2])                  # integrated anew, alone
-    assert kernel_calls == [("rotating", 3), ("rotating", 1)]
-
-
-def test_cached_keys_leave_the_look_ahead(kernel_calls):
-    """An announced pulse that is already integrated is not integrated
-    again, and the store of integrated propagators is bounded like the
-    cache itself."""
-    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    info = _cached_propagator.cache_info
     clear_propagator_cache()
     eo_propagator(eos[0])
     program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos))])
-    assert kernel_calls == [("rotating", 1), ("rotating", 2)]  # X1 was cached
+    assert kernel_calls == [("rotating", 1), ("rotating", 2)]  # X1 was stored
     extra = pulse_eo("Y1", k=2)
-    program_unitaries([Program("q", tuple(EOStep(eo) for eo in eos + [extra]))])
+    integrate(eos + [extra])
     assert kernel_calls[2:] == [("rotating", 1)]
-    ip = ideal_eo_params("Ip")
-    for tau in range(nmrqc.integrator._CACHE_SIZE + 5):
-        eo_propagator(ip.replace(tau=float(tau)))
-    assert len(nmrqc.integrator._integrated) == nmrqc.integrator._CACHE_SIZE
+    assert (info().misses, info().hits) == (4, 0)  # integrate looks nothing up
     clear_propagator_cache()
-    assert not nmrqc.integrator._integrated
+    assert not _cached_propagator and (info().misses, info().hits) == (0, 0)
+    u = eo_propagator(eos[2])
+    assert kernel_calls[3:] == [("rotating", 1)]
+    assert np.array_equal(u, _alone(eos[2]))
+
+
+def test_a_walk_reuses_a_propagator_integrated_long_ago(kernel_calls):
+    """A pulse integrated before _CACHE_SIZE others, but looked up since,
+    is still stored: a walk over it and a cold pulse integrates only the
+    cold one.  The store evicts the least recently used key, not the
+    oldest integrated one, and holds at most _CACHE_SIZE."""
+    x1, y2 = pulse_eo("X1", k=2), pulse_eo("Y2", k=2)
+    ip = ideal_eo_params("Ip")
+    info = _cached_propagator.cache_info
+    clear_propagator_cache()
+    eo_propagator(x1)
+    for tau in range(_CACHE_SIZE):
+        eo_propagator(ip.replace(tau=float(tau)))
+        if tau % 100 == 0:
+            eo_propagator(x1)
+    program_unitaries([Program("p", (EOStep(x1), EOStep(y2)))])
+    assert kernel_calls == [("rotating", 1), ("rotating", 1)]
+    assert len(_cached_propagator) == _CACHE_SIZE
+    misses = info().misses
+    for eo in (x1, y2, ip.replace(tau=2.0)):   # kept
+        eo_propagator(eo)
+    assert info().misses == misses
+    for eo in (ip.replace(tau=0.0), ip.replace(tau=1.0)):   # used least recently
+        eo_propagator(eo)
+    assert info().misses == misses + 2
+    assert len(kernel_calls) == 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_bad_delta_raises_while_an_expectation_is_pending(bad):
-    """A bad step size raises on every lookup, inside a walk or under an
-    announcement, and the walk still clears its announcement."""
+def test_bad_delta_raises_on_every_lookup_and_stores_nothing(bad, kernel_calls):
+    """A bad step size raises in a walk, in integrate and in a lookup,
+    every time, and nothing is integrated or stored: every key is
+    checked before any is integrated."""
     eos = [pulse_eo(name) for name in ("X1", "Y2")]
     program = Program("p", tuple(EOStep(eo) for eo in eos))
+    clear_propagator_cache()
     for _ in range(2):
         with pytest.raises(ConfigurationError, match="delta"):
             program_unitaries([program], delta=bad)
-        assert nmrqc.integrator._announced == ()
-    expect([eo.replace(delta=bad) for eo in eos])
-    try:
-        for _ in range(2):
-            for eo in eos:
-                with pytest.raises(ConfigurationError, match="delta"):
-                    eo_propagator(eo.replace(delta=bad))
-    finally:
-        expect()
+        with pytest.raises(ConfigurationError, match="delta"):
+            integrate([eos[0], eos[1].replace(delta=bad)])
+        for eo in eos:
+            with pytest.raises(ConfigurationError, match="delta"):
+                eo_propagator(eo.replace(delta=bad))
+    assert not _cached_propagator and not kernel_calls
 
 
 def test_stacked_powers_equal_matrix_power(rng):
