@@ -441,6 +441,23 @@ def test_stacked_propagators_are_kept_until_cleared(kernel_calls):
     assert np.array_equal(u, _alone(eos[2]))
 
 
+@pytest.mark.parametrize("drop", ["clear_propagator_cache"])
+def test_waiting_propagators_are_dropped(drop, kernel_calls):
+    """The propagators a walk stacked ahead of their lookups are forgotten
+    by clear_propagator_cache: a later miss integrates alone."""
+    eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
+    static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2")]
+    clear_propagator_cache()
+    program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos + static))])
+    assert kernel_calls == [("rotating", 3), ("quarter", 2)]
+    assert len(_cached_propagator) == len(eos + static)
+    getattr(nmrqc.integrator, drop)()
+    assert not _cached_propagator
+    u = eo_propagator(static[0])           # integrated anew, alone
+    assert kernel_calls[2:] == [("quarter", 1)]
+    assert np.array_equal(u, _alone(static[0]))
+
+
 def test_a_walk_reuses_a_propagator_integrated_long_ago(kernel_calls):
     """A pulse integrated before _CACHE_SIZE others, but looked up since,
     is still stored: a walk over it and a cold pulse integrates only the
