@@ -9,14 +9,13 @@ showing that logically identical pulse sequences can compute different
 answers on physical hardware.
 """
 
-from .errors import (ConfigurationError, MachineValidationError, MethodError,
+from .errors import (ConfigurationError, MachineValidationError,
                      NumericalIntegrityError)
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig,
                           hamiltonian_at, machine_violations, validate_machine)
 from .states import (QubitExpectation, StateVector, expectation_qubit,
                      prepare_basis_state, prepare_singlet, qubit_values)
-from .integrator import (DENSE_MIDPOINT_ORACLE, EXACT_DIAGONAL, PRODUCT_FORMULA,
-                         IntegratorConfig, eo_propagator, evolve, evolve_reference)
+from .integrator import eo_propagator, oracle_propagator
 from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,
                     coupling_pi_duration, derive_primed_angles, ideal_eo_params,
                     ideal_gate, phase_gate)

@@ -9,10 +9,6 @@ class NumericalIntegrityError(RuntimeError):
     """A numerical contract was violated (non-unit norm, non-unitary matrix)."""
 
 
-class MethodError(ValueError):
-    """Requested integration method is incompatible with the operation."""
-
-
 class MachineValidationError(ValueError):
     """Field parameters violate the machine's physical constraints."""
 

@@ -41,7 +41,7 @@ from . import reference_tables as ref
 from .errors import ConfigurationError
 from .gates import gate_rotation
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig, is_finite_number
-from .integrator import DENSE_MIDPOINT_ORACLE, IntegratorConfig, eo_propagator
+from .integrator import check_delta, eo_propagator, oracle_propagator
 from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, EOStep, build_cnot, build_grover,
@@ -110,7 +110,7 @@ class ExperimentSpec:
             for v in value:
                 if not ok(v):
                     raise ConfigurationError(f"{name} entries must be {what}, got {v!r}")
-        IntegratorConfig(delta=self.delta)  # rejects a bad step size here
+        check_delta(self.delta)
         fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
         if self.delta * fastest > MAX_DELTA_TIMES_DRIVE:
             raise ConfigurationError(
@@ -121,8 +121,14 @@ class ExperimentSpec:
         object.__setattr__(self, "items", tuple(int(i) for i in self.items))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
         if self.tau_offsets is not None:
-            object.__setattr__(self, "tau_offsets",
-                               tuple(float(o) for o in self.tau_offsets))
+            offsets = tuple(float(o) for o in self.tau_offsets)
+            labels = [_offset_label(o) for o in offsets]
+            shared = sorted({c for c in labels if labels.count(c) > 1})
+            if shared:
+                raise ConfigurationError(
+                    f"tau_offsets share the column label {', '.join(shared)}: "
+                    "each offset needs a label of its own")
+            object.__setattr__(self, "tau_offsets", offsets)
 
     def to_dict(self) -> dict:
         d = {
@@ -153,6 +159,11 @@ class ExperimentSpec:
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _offset_label(offset: float) -> str:
+    """The column label of a duration offset, e.g. '+0.05'."""
+    return f"{offset:+g}"
 
 
 def _is_whole(x) -> bool:
@@ -335,9 +346,9 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
     """
     if spec.kind != "qa":
         raise ConfigurationError("perturbation study is defined for QA suites")
+    spec = replace(spec, tau_offsets=tuple(tau_offsets))   # checks the offsets
     rows = _rows(spec)
     labels = dict(rows)
-    offsets = [float(o) for o in tau_offsets]
     durations = ", ".join(str(8 * k) for k in spec.k_list)
     table = ResultTable(
         title=spec.title or f"duration perturbation (s={durations})",
@@ -348,8 +359,8 @@ def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
         suffix = f"@s={8 * k}" if len(spec.k_list) > 1 else ""
         groups = [(keys, inputs, build(k=k))
                   for keys, inputs, build in _program_groups(spec)]
-        for o in offsets:
-            col = f"{o:+g}{suffix}"
+        for o in spec.tau_offsets:
+            col = _offset_label(o) + suffix
             table.col_labels.append(col)
             runs += [(col, keys, inputs, program if o == 0.0 else
                       with_duration_offset(program, spec.perturb_label, o))
@@ -468,8 +479,9 @@ def _published(name: str):
     s_cols = [str(s) for s in ref.S_VALUES]
     if name == "table10":
         return (ref.DURATION_PERTURBATION,
-                [f"{o:+g}" for o in ref.PERTURBATION_OFFSETS], ref.PERTURBATION_TOL,
-                {(r, f"{o:+g}"): (comp, (forced,), why)
+                [_offset_label(o) for o in ref.PERTURBATION_OFFSETS],
+                ref.PERTURBATION_TOL,
+                {(r, _offset_label(o)): (comp, (forced,), why)
                  for (r, o), (comp, forced, why) in ref.SUSPECT_PERTURBATION.items()})
     if name in ("table9", "grover_static"):
         reference, suspects = ((ref.GROVER_ROTATING, ref.SUSPECT_GROVER_ROTATING)
@@ -533,8 +545,8 @@ def _halving_ratio(notes):
     """Second order: halving the step cuts the deviation from the dense
     oracle by a factor of 4 +- 0.5."""
     _, eo = _pulse("Y1")
-    oracle = eo_propagator(eo, IntegratorConfig(0.001, DENSE_MIDPOINT_ORACLE))
-    dev = [np.max(np.abs(eo_propagator(eo, IntegratorConfig(d)) - oracle))
+    oracle = oracle_propagator(eo.replace(delta=0.001))
+    dev = [np.max(np.abs(eo_propagator(eo.replace(delta=d)) - oracle))
            for d in (0.04, 0.02)]
     ratio = dev[0] / dev[1]
     return abs(ratio - 4.0) <= 0.5, f"Y1 s=8, delta 0.04/0.02: ratio {ratio:.2f}"

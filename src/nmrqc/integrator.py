@@ -1,9 +1,12 @@
 """Time evolution of one elementary operation.
 
-Three interchangeable propagator constructions:
+A propagator is a function of its EO alone: the EO's own step size
+(``EOParams.delta``) and its fields pick the construction.  The store
+holds two:
 
-* ``product_formula`` -- symmetric (Strang) operator splitting.  Each
-  substep freezes the fields at the substep midpoint and applies
+* product formula (an EO with transverse fields) -- symmetric (Strang)
+  operator splitting.  Each substep freezes the fields at the substep
+  midpoint and applies
 
       U_step = T(dt/2) D(dt) T(dt/2)
 
@@ -12,16 +15,17 @@ Three interchangeable propagator constructions:
   the exact diagonal exponential of the Ising and z terms.  Every factor
   is exactly unitary; the global error is O(delta^2).
 
-* ``exact_diagonal`` -- closed-form phases for EOs with no transverse
-  fields.  Used for the long conditional-phase evolutions, which would
+* exact diagonal (an EO with no transverse fields) -- closed-form
+  phases.  Used for the long conditional-phase evolutions, which would
   otherwise cost ~10^8 substeps for identical physics.
 
-* ``dense_midpoint_oracle`` -- dense 4x4 exponential of H(t_mid) per
-  substep via eigendecomposition.  Slower, split-free; serves as the
-  independent reference when validating the product formula.
+The reference, ``oracle_propagator``, is never stored: the dense 4x4
+exponential of H(t_mid) per substep via eigendecomposition.  Slower,
+split-free; it validates the product formula.  A different step size
+is a different EO, ``eo.replace(delta=d)``.
 
-Both stepped methods share one loop, which folds the substep product by
-a symmetry of the drive wherever one holds exactly:
+The product formula and the reference share one loop, which folds the
+substep product by a symmetry of the drive wherever one holds exactly:
 
 * A rotating drive (``EOParams.is_rotating``: no static transverse
   field, equal x/y amplitudes, phi_y - phi_x = pi/2) turns rigidly
@@ -81,11 +85,12 @@ count.  A stack shares one fold (``_fold``):
   block holds more than _STACK_SUBSTEPS substep matrices.
 Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
-product, and every dense-oracle EO) are integrated alone.
+product) are integrated alone, and so is every reference.
 
 ``integrate`` integrates the EOs of a list not stored yet, in stacks of
 one step size; a program walk calls it once, then looks each EO up.
-One store keeps the last _CACHE_SIZE propagators used.
+One store, keyed by the EO, keeps the last _CACHE_SIZE propagators
+used.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -98,21 +103,14 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConfigurationError, MethodError, NumericalIntegrityError
+from .errors import ConfigurationError
 from .hamiltonian import EOParams, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
-from .states import NORM_TOL, StateVector
-
-PRODUCT_FORMULA = "product_formula"
-EXACT_DIAGONAL = "exact_diagonal"
-DENSE_MIDPOINT_ORACLE = "dense_midpoint_oracle"
-_METHODS = (PRODUCT_FORMULA, EXACT_DIAGONAL, DENSE_MIDPOINT_ORACLE)
 
 _CHUNK = 1 << 15  # substeps of one EO vectorized per block
 _STACK_SUBSTEPS = 512  # substeps per block of a quarter-folded stack
@@ -124,24 +122,11 @@ _Z_PI = np.array([-1.0, 1.0, 1.0, -1.0])  # exp(i pi S^z_tot)
 _EYE = np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step size (over 2*pi) and propagator construction."""
-
-    delta: float = 0.01
-    method: str = PRODUCT_FORMULA
-
-    def __post_init__(self):
-        if not (is_finite_number(self.delta) and self.delta > 0):
-            raise ConfigurationError(
-                f"delta must be positive and finite, got {self.delta!r}")
-        if self.method not in _METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {_METHODS}")
-
-
-def default_method(eo: EOParams) -> str:
-    return EXACT_DIAGONAL if eo.is_diagonal else PRODUCT_FORMULA
+def check_delta(delta) -> None:
+    """Raise ConfigurationError unless the step size (over 2*pi) is a
+    positive finite number."""
+    if not (is_finite_number(delta) and delta > 0):
+        raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
 
 
 def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
@@ -392,10 +377,6 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
 
 
 def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
-    if not eo.is_diagonal:
-        raise MethodError(
-            f"EO {eo.label!r} has transverse fields; exact_diagonal "
-            "applies only to pure Ising/z evolutions")
     if eo.tau < 0:
         raise ConfigurationError(f"duration must be non-negative, got {eo.tau}")
     ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
@@ -424,10 +405,10 @@ def _chunks(eos: list, fold: str | None, delta: float) -> list:
 
 
 class _Store(OrderedDict):
-    """Read-only propagators by key (``_key``), least recently used
-    first.  cache_info() has the hits and misses of a functools LRU
-    cache: misses are the propagators integrated since the last clear,
-    hits the other lookups."""
+    """Read-only propagators by EO, least recently used first.
+    cache_info() has the hits and misses of a functools LRU cache:
+    misses are the propagators integrated since the last clear, hits the
+    other lookups."""
 
     lookups = integrated = 0
 
@@ -440,87 +421,62 @@ class _Store(OrderedDict):
 _cached_propagator = _Store()
 
 
-def _key(eo: EOParams, cfg: IntegratorConfig | None):
-    """The store key of eo_propagator(eo, cfg): the EO itself at its own
-    step size and default method, else (EO, delta, method)."""
-    if cfg is None or (cfg.delta, cfg.method) == (eo.delta, default_method(eo)):
-        return eo
-    return eo, cfg.delta, cfg.method
+def integrate(eos) -> None:
+    """Store the propagator of each EO not stored yet; a stored EO counts
+    as used.
 
-
-def integrate(eos, cfg: IntegratorConfig | None = None) -> None:
-    """Store the propagator of each EO whose key (that of eo_propagator(eo,
-    cfg)) is not stored yet; a stored key counts as used.
-
-    Product-formula EOs that fold are integrated in stacks: the rotating
-    EOs of one step size in one, the quarter-folded EOs of one step size
-    and drive frequency in the groups of ``_chunks``; every other EO
-    alone.  A bad key raises before any is integrated.
+    Pulses that fold are integrated in stacks: the rotating EOs of one
+    step size in one, the quarter-folded EOs of one step size and drive
+    frequency in the groups of ``_chunks``; every other EO alone.  A bad
+    step size raises before any EO is integrated.
     """
     store = _cached_propagator
     stacks: dict[tuple, dict] = {}
     for eo in eos:
-        key = _key(eo, cfg)
         try:
-            store.move_to_end(key)
+            store.move_to_end(eo)
             continue
         except KeyError:
             pass
-        delta, method = ((eo.delta, default_method(eo)) if cfg is None
-                         else (cfg.delta, cfg.method))
-        IntegratorConfig(delta=delta, method=method)
-        fold = None if method == EXACT_DIAGONAL else _fold(eo, delta)
-        alone = fold is None or method != PRODUCT_FORMULA
-        shared = eo if alone else eo.omega if fold == _QUARTER else None
-        stacks.setdefault((delta, method, fold, shared), {})[eo] = key
-    for (delta, method, fold, _), stack in stacks.items():
+        check_delta(eo.delta)
+        fold = None if eo.is_diagonal else _fold(eo, eo.delta)
+        shared = eo if fold is None else eo.omega if fold == _QUARTER else None
+        stacks.setdefault((eo.delta, fold, shared), {})[eo] = None
+    for (delta, fold, _), stack in stacks.items():
         group = list(stack)
-        if method == EXACT_DIAGONAL:
+        if group[0].is_diagonal:
             done = [_exact_diagonal_propagator(group[0])]
         else:
-            block = (_product_formula_block if method == PRODUCT_FORMULA
-                     else _dense_block)
             done = [u for chunk in _chunks(group, fold, delta)
-                    for u in _stepped_propagator(_Drives(chunk, fold), delta, block)]
-        for key, u in zip(stack.values(), done):
+                    for u in _stepped_propagator(_Drives(chunk, fold), delta,
+                                                 _product_formula_block)]
+        for eo, u in zip(group, done):
             u.setflags(write=False)
-            store[key] = u
+            store[eo] = u
         store.integrated += len(done)
         while len(store) > _CACHE_SIZE:
             store.popitem(last=False)
 
 
-def eo_propagator(eo: EOParams, cfg: IntegratorConfig | None = None) -> np.ndarray:
+def eo_propagator(eo: EOParams) -> np.ndarray:
     """The unitary carrying a state across one EO, read-only, from the
-    store; a key not stored is integrated alone first.
-
-    With cfg=None the EO's own step size is used and diagonal EOs take
-    the exact closed form (identical physics for commuting terms, at any
-    step size).
-    """
+    store; an EO not stored is integrated alone first."""
     store = _cached_propagator
     store.lookups += 1
-    key = _key(eo, cfg)
     try:
-        store.move_to_end(key)
+        store.move_to_end(eo)
     except KeyError:
-        integrate((eo,), cfg)
-    return store[key]
+        integrate((eo,))
+    return store[eo]
 
 
-def evolve(state: StateVector, eo: EOParams,
-           cfg: IntegratorConfig | None = None) -> StateVector:
-    """Solve the equation of motion across one EO."""
-    if abs(state.norm() - 1.0) > NORM_TOL:
-        raise NumericalIntegrityError("input state is not normalized")
-    return StateVector(eo_propagator(eo, cfg) @ state.amplitudes)
-
-
-def evolve_reference(state: StateVector, eo: EOParams,
-                     fine_delta: float) -> StateVector:
-    """Dense-exponential reference evolution at a fine step size."""
-    cfg = IntegratorConfig(delta=fine_delta, method=DENSE_MIDPOINT_ORACLE)
-    return evolve(state, eo, cfg)
+def oracle_propagator(eo: EOParams) -> np.ndarray:
+    """The reference unitary of one EO: the dense exponential of H at
+    each substep's midpoint, at the EO's step size, folded as the product
+    formula is.  Integrated alone on every call, and never stored."""
+    check_delta(eo.delta)
+    drives = _Drives((eo,), _fold(eo, eo.delta))
+    return _stepped_propagator(drives, eo.delta, _dense_block)[0]
 
 
 def clear_propagator_cache() -> None:

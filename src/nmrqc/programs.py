@@ -21,10 +21,11 @@ stack of unitaries to a stack of input states and reads the qubit
 values of every row in one product.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report re-runs a sequence of EOs through them at
-several step sizes.  Gate steps, whole gate-sequence expansions, gate
-matrices, each gate sequence's ideal unitary and the five input states
-are memoized, so rebuilding a program re-designs no pulse and
-recomposes no gate, and reading a cell prepares no input.
+several step sizes.  Gate steps, duration-shifted steps, whole
+gate-sequence expansions, gate matrices, each gate sequence's ideal
+unitary and the five input states are memoized, so rebuilding a program
+re-designs no pulse, re-shifts no duration and recomposes no gate, and
+reading a cell prepares no input.
 """
 from __future__ import annotations
 
@@ -367,16 +368,24 @@ def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
 def with_duration_offset(program: Program, label: str, offset: float) -> Program:
     """Copy of the program with `offset` added to tau of every EO named `label`.
 
-    Each distinct step gets one shifted copy, shared by all its places.
+    Each distinct step gets one shifted copy, shared by all its places and
+    by every program shifted by the same offset (``_shifted_step``).
     """
     shifted = {}
     for s in program.steps:
         if isinstance(s, EOStep) and s.eo.label == label and id(s) not in shifted:
-            shifted[id(s)] = EOStep(s.eo.replace(tau=s.eo.tau + offset))
+            shifted[id(s)] = _shifted_step(s, offset)
     if not shifted:
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
     return replace(program, steps=tuple(shifted.get(id(s), s) for s in program.steps),
                    name=f"{program.name}(d{label}={offset:+g})")
+
+
+@lru_cache(maxsize=1024)
+def _shifted_step(step: EOStep, offset: float) -> EOStep:
+    """The step with `offset` added to the tau of its EO, memoized so that
+    a program rebuilt and shifted again reuses the shifted EO."""
+    return EOStep(step.eo.replace(tau=step.eo.tau + offset))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from nmrqc import DENSE_MIDPOINT_ORACLE, PRODUCT_FORMULA
+from nmrqc import eo_propagator, oracle_propagator
 from nmrqc.integrator import (_dense_block, _Drives, _product_formula_block,
                               _step_schedule)
 from nmrqc.operators import TWO_PI
@@ -93,8 +93,11 @@ def single_eo(block):
     return one
 
 
-BLOCKS = {PRODUCT_FORMULA: single_eo(_product_formula_block),
-          DENSE_MIDPOINT_ORACLE: single_eo(_dense_block)}
+# The stored propagator and the unstored reference, each with its block.
+PROPAGATORS = {"product_formula": eo_propagator,
+               "dense_midpoint_oracle": oracle_propagator}
+BLOCKS = {"product_formula": single_eo(_product_formula_block),
+          "dense_midpoint_oracle": single_eo(_dense_block)}
 
 
 def chained_reference(eo, delta, block):

@@ -8,7 +8,8 @@ import pytest
 import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
                    build_qa, canned_names, canned_spec, emit_table,
-                   program_unitaries, round2, run_experiment, verify_suite)
+                   perturb_duration_study, program_unitaries, round2,
+                   run_experiment, verify_suite)
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import CHECKS, _qa_row_label
 
@@ -125,6 +126,8 @@ def test_spec_validation():
                        ({"items": [1.5]}, "items entries"),
                        ({"tau_offsets": ["ab"]}, "tau_offsets entries"),
                        ({"tau_offsets": [float("nan")]}, "tau_offsets entries"),
+                       ({"tau_offsets": [0.1, 0.1000004]},
+                        "share the column label \\+0.1:"),
                        ({"final_rotation_style": "bogus"}, "final_rotation_style")]:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentSpec.from_dict(bad)
@@ -314,6 +317,17 @@ def test_perturbation_zero_offset_matches_base():
     assert pert.cell(row, "+0") == pytest.approx(base.cell(row, 8), abs=1e-12)
 
 
+@pytest.mark.parametrize("offsets, match", [
+    ([], "tau_offsets must be non-empty"),
+    ([float("nan")], "tau_offsets entries must be finite numbers, got nan"),
+    ([0.1, 0.1000004], "share the column label"),
+], ids=["empty", "nan", "shared_label"])
+def test_perturbation_study_checks_its_offsets(offsets, match):
+    """Offsets passed straight to the study get the spec's checks."""
+    with pytest.raises(ConfigurationError, match=match):
+        perturb_duration_study(ExperimentSpec(k_list=(1,)), offsets)
+
+
 def test_perturbation_keeps_every_k():
     # one block of offset columns per k; none is dropped
     spec = ExperimentSpec.from_dict({"k_list": [1, 2], "tau_offsets": [0.0]})
@@ -356,10 +370,10 @@ def test_cli_bad_tau_offset_is_bad_input(capsys):
 
 
 def test_cli_run_with_config(tmp_path, capsys):
-    cfg = {"kind": "qa", "style": "rotating_sf", "cnot_variant": 1,
-           "inputs": ["00"], "k_list": [1], "title": "cli smoke"}
+    spec = {"kind": "qa", "style": "rotating_sf", "cnot_variant": 1,
+            "inputs": ["00"], "k_list": [1], "title": "cli smoke"}
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(spec))
     out_file = tmp_path / "result.csv"
     rc = main(["run", str(path), "--format", "csv", "--out", str(out_file)])
     assert rc == 0
@@ -423,6 +437,8 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
     ["tables", "table5", "--delta", "5"],
     ["tables", "table5", "--tau-offset", "1e308"],
+    ["tables", "table10", "--tau-offset", "0.1", "--tau-offset", "0.1000004",
+     "--format", "csv"],
     ["design", "1", "pi/0", "x", "rotating", "1"],
     ["design", "1", "pi/.", "x", "rotating", "1"],
     ["design", "1", "1.2.3pi", "x", "rotating", "1"],

@@ -3,21 +3,19 @@ import pytest
 
 import nmrqc.integrator
 
-from nmrqc import (EXACT_DIAGONAL, PRODUCT_FORMULA, ConfigurationError,
-                   EOParams, IntegratorConfig, MethodError,
-                   NumericalIntegrityError, convergence_report, eo_propagator,
-                   evolve, evolve_reference, ideal_eo_params, ideal_gate,
+from nmrqc import (ConfigurationError, EOParams, convergence_report,
+                   eo_propagator, ideal_eo_params, ideal_gate, oracle_propagator,
                    prepare_basis_state, prepare_singlet, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.integrator import (_CACHE_SIZE, DENSE_MIDPOINT_ORACLE, _Drives,
-                              _cached_propagator, _fold, _product_formula_block,
-                              _step_schedule, _stepped_propagator,
+from nmrqc.harness import canned_spec, run_experiment, verify_suite
+from nmrqc.integrator import (_CACHE_SIZE, _Drives, _cached_propagator, _fold,
+                              _product_formula_block, _step_schedule,
+                              _stepped_propagator, check_delta,
                               clear_propagator_cache, integrate)
 from nmrqc.programs import EOStep, Program, program_unitaries
 from nmrqc.operators import TWO_PI, state_phase_distance
-from nmrqc.states import StateVector
 
-from conftest import BLOCKS, chained_reference
+from conftest import BLOCKS, PROPAGATORS, chained_reference
 
 J = -0.43e-6
 
@@ -28,6 +26,12 @@ def pulse_eo(name="Y1", k=1, mode="rotating"):
     _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
                          direction=direction, label=name)
     return eo
+
+
+def _alone(eo):
+    """The EO's product-formula propagator, integrated in a stack of one."""
+    return _stepped_propagator(_Drives((eo,), _fold(eo, eo.delta)), eo.delta,
+                               _product_formula_block)[0]
 
 
 def test_step_schedule_exact_and_remainder():
@@ -43,21 +47,22 @@ def test_exact_diagonal_phase_on_basis_state():
     # the long phase evolution leaves |10> in place with phase
     # exp(-i tau E(10)), E(10) = J/4 + h1z/2 - h2z/2
     eo = ideal_eo_params("Ip")
-    cfg = IntegratorConfig(delta=1.0, method=EXACT_DIAGONAL)
-    out = evolve(prepare_basis_state(2, [1, 0]), eo, cfg)
-    assert abs(abs(out.amplitudes[1]) - 1.0) < 1e-12
+    state = prepare_basis_state(2, [1, 0]).amplitudes
+    out = eo_propagator(eo) @ state
+    assert abs(abs(out[1]) - 1.0) < 1e-12
     tau = TWO_PI * eo.tau
     expected = np.exp(-1j * tau * (J / 4 + 0.5 - 0.125))
-    assert abs(out.amplitudes[1] - expected) < 1e-7
+    assert abs(out[1] - expected) < 1e-7
     # independent check through the dense oracle, single step (constant H)
-    ref = evolve_reference(prepare_basis_state(2, [1, 0]), eo, eo.tau)
-    assert abs(out.amplitudes[1] - ref.amplitudes[1]) < 1e-8
+    ref = oracle_propagator(eo.replace(delta=eo.tau)) @ state
+    assert abs(out[1] - ref[1]) < 1e-8
 
 
 def test_single_step_z_precession_phases():
-    # tau = delta, only h1z: phases exp(+-i tau/2) on the spin-1 sectors
+    # one product-formula step, only h1z: phases exp(+-i tau/2) on the
+    # spin-1 sectors
     eo = EOParams(tau=0.03, h1z=1.0, delta=0.03)
-    out = eo_propagator(eo, IntegratorConfig(delta=0.03, method=PRODUCT_FORMULA))
+    out = _alone(eo)
     tau = TWO_PI * 0.03
     want = np.diag(np.exp(-1j * tau * np.array([-0.5, 0.5, -0.5, 0.5])))
     assert np.max(np.abs(out - want)) < 1e-12
@@ -69,11 +74,11 @@ def test_rotating_pulse_matches_exact_rotation():
     # as delta^2 towards the exact rotating-frame solution
     eo = pulse_eo("Y1")
     y1 = ideal_gate("Y1").matrix
-    state = prepare_basis_state(2, [0, 0])
-    out = evolve(state, eo)
-    assert state_phase_distance(out.amplitudes, y1 @ state.amplitudes) < 1e-3
-    fine = evolve(state, eo, IntegratorConfig(delta=0.001, method=PRODUCT_FORMULA))
-    assert state_phase_distance(fine.amplitudes, y1 @ state.amplitudes) < 2e-5
+    state = prepare_basis_state(2, [0, 0]).amplitudes
+    out = eo_propagator(eo) @ state
+    assert state_phase_distance(out, y1 @ state) < 1e-3
+    fine = eo_propagator(eo.replace(delta=0.001)) @ state
+    assert state_phase_distance(fine, y1 @ state) < 2e-5
 
 
 def test_ideal_eo_matches_gate_matrix():
@@ -84,11 +89,10 @@ def test_ideal_eo_matches_gate_matrix():
     for name in names:
         eo = ideal_eo_params(name)
         gate = ideal_gate(name).matrix
+        u = oracle_propagator(eo.replace(delta=eo.tau))
         for bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
-            state = prepare_basis_state(2, bits)
-            out = evolve_reference(state, eo, eo.tau)
-            assert state_phase_distance(out.amplitudes,
-                                        gate @ state.amplitudes) < 1e-6, name
+            state = prepare_basis_state(2, bits).amplitudes
+            assert state_phase_distance(u @ state, gate @ state) < 1e-6, name
 
 
 def test_zero_duration_is_identity():
@@ -98,36 +102,21 @@ def test_zero_duration_is_identity():
 
 def test_unitarity_of_every_method():
     eo = pulse_eo("X2p")
-    for cfg in (None, IntegratorConfig(0.01, PRODUCT_FORMULA),
-                IntegratorConfig(0.05, "dense_midpoint_oracle")):
-        u = eo_propagator(eo, cfg)
+    for u in (eo_propagator(eo), eo_propagator(eo.replace(delta=0.05)),
+              oracle_propagator(eo.replace(delta=0.05)),
+              eo_propagator(ideal_eo_params("Ip"))):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
-
-
-def test_exact_diagonal_requires_diagonal():
-    with pytest.raises(MethodError):
-        eo_propagator(pulse_eo("Y1"), IntegratorConfig(1.0, EXACT_DIAGONAL))
-
-
-def test_evolve_rejects_unnormalized_state():
-    eo = ideal_eo_params("Ip")
-    bad = StateVector.__new__(StateVector)
-    object.__setattr__(bad, "amplitudes", np.array([0.5, 0, 0, 0], complex))
-    with pytest.raises(NumericalIntegrityError):
-        evolve(bad, eo)
 
 
 def test_product_formula_equals_exact_on_diagonal():
     eo = EOParams(tau=137.0, j=J, h1z=1.0, h2z=0.25, delta=0.01)
-    u_pf = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA))
-    u_ex = eo_propagator(eo, IntegratorConfig(1.0, EXACT_DIAGONAL))
-    assert np.max(np.abs(u_pf - u_ex)) < 1e-10
+    assert np.max(np.abs(_alone(eo) - eo_propagator(eo))) < 1e-10
 
 
 def test_second_order_convergence_ratio():
     eo = pulse_eo("Y1")
-    ref = eo_propagator(eo, IntegratorConfig(0.001, "dense_midpoint_oracle"))
-    dev = {d: np.max(np.abs(eo_propagator(eo, IntegratorConfig(d, PRODUCT_FORMULA)) - ref))
+    ref = oracle_propagator(eo.replace(delta=0.001))
+    dev = {d: np.max(np.abs(eo_propagator(eo.replace(delta=d)) - ref))
            for d in (0.04, 0.02)}
     ratio = dev[0.04] / dev[0.02]
     assert 3.5 < ratio < 4.5
@@ -144,19 +133,19 @@ def test_composition_over_whole_drive_periods():
         assert np.max(np.abs(u_half @ u_half - eo_propagator(eo))) < 1e-10, mode
 
     diag = EOParams(tau=50.0, j=J, h1z=1.0, h2z=0.25)
-    u_full = eo_propagator(diag, IntegratorConfig(1.0, EXACT_DIAGONAL))
-    u_half = eo_propagator(diag.replace(tau=25.0), IntegratorConfig(1.0, EXACT_DIAGONAL))
+    u_full = eo_propagator(diag)
+    u_half = eo_propagator(diag.replace(tau=25.0))
     assert np.max(np.abs(u_half @ u_half - u_full)) < 1e-10
 
 
 def test_remainder_step_keeps_full_power():
     # duration not a multiple of the step: the tail must not be dropped
     eo = pulse_eo("Y1").replace(tau=8.0037)
-    ref = eo_propagator(eo, IntegratorConfig(0.0001, "dense_midpoint_oracle"))
-    u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA))
+    ref = oracle_propagator(eo.replace(delta=0.0001))
+    u = eo_propagator(eo)
     assert np.max(np.abs(u - ref)) < 1e-3
     # explicitly different from evolving only the 800 whole steps
-    u_trunc = eo_propagator(eo.replace(tau=8.0), IntegratorConfig(0.01, PRODUCT_FORMULA))
+    u_trunc = eo_propagator(eo.replace(tau=8.0))
     assert np.max(np.abs(u - u_trunc)) > 1e-3
 
 
@@ -176,28 +165,27 @@ def test_convergence_report_flags_and_ratio():
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
 
 
-@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("method", list(BLOCKS))
 @pytest.mark.parametrize("mode", ["rotating", "static_axis"])
 @pytest.mark.parametrize("name", ["Y1", "X2"])
 def test_period_folded_equals_stepped(name, mode, method):
     # both offsets leave a partial period; 0.1037 adds a sub-step remainder
-    base = pulse_eo(name, mode=mode)
-    cfg = IntegratorConfig(0.01, method)
+    base = pulse_eo(name, mode=mode).replace(delta=0.01)
     for offset in (-0.1, 0.1037):
         eo = base.replace(tau=base.tau + offset)
-        u = eo_propagator(eo, cfg)
+        u = PROPAGATORS[method](eo)
         ref = chained_reference(eo, 0.01, BLOCKS[method])
         assert np.max(np.abs(u - ref)) < 1e-11, offset
 
 
-@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("method", list(BLOCKS))
 def test_unfoldable_schedules_step_every_substep(method):
     y2 = pulse_eo("Y2", mode="static_axis")
     constant = EOParams(tau=3.0037, j=J, h1x=0.02, h2y=0.005, h1z=1.0,
                         h2z=0.25)
     # period 133.3 steps; period shorter than one step; no drive at all
     for eo, delta in ((y2, 0.03), (y2, 5.0), (constant, 0.01)):
-        u = eo_propagator(eo, IntegratorConfig(delta, method))
+        u = PROPAGATORS[method](eo.replace(delta=delta))
         ref = chained_reference(eo, delta, BLOCKS[method])
         assert np.max(np.abs(u - ref)) < 1e-11, (eo.label, delta)
 
@@ -236,7 +224,7 @@ _FULL_PERIOD_FALLBACKS = {  # -> (eo, delta); the base drives x only
 }
 
 
-@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("method", list(BLOCKS))
 @pytest.mark.parametrize("case", sorted(_FULL_PERIOD_FALLBACKS))
 def test_quarter_fold_fallbacks_build_a_full_period(case, method):
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
@@ -244,7 +232,7 @@ def test_quarter_fold_fallbacks_build_a_full_period(case, method):
     assert not eo.is_rotating
     period = round(1.0 / (eo.omega * delta))
     assert _counted_blocks(eo, delta)[0][0] == period
-    u = eo_propagator(eo, IntegratorConfig(delta, method))
+    u = PROPAGATORS[method](eo.replace(delta=delta))
     ref = chained_reference(eo, delta, BLOCKS[method])
     assert np.max(np.abs(u - ref)) < 1e-11
 
@@ -259,7 +247,7 @@ def test_long_periods_are_built_in_chunks(case, monkeypatch):
     sizes, u = _counted_blocks(eo, 0.01)     # quarter 100, period 400
     built = [16] * 6 + [4] if case == "quarter" else [16] * 25
     assert sizes == built + [10, 1]           # then the tail and the remainder
-    ref = chained_reference(eo, 0.01, BLOCKS[PRODUCT_FORMULA])
+    ref = chained_reference(eo, 0.01, BLOCKS["product_formula"])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 
@@ -277,7 +265,7 @@ def _frame(eo, theta):
     return np.diag(np.exp(1j * eo.omega * theta * np.array([1.0, 0.0, 0.0, -1.0])))
 
 
-@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("method", list(BLOCKS))
 @pytest.mark.parametrize("name", ["X1", "Y2b", "X2p"])
 def test_rotating_block_is_a_z_conjugate(name, method):
     eo = pulse_eo(name, k=2)
@@ -294,7 +282,7 @@ def test_rotating_block_is_a_z_conjugate(name, method):
     assert np.max(np.abs(block(eo, np.array([4.7]), dt) - wrong)) > 1e-5
 
 
-@pytest.mark.parametrize("method", [PRODUCT_FORMULA, DENSE_MIDPOINT_ORACLE])
+@pytest.mark.parametrize("method", list(BLOCKS))
 @pytest.mark.parametrize("name", ["Y1", "X2"])  # static: x drive, y drive
 def test_static_block_half_period_and_time_reversal(name, method):
     eo = pulse_eo(name, k=2, mode="static_axis")
@@ -327,25 +315,20 @@ _NEAR_MISSES = {
 def test_near_rotating_pulses_fall_back(miss):
     eo = _NEAR_MISSES[miss](pulse_eo("X2")).replace(tau=128.1037)
     assert pulse_eo("X2").is_rotating and not eo.is_rotating
-    u = eo_propagator(eo, IntegratorConfig(0.01, PRODUCT_FORMULA))
-    ref = chained_reference(eo, 0.01, BLOCKS[PRODUCT_FORMULA])
+    u = eo_propagator(eo)
+    ref = chained_reference(eo, 0.01, BLOCKS["product_formula"])
     assert np.max(np.abs(u - ref)) < 1e-11
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_delta_rejected(bad):
-    with pytest.raises(ConfigurationError):
-        IntegratorConfig(delta=bad)
+    with pytest.raises(ConfigurationError, match="delta must be positive"):
+        check_delta(bad)
     for eo in (pulse_eo(), ideal_eo_params("Ip")):
         for _ in range(2):  # a lookup that raised left nothing in the cache
-            with pytest.raises(ConfigurationError, match="delta"):
-                eo_propagator(eo.replace(delta=bad))
-
-
-def _alone(eo, delta=None, block=_product_formula_block):
-    """The EO's propagator integrated in a stack of one."""
-    delta = eo.delta if delta is None else delta
-    return _stepped_propagator(_Drives((eo,), _fold(eo, delta)), delta, block)[0]
+            for propagator in (eo_propagator, oracle_propagator):
+                with pytest.raises(ConfigurationError, match="delta"):
+                    propagator(eo.replace(delta=bad))
 
 
 def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
@@ -372,52 +355,69 @@ def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
     assert len(kernel_calls) == 3 and info().misses == 7
 
 
-_STACK_FALLBACKS = {  # -> (eo, delta, method, joins the partners); base drives x
-    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01, PRODUCT_FORMULA, False),
-    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01,
-                                     PRODUCT_FORMULA, False),
+_STACK_FALLBACKS = {  # -> (eo, delta); the base drives x
+    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01),
+    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01),
     "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
-                             0.01, PRODUCT_FORMULA, False),
+                             0.01),
     "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
-        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02,
-        PRODUCT_FORMULA, False),
-    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01,
-                                     PRODUCT_FORMULA, False),
-    "incommensurate": lambda eo: (eo, 0.03, PRODUCT_FORMULA, False),
-    "dense_oracle": lambda eo: (eo, 0.01, DENSE_MIDPOINT_ORACLE, True),
+        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02),
+    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01),
+    "incommensurate": lambda eo: (eo, 0.03),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_STACK_FALLBACKS))
 def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
-    """A static key that does not fold by quarter periods, or is not a
-    product-formula key, is integrated alone, even next to pulses of its
-    drive frequency that stack; its product-formula key at its own step
-    joins them if it folds."""
+    """A static EO that does not fold by quarter periods is integrated
+    alone, even next to pulses of its drive frequency that stack."""
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
-    eo, delta, method, joins = _STACK_FALLBACKS[case](base)
+    eo, delta = _STACK_FALLBACKS[case](base)
     eo = eo.replace(delta=delta)
-    cfg = IntegratorConfig(delta, method)
     partners = [pulse_eo(name, k=k, mode="static_axis")
                 for name, k in (("X2", 1), ("Y2b", 2))]
     clear_propagator_cache()
-    integrate([eo] + [p.replace(delta=delta) for p in partners], cfg)
-    fold = _fold(eo, delta)
-    assert fold == ("quarter" if method == DENSE_MIDPOINT_ORACLE else None)
-    assert kernel_calls[0] == (fold, 1)
+    integrate([eo] + [p.replace(delta=delta) for p in partners])
+    assert _fold(eo, delta) is None
+    assert kernel_calls[0] == (None, 1)
     assert sum(n for _, n in kernel_calls) == 1 + len(partners)
-    if method == DENSE_MIDPOINT_ORACLE:       # no dense-oracle key stacks
-        assert kernel_calls == [(fold, 1)] * (1 + len(partners))
     n_calls = len(kernel_calls)
-    u = eo_propagator(eo, cfg)
+    u = eo_propagator(eo)
     assert len(kernel_calls) == n_calls       # stored, not integrated again
-    ref = chained_reference(eo, delta, BLOCKS[method])
+    ref = chained_reference(eo, delta, BLOCKS["product_formula"])
     assert np.max(np.abs(u - ref)) < 1e-11
     del kernel_calls[:]
     clear_propagator_cache()
-    integrate(partners + [eo])   # at their own step, by the product formula
-    assert kernel_calls == ([("quarter", len(partners) + joins)]
-                            + [(None, 1)] * (not joins))
+    integrate(partners + [eo])   # the partners at their own step
+    assert kernel_calls == [("quarter", len(partners)), (None, 1)]
+
+
+def test_oracle_propagator_stores_nothing(kernel_calls):
+    """The reference is integrated alone on every call and leaves the
+    store, and its statistics, as they were."""
+    eo = pulse_eo("Y2", mode="static_axis")
+    clear_propagator_cache()
+    eo_propagator(pulse_eo("X1"))
+    info = _cached_propagator.cache_info
+    before = (len(_cached_propagator), vars(info()))
+    for _ in range(2):
+        u = oracle_propagator(eo)
+        assert (len(_cached_propagator), vars(info())) == before
+    assert kernel_calls == [("rotating", 1)] + [("quarter", 1)] * 2
+    assert eo not in _cached_propagator
+    ref = chained_reference(eo, eo.delta, BLOCKS["dense_midpoint_oracle"])
+    assert np.max(np.abs(u - ref)) < 1e-11
+
+
+def test_store_is_keyed_by_the_eo_alone():
+    """Every propagator the checks and a table store is keyed by its EO,
+    at whatever step size the EO carries."""
+    clear_propagator_cache()
+    verify_suite(include_tables=False)
+    run_experiment(canned_spec("table8"))
+    keys = list(_cached_propagator)
+    assert keys and all(type(key) is EOParams for key in keys)
+    assert {key.delta for key in keys} >= {0.01, 0.02, 0.04}
 
 
 def test_stacked_propagators_are_kept_until_cleared(kernel_calls):

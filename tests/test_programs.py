@@ -290,6 +290,21 @@ def test_duration_offset_copies_each_distinct_step_once():
         [s for s in p.steps if s.label != "Ip"]
 
 
+def test_shifted_steps_are_memoized_across_rebuilds():
+    """A program rebuilt and shifted again gets the same shifted step
+    objects, and the same unitary as a fresh shift."""
+    shifted = [with_duration_offset(build_qa("QA1", "00", 1, "rotating_sf", k=1),
+                                    "Ip", 0.1) for _ in range(2)]
+    first, again = ([s for s in q.steps if s.label == "Ip"][0] for q in shifted)
+    assert first is again
+    p = build_qa("QA1", "00", 1, "rotating_sf", k=1)
+    fresh = Program("fresh", tuple(
+        EOStep(s.eo.replace(tau=s.eo.tau + 0.1)) if s.label == "Ip" else s
+        for s in p.steps))
+    assert first.eo == [s for s in fresh.steps if s.label == "Ip"][0].eo
+    assert np.array_equal(program_unitary(shifted[1]), program_unitary(fresh))
+
+
 def test_negative_diagonal_duration_is_rejected():
     p = parse_program_text("diagonal -3")
     for _ in range(2):  # nothing is cached for a bad key

@@ -8,17 +8,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ExperimentSpec, IntegratorConfig, MachineConfig, design_pulse,
-                   eo_propagator, run_experiment)
+from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
+                   run_experiment)
 import nmrqc.integrator
+from nmrqc.harness import _offset_label
 from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
                               _stepped_propagator, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES, EOStep, Program, program_unitaries
 
-from conftest import BLOCKS, chained_reference, per_row_reference
+from conftest import BLOCKS, PROPAGATORS, chained_reference, per_row_reference
 
-_offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4)
+# offsets whose column labels differ, as ExperimentSpec requires
+_offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4,
+                    unique_by=_offset_label)
 
 specs = st.builds(
     ExperimentSpec,
@@ -89,7 +92,7 @@ def test_quarter_folded_static_pulse_equals_stepped(spin, axis, direction, k,
     _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
                          direction=direction)
     eo = eo.replace(tau=eo.tau + offset)
-    u = eo_propagator(eo, IntegratorConfig(eo.delta, method))
+    u = PROPAGATORS[method](eo)
     ref = chained_reference(eo, eo.delta, BLOCKS[method])
     assert np.max(np.abs(u - ref)) < 1e-11
 
