@@ -7,8 +7,8 @@ test returns a definite answer.
 """
 import numpy as np
 
-from nmrqc import (build_cnot, build_qa, compose, ideal_gate, prepare_input,
-                   program_unitary, qubit_values, run_program)
+from nmrqc import (build_cnot, build_qa, compose, ideal_gate, input_amplitudes,
+                   program_unitary, readout, run_program)
 
 np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
@@ -19,12 +19,10 @@ print("\nY2b I Y2 composes to the controlled-NOT (times a global phase):")
 print(compose(["Y2b", "I", "Y2"]))
 
 print("\ntruth table of the composed gate:")
-for bits in ("00", "10", "01", "11"):
-    state = prepare_input(bits)
-    out = np.abs(ideal_gate("CNOT").matrix @ state.amplitudes) ** 2
-    result = "".join(str(b) for b in
-                     [int(out[1] + out[3] > 0.5), int(out[2] + out[3] > 0.5)])
-    print(f"  |{bits}> -> |{result}>")
+inputs = ("00", "10", "01", "11")
+outputs = input_amplitudes(inputs) @ ideal_gate("CNOT").matrix.T  # one row per input
+for bits, (a, b) in zip(inputs, readout(outputs)):
+    print(f"  |{bits}> -> |{int(a > 0.5)}{int(b > 0.5)}>")
 
 print("\nthe three hardware decompositions agree on idealized hardware:")
 for variant in (1, 2, 3):
@@ -34,5 +32,5 @@ for variant in (1, 2, 3):
 
 print("\nfive CNOTs on the singlet, then a pi/2 readout rotation of spin 1:")
 out = run_program(build_qa("QA2", "singlet", style="ideal"))
-a, b = qubit_values(out)
+[(a, b)] = readout(out[None])
 print(f"  qubit expectations (a, b) = ({a:.4f}, {b:.4f})  [ideal answer (1, 1)]")

@@ -7,7 +7,7 @@ each pulse perturbs the spectator spin and leaves state-dependent
 phases, and those residues do not commute.  Basis-state inputs barely
 notice; the entangled singlet input exposes the difference dramatically.
 """
-from nmrqc import build_qa, qubit_values, round2, run_program
+from nmrqc import build_qa, readout, round2, run_program
 
 S_VALUES = (8, 16, 32, 64, 256)
 K_OF_S = {8: 1, 16: 2, 32: 4, 64: 8, 256: 32}
@@ -19,7 +19,7 @@ def row(variant, input_spec):
         which, inp = ("QA2", "singlet") if input_spec == "singlet" else ("QA1", input_spec)
         p = build_qa(which, inp, cnot_variant=variant, style="rotating_sf",
                      k=K_OF_S[s])
-        a, b = qubit_values(run_program(p))
+        [(a, b)] = readout(run_program(p)[None])
         cells.append(f"({round2(a):.2f},{round2(b):.2f})")
     return " ".join(f"{c:>12s}" for c in cells)
 

@@ -10,7 +10,7 @@ reference is ``oracle_propagator``, which is never stored.
 import numpy as np
 
 from nmrqc import (build_qa, convergence_report, design_pulse, eo_propagator,
-                   oracle_propagator, prepare_input)
+                   oracle_propagator)
 from nmrqc.gates import gate_rotation
 from nmrqc.operators import TWO_PI, max_unitarity_defect
 
@@ -31,6 +31,5 @@ for delta in (0.08, 0.04, 0.02, 0.01):
 print("\nstep-size independence of a full program (five CNOTs + readout")
 print("on the singlet, shortest pulses):")
 qa2 = build_qa("QA2", "singlet", style="rotating_sf", k=1)
-report = convergence_report(list(qa2.eos), prepare_input("singlet"),
-                            deltas=[0.1, 0.01, 0.001])
+report = convergence_report(list(qa2.eos), "singlet", deltas=[0.1, 0.01, 0.001])
 print(report)

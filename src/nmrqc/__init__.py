@@ -13,8 +13,6 @@ from .errors import (ConfigurationError, MachineValidationError,
                      NumericalIntegrityError)
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig,
                           hamiltonian_at, machine_violations, validate_machine)
-from .states import (QubitExpectation, StateVector, expectation_qubit,
-                     prepare_basis_state, prepare_singlet, qubit_values)
 from .integrator import eo_propagator, oracle_propagator
 from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,
                     coupling_pi_duration, derive_primed_angles, ideal_eo_params,
@@ -26,8 +24,8 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, EOStep,
                        GateImplStyle, MatrixStep, Program, build_cnot,
                        build_grover, build_qa, convergence_report,
-                       grover_sequence, parse_program_text, prepare_input,
-                       program_unitaries, program_unitary, run_inputs,
+                       grover_sequence, input_amplitudes, parse_program_text,
+                       program_unitaries, program_unitary, readout, run_inputs,
                        run_program, with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
                       emit_table, perturb_duration_study, round2, run_experiment,

@@ -63,8 +63,11 @@ def _run_spec(spec: ExperimentSpec, args) -> int:
 
 
 def _cmd_run(args) -> int:
-    return _run_spec(ExperimentSpec.from_json(
-        Path(args.config).read_text(encoding="utf-8")), args)
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"spec file is not UTF-8: {exc}") from exc
+    return _run_spec(ExperimentSpec.from_json(text), args)
 
 
 def _cmd_tables(args) -> int:
@@ -115,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.
+    """The command-line parser, built once per process, when this module loads.
 
     Parsing leaves it unchanged: each call gets a fresh namespace.
     """
@@ -171,6 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
     return p
+
+
+build_parser()  # so that no command pays for the build, the first one included
 
 
 def main(argv=None) -> int:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, diagonal_energies
-from .operators import TWO_PI, embed, rotation
-from .states import frozen_unitary
+from .operators import TWO_PI, embed, frozen_unitary, rotation
 
 _BASE_ROTATIONS = {
     # name -> (spin, axis, direction, turns); angle = 2*pi*turns, and

@@ -17,8 +17,9 @@ walk (``programs.program_unitaries``) then gives every program's
 unitary, looking each distinct propagator up once; on a cold table it
 integrates every rotating pulse of the table in one stack, and every
 static single-axis pulse of each drive frequency in stacks capped in
-size.  One batched readout applies each unitary (and each memoized
-ideal unitary) to the inputs of its rows.
+size.  One batched product applies each unitary (and another each
+memoized ideal unitary) to the input rows of its table rows, and one
+readout of each gives the cells (and the ideal values).
 
 Verification is one list, CHECKS, of named checks: the ideal baseline,
 the integrator's numerical properties, coupling off during pulses, one
@@ -46,11 +47,10 @@ from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, EOStep, build_cnot, build_grover,
                        build_qa, convergence_report, input_amplitudes,
-                       prepare_input, program_unitaries, readout, run_program,
+                       program_unitaries, readout, run_inputs, run_program,
                        with_duration_offset)
 from .pulses import (ROTATING, STATIC_AXIS, RationalGamma, commensurability_margin,
                      design_pulse, hypothetical_durations)
-from .states import qubit_values
 
 QA_INPUTS = ("00", "10", "01", "11", "singlet")
 
@@ -98,7 +98,7 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), str):
                 raise ConfigurationError(f"{name} must be a string, got "
                                          f"{type(getattr(self, name)).__name__}")
-        for name, (ok, what) in _ENTRIES.items():
+        for name, (ok, what, axis, label) in _ENTRIES.items():
             value = getattr(self, name)
             if name == "tau_offsets" and value is None:
                 continue
@@ -110,6 +110,12 @@ class ExperimentSpec:
             for v in value:
                 if not ok(v):
                     raise ConfigurationError(f"{name} entries must be {what}, got {v!r}")
+            labels = [label(v) for v in value]
+            shared = sorted({c for c in labels if labels.count(c) > 1})
+            if shared:
+                raise ConfigurationError(
+                    f"{name} share the {axis} label {', '.join(shared)}: "
+                    "each entry needs a label of its own")
         check_delta(self.delta)
         fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
         if self.delta * fastest > MAX_DELTA_TIMES_DRIVE:
@@ -121,14 +127,8 @@ class ExperimentSpec:
         object.__setattr__(self, "items", tuple(int(i) for i in self.items))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
         if self.tau_offsets is not None:
-            offsets = tuple(float(o) for o in self.tau_offsets)
-            labels = [_offset_label(o) for o in offsets]
-            shared = sorted({c for c in labels if labels.count(c) > 1})
-            if shared:
-                raise ConfigurationError(
-                    f"tau_offsets share the column label {', '.join(shared)}: "
-                    "each offset needs a label of its own")
-            object.__setattr__(self, "tau_offsets", offsets)
+            object.__setattr__(self, "tau_offsets",
+                               tuple(float(o) for o in self.tau_offsets))
 
     def to_dict(self) -> dict:
         d = {
@@ -158,6 +158,8 @@ class ExperimentSpec:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigurationError("spec is nested too deeply to parse") from exc
         return cls.from_dict(d)
 
 
@@ -170,12 +172,17 @@ def _is_whole(x) -> bool:
     return is_finite_number(x) and float(x).is_integer()
 
 
-# List fields of ExperimentSpec: (test of an entry, what an entry must be).
+# List fields of ExperimentSpec: (test of an entry, what an entry must be,
+# whether an entry labels a table row or a column, the label it prints
+# as).  No two entries of a field may print as one label.
 _ENTRIES = {
-    "inputs": (INPUT_SPECS.__contains__, f"one of {INPUT_SPECS}"),
-    "items": (lambda i: _is_whole(i) and 0 <= i <= 3, "whole numbers 0..3"),
-    "k_list": (lambda k: _is_whole(k) and k >= 1, "whole numbers >= 1"),
-    "tau_offsets": (is_finite_number, "finite numbers"),
+    "inputs": (INPUT_SPECS.__contains__, f"one of {INPUT_SPECS}", "row", str),
+    "items": (lambda i: _is_whole(i) and 0 <= i <= 3, "whole numbers 0..3",
+              "row", lambda i: str(int(i))),
+    "k_list": (lambda k: _is_whole(k) and k >= 1, "whole numbers >= 1",
+               "column", lambda k: str(8 * int(k))),
+    "tau_offsets": (is_finite_number, "finite numbers", "column",
+                    lambda o: _offset_label(float(o))),
 }
 
 
@@ -280,8 +287,9 @@ def _record(table: ResultTable, labels: dict, runs) -> None:
     """Run every (column, row keys, inputs, program) of a table in one walk.
 
     program_unitaries gives every program's unitary at once; one batched
-    readout applies each to the inputs of its rows, and another gives
-    each row's ideal value from the programs' ideal unitaries.
+    product applies each to the inputs of its rows, and another each
+    program's ideal unitary, and one readout of each gives the cells and
+    the rows' ideal values.
     """
     programs = [program for *_, program in runs]
     us = program_unitaries(programs)
@@ -291,10 +299,10 @@ def _record(table: ResultTable, labels: dict, runs) -> None:
             which.append(p)
             specs.append(spec)
             cells.append((labels[key], col))
-    states = input_amplitudes(specs)
+    states = input_amplitudes(specs)[..., None]
     ideals = np.array([p.ideal_unitary for p in programs])
-    for cell, ab, ideal in zip(cells, readout(us[which], states),
-                               readout(ideals[which], states)):
+    for cell, ab, ideal in zip(cells, readout((us[which] @ states)[..., 0]),
+                               readout((ideals[which] @ states)[..., 0])):
         table.cells[cell] = ab
         table.ideal.setdefault(cell[0], ideal)
 
@@ -530,7 +538,7 @@ def _ideal_baseline(notes):
         cases.append((build_qa("QA2", "singlet", cnot_variant=v, style=IDEAL),
                       (1.0, 1.0)))
     worst = max(abs(g - w) for program, want in cases
-                for g, w in zip(qubit_values(run_program(program)), want))
+                for g, w in zip(run_inputs(program, [program.input_spec])[0], want))
     return worst < 1e-4, f"CNOT, QA1, QA2, search: worst deviation {worst:.2e}"
 
 
@@ -556,14 +564,14 @@ def _norm_preservation(notes):
     """The longest program (QA2 at s=256, Ip detuned by -0.2) stays normalized."""
     longest = with_duration_offset(
         build_qa("QA2", "singlet", style=ROTATING_SF, k=32), "Ip", -0.2)
-    dev = abs(run_program(longest).norm() - 1.0)
+    dev = abs(float(np.linalg.norm(run_program(longest))) - 1.0)
     return dev < 1e-10, f"perturbed QA2 s=256: norm deviation {dev:.1e}"
 
 
 def _step_size_independence(notes):
     """Two-digit results of QA2 at s=8 match at delta 0.01 and 0.001."""
     qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
-    conv = convergence_report(qa2.eos, prepare_input("singlet"), deltas=[0.01, 0.001])
+    conv = convergence_report(qa2.eos, "singlet", deltas=[0.01, 0.001])
     verdict = "agree" if conv.two_digit_flag is False else "differ"
     return verdict == "agree", f"QA2 s=8, delta 0.01/0.001: two digits {verdict}"
 
@@ -573,7 +581,7 @@ def _coupling_off_during_pulses(notes):
     qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
     stripped = replace(qa2, steps=tuple(
         s if s.eo.is_diagonal else EOStep(s.eo.replace(j=0.0)) for s in qa2.steps))
-    base, got = (tuple(round2(v) for v in qubit_values(run_program(p)))
+    base, got = (tuple(round2(v) for v in run_inputs(p, ["singlet"])[0])
                  for p in (qa2, stripped))
     return base == got, f"QA2 s=8 with J: {base}, without: {got}"
 

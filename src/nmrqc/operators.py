@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalIntegrityError
+
 TWO_PI = 2.0 * np.pi
+UNITARITY_TOL = 1e-10
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,15 +73,20 @@ def exp_i_dot_s(cx: float, cy: float, cz: float) -> np.ndarray:
     return np.cos(rho / 2.0) * IDENTITY_2 + 1j * np.sin(rho / 2.0) * sig
 
 
-def bit_of_index(index: int, qubit: int) -> int:
-    """Bit value of the given qubit (1-based) in a basis-state index."""
-    return (index >> (qubit - 1)) & 1
-
-
 def max_unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - 1| over matrix elements."""
     d = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.max(np.abs(d)))
+
+
+def frozen_unitary(m) -> np.ndarray:
+    """Read-only complex copy of m, which must be unitary to UNITARITY_TOL."""
+    u = np.array(m, dtype=complex)
+    defect = max_unitarity_defect(u)
+    if defect > UNITARITY_TOL:
+        raise NumericalIntegrityError(f"matrix is not unitary (defect {defect:.3e})")
+    u.setflags(write=False)
+    return u
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -16,16 +16,18 @@ program_unitaries is the one walk over program steps, and it walks a
 whole stack of programs at once: it has the integrator integrate their
 distinct EOs (``integrator.integrate``), so that the cold ones are
 integrated in stacks, looks each one up once, and folds the products
-with one batched 4x4 product per step position.  readout applies a
-stack of unitaries to a stack of input states and reads the qubit
-values of every row in one product.
+with one batched 4x4 product per step position.
+
+A state is a row of four complex amplitudes, and a stack of states is
+an (R, 4) array.  input_amplitudes gives the exact rows of the named
+input states, and readout, the only code that knows the qubit
+convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report re-runs a sequence of EOs through them at
 several step sizes.  Gate steps, duration-shifted steps, whole
-gate-sequence expansions, gate matrices, each gate sequence's ideal
-unitary and the five input states are memoized, so rebuilding a program
-re-designs no pulse, re-shifts no duration and recomposes no gate, and
-reading a cell prepares no input.
+gate-sequence expansions, gate matrices and each gate sequence's ideal
+unitary are memoized, so rebuilding a program re-designs no pulse,
+re-shifts no duration and recomposes no gate.
 """
 from __future__ import annotations
 
@@ -39,11 +41,9 @@ from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
                     ideal_gate)
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from .integrator import eo_propagator, integrate
-from .operators import TWO_PI
+from .operators import TWO_PI, frozen_unitary
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
                      RationalGamma, design_pulse)
-from .states import (NORM_TOL, StateVector, frozen_unitary,
-                     prepare_basis_state, prepare_singlet, qubit_values)
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -53,6 +53,21 @@ STYLES = (IDEAL, STATIC_SF, ROTATING_SF)
 _STYLE_MODE = {STATIC_SF: STATIC_AXIS, ROTATING_SF: ROTATING}
 
 INPUT_SPECS = ("00", "10", "01", "11", "singlet")
+
+# The exact input states, one row per INPUT_SPECS entry.  Basis state
+# |b1 b2> sits at index b1 + 2*b2 (qubit 1 is the fast index), and the
+# singlet is (|01> - |10>)/sqrt(2).  Exact amplitudes are the matrix-form
+# analogue of error-free preparation, so any deviation seen later comes
+# from the executed sequence alone.
+_INPUTS = np.eye(5, 4, dtype=complex)
+_INPUTS[4] = (0.0, -1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0)
+_INPUTS.setflags(write=False)
+
+# Guard against outright unnormalized rows; precision contracts are
+# asserted separately at the working step sizes (norm drift there is
+# ~1e-11, but microstep reference runs with millions of factors can
+# accumulate a few 1e-9 of benign roundoff).
+NORM_TOL = 1e-8
 
 _EYE = np.eye(4, dtype=complex)
 
@@ -133,8 +148,8 @@ class Program:
         """(a, b) of the declared input under the ideal gates, if known."""
         if self.ideal_unitary is None:
             return None
-        (ab,) = readout(self.ideal_unitary[None],
-                        input_amplitudes([self.input_spec]))
+        states = input_amplitudes([self.input_spec])
+        (ab,) = readout((self.ideal_unitary[None] @ states[..., None])[..., 0])
         return ab
 
     @property
@@ -144,21 +159,6 @@ class Program:
     def durations(self) -> tuple[float, ...]:
         """tau/2pi of each EO step, in application order."""
         return tuple(eo.tau for eo in self.eos)
-
-
-def prepare_input(spec: str) -> StateVector:
-    """The named input state: one shared, read-only StateVector per spec."""
-    if spec not in INPUT_SPECS:
-        raise ConfigurationError(
-            f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
-    return _input_state(spec)
-
-
-@lru_cache(maxsize=None)
-def _input_state(spec: str) -> StateVector:
-    if spec == "singlet":
-        return prepare_singlet()
-    return prepare_basis_state(2, [int(spec[0]), int(spec[1])])
 
 
 @lru_cache(maxsize=1024)
@@ -279,21 +279,27 @@ def build_grover(item: int, style=IDEAL, k: int = 1,
 
 
 def input_amplitudes(input_specs) -> np.ndarray:
-    """The named input states stacked as rows, shape (R, 4)."""
-    return np.array([prepare_input(spec).amplitudes
-                     for spec in input_specs]).reshape(-1, 4)
+    """The named input states stacked as rows, shape (R, 4).
+
+    Every name must be one of INPUT_SPECS; each row is a copy of the
+    exact row in _INPUTS.
+    """
+    specs = list(input_specs)
+    for spec in specs:
+        if spec not in INPUT_SPECS:
+            raise ConfigurationError(
+                f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
+    return _INPUTS[[INPUT_SPECS.index(spec) for spec in specs]]
 
 
-def readout(us: np.ndarray, states: np.ndarray) -> list[tuple[float, float]]:
-    """Qubit values (a, b) of each row r after us[r] acts on states[r].
+def readout(amps: np.ndarray) -> list[tuple[float, float]]:
+    """Qubit values (a, b) of each row of amplitudes, shape (R, 4).
 
-    One batched product for all rows; us may be a single (1, 4, 4)
-    unitary shared by every row.  With w = |amplitude|^2, a = w1 + w3 and
-    b = w2 + w3 are summed in the order qubit_values sums them, so each
-    pair is exactly qubit_values(StateVector(us[r] @ states[r])).  A row
+    Qubit j reads 0 when its spin points up, so its value is
+    <Q_j> = <1/2 - S_j^z>, the weight of the basis states whose j-th bit
+    is 1: with w = |amplitude|^2, a = w1 + w3 and b = w2 + w3.  A row
     whose norm is off by more than NORM_TOL raises NumericalIntegrityError.
     """
-    amps = (us @ states[..., None])[..., 0]
     norms = np.linalg.norm(amps, axis=-1)
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)   # NaN counts as off
     if off.any():
@@ -304,14 +310,17 @@ def readout(us: np.ndarray, states: np.ndarray) -> list[tuple[float, float]]:
 
 def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
     """Qubit values of each named input under the program's one unitary."""
-    return readout(program_unitaries([program]), input_amplitudes(input_specs))
+    states = input_amplitudes(input_specs)
+    return readout((program_unitaries([program]) @ states[..., None])[..., 0])
 
 
-def run_program(program: Program, input_state: StateVector | None = None,
-                delta: float | None = None) -> StateVector:
-    """Apply the program's unitary to the declared (or given) input state."""
-    state = prepare_input(program.input_spec) if input_state is None else input_state
-    return StateVector(program_unitary(program, delta) @ state.amplitudes)
+def run_program(program: Program, delta: float | None = None) -> np.ndarray:
+    """The output amplitudes of the program's declared input, a read-only
+    (4,) row, with every EO at its own step size or at `delta`."""
+    (state,) = input_amplitudes([program.input_spec])
+    amps = program_unitary(program, delta) @ state
+    amps.setflags(write=False)
+    return amps
 
 
 def program_unitary(program: Program, delta: float | None = None) -> np.ndarray:
@@ -412,14 +421,14 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def convergence_report(eos, state: StateVector, deltas,
+def convergence_report(eos, input_spec: str, deltas,
                        reference_delta: float | None = None) -> ConvergenceReport:
     """Re-run an EO sequence at several step sizes and tabulate deviations.
 
-    The EOs run as one program of EO steps, through program_unitary with
-    each step size.  Deviations are measured against the run at
-    reference_delta (default: min(deltas)/10).  Diagonal EOs keep the
-    exact propagator throughout, so only pulse steps are swept.
+    The EOs run on the named input as one program of EO steps, through
+    run_program with each step size.  Deviations are measured against
+    the run at reference_delta (default: min(deltas)/10).  Diagonal EOs
+    keep the exact propagator throughout, so only pulse steps are swept.
     """
     if isinstance(eos, EOParams):
         eos = [eos]
@@ -428,17 +437,21 @@ def convergence_report(eos, state: StateVector, deltas,
         raise ConfigurationError("need at least one delta")
     if reference_delta is None:
         reference_delta = min(deltas) / 10.0
-    program = Program("convergence", tuple(EOStep(eo) for eo in eos))
-    ref = run_program(program, state, delta=reference_delta).amplitudes
+    program = Program("convergence", tuple(EOStep(eo) for eo in eos), input_spec)
+    ref = run_program(program, reference_delta)
     rows = []
     for d in deltas:
-        out = run_program(program, state, delta=d)
-        rows.append(ConvergenceRow(d, qubit_values(out),
-                                   float(np.max(np.abs(out.amplitudes - ref)))))
+        out = run_program(program, d)
+        (ab,) = readout(out[None])
+        rows.append(ConvergenceRow(d, ab, float(np.max(np.abs(out - ref)))))
     two_digit = {r.delta: tuple(round(v, 2) for v in r.expectations) for r in rows}
     flag = (two_digit[0.01] != two_digit[0.001]
             if {0.01, 0.001} <= two_digit.keys() else None)
     return ConvergenceReport(tuple(rows), reference_delta, flag)
+
+
+# The directives of the program text format and their argument counts.
+_DIRECTIVE_ARGS = {"input": 1, "gate": 1, "pulse": 5, "diagonal": 1}
 
 
 def parse_program_text(text: str, style=IDEAL, k: int = 1,
@@ -448,7 +461,8 @@ def parse_program_text(text: str, style=IDEAL, k: int = 1,
                        name: str = "custom") -> Program:
     """Parse the one-EO-per-line program format.
 
-    Lines (blank lines and #-comments allowed):
+    Lines (blank lines and #-comments allowed), each directive with
+    exactly the arguments shown:
         input <00|10|01|11|singlet>
         gate <name>                         # realized in `style`
         pulse <spin> <angle> <axis> <mode> <k>   # angle in radians
@@ -464,9 +478,14 @@ def parse_program_text(text: str, style=IDEAL, k: int = 1,
         tokens = line.split()
         kind, args = tokens[0].lower(), tokens[1:]
         try:
+            if kind not in _DIRECTIVE_ARGS:
+                raise ConfigurationError(f"unknown directive {kind!r}")
+            if len(args) != _DIRECTIVE_ARGS[kind]:
+                raise ConfigurationError(f"{kind} takes {_DIRECTIVE_ARGS[kind]} "
+                                         f"argument(s), got {len(args)}")
             if kind == "input":
-                input_spec = args[0]
-                prepare_input(input_spec)
+                input_amplitudes(args)
+                (input_spec,) = args
             elif kind == "gate":
                 steps.append(_gate_step(args[0], style, machine, gamma, delta))
             elif kind == "pulse":
@@ -480,8 +499,6 @@ def parse_program_text(text: str, style=IDEAL, k: int = 1,
                 eo = ideal_eo_params("Ip", machine).replace(
                     label=f"diagonal({tau:g})", tau=tau)
                 steps.append(EOStep(eo))
-            else:
-                raise ConfigurationError(f"unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigurationError(f"line {ln}: cannot parse {raw!r}: {exc}") from exc
     return Program(name=name, steps=tuple(steps), input_spec=input_spec)

@@ -50,7 +50,7 @@ def per_row_reference(spec):
     The reference for the harness, which builds one program per group of
     rows and applies its unitary to every row of the group.
     """
-    from nmrqc import (build_grover, build_qa, qubit_values, run_program,
+    from nmrqc import (build_grover, build_qa, readout, run_program,
                        with_duration_offset)
     from nmrqc.harness import _qa_row_label
 
@@ -80,7 +80,7 @@ def per_row_reference(spec):
                                        machine=spec.machine, delta=spec.delta)
             if offset != 0.0:
                 program = with_duration_offset(program, spec.perturb_label, offset)
-            cells[(label, col)] = qubit_values(run_program(program))
+            (cells[(label, col)],) = readout(run_program(program)[None])
             ideal[label] = program.ideal_expectations
     return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal
 

@@ -4,7 +4,7 @@ import pytest
 import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, GATE_NAMES, compose,
                    coupling_pi_duration, derive_primed_angles, ideal_eo_params,
-                   ideal_gate, phase_gate, prepare_basis_state)
+                   ideal_gate, input_amplitudes, phase_gate)
 from nmrqc.hamiltonian import MachineConfig
 from nmrqc.operators import global_phase_distance, max_unitarity_defect
 
@@ -30,7 +30,7 @@ def test_inverse_is_conjugate_transpose():
 
 def test_y2_inverse_example():
     # Y2b |11> = (|11> - |10>)/sqrt(2)
-    out = ideal_gate("Y2b").matrix @ prepare_basis_state(2, [1, 1]).amplitudes
+    out = ideal_gate("Y2b").matrix @ input_amplitudes(["11"])[0]
     assert np.allclose(out, [0, -SQ2, 0, SQ2], atol=1e-12)
 
 
@@ -41,10 +41,9 @@ def test_all_gates_unitary():
 
 def test_cnot_truth_table():
     cnot = ideal_gate("CNOT").matrix
-    for bits, out_bits in [((0, 0), (0, 0)), ((1, 0), (1, 1)),
-                           ((0, 1), (0, 1)), ((1, 1), (1, 0))]:
-        got = cnot @ prepare_basis_state(2, list(bits)).amplitudes
-        want = prepare_basis_state(2, list(out_bits)).amplitudes
+    for bits, out_bits in [("00", "00"), ("10", "11"), ("01", "01"), ("11", "10")]:
+        got = cnot @ input_amplitudes([bits])[0]
+        want = input_amplitudes([out_bits])[0]
         assert np.allclose(np.abs(got), want, atol=1e-12)
 
 

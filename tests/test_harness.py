@@ -128,6 +128,11 @@ def test_spec_validation():
                        ({"tau_offsets": [float("nan")]}, "tau_offsets entries"),
                        ({"tau_offsets": [0.1, 0.1000004]},
                         "share the column label \\+0.1:"),
+                       ({"inputs": ["01", "singlet", "01"]},
+                        "inputs share the row label 01:"),
+                       ({"items": [2, 0, 2.0]}, "items share the row label 2:"),
+                       ({"k_list": [1, 2, 1.0, 2]},
+                        "k_list share the column label 16, 8:"),
                        ({"final_rotation_style": "bogus"}, "final_rotation_style")]:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentSpec.from_dict(bad)
@@ -148,7 +153,6 @@ _BATCH_CASES = {
     "singlet_only": dict(inputs=("singlet",), style="static_sf", k_list=(1,)),
     "basis_only": dict(inputs=("00", "10", "01", "11"), cnot_variant=3,
                        k_list=(1,)),
-    "duplicated_input": dict(inputs=("01", "singlet", "01"), k_list=(1,)),
     "grover": dict(kind="grover", items=(2, 0, 3), k_list=(1, 2)),
     "ideal_style": dict(style="ideal", cnot_variant=2),
     "exact_final_rotation": dict(inputs=("10", "singlet"), k_list=(1,),
@@ -422,11 +426,21 @@ def test_cli_missing_config_file(capsys):
                                   '"tau_offsets": [1e300]}',
                                   '{"title": ["x"], "k_list": [1], "style": "ideal"}',
                                   '{"perturb_label": 5, "k_list": [1], '
-                                  '"style": "ideal"}'])
+                                  '"style": "ideal"}',
+                                  '{"k_list": [1, 1]}',
+                                  '{"kind": "grover", "items": [3, 3]}',
+                                  '{"inputs": ["00", "00"]}',
+                                  '{"k_list": [1], "tau_offsets": [0, 0.0]}',
+                                  pytest.param(b"\xff\xfe", id="not_utf8"),
+                                  pytest.param("[" * 100000 + "]" * 100000,
+                                               id="nested_too_deeply")])
 @pytest.mark.filterwarnings("error")  # a warning would print a line of its own
 def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -439,6 +453,8 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["tables", "table5", "--tau-offset", "1e308"],
     ["tables", "table10", "--tau-offset", "0.1", "--tau-offset", "0.1000004",
      "--format", "csv"],
+    ["sweep", "--k-list", "1,1", "--kind", "grover", "--format", "json"],
+    ["sweep", "--k-list", "2,1,2"],
     ["design", "1", "pi/0", "x", "rotating", "1"],
     ["design", "1", "pi/.", "x", "rotating", "1"],
     ["design", "1", "1.2.3pi", "x", "rotating", "1"],

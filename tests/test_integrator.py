@@ -4,8 +4,8 @@ import pytest
 import nmrqc.integrator
 
 from nmrqc import (ConfigurationError, EOParams, convergence_report,
-                   eo_propagator, ideal_eo_params, ideal_gate, oracle_propagator,
-                   prepare_basis_state, prepare_singlet, build_qa, design_pulse)
+                   eo_propagator, ideal_eo_params, ideal_gate, input_amplitudes,
+                   oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import canned_spec, run_experiment, verify_suite
 from nmrqc.integrator import (_CACHE_SIZE, _Drives, _cached_propagator, _fold,
@@ -47,7 +47,7 @@ def test_exact_diagonal_phase_on_basis_state():
     # the long phase evolution leaves |10> in place with phase
     # exp(-i tau E(10)), E(10) = J/4 + h1z/2 - h2z/2
     eo = ideal_eo_params("Ip")
-    state = prepare_basis_state(2, [1, 0]).amplitudes
+    (state,) = input_amplitudes(["10"])
     out = eo_propagator(eo) @ state
     assert abs(abs(out[1]) - 1.0) < 1e-12
     tau = TWO_PI * eo.tau
@@ -74,7 +74,7 @@ def test_rotating_pulse_matches_exact_rotation():
     # as delta^2 towards the exact rotating-frame solution
     eo = pulse_eo("Y1")
     y1 = ideal_gate("Y1").matrix
-    state = prepare_basis_state(2, [0, 0]).amplitudes
+    (state,) = input_amplitudes(["00"])
     out = eo_propagator(eo) @ state
     assert state_phase_distance(out, y1 @ state) < 1e-3
     fine = eo_propagator(eo.replace(delta=0.001)) @ state
@@ -90,8 +90,7 @@ def test_ideal_eo_matches_gate_matrix():
         eo = ideal_eo_params(name)
         gate = ideal_gate(name).matrix
         u = oracle_propagator(eo.replace(delta=eo.tau))
-        for bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
-            state = prepare_basis_state(2, bits).amplitudes
+        for state in input_amplitudes(["00", "10", "01", "11"]):
             assert state_phase_distance(u @ state, gate @ state) < 1e-6, name
 
 
@@ -151,17 +150,17 @@ def test_remainder_step_keeps_full_power():
 
 def test_convergence_report_flags_and_ratio():
     qa2 = build_qa("QA2", "singlet", style="rotating_sf", k=1)
-    rep = convergence_report(list(qa2.eos), prepare_singlet(), [0.01, 0.001])
+    rep = convergence_report(list(qa2.eos), "singlet", [0.01, 0.001])
     assert rep.two_digit_flag is False
     assert rep.rows[0].delta == 0.01
 
     eo = pulse_eo("Y1")
-    rep2 = convergence_report(eo, prepare_basis_state(2, [0, 0]), [0.1, 0.01])
+    rep2 = convergence_report(eo, "00", [0.1, 0.01])
     devs = {r.delta: r.max_amplitude_deviation for r in rep2.rows}
     assert 50 < devs[0.1] / devs[0.01] < 200  # ~100x per 10x step refinement
     assert rep2.two_digit_flag is None
 
-    rep3 = convergence_report(eo, prepare_basis_state(2, [0, 0]), [0.01])
+    rep3 = convergence_report(eo, "00", [0.01])
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,20 @@ from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_qa, eo_propagator,
-                   grover_sequence, ideal_gate, parse_program_text,
-                   prepare_basis_state, prepare_input, program_unitary,
-                   qubit_values, run_program, with_duration_offset)
+                   grover_sequence, ideal_gate, input_amplitudes,
+                   parse_program_text, program_unitary, readout, run_program,
+                   with_duration_offset)
 from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
-from nmrqc.programs import (CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
-                            MatrixStep, input_amplitudes, program_unitaries,
-                            readout, run_inputs)
-from nmrqc.states import StateVector
+from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
+                            MatrixStep, program_unitaries, run_inputs)
+
+
+def read_row(amps):
+    """(a, b) of one amplitude row."""
+    (ab,) = readout(amps[None])
+    return ab
 
 
 def test_ideal_cnot_variants_match_exact_gate():
@@ -51,7 +57,7 @@ def test_qa1_ideal_truth_table():
     for inp, want in [("00", (0.0, 0.0)), ("10", (1.0, 1.0)),
                       ("01", (0.0, 1.0)), ("11", (1.0, 0.0))]:
         p = build_qa("QA1", inp, style="ideal")
-        got = qubit_values(run_program(p))
+        got = read_row(run_program(p))
         assert got == pytest.approx(want, abs=1e-6)
         assert p.ideal_expectations == pytest.approx(want, abs=1e-12)
 
@@ -63,39 +69,39 @@ def test_ideal_unitary_is_memoized_and_read_only():
     assert not a.ideal_unitary.flags.writeable
     assert build_qa("QA1", "00", 2).ideal_unitary is not a.ideal_unitary
     names = list(reversed(CNOT_SEQUENCES[1] * 5))
-    want = qubit_values(StateVector(compose(names) @ prepare_input("11").amplitudes))
+    want = read_row(compose(names) @ input_amplitudes(["11"])[0])
     assert b.ideal_expectations == want
     assert parse_program_text("gate X1").ideal_expectations is None
 
 
 def test_input_states_are_memoized_and_read_only():
-    for spec in INPUT_SPECS:
-        state = prepare_input(spec)
-        assert prepare_input(spec) is state
-        assert not state.amplitudes.flags.writeable
-    assert np.array_equal(prepare_input("10").amplitudes,
-                          prepare_basis_state(2, [1, 0]).amplitudes)
+    """Every input row is a copy of one read-only constant row."""
+    assert not _INPUTS.flags.writeable
+    rows = input_amplitudes(INPUT_SPECS)
+    assert np.array_equal(rows, _INPUTS)
+    rows[0, 0] = 0.0   # writable, so a copy of the read-only constant
+    assert np.array_equal(input_amplitudes(["00", "00"]), _INPUTS[[0, 0]])
+    assert np.array_equal(input_amplitudes(["10"]), [[0, 1, 0, 0]])
     for bad in ("2", "0 0", ["00"], None):
-        for _ in range(2):  # nothing is cached for an unknown spec
-            with pytest.raises(ConfigurationError, match="unknown input spec"):
-                prepare_input(bad)
+        with pytest.raises(ConfigurationError, match="unknown input spec"):
+            input_amplitudes([bad])
 
 
 def test_qa2_ideal_gives_definite_answer():
     p = build_qa("QA2", "singlet", style="ideal")
     out = run_program(p)
-    assert qubit_values(out) == pytest.approx((1.0, 1.0), abs=1e-6)
+    assert read_row(out) == pytest.approx((1.0, 1.0), abs=1e-6)
     # final state is |11> up to a global phase (36 EOs' worth of
     # coupling-during-rotation residue stays below 1e-5)
-    target = prepare_basis_state(2, [1, 1]).amplitudes
-    assert state_phase_distance(out.amplitudes, target) < 1e-5
+    target = input_amplitudes(["11"])[0]
+    assert state_phase_distance(out, target) < 1e-5
 
 
 def test_five_cnots_equal_one_on_ideal_hardware():
     single = build_cnot(1, "ideal", input_spec="10")
     five = build_qa("QA1", "10", style="ideal")
-    a = run_program(single).amplitudes
-    b = run_program(five).amplitudes
+    a = run_program(single)
+    b = run_program(five)
     assert state_phase_distance(a, b) < 1e-5
 
 
@@ -112,12 +118,11 @@ def test_grover_ideal_answers():
     want = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0), 3: (1.0, 1.0)}
     for item in range(4):
         p = build_grover(item, "ideal")
-        got = qubit_values(run_program(p))
+        got = read_row(run_program(p))
         assert got == pytest.approx(want[item], abs=1e-6), item
     # item 3 lands on |11> up to a global phase
     out = run_program(build_grover(3, "ideal"))
-    assert state_phase_distance(out.amplitudes,
-                                prepare_basis_state(2, [1, 1]).amplitudes) < 1e-6
+    assert state_phase_distance(out, input_amplitudes(["11"])[0]) < 1e-6
 
 
 def test_grover_sequence_listing():
@@ -156,7 +161,7 @@ def _stepwise(program, delta=None, amps=None):
     """Reference: carry the input state (or the given amplitudes, e.g. the
     identity for the unitary) across each step's propagator in turn."""
     if amps is None:
-        amps = prepare_input(program.input_spec).amplitudes
+        (amps,) = input_amplitudes([program.input_spec])
     for step in program.steps:
         if isinstance(step, MatrixStep):
             amps = step.matrix @ amps
@@ -186,7 +191,7 @@ def test_run_program_matches_stepwise_reference(style, program, options):
     bit."""
     p = _PROGRAMS[program](style)
     if options is not None:
-        got = run_program(p, **options).amplitudes
+        got = run_program(p, **options)
         assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
         return
     clear_propagator_cache()
@@ -199,9 +204,11 @@ def test_run_program_matches_stepwise_reference(style, program, options):
 def test_run_inputs_equals_run_program_per_input(style):
     for which, inputs in (("QA1", ("00", "10", "01", "11")), ("QA2", ("singlet",))):
         program = build_qa(which, inputs[0], 2, style, k=1)
-        want = [qubit_values(run_program(program, prepare_input(s)))
+        want = [read_row(run_program(replace(program, input_spec=s)))
                 for s in inputs]
         assert run_inputs(program, inputs) == want
+        out = run_program(program)
+        assert out.shape == (4,) and not out.flags.writeable
 
 
 def _lookups():
@@ -263,22 +270,19 @@ def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
     rows = [(i, spec) for i, spec in rows if i < len(programs)]
     which = [i for i, _ in rows]
     states = input_amplitudes([spec for _, spec in rows])
-    assert readout(us[which], states) == [
-        qubit_values(StateVector(us[i] @ prepare_input(spec).amplitudes))
-        for i, spec in rows]
+    assert readout((us[which] @ states[..., None])[..., 0]) == [
+        read_row(us[i] @ input_amplitudes([spec])[0]) for i, spec in rows]
 
 
 def test_readout_rejects_an_unnormalized_row():
-    us = np.stack([ideal_gate("CNOT").matrix, np.eye(4)])
-    states = input_amplitudes(["10", "singlet"])
-    assert readout(us, states) == [
-        qubit_values(StateVector(u @ a)) for u, a in zip(us, states)]
+    amps = input_amplitudes(["10", "singlet"]) @ ideal_gate("CNOT").matrix.T
+    assert readout(amps) == [read_row(a) for a in amps]
     for scale in (1.5, 1.0 + 1e-6, np.nan):
-        bad = states.copy()
+        bad = amps.copy()
         bad[1] *= scale
         with pytest.raises(NumericalIntegrityError, match="deviates from 1"):
-            readout(us, bad)
-    assert readout(us[:0], states[:0]) == []
+            readout(bad)
+    assert readout(amps[:0]) == []
 
 
 def test_duration_offset_copies_each_distinct_step_once():
@@ -310,7 +314,7 @@ def test_negative_diagonal_duration_is_rejected():
     for _ in range(2):  # nothing is cached for a bad key
         with pytest.raises(ConfigurationError, match="must be non-negative"):
             run_program(p)
-    assert run_program(parse_program_text("diagonal 0")).amplitudes[0] == 1.0
+    assert run_program(parse_program_text("diagonal 0"))[0] == 1.0
 
 
 @pytest.mark.parametrize("which", ["QA1", "qa1", "Qa1", "1", 1])
@@ -333,9 +337,9 @@ def test_program_unitary_long_pulse_close_to_ideal():
 
 def test_qpp_witness_at_shortest_pulses():
     # logically identical constructions give visibly different answers
-    got1 = qubit_values(run_program(build_qa("QA1", "00", 1, "rotating_sf", k=1)))
-    got2 = qubit_values(run_program(build_qa("QA1", "00", 2, "rotating_sf", k=1)))
-    got3 = qubit_values(run_program(build_qa("QA1", "00", 3, "rotating_sf", k=1)))
+    got1 = read_row(run_program(build_qa("QA1", "00", 1, "rotating_sf", k=1)))
+    got2 = read_row(run_program(build_qa("QA1", "00", 2, "rotating_sf", k=1)))
+    got3 = read_row(run_program(build_qa("QA1", "00", 3, "rotating_sf", k=1)))
     assert max(abs(got2[0] - got1[0]), abs(got2[1] - got1[1])) > 0.1
     assert max(abs(got3[0] - got1[0]), abs(got3[1] - got1[1])) > 0.1
 
@@ -345,10 +349,10 @@ def test_basis_correct_but_superposition_wrong():
     # answers correctly to 0.01, yet the singlet input deviates
     for inp, want in [("00", (0.0, 0.0)), ("10", (1.0, 1.0)),
                       ("01", (0.0, 1.0)), ("11", (1.0, 0.0))]:
-        got = qubit_values(run_program(build_qa("QA1", inp, 1, "rotating_sf", k=1)))
+        got = read_row(run_program(build_qa("QA1", inp, 1, "rotating_sf", k=1)))
         assert got == pytest.approx(want, abs=0.01)
-    singlet = qubit_values(run_program(build_qa("QA2", "singlet", 1,
-                                                "rotating_sf", k=1)))
+    singlet = read_row(run_program(build_qa("QA2", "singlet", 1,
+                                            "rotating_sf", k=1)))
     assert singlet[0] == pytest.approx(0.90, abs=0.01)
     assert abs(singlet[0] - 1.0) > 0.05
 
@@ -360,8 +364,8 @@ def test_final_rotation_style_switch():
     pulse = build_qa("QA2", "singlet", 1, "rotating_sf", k=1)
     assert isinstance(pulse.steps[-1], EOStep)
     # rotating pulses turn the target exactly; both stylings agree closely
-    a = qubit_values(run_program(exact))
-    b = qubit_values(run_program(pulse))
+    a = read_row(run_program(exact))
+    b = read_row(run_program(pulse))
     assert a == pytest.approx(b, abs=5e-3)
 
 
@@ -389,13 +393,18 @@ def test_parse_program_text_round_trip_semantics():
     gate Y1
     """
     p = parse_program_text(text, style="ideal")
-    got = qubit_values(run_program(p))
+    got = read_row(run_program(p))
     assert got == pytest.approx((1.0, 1.0), abs=1e-5)
 
     with pytest.raises(ConfigurationError):
         parse_program_text("warp 9")
     with pytest.raises(ConfigurationError):
         parse_program_text("pulse 1 x y z")
+    # every directive takes exactly its arguments; trailing tokens are errors
+    for bad in ("gate X1 junk", "input 00 extra", "diagonal 1 2", "input",
+                "pulse 1 1.5707963267948966 y rotating 1 9"):
+        with pytest.raises(ConfigurationError, match="line 2: "):
+            parse_program_text(f"gate X1\n{bad}")
 
 
 def test_parse_program_pulse_line():
@@ -440,17 +449,14 @@ def test_pulse_programs_agree_with_closed_form_oracle():
     # third route to the headline numbers: exact rotating-frame algebra
     # (no numerical integration anywhere) reproduces the integrated
     # five-fold CNOT results to the integrator's own step error
-    from nmrqc import prepare_singlet
     from nmrqc.gates import ideal_gate
 
-    for variant, inp, prep in ((1, "singlet", prepare_singlet()),
-                               (2, "00", prepare_basis_state(2, [0, 0])),
-                               (3, "00", prepare_basis_state(2, [0, 0]))):
+    for variant, inp in ((1, "singlet"), (2, "00"), (3, "00")):
         mats = {}
         for name in set(CNOT_SEQUENCES[variant]) - {"Ip"}:
             mats[name] = _closed_form_rotating_pulse(name, k=1)
         mats["Ip"] = ideal_gate("Ip").matrix
-        amps = prep.amplitudes
+        (amps,) = input_amplitudes([inp])
         for _ in range(5):
             for name in CNOT_SEQUENCES[variant]:
                 amps = mats[name] @ amps
@@ -460,7 +466,7 @@ def test_pulse_programs_agree_with_closed_form_oracle():
         b = abs(amps[2]) ** 2 + abs(amps[3]) ** 2
 
         which, arg = ("QA2", "singlet") if inp == "singlet" else ("QA1", inp)
-        integrated = qubit_values(run_program(
+        integrated = read_row(run_program(
             build_qa(which, arg, cnot_variant=variant, style="rotating_sf", k=1)))
         assert integrated[0] == pytest.approx(a, abs=0.01)
         assert integrated[1] == pytest.approx(b, abs=0.01)

@@ -19,7 +19,7 @@ from nmrqc.programs import INPUT_SPECS, STYLES, EOStep, Program, program_unitari
 
 from conftest import BLOCKS, PROPAGATORS, chained_reference, per_row_reference
 
-# offsets whose column labels differ, as ExperimentSpec requires
+# list entries whose row or column labels differ, as ExperimentSpec requires
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4,
                     unique_by=_offset_label)
 
@@ -28,9 +28,10 @@ specs = st.builds(
     kind=st.sampled_from(["qa", "grover"]),
     style=st.sampled_from(STYLES),
     cnot_variant=st.sampled_from([1, 2, 3]),
-    inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=6),
-    items=st.lists(st.integers(0, 3), min_size=1, max_size=5),
-    k_list=st.lists(st.integers(1, 64), min_size=1, max_size=5),
+    inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5,
+                    unique=True),
+    items=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    k_list=st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True),
     delta=st.floats(1e-4, 0.25),
     final_rotation_style=st.sampled_from(["program", "exact"]),
     tau_offsets=st.none() | _offsets,
@@ -48,7 +49,8 @@ def test_spec_dict_and_json_round_trip(spec):
 
 
 @settings(max_examples=12, deadline=None)
-@given(inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5),
+@given(inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5,
+                      unique=True),
        k=st.sampled_from([1, 2]),
        variant=st.sampled_from([1, 2, 3]),
        style=st.sampled_from(["rotating_sf", "static_sf"]))
