@@ -21,15 +21,13 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
                      PulseDesign, RationalGamma, commensurability_check_n,
                      commensurability_margin, design_pulse, hypothetical_durations,
                      spectator_excess_angle, spectator_residual)
-from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, EOStep,
-                       GateImplStyle, MatrixStep, Program, build_cnot,
-                       build_grover, build_qa, convergence_report,
-                       grover_sequence, input_amplitudes, parse_program_text,
-                       program_unitaries, program_unitary, readout, run_inputs,
-                       run_program, with_duration_offset)
+from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, GateImplStyle,
+                       MatrixStep, Program, build_cnot, build_grover, build_qa,
+                       convergence_report, grover_sequence, input_amplitudes,
+                       parse_program_text, program_unitaries, program_unitary,
+                       readout, run_inputs, run_program, with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
-                      emit_table, perturb_duration_study, round2, run_experiment,
-                      verify_suite)
+                      emit_table, round2, run_experiment, verify_suite)
 
 __version__ = "0.1.0"
 

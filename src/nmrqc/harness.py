@@ -1,16 +1,18 @@
 """Batch experiment runner: benchmark suites, sweeps, and verification.
 
-run_experiment executes a (program family) x (pulse duration) x (input)
-grid and collects the qubit expectations into a ResultTable whose
-markdown rendering mirrors the benchmark layout: ideal (a, b) first,
-then one (a_s, b_s) pair per duration label s.  Machine formats (csv,
-json) carry full precision; the display rounds half away from zero to
-two decimals.
+run_experiment, the one table builder, executes a (program family) x
+(column) x (input) grid and collects the qubit expectations into a
+ResultTable whose markdown rendering mirrors the benchmark layout: ideal
+(a, b) first, then one (a_s, b_s) pair per column.  A column is a pulse
+duration s, or, when the spec sets tau_offsets (a duration study, QA
+suites only), a duration offset of the EOs labeled perturb_label at
+each s (``_columns``).  Machine formats (csv, json) carry full
+precision; the display rounds half away from zero to two decimals.
 
 Rows that run the same program share it: in each column, all basis-state
 rows of a QA suite run one QA1 program and the singlet row QA2, while
 every search item is its own program.  Each program is built once per
-column.
+k, and each offset column shifts it (``programs.with_duration_offset``).
 
 A table builds all of its programs before it runs any.  One stacked
 walk (``programs.program_unitaries``) then gives every program's
@@ -45,14 +47,11 @@ from .hamiltonian import DEFAULT_MACHINE, MachineConfig, is_finite_number
 from .integrator import check_delta, eo_propagator, oracle_propagator
 from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
-                       STATIC_SF, STYLES, EOStep, build_cnot, build_grover,
-                       build_qa, convergence_report, input_amplitudes,
-                       program_unitaries, readout, run_inputs, run_program,
-                       with_duration_offset)
+                       STATIC_SF, STYLES, build_cnot, build_grover, build_qa,
+                       convergence_report, input_amplitudes, program_unitaries,
+                       readout, run_inputs, run_program, with_duration_offset)
 from .pulses import (ROTATING, STATIC_AXIS, RationalGamma, commensurability_margin,
                      design_pulse, hypothetical_durations)
-
-QA_INPUTS = ("00", "10", "01", "11", "singlet")
 
 # The pulses drive at the spins' z-fields; delta times the fastest of
 # them may not exceed this, i.e. at least two steps per drive period.
@@ -72,12 +71,12 @@ class ExperimentSpec:
     kind: str = "qa"                      # 'qa' or 'grover'
     style: str = ROTATING_SF
     cnot_variant: int = 1
-    inputs: tuple = QA_INPUTS             # qa only
+    inputs: tuple = INPUT_SPECS           # qa only
     items: tuple = (0, 1, 2, 3)           # grover only
     k_list: tuple = (1, 2, 4, 8, 32)
     delta: float = 0.01
     final_rotation_style: str = "program"
-    tau_offsets: tuple | None = None      # perturbation study when set
+    tau_offsets: tuple | None = None      # duration study (qa only) when set
     perturb_label: str = "Ip"             # which EO the offsets detune
     machine: MachineConfig = DEFAULT_MACHINE
     title: str = ""
@@ -85,6 +84,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in ("qa", "grover"):
             raise ConfigurationError(f"kind must be 'qa' or 'grover', got {self.kind!r}")
+        if self.kind != "qa" and self.tau_offsets is not None:
+            raise ConfigurationError("perturbation study is defined for QA suites")
         if self.style not in STYLES:
             raise ConfigurationError(f"style must be one of {STYLES}, got {self.style!r}")
         if not (_is_whole(self.cnot_variant) and self.cnot_variant in CNOT_SEQUENCES):
@@ -321,59 +322,43 @@ def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
     return [(str(i), str(i)) for i in spec.items]
 
 
-def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Execute the grid and tabulate (a, b) per (row, duration)."""
+def _columns(spec: ExperimentSpec) -> list[tuple[str, int, float]]:
+    """(label, k, duration offset) of every table column, in table order:
+    one per k ('256'), the ideal style's one at the first k ('ideal'), or
+    in a duration study one block of offsets (tau/2pi) per k, labeled by
+    offset ('+0.05') or, for several k, by offset and duration
+    ('+0.05@s=256')."""
     if spec.tau_offsets is not None:
-        return perturb_duration_study(spec, spec.tau_offsets)
+        suffix = len(spec.k_list) > 1
+        return [(_offset_label(o) + (f"@s={8 * k}" if suffix else ""), k, o)
+                for k in spec.k_list for o in spec.tau_offsets]
+    if spec.style == IDEAL:
+        return [("ideal", spec.k_list[0], 0.0)]
+    return [(str(8 * k), k, 0.0) for k in spec.k_list]
 
+
+def run_experiment(spec: ExperimentSpec) -> ResultTable:
+    """Execute the grid and tabulate (a, b) per (row, column)."""
     rows = _rows(spec)
-    labels = dict(rows)
-    table = ResultTable(
-        title=spec.title or f"{spec.kind}:{spec.style}",
-        row_header="Operation" if spec.kind == "qa" else "Item position",
-        row_labels=[label for _, label in rows], col_labels=[])
-    groups = _program_groups(spec)
-    k_list = spec.k_list if spec.style != IDEAL else spec.k_list[:1]
-    runs = []
-    for k in k_list:
-        col = str(8 * k) if spec.style != IDEAL else "ideal"
-        table.col_labels.append(col)
-        runs += [(col, keys, inputs, build(k=k)) for keys, inputs, build in groups]
-    _record(table, labels, runs)
-    return table
-
-
-def perturb_duration_study(spec: ExperimentSpec, tau_offsets) -> ResultTable:
-    """Re-run a QA suite with the long phase evolution detuned by offsets.
-
-    Offsets (in tau/2pi units) apply to every EO labeled 'Ip', i.e. the
-    diagonal evolution inside each CNOT; pulse durations are untouched.
-    Each k of the spec gets one block of offset columns.  A single k
-    labels its columns by offset alone ('+0.05'); several label them by
-    offset and duration ('+0.05@s=256').
-    """
-    if spec.kind != "qa":
-        raise ConfigurationError("perturbation study is defined for QA suites")
-    spec = replace(spec, tau_offsets=tuple(tau_offsets))   # checks the offsets
-    rows = _rows(spec)
-    labels = dict(rows)
+    columns = _columns(spec)
     durations = ", ".join(str(8 * k) for k in spec.k_list)
+    title = (f"{spec.kind}:{spec.style}" if spec.tau_offsets is None
+             else f"duration perturbation (s={durations})")
     table = ResultTable(
-        title=spec.title or f"duration perturbation (s={durations})",
-        row_header="Operation",
-        row_labels=[label for _, label in rows], col_labels=[])
+        title=spec.title or title,
+        row_header="Operation" if spec.kind == "qa" else "Item position",
+        row_labels=[label for _, label in rows],
+        col_labels=[col for col, _, _ in columns])
+    groups = _program_groups(spec)
+    built = {}   # k -> (row keys, inputs, program) per group
     runs = []
-    for k in spec.k_list:
-        suffix = f"@s={8 * k}" if len(spec.k_list) > 1 else ""
-        groups = [(keys, inputs, build(k=k))
-                  for keys, inputs, build in _program_groups(spec)]
-        for o in spec.tau_offsets:
-            col = _offset_label(o) + suffix
-            table.col_labels.append(col)
-            runs += [(col, keys, inputs, program if o == 0.0 else
-                      with_duration_offset(program, spec.perturb_label, o))
-                     for keys, inputs, program in groups]
-    _record(table, labels, runs)
+    for col, k, offset in columns:
+        if k not in built:
+            built[k] = [(keys, inputs, build(k=k)) for keys, inputs, build in groups]
+        runs += [(col, keys, inputs, program if offset == 0.0 else
+                  with_duration_offset(program, spec.perturb_label, offset))
+                 for keys, inputs, program in built[k]]
+    _record(table, dict(rows), runs)
     return table
 
 
@@ -534,7 +519,7 @@ def _ideal_baseline(notes):
         cases += [(build_cnot(v, IDEAL, input_spec=inp), (a, b))
                   for inp, (_, a, b) in ref.CNOT_TRUTH.items()]
         cases += [(build_qa("QA1", inp, cnot_variant=v, style=IDEAL),
-                   ref.QA_ROTATING_CNOT1[inp][0]) for inp in QA_INPUTS[:4]]
+                   ref.QA_ROTATING_CNOT1[inp][0]) for inp in INPUT_SPECS[:4]]
         cases.append((build_qa("QA2", "singlet", cnot_variant=v, style=IDEAL),
                       (1.0, 1.0)))
     worst = max(abs(g - w) for program, want in cases
@@ -580,7 +565,7 @@ def _coupling_off_during_pulses(notes):
     """J=0 inside the pulse EOs changes nothing at two digits."""
     qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
     stripped = replace(qa2, steps=tuple(
-        s if s.eo.is_diagonal else EOStep(s.eo.replace(j=0.0)) for s in qa2.steps))
+        s if s.is_diagonal else s.replace(j=0.0) for s in qa2.steps))
     base, got = (tuple(round2(v) for v in run_inputs(p, ["singlet"])[0])
                  for p in (qa2, stripped))
     return base == got, f"QA2 s=8 with J: {base}, without: {got}"

@@ -129,10 +129,16 @@ def check_delta(delta) -> None:
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
 
 
+def _check(eo: EOParams) -> None:
+    """Raise ConfigurationError unless the EO's step size is a positive
+    finite number and its duration is non-negative (NaN is neither)."""
+    check_delta(eo.delta)
+    if not eo.tau >= 0:
+        raise ConfigurationError(f"duration must be non-negative, got {eo.tau!r}")
+
+
 def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
     """Number of full steps and the remainder, all in over-2*pi units."""
-    if tau < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {tau}")
     steps = tau / delta + 1e-9
     if not steps < _MAX_STEPS:
         raise ConfigurationError(
@@ -377,8 +383,6 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
 
 
 def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
-    if eo.tau < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {eo.tau}")
     ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
     with np.errstate(over="ignore", invalid="ignore"):
         phase = TWO_PI * eo.tau * ez
@@ -428,7 +432,7 @@ def integrate(eos) -> None:
     Pulses that fold are integrated in stacks: the rotating EOs of one
     step size in one, the quarter-folded EOs of one step size and drive
     frequency in the groups of ``_chunks``; every other EO alone.  A bad
-    step size raises before any EO is integrated.
+    step size or duration raises before any EO is integrated.
     """
     store = _cached_propagator
     stacks: dict[tuple, dict] = {}
@@ -438,7 +442,7 @@ def integrate(eos) -> None:
             continue
         except KeyError:
             pass
-        check_delta(eo.delta)
+        _check(eo)
         fold = None if eo.is_diagonal else _fold(eo, eo.delta)
         shared = eo if fold is None else eo.omega if fold == _QUARTER else None
         stacks.setdefault((eo.delta, fold, shared), {})[eo] = None
@@ -474,7 +478,7 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     """The reference unitary of one EO: the dense exponential of H at
     each substep's midpoint, at the EO's step size, folded as the product
     formula is.  Integrated alone on every call, and never stored."""
-    check_delta(eo.delta)
+    _check(eo)
     drives = _Drives((eo,), _fold(eo, eo.delta))
     return _stepped_propagator(drives, eo.delta, _dense_block)[0]
 

@@ -8,9 +8,13 @@ hardware whose spins see different static fields, so all styles use the
 machine-field phase evolution "Ip" plus compensating primed rotations.
 
 A Program stores steps in application order (element 0 acts first).
+A step is an EO (``EOParams``, an evolution, carrying its own step
+size) or a MatrixStep (an exact matrix); both have a label.
 Exact-matrix steps appear only where a construction is defined by a
 matrix rather than an evolution (the conditional phase gate in ideal
-style, and optionally the final readout rotation).
+style, and optionally the final readout rotation).  Rewriting a
+program's EOs (``with_duration_offset``, another step size by
+``eo.replace(delta=d)``) gives another program of EOs.
 
 program_unitaries is the one walk over program steps, and it walks a
 whole stack of programs at once: it has the integrator integrate their
@@ -23,11 +27,11 @@ an (R, 4) array.  input_amplitudes gives the exact rows of the named
 input states, and readout, the only code that knows the qubit
 convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
-and convergence_report re-runs a sequence of EOs through them at
-several step sizes.  Gate steps, duration-shifted steps, whole
-gate-sequence expansions, gate matrices and each gate sequence's ideal
-unitary are memoized, so rebuilding a program re-designs no pulse,
-re-shifts no duration and recomposes no gate.
+and convergence_report runs one program of EOs per step size through
+them.  Builders take a style name and k.  Gate steps, duration-shifted
+steps, whole gate-sequence expansions, gate matrices and each gate
+sequence's ideal unitary are memoized, so rebuilding a program
+re-designs no pulse, re-shifts no duration and recomposes no gate.
 """
 from __future__ import annotations
 
@@ -118,15 +122,6 @@ class GateImplStyle:
 
 
 @dataclass(frozen=True)
-class EOStep:
-    eo: EOParams
-
-    @property
-    def label(self) -> str:
-        return self.eo.label
-
-
-@dataclass(frozen=True)
 class MatrixStep:
     label: str
     matrix: np.ndarray = field(repr=False)
@@ -138,7 +133,7 @@ class MatrixStep:
 @dataclass(frozen=True)
 class Program:
     name: str
-    steps: tuple
+    steps: tuple          # EOParams and MatrixStep, in application order
     input_spec: str = "00"
     ideal_unitary: np.ndarray | None = field(default=None, repr=False,
                                              compare=False)  # read-only
@@ -154,7 +149,7 @@ class Program:
 
     @property
     def eos(self) -> tuple[EOParams, ...]:
-        return tuple(s.eo for s in self.steps if isinstance(s, EOStep))
+        return tuple(s for s in self.steps if isinstance(s, EOParams))
 
     def durations(self) -> tuple[float, ...]:
         """tau/2pi of each EO step, in application order."""
@@ -163,27 +158,25 @@ class Program:
 
 @lru_cache(maxsize=1024)
 def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
-               gamma: RationalGamma, delta: float) -> EOStep:
-    """One program step realizing a named gate in the given style."""
+               gamma: RationalGamma, delta: float) -> EOParams:
+    """The EO realizing a named gate in the given style."""
     cname = canonical_name(name)
     if cname == "Gcore":
-        eo = ideal_eo_params("Ip", machine).replace(label="Gcore", delta=1.0)
-        return EOStep(eo)
-    if cname == "Ip":
-        return EOStep(ideal_eo_params("Ip", machine))
-    if style.style == IDEAL:
-        return EOStep(ideal_eo_params(cname, machine))
+        return ideal_eo_params("Ip", machine).replace(label="Gcore", delta=1.0)
+    if cname == "Ip" or style.style == IDEAL:
+        return ideal_eo_params(cname, machine)
     spin, axis, direction, turns = gate_rotation(cname, machine)
     _, eo = design_pulse(spin, TWO_PI * turns, axis, gamma=gamma, k=style.k,
                          mode=_STYLE_MODE[style.style], direction=direction,
                          machine=machine, label=cname, delta=delta)
-    return EOStep(eo)
+    return eo
 
 
 @lru_cache(maxsize=1024)
 def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig,
             gamma: RationalGamma, delta: float) -> tuple:
-    """The steps of a gate sequence, names in application order."""
+    """The steps of a gate sequence, names in application order; 'G'
+    is its exact matrix in ideal style and G_EXPANSION otherwise."""
     steps = []
     for name in names:
         if name == "G" and style.style == IDEAL:
@@ -194,12 +187,6 @@ def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig
         else:
             steps.append(_gate_step(name, style, machine, gamma, delta))
     return tuple(steps)
-
-
-def _coerce_style(style, k: int) -> GateImplStyle:
-    if isinstance(style, GateImplStyle):
-        return style
-    return GateImplStyle(style=style, k=k)
 
 
 @lru_cache(maxsize=256)
@@ -214,20 +201,20 @@ def _cnot_names(variant: int) -> tuple[str, ...]:
     return CNOT_SEQUENCES[variant]
 
 
-def build_cnot(variant: int, style, k: int = 1,
+def build_cnot(variant: int, style: str, k: int = 1,
                machine: MachineConfig = DEFAULT_MACHINE,
                gamma: RationalGamma = DEFAULT_GAMMA,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant 1, 2 or 3)."""
-    style = _coerce_style(style, k)
     names = _cnot_names(variant)
-    return Program(name=f"CNOT{variant}[{style.style},k={style.k}]",
-                   steps=_expand(names, style, machine, gamma, delta),
+    return Program(name=f"CNOT{variant}[{style},k={k}]",
+                   steps=_expand(names, GateImplStyle(style, k), machine, gamma,
+                                 delta),
                    input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
-def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
+def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
              k: int = 1, machine: MachineConfig = DEFAULT_MACHINE,
              gamma: RationalGamma = DEFAULT_GAMMA, delta: float = PULSE_DELTA,
              final_rotation_style: str = "program") -> Program:
@@ -239,7 +226,7 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
     executed in the program's own style, `final_rotation_style="exact"`
     substitutes the exact matrix.
     """
-    style = _coerce_style(style, k)
+    impl = GateImplStyle(style, k)
     qa = str(which).upper()
     if qa not in ("QA1", "QA2", "1", "2"):
         raise ConfigurationError(f"which must be QA1 or QA2, got {which!r}")
@@ -253,27 +240,27 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style=IDEAL,
         raise ConfigurationError("QA2 takes the singlet input")
 
     names = _cnot_names(cnot_variant) * 5
-    steps = _expand(names, style, machine, gamma, delta)
+    steps = _expand(names, impl, machine, gamma, delta)
     if qa == "2":
         names += ("Y1",)
         if final_rotation_style == "exact":
             steps += (MatrixStep("Y1", ideal_gate("Y1", machine).matrix),)
         else:
-            steps += (_gate_step("Y1", style, machine, gamma, delta),)
-    return Program(name=f"QA{qa}[CNOT{cnot_variant},{style.style},k={style.k}]",
+            steps += (_gate_step("Y1", impl, machine, gamma, delta),)
+    return Program(name=f"QA{qa}[CNOT{cnot_variant},{style},k={k}]",
                    steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
-def build_grover(item: int, style=IDEAL, k: int = 1,
+def build_grover(item: int, style: str = IDEAL, k: int = 1,
                  machine: MachineConfig = DEFAULT_MACHINE,
                  gamma: RationalGamma = DEFAULT_GAMMA,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
-    style = _coerce_style(style, k)
     names = tuple(reversed(grover_sequence(item)))  # application order
-    return Program(name=f"Grover{item}[{style.style},k={style.k}]",
-                   steps=_expand(names, style, machine, gamma, delta),
+    return Program(name=f"Grover{item}[{style},k={k}]",
+                   steps=_expand(names, GateImplStyle(style, k), machine, gamma,
+                                 delta),
                    input_spec="00",
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -314,27 +301,26 @@ def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
     return readout((program_unitaries([program]) @ states[..., None])[..., 0])
 
 
-def run_program(program: Program, delta: float | None = None) -> np.ndarray:
+def run_program(program: Program) -> np.ndarray:
     """The output amplitudes of the program's declared input, a read-only
-    (4,) row, with every EO at its own step size or at `delta`."""
+    (4,) row."""
     (state,) = input_amplitudes([program.input_spec])
-    amps = program_unitary(program, delta) @ state
+    amps = program_unitary(program) @ state
     amps.setflags(write=False)
     return amps
 
 
-def program_unitary(program: Program, delta: float | None = None) -> np.ndarray:
-    """The full 4x4 matrix of the program (product of step propagators),
-    with every EO at its own step size or at `delta`."""
-    return program_unitaries([program], delta)[0]
+def program_unitary(program: Program) -> np.ndarray:
+    """The full 4x4 matrix of the program (product of step propagators)."""
+    return program_unitaries([program])[0]
 
 
-def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
+def program_unitaries(programs) -> np.ndarray:
     """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
 
     The walk first collects the distinct EOs of all the steps (each step
-    object read once), with every EO at its own step size or at `delta`,
-    and has those not stored yet integrated in stacks, in one call to
+    object read once, keyed by its id), and has those not stored yet
+    integrated in stacks, each at its own step size, in one call to
     ``integrate``.  It then looks each one up once, through
     eo_propagator.  Every program becomes a row of indices into those
     matrices, padded with the identity, and the products are folded in
@@ -355,8 +341,7 @@ def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
                 if isinstance(step, MatrixStep):
                     mats.append(step.matrix)
                 else:
-                    eo = step.eo if delta is None else step.eo.replace(delta=delta)
-                    i = by_eo.setdefault(eo, i)
+                    i = by_eo.setdefault(step, i)
                     if i == len(mats):
                         mats.append(None)   # looked up below
                 by_step[id(step)] = i
@@ -377,12 +362,12 @@ def program_unitaries(programs, delta: float | None = None) -> np.ndarray:
 def with_duration_offset(program: Program, label: str, offset: float) -> Program:
     """Copy of the program with `offset` added to tau of every EO named `label`.
 
-    Each distinct step gets one shifted copy, shared by all its places and
+    Each distinct EO gets one shifted copy, shared by all its places and
     by every program shifted by the same offset (``_shifted_step``).
     """
     shifted = {}
     for s in program.steps:
-        if isinstance(s, EOStep) and s.eo.label == label and id(s) not in shifted:
+        if isinstance(s, EOParams) and s.label == label and id(s) not in shifted:
             shifted[id(s)] = _shifted_step(s, offset)
     if not shifted:
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
@@ -391,10 +376,10 @@ def with_duration_offset(program: Program, label: str, offset: float) -> Program
 
 
 @lru_cache(maxsize=1024)
-def _shifted_step(step: EOStep, offset: float) -> EOStep:
-    """The step with `offset` added to the tau of its EO, memoized so that
-    a program rebuilt and shifted again reuses the shifted EO."""
-    return EOStep(step.eo.replace(tau=step.eo.tau + offset))
+def _shifted_step(eo: EOParams, offset: float) -> EOParams:
+    """The EO with `offset` added to its tau, memoized so that a program
+    rebuilt and shifted again reuses the shifted EO."""
+    return eo.replace(tau=eo.tau + offset)
 
 
 @dataclass(frozen=True)
@@ -425,23 +410,28 @@ def convergence_report(eos, input_spec: str, deltas,
                        reference_delta: float | None = None) -> ConvergenceReport:
     """Re-run an EO sequence at several step sizes and tabulate deviations.
 
-    The EOs run on the named input as one program of EO steps, through
-    run_program with each step size.  Deviations are measured against
-    the run at reference_delta (default: min(deltas)/10).  Diagonal EOs
-    keep the exact propagator throughout, so only pulse steps are swept.
+    Each step size d runs the EOs on the named input as one program,
+    of the EOs ``eo.replace(delta=d)``, through run_program.  Deviations
+    are measured against the run at reference_delta (default:
+    min(deltas)/10).  Diagonal EOs keep the exact propagator throughout,
+    so only pulse steps are swept.
     """
-    if isinstance(eos, EOParams):
-        eos = [eos]
+    eos = (eos,) if isinstance(eos, EOParams) else tuple(eos)
+
+    def run(d):
+        return run_program(Program("convergence",
+                                   tuple(eo.replace(delta=d) for eo in eos),
+                                   input_spec))
+
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if not deltas:
         raise ConfigurationError("need at least one delta")
     if reference_delta is None:
         reference_delta = min(deltas) / 10.0
-    program = Program("convergence", tuple(EOStep(eo) for eo in eos), input_spec)
-    ref = run_program(program, reference_delta)
+    ref = run(reference_delta)
     rows = []
     for d in deltas:
-        out = run_program(program, d)
+        out = run(d)
         (ab,) = readout(out[None])
         rows.append(ConvergenceRow(d, ab, float(np.max(np.abs(out - ref)))))
     two_digit = {r.delta: tuple(round(v, 2) for v in r.expectations) for r in rows}
@@ -454,7 +444,7 @@ def convergence_report(eos, input_spec: str, deltas,
 _DIRECTIVE_ARGS = {"input": 1, "gate": 1, "pulse": 5, "diagonal": 1}
 
 
-def parse_program_text(text: str, style=IDEAL, k: int = 1,
+def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                        machine: MachineConfig = DEFAULT_MACHINE,
                        gamma: RationalGamma = DEFAULT_GAMMA,
                        delta: float = PULSE_DELTA,
@@ -467,8 +457,10 @@ def parse_program_text(text: str, style=IDEAL, k: int = 1,
         gate <name>                         # realized in `style`
         pulse <spin> <angle> <axis> <mode> <k>   # angle in radians
         diagonal <tau_over_2pi>             # machine-field z evolution
+    A gate is expanded as a builder expands it ('G' per style), and a
+    diagonal duration must be finite and non-negative.
     """
-    style = _coerce_style(style, k)
+    impl = GateImplStyle(style, k)
     steps = []
     input_spec = "00"
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -487,18 +479,20 @@ def parse_program_text(text: str, style=IDEAL, k: int = 1,
                 input_amplitudes(args)
                 (input_spec,) = args
             elif kind == "gate":
-                steps.append(_gate_step(args[0], style, machine, gamma, delta))
+                steps.extend(_expand((args[0],), impl, machine, gamma, delta))
             elif kind == "pulse":
                 spin, angle = int(args[0]), float(args[1])
                 axis, mode, kk = args[2], args[3], int(args[4])
                 _, eo = design_pulse(spin, angle, axis, gamma=gamma, k=kk,
                                      mode=mode, machine=machine, delta=delta)
-                steps.append(EOStep(eo))
+                steps.append(eo)
             elif kind == "diagonal":
                 tau = float(args[0])
-                eo = ideal_eo_params("Ip", machine).replace(
-                    label=f"diagonal({tau:g})", tau=tau)
-                steps.append(EOStep(eo))
+                if not 0 <= tau < np.inf:
+                    raise ConfigurationError("diagonal duration must be finite "
+                                             f"and non-negative, got {tau!r}")
+                steps.append(ideal_eo_params("Ip", machine).replace(
+                    label=f"diagonal({tau:g})", tau=tau))
         except ValueError as exc:
             raise ConfigurationError(f"line {ln}: cannot parse {raw!r}: {exc}") from exc
     return Program(name=name, steps=tuple(steps), input_spec=input_spec)

@@ -8,8 +8,7 @@ import pytest
 import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
                    build_qa, canned_names, canned_spec, emit_table,
-                   perturb_duration_study, program_unitaries, round2,
-                   run_experiment, verify_suite)
+                   program_unitaries, round2, run_experiment, verify_suite)
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import CHECKS, _qa_row_label
 
@@ -133,7 +132,9 @@ def test_spec_validation():
                        ({"items": [2, 0, 2.0]}, "items share the row label 2:"),
                        ({"k_list": [1, 2, 1.0, 2]},
                         "k_list share the column label 16, 8:"),
-                       ({"final_rotation_style": "bogus"}, "final_rotation_style")]:
+                       ({"final_rotation_style": "bogus"}, "final_rotation_style"),
+                       ({"kind": "grover", "tau_offsets": [0.1]},
+                        "perturbation study is defined for QA suites")]:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentSpec.from_dict(bad)
     assert ExperimentSpec(items=(2.0,)).items == (2,)
@@ -161,6 +162,8 @@ _BATCH_CASES = {
                         tau_offsets=(-0.1, 0.0, 0.1)),
     "tau_offsets_two_k": dict(inputs=("singlet", "10"), k_list=(2, 1),
                               tau_offsets=(0.1, 0.0)),
+    "ideal_tau_offsets_two_k": dict(style="ideal", inputs=("01", "singlet"),
+                                    k_list=(1, 2), tau_offsets=(-0.1, 0.1)),
 }
 
 
@@ -327,9 +330,9 @@ def test_perturbation_zero_offset_matches_base():
     ([0.1, 0.1000004], "share the column label"),
 ], ids=["empty", "nan", "shared_label"])
 def test_perturbation_study_checks_its_offsets(offsets, match):
-    """Offsets passed straight to the study get the spec's checks."""
+    """A duration study's offsets get the spec's checks."""
     with pytest.raises(ConfigurationError, match=match):
-        perturb_duration_study(ExperimentSpec(k_list=(1,)), offsets)
+        run_experiment(ExperimentSpec(k_list=(1,), tau_offsets=offsets))
 
 
 def test_perturbation_keeps_every_k():

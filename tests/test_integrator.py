@@ -12,7 +12,7 @@ from nmrqc.integrator import (_CACHE_SIZE, _Drives, _cached_propagator, _fold,
                               _product_formula_block, _step_schedule,
                               _stepped_propagator, check_delta,
                               clear_propagator_cache, integrate)
-from nmrqc.programs import EOStep, Program, program_unitaries
+from nmrqc.programs import Program, program_unitaries
 from nmrqc.operators import TWO_PI, state_phase_distance
 
 from conftest import BLOCKS, PROPAGATORS, chained_reference
@@ -337,8 +337,7 @@ def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
     result is read-only and the pulse integrated alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
-    program = Program("p", tuple(EOStep(eo) for eo in
-                                 [ideal_eo_params("Ip")] + eos + static + [eos[0]]))
+    program = Program("p", tuple([ideal_eo_params("Ip")] + eos + static + [eos[0]]))
     info = _cached_propagator.cache_info
     clear_propagator_cache()
     program_unitaries([program])
@@ -427,7 +426,7 @@ def test_stacked_propagators_are_kept_until_cleared(kernel_calls):
     info = _cached_propagator.cache_info
     clear_propagator_cache()
     eo_propagator(eos[0])
-    program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos))])
+    program_unitaries([Program("p", tuple(eos))])
     assert kernel_calls == [("rotating", 1), ("rotating", 2)]  # X1 was stored
     extra = pulse_eo("Y1", k=2)
     integrate(eos + [extra])
@@ -447,7 +446,7 @@ def test_waiting_propagators_are_dropped(drop, kernel_calls):
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2")]
     clear_propagator_cache()
-    program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos + static))])
+    program_unitaries([Program("p", tuple(eos + static))])
     assert kernel_calls == [("rotating", 3), ("quarter", 2)]
     assert len(_cached_propagator) == len(eos + static)
     getattr(nmrqc.integrator, drop)()
@@ -471,7 +470,7 @@ def test_a_walk_reuses_a_propagator_integrated_long_ago(kernel_calls):
         eo_propagator(ip.replace(tau=float(tau)))
         if tau % 100 == 0:
             eo_propagator(x1)
-    program_unitaries([Program("p", (EOStep(x1), EOStep(y2)))])
+    program_unitaries([Program("p", (x1, y2))])
     assert kernel_calls == [("rotating", 1), ("rotating", 1)]
     assert len(_cached_propagator) == _CACHE_SIZE
     misses = info().misses
@@ -484,22 +483,28 @@ def test_a_walk_reuses_a_propagator_integrated_long_ago(kernel_calls):
     assert len(kernel_calls) == 2
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_bad_delta_raises_on_every_lookup_and_stores_nothing(bad, kernel_calls):
-    """A bad step size raises in a walk, in integrate and in a lookup,
-    every time, and nothing is integrated or stored: every key is
-    checked before any is integrated."""
-    eos = [pulse_eo(name) for name in ("X1", "Y2")]
-    program = Program("p", tuple(EOStep(eo) for eo in eos))
+@pytest.mark.parametrize("field, bad", [
+    ("delta", float("inf")), ("delta", float("nan")),
+    ("tau", float("nan")), ("tau", -1.0)],
+    ids=["inf", "nan", "tau_nan", "tau_negative"])
+def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
+                                                            kernel_calls):
+    """A bad step size, or a negative or NaN duration, raises with its own
+    message in a walk, in integrate and in a lookup of either propagator,
+    for a pulse and a diagonal EO, every time, and nothing is integrated
+    or stored: every key is checked before any is integrated."""
+    match = ("delta must be positive" if field == "delta"
+             else f"duration must be non-negative, got {bad!r}")
+    good = pulse_eo("X1")
     clear_propagator_cache()
-    for _ in range(2):
-        with pytest.raises(ConfigurationError, match="delta"):
-            program_unitaries([program], delta=bad)
-        with pytest.raises(ConfigurationError, match="delta"):
-            integrate([eos[0], eos[1].replace(delta=bad)])
-        for eo in eos:
-            with pytest.raises(ConfigurationError, match="delta"):
-                eo_propagator(eo.replace(delta=bad))
+    for eo in (pulse_eo("Y2"), ideal_eo_params("Ip")):
+        eo = eo.replace(**{field: bad})
+        for _ in range(2):
+            for call in (lambda: program_unitaries([Program("p", (good, eo))]),
+                         lambda: integrate([good, eo]),
+                         lambda: eo_propagator(eo), lambda: oracle_propagator(eo)):
+                with pytest.raises(ConfigurationError, match=match):
+                    call()
     assert not _cached_propagator and not kernel_calls
 
 

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ConfigurationError, NumericalIntegrityError, Program,
+from nmrqc import (ConfigurationError, EOParams, NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_qa, eo_propagator,
-                   grover_sequence, ideal_gate, input_amplitudes,
+                   grover_sequence, ideal_eo_params, ideal_gate, input_amplitudes,
                    parse_program_text, program_unitary, readout, run_program,
                    with_duration_offset)
 from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
-from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, INPUT_SPECS, STYLES, EOStep,
-                            MatrixStep, program_unitaries, run_inputs)
+from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, INPUT_SPECS,
+                            STYLES, MatrixStep, program_unitaries, run_inputs)
 
 
 def read_row(amps):
@@ -137,7 +137,7 @@ def test_grover_sf_expands_conditional_phase():
     labels = [s.label for s in p.steps]
     assert labels.count("Gcore") == 2
     assert labels.count("X1pp") == 2 and labels.count("X2pp") == 2
-    assert all(isinstance(s, EOStep) for s in p.steps)
+    assert all(isinstance(s, EOParams) for s in p.steps)
     # ideal style keeps the exact conditional-phase matrix
     p_ideal = build_grover(0, "ideal")
     kinds = [type(s) for s in p_ideal.steps]
@@ -157,7 +157,7 @@ def test_matrix_step_rejects_non_unitary_at_construction():
         step.matrix[0, 0] = 0.0
 
 
-def _stepwise(program, delta=None, amps=None):
+def _stepwise(program, amps=None):
     """Reference: carry the input state (or the given amplitudes, e.g. the
     identity for the unitary) across each step's propagator in turn."""
     if amps is None:
@@ -166,9 +166,18 @@ def _stepwise(program, delta=None, amps=None):
         if isinstance(step, MatrixStep):
             amps = step.matrix @ amps
             continue
-        eo = step.eo if delta is None else step.eo.replace(delta=delta)
-        amps = eo_propagator(eo) @ amps
+        amps = eo_propagator(step) @ amps
     return amps
+
+
+def _at_delta(program, delta):
+    """The program with every EO at the step size `delta`, or as it is
+    for None."""
+    if delta is None:
+        return program
+    return replace(program, steps=tuple(
+        s.replace(delta=delta) if isinstance(s, EOParams) else s
+        for s in program.steps))
 
 
 _PROGRAMS = {
@@ -180,19 +189,20 @@ _PROGRAMS = {
 }
 
 
-@pytest.mark.parametrize("options", [{}, {"delta": 0.02}, None],
+@pytest.mark.parametrize("delta, cold", [(None, False), (0.02, False), (None, True)],
                          ids=["own_delta", "delta_0.02", "cold_cache"])
 @pytest.mark.parametrize("program", sorted(_PROGRAMS))
 @pytest.mark.parametrize("style", STYLES)
-def test_run_program_matches_stepwise_reference(style, program, options):
-    """run_program equals the steps applied one by one.  From a cold cache,
-    where the walk integrates its pulses in stacks and the reference one
-    at a time, the program's unitary is the product of the steps' bit for
-    bit."""
-    p = _PROGRAMS[program](style)
-    if options is not None:
-        got = run_program(p, **options)
-        assert np.max(np.abs(got - _stepwise(p, **options))) < 1e-12
+def test_run_program_matches_stepwise_reference(style, program, delta, cold):
+    """run_program equals the steps applied one by one, with every EO at
+    its own step size or, rebuilt by eo.replace, at another.  From a cold
+    cache, where the walk integrates its pulses in stacks and the
+    reference one at a time, the program's unitary is the product of the
+    steps' bit for bit."""
+    p = _at_delta(_PROGRAMS[program](style), delta)
+    if not cold:
+        got = run_program(p)
+        assert np.max(np.abs(got - _stepwise(p))) < 1e-12
         return
     clear_propagator_cache()
     want = _stepwise(p, amps=np.eye(4, dtype=complex))
@@ -229,8 +239,8 @@ def test_one_propagator_lookup_per_eo_step(program):
     before = _lookups()
     run_inputs(p, INPUT_SPECS)
     assert _lookups() - before == distinct
-    copy = Program(name="copy", steps=tuple(
-        EOStep(s.eo) if isinstance(s, EOStep) else s for s in p.steps))
+    copy = Program(name="copy", steps=tuple(   # equal EOs, distinct objects
+        s.replace() if isinstance(s, EOParams) else s for s in p.steps))
     before = _lookups()
     program_unitaries([p, _PROGRAMS[program]("rotating_sf"), copy, p])
     assert _lookups() - before == distinct
@@ -243,10 +253,10 @@ def _unitary_stack():
     static = build_cnot(3, "static_sf", k=1).steps
     return st.sampled_from(
         cnot[:3] + static[3:5]
-        + (EOStep(cnot[0].eo), EOStep(static[3].eo),
+        + (cnot[0].replace(), static[3].replace(),
            MatrixStep("G", ideal_gate("G").matrix),
            MatrixStep("Y1", ideal_gate("Y1").matrix),
-           EOStep(cnot[1].eo.replace(label="diagonal", tau=3.25))))
+           cnot[1].replace(label="diagonal", tau=3.25)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,13 +267,14 @@ def _unitary_stack():
 def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
     """Bit for bit; from a cold cache, the reference integrates each step
     alone and the walk in stacks."""
-    programs = [Program(name=f"p{i}", steps=tuple(s)) for i, s in enumerate(steps)]
+    programs = [_at_delta(Program(name=f"p{i}", steps=tuple(s)), delta)
+                for i, s in enumerate(steps)]
     if cold:
         clear_propagator_cache()
-    want = [_stepwise(p, delta, amps=np.eye(4, dtype=complex)) for p in programs]
+    want = [_stepwise(p, amps=np.eye(4, dtype=complex)) for p in programs]
     if cold:
         clear_propagator_cache()
-    us = program_unitaries(programs, delta)
+    us = program_unitaries(programs)
     assert us.shape == (len(programs), 4, 4)
     for u, w in zip(us, want):
         assert np.array_equal(u, w)
@@ -303,17 +314,17 @@ def test_shifted_steps_are_memoized_across_rebuilds():
     assert first is again
     p = build_qa("QA1", "00", 1, "rotating_sf", k=1)
     fresh = Program("fresh", tuple(
-        EOStep(s.eo.replace(tau=s.eo.tau + 0.1)) if s.label == "Ip" else s
-        for s in p.steps))
-    assert first.eo == [s for s in fresh.steps if s.label == "Ip"][0].eo
+        s.replace(tau=s.tau + 0.1) if s.label == "Ip" else s for s in p.steps))
+    assert first == [s for s in fresh.steps if s.label == "Ip"][0]
     assert np.array_equal(program_unitary(shifted[1]), program_unitary(fresh))
 
 
 def test_negative_diagonal_duration_is_rejected():
-    p = parse_program_text("diagonal -3")
-    for _ in range(2):  # nothing is cached for a bad key
-        with pytest.raises(ConfigurationError, match="must be non-negative"):
-            run_program(p)
+    for tau in (-3.0, float("nan")):
+        p = Program("p", (ideal_eo_params("Ip").replace(tau=tau),))
+        for _ in range(2):  # nothing is cached for a bad key
+            with pytest.raises(ConfigurationError, match="must be non-negative"):
+                run_program(p)
     assert run_program(parse_program_text("diagonal 0"))[0] == 1.0
 
 
@@ -362,7 +373,7 @@ def test_final_rotation_style_switch():
                      final_rotation_style="exact")
     assert isinstance(exact.steps[-1], MatrixStep)
     pulse = build_qa("QA2", "singlet", 1, "rotating_sf", k=1)
-    assert isinstance(pulse.steps[-1], EOStep)
+    assert isinstance(pulse.steps[-1], EOParams)
     # rotating pulses turn the target exactly; both stylings agree closely
     a = read_row(run_program(exact))
     b = read_row(run_program(pulse))
@@ -372,7 +383,7 @@ def test_final_rotation_style_switch():
 def test_duration_offset_applies_to_every_labeled_eo():
     p = build_qa("QA1", "00", 1, "rotating_sf", k=1)
     q = with_duration_offset(p, "Ip", 0.1)
-    offsets = [s.eo.tau for s in q.steps if s.label == "Ip"]
+    offsets = [s.tau for s in q.steps if s.label == "Ip"]
     assert len(offsets) == 5
     f = coupling_pi_duration()
     assert all(t == pytest.approx(f + 0.1, abs=1e-9) for t in offsets)
@@ -400,18 +411,35 @@ def test_parse_program_text_round_trip_semantics():
         parse_program_text("warp 9")
     with pytest.raises(ConfigurationError):
         parse_program_text("pulse 1 x y z")
-    # every directive takes exactly its arguments; trailing tokens are errors
+    # every directive takes exactly its arguments; trailing tokens are
+    # errors, and so is a diagonal duration that is not finite and >= 0
     for bad in ("gate X1 junk", "input 00 extra", "diagonal 1 2", "input",
-                "pulse 1 1.5707963267948966 y rotating 1 9"):
+                "pulse 1 1.5707963267948966 y rotating 1 9",
+                "diagonal nan", "diagonal -1", "diagonal inf"):
         with pytest.raises(ConfigurationError, match="line 2: "):
             parse_program_text(f"gate X1\n{bad}")
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_parse_program_gate_expands_per_style(style):
+    """`gate G` is the conditional phase gate as the builders realize it:
+    its exact matrix in ideal style, G_EXPANSION in the pulse styles."""
+    p = parse_program_text("gate G", style=style)
+    if style == "ideal":
+        assert np.array_equal(program_unitary(p), ideal_gate("G").matrix)
+        return
+    expansion = parse_program_text("\n".join(f"gate {n}" for n in G_EXPANSION),
+                                   style=style)
+    assert [s.label for s in p.steps] == list(G_EXPANSION)
+    assert p.steps == expansion.steps
+    assert p.steps == build_grover(0, style).steps[6:13]
 
 
 def test_parse_program_pulse_line():
     p = parse_program_text("pulse 1 1.5707963267948966 y rotating 1",
                            style="rotating_sf")
     assert len(p.steps) == 1
-    eo = p.steps[0].eo
+    (eo,) = p.steps
     assert eo.tau == 8 and eo.sf1x == pytest.approx(0.03125)
 
 

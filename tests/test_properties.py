@@ -15,7 +15,7 @@ from nmrqc.harness import _offset_label
 from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
                               _stepped_propagator, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
-from nmrqc.programs import INPUT_SPECS, STYLES, EOStep, Program, program_unitaries
+from nmrqc.programs import INPUT_SPECS, STYLES, Program, program_unitaries
 
 from conftest import BLOCKS, PROPAGATORS, chained_reference, per_row_reference
 
@@ -23,9 +23,17 @@ from conftest import BLOCKS, PROPAGATORS, chained_reference, per_row_reference
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4,
                     unique_by=_offset_label)
 
+
+def _spec(kind, tau_offsets, **fields):
+    """A spec; a duration study (tau_offsets set) is defined for QA suites only."""
+    return ExperimentSpec(kind=kind, tau_offsets=tau_offsets if kind == "qa" else None,
+                          **fields)
+
+
 specs = st.builds(
-    ExperimentSpec,
+    _spec,
     kind=st.sampled_from(["qa", "grover"]),
+    tau_offsets=st.none() | _offsets,
     style=st.sampled_from(STYLES),
     cnot_variant=st.sampled_from([1, 2, 3]),
     inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5,
@@ -34,7 +42,6 @@ specs = st.builds(
     k_list=st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True),
     delta=st.floats(1e-4, 0.25),
     final_rotation_style=st.sampled_from(["program", "exact"]),
-    tau_offsets=st.none() | _offsets,
     perturb_label=st.sampled_from(["Ip", "Y2"]),
     machine=st.sampled_from([MachineConfig(), MachineConfig(h1z=2.0, h2z=0.5)]),
     title=st.text(max_size=20),
@@ -155,7 +162,7 @@ def test_stacked_static_kernel(pulses):
 
     clear_propagator_cache()
     with mock.patch.object(nmrqc.integrator, "_stepped_propagator", counting):
-        program_unitaries([Program("p", tuple(EOStep(eo) for eo in eos))])
+        program_unitaries([Program("p", tuple(eos))])
     assert sum(stacks) == len(set(eos))               # each pulse integrated once
     assert max(blocks) <= _STACK_SUBSTEPS
     for eo in eos:
