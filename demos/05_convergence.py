@@ -31,5 +31,5 @@ for delta in (0.08, 0.04, 0.02, 0.01):
 print("\nstep-size independence of a full program (five CNOTs + readout")
 print("on the singlet, shortest pulses):")
 qa2 = build_qa("QA2", "singlet", style="rotating_sf", k=1)
-report = convergence_report(list(qa2.eos), "singlet", deltas=[0.1, 0.01, 0.001])
+report = convergence_report(qa2.steps, "singlet", deltas=[0.1, 0.01, 0.001])
 print(report)

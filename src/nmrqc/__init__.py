@@ -22,7 +22,7 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
                      commensurability_margin, design_pulse, hypothetical_durations,
                      spectator_excess_angle, spectator_residual)
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, GateImplStyle,
-                       MatrixStep, Program, build_cnot, build_grover, build_qa,
+                       Program, build_cnot, build_grover, build_qa,
                        convergence_report, grover_sequence, input_amplitudes,
                        parse_program_text, program_unitaries, program_unitary,
                        readout, run_inputs, run_program, with_duration_offset)

@@ -185,9 +185,10 @@ def ideal_eo_params(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> EOPa
 
     pi/2 rotations use a unit field for a quarter period; primed gates a
     reduced field for one full period; the phase evolutions run for
-    tau/2pi = -1/(2J) with the appropriate z-fields.  The coupling stays
-    on throughout (its effect during the short rotations is ~1e-7).
-    The step hint is one period per substep.
+    tau/2pi = -1/(2J) with the appropriate z-fields, and G for as long
+    with none, so that its diagonal propagator is G exactly.  The
+    coupling stays on throughout (its effect during the short rotations
+    is ~1e-7).  The step hint is one period per substep.
     """
     cname = canonical_name(name)
     j = machine.coupling
@@ -203,10 +204,10 @@ def ideal_eo_params(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> EOPa
         h = -j / 2.0
         return EOParams(label="I", tau=coupling_pi_duration(machine), j=j,
                         h1z=h, h2z=h, delta=1.0)
-    if cname in ("Ip", "G"):
-        # The printed parameter set for G is its diagonal core, identical
-        # to Ip; the full conditional phase gate additionally needs the
-        # double-primed rotations (see the program builders).
-        return EOParams(label=cname, tau=coupling_pi_duration(machine), j=j,
+    if cname == "Ip":
+        return EOParams(label="Ip", tau=coupling_pi_duration(machine), j=j,
                         h1z=machine.h1z, h2z=machine.h2z, delta=1.0)
+    if cname == "G":
+        return EOParams(label="G", tau=coupling_pi_duration(machine), j=j,
+                        delta=1.0)
     raise ConfigurationError(f"no EO realization for gate {name!r}")

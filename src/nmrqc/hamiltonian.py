@@ -35,7 +35,9 @@ class MachineConfig:
     """Fixed hardware parameters: coupling and static z-fields.
 
     Defaults model the two nuclear spins of carbon-13 labeled chloroform,
-    rescaled by the spin-1 resonance frequency.
+    rescaled by the spin-1 resonance frequency.  Pulse durations (the
+    s = 8k of the tables, t1 and t2 of pulses.hypothetical_durations)
+    count spin-1 Larmor periods, so a pulse lasts tau/2pi = t1/h1z.
     """
 
     coupling: float = -0.43e-6

@@ -324,24 +324,26 @@ def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
 
 def _columns(spec: ExperimentSpec) -> list[tuple[str, int, float]]:
     """(label, k, duration offset) of every table column, in table order:
-    one per k ('256'), the ideal style's one at the first k ('ideal'), or
-    in a duration study one block of offsets (tau/2pi) per k, labeled by
-    offset ('+0.05') or, for several k, by offset and duration
-    ('+0.05@s=256')."""
+    one per k ('256'), or in a duration study one block of offsets
+    (tau/2pi) per k, labeled by offset ('+0.05') or, for several k, by
+    offset and duration ('+0.05@s=256').  The ideal style has no pulse
+    duration, so it keeps the first k alone: one column ('ideal') or one
+    block of offsets."""
+    k_list = spec.k_list[:1] if spec.style == IDEAL else spec.k_list
     if spec.tau_offsets is not None:
-        suffix = len(spec.k_list) > 1
+        suffix = len(k_list) > 1
         return [(_offset_label(o) + (f"@s={8 * k}" if suffix else ""), k, o)
-                for k in spec.k_list for o in spec.tau_offsets]
+                for k in k_list for o in spec.tau_offsets]
     if spec.style == IDEAL:
-        return [("ideal", spec.k_list[0], 0.0)]
-    return [(str(8 * k), k, 0.0) for k in spec.k_list]
+        return [("ideal", k_list[0], 0.0)]
+    return [(str(8 * k), k, 0.0) for k in k_list]
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute the grid and tabulate (a, b) per (row, column)."""
     rows = _rows(spec)
     columns = _columns(spec)
-    durations = ", ".join(str(8 * k) for k in spec.k_list)
+    durations = ", ".join(dict.fromkeys(str(8 * k) for _, k, _ in columns))
     title = (f"{spec.kind}:{spec.style}" if spec.tau_offsets is None
              else f"duration perturbation (s={durations})")
     table = ResultTable(
@@ -556,7 +558,7 @@ def _norm_preservation(notes):
 def _step_size_independence(notes):
     """Two-digit results of QA2 at s=8 match at delta 0.01 and 0.001."""
     qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
-    conv = convergence_report(qa2.eos, "singlet", deltas=[0.01, 0.001])
+    conv = convergence_report(qa2.steps, "singlet", deltas=[0.01, 0.001])
     verdict = "agree" if conv.two_digit_flag is False else "differ"
     return verdict == "agree", f"QA2 s=8, delta 0.01/0.001: two digits {verdict}"
 

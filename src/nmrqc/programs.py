@@ -1,20 +1,19 @@
 """Executable gate-sequence programs in three implementation styles.
 
 ``ideal`` realizes each gate as its idealized-hardware EO (one exactly
-solvable evolution per gate), ``rotating_sf`` and ``static_sf`` replace
-every single-spin gate by a designed pulse of the corresponding field
-geometry.  The equal-z-field conditional evolution is not available on
-hardware whose spins see different static fields, so all styles use the
-machine-field phase evolution "Ip" plus compensating primed rotations.
+solvable evolution per gate, the conditional phase gate G included),
+``rotating_sf`` and ``static_sf`` replace every single-spin gate by a
+designed pulse of the corresponding field geometry.  The equal-z-field
+conditional evolution is not available on hardware whose spins see
+different static fields, so every CNOT uses the machine-field phase
+evolution "Ip" plus compensating primed rotations, and the pulse styles
+expand G the same way (G_EXPANSION).
 
-A Program stores steps in application order (element 0 acts first).
-A step is an EO (``EOParams``, an evolution, carrying its own step
-size) or a MatrixStep (an exact matrix); both have a label.
-Exact-matrix steps appear only where a construction is defined by a
-matrix rather than an evolution (the conditional phase gate in ideal
-style, and optionally the final readout rotation).  Rewriting a
-program's EOs (``with_duration_offset``, another step size by
-``eo.replace(delta=d)``) gives another program of EOs.
+A Program's steps are EOs (``EOParams``, each an evolution carrying its
+own label and step size) in application order (element 0 acts first);
+there is no other kind of step.  Rewriting a program's EOs
+(``with_duration_offset``, another step size by ``eo.replace(delta=d)``)
+gives another program of EOs.
 
 program_unitaries is the one walk over program steps, and it walks a
 whole stack of programs at once: it has the integrator integrate their
@@ -41,8 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, NumericalIntegrityError
-from .gates import (canonical_name, compose, gate_rotation, ideal_eo_params,
-                    ideal_gate)
+from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from .integrator import eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
@@ -122,18 +120,12 @@ class GateImplStyle:
 
 
 @dataclass(frozen=True)
-class MatrixStep:
-    label: str
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", frozen_unitary(self.matrix))
-
-
-@dataclass(frozen=True)
 class Program:
+    """A named sequence of EOs, the input it declares and, when built
+    from gates, the ideal unitary of its gate sequence."""
+
     name: str
-    steps: tuple          # EOParams and MatrixStep, in application order
+    steps: tuple[EOParams, ...]   # in application order
     input_spec: str = "00"
     ideal_unitary: np.ndarray | None = field(default=None, repr=False,
                                              compare=False)  # read-only
@@ -146,14 +138,6 @@ class Program:
         states = input_amplitudes([self.input_spec])
         (ab,) = readout((self.ideal_unitary[None] @ states[..., None])[..., 0])
         return ab
-
-    @property
-    def eos(self) -> tuple[EOParams, ...]:
-        return tuple(s for s in self.steps if isinstance(s, EOParams))
-
-    def durations(self) -> tuple[float, ...]:
-        """tau/2pi of each EO step, in application order."""
-        return tuple(eo.tau for eo in self.eos)
 
 
 @lru_cache(maxsize=1024)
@@ -174,14 +158,12 @@ def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
 
 @lru_cache(maxsize=1024)
 def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig,
-            gamma: RationalGamma, delta: float) -> tuple:
-    """The steps of a gate sequence, names in application order; 'G'
-    is its exact matrix in ideal style and G_EXPANSION otherwise."""
+            gamma: RationalGamma, delta: float) -> tuple[EOParams, ...]:
+    """The EOs of a gate sequence, names in application order; 'G' is
+    one EO in ideal style and G_EXPANSION otherwise."""
     steps = []
     for name in names:
-        if name == "G" and style.style == IDEAL:
-            steps.append(MatrixStep("G", ideal_gate("G", machine).matrix))
-        elif name == "G":
+        if name == "G" and style.style != IDEAL:
             steps.extend(_gate_step(n, style, machine, gamma, delta)
                          for n in G_EXPANSION)
         else:
@@ -224,7 +206,7 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     followed by a pi/2 rotation of spin 1 that turns the surviving
     entangled state into a definite readout; by default that rotation is
     executed in the program's own style, `final_rotation_style="exact"`
-    substitutes the exact matrix.
+    substitutes the ideal EO without coupling, which is exact to rounding.
     """
     impl = GateImplStyle(style, k)
     qa = str(which).upper()
@@ -244,7 +226,7 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     if qa == "2":
         names += ("Y1",)
         if final_rotation_style == "exact":
-            steps += (MatrixStep("Y1", ideal_gate("Y1", machine).matrix),)
+            steps += (ideal_eo_params("Y1", machine).replace(j=0.0),)
         else:
             steps += (_gate_step("Y1", impl, machine, gamma, delta),)
     return Program(name=f"QA{qa}[CNOT{cnot_variant},{style},k={k}]",
@@ -318,8 +300,8 @@ def program_unitary(program: Program) -> np.ndarray:
 def program_unitaries(programs) -> np.ndarray:
     """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
 
-    The walk first collects the distinct EOs of all the steps (each step
-    object read once, keyed by its id), and has those not stored yet
+    The walk first collects the distinct EOs of all the programs (each
+    step object read once, keyed by its id), and has those not stored yet
     integrated in stacks, each at its own step size, in one call to
     ``integrate``.  It then looks each one up once, through
     eo_propagator.  Every program becomes a row of indices into those
@@ -329,27 +311,18 @@ def program_unitaries(programs) -> np.ndarray:
     one by one.
     """
     programs = list(programs)  # keeps every step alive while keyed by id
-    mats = [_EYE]
-    by_step, by_eo = {}, {}
+    by_step, by_eo = {}, {}    # EO indices from 1; 0 is the identity
     rows = []
     for program in programs:
         row = []
         for step in program.steps:
             i = by_step.get(id(step))
             if i is None:
-                i = len(mats)
-                if isinstance(step, MatrixStep):
-                    mats.append(step.matrix)
-                else:
-                    i = by_eo.setdefault(step, i)
-                    if i == len(mats):
-                        mats.append(None)   # looked up below
-                by_step[id(step)] = i
+                i = by_step[id(step)] = by_eo.setdefault(step, len(by_eo) + 1)
             row.append(i)
         rows.append(row)
     integrate(by_eo)
-    for eo, i in by_eo.items():
-        mats[i] = eo_propagator(eo)
+    mats = [_EYE] + [eo_propagator(eo) for eo in by_eo]
     width = max(map(len, rows), default=0)
     index = np.array([row + [0] * (width - len(row)) for row in rows],
                      dtype=np.intp).reshape(len(rows), width)
@@ -367,7 +340,7 @@ def with_duration_offset(program: Program, label: str, offset: float) -> Program
     """
     shifted = {}
     for s in program.steps:
-        if isinstance(s, EOParams) and s.label == label and id(s) not in shifted:
+        if s.label == label and id(s) not in shifted:
             shifted[id(s)] = _shifted_step(s, offset)
     if not shifted:
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")

@@ -9,7 +9,8 @@ four are satisfied to good approximation by durations
     t1/2pi = 2 k M N^2   (spin-1 pulses)
     t2/2pi = 2 k M^3     (spin-2 pulses)
 
-with the target amplitude fixed by the angle and the spectator channel
+counted in spin-1 Larmor periods (an EO lasts tau/2pi = t/h1z), with
+the target amplitude fixed by the angle and the spectator channel
 scaled by gamma.  The approximation quality grows with the margin
 2 k N M (M - N); exactness is unreachable at finite duration, which is
 the root of every deviation the result tables quantify.
@@ -165,13 +166,13 @@ def design_pulse(target_spin: int, angle: float, axis: str,
     t1, t2 = hypothetical_durations(gamma, k)
     turns = angle / TWO_PI
     if target_spin == 1:
-        t = float(t1)
-        amp_target = turns / t1 * machine.h1z
+        t = t1 / machine.h1z
+        amp_target = turns / t
         amp1, amp2 = amp_target, amp_target * machine.gamma
         omega = machine.h1z
     else:
-        t = float(t2)
-        amp_target = turns / t2 * machine.h1z
+        t = t2 / machine.h1z
+        amp_target = turns / t
         amp1, amp2 = amp_target / machine.gamma, amp_target
         omega = machine.h2z
 

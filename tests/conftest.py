@@ -58,14 +58,16 @@ def per_row_reference(spec):
         rows = [(r, _qa_row_label(spec, r)) for r in spec.inputs]
     else:
         rows = [(str(i), str(i)) for i in spec.items]
+    # the ideal style has no pulse duration: it keeps the first k alone
+    k_list = spec.k_list[:1] if spec.style == "ideal" else spec.k_list
     if spec.tau_offsets is not None:
-        several = len(spec.k_list) > 1
+        several = len(k_list) > 1
         columns = [(f"{o:+g}" + (f"@s={8 * k}" if several else ""), k, o)
-                   for k in spec.k_list for o in spec.tau_offsets]
+                   for k in k_list for o in spec.tau_offsets]
     elif spec.style == "ideal":
-        columns = [("ideal", spec.k_list[0], 0.0)]
+        columns = [("ideal", k_list[0], 0.0)]
     else:
-        columns = [(str(8 * k), k, 0.0) for k in spec.k_list]
+        columns = [(str(8 * k), k, 0.0) for k in k_list]
     cells, ideal = {}, {}
     for key, label in rows:
         for col, k, offset in columns:

@@ -124,7 +124,8 @@ def test_spec_validation():
                        ({"items": [-1]}, "items entries"),
                        ({"items": [1.5]}, "items entries"),
                        ({"tau_offsets": ["ab"]}, "tau_offsets entries"),
-                       ({"tau_offsets": [float("nan")]}, "tau_offsets entries"),
+                       ({"tau_offsets": [float("nan")]},
+                        "tau_offsets entries must be finite numbers, got nan"),
                        ({"tau_offsets": [0.1, 0.1000004]},
                         "share the column label \\+0.1:"),
                        ({"inputs": ["01", "singlet", "01"]},
@@ -162,6 +163,7 @@ _BATCH_CASES = {
                         tau_offsets=(-0.1, 0.0, 0.1)),
     "tau_offsets_two_k": dict(inputs=("singlet", "10"), k_list=(2, 1),
                               tau_offsets=(0.1, 0.0)),
+    # one block of offsets, at the first k, labeled by offset alone
     "ideal_tau_offsets_two_k": dict(style="ideal", inputs=("01", "singlet"),
                                     k_list=(1, 2), tau_offsets=(-0.1, 0.1)),
 }
@@ -243,7 +245,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     nmrqc.integrator.clear_propagator_cache()
     cold = run_experiment(canned_spec(name))
     (programs,) = calls
-    keys = {eo for p in programs for eo in p.eos}
+    keys = {eo for p in programs for eo in p.steps}
     assert (info().misses, info().hits) == (len(keys), 0)
     assert sorted(kernel_calls) == _expected_stacks(keys)
     assert len(nmrqc.integrator._cached_propagator) == len(keys)  # one store
@@ -268,7 +270,7 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
                  for variant in (1, 2, 3) for style in ("rotating_sf", "static_sf")
                  for k in (1, 2, 4)]
                 + [build_grover(item, "static_sf", k=2) for item in range(4)])
-    keys = {eo for p in programs for eo in p.eos}
+    keys = {eo for p in programs for eo in p.steps}
     nmrqc.integrator.clear_propagator_cache()
     program_unitaries(programs)
     info = nmrqc.integrator._cached_propagator.cache_info()
@@ -298,7 +300,7 @@ def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     for k in (1, 2):
         run_experiment(ExperimentSpec(k_list=(k,), tau_offsets=(-0.1, 0.0, 0.1)))
     for fold in ("rotating", "quarter"):
-        keys = {eo for ps in calls for p in ps for eo in p.eos
+        keys = {eo for ps in calls for p in ps for eo in p.steps
                 if eo.is_rotating == (fold == "rotating") and not eo.is_diagonal}
         integrated = [eo for f, stack in stacks if f == fold for eo in stack]
         assert len(keys) == 26
@@ -309,7 +311,7 @@ def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     nmrqc.integrator.clear_propagator_cache()
     run_experiment(ExperimentSpec(k_list=(1,)))
     assert [set(s) for _, s in stacks] == [
-        {eo for p in calls[-1] for eo in p.eos if eo.is_rotating}]
+        {eo for p in calls[-1] for eo in p.steps if eo.is_rotating}]
 
 
 def test_perturbation_zero_offset_matches_base():
@@ -324,17 +326,6 @@ def test_perturbation_zero_offset_matches_base():
     assert pert.cell(row, "+0") == pytest.approx(base.cell(row, 8), abs=1e-12)
 
 
-@pytest.mark.parametrize("offsets, match", [
-    ([], "tau_offsets must be non-empty"),
-    ([float("nan")], "tau_offsets entries must be finite numbers, got nan"),
-    ([0.1, 0.1000004], "share the column label"),
-], ids=["empty", "nan", "shared_label"])
-def test_perturbation_study_checks_its_offsets(offsets, match):
-    """A duration study's offsets get the spec's checks."""
-    with pytest.raises(ConfigurationError, match=match):
-        run_experiment(ExperimentSpec(k_list=(1,), tau_offsets=offsets))
-
-
 def test_perturbation_keeps_every_k():
     # one block of offset columns per k; none is dropped
     spec = ExperimentSpec.from_dict({"k_list": [1, 2], "tau_offsets": [0.0]})
@@ -345,6 +336,14 @@ def test_perturbation_keeps_every_k():
     for row in pert.row_labels:
         assert pert.cell(row, "+0@s=8") == base.cell(row, 8)
         assert pert.cell(row, "+0@s=16") == base.cell(row, 16)
+
+
+def test_ideal_duration_study_keeps_the_first_k():
+    # the ideal style has no pulse duration, so another k is the same block
+    pert = run_experiment(ExperimentSpec(style="ideal", k_list=(2, 1),
+                                         tau_offsets=(0.0, 0.1)))
+    assert pert.title == "duration perturbation (s=16)"
+    assert pert.col_labels == ["+0", "+0.1"]
 
 
 def test_parse_angle_forms():

@@ -85,13 +85,16 @@ def test_ideal_eo_matches_gate_matrix():
     # one-step reference evolution of the idealized EO reproduces the
     # exact gate to ~coupling-term accuracy, for every single-EO gate
     names = ("X1", "X2", "Y1", "Y2", "X1b", "X2b", "Y1b", "Y2b",
-             "X1p", "X2p", "Y1p", "X1pp", "X2pp", "I", "Ip")
+             "X1p", "X2p", "Y1p", "X1pp", "X2pp", "I", "Ip", "G")
     for name in names:
         eo = ideal_eo_params(name)
         gate = ideal_gate(name).matrix
         u = oracle_propagator(eo.replace(delta=eo.tau))
         for state in input_amplitudes(["00", "10", "01", "11"]):
             assert state_phase_distance(u @ state, gate @ state) < 1e-6, name
+    # G is the bare coupling, so its exact diagonal propagator is G itself
+    u = eo_propagator(ideal_eo_params("G"))
+    assert np.max(np.abs(u - ideal_gate("G").matrix)) < 1e-15
 
 
 def test_zero_duration_is_identity():
@@ -150,7 +153,7 @@ def test_remainder_step_keeps_full_power():
 
 def test_convergence_report_flags_and_ratio():
     qa2 = build_qa("QA2", "singlet", style="rotating_sf", k=1)
-    rep = convergence_report(list(qa2.eos), "singlet", [0.01, 0.001])
+    rep = convergence_report(qa2.steps, "singlet", [0.01, 0.001])
     assert rep.two_digit_flag is False
     assert rep.rows[0].delta == 0.01
 

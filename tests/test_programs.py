@@ -14,7 +14,7 @@ from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
 from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, INPUT_SPECS,
-                            STYLES, MatrixStep, program_unitaries, run_inputs)
+                            STYLES, program_unitaries, run_inputs)
 
 
 def read_row(amps):
@@ -41,7 +41,7 @@ def test_cnot_program_shape_rotating():
     assert len(p.steps) == 7
     # reading order of the written sequence = reversed application order
     f = coupling_pi_duration()
-    assert tuple(reversed(p.durations())) == pytest.approx(
+    assert tuple(reversed([eo.tau for eo in p.steps])) == pytest.approx(
         (8, 8, 8, 128, 128, f, 128))
     labels = [s.label for s in p.steps]
     assert labels == ["Y2", "Ip", "Y2b", "X2p", "Y1b", "X1p", "Y1"]
@@ -137,11 +137,9 @@ def test_grover_sf_expands_conditional_phase():
     labels = [s.label for s in p.steps]
     assert labels.count("Gcore") == 2
     assert labels.count("X1pp") == 2 and labels.count("X2pp") == 2
-    assert all(isinstance(s, EOParams) for s in p.steps)
-    # ideal style keeps the exact conditional-phase matrix
+    # ideal style realizes G as one EO
     p_ideal = build_grover(0, "ideal")
-    kinds = [type(s) for s in p_ideal.steps]
-    assert kinds.count(MatrixStep) == 2
+    assert [s.label for s in p_ideal.steps].count("G") == 2
 
 
 def test_program_unitary_identity_for_empty():
@@ -149,12 +147,18 @@ def test_program_unitary_identity_for_empty():
     assert np.allclose(program_unitary(empty), np.eye(4))
 
 
-def test_matrix_step_rejects_non_unitary_at_construction():
-    with pytest.raises(NumericalIntegrityError):
-        MatrixStep("bad", np.eye(4) * 1.5)
-    step = MatrixStep("G", ideal_gate("G").matrix)
-    with pytest.raises(ValueError):
-        step.matrix[0, 0] = 0.0
+@pytest.mark.parametrize("style", STYLES)
+def test_every_program_step_is_an_eo(style):
+    """Builders and the program text give programs of EOs only, the
+    conditional phase gate and the exact final rotation included."""
+    programs = [build_cnot(v, style) for v in CNOT_SEQUENCES]
+    programs += [build_qa("QA1", "00", v, style) for v in CNOT_SEQUENCES]
+    programs += [build_qa("QA2", "singlet", v, style, final_rotation_style=f)
+                 for v in CNOT_SEQUENCES for f in ("program", "exact")]
+    programs += [build_grover(item, style) for item in range(4)]
+    programs.append(parse_program_text("gate G", style=style))
+    for p in programs:
+        assert p.steps and all(type(s) is EOParams for s in p.steps), p.name
 
 
 def _stepwise(program, amps=None):
@@ -163,9 +167,6 @@ def _stepwise(program, amps=None):
     if amps is None:
         (amps,) = input_amplitudes([program.input_spec])
     for step in program.steps:
-        if isinstance(step, MatrixStep):
-            amps = step.matrix @ amps
-            continue
         amps = eo_propagator(step) @ amps
     return amps
 
@@ -175,9 +176,8 @@ def _at_delta(program, delta):
     for None."""
     if delta is None:
         return program
-    return replace(program, steps=tuple(
-        s.replace(delta=delta) if isinstance(s, EOParams) else s
-        for s in program.steps))
+    return replace(program, steps=tuple(s.replace(delta=delta)
+                                        for s in program.steps))
 
 
 _PROGRAMS = {
@@ -231,16 +231,16 @@ def test_one_propagator_lookup_per_eo_step(program):
     """One cache lookup per distinct EO step, however often the program
     repeats it and however many inputs share the unitary."""
     p = _PROGRAMS[program]("rotating_sf")
-    distinct = len(set(p.eos))
-    assert distinct < len(p.eos)               # five CNOTs repeat their steps
+    distinct = len(set(p.steps))
+    assert distinct < len(p.steps)             # five CNOTs repeat their steps
     before = _lookups()
     program_unitary(p)
     assert _lookups() - before == distinct
     before = _lookups()
     run_inputs(p, INPUT_SPECS)
     assert _lookups() - before == distinct
-    copy = Program(name="copy", steps=tuple(   # equal EOs, distinct objects
-        s.replace() if isinstance(s, EOParams) else s for s in p.steps))
+    copy = Program(name="copy",                # equal EOs, distinct objects
+                   steps=tuple(s.replace() for s in p.steps))
     before = _lookups()
     program_unitaries([p, _PROGRAMS[program]("rotating_sf"), copy, p])
     assert _lookups() - before == distinct
@@ -248,14 +248,14 @@ def test_one_propagator_lookup_per_eo_step(program):
 
 def _unitary_stack():
     """Steps shared between programs, equal EOs in distinct step objects,
-    exact matrices and a diagonal evolution; each a separate choice."""
+    the ideal G and exact Y1 EOs and a diagonal evolution; each a
+    separate choice."""
     cnot = build_cnot(1, "rotating_sf", k=1).steps
     static = build_cnot(3, "static_sf", k=1).steps
     return st.sampled_from(
         cnot[:3] + static[3:5]
         + (cnot[0].replace(), static[3].replace(),
-           MatrixStep("G", ideal_gate("G").matrix),
-           MatrixStep("Y1", ideal_gate("Y1").matrix),
+           ideal_eo_params("G"), ideal_eo_params("Y1").replace(j=0.0),
            cnot[1].replace(label="diagonal", tau=3.25)))
 
 
@@ -371,9 +371,12 @@ def test_basis_correct_but_superposition_wrong():
 def test_final_rotation_style_switch():
     exact = build_qa("QA2", "singlet", 1, "rotating_sf", k=1,
                      final_rotation_style="exact")
-    assert isinstance(exact.steps[-1], MatrixStep)
+    # the ideal Y1 EO without coupling is the exact gate to rounding
+    assert exact.steps[-1] == ideal_eo_params("Y1").replace(j=0.0)
+    assert np.max(np.abs(eo_propagator(exact.steps[-1])
+                         - ideal_gate("Y1").matrix)) < 1e-15
     pulse = build_qa("QA2", "singlet", 1, "rotating_sf", k=1)
-    assert isinstance(pulse.steps[-1], EOParams)
+    assert pulse.steps[-1].label == "Y1" and pulse.steps[-1].is_rotating
     # rotating pulses turn the target exactly; both stylings agree closely
     a = read_row(run_program(exact))
     b = read_row(run_program(pulse))

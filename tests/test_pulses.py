@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import nmrqc.reference_tables as ref
-from nmrqc import (ConfigurationError, RationalGamma,
+from nmrqc import (ConfigurationError, MachineConfig, RationalGamma,
                    commensurability_check_n, commensurability_margin,
-                   design_pulse, hypothetical_durations, spectator_excess_angle,
-                   spectator_residual, validate_machine, DEFAULT_MACHINE)
-from nmrqc.pulses import STATIC_AXIS, PulseDesign
+                   design_pulse, eo_propagator, hypothetical_durations,
+                   ideal_gate, spectator_excess_angle, spectator_residual,
+                   validate_machine, DEFAULT_MACHINE)
+from nmrqc.gates import gate_rotation
+from nmrqc.operators import global_phase_distance
+from nmrqc.pulses import DEFAULT_GAMMA, STATIC_AXIS, PulseDesign
 
 
 def test_rational_gamma_validation():
@@ -80,6 +83,21 @@ def test_resonance_and_phase_freeze():
             assert eo.omega == omega
             # bare spin-1 precession completes whole turns over the pulse
             assert design.t_over_2pi * DEFAULT_MACHINE.h1z == int(design.t_over_2pi)
+
+
+@pytest.mark.parametrize("mode", ["rotating", STATIC_AXIS])
+@pytest.mark.parametrize("name", ["X1", "X2"])
+def test_design_counts_spin1_periods(name, mode):
+    """At twice the default fields a pulse lasts its t1 (or t2) spin-1
+    periods, half the time, and still realizes its gate."""
+    machine = MachineConfig(h1z=2.0, h2z=0.5)
+    spin, axis, d, turns = gate_rotation(name, machine)
+    _, eo = design_pulse(spin, 2 * np.pi * turns, axis, k=4, mode=mode,
+                         direction=d, machine=machine)
+    t1, t2 = hypothetical_durations(DEFAULT_GAMMA, 4)
+    assert eo.tau * machine.h1z == (t1 if spin == 1 else t2)
+    gate = ideal_gate(name, machine).matrix
+    assert global_phase_distance(eo_propagator(eo), gate) < 1e-2
 
 
 def test_angle_domain():
