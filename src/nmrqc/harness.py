@@ -6,8 +6,12 @@ ResultTable whose markdown rendering mirrors the benchmark layout: ideal
 (a, b) first, then one (a_s, b_s) pair per column.  A column is a pulse
 duration s, or, when the spec sets tau_offsets (a duration study, QA
 suites only), a duration offset of the EOs labeled perturb_label at
-each s (``_columns``).  Machine formats (csv, json) carry full
-precision; the display rounds half away from zero to two decimals.
+each s (``_columns``).  The markdown display rounds half away from
+zero to two decimals.  CSV and JSON carry the same round-trip numbers,
+each spelled as json.dumps spells it (the float's repr, NaN, Infinity),
+so float() of any of them gives the cell back exactly.  JSON keeps the
+layout json.dumps gives the payload with an indent of 2 and sorted keys,
+byte for byte, written without json's pure-Python indenting encoder.
 
 Rows that run the same program share it: in each column, all basis-state
 rows of a QA suite run one QA1 program and the singlet row QA2, while
@@ -19,9 +23,9 @@ walk (``programs.program_unitaries``) then gives every program's
 unitary, looking each distinct propagator up once; on a cold table it
 integrates every rotating pulse of the table in one stack, and every
 static single-axis pulse of each drive frequency in stacks capped in
-size.  One batched product applies each unitary (and another each
-memoized ideal unitary) to the input rows of its table rows, and one
-readout of each gives the cells (and the ideal values).
+size.  One batched product applies each unitary to the input rows of
+its table rows, another each row's memoized ideal unitary to its first
+input, and one readout of both gives the cells and the ideal values.
 
 Verification is one list, CHECKS, of named checks: the ideal baseline,
 the integrator's numerical properties, coupling off during pulses, one
@@ -232,24 +236,64 @@ class ResultTable:
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._grid(lambda x: f"{x:.12g}"))
+        return "\n".join(",".join(row) for row in self._grid(json.dumps))
 
     def to_json(self) -> str:
-        payload = {
-            "title": self.title,
-            "row_header": self.row_header,
-            "columns": self.col_labels,
-            "rows": [
-                {
-                    "label": r,
-                    "ideal": list(self.ideal.get(r, ())),
-                    "cells": {c: list(self.cells[(r, c)]) for c in self.col_labels},
-                }
-                for r in self.row_labels
-            ],
-            "notes": self.notes,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The table as JSON, byte for byte what json.dumps writes, with
+        an indent of 2 and sorted keys, for the payload {title,
+        row_header, columns, rows: [{label, ideal, cells: {column:
+        values}}], notes}; written directly, since json.dumps runs its
+        pure-Python encoder whenever it indents.  Keys come in string
+        order, so column "128" sorts before "16"."""
+        text = _json_string
+        cols = sorted(set(self.col_labels))
+        keys = [text(c) + ": " for c in cols]
+        rows = [(r, [self.cells[(r, c)] for c in cols], self.ideal.get(r, ()))
+                for r in self.row_labels]
+        numbers = _json_numbers([x for _, cells, ideal in rows
+                                 for values in (*cells, ideal) for x in values])
+        end = 0                    # numbers written so far
+        row_texts = []
+        for r, cells, ideal in rows:
+            members = []
+            for key, values in zip(keys, cells):
+                start, end = end, end + len(values)
+                members.append(key + _json_block("[]", numbers[start:end], 4))
+            start, end = end, end + len(ideal)
+            row_texts.append(_json_block("{}", [
+                '"cells": ' + _json_block("{}", members, 3),
+                '"ideal": ' + _json_block("[]", numbers[start:end], 3),
+                '"label": ' + text(r)], 2))
+        return _json_block("{}", [
+            '"columns": ' + _json_block("[]", list(map(text, self.col_labels)), 1),
+            '"notes": ' + _json_block("[]", list(map(text, self.notes)), 1),
+            '"row_header": ' + text(self.row_header),
+            '"rows": ' + _json_block("[]", row_texts, 1),
+            '"title": ' + text(self.title)], 0)
+
+
+_json_string = json.encoder.encode_basestring_ascii   # json.dumps' C string encoder
+
+# Line breaks with the indent of each depth the table payload nests to,
+# and the same after an item's comma.
+_JSON_PADS = tuple("\n" + "  " * depth for depth in range(6))
+_JSON_SEPS = tuple("," + pad for pad in _JSON_PADS)
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Each number as json.dumps spells it (float repr, NaN, Infinity,
+    -Infinity), from one call of its C encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """Encoded items inside brackets ("[]" or "{}"), laid out as
+    json.dumps with an indent of 2 lays out a container nested depth
+    levels deep."""
+    if not items:
+        return brackets
+    return (brackets[0] + _JSON_PADS[depth + 1] + _JSON_SEPS[depth + 1].join(items)
+            + _JSON_PADS[depth] + brackets[1])
 
 
 def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
@@ -288,24 +332,26 @@ def _record(table: ResultTable, labels: dict, runs) -> None:
     """Run every (column, row keys, inputs, program) of a table in one walk.
 
     program_unitaries gives every program's unitary at once; one batched
-    product applies each to the inputs of its rows, and another each
-    program's ideal unitary, and one readout of each gives the cells and
-    the rows' ideal values.
+    product applies each to the inputs of its rows, another applies each
+    row's ideal unitary to the input of the row's first cell, and one
+    readout of both stacks gives the cells and the rows' ideal values.
     """
     programs = [program for *_, program in runs]
     us = program_unitaries(programs)
     which, specs, cells = [], [], []           # one entry per table cell
+    first = {}                                 # row -> index of its first cell
     for p, (col, keys, inputs, _) in enumerate(runs):
         for key, spec in zip(keys, inputs):
+            first.setdefault(labels[key], len(cells))
             which.append(p)
             specs.append(spec)
             cells.append((labels[key], col))
     states = input_amplitudes(specs)[..., None]
-    ideals = np.array([p.ideal_unitary for p in programs])
-    for cell, ab, ideal in zip(cells, readout((us[which] @ states)[..., 0]),
-                               readout((ideals[which] @ states)[..., 0])):
-        table.cells[cell] = ab
-        table.ideal.setdefault(cell[0], ideal)
+    at = list(first.values())
+    ideals = np.array([programs[which[i]].ideal_unitary for i in at])
+    values = readout(np.concatenate([us[which] @ states, ideals @ states[at]])[..., 0])
+    table.cells.update(zip(cells, values))
+    table.ideal.update(zip(first, values[len(cells):]))
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
@@ -367,35 +413,36 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # ----------------------------------------------------------------------
 # Canned benchmark experiments.
 
+# Named benchmark suites, in table order, built once.
+_CANNED = {
+    "table5": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
+                             title="five-fold CNOT1, rotating fields"),
+    "table6": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=2,
+                             title="five-fold CNOT2, rotating fields"),
+    "table7": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=3,
+                             title="five-fold CNOT3, rotating fields"),
+    "table8": ExperimentSpec(kind="qa", style=STATIC_SF, cnot_variant=1,
+                             title="five-fold CNOT1, single-axis fields"),
+    "table9": ExperimentSpec(kind="grover", style=ROTATING_SF,
+                             title="database search, rotating fields"),
+    "table10": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
+                              k_list=(32,), tau_offsets=ref.PERTURBATION_OFFSETS,
+                              title="duration sensitivity at s=256"),
+    "grover_static": ExperimentSpec(kind="grover", style=STATIC_SF,
+                                    title="database search, single-axis fields"),
+}
+
+
 def canned_spec(name: str) -> ExperimentSpec:
     """Named benchmark suites (table5 .. table10, plus grover_static)."""
-    specs = {
-        "table5": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
-                                 title="five-fold CNOT1, rotating fields"),
-        "table6": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=2,
-                                 title="five-fold CNOT2, rotating fields"),
-        "table7": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=3,
-                                 title="five-fold CNOT3, rotating fields"),
-        "table8": ExperimentSpec(kind="qa", style=STATIC_SF, cnot_variant=1,
-                                 title="five-fold CNOT1, single-axis fields"),
-        "table9": ExperimentSpec(kind="grover", style=ROTATING_SF,
-                                 title="database search, rotating fields"),
-        "table10": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
-                                  k_list=(32,),
-                                  tau_offsets=ref.PERTURBATION_OFFSETS,
-                                  title="duration sensitivity at s=256"),
-        "grover_static": ExperimentSpec(kind="grover", style=STATIC_SF,
-                                        title="database search, single-axis fields"),
-    }
-    if name not in specs:
+    if name not in _CANNED:
         raise ConfigurationError(
-            f"unknown table {name!r}; available: {', '.join(sorted(specs))}")
-    return specs[name]
+            f"unknown table {name!r}; available: {', '.join(sorted(_CANNED))}")
+    return _CANNED[name]
 
 
 def canned_names() -> tuple[str, ...]:
-    return ("table5", "table6", "table7", "table8", "table9", "table10",
-            "grover_static")
+    return tuple(_CANNED)
 
 
 # ----------------------------------------------------------------------

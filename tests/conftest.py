@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -85,6 +86,27 @@ def per_row_reference(spec):
             (cells[(label, col)],) = readout(run_program(program)[None])
             ideal[label] = program.ideal_expectations
     return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal
+
+
+def json_reference(table) -> str:
+    """The table's JSON as json.dumps writes it, indented by 2 with sorted
+    keys: the reference for ResultTable.to_json, which writes the same
+    bytes directly."""
+    payload = {
+        "title": table.title,
+        "row_header": table.row_header,
+        "columns": table.col_labels,
+        "rows": [
+            {
+                "label": r,
+                "ideal": list(table.ideal.get(r, ())),
+                "cells": {c: list(table.cells[(r, c)]) for c in table.col_labels},
+            }
+            for r in table.row_labels
+        ],
+        "notes": table.notes,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def single_eo(block):

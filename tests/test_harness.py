@@ -12,7 +12,7 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import CHECKS, _qa_row_label
 
-from conftest import per_row_reference
+from conftest import json_reference, per_row_reference
 
 
 @pytest.fixture(scope="module")
@@ -51,9 +51,19 @@ def test_markdown_layout_contract(small_table):
 
 
 def test_csv_full_precision(small_table):
-    csv_text = emit_table(small_table, "csv")
-    cell = csv_text.splitlines()[2].split(",")[3]
-    assert len(cell.replace(".", "").replace("-", "").lstrip("0")) >= 10
+    """float() of every CSV number gives its table value back exactly, and
+    the CSV spells each number as the JSON does."""
+    _, *lines = emit_table(small_table, "csv").splitlines()
+    json_lines = {line.strip().rstrip(",")
+                  for line in emit_table(small_table, "json").splitlines()}
+    assert [line.split(",")[0] for line in lines] == small_table.row_labels
+    for line, r in zip(lines, small_table.row_labels):
+        numbers = line.split(",")[1:]
+        want = [*small_table.ideal[r]]
+        for c in small_table.col_labels:
+            want += small_table.cells[(r, c)]
+        assert [float(x) for x in numbers] == want
+        assert set(numbers) <= json_lines
 
 
 def test_json_round_trip(small_table):
@@ -142,12 +152,52 @@ def test_spec_validation():
 
 
 def test_canned_specs_exist():
-    assert set(canned_names()) >= {"table5", "table6", "table7", "table8",
-                                   "table9", "table10"}
+    assert canned_names() == ("table5", "table6", "table7", "table8", "table9",
+                              "table10", "grover_static")
     for name in canned_names():
-        canned_spec(name)
-    with pytest.raises(ConfigurationError):
+        assert canned_spec(name) is canned_spec(name)   # built once
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "unknown table 'table99'; available: grover_static, table10, "
+            "table5, table6, table7, table8, table9")):
         canned_spec("table99")
+
+
+def _sweep_specs() -> dict:
+    """Short-pulse tables at s = 8, 16: QA on every CNOT variant and the
+    search, in both pulse styles, and a duration study at each k."""
+    specs = {}
+    for style in ("rotating_sf", "static_sf"):
+        for variant in (1, 2, 3):
+            specs[f"qa_cnot{variant}_{style}"] = ExperimentSpec(
+                style=style, cnot_variant=variant, k_list=(1, 2))
+        specs[f"search_{style}"] = ExperimentSpec(kind="grover", style=style,
+                                                  k_list=(1, 2))
+    for k in (1, 2):
+        specs[f"tau_offsets_k{k}"] = ExperimentSpec(k_list=(k,),
+                                                    tau_offsets=(-0.1, 0.0, 0.1))
+    return specs
+
+
+_JSON_SPECS = {**{name: canned_spec(name) for name in canned_names()},
+               **_sweep_specs()}
+
+
+@pytest.mark.parametrize("name", list(_JSON_SPECS))
+def test_json_is_json_dumps_byte_for_byte(name):
+    table = run_experiment(_JSON_SPECS[name])
+    assert emit_table(table, "json") == json_reference(table)
+
+
+def test_one_readout_per_table(monkeypatch):
+    """The cells and the rows' ideal values come from one readout call."""
+    import nmrqc.harness
+    calls = []
+    read = nmrqc.harness.readout
+    monkeypatch.setattr(nmrqc.harness, "readout",
+                        lambda amps: calls.append(len(amps)) or read(amps))
+    table = run_experiment(ExperimentSpec(inputs=("00", "singlet", "11"),
+                                          k_list=(1, 2)))
+    assert calls == [len(table.cells) + len(table.row_labels)]
 
 
 _BATCH_CASES = {

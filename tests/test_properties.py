@@ -1,6 +1,7 @@
-"""Property-based tests: spec serialization, the batched harness, the
-folded pulse propagators (static pulses folded by quarter periods among
-them) and the stacked rotating and static kernels."""
+"""Property-based tests: spec serialization, the batched harness, table
+JSON against json.dumps, the folded pulse propagators (static pulses
+folded by quarter periods among them) and the stacked rotating and
+static kernels."""
 import json
 from unittest import mock
 
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
                    run_experiment)
 import nmrqc.integrator
-from nmrqc.harness import _offset_label
+from nmrqc.harness import ResultTable, _offset_label
 from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
                               _stepped_propagator, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES, Program, program_unitaries
 
-from conftest import BLOCKS, PROPAGATORS, chained_reference, per_row_reference
+from conftest import (BLOCKS, PROPAGATORS, chained_reference, json_reference,
+                      per_row_reference)
 
 # list entries whose row or column labels differ, as ExperimentSpec requires
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4,
@@ -69,6 +71,49 @@ def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
     assert (table.row_labels, table.col_labels) == (rows, cols)
     assert table.cells == cells
     assert table.ideal == ideal
+
+
+# Table text: quotes, backslashes, control characters, non-ASCII text
+# (one character outside the BMP) and any other character.
+_texts = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f,é☃\U0001d11e') | st.characters(),
+                 max_size=6)
+# Column labels whose string order is not their numeric order.
+_labels = st.sampled_from(["8", "16", "128", "+0.05", "-0.1", "ideal"]) | _texts
+_numbers = (st.floats() | st.integers()
+            | st.sampled_from([5e-324, 1e-300, 1.5e308, -0.0, float("nan"),
+                               float("inf"), float("-inf")]))
+
+
+@st.composite
+def result_tables(draw):
+    """A table of any shape; a row may have no ideal, and any list may be
+    empty."""
+    rows = draw(st.lists(_texts, max_size=4))
+    cols = draw(st.lists(_labels, max_size=5))
+    values = st.lists(_numbers, max_size=3).map(tuple)
+    return ResultTable(
+        title=draw(_texts), row_header=draw(_texts), row_labels=rows,
+        col_labels=cols,
+        ideal={r: draw(values) for r in rows if draw(st.booleans())},
+        cells={(r, c): draw(values) for r in rows for c in cols},
+        notes=draw(st.lists(_texts, max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(result_tables())
+@example(ResultTable(
+    title='a "quoted" \\ title\x01', row_header="Operation",
+    row_labels=["(CNOT1)^5|00>", "Ψ", "no ideal"],
+    col_labels=["8", "16", "128", "+0.05", "-0.1"],
+    ideal={"(CNOT1)^5|00>": (1, -0.0), "Ψ": (float("nan"), float("inf"))},
+    cells={(r, c): (5e-324, -float("inf")) if c == "16" else (0.1, 1.5e308)
+           for r in ["(CNOT1)^5|00>", "Ψ", "no ideal"]
+           for c in ["8", "16", "128", "+0.05", "-0.1"]},
+    notes=["ü\n"]))
+@example(ResultTable(title="", row_header="", row_labels=[], col_labels=[]))
+@example(ResultTable(title="", row_header="", row_labels=["r"], col_labels=[]))
+def test_table_json_is_json_dumps_byte_for_byte(table):
+    assert table.to_json() == json_reference(table)
 
 
 @settings(max_examples=16, deadline=None)
