@@ -42,7 +42,7 @@ substep product by a symmetry of the drive wherever one holds exactly:
   every P substeps (Floquet; Shirley, Phys. Rev. 138, B979 (1965)), so
   one period's product U_T is raised to q = n_full // P; the
   n_full mod P leftover substeps are stepped at their true midpoints.
-  A single-axis drive (one axis driven, phi_x = phi_y = 0, no static
+  An x drive (only the x channel driven, phi_x = phi_y = 0, no static
   transverse field) with P a multiple of 4 has two more exact
   symmetries, so only its first P/4 substeps are built, as their
   product Q:
@@ -54,11 +54,10 @@ substep product by a symmetry of the drive wherever one holds exactly:
     T/4, so the second quarter runs the first one's substeps in reverse
     order.  An x drive makes H real, so every substep block is
     complex-symmetric (for the Strang split T D T as for the dense
-    exponential) and U_{T/2} = Q^T Q.  Conjugation by Z(pi/2) makes a y
-    drive real; undone, it gives U_{T/2} = Zpi Q^T Zpi Q.
-  Any other periodic drive (phi != 0, a static transverse field, both
-  axes driven or P not a multiple of 4) builds the product of all P
-  substeps.
+    exponential) and U_{T/2} = Q^T Q.
+  Any other periodic drive (phi != 0, a static transverse field, a y
+  drive, both axes driven or P not a multiple of 4) builds the product
+  of all P substeps.
 * In every other case (omega = 0, a period that is not a whole number of
   steps or is shorter than one step, a static pulse shorter than two
   periods) every substep is stepped.
@@ -75,8 +74,8 @@ count.  A stack shares one fold (``_fold``):
   per EO, the frame factors, repeated squaring over the bits of the
   largest n (each EO keeps its partial product where its own n lacks a
   bit), the remainder blocks and one stacked SVD;
-- a quarter-folded stack holds static EOs of one drive frequency, x and
-  y drives alike: one quarter-period block over all of them, Zpi placed
+- a quarter-folded stack holds static x drives of one frequency: one
+  quarter-period block over all of them, Zpi placed
   per EO, each EO's own power 2q, the tails (an EO whose tail is
   shorter takes substeps of length 0, exactly the identity, at its
   end), the remainders and one SVD.  A quarter period is only 25 or
@@ -87,10 +86,23 @@ Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
 product) are integrated alone, and so is every reference.
 
-``integrate`` integrates the EOs of a list not stored yet, in stacks of
-one step size; a program walk calls it once, then looks each EO up.
-One store, keyed by the EO, keeps the last _CACHE_SIZE propagators
-used.
+Pulses that differ only in the axis or sense of their drive are
+integrated once (``_z_class``).  The z terms commute with total S^z, so
+shifting every drive phase by q quarter turns conjugates the propagator
+exactly: U(eo) = Z_q U(eo0) Z_q^dagger, with
+Z_q = exp(i q pi/2 S^z_tot) = diag(i^q, 1, 1, i^-q), whose entries are
++-1 or +-i, so the conjugation itself rounds nothing (the rotating frame
+again; "virtual Z" phase tracking, McKay et al., Phys. Rev. A 96,
+022330 (2017)).  A rotating EO whose phi_x is a whole number of quarter
+turns maps to phi_x = 0, and a static single-axis EO at phi = 0 to an x
+drive; a negative amplitude is a half turn more.  eo0 has amplitudes
+>= 0 and one fixed label, so X2, X2b, Y2 and Y2b at one k share it.
+Every other EO is its own class (q = 0).
+
+``integrate`` integrates the classes of the EOs of a list not stored
+yet, in stacks of one step size, and stores each EO's conjugate; a
+program walk calls it, then looks each EO up.  One store, keyed by the
+EO, keeps the last _CACHE_SIZE propagators used.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -103,7 +115,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict
-from functools import reduce
+from functools import lru_cache, reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +132,10 @@ _MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
 _Z_PI = np.array([-1.0, 1.0, 1.0, -1.0])  # exp(i pi S^z_tot)
 _EYE = np.eye(4, dtype=complex)
+# Diagonals of Z_q = exp(i q pi/2 S^z_tot) = diag(i^q, 1, 1, i^-q), q = 0..3.
+_Z_QUARTER_TURNS = np.array([[1, 1, 1, 1], [1j, 1, 1, -1j], [-1, 1, 1, -1],
+                             [-1j, 1, 1, 1j]])
+_CLASS_LABEL = "z-class"  # the label of every class representative eo0
 
 
 def check_delta(delta) -> None:
@@ -151,7 +167,7 @@ def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
 
 
 _ROTATING = "rotating"  # the drive turns rigidly about z
-_QUARTER = "quarter"    # a single-axis static drive, folded from a quarter period
+_QUARTER = "quarter"    # a static x drive, folded from a quarter period
 
 
 def _fold(eo: EOParams, delta: float) -> str | None:
@@ -162,12 +178,45 @@ def _fold(eo: EOParams, delta: float) -> str | None:
     period = _period_steps(eo.omega, delta)
     if not period or period % 4:
         return None
-    single_axis = bool(eo.sf1x or eo.sf2x) != bool(eo.sf1y or eo.sf2y)
-    if (single_axis and not any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x,
-                                 eo.h2y))
+    x_drive = (eo.sf1x or eo.sf2x) and not (eo.sf1y or eo.sf2y)
+    if (x_drive and not any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x,
+                             eo.h2y))
             and _step_schedule(eo.tau, delta)[0] >= 2 * period):
         return _QUARTER
     return None
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _z_class(eo: EOParams) -> tuple[EOParams, int]:
+    """(eo0, q) with U(eo) = Z_q U(eo0) Z_q^dagger (see the module
+    docstring); (eo, 0) for an EO no quarter turn canonicalizes."""
+    x, y = (eo.sf1x, eo.sf2x), (eo.sf1y, eo.sf2y)
+    rotating = eo.is_rotating
+    if rotating:
+        turns = eo.phi_x / (math.pi / 2.0)
+        if not turns.is_integer():
+            return eo, 0
+        q, amps = int(turns), x
+    elif (eo.is_diagonal or (any(x) and any(y))
+          or any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x, eo.h2y))):
+        return eo, 0
+    else:   # Z_3 turns an x drive into a y drive
+        q, amps = (0, x) if any(x) else (3, y)
+    if min(amps) < 0.0 < max(amps):
+        return eo, 0
+    if min(amps) < 0.0:
+        q += 2
+    a1, a2 = abs(amps[0]), abs(amps[1])
+    eo0 = eo.replace(label=_CLASS_LABEL, sf1x=a1, sf2x=a2,
+                     sf1y=a1 if rotating else 0.0, sf2y=a2 if rotating else 0.0,
+                     phi_x=0.0, phi_y=math.pi / 2.0 if rotating else 0.0)
+    return eo0, q % 4
+
+
+def _conjugated(u: np.ndarray, qs) -> np.ndarray:
+    """Z_q u[e] Z_q^dagger for each matrix u[e] of a stack and its q."""
+    z = _Z_QUARTER_TURNS[qs]
+    return z[:, :, None] * u * z.conj()[:, None, :]
 
 
 class _Drives:
@@ -334,9 +383,9 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
     """Per EO, the product of its leading substeps folded by symmetry,
     and how many substeps that covers; the rest are the EO's tail.
 
-    A rotating stack is covered whole.  A quarter-folded stack builds
-    one quarter period per EO, any other periodic EO a full period (see
-    the module docstring); an EO that does not fold covers nothing.
+    A rotating stack is covered whole.  A quarter-folded stack (x drives)
+    builds one quarter period per EO, any other periodic EO a full period
+    (see the module docstring); an EO that does not fold covers nothing.
     """
     if not any(n_full):
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), n_full
@@ -351,14 +400,9 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
     qs = [n // period for n in n_full] if period else [0]
     zeros = np.zeros(len(n_full), dtype=int)
     if d.fold == _QUARTER:
-        # Zpi U_{T/2} from Q, the first P/4 substeps: Zpi Q^T Q for an x
-        # drive, Q^T Zpi Q for a y drive.
+        # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
         quarter = _substeps(d, zeros, zeros + period // 4, dt, block)
-        mirrored = np.swapaxes(quarter, -1, -2)
-        y_drive = d.amp[:, :, 1].any(axis=1)
-        z_pi_half = np.where(y_drive[:, None, None],
-                             mirrored @ (_Z_PI[:, None] * quarter),
-                             _Z_PI[:, None] * (mirrored @ quarter))
+        z_pi_half = _Z_PI[:, None] * (np.swapaxes(quarter, -1, -2) @ quarter)
         return _powers(z_pi_half, [2 * q for q in qs]), [q * period for q in qs]
     if qs[0] < 2:
         return _EYE[None], [0]
@@ -429,12 +473,16 @@ def integrate(eos) -> None:
     """Store the propagator of each EO not stored yet; a stored EO counts
     as used.
 
-    Pulses that fold are integrated in stacks: the rotating EOs of one
-    step size in one, the quarter-folded EOs of one step size and drive
-    frequency in the groups of ``_chunks``; every other EO alone.  A bad
-    step size or duration raises before any EO is integrated.
+    Each missed EO is mapped to its class (``_z_class``), and each class
+    is integrated once.  Pulses that fold are integrated in stacks: the
+    rotating classes of one step size in one, the quarter-folded ones of
+    one step size and drive frequency in the groups of ``_chunks``;
+    every other class alone.  One stacked product then conjugates each
+    class propagator into those of its member EOs, which are stored.  A
+    bad step size or duration raises before any EO is integrated.
     """
     store = _cached_propagator
+    members: dict[EOParams, tuple[EOParams, int]] = {}
     stacks: dict[tuple, dict] = {}
     for eo in eos:
         try:
@@ -443,23 +491,29 @@ def integrate(eos) -> None:
         except KeyError:
             pass
         _check(eo)
-        fold = None if eo.is_diagonal else _fold(eo, eo.delta)
-        shared = eo if fold is None else eo.omega if fold == _QUARTER else None
-        stacks.setdefault((eo.delta, fold, shared), {})[eo] = None
+        eo0, q = members[eo] = _z_class(eo)
+        fold = None if eo0.is_diagonal else _fold(eo0, eo0.delta)
+        shared = eo0 if fold is None else eo0.omega if fold == _QUARTER else None
+        stacks.setdefault((eo0.delta, fold, shared), {})[eo0] = None
+    if not members:
+        return
+    done = {}
     for (delta, fold, _), stack in stacks.items():
         group = list(stack)
         if group[0].is_diagonal:
-            done = [_exact_diagonal_propagator(group[0])]
+            done[group[0]] = _exact_diagonal_propagator(group[0])
         else:
-            done = [u for chunk in _chunks(group, fold, delta)
-                    for u in _stepped_propagator(_Drives(chunk, fold), delta,
-                                                 _product_formula_block)]
-        for eo, u in zip(group, done):
-            u.setflags(write=False)
-            store[eo] = u
-        store.integrated += len(done)
-        while len(store) > _CACHE_SIZE:
-            store.popitem(last=False)
+            done.update(zip(group, (
+                u for chunk in _chunks(group, fold, delta)
+                for u in _stepped_propagator(_Drives(chunk, fold), delta,
+                                             _product_formula_block))))
+    classes, qs = zip(*members.values())
+    mats = _conjugated(np.array([done[c] for c in classes]), list(qs))
+    mats.setflags(write=False)
+    store.update(zip(members, mats))
+    store.integrated += len(members)
+    while len(store) > _CACHE_SIZE:
+        store.popitem(last=False)
 
 
 def eo_propagator(eo: EOParams) -> np.ndarray:
@@ -477,10 +531,13 @@ def eo_propagator(eo: EOParams) -> np.ndarray:
 def oracle_propagator(eo: EOParams) -> np.ndarray:
     """The reference unitary of one EO: the dense exponential of H at
     each substep's midpoint, at the EO's step size, folded as the product
-    formula is.  Integrated alone on every call, and never stored."""
+    formula is, and conjugated from its class as the stored propagator
+    is.  Integrated alone on every call, and never stored."""
     _check(eo)
-    drives = _Drives((eo,), _fold(eo, eo.delta))
-    return _stepped_propagator(drives, eo.delta, _dense_block)[0]
+    eo0, q = _z_class(eo)
+    drives = _Drives((eo0,), _fold(eo0, eo0.delta))
+    return _conjugated(_stepped_propagator(drives, eo0.delta, _dense_block),
+                       [q])[0]
 
 
 def clear_propagator_cache() -> None:

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalIntegrityError
 from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
+from . import integrator
 from .integrator import eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
 from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
@@ -301,9 +302,10 @@ def program_unitaries(programs) -> np.ndarray:
     """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
 
     The walk first collects the distinct EOs of all the programs (each
-    step object read once, keyed by its id), and has those not stored yet
-    integrated in stacks, each at its own step size, in one call to
-    ``integrate``.  It then looks each one up once, through
+    step object read once, keyed by its id).  In chunks of at most the
+    store's size, so that no chunk evicts its own EOs, it has those not
+    stored yet integrated in stacks, each at its own step size, in one
+    call to ``integrate``, then looks each one up once, through
     eo_propagator.  Every program becomes a row of indices into those
     matrices, padded with the identity, and the products are folded in
     application order, one batched product per step position.  Each
@@ -321,8 +323,11 @@ def program_unitaries(programs) -> np.ndarray:
                 i = by_step[id(step)] = by_eo.setdefault(step, len(by_eo) + 1)
             row.append(i)
         rows.append(row)
-    integrate(by_eo)
-    mats = [_EYE] + [eo_propagator(eo) for eo in by_eo]
+    eos, mats = list(by_eo), [_EYE]
+    size = integrator._CACHE_SIZE
+    for lo in range(0, len(eos), size):
+        integrate(eos[lo:lo + size])
+        mats += [eo_propagator(eo) for eo in eos[lo:lo + size]]
     width = max(map(len, rows), default=0)
     index = np.array([row + [0] * (width - len(row)) for row in rows],
                      dtype=np.intp).reshape(len(rows), width)

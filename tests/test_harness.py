@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,10 +273,12 @@ def _expected_stacks(keys) -> list:
     """(fold, size) of the stacks a cold table integrates: one per rotating
     step size, and one per static (omega, delta) group split so that a
     block holds at most _STACK_SUBSTEPS substeps (no canned static pulse
-    leaves a tail)."""
+    leaves a tail).  A stack holds classes (integrator._z_class): pulses
+    that differ only in the axis or sense of their drive are one."""
     import nmrqc.integrator
-    rotating = Counter(eo.delta for eo in keys if eo.is_rotating)
-    static = Counter((eo.omega, eo.delta) for eo in keys
+    classes = {nmrqc.integrator._z_class(eo)[0] for eo in keys}
+    rotating = Counter(eo.delta for eo in classes if eo.is_rotating)
+    static = Counter((eo.omega, eo.delta) for eo in classes
                      if not (eo.is_rotating or eo.is_diagonal))
     stacks = [("rotating", n) for n in rotating.values()]
     for (omega, delta), n in static.items():
@@ -282,13 +288,17 @@ def _expected_stacks(keys) -> list:
     return sorted(stacks)
 
 
+# spin 2 (100-substep quarters) splits, spin 1 (25) does not
+_STATIC_STACKS = [("quarter", 5), ("quarter", 5), ("quarter", 10)]
+
+
 @pytest.mark.parametrize("name", ["table5", "table9", "table10", "table8",
                                   "grover_static"])
 def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     """A cold table looks up and misses once per distinct EO key; its
-    rotating pulses are integrated in one stack and its static pulses in
-    one stack per drive frequency, split by the cap, and a warm rerun
-    looks each key up once more and integrates nothing."""
+    rotating pulse classes are integrated in one stack and its static
+    ones in one stack per drive frequency, split by the cap, and a warm
+    rerun looks each key up once more and integrates nothing."""
     import nmrqc.integrator
     calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
@@ -299,10 +309,10 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     assert (info().misses, info().hits) == (len(keys), 0)
     assert sorted(kernel_calls) == _expected_stacks(keys)
     assert len(nmrqc.integrator._cached_propagator) == len(keys)  # one store
-    spin2, spin1 = {"table8": (15, 15), "grover_static": (30, 20)}.get(name, (0, 0))
-    if spin2:          # spin 2 (100-substep quarters) splits, spin 1 (25) does not
-        assert sorted(kernel_calls) == ([("quarter", 5)] * (spin2 // 5)
-                                        + [("quarter", spin1)])
+    expected = {"table5": [("rotating", 20)], "table8": _STATIC_STACKS,
+                "grover_static": _STATIC_STACKS}
+    if name in expected:
+        assert sorted(kernel_calls) == expected[name]
 
     n_calls = len(kernel_calls)
     warm = run_experiment(canned_spec(name))
@@ -331,8 +341,9 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
 
 def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     """Tables sharing pulses, run one after another from an empty cache,
-    integrate each distinct rotating and static pulse key once: a later
-    table's walk leaves out what an earlier one cached."""
+    store each distinct pulse key once, and integrate only the classes of
+    their keys: a later table's walk leaves out what an earlier one
+    cached."""
     import nmrqc.integrator
     stacks = []
     kernel = nmrqc.integrator._stepped_propagator
@@ -352,16 +363,21 @@ def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     for fold in ("rotating", "quarter"):
         keys = {eo for ps in calls for p in ps for eo in p.steps
                 if eo.is_rotating == (fold == "rotating") and not eo.is_diagonal}
+        classes = {nmrqc.integrator._z_class(eo)[0] for eo in keys}
         integrated = [eo for f, stack in stacks if f == fold for eo in stack]
-        assert len(keys) == 26
-        assert len(integrated) == len(keys) and set(integrated) == keys
+        assert (len(keys), len(classes)) == (26, 12)
+        # a class comes back when a later walk misses another of its keys
+        assert set(integrated) == classes and len(integrated) < len(keys)
     assert {f for f, _ in stacks} == {"rotating", "quarter"}
+    every_key = {eo for ps in calls for p in ps for eo in p.steps}
+    assert nmrqc.integrator._cached_propagator.cache_info().misses == len(every_key)
 
     stacks.clear()                  # clearing the cache forgets them all
     nmrqc.integrator.clear_propagator_cache()
     run_experiment(ExperimentSpec(k_list=(1,)))
     assert [set(s) for _, s in stacks] == [
-        {eo for p in calls[-1] for eo in p.steps if eo.is_rotating}]
+        {nmrqc.integrator._z_class(eo)[0] for p in calls[-1] for eo in p.steps
+         if eo.is_rotating}]
 
 
 def test_perturbation_zero_offset_matches_base():
@@ -450,6 +466,20 @@ def test_cli_tables_markdown(capsys):
     assert rc == 0
     assert out.splitlines()[0].startswith("Operation | a | b | a_8")
     assert "0.90" in out
+
+
+@pytest.mark.parametrize("argv, status", [(["verify", "--quick"], 0),
+                                          (["tables", "nope"], 2)])
+def test_python_m_nmrqc_passes_the_exit_status_on(argv, status):
+    """`python -m nmrqc` runs the command line and exits with its status."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "nmrqc", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == status, done.stderr
+    if status == 0:
+        assert "PASSED" in done.stdout
 
 
 def test_cli_missing_config_file(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,10 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import canned_spec, run_experiment, verify_suite
-from nmrqc.integrator import (_CACHE_SIZE, _Drives, _cached_propagator, _fold,
-                              _product_formula_block, _step_schedule,
-                              _stepped_propagator, check_delta,
-                              clear_propagator_cache, integrate)
+from nmrqc.integrator import (_CACHE_SIZE, _conjugated, _Drives,
+                              _cached_propagator, _fold, _product_formula_block,
+                              _step_schedule, _stepped_propagator, _z_class,
+                              check_delta, clear_propagator_cache, integrate)
 from nmrqc.programs import Program, program_unitaries
 from nmrqc.operators import TWO_PI, state_phase_distance
 
@@ -29,9 +31,12 @@ def pulse_eo(name="Y1", k=1, mode="rotating"):
 
 
 def _alone(eo):
-    """The EO's product-formula propagator, integrated in a stack of one."""
-    return _stepped_propagator(_Drives((eo,), _fold(eo, eo.delta)), eo.delta,
-                               _product_formula_block)[0]
+    """The EO's product-formula propagator: its class (``_z_class``)
+    integrated in a stack of one, and conjugated."""
+    eo0, q = _z_class(eo)
+    u = _stepped_propagator(_Drives((eo0,), _fold(eo0, eo0.delta)), eo0.delta,
+                            _product_formula_block)
+    return _conjugated(u, [q])[0]
 
 
 def test_step_schedule_exact_and_remainder():
@@ -305,6 +310,63 @@ def test_static_block_half_period_and_time_reversal(name, method):
             assert np.max(np.abs(b - b.T)) > 1e-7
 
 
+# (turns, k, tau offset): the offsets leave static pulses a tail and a remainder
+_SHAPES = ((0.25, 1, 0.0), (0.5, 2, 0.1037), (0.75, 2, -0.5), (0.75, 1, 0.1037))
+# (spin, axis, direction, turns, k, tau offset) of the designed pulses the
+# class rule is checked on: every spin, axis and direction, in two shapes
+_CLASS_PULSES = [(spin, axis, direction) + _SHAPES[(i + j) % 4]
+                 for i, (spin, axis, direction)
+                 in enumerate(itertools.product((1, 2), "xy", (1, -1)))
+                 for j in (0, 2)]
+
+
+def _z_quarter(q):
+    """Z_q = exp(i q pi/2 S^z_tot) = diag(i^q, 1, 1, i^-q), built exactly."""
+    return np.diag([1j ** q, 1, 1, (-1j) ** q])
+
+
+@pytest.mark.parametrize("mode", ["rotating", "static_axis"])
+@pytest.mark.parametrize("spin, axis, direction, turns, k, offset", _CLASS_PULSES)
+def test_pulse_is_a_quarter_turn_conjugate_of_its_class(spin, axis, direction,
+                                                        turns, k, offset, mode):
+    """A designed pulse is stored as Z_q U(eo0) Z_q^dagger, with eo0 and q
+    from _z_class: exactly that conjugate, within 1e-11 of stepping every
+    substep, and far from the conjugate of the other sense (q odd)."""
+    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
+                         direction=direction, label=f"{axis}{spin}")
+    eo = eo.replace(tau=eo.tau + offset)
+    eo0, q = _z_class(eo)
+    assert _z_class(eo0) == (eo0, 0)
+    assert (eo0.phi_x, eo0.sf1y == 0.0) == (0.0, mode != "rotating")
+    assert min(eo0.sf1x, eo0.sf2x) >= 0.0
+    z = _z_quarter(q)
+    clear_propagator_cache()
+    u = eo_propagator(eo)
+    assert np.array_equal(u, z @ eo_propagator(eo0) @ z.conj().T)
+    assert np.array_equal(oracle_propagator(eo),
+                          z @ oracle_propagator(eo0) @ z.conj().T)
+    ref = chained_reference(eo, eo.delta, BLOCKS["product_formula"])
+    assert np.max(np.abs(u - ref)) < 1e-11
+    if q % 2:   # Z_q^dagger = Z_q for q = 0, 2
+        wrong = z.conj().T @ eo_propagator(eo0) @ z
+        assert np.max(np.abs(u - wrong)) > 1e-3
+
+
+def test_axes_and_senses_of_one_pulse_share_a_class():
+    """X2, X2b, Y2 and Y2b at one k are one class in either mode, with
+    q = 0, 1, 2, 3 among them; other phases and mixed signs are their
+    own class."""
+    for mode in ("rotating", "static_axis"):
+        classes = [_z_class(pulse_eo(name, k=2, mode=mode))
+                   for name in ("X2", "X2b", "Y2", "Y2b")]
+        assert len({eo0 for eo0, _ in classes}) == 1
+        assert sorted(q for _, q in classes) == [0, 1, 2, 3]
+    eo = pulse_eo("Y2", mode="static_axis")
+    for own in (eo.replace(phi_x=0.3), eo.replace(sf2x=-eo.sf2x),
+                eo.replace(h1x=1e-3), ideal_eo_params("Ip")):
+        assert _z_class(own) == (own, 0)
+
+
 _NEAR_MISSES = {
     "phase_minus_quarter": lambda eo: eo.replace(phi_x=eo.phi_y + np.pi / 2),
     "unequal_amplitudes": lambda eo: eo.replace(sf1y=1.001 * eo.sf1x),
@@ -334,18 +396,18 @@ def test_non_finite_delta_rejected(bad):
 
 
 def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
-    """A cold walk integrates its rotating pulses in one stack and its
-    static ones in one stack per drive frequency; a diagonal EO joins
-    none, an EO repeated in another step is integrated once, and each
-    result is read-only and the pulse integrated alone."""
+    """A cold walk integrates the classes of its rotating pulses in one
+    stack and of its static ones in one stack per drive frequency; a
+    diagonal EO joins none, an EO repeated in another step is integrated
+    once, and each result is read-only and the pulse integrated alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
     program = Program("p", tuple([ideal_eo_params("Ip")] + eos + static + [eos[0]]))
     info = _cached_propagator.cache_info
     clear_propagator_cache()
     program_unitaries([program])
-    # spin 2 (Y2, X2) in one stack, spin 1 (Y1) in another
-    assert kernel_calls == [("rotating", 3), ("quarter", 2), ("quarter", 1)]
+    # spin 2 (Y2 and X2, one class) in one stack, spin 1 (Y1) in another
+    assert kernel_calls == [("rotating", 3), ("quarter", 1), ("quarter", 1)]
     assert (info().misses, info().hits) == (7, 0)
     results = [eo_propagator(eo) for eo in eos + static]
     assert not any(u.flags.writeable for u in results)
@@ -450,7 +512,7 @@ def test_waiting_propagators_are_dropped(drop, kernel_calls):
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2")]
     clear_propagator_cache()
     program_unitaries([Program("p", tuple(eos + static))])
-    assert kernel_calls == [("rotating", 3), ("quarter", 2)]
+    assert kernel_calls == [("rotating", 3), ("quarter", 1)]  # Y2, X2: one class
     assert len(_cached_propagator) == len(eos + static)
     getattr(nmrqc.integrator, drop)()
     assert not _cached_propagator
@@ -484,6 +546,26 @@ def test_a_walk_reuses_a_propagator_integrated_long_ago(kernel_calls):
         eo_propagator(eo)
     assert info().misses == misses + 2
     assert len(kernel_calls) == 2
+
+
+def test_a_walk_larger_than_the_store_integrates_each_eo_once(monkeypatch):
+    """A walk over more distinct EOs than the store holds integrates and
+    looks them up in chunks that fit, so it never evicts an EO it has
+    yet to look up: each EO is integrated once, and the unitaries are
+    those of the walk with room for all of them."""
+    from nmrqc import build_grover
+    programs = [build_grover(item, "rotating_sf", k=k)
+                for item in range(4) for k in (1, 2, 3)]
+    distinct = len({eo for p in programs for eo in p.steps})
+    clear_propagator_cache()
+    fits = program_unitaries(programs)
+    assert _cached_propagator.cache_info().misses == distinct
+    monkeypatch.setattr(nmrqc.integrator, "_CACHE_SIZE", 7)
+    assert distinct > 3 * 7
+    clear_propagator_cache()
+    assert np.array_equal(program_unitaries(programs), fits)
+    assert _cached_propagator.cache_info().misses == distinct
+    assert len(_cached_propagator) == 7
 
 
 @pytest.mark.parametrize("field, bad", [

@@ -13,8 +13,9 @@ from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
                    run_experiment)
 import nmrqc.integrator
 from nmrqc.harness import ResultTable, _offset_label
-from nmrqc.integrator import (_STACK_SUBSTEPS, _Drives, _product_formula_block,
-                              _stepped_propagator, clear_propagator_cache)
+from nmrqc.integrator import (_STACK_SUBSTEPS, _conjugated, _Drives,
+                              _product_formula_block, _stepped_propagator,
+                              _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import INPUT_SPECS, STYLES, Program, program_unitaries
 
@@ -186,9 +187,10 @@ static_pulses = st.tuples(
 @given(st.lists(static_pulses, min_size=1, max_size=30).flatmap(st.permutations))
 @example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 8)])  # split by the cap
 def test_stacked_static_kernel(pulses):
-    """Static pulses, shuffled and mixed in one cold walk, are integrated in
-    stacks of one drive frequency, split so that no block holds more than
-    _STACK_SUBSTEPS substeps; each equals the pulse integrated alone."""
+    """Static pulses, shuffled and mixed in one cold walk, are integrated by
+    class (``_z_class``) in stacks of one drive frequency, split so that
+    no block holds more than _STACK_SUBSTEPS substeps; each equals its
+    class integrated alone, conjugated."""
     eos = []
     for spin, axis, direction, turns, k, offset in pulses:
         _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
@@ -208,10 +210,12 @@ def test_stacked_static_kernel(pulses):
     clear_propagator_cache()
     with mock.patch.object(nmrqc.integrator, "_stepped_propagator", counting):
         program_unitaries([Program("p", tuple(eos))])
-    assert sum(stacks) == len(set(eos))               # each pulse integrated once
+    classes = {_z_class(eo)[0] for eo in eos}
+    assert sum(stacks) == len(classes)                # each class integrated once
     assert max(blocks) <= _STACK_SUBSTEPS
     for eo in eos:
         u = eo_propagator(eo)
-        alone = _stepped_propagator(_Drives((eo,), "quarter"), eo.delta,
+        eo0, q = _z_class(eo)
+        alone = _stepped_propagator(_Drives((eo0,), "quarter"), eo.delta,
                                     _product_formula_block)
-        assert np.array_equal(u, alone[0])   # whatever shares its stack
+        assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
