@@ -13,7 +13,13 @@ holds two:
   where T is the exact exponential of the transverse part (a kron of two
   single-spin rotations; the two spins' transverse terms commute) and D
   the exact diagonal exponential of the Ising and z terms.  Every factor
-  is exactly unitary; the global error is O(delta^2).
+  is exactly unitary; the global error is O(delta^2).  Adjacent
+  half-steps are multiplied once (Strang, SIAM J. Numer. Anal. 5, 506
+  (1968)): m substeps are the product of m + 1 factors
+
+      T_{m-1} D_{m-1} (T_{m-1} T_{m-2}) ... D_1 (T_1 T_0) D_0 T_0,
+
+  each T_j T_{j-1} one 2x2 product per spin.
 
 * exact diagonal (an EO with no transverse fields) -- closed-form
   phases.  Used for the long conditional-phase evolutions, which would
@@ -65,7 +71,7 @@ substep product by a symmetry of the drive wherever one holds exactly:
 Every run of substeps (a quarter period, a period, a tail) is built in
 vectorized blocks of at most _CHUNK substeps per EO.  Powers are taken
 by repeated squaring, and the finished propagator is polar-projected
-onto the unitary group once.
+onto the unitary group once, by one Newton-Schulz step.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
 every step above carry a leading EO axis, and each EO has its own step
@@ -73,15 +79,15 @@ count.  A stack shares one fold (``_fold``):
 - a rotating stack is integrated in one pass: one single-midpoint block
   per EO, the frame factors, repeated squaring over the bits of the
   largest n (each EO keeps its partial product where its own n lacks a
-  bit), the remainder blocks and one stacked SVD;
+  bit), the remainder blocks and one stacked Newton-Schulz step;
 - a quarter-folded stack holds static x drives of one frequency: one
-  quarter-period block over all of them, Zpi placed
-  per EO, each EO's own power 2q, the tails (an EO whose tail is
-  shorter takes substeps of length 0, exactly the identity, at its
-  end), the remainders and one SVD.  A quarter period is only 25 or
-  100 substeps at delta = 0.01, so a block's fixed cost per call
-  outweighs its substeps; a stack is split into groups so that no
-  block holds more than _STACK_SUBSTEPS substep matrices.
+  quarter-period block over all of them, Zpi placed per EO, each EO's
+  own power 2q, the tails (an EO whose tail is shorter takes substeps
+  of length 0, exactly the identity, at its end), the remainders and
+  one Newton-Schulz step.  A quarter period is only 25 or 100 substeps
+  at delta = 0.01, so a block's fixed cost per call outweighs its
+  substeps; a stack is split into groups so that no block holds more
+  than _STACK_SUBSTEPS substep matrices.
 Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
 product) are integrated alone, and so is every reference.
@@ -247,22 +253,18 @@ def _fields_at(d: _Drives, mids):
 
 
 def _halfstep_rotations(fx, fy, alpha):
-    """Stacked 2x2 factors exp(i (dt/2) (fx S^x + fy S^y)), alpha = dt/4.
+    """Stacked 2x2 factors exp(i (dt/2) (fx S^x + fy S^y)), alpha = dt/4,
+    as the entries (a, b) of [[a, b], [-b*, a*]]; a = cos(alpha rho) is
+    real.
 
-    A spin without transverse field (rho = 0) gets the identity: its
-    off-diagonal entries are zero whatever sin(alpha rho)/rho reads.
+    A spin without transverse field (rho = 0), or a substep of length 0,
+    gets exactly the identity (a = 1, b = 0), whatever sin(alpha rho)/rho
+    reads.
     """
     rho = np.hypot(fx, fy)
     angle = alpha * rho
-    c = np.cos(angle)
-    i_snc = 1j * (np.sin(angle) / np.maximum(rho, 1e-300))
-    i_fy = 1j * fy
-    out = np.empty(fx.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 1, 1] = c
-    out[..., 0, 1] = i_snc * (fx - i_fy)
-    out[..., 1, 0] = i_snc * (fx + i_fy)
-    return out
+    snc = np.sin(angle) / np.maximum(rho, 1e-300)
+    return np.cos(angle), snc * fy + 1j * (snc * fx)
 
 
 def _chain(mats: np.ndarray) -> np.ndarray:
@@ -279,13 +281,16 @@ def _chain(mats: np.ndarray) -> np.ndarray:
 def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     """Polar projection of each matrix of a stack onto the unitary group.
 
-    A long product of individually unitary factors (repeated squares of
-    a block, or chunks of substeps) picks up float noise; projecting the
-    finished product once removes it (the exact propagator is unitary,
-    so this perturbs by no more than the noise).
+    Each input is a product of exactly unitary factors (repeated squares
+    of a block, or chunks of substeps), off the unitary group by float
+    noise only.  One Newton-Schulz step, m + m (I - m^H m) / 2, takes it
+    to its polar factor with an error of order |m^H m - I|^2, far below
+    the rounding of the result (Higham, SIAM J. Sci. Stat. Comput. 7,
+    1160 (1986)); the exact propagator is unitary, so this perturbs by
+    no more than the noise.
     """
-    u, _s, vh = np.linalg.svd(m)
-    return u @ vh
+    defect = _EYE - np.swapaxes(m.conj(), -1, -2) @ m
+    return m + (m @ defect) * 0.5
 
 
 def _product_formula_block(d: _Drives, mids, dt) -> np.ndarray:
@@ -294,16 +299,34 @@ def _product_formula_block(d: _Drives, mids, dt) -> np.ndarray:
     dt is one step length, one per EO as an (EO, 1) array, or one per
     substep as an (EO, substep) array; a substep of length 0 is exactly
     the identity.
+
+    The m substeps T_j D_j T_j are regrouped into m + 1 factors D_j K_j,
+    each substep's closing half-step merged into the next one's opening
+    half-step: K_j = T_j T_{j-1}, with T_{-1} = T_m = 1 (substeps of
+    length 0 at both ends) and D_m = 1.  T = R2 (x) R1, so K_j is the
+    kron of two 2x2 products, built elementwise with its rows scaled by
+    D_j, and `_chain` multiplies the factors.
     """
-    dt = np.atleast_2d(dt)
-    f = _fields_at(d, mids)
-    r = _halfstep_rotations(f[..., 0], f[..., 1], (dt / 4.0)[..., None])
-    r1, r2 = r[:, :, 0], r[:, :, 1]
     n_eo, m = mids.shape
-    t_half = (r2[..., :, None, :, None]
-              * r1[..., None, :, None, :]).reshape(n_eo, m, 4, 4)
-    phases = np.exp(-1j * dt[..., None] * d.ez[:, None, :])
-    return _chain(np.einsum("...ab,...b,...bc->...ac", t_half, phases, t_half))
+    f = _fields_at(d, mids).transpose(2, 3, 0, 1)   # [spin, axis, EO, substep]
+    a = np.ones((2, n_eo, m + 2))
+    b = np.zeros((2, n_eo, m + 2), dtype=complex)
+    a[..., 1:-1], b[..., 1:-1] = _halfstep_rotations(f[:, 0], f[:, 1], dt / 4.0)
+    # K_j = T_j T_{j-1} per spin: [[ka, kb], [-kb*, ka*]]
+    ka = a[..., 1:] * a[..., :-1] - b[..., 1:] * b[..., :-1].conj()
+    kb = a[..., 1:] * b[..., :-1] + b[..., 1:] * a[..., :-1]
+    k1, k2 = (np.array([[ka[s], kb[s]], [-kb[s].conj(), ka[s].conj()]])
+              for s in (0, 1))                              # [row, col, EO, j]
+    phases = np.ones((2, 2, n_eo, m + 1), dtype=complex)    # D_j[s2, s1]
+    phases[..., :m] = np.exp(-1j * (d.ez.T.reshape(2, 2, n_eo, 1) * dt))
+    # (D_j K_j)[s2 s1, t2 t1] = D_j[s2, s1] K2[s2, t2] K1[s1, t1], one s2 at
+    # a time: a temporary half the size of the factors took fresh pages,
+    # and their page faults, on every call
+    out = np.empty((n_eo, m + 1, 2, 2, 2, 2), dtype=complex)
+    rows = out.transpose(2, 4, 3, 5, 0, 1)                  # [s2, t2, s1, t1, EO, j]
+    for s2 in range(2):
+        np.multiply((k2[s2][:, None] * phases[s2])[:, :, None], k1, out=rows[s2])
+    return _chain(out.reshape(n_eo, m + 1, 4, 4))
 
 
 _TRANSVERSE = np.array([[S1X, S1Y], [S2X, S2Y]])  # [spin, axis]

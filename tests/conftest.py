@@ -6,8 +6,8 @@ import pytest
 from hypothesis import settings
 
 from nmrqc import eo_propagator, oracle_propagator
-from nmrqc.integrator import (_dense_block, _Drives, _product_formula_block,
-                              _step_schedule)
+from nmrqc.integrator import (_chain, _dense_block, _Drives, _fields_at,
+                              _product_formula_block, _step_schedule)
 from nmrqc.operators import TWO_PI
 
 
@@ -135,3 +135,26 @@ def chained_reference(eo, delta, block):
         dt_rem = rem * TWO_PI
         u = block(eo, np.array([n_full * dt + dt_rem / 2.0]), dt_rem) @ u
     return u
+
+
+def split_block(d, mids, dt):
+    """As integrator._product_formula_block, with each substep built alone
+    as T(dt/2) D(dt) T(dt/2) by one three-operand einsum: the Strang split
+    before adjacent half-steps were merged.  The reference for the merged
+    factors."""
+    dt = np.atleast_2d(dt)
+    f = _fields_at(d, mids)
+    fx, fy, alpha = f[..., 0], f[..., 1], (dt / 4.0)[..., None]
+    rho = np.hypot(fx, fy)
+    c = np.cos(alpha * rho)
+    i_snc = 1j * (np.sin(alpha * rho) / np.maximum(rho, 1e-300))
+    r = np.empty(fx.shape + (2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1] = i_snc * (fx - 1j * fy)
+    r[..., 1, 0] = i_snc * (fx + 1j * fy)
+    r1, r2 = r[:, :, 0], r[:, :, 1]
+    n_eo, m = mids.shape
+    t_half = (r2[..., :, None, :, None]
+              * r1[..., None, :, None, :]).reshape(n_eo, m, 4, 4)
+    phases = np.exp(-1j * dt[..., None] * d.ez[:, None, :])
+    return _chain(np.einsum("...ab,...b,...bc->...ac", t_half, phases, t_half))

@@ -578,6 +578,13 @@ def test_cli_verify_quick(capsys):
     assert out.strip().endswith("verification PASSED")
 
 
+def test_norm_preservation_prints_its_bound_not_the_noise():
+    (check,) = [c for c in CHECKS if c.name == "norm-preservation"]
+    result = check([])
+    assert result.passed
+    assert result.detail == "perturbed QA2 s=256: norm within 1e-10 of 1"
+
+
 def test_cli_tables_tau_offset_override(capsys):
     rc = main(["tables", "table5", "--tau-offset", "0", "--tau-offset", "0.05",
                "--format", "csv"])

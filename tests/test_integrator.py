@@ -10,14 +10,16 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import canned_spec, run_experiment, verify_suite
-from nmrqc.integrator import (_CACHE_SIZE, _conjugated, _Drives,
-                              _cached_propagator, _fold, _product_formula_block,
-                              _step_schedule, _stepped_propagator, _z_class,
-                              check_delta, clear_propagator_cache, integrate)
+from nmrqc.hamiltonian import diagonal_energies
+from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
+                              _cached_propagator, _fold, _nearest_unitary,
+                              _product_formula_block, _step_schedule,
+                              _stepped_propagator, _z_class, check_delta,
+                              clear_propagator_cache, integrate)
 from nmrqc.programs import Program, program_unitaries
-from nmrqc.operators import TWO_PI, state_phase_distance
+from nmrqc.operators import TWO_PI, max_unitarity_defect, state_phase_distance
 
-from conftest import BLOCKS, PROPAGATORS, chained_reference
+from conftest import BLOCKS, PROPAGATORS, chained_reference, split_block
 
 J = -0.43e-6
 
@@ -602,3 +604,146 @@ def test_stacked_powers_equal_matrix_power(rng):
     base = np.stack([random_unitary(rng) for _ in ns])
     for i, u in enumerate(_powers(base, ns)):   # no EO's product is touched
         assert np.array_equal(u, np.linalg.matrix_power(base[i], ns[i])), ns[i]
+
+
+def _table8_quarter_blocks(monkeypatch):
+    """(drives, mids, dt) of each quarter-period block of a cold table8."""
+    blocks = []
+
+    def recording(d, mids, dt):
+        if d.fold == "quarter" and np.ndim(dt) == 0 and mids[0, 0] < dt:
+            blocks.append((d, mids, dt))
+        return _product_formula_block(d, mids, dt)
+
+    clear_propagator_cache()
+    monkeypatch.setattr(nmrqc.integrator, "_product_formula_block", recording)
+    run_experiment(canned_spec("table8"))
+    clear_propagator_cache()
+    return blocks
+
+
+def _split_gap(d, mids, dt):
+    return np.max(np.abs(_product_formula_block(d, mids, dt)
+                         - split_block(d, mids, dt)))
+
+
+def test_merged_half_steps_match_the_split_on_a_rotating_stack():
+    eos = [pulse_eo(name, k) for name in ("Y1", "X1p", "Y2b", "X2p")
+           for k in (1, 2, 32)]
+    dt = 0.01 * TWO_PI
+    drives = _Drives(eos, "rotating")
+    mids = np.full((len(eos), 1), dt / 2.0)   # one midpoint per EO
+    assert _split_gap(drives, mids, dt) < 2e-14
+    # and the first 10 substeps, whose half-steps do not commute
+    mids = np.broadcast_to((np.arange(10) + 0.5) * dt, (len(eos), 10))
+    assert _split_gap(drives, mids, dt) < 2e-14
+
+
+def test_merged_half_steps_match_the_split_on_table8(monkeypatch):
+    blocks = _table8_quarter_blocks(monkeypatch)
+    assert {mids.shape for _, mids, _ in blocks} == {(5, 100), (10, 25)}
+    for d, mids, dt in blocks:
+        assert _split_gap(d, mids, dt) < 2e-14, mids.shape
+
+
+def test_zero_length_substeps_of_a_ragged_block_stay_the_identity(monkeypatch):
+    d, mids, dt = next(b for b in _table8_quarter_blocks(monkeypatch)
+                       if b[1].shape == (5, 100))
+    counts = np.array([100, 73, 50, 1, 0])
+    ragged = np.where(np.arange(100) < counts[:, None], dt, 0.0)
+    assert _split_gap(d, mids, ragged) < 2e-14
+    got = _product_formula_block(d, mids, ragged)
+    assert np.array_equal(got[-1], np.eye(4))
+    for e, count in enumerate(counts[:-1]):   # as its own substeps alone
+        alone = _product_formula_block(_Drives(d.eos[e:e + 1], None),
+                                       mids[e:e + 1, :count], dt)
+        assert np.array_equal(got[e], alone[0]), count
+
+
+@pytest.mark.parametrize("size", [1, 6])
+def test_projection_reaches_the_polar_factor(rng, size):
+    from conftest import random_unitary
+    exact = np.stack([random_unitary(rng) for _ in range(size)])
+    noise = rng.uniform(-1e-9, 1e-9, (2, size, 4, 4))
+    m = exact + noise[0] + 1j * noise[1]
+    got = _nearest_unitary(m)
+    u, _s, vh = np.linalg.svd(m)
+    assert np.max(np.abs(got - u @ vh)) < 1e-14
+    for g in got:
+        assert max_unitarity_defect(g) < 1e-14
+    for i in range(size):   # whatever shares its stack
+        assert np.array_equal(got[i], _nearest_unitary(m[i:i + 1])[0])
+
+
+# the substep rotations and phases in extended precision
+_LD, _CLD = np.longdouble, np.clongdouble
+_TWO_PI_LD = 8 * np.arctan(_LD(1))
+
+
+def _extended_split(eo, mids, dt):
+    """The Strang product T(dt/2) D(dt) T(dt/2) of substeps at mids (radian
+    time) of length dt, chained, in clongdouble."""
+    s = np.sin(_LD(eo.omega) * mids[:, None] + np.array([eo.phi_x, eo.phi_y], _LD))
+    f = (np.array([[eo.h1x, eo.h1y], [eo.h2x, eo.h2y]], _LD)
+         + np.array([[eo.sf1x, eo.sf1y], [eo.sf2x, eo.sf2y]], _LD) * s[:, None, :])
+    fx, fy = f[..., 0], f[..., 1]
+    rho = np.hypot(fx, fy)
+    angle = dt / 4 * rho
+    snc = np.sin(angle) / np.where(rho > 0, rho, 1)
+    r = np.empty(fx.shape + (2, 2), _CLD)
+    r[..., 0, 0] = r[..., 1, 1] = np.cos(angle)
+    r[..., 0, 1] = 1j * snc * (fx - 1j * fy)
+    r[..., 1, 0] = 1j * snc * (fx + 1j * fy)
+    t = (r[:, 1, :, None, :, None] * r[:, 0, None, :, None, :]).reshape(-1, 4, 4)
+    ez = np.array([eo.j, eo.h1z, eo.h2z], _LD)
+    phases = np.exp(-1j * dt * diagonal_energies(*ez).astype(_CLD))
+    return _chain((t @ (phases[:, None] * t))[None])[0]   # T (D T), D on rows
+
+
+def _extended_strang(eo, fold=True):
+    """The Strang product of the EO's substeps in clongdouble.  A rotating
+    drive's substeps are z-conjugates of the first, so the product is
+    Z(n dt) (Z(dt)^dagger B(dt/2))^n; every other EO (or, unfolded, every
+    EO) is stepped substep by substep."""
+    n_full, rem = _step_schedule(eo.tau, eo.delta)
+    assert rem == 0.0   # designed pulses span whole steps
+    dt = _LD(eo.delta) * _TWO_PI_LD
+    if eo.is_rotating and fold:
+        first = _extended_split(eo, np.array([dt / 2]), dt)
+        sz = np.array([1, 0, 0, -1], _LD)
+        z_step, z_all = (np.exp(1j * (_LD(eo.omega) * theta * sz).astype(_CLD))
+                         for theta in (dt, n_full * dt))
+        return z_all[:, None] * np.linalg.matrix_power(
+            z_step.conj()[:, None] * first, n_full)
+    u = np.eye(4, dtype=_CLD)
+    for lo in range(0, n_full, 4096):
+        steps = np.arange(lo, min(n_full, lo + 4096), dtype=_LD)
+        u = _extended_split(eo, (steps + _LD(0.5)) * dt, dt) @ u
+    return u
+
+
+_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no more precise than float64 here")
+
+
+@_LONG_DOUBLE
+@pytest.mark.parametrize("name", ["Y1", "X2p"])
+def test_extended_rotating_frame_equals_every_substep(name):
+    eo = pulse_eo(name, 1)
+    gap = np.max(np.abs(_extended_strang(eo) - _extended_strang(eo, fold=False)))
+    assert gap < 1e-15
+
+
+_EXTENDED = [(name, k, mode) for mode, ks in (("rotating", (1, 4, 32)),
+                                              ("static_axis", (1, 4)))
+             for name in ("Y1", "X1p", "Y2", "X2p") for k in ks]
+
+
+@_LONG_DOUBLE
+def test_stored_propagators_against_extended_precision():
+    clear_propagator_cache()
+    for name, k, mode in _EXTENDED:
+        eo = pulse_eo(name, k, mode)
+        gap = float(np.max(np.abs(eo_propagator(eo) - _extended_strang(eo))))
+        assert gap < (2e-11 if mode == "rotating" else 2e-12), (name, k, mode)
