@@ -9,10 +9,8 @@ showing that logically identical pulse sequences can compute different
 answers on physical hardware.
 """
 
-from .errors import (ConfigurationError, MachineValidationError,
-                     NumericalIntegrityError)
-from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig,
-                          hamiltonian_at, machine_violations, validate_machine)
+from .errors import ConfigurationError, NumericalIntegrityError
+from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, hamiltonian_at
 from .integrator import eo_propagator, oracle_propagator
 from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,
                     coupling_pi_duration, derive_primed_angles, ideal_eo_params,

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, MachineValidationError
+from .errors import ConfigurationError
 from .harness import (ExperimentSpec, canned_names, canned_spec, emit_table,
                       run_experiment, verify_suite)
+from .hamiltonian import MachineConfig
 from .pulses import DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma, design_pulse
 from .programs import ROTATING_SF, STATIC_SF, STYLES
 
@@ -84,12 +85,13 @@ def _design_row(name, design, eo) -> str:
 
 
 def _cmd_design(args) -> int:
+    """Design on the default machine with h2z = N/M."""
     gamma = RationalGamma(args.n, args.m)
     mode = {"rotating": ROTATING, "static": STATIC_AXIS,
             "static_axis": STATIC_AXIS}[args.mode]
     angle = parse_angle(args.angle)
-    design, eo = design_pulse(args.spin, angle, args.axis, gamma=gamma,
-                              k=args.k, mode=mode)
+    design, eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=mode,
+                              machine=MachineConfig(h2z=gamma.gamma))
     header = " | ".join(["pulse", "tau/2pi", "omega", "sf1x", "sf2x", "phi_x",
                          "sf1y", "sf2y", "phi_y"])
     label = f"spin{args.spin} {args.axis} {angle:g}rad {mode} k={args.k}"
@@ -154,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("axis", help="x, y, -x, -y")
     sp.add_argument("mode", choices=["rotating", "static", "static_axis"])
     sp.add_argument("k", type=int)
-    sp.add_argument("--n", type=int, default=DEFAULT_GAMMA.n)
+    sp.add_argument("--n", type=int, default=DEFAULT_GAMMA.n,
+                    help="design on the machine with h2z/h1z = N/M")
     sp.add_argument("--m", type=int, default=DEFAULT_GAMMA.m)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_design)
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, MachineValidationError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,11 +7,3 @@ class ConfigurationError(ValueError):
 
 class NumericalIntegrityError(RuntimeError):
     """A numerical contract was violated (non-unit norm, non-unitary matrix)."""
-
-
-class MachineValidationError(ValueError):
-    """Field parameters violate the machine's physical constraints."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, MachineValidationError
+from .errors import ConfigurationError
 from .operators import S1X, S1Y, S1Z, S2X, S2Y, S2Z, SZZ
 
 
@@ -35,9 +35,11 @@ class MachineConfig:
     """Fixed hardware parameters: coupling and static z-fields.
 
     Defaults model the two nuclear spins of carbon-13 labeled chloroform,
-    rescaled by the spin-1 resonance frequency.  Pulse durations (the
-    s = 8k of the tables, t1 and t2 of pulses.hypothetical_durations)
-    count spin-1 Larmor periods, so a pulse lasts tau/2pi = t1/h1z.
+    rescaled by the spin-1 resonance frequency.  The ratio h2z/h1z sets
+    every pulse design (pulses.RationalGamma.from_machine).  Pulse
+    durations (t1 and t2 of pulses.hypothetical_durations, the s = 8k of
+    the tables at the default ratio) count spin-1 Larmor periods, so a
+    pulse lasts tau/2pi = t1/h1z.
     """
 
     coupling: float = -0.43e-6
@@ -160,35 +162,3 @@ def hamiltonian_at(eo: EOParams, t: float) -> np.ndarray:
          - (eo.h1x + eo.sf1x * sx) * S1X - (eo.h1y + eo.sf1y * sy) * S1Y
          - (eo.h2x + eo.sf2x * sx) * S2X - (eo.h2y + eo.sf2y * sy) * S2Y)
     return h
-
-
-def machine_violations(eo: EOParams, machine: MachineConfig,
-                       rel_tol: float = 1e-9) -> list[str]:
-    """Check the single-gamma proportionality of all spin-2 fields.
-
-    Physically both spins see the same applied fields scaled by the fixed
-    ratio gamma, so h2^a = gamma h1^a and likewise for the sinusoidal
-    amplitudes.  Returns a list of violation messages (empty = pass).
-    """
-    gamma = machine.gamma
-    problems = []
-    if not 0.0 < gamma < 1.0:
-        problems.append(f"gamma {gamma!r} outside (0, 1)")
-    pairs = [("h_x", eo.h1x, eo.h2x), ("h_y", eo.h1y, eo.h2y),
-             ("h_z", eo.h1z, eo.h2z),
-             ("sf_x", eo.sf1x, eo.sf2x), ("sf_y", eo.sf1y, eo.sf2y)]
-    for name, f1, f2 in pairs:
-        want = gamma * f1
-        scale = max(abs(f1), abs(f2), 1e-30)
-        if abs(f2 - want) > rel_tol * scale:
-            problems.append(
-                f"{name}: spin-2 value {f2!r} is not gamma*spin-1 ({want!r})")
-    return problems
-
-
-def validate_machine(eo: EOParams, machine: MachineConfig) -> list[str]:
-    """Raise MachineValidationError if the EO violates the gamma constraint."""
-    problems = machine_violations(eo, machine)
-    if problems:
-        raise MachineValidationError(problems)
-    return problems

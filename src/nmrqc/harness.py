@@ -4,10 +4,11 @@ run_experiment, the one table builder, executes a (program family) x
 (column) x (input) grid and collects the qubit expectations into a
 ResultTable whose markdown rendering mirrors the benchmark layout: ideal
 (a, b) first, then one (a_s, b_s) pair per column.  A column is a pulse
-duration s, or, when the spec sets tau_offsets (a duration study, QA
-suites only), a duration offset of the EOs labeled perturb_label at
-each s (``_columns``).  The markdown display rounds half away from
-zero to two decimals.  CSV and JSON carry the same round-trip numbers,
+duration s (the spin-1 pulse length on the spec's machine, 8k at the
+default field ratio 1/4), or, when the spec sets tau_offsets (a duration
+study, QA suites only), a duration offset of the EOs labeled
+perturb_label at each s (``_columns``).  The markdown display rounds
+half away from zero to two decimals.  CSV and JSON carry the same round-trip numbers,
 each spelled as json.dumps spells it (the float's repr, NaN, Infinity),
 so float() of any of them gives the cell back exactly.  JSON keeps the
 layout json.dumps gives the payload with an indent of 2 and sorted keys,
@@ -368,30 +369,41 @@ def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
     return [(str(i), str(i)) for i in spec.items]
 
 
-def _columns(spec: ExperimentSpec) -> list[tuple[str, int, float]]:
+def _durations(spec: ExperimentSpec) -> dict[int, str]:
+    """The printed pulse duration s of each k: the spin-1 pulse length
+    t1 = 2kMN^2 on the spec's machine ('256' for k=32 at the default
+    ratio 1/4).  The ideal style designs no pulse, so it has none."""
+    if spec.style == IDEAL:
+        return {}
+    gamma = RationalGamma.from_machine(spec.machine)
+    return {k: str(hypothetical_durations(gamma, k)[0]) for k in spec.k_list}
+
+
+def _columns(spec: ExperimentSpec, s: dict[int, str]) -> list[tuple[str, int, float]]:
     """(label, k, duration offset) of every table column, in table order:
-    one per k ('256'), or in a duration study one block of offsets
-    (tau/2pi) per k, labeled by offset ('+0.05') or, for several k, by
-    offset and duration ('+0.05@s=256').  The ideal style has no pulse
-    duration, so it keeps the first k alone: one column ('ideal') or one
-    block of offsets."""
+    one per k, labeled by its duration s[k] ('256'), or in a duration
+    study one block of offsets (tau/2pi) per k, labeled by offset
+    ('+0.05') or, for several k, by offset and duration ('+0.05@s=256').
+    The ideal style has no pulse duration, so it keeps the first k
+    alone: one column ('ideal') or one block of offsets."""
     k_list = spec.k_list[:1] if spec.style == IDEAL else spec.k_list
     if spec.tau_offsets is not None:
         suffix = len(k_list) > 1
-        return [(_offset_label(o) + (f"@s={8 * k}" if suffix else ""), k, o)
+        return [(_offset_label(o) + (f"@s={s[k]}" if suffix else ""), k, o)
                 for k in k_list for o in spec.tau_offsets]
     if spec.style == IDEAL:
         return [("ideal", k_list[0], 0.0)]
-    return [(str(8 * k), k, 0.0) for k in k_list]
+    return [(s[k], k, 0.0) for k in k_list]
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
     """Execute the grid and tabulate (a, b) per (row, column)."""
     rows = _rows(spec)
-    columns = _columns(spec)
-    durations = ", ".join(dict.fromkeys(str(8 * k) for _, k, _ in columns))
+    s = _durations(spec)
+    columns = _columns(spec, s)
     title = (f"{spec.kind}:{spec.style}" if spec.tau_offsets is None
-             else f"duration perturbation (s={durations})")
+             else f"duration perturbation (s={', '.join(s.values())})" if s
+             else "duration perturbation (ideal)")
     table = ResultTable(
         title=spec.title or title,
         row_header="Operation" if spec.kind == "qa" else "Item position",

@@ -27,10 +27,11 @@ input states, and readout, the only code that knows the qubit
 convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report runs one program of EOs per step size through
-them.  Builders take a style name and k.  Gate steps, duration-shifted
-steps, whole gate-sequence expansions, gate matrices and each gate
-sequence's ideal unitary are memoized, so rebuilding a program
-re-designs no pulse, re-shifts no duration and recomposes no gate.
+them.  Builders take a style name, k and a machine, whose field ratio
+sets the duration of every pulse.  Gate steps, duration-shifted steps,
+whole gate-sequence expansions, gate matrices and each gate sequence's
+ideal unitary are memoized, so rebuilding a program re-designs no
+pulse, re-shifts no duration and recomposes no gate.
 """
 from __future__ import annotations
 
@@ -45,8 +46,7 @@ from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from . import integrator
 from .integrator import eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
-from .pulses import (DEFAULT_GAMMA, PULSE_DELTA, ROTATING, STATIC_AXIS,
-                     RationalGamma, design_pulse)
+from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, design_pulse
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -143,7 +143,7 @@ class Program:
 
 @lru_cache(maxsize=1024)
 def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
-               gamma: RationalGamma, delta: float) -> EOParams:
+               delta: float) -> EOParams:
     """The EO realizing a named gate in the given style."""
     cname = canonical_name(name)
     if cname == "Gcore":
@@ -151,7 +151,7 @@ def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
     if cname == "Ip" or style.style == IDEAL:
         return ideal_eo_params(cname, machine)
     spin, axis, direction, turns = gate_rotation(cname, machine)
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, gamma=gamma, k=style.k,
+    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=style.k,
                          mode=_STYLE_MODE[style.style], direction=direction,
                          machine=machine, label=cname, delta=delta)
     return eo
@@ -159,16 +159,15 @@ def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
 
 @lru_cache(maxsize=1024)
 def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig,
-            gamma: RationalGamma, delta: float) -> tuple[EOParams, ...]:
+            delta: float) -> tuple[EOParams, ...]:
     """The EOs of a gate sequence, names in application order; 'G' is
     one EO in ideal style and G_EXPANSION otherwise."""
     steps = []
     for name in names:
         if name == "G" and style.style != IDEAL:
-            steps.extend(_gate_step(n, style, machine, gamma, delta)
-                         for n in G_EXPANSION)
+            steps.extend(_gate_step(n, style, machine, delta) for n in G_EXPANSION)
         else:
-            steps.append(_gate_step(name, style, machine, gamma, delta))
+            steps.append(_gate_step(name, style, machine, delta))
     return tuple(steps)
 
 
@@ -186,20 +185,18 @@ def _cnot_names(variant: int) -> tuple[str, ...]:
 
 def build_cnot(variant: int, style: str, k: int = 1,
                machine: MachineConfig = DEFAULT_MACHINE,
-               gamma: RationalGamma = DEFAULT_GAMMA,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant 1, 2 or 3)."""
     names = _cnot_names(variant)
     return Program(name=f"CNOT{variant}[{style},k={k}]",
-                   steps=_expand(names, GateImplStyle(style, k), machine, gamma,
-                                 delta),
+                   steps=_expand(names, GateImplStyle(style, k), machine, delta),
                    input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
 def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
              k: int = 1, machine: MachineConfig = DEFAULT_MACHINE,
-             gamma: RationalGamma = DEFAULT_GAMMA, delta: float = PULSE_DELTA,
+             delta: float = PULSE_DELTA,
              final_rotation_style: str = "program") -> Program:
     """The two five-fold CNOT test programs.
 
@@ -223,13 +220,13 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
         raise ConfigurationError("QA2 takes the singlet input")
 
     names = _cnot_names(cnot_variant) * 5
-    steps = _expand(names, impl, machine, gamma, delta)
+    steps = _expand(names, impl, machine, delta)
     if qa == "2":
         names += ("Y1",)
         if final_rotation_style == "exact":
             steps += (ideal_eo_params("Y1", machine).replace(j=0.0),)
         else:
-            steps += (_gate_step("Y1", impl, machine, gamma, delta),)
+            steps += (_gate_step("Y1", impl, machine, delta),)
     return Program(name=f"QA{qa}[CNOT{cnot_variant},{style},k={k}]",
                    steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
@@ -237,13 +234,11 @@ def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
 
 def build_grover(item: int, style: str = IDEAL, k: int = 1,
                  machine: MachineConfig = DEFAULT_MACHINE,
-                 gamma: RationalGamma = DEFAULT_GAMMA,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
     names = tuple(reversed(grover_sequence(item)))  # application order
     return Program(name=f"Grover{item}[{style},k={k}]",
-                   steps=_expand(names, GateImplStyle(style, k), machine, gamma,
-                                 delta),
+                   steps=_expand(names, GateImplStyle(style, k), machine, delta),
                    input_spec="00",
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -424,7 +419,6 @@ _DIRECTIVE_ARGS = {"input": 1, "gate": 1, "pulse": 5, "diagonal": 1}
 
 def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                        machine: MachineConfig = DEFAULT_MACHINE,
-                       gamma: RationalGamma = DEFAULT_GAMMA,
                        delta: float = PULSE_DELTA,
                        name: str = "custom") -> Program:
     """Parse the one-EO-per-line program format.
@@ -457,12 +451,12 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                 input_amplitudes(args)
                 (input_spec,) = args
             elif kind == "gate":
-                steps.extend(_expand((args[0],), impl, machine, gamma, delta))
+                steps.extend(_expand((args[0],), impl, machine, delta))
             elif kind == "pulse":
                 spin, angle = int(args[0]), float(args[1])
                 axis, mode, kk = args[2], args[3], int(args[4])
-                _, eo = design_pulse(spin, angle, axis, gamma=gamma, k=kk,
-                                     mode=mode, machine=machine, delta=delta)
+                _, eo = design_pulse(spin, angle, axis, k=kk, mode=mode,
+                                     machine=machine, delta=delta)
                 steps.append(eo)
             elif kind == "diagonal":
                 tau = float(args[0])

@@ -3,8 +3,10 @@
 A pulse must (a) be resonant with its target spin, (b) deliver power
 duration*amplitude equal to the rotation angle, (c) return the spectator
 spin to its initial state, and (d) leave no state-dependent phase from
-the bare z-precession.  With the field ratio gamma = N/M rational, all
-four are satisfied to good approximation by durations
+the bare z-precession.  The machine fixes the field ratio gamma =
+h2z/h1z, which must be a fraction N/M in lowest terms with M <= 64
+(RationalGamma.from_machine).  Then all four are satisfied to good
+approximation by durations
 
     t1/2pi = 2 k M N^2   (spin-1 pulses)
     t2/2pi = 2 k M^3     (spin-2 pulses)
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -42,6 +45,11 @@ PULSE_DELTA = 0.01  # default integrator step (over 2*pi) for pulse EOs
 # margin verdict thresholds for "much greater than one"
 _MARGIN_POOR = 50
 _MARGIN_GOOD = 500
+
+# Largest denominator M of a machine's field ratio.  A spin-2 pulse lasts
+# 2kM^3 spin-1 periods (524288k at M = 64), and a static one whose drive
+# period is no whole number of steps is integrated substep by substep.
+MAX_M = 64
 
 
 @dataclass(frozen=True)
@@ -62,13 +70,24 @@ class RationalGamma:
         return self.n / self.m
 
     @classmethod
-    def from_machine(cls, machine: MachineConfig,
-                     max_denominator: int = 10 ** 6) -> "RationalGamma":
-        frac = Fraction(machine.gamma).limit_denominator(max_denominator)
+    @lru_cache(maxsize=64)   # once per machine, not once per table
+    def from_machine(cls, machine: MachineConfig) -> "RationalGamma":
+        """The machine's field ratio h2z/h1z as N/M with M <= MAX_M;
+        ConfigurationError if it lies outside (0, 1) or no such N/M
+        matches it within 1e-12 relative."""
+        gamma = machine.gamma
+        if not 0.0 < gamma < 1.0:
+            raise ConfigurationError(
+                f"machine field ratio {gamma!r} outside (0, 1); no valid design")
+        frac = Fraction(gamma).limit_denominator(MAX_M)
+        if abs(frac.numerator / frac.denominator - gamma) > 1e-12 * gamma:
+            raise ConfigurationError(
+                f"machine field ratio h2z/h1z = {gamma!r} is not N/M with "
+                f"M <= {MAX_M}; no pulse can be designed for it")
         return cls(frac.numerator, frac.denominator)
 
 
-DEFAULT_GAMMA = RationalGamma(1, 4)
+DEFAULT_GAMMA = RationalGamma.from_machine(DEFAULT_MACHINE)
 
 
 @dataclass(frozen=True)
@@ -130,13 +149,13 @@ def hypothetical_durations(gamma: RationalGamma, k: int) -> tuple[int, int]:
     return 2 * k * gamma.m * gamma.n ** 2, 2 * k * gamma.m ** 3
 
 
-def design_pulse(target_spin: int, angle: float, axis: str,
-                 gamma: RationalGamma = DEFAULT_GAMMA, k: int = 1,
+def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
                  mode: str = ROTATING, direction: int | None = None,
                  machine: MachineConfig = DEFAULT_MACHINE,
                  label: str | None = None,
                  delta: float = PULSE_DELTA) -> tuple[PulseDesign, EOParams]:
-    """Design the pulse rotating `target_spin` by `angle` about `axis`.
+    """Design the pulse rotating `target_spin` by `angle` about `axis`
+    on `machine`, for its own field ratio N/M (RationalGamma.from_machine).
 
     Angles up to 4*pi are legal: a spin-1/2 returns to itself only after
     two full turns, and designs reduced modulo 2 turns (rather than 1)
@@ -159,9 +178,7 @@ def design_pulse(target_spin: int, angle: float, axis: str,
         raise ConfigurationError(f"k must be a positive integer, got {k!r}")
     if mode not in _MODES:
         raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not 0.0 < machine.gamma < 1.0:
-        raise ConfigurationError(
-            f"machine field ratio {machine.gamma!r} outside (0, 1); no valid design")
+    gamma = RationalGamma.from_machine(machine)
 
     t1, t2 = hypothetical_durations(gamma, k)
     turns = angle / TWO_PI
@@ -256,7 +273,6 @@ def spectator_residual(design: PulseDesign) -> float:
 
 @dataclass(frozen=True)
 class CommensurabilityReport:
-    ok: bool
     k1: int | None
     constraints: tuple[str, ...]
 
@@ -295,4 +311,4 @@ def commensurability_check_n(frequencies) -> CommensurabilityReport:
         m = ratio.denominator
         constraints.append(f"spin {jdx}: ratio {ratio}, k1 must be a multiple of {m}")
         k1 = k1 * m // gcd(k1, m)
-    return CommensurabilityReport(ok=True, k1=k1, constraints=tuple(constraints))
+    return CommensurabilityReport(k1=k1, constraints=tuple(constraints))

@@ -51,7 +51,8 @@ def per_row_reference(spec):
     The reference for the harness, which builds one program per group of
     rows and applies its unitary to every row of the group.
     """
-    from nmrqc import (build_grover, build_qa, readout, run_program,
+    from nmrqc import (RationalGamma, build_grover, build_qa,
+                       hypothetical_durations, readout, run_program,
                        with_duration_offset)
     from nmrqc.harness import _qa_row_label
 
@@ -61,14 +62,18 @@ def per_row_reference(spec):
         rows = [(str(i), str(i)) for i in spec.items]
     # the ideal style has no pulse duration: it keeps the first k alone
     k_list = spec.k_list[:1] if spec.style == "ideal" else spec.k_list
+
+    def s(k):   # the column label: spin-1 pulse length on the spec's machine
+        return hypothetical_durations(RationalGamma.from_machine(spec.machine), k)[0]
+
     if spec.tau_offsets is not None:
         several = len(k_list) > 1
-        columns = [(f"{o:+g}" + (f"@s={8 * k}" if several else ""), k, o)
+        columns = [(f"{o:+g}" + (f"@s={s(k)}" if several else ""), k, o)
                    for k in k_list for o in spec.tau_offsets]
     elif spec.style == "ideal":
         columns = [("ideal", k_list[0], 0.0)]
     else:
-        columns = [(str(8 * k), k, 0.0) for k in k_list]
+        columns = [(str(s(k)), k, 0.0) for k in k_list]
     cells, ideal = {}, {}
     for key, label in rows:
         for col, k, offset in columns:

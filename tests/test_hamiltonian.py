@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from nmrqc import (DEFAULT_MACHINE, EOParams, MachineConfig,
-                   MachineValidationError, hamiltonian_at, machine_violations,
-                   validate_machine)
+from nmrqc import EOParams, MachineConfig, hamiltonian_at
 from nmrqc.hamiltonian import diagonal_energies
 
 J = -0.43e-6
@@ -74,29 +72,6 @@ def test_diagonal_energy_ordering():
     assert e[1] == pytest.approx(J / 4 + 0.375)
     assert e[2] == pytest.approx(J / 4 - 0.375)
     assert e[3] == pytest.approx(-J / 4 + 0.625)
-
-
-def test_validate_machine_passes_for_consistent_pulse():
-    eo = EOParams(j=J, h1z=1.0, h2z=0.25,
-                  sf1x=-0.03125, sf1y=-0.03125,
-                  sf2x=-0.0078125, sf2y=-0.0078125,
-                  omega=1.0, phi_x=-np.pi / 2)
-    assert validate_machine(eo, DEFAULT_MACHINE) == []
-
-
-def test_validate_machine_flags_bad_ratio():
-    eo = EOParams(j=J, h1z=1.0, h2z=0.25, sf1x=0.03125, sf2x=0.03125)
-    problems = machine_violations(eo, DEFAULT_MACHINE)
-    assert any("sf_x" in p for p in problems)
-    with pytest.raises(MachineValidationError):
-        validate_machine(eo, DEFAULT_MACHINE)
-
-
-def test_validate_machine_flags_gamma_out_of_range():
-    machine = MachineConfig(coupling=J, h1z=1.0, h2z=1.5)
-    eo = EOParams(j=J, h1z=1.0, h2z=1.5)
-    problems = machine_violations(eo, machine)
-    assert any("gamma" in p for p in problems)
 
 
 def test_eoparams_json_round_trip():

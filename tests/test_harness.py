@@ -408,8 +408,47 @@ def test_ideal_duration_study_keeps_the_first_k():
     # the ideal style has no pulse duration, so another k is the same block
     pert = run_experiment(ExperimentSpec(style="ideal", k_list=(2, 1),
                                          tau_offsets=(0.0, 0.1)))
-    assert pert.title == "duration perturbation (s=16)"
+    assert pert.title == "duration perturbation (ideal)"
     assert pert.col_labels == ["+0", "+0.1"]
+
+
+def test_a_one_third_machine_designs_its_own_pulses():
+    # every pulse is designed at h2z/h1z = 1/3, so the columns count its
+    # t1 = 6k, and at k=32 the three CNOT orderings agree with each other
+    # and with the ideal (measured: spread 0.0012, deviation 0.0015)
+    machine = MachineConfig(h2z=1 / 3)
+    cells, deviation = {}, 0.0
+    for variant in (1, 2, 3):
+        spec = ExperimentSpec(cnot_variant=variant, k_list=(1, 32), machine=machine)
+        table = run_experiment(spec)
+        assert table.col_labels == ["6", "192"]
+        for inp in spec.inputs:
+            row = _qa_row_label(spec, inp)
+            cells.setdefault(inp, []).append(table.cell(row, 192))
+            deviation = max(deviation, *np.abs(np.subtract(table.cell(row, 192),
+                                                           table.ideal[row])))
+    spread = max(np.ptp(np.array(v), axis=0).max() for v in cells.values())
+    assert spread <= 0.002 and deviation <= 0.002
+    pert = run_experiment(ExperimentSpec(inputs=("singlet",), k_list=(1, 32),
+                                         tau_offsets=(0.0,), machine=machine))
+    assert pert.title == "duration perturbation (s=6, 192)"
+    assert pert.col_labels == ["+0@s=6", "+0@s=192"]
+
+
+@pytest.mark.parametrize("h2z, message", [
+    (0.2515, "machine field ratio h2z/h1z = 0.2515 is not N/M with M <= 64"),
+    (1.5, "machine field ratio 1.5 outside (0, 1)")])
+@pytest.mark.filterwarnings("error")
+def test_cli_run_on_a_machine_without_a_design_is_bad_input(h2z, message, tmp_path,
+                                                            capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"machine": {"h2z": h2z}}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and len(err.splitlines()) == 1
+    # the ideal style designs no pulse, so it runs on any machine
+    path.write_text(json.dumps({"machine": {"h2z": h2z}, "style": "ideal"}))
+    assert main(["run", str(path)]) == 0
 
 
 def test_parse_angle_forms():
@@ -427,6 +466,19 @@ def test_cli_design_prints_sheet_row(capsys):
     assert rc == 0
     assert "0.0312500" in out and "0.0078125" in out
     assert out.splitlines()[0].startswith("pulse | tau/2pi | omega")
+
+
+def test_cli_design_uses_the_machine_of_its_ratio(capsys):
+    # --n 11 --m 40 designs on the machine with h2z = 0.275: the drive
+    # resonates with spin 2 there, and the spectator channel (spin 1)
+    # carries 40/11 of the target's amplitude
+    rc = main(["design", "2", "pi/2", "x", "rotating", "1", "--n", "11", "--m", "40"])
+    assert rc == 0
+    row = capsys.readouterr().out.splitlines()[1].split(" | ")
+    tau, omega, sf1x, sf2x = row[1], row[2], float(row[3]), float(row[4])
+    assert (tau, omega) == ("128000", "0.28")
+    # each printed amplitude is off by at most half a unit of its 7th decimal
+    assert abs(sf1x - 40 / 11 * sf2x) <= (1 + 40 / 11) * 0.5e-7
 
 
 def test_cli_design_rejects_bad_axis(capsys):

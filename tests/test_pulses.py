@@ -8,7 +8,7 @@ from nmrqc import (ConfigurationError, MachineConfig, RationalGamma,
                    commensurability_check_n, commensurability_margin,
                    design_pulse, eo_propagator, hypothetical_durations,
                    ideal_gate, spectator_excess_angle, spectator_residual,
-                   validate_machine, DEFAULT_MACHINE)
+                   DEFAULT_MACHINE)
 from nmrqc.gates import gate_rotation
 from nmrqc.operators import global_phase_distance
 from nmrqc.pulses import DEFAULT_GAMMA, STATIC_AXIS, PulseDesign
@@ -32,8 +32,14 @@ def test_rotating_quarter_turn_design_spin1():
     assert eo.sf2x == pytest.approx(0.0078125)
     assert (eo.phi_x, eo.phi_y) == (0.0, pytest.approx(np.pi / 2))
     assert eo.omega == 1.0
-    # the pulse EO satisfies the hardware's field-ratio constraint
-    assert validate_machine(eo, DEFAULT_MACHINE) == []
+    # every spin-2 field is gamma times its spin-1 field, as the hardware
+    # dictates, at the default machine and at 11/40
+    for machine in (DEFAULT_MACHINE, MachineConfig(h2z=0.275)):
+        for spin in (1, 2):
+            _, eo = design_pulse(spin, np.pi / 2, "y", k=1, machine=machine)
+            for f1, f2 in ((eo.h1z, eo.h2z), (eo.sf1x, eo.sf2x),
+                           (eo.sf1y, eo.sf2y)):
+                assert f2 == pytest.approx(machine.gamma * f1, rel=1e-12)
 
 
 def test_static_quarter_turn_design_spin1():
@@ -130,8 +136,8 @@ def test_hypothetical_durations():
 def test_spectator_residual_accurate_hypothetical_machine():
     from nmrqc.hamiltonian import MachineConfig
     machine = MachineConfig(coupling=-0.43e-6, h1z=1.0, h2z=0.275)
-    design, _ = design_pulse(1, np.pi / 2, "y", gamma=RationalGamma(11, 40),
-                             k=1, machine=machine)
+    design, _ = design_pulse(1, np.pi / 2, "y", k=1, machine=machine)
+    assert (design.n, design.m) == (11, 40)
     assert spectator_residual(design) < 1e-3
 
 
@@ -166,12 +172,12 @@ def test_spectator_residual_rejects_static_mode():
 
 def test_commensurability_check_default_pair():
     rep = commensurability_check_n([1, Fraction(1, 4)])
-    assert rep.ok and rep.k1 == 4
+    assert rep.k1 == 4
 
 
 def test_commensurability_check_equal_frequencies():
     rep = commensurability_check_n([1, 1])
-    assert rep.ok and rep.k1 == 1
+    assert rep.k1 == 1
 
 
 def test_commensurability_check_three_spins_vs_bruteforce():
