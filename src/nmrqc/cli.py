@@ -7,11 +7,13 @@ Subcommands:
     sweep ...             run a program family over a list of k values
     verify                run the verification suite
 
-Exit status is 0 on success, 1 on verification failure, 2 on bad input.
+Exit status is 0 on success, 1 on verification failure, 2 on bad input,
+and 141 (128 + SIGPIPE) when the reader of the output goes away.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from functools import lru_cache
@@ -186,7 +188,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()   # so that a closed pipe is found here
+        return status
+    except BrokenPipeError:
+        # the reader went away: not bad input.  Stdout goes to devnull, so
+        # that the flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

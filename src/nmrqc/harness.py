@@ -117,10 +117,13 @@ class ExperimentSpec:
                 if not ok(v):
                     raise ConfigurationError(f"{name} entries must be {what}, got {v!r}")
             labels = [label(v) for v in value]
-            shared = sorted({c for c in labels if labels.count(c) > 1})
+            shared = {c for c in labels if labels.count(c) > 1}
             if shared:
+                if name == "k_list":   # a k prints as its t1 on the machine (_durations)
+                    gamma = RationalGamma.from_machine(self.machine)
+                    shared = {str(hypothetical_durations(gamma, k)[0]) for k in shared}
                 raise ConfigurationError(
-                    f"{name} share the {axis} label {', '.join(shared)}: "
+                    f"{name} share the {axis} label {', '.join(sorted(shared))}: "
                     "each entry needs a label of its own")
         check_delta(self.delta)
         fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
@@ -179,14 +182,14 @@ def _is_whole(x) -> bool:
 
 
 # List fields of ExperimentSpec: (test of an entry, what an entry must be,
-# whether an entry labels a table row or a column, the label it prints
-# as).  No two entries of a field may print as one label.
+# whether an entry labels a table row or a column, a key two entries
+# share when they print as one label).  No two entries of a field may.
 _ENTRIES = {
     "inputs": (INPUT_SPECS.__contains__, f"one of {INPUT_SPECS}", "row", str),
     "items": (lambda i: _is_whole(i) and 0 <= i <= 3, "whole numbers 0..3",
               "row", lambda i: str(int(i))),
     "k_list": (lambda k: _is_whole(k) and k >= 1, "whole numbers >= 1",
-               "column", lambda k: str(8 * int(k))),
+               "column", int),
     "tau_offsets": (is_finite_number, "finite numbers", "column",
                     lambda o: _offset_label(float(o))),
 }

@@ -70,24 +70,28 @@ substep product by a symmetry of the drive wherever one holds exactly:
 
 Every run of substeps (a quarter period, a period, a tail) is built in
 vectorized blocks of at most _CHUNK substeps per EO.  Powers are taken
-by repeated squaring, and the finished propagator is polar-projected
-onto the unitary group once, by one Newton-Schulz step.
+by repeated squaring (``_powers``), and the finished propagator is
+polar-projected onto the unitary group once, by one Newton-Schulz step.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
 every step above carry a leading EO axis, and each EO has its own step
 count.  A stack shares one fold (``_fold``):
 - a rotating stack is integrated in one pass: one single-midpoint block
-  per EO, the frame factors, repeated squaring over the bits of the
-  largest n (each EO keeps its partial product where its own n lacks a
-  bit), the remainder blocks and one stacked Newton-Schulz step;
+  per EO, the frame factors, the powers (one squaring pass over the
+  bits of the largest n, then each EO's product of its own set-bit
+  squares, gathered into one batched product per set bit after the
+  first), the remainder blocks and one stacked Newton-Schulz step;
 - a quarter-folded stack holds static x drives of one frequency: one
   quarter-period block over all of them, Zpi placed per EO, each EO's
   own power 2q, the tails (an EO whose tail is shorter takes substeps
   of length 0, exactly the identity, at its end), the remainders and
   one Newton-Schulz step.  A quarter period is only 25 or 100 substeps
   at delta = 0.01, so a block's fixed cost per call outweighs its
-  substeps; a stack is split into groups so that no block holds more
-  than _STACK_SUBSTEPS substep matrices.
+  substeps, and each stacked pass pays that cost and the rest once; a
+  stack is split into groups only so that no block holds more than
+  _STACK_SUBSTEPS = 1024 substep matrices, which bounds a block's
+  temporaries (256 kB of 4x4 factors) and still keeps the ten spin-2
+  classes (10 x 100 substeps) of a canned static table in one group.
 Each EO's result is bit-identical whatever else shares its stack, and a
 lone EO is a stack of one.  Other EOs (a full-period or chunked
 product) are integrated alone, and so is every reference.
@@ -107,8 +111,11 @@ Every other EO is its own class (q = 0).
 
 ``integrate`` integrates the classes of the EOs of a list not stored
 yet, in stacks of one step size, and stores each EO's conjugate; a
-program walk calls it, then looks each EO up.  One store, keyed by the
-EO, keeps the last _CACHE_SIZE propagators used.
+program walk calls it, then looks each EO up.  What it needs of an EO
+(its class, q, its stack and its step schedule) is the EO's plan,
+computed once per EO (``_plan``), so a cold table pays per stack, not
+per EO.  One store, keyed by the EO, keeps the last _CACHE_SIZE
+propagators used.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -119,10 +126,10 @@ at its start).
 from __future__ import annotations
 
 import math
-import operator
 from collections import OrderedDict
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +138,7 @@ from .hamiltonian import EOParams, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 
 _CHUNK = 1 << 15  # substeps of one EO vectorized per block
-_STACK_SUBSTEPS = 512  # substeps per block of a quarter-folded stack
+_STACK_SUBSTEPS = 1024  # substeps per block of a quarter-folded stack
 _CACHE_SIZE = 1024  # propagators kept by the store
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
@@ -192,10 +199,10 @@ def _fold(eo: EOParams, delta: float) -> str | None:
     return None
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _z_class(eo: EOParams) -> tuple[EOParams, int]:
     """(eo0, q) with U(eo) = Z_q U(eo0) Z_q^dagger (see the module
-    docstring); (eo, 0) for an EO no quarter turn canonicalizes."""
+    docstring); (eo, 0) for an EO no quarter turn canonicalizes, and
+    for a representative itself."""
     x, y = (eo.sf1x, eo.sf2x), (eo.sf1y, eo.sf2y)
     rotating = eo.is_rotating
     if rotating:
@@ -212,6 +219,8 @@ def _z_class(eo: EOParams) -> tuple[EOParams, int]:
         return eo, 0
     if min(amps) < 0.0:
         q += 2
+    if q == 0 and eo.label == _CLASS_LABEL:   # already a representative
+        return eo, 0
     a1, a2 = abs(amps[0]), abs(amps[1])
     eo0 = eo.replace(label=_CLASS_LABEL, sf1x=a1, sf2x=a2,
                      sf1y=a1 if rotating else 0.0, sf2y=a2 if rotating else 0.0,
@@ -361,27 +370,27 @@ def _powers(base: np.ndarray, ns) -> np.ndarray:
     """base[e] ** ns[e] for a stack, by repeated squaring.
 
     Each n >= 0, and at least one n >= 1; n = 0 gives the identity.  One
-    pass over the bits of the largest n; an EO whose exponent lacks a
-    bit keeps its partial product, the identity until its first set bit.
-    A product with the identity is exact, so each EO gets the products
-    of the binary method (those of np.linalg.matrix_power for n != 3),
-    whatever else is in the stack.
+    pass squares the whole stack once per bit of the largest n, into
+    squares[b] = base ** 2^b; then each EO multiplies its own set-bit
+    squares in ascending order, as gathered batched products: one call
+    per set bit after the first (two for the designed n = 25 * 2^s).
+    Each EO gets the products of the binary method (those of
+    np.linalg.matrix_power for n != 3), whatever else is in the stack.
     """
-    every = reduce(operator.and_, ns)
-    some = reduce(operator.or_, ns)
-    out = None
-    for b in range(max(ns).bit_length()):
-        if b:
-            base = base @ base
-        if not (some >> b) & 1:
-            continue
-        product = base if out is None else out @ base
-        if (every >> b) & 1:
-            out = product
-        else:
-            has = np.array([(n >> b) & 1 for n in ns], dtype=bool)
-            out = np.where(has[:, None, None], product,
-                           _EYE if out is None else out)
+    ns = np.asarray(ns)
+    squares = np.empty((int(ns.max()).bit_length(),) + base.shape, dtype=complex)
+    squares[0] = base
+    for b in range(1, len(squares)):
+        np.matmul(squares[b - 1], squares[b - 1], out=squares[b])
+    has = (ns[:, None] >> np.arange(len(squares))) & 1 == 1    # [EO, bit]
+    order = np.argsort(~has, axis=1, kind="stable")   # set bits first, ascending
+    counts = has.sum(axis=1)
+    rows = np.arange(len(ns))
+    out = squares[order[:, 0], rows]
+    out[counts == 0] = _EYE
+    for j in range(1, counts.max()):
+        e = rows[counts > j]
+        out[e] = out[e] @ squares[order[e, j], e]
     return out
 
 
@@ -435,8 +444,11 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
 
 def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     """Per EO, the product of `block` over its substep schedule, folded by
-    symmetry and polar-projected: a stack of 4x4 propagators."""
-    n_full, rem = zip(*(_step_schedule(e.tau, delta) for e in d.eos))
+    symmetry and polar-projected: a stack of 4x4 propagators.  delta is
+    the step size of every EO of the stack, each EO's own."""
+    # a diagonal EO, stepped only as a reference, has no planned schedule
+    n_full, rem = zip(*(_plan(e).schedule or _step_schedule(e.tau, delta)
+                        for e in d.eos))
     dt = delta * TWO_PI
     u, start = _folded_power(d, n_full, delta, block)
     u = _substeps(d, start, np.subtract(n_full, start), dt, block, u)
@@ -464,15 +476,49 @@ def _chunks(eos: list, fold: str | None, delta: float) -> list:
 
     A quarter-folded stack is split so that no block holds more than
     _STACK_SUBSTEPS substep matrices: the quarter period, or the widest
-    tail, times the EOs of a group.
+    tail, times the EOs of a group (see the module docstring for the
+    cap's value).  Each group pays one stacked pass.
     """
     if fold != _QUARTER:
         return [eos]
     period = _period_steps(eos[0].omega, delta)
-    widest = max([period // 4] + [_step_schedule(eo.tau, delta)[0] % period
-                                  for eo in eos])
+    widest = max([period // 4] + [_plan(eo).schedule[0] % period for eo in eos])
     size = max(1, _STACK_SUBSTEPS // widest)
     return [eos[i:i + size] for i in range(0, len(eos), size)]
+
+
+class _Plan(NamedTuple):
+    """How ``integrate`` takes one EO: its class (``_z_class``), U(eo) =
+    Z_q U(eo0) Z_q^dagger; the key (delta, fold, shared) of the stack eo0
+    joins; and eo0's step schedule (n_full, rem), None for a diagonal EO,
+    whose exact propagator takes no steps."""
+
+    eo0: EOParams
+    q: int
+    key: tuple
+    schedule: tuple[int, float] | None
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plan(eo: EOParams) -> _Plan:
+    """The EO's plan, computed once per EO and class.
+
+    A bad step size or duration raises, on every call (a cache stores no
+    exception).  A member takes its representative's plan, so every
+    member of a class gets the one eo0 object this memo holds, and
+    dicts keyed by eo0 match it by identity.
+    """
+    _check(eo)
+    eo0, q = _z_class(eo)
+    if eo0 is not eo:
+        rep = _plan(eo0)
+        return _Plan(rep.eo0, q, rep.key, rep.schedule)
+    delta = eo.delta
+    if eo.is_diagonal:
+        return _Plan(eo, 0, (delta, None, eo), None)
+    fold = _fold(eo, delta)
+    shared = eo if fold is None else eo.omega if fold == _QUARTER else None
+    return _Plan(eo, 0, (delta, fold, shared), _step_schedule(eo.tau, delta))
 
 
 class _Store(OrderedDict):
@@ -496,16 +542,17 @@ def integrate(eos) -> None:
     """Store the propagator of each EO not stored yet; a stored EO counts
     as used.
 
-    Each missed EO is mapped to its class (``_z_class``), and each class
-    is integrated once.  Pulses that fold are integrated in stacks: the
-    rotating classes of one step size in one, the quarter-folded ones of
-    one step size and drive frequency in the groups of ``_chunks``;
-    every other class alone.  One stacked product then conjugates each
-    class propagator into those of its member EOs, which are stored.  A
-    bad step size or duration raises before any EO is integrated.
+    Each missed EO is mapped to its class by its plan (``_plan``), and
+    each class is integrated once.  Pulses that fold are integrated in
+    stacks: the rotating classes of one step size in one, the
+    quarter-folded ones of one step size and drive frequency in the
+    groups of ``_chunks``; every other class alone.  One stacked product
+    then conjugates each class propagator into those of its member EOs,
+    which are stored.  A bad step size or duration raises before any EO
+    is integrated.
     """
     store = _cached_propagator
-    members: dict[EOParams, tuple[EOParams, int]] = {}
+    members: dict[EOParams, _Plan] = {}
     stacks: dict[tuple, dict] = {}
     for eo in eos:
         try:
@@ -513,11 +560,8 @@ def integrate(eos) -> None:
             continue
         except KeyError:
             pass
-        _check(eo)
-        eo0, q = members[eo] = _z_class(eo)
-        fold = None if eo0.is_diagonal else _fold(eo0, eo0.delta)
-        shared = eo0 if fold is None else eo0.omega if fold == _QUARTER else None
-        stacks.setdefault((eo0.delta, fold, shared), {})[eo0] = None
+        plan = members[eo] = _plan(eo)
+        stacks.setdefault(plan.key, {})[plan.eo0] = None
     if not members:
         return
     done = {}
@@ -530,8 +574,8 @@ def integrate(eos) -> None:
                 u for chunk in _chunks(group, fold, delta)
                 for u in _stepped_propagator(_Drives(chunk, fold), delta,
                                              _product_formula_block))))
-    classes, qs = zip(*members.values())
-    mats = _conjugated(np.array([done[c] for c in classes]), list(qs))
+    plans = members.values()
+    mats = _conjugated(np.array([done[p.eo0] for p in plans]), [p.q for p in plans])
     mats.setflags(write=False)
     store.update(zip(members, mats))
     store.integrated += len(members)
@@ -556,8 +600,7 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     each substep's midpoint, at the EO's step size, folded as the product
     formula is, and conjugated from its class as the stored propagator
     is.  Integrated alone on every call, and never stored."""
-    _check(eo)
-    eo0, q = _z_class(eo)
+    eo0, q = _plan(eo)[:2]
     drives = _Drives((eo0,), _fold(eo0, eo0.delta))
     return _conjugated(_stepped_propagator(drives, eo0.delta, _dense_block),
                        [q])[0]

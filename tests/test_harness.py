@@ -288,8 +288,9 @@ def _expected_stacks(keys) -> list:
     return sorted(stacks)
 
 
-# spin 2 (100-substep quarters) splits, spin 1 (25) does not
-_STATIC_STACKS = [("quarter", 5), ("quarter", 5), ("quarter", 10)]
+# one stack per drive frequency: the ten spin-2 classes (100-substep
+# quarters) and the ten spin-1 ones (25) both fit under the cap
+_STATIC_STACKS = [("quarter", 10), ("quarter", 10)]
 
 
 @pytest.mark.parametrize("name", ["table5", "table9", "table10", "table8",
@@ -328,7 +329,7 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
     import nmrqc.integrator
     programs = ([build_qa("QA1", "00", variant, style, k=k)
                  for variant in (1, 2, 3) for style in ("rotating_sf", "static_sf")
-                 for k in (1, 2, 4)]
+                 for k in (1, 2, 3, 4, 5, 6)]
                 + [build_grover(item, "static_sf", k=2) for item in range(4)])
     keys = {eo for p in programs for eo in p.steps}
     nmrqc.integrator.clear_propagator_cache()
@@ -336,7 +337,9 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
     info = nmrqc.integrator._cached_propagator.cache_info()
     assert (info.misses, info.hits) == (len(keys), 0)
     assert sorted(kernel_calls) == _expected_stacks(keys)
-    assert ("quarter", 5) in kernel_calls and ("rotating", 1) not in kernel_calls
+    # 13 spin-2 classes, split by the cap into 10 and 3
+    assert {("quarter", 10), ("quarter", 3)} <= set(kernel_calls)
+    assert ("rotating", 1) not in kernel_calls
 
 
 def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
@@ -451,6 +454,14 @@ def test_cli_run_on_a_machine_without_a_design_is_bad_input(h2z, message, tmp_pa
     assert main(["run", str(path)]) == 0
 
 
+def test_duplicate_k_names_the_label_of_its_machine():
+    """A k prints as its pulse duration on the spec's own machine: 6 for
+    k = 1 at h2z/h1z = 1/3, not the 8 of the default machine."""
+    with pytest.raises(ConfigurationError,
+                       match="k_list share the column label 6:"):
+        ExperimentSpec.from_dict({"machine": {"h2z": 1 / 3}, "k_list": [1, 1]})
+
+
 def test_parse_angle_forms():
     assert parse_angle("pi/2") == pytest.approx(np.pi / 2)
     assert parse_angle("2pi") == pytest.approx(2 * np.pi)
@@ -532,6 +543,23 @@ def test_python_m_nmrqc_passes_the_exit_status_on(argv, status):
     assert done.returncode == status, done.stderr
     if status == 0:
         assert "PASSED" in done.stdout
+
+
+def test_a_closed_pipe_exits_141_and_writes_no_error():
+    """A reader that went away before the table was written is not bad
+    input: the command exits 128 + SIGPIPE, with nothing on stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nmrqc", "tables", "table9",
+                               "--format", "csv"], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_cli_missing_config_file(capsys):

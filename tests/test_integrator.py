@@ -13,9 +13,9 @@ from nmrqc.harness import canned_spec, run_experiment, verify_suite
 from nmrqc.hamiltonian import diagonal_energies
 from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
                               _cached_propagator, _fold, _nearest_unitary,
-                              _product_formula_block, _step_schedule,
-                              _stepped_propagator, _z_class, check_delta,
-                              clear_propagator_cache, integrate)
+                              _plan, _powers, _product_formula_block,
+                              _step_schedule, _stepped_propagator, _z_class,
+                              check_delta, clear_propagator_cache, integrate)
 from nmrqc.programs import Program, program_unitaries
 from nmrqc.operators import TWO_PI, max_unitarity_defect, state_phase_distance
 
@@ -200,9 +200,9 @@ def test_unfoldable_schedules_step_every_substep(method):
 
 
 def _counted_blocks(eo, delta):
-    """Substeps per block call of the EO's product-formula integration,
-    and its propagator."""
-    sizes = []
+    """Substeps per block call of the EO's product-formula integration
+    at step delta, and its propagator."""
+    eo, sizes = eo.replace(delta=delta), []
 
     def counting_block(drives, mids, dt):
         sizes.append(mids.size)
@@ -363,6 +363,10 @@ def test_axes_and_senses_of_one_pulse_share_a_class():
                    for name in ("X2", "X2b", "Y2", "Y2b")]
         assert len({eo0 for eo0, _ in classes}) == 1
         assert sorted(q for _, q in classes) == [0, 1, 2, 3]
+        plans = [_plan(pulse_eo(name, k=2, mode=mode))
+                 for name in ("X2", "X2b", "Y2", "Y2b")]
+        assert len({id(p.eo0) for p in plans}) == 1   # one object per class
+        assert len({p.key for p in plans}) == 1
     eo = pulse_eo("Y2", mode="static_axis")
     for own in (eo.replace(phi_x=0.3), eo.replace(sf2x=-eo.sf2x),
                 eo.replace(h1x=1e-3), ideal_eo_params("Ip")):
@@ -595,15 +599,48 @@ def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
     assert not _cached_propagator and not kernel_calls
 
 
+def test_a_bad_eo_raises_on_every_plan_and_leaves_no_trace():
+    """A plan of a NaN step size or a negative duration raises each time
+    it is asked for; neither the plans nor the store keep anything."""
+    clear_propagator_cache()
+    before = _plan.cache_info().currsize
+    for bad in (pulse_eo("Y2").replace(delta=float("nan")),
+                pulse_eo("Y2").replace(tau=-1.0)):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                _plan(bad)
+            with pytest.raises(ConfigurationError):
+                integrate([bad])
+    assert _plan.cache_info().currsize == before and not _cached_propagator
+
+
 def test_stacked_powers_equal_matrix_power(rng):
     from conftest import random_unitary
-    from nmrqc.integrator import _powers
     # matrix_power special-cases 3; 16 .. 2048 are the exponents 2q of the
     # quarter-folded static pulses of the canned tables
     ns = [0, 1, 2, 5, 6, 800, 801, 409600, 16, 32, 64, 128, 256, 512, 2048]
     base = np.stack([random_unitary(rng) for _ in ns])
     for i, u in enumerate(_powers(base, ns)):   # no EO's product is touched
         assert np.array_equal(u, np.linalg.matrix_power(base[i], ns[i])), ns[i]
+
+
+def test_powers_of_a_shuffled_stack_equal_matrix_power(rng):
+    """Every exponent shape the squaring pass gathers: 0, 1, all bits set
+    (2^b - 1), one bit (2^b) and the designed 25 * 2^s, up to 19 bits,
+    in a shuffled stack and each row alone."""
+    from conftest import random_unitary
+    ns = sorted({0, 1} | {n for b in range(1, 20) for n in (2 ** b - 1, 2 ** b)}
+                | {25 * 2 ** s for s in range(15)})
+    ns = [ns[i] for i in rng.permutation(len(ns))]
+    base = np.stack([random_unitary(rng) for _ in ns])
+    stacked = _powers(base, ns)
+    for i, n in enumerate(ns):
+        want = np.linalg.matrix_power(base[i], n)
+        if n == 3:   # which matrix_power multiplies as (b b) b
+            want = base[i] @ (base[i] @ base[i])
+        assert np.array_equal(stacked[i], want), n
+        if n:   # a stack of one needs an n >= 1
+            assert np.array_equal(_powers(base[i:i + 1], [n])[0], want), n
 
 
 def _table8_quarter_blocks(monkeypatch):
@@ -641,15 +678,15 @@ def test_merged_half_steps_match_the_split_on_a_rotating_stack():
 
 def test_merged_half_steps_match_the_split_on_table8(monkeypatch):
     blocks = _table8_quarter_blocks(monkeypatch)
-    assert {mids.shape for _, mids, _ in blocks} == {(5, 100), (10, 25)}
+    assert {mids.shape for _, mids, _ in blocks} == {(10, 100), (10, 25)}
     for d, mids, dt in blocks:
         assert _split_gap(d, mids, dt) < 2e-14, mids.shape
 
 
 def test_zero_length_substeps_of_a_ragged_block_stay_the_identity(monkeypatch):
     d, mids, dt = next(b for b in _table8_quarter_blocks(monkeypatch)
-                       if b[1].shape == (5, 100))
-    counts = np.array([100, 73, 50, 1, 0])
+                       if b[1].shape == (10, 100))
+    counts = np.array([100, 73, 50, 1, 100, 99, 26, 25, 2, 0])
     ragged = np.where(np.arange(100) < counts[:, None], dt, 0.0)
     assert _split_gap(d, mids, ragged) < 2e-14
     got = _product_formula_block(d, mids, ragged)

@@ -185,7 +185,7 @@ static_pulses = st.tuples(
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(static_pulses, min_size=1, max_size=30).flatmap(st.permutations))
-@example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 8)])  # split by the cap
+@example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 12)])  # split by the cap
 def test_stacked_static_kernel(pulses):
     """Static pulses, shuffled and mixed in one cold walk, are integrated by
     class (``_z_class``) in stacks of one drive frequency, split so that
