@@ -119,6 +119,9 @@ class ExperimentSpec:
             labels = [label(v) for v in value]
             shared = {c for c in labels if labels.count(c) > 1}
             if shared:
+                if name == "k_list" and self.style == IDEAL:   # it prints no k
+                    raise ConfigurationError(
+                        f"k_list repeats k {', '.join(map(str, sorted(shared)))}")
                 if name == "k_list":   # a k prints as its t1 on the machine (_durations)
                     gamma = RationalGamma.from_machine(self.machine)
                     shared = {str(hypothetical_durations(gamma, k)[0]) for k in shared}

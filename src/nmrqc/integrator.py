@@ -31,27 +31,29 @@ split-free; it validates the product formula.  A different step size
 is a different EO, ``eo.replace(delta=d)``.
 
 The product formula and the reference share one loop, which folds the
-substep product by a symmetry of the drive wherever one holds exactly:
+substep product by a symmetry of the drive wherever one holds exactly.
+``_fold`` names the fold:
 
-* A rotating drive (``EOParams.is_rotating``: no static transverse
-  field, equal x/y amplitudes, phi_y - phi_x = pi/2) turns rigidly
-  about z.  The Ising and z terms commute with total S^z, so every
+* "rotating": a rotating drive (``EOParams.is_rotating``: no static
+  transverse field, equal x/y amplitudes, phi_y - phi_x = pi/2) turns
+  rigidly about z.  The Ising and z terms commute with total S^z, so every
   substep block is a z-conjugate of the first one,
   B(t + theta) = Z(theta) B(t) Z(theta)^dagger with
   Z(theta) = exp(+i omega theta S^z_tot), and the n full substeps give
   exactly U = Z(n dt) (Z(dt)^dagger B(dt/2))^n (the rotating frame;
   Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
   single-midpoint block is built and raised to the n-th power.
-* Otherwise, when the drive period 1/omega (over 2*pi) is a whole number
-  P of steps, i.e. 1/(omega*delta) is an integer to a relative 1e-12,
-  and the EO spans at least 2P full substeps, the fields repeat exactly
-  every P substeps (Floquet; Shirley, Phys. Rev. 138, B979 (1965)), so
-  one period's product U_T is raised to q = n_full // P; the
-  n_full mod P leftover substeps are stepped at their true midpoints.
-  An x drive (only the x channel driven, phi_x = phi_y = 0, no static
-  transverse field) with P a multiple of 4 has two more exact
-  symmetries, so only its first P/4 substeps are built, as their
-  product Q:
+* "period": otherwise, when the drive period 1/omega (over 2*pi) is a
+  whole number P of steps, i.e. 1/(omega*delta) is an integer to a
+  relative 1e-12, and the EO spans at least 2P full substeps, the
+  fields repeat exactly every P substeps (Floquet; Shirley, Phys. Rev.
+  138, B979 (1965)), so one period's product U_T is raised to
+  q = n_full // P; the n_full mod P leftover substeps are stepped at
+  their true midpoints.
+* "quarter": an x drive (only the x channel driven, phi_x = phi_y = 0,
+  no static transverse field) that folds by period, with P a multiple
+  of 4, has two more exact symmetries, so only its first P/4 substeps
+  are built, as their product Q:
   - half period: the field at t + T/2 is minus the field at t, and
     Zpi = exp(i pi S^z_tot) = diag(-1, 1, 1, -1) flips both transverse
     operators while commuting with the rest, so
@@ -62,39 +64,46 @@ substep product by a symmetry of the drive wherever one holds exactly:
     complex-symmetric (for the Strang split T D T as for the dense
     exponential) and U_{T/2} = Q^T Q.
   Any other periodic drive (phi != 0, a static transverse field, a y
-  drive, both axes driven or P not a multiple of 4) builds the product
-  of all P substeps.
-* In every other case (omega = 0, a period that is not a whole number of
-  steps or is shorter than one step, a static pulse shorter than two
-  periods) every substep is stepped.
+  drive, both axes driven or P not a multiple of 4) folds by period.
+* None: in every other case (omega = 0, a period that is not a whole
+  number of steps or is shorter than one step, a static pulse shorter
+  than two periods) every substep is stepped.
 
-Every run of substeps (a quarter period, a period, a tail) is built in
-vectorized blocks of at most _CHUNK substeps per EO.  Powers are taken
-by repeated squaring (``_powers``), and the finished propagator is
-polar-projected onto the unitary group once, by one Newton-Schulz step.
+Powers are taken by repeated squaring (``_powers``), and the finished
+propagator is polar-projected onto the unitary group once, by one
+Newton-Schulz step.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
 every step above carry a leading EO axis, and each EO has its own step
-count.  A stack shares one fold (``_fold``):
-- a rotating stack is integrated in one pass: one single-midpoint block
-  per EO, the frame factors, the powers (one squaring pass over the
-  bits of the largest n, then each EO's product of its own set-bit
-  squares, gathered into one batched product per set bit after the
-  first), the remainder blocks and one stacked Newton-Schulz step;
-- a quarter-folded stack holds static x drives of one frequency: one
-  quarter-period block over all of them, Zpi placed per EO, each EO's
-  own power 2q, the tails (an EO whose tail is shorter takes substeps
-  of length 0, exactly the identity, at its end), the remainders and
-  one Newton-Schulz step.  A quarter period is only 25 or 100 substeps
-  at delta = 0.01, so a block's fixed cost per call outweighs its
-  substeps, and each stacked pass pays that cost and the rest once; a
-  stack is split into groups only so that no block holds more than
-  _STACK_SUBSTEPS = 1024 substep matrices, which bounds a block's
-  temporaries (256 kB of 4x4 factors) and still keeps the ten spin-2
-  classes (10 x 100 substeps) of a canned static table in one group.
+count.  One rule makes the stacks: an EO joins the stack of its step
+size, fold and drive frequency (every rotating EO of one step size
+shares one stack, whatever its frequency), and one bound splits each
+stack into the groups integrated together (``_chunks``): no block holds
+more than _BLOCK = 1024 substep matrices.  A group holds as many EOs as
+their widest run allows, a run being what goes into one block: one
+midpoint for a rotating EO, the quarter period or period and the tail
+for a folded one, every substep for an unfolded one.  A block call
+costs more than the 25 or 100 substeps of a quarter period at
+delta = 0.01, so a group pays that cost once for all its EOs; the
+bound keeps a block's temporaries within 256 kB of 4x4 factors and
+still keeps the ten spin-2 classes (10 x 100 substeps) of a canned
+static table in one group.  An EO whose run is longer is a group of
+one, and every run (a period, a tail, all the substeps) is built _BLOCK
+substeps at a time.  A group is integrated in one pass:
+- rotating: one single-midpoint block per EO, the frame factors, the
+  powers (one squaring pass over the bits of the largest n, then each
+  EO's product of its own set-bit squares, gathered into one batched
+  product per set bit after the first), the remainder blocks and one
+  stacked Newton-Schulz step;
+- quarter or period: one quarter-period block (then Zpi placed per EO)
+  or one period block over all the EOs, each EO's own power, 2q or q,
+  the tails (an EO whose tail is shorter takes substeps of length 0,
+  exactly the identity, at its end), the remainders and one
+  Newton-Schulz step;
+- unfolded: every substep of every EO, padded at its end likewise, the
+  remainders and one Newton-Schulz step.
 Each EO's result is bit-identical whatever else shares its stack, and a
-lone EO is a stack of one.  Other EOs (a full-period or chunked
-product) are integrated alone, and so is every reference.
+lone EO is a stack of one; every reference is integrated alone.
 
 Pulses that differ only in the axis or sense of their drive are
 integrated once (``_z_class``).  The z terms commute with total S^z, so
@@ -110,8 +119,9 @@ drive; a negative amplitude is a half turn more.  eo0 has amplitudes
 Every other EO is its own class (q = 0).
 
 ``integrate`` integrates the classes of the EOs of a list not stored
-yet, in stacks of one step size, and stores each EO's conjugate; a
-program walk calls it, then looks each EO up.  What it needs of an EO
+yet, in the stacks above, and the diagonal classes in one closed-form
+stack, and stores each EO's conjugate; a program walk calls it, then
+looks each EO up.  What it needs of an EO
 (its class, q, its stack and its step schedule) is the EO's plan,
 computed once per EO (``_plan``), so a cold table pays per stack, not
 per EO.  One store, keyed by the EO, keeps the last _CACHE_SIZE
@@ -137,8 +147,7 @@ from .errors import ConfigurationError
 from .hamiltonian import EOParams, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 
-_CHUNK = 1 << 15  # substeps of one EO vectorized per block
-_STACK_SUBSTEPS = 1024  # substeps per block of a quarter-folded stack
+_BLOCK = 1024  # substep matrices per block
 _CACHE_SIZE = 1024  # propagators kept by the store
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
@@ -181,22 +190,24 @@ def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
 
 _ROTATING = "rotating"  # the drive turns rigidly about z
 _QUARTER = "quarter"    # a static x drive, folded from a quarter period
+_PERIOD = "period"      # any other periodic drive, folded from a period
+_DIAGONAL = (None, None, None)  # the stack key of every diagonal EO
 
 
 def _fold(eo: EOParams, delta: float) -> str | None:
-    """The symmetry that folds an EO's substeps: _ROTATING, _QUARTER, or
-    None for a whole period or every substep (see the module docstring)."""
+    """The symmetry that folds an EO's substeps: _ROTATING, _QUARTER,
+    _PERIOD, or None when every substep is stepped (see the module
+    docstring)."""
     if eo.is_rotating:
         return _ROTATING
     period = _period_steps(eo.omega, delta)
-    if not period or period % 4:
+    if not period or _step_schedule(eo.tau, delta)[0] < 2 * period:
         return None
     x_drive = (eo.sf1x or eo.sf2x) and not (eo.sf1y or eo.sf2y)
-    if (x_drive and not any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x,
-                             eo.h2y))
-            and _step_schedule(eo.tau, delta)[0] >= 2 * period):
+    if x_drive and not (period % 4 or any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y,
+                                           eo.h2x, eo.h2y))):
         return _QUARTER
-    return None
+    return _PERIOD
 
 
 def _z_class(eo: EOParams) -> tuple[EOParams, int]:
@@ -235,11 +246,9 @@ def _conjugated(u: np.ndarray, qs) -> np.ndarray:
 
 
 class _Drives:
-    """Field parameters of a stack of EOs, one row per EO.
-
-    A stack is either one EO or EOs that share a fold (``_fold``): EOs that all turn rigidly about z
-    (_ROTATING), or quarter-folded static EOs of one drive frequency
-    (_QUARTER).
+    """Field parameters of a stack of EOs, one row per EO, and the fold
+    (``_fold``) they share: the stack's EOs all turn rigidly about z
+    (_ROTATING), or have one drive frequency.
     """
 
     def __init__(self, eos, fold: str | None):
@@ -398,13 +407,13 @@ def _substeps(d: _Drives, start, count, dt: float, block, u=None):
     """Per EO e, its substeps start[e] .. start[e] + count[e] - 1 at their
     midpoints, multiplied onto u (none: their product alone).
 
-    At most _CHUNK substeps of each EO go into one block; past the end
+    At most _BLOCK substeps of each EO go into one block; past the end
     of its own count, an EO takes substeps of length 0.
     """
     start, count = np.asarray(start), np.asarray(count)
     ragged = (count != count[0]).any()
-    for lo in range(0, count.max(), _CHUNK):
-        steps = lo + np.arange(min(_CHUNK, count.max() - lo))
+    for lo in range(0, count.max(), _BLOCK):
+        steps = lo + np.arange(min(_BLOCK, count.max() - lo))
         b = block(d, (np.add.outer(start, steps) + 0.5) * dt,
                   np.where(steps < count[:, None], dt, 0.0) if ragged else dt)
         u = b if u is None else b @ u
@@ -415,12 +424,13 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
     """Per EO, the product of its leading substeps folded by symmetry,
     and how many substeps that covers; the rest are the EO's tail.
 
-    A rotating stack is covered whole.  A quarter-folded stack (x drives)
-    builds one quarter period per EO, any other periodic EO a full period
-    (see the module docstring); an EO that does not fold covers nothing.
+    A rotating stack is covered whole.  A quarter stack builds one
+    quarter period per EO and a period stack one whole period, and each
+    EO raises its own to its power (see the module docstring); an
+    unfolded stack covers nothing.
     """
-    if not any(n_full):
-        return np.broadcast_to(_EYE, (len(n_full), 4, 4)), n_full
+    if d.fold is None or not n_full.any():
+        return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
     dt = delta * TWO_PI
     if d.fold == _ROTATING:
         first = block(d, np.full((len(n_full), 1), dt / 2.0), dt)
@@ -429,17 +439,12 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           n_full), n_full
     period = _period_steps(d.omega[0], delta)
-    qs = [n // period for n in n_full] if period else [0]
-    zeros = np.zeros(len(n_full), dtype=int)
-    if d.fold == _QUARTER:
-        # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
-        quarter = _substeps(d, zeros, zeros + period // 4, dt, block)
-        z_pi_half = _Z_PI[:, None] * (np.swapaxes(quarter, -1, -2) @ quarter)
-        return _powers(z_pi_half, [2 * q for q in qs]), [q * period for q in qs]
-    if qs[0] < 2:
-        return _EYE[None], [0]
-    return (_powers(_substeps(d, zeros, zeros + period, dt, block), qs),
-            [qs[0] * period])
+    quarter, qs = d.fold == _QUARTER, n_full // period
+    u = _substeps(d, np.zeros_like(n_full),
+                  np.full_like(n_full, period // 4 if quarter else period), dt, block)
+    if quarter:   # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
+        u = _Z_PI[:, None] * (np.swapaxes(u, -1, -2) @ u)
+    return _powers(u, (2 if quarter else 1) * qs), qs * period
 
 
 def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
@@ -447,51 +452,55 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     symmetry and polar-projected: a stack of 4x4 propagators.  delta is
     the step size of every EO of the stack, each EO's own."""
     # a diagonal EO, stepped only as a reference, has no planned schedule
-    n_full, rem = zip(*(_plan(e).schedule or _step_schedule(e.tau, delta)
-                        for e in d.eos))
+    schedules = [_plan(e).schedule or _step_schedule(e.tau, delta) for e in d.eos]
+    n_full, rem = map(np.array, zip(*schedules))
     dt = delta * TWO_PI
     u, start = _folded_power(d, n_full, delta, block)
-    u = _substeps(d, start, np.subtract(n_full, start), dt, block, u)
-    if any(rem):
-        dt_rem = np.array(rem) * TWO_PI
-        mid = np.array(n_full) * dt + dt_rem / 2.0
-        stepped = block(d, mid[:, None], dt_rem[:, None]) @ u
-        u = stepped if all(rem) else np.where(dt_rem[:, None, None] > 0.0,
-                                              stepped, u)
+    u = _substeps(d, start, n_full - start, dt, block, u)
+    if rem.any():   # an EO without a remainder keeps its u
+        dt_rem = rem[:, None] * TWO_PI
+        u = np.where(dt_rem[..., None] > 0.0, block(
+            d, n_full[:, None] * dt + dt_rem / 2.0, dt_rem) @ u, u)
     return _nearest_unitary(u)
 
 
-def _exact_diagonal_propagator(eo: EOParams) -> np.ndarray:
-    ez = diagonal_energies(eo.j, eo.h1z, eo.h2z)
+def _exact_diagonal_propagators(eos) -> np.ndarray:
+    """Per diagonal EO of a stack, its closed-form propagator."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = TWO_PI * eo.tau * ez
-    if not np.isfinite(phase).all():
-        raise ConfigurationError(f"duration {eo.tau!r} is too long: its phase "
-                                 "is not finite")
-    return np.diag(np.exp(-1j * phase))
+        phase = TWO_PI * np.array([[e.tau] for e in eos]) * _Drives(eos, None).ez
+    for eo, p in zip(eos, phase):
+        if not np.isfinite(p).all():
+            raise ConfigurationError(f"duration {eo.tau!r} is too long: its "
+                                     "phase is not finite")
+    u = np.zeros((len(eos), 4, 4), dtype=complex)
+    u[:, range(4), range(4)] = np.exp(-1j * phase)
+    return u
 
 
 def _chunks(eos: list, fold: str | None, delta: float) -> list:
-    """The EOs of a stack in the groups integrated together.
-
-    A quarter-folded stack is split so that no block holds more than
-    _STACK_SUBSTEPS substep matrices: the quarter period, or the widest
-    tail, times the EOs of a group (see the module docstring for the
-    cap's value).  Each group pays one stacked pass.
+    """The EOs of a stack in the groups integrated together: as many per
+    group as keep every block within _BLOCK substep matrices, counting
+    each EO's widest run of substeps (see the module docstring).  An EO
+    with a run longer than _BLOCK is a group of one, and ``_substeps``
+    builds the run _BLOCK substeps at a time.
     """
-    if fold != _QUARTER:
-        return [eos]
-    period = _period_steps(eos[0].omega, delta)
-    widest = max([period // 4] + [_plan(eo).schedule[0] % period for eo in eos])
-    size = max(1, _STACK_SUBSTEPS // widest)
+    # one midpoint (and one remainder) per rotating EO; every substep of
+    # an unfolded one; a folded one's quarter period or period, and tail
+    runs = [1] if fold == _ROTATING else [_plan(eo).schedule[0] for eo in eos]
+    if fold in (_QUARTER, _PERIOD):
+        period = _period_steps(eos[0].omega, delta)
+        runs = ([period // (4 if fold == _QUARTER else 1)]
+                + [n % period for n in runs])
+    size = max(1, _BLOCK // max(1, *runs))
     return [eos[i:i + size] for i in range(0, len(eos), size)]
 
 
 class _Plan(NamedTuple):
     """How ``integrate`` takes one EO: its class (``_z_class``), U(eo) =
-    Z_q U(eo0) Z_q^dagger; the key (delta, fold, shared) of the stack eo0
-    joins; and eo0's step schedule (n_full, rem), None for a diagonal EO,
-    whose exact propagator takes no steps."""
+    Z_q U(eo0) Z_q^dagger; the key (delta, fold, omega) of the stack eo0
+    joins (omega None for a rotating one, _DIAGONAL for a diagonal one);
+    and eo0's step schedule (n_full, rem), None for a diagonal EO, whose
+    exact propagator takes no steps."""
 
     eo0: EOParams
     q: int
@@ -513,12 +522,11 @@ def _plan(eo: EOParams) -> _Plan:
     if eo0 is not eo:
         rep = _plan(eo0)
         return _Plan(rep.eo0, q, rep.key, rep.schedule)
-    delta = eo.delta
     if eo.is_diagonal:
-        return _Plan(eo, 0, (delta, None, eo), None)
-    fold = _fold(eo, delta)
-    shared = eo if fold is None else eo.omega if fold == _QUARTER else None
-    return _Plan(eo, 0, (delta, fold, shared), _step_schedule(eo.tau, delta))
+        return _Plan(eo, 0, _DIAGONAL, None)
+    fold = _fold(eo, eo.delta)
+    return _Plan(eo, 0, (eo.delta, fold, None if fold == _ROTATING else eo.omega),
+                 _step_schedule(eo.tau, eo.delta))
 
 
 class _Store(OrderedDict):
@@ -543,13 +551,14 @@ def integrate(eos) -> None:
     as used.
 
     Each missed EO is mapped to its class by its plan (``_plan``), and
-    each class is integrated once.  Pulses that fold are integrated in
-    stacks: the rotating classes of one step size in one, the
-    quarter-folded ones of one step size and drive frequency in the
-    groups of ``_chunks``; every other class alone.  One stacked product
-    then conjugates each class propagator into those of its member EOs,
-    which are stored.  A bad step size or duration raises before any EO
-    is integrated.
+    each class is integrated once, by one rule: it joins the stack of
+    its step size, fold and drive frequency (every rotating class of one
+    step size shares one), and each stack is integrated in the groups of
+    ``_chunks``; the diagonal classes are one closed-form stack.  One
+    stacked product then conjugates each class propagator into those of
+    its member EOs, which are stored.  A bad step size or duration raises
+    before any EO is integrated, and a diagonal EO whose phase is not
+    finite before any is stored.
     """
     store = _cached_propagator
     members: dict[EOParams, _Plan] = {}
@@ -565,15 +574,15 @@ def integrate(eos) -> None:
     if not members:
         return
     done = {}
-    for (delta, fold, _), stack in stacks.items():
+    for key, stack in stacks.items():
         group = list(stack)
-        if group[0].is_diagonal:
-            done[group[0]] = _exact_diagonal_propagator(group[0])
-        else:
-            done.update(zip(group, (
-                u for chunk in _chunks(group, fold, delta)
-                for u in _stepped_propagator(_Drives(chunk, fold), delta,
-                                             _product_formula_block))))
+        if key == _DIAGONAL:
+            done.update(zip(group, _exact_diagonal_propagators(group)))
+            continue
+        delta, fold, _ = key
+        for chunk in _chunks(group, fold, delta):
+            done.update(zip(chunk, _stepped_propagator(
+                _Drives(chunk, fold), delta, _product_formula_block)))
     plans = members.values()
     mats = _conjugated(np.array([done[p.eo0] for p in plans]), [p.q for p in plans])
     mats.setflags(write=False)
@@ -600,8 +609,8 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     each substep's midpoint, at the EO's step size, folded as the product
     formula is, and conjugated from its class as the stored propagator
     is.  Integrated alone on every call, and never stored."""
-    eo0, q = _plan(eo)[:2]
-    drives = _Drives((eo0,), _fold(eo0, eo0.delta))
+    eo0, q, (_, fold, _), _ = _plan(eo)
+    drives = _Drives((eo0,), fold)
     return _conjugated(_stepped_propagator(drives, eo0.delta, _dense_block),
                        [q])[0]
 

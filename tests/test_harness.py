@@ -272,7 +272,7 @@ def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
 def _expected_stacks(keys) -> list:
     """(fold, size) of the stacks a cold table integrates: one per rotating
     step size, and one per static (omega, delta) group split so that a
-    block holds at most _STACK_SUBSTEPS substeps (no canned static pulse
+    block holds at most _BLOCK substeps (no canned static pulse
     leaves a tail).  A stack holds classes (integrator._z_class): pulses
     that differ only in the axis or sense of their drive are one."""
     import nmrqc.integrator
@@ -283,7 +283,7 @@ def _expected_stacks(keys) -> list:
     stacks = [("rotating", n) for n in rotating.values()]
     for (omega, delta), n in static.items():
         quarter = round(1.0 / (omega * delta)) // 4
-        size = nmrqc.integrator._STACK_SUBSTEPS // quarter
+        size = nmrqc.integrator._BLOCK // quarter
         stacks += [("quarter", min(size, n - i)) for i in range(0, n, size)]
     return sorted(stacks)
 
@@ -293,13 +293,44 @@ def _expected_stacks(keys) -> list:
 _STATIC_STACKS = [("quarter", 10), ("quarter", 10)]
 
 
+def _traced(monkeypatch, seen, request):
+    """request() with nmrqc.programs.eo_propagator wrapped as the
+    benchmark's tracer wraps it (bench/spans.py): its result, the
+    (misses, lookups) the wrapper counts, a miss being an EO not in
+    `seen` (the EOs looked up since the store was last cleared), and the
+    (misses, lookups) the store's cache_info() adds up over the call."""
+    import nmrqc.integrator
+    import nmrqc.programs
+    lookup, counted = nmrqc.programs.eo_propagator, [0, 0]
+
+    def wrapped(eo):
+        counted[0] += eo not in seen
+        counted[1] += 1
+        seen.add(eo)
+        return lookup(eo)
+
+    info = nmrqc.integrator._cached_propagator.cache_info
+    before = info()
+    with monkeypatch.context() as m:
+        m.setattr(nmrqc.programs, "eo_propagator", wrapped)
+        result = request()
+    after = info()
+    return result, tuple(counted), (after.misses - before.misses,
+                                     after.hits + after.misses
+                                     - before.hits - before.misses)
+
+
 @pytest.mark.parametrize("name", ["table5", "table9", "table10", "table8",
                                   "grover_static"])
-def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
+def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     """A cold table looks up and misses once per distinct EO key; its
     rotating pulse classes are integrated in one stack and its static
     ones in one stack per drive frequency, split by the cap, and a warm
-    rerun looks each key up once more and integrates nothing."""
+    rerun looks each key up once more and integrates nothing.  With its
+    lookup wrapped as the benchmark traces it, a cold table through the
+    command line and a warm duration study print what they print
+    unwrapped, and the wrapper counts the misses and lookups the store
+    counts."""
     import nmrqc.integrator
     calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
@@ -320,6 +351,29 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls):
     assert (info().misses, info().hits) == (len(keys), len(keys))
     assert len(kernel_calls) == n_calls
     assert warm.to_json() == cold.to_json()
+
+    out, seen = tmp_path / "table.json", set()
+
+    def cli():
+        assert main(["tables", name, "--format", "json", "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+    nmrqc.integrator.clear_propagator_cache()
+    plain = cli()
+    nmrqc.integrator.clear_propagator_cache()
+    text, counted, stored = _traced(monkeypatch, seen, cli)
+    assert text == plain and counted == stored == (len(keys), len(keys))
+
+    study = ExperimentSpec(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1))
+    nmrqc.integrator.clear_propagator_cache()
+    seen.clear()
+    _, counted, stored = _traced(monkeypatch, seen,     # the fill, traced
+                                 lambda: run_experiment(study))
+    assert counted == stored and counted[0] > 0
+    plain = emit_table(run_experiment(study), "json")
+    text, counted, stored = _traced(
+        monkeypatch, seen, lambda: emit_table(run_experiment(study), "json"))
+    assert text == plain and counted == stored == (0, len(seen))
 
 
 def test_cold_walk_stacks_without_the_harness(kernel_calls):
@@ -460,6 +514,17 @@ def test_duplicate_k_names_the_label_of_its_machine():
     with pytest.raises(ConfigurationError,
                        match="k_list share the column label 6:"):
         ExperimentSpec.from_dict({"machine": {"h2z": 1 / 3}, "k_list": [1, 1]})
+
+
+@pytest.mark.parametrize("machine", [{}, {"h2z": 1 / 3}, {"h2z": 0.2515}])
+def test_ideal_duplicate_k_names_the_k(machine, tmp_path, capsys):
+    """The ideal style prints no k, so a repeated k is named as itself, on
+    every machine, whether or not a pulse can be designed on it."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"machine": machine, "style": "ideal",
+                                "k_list": [2, 1, 3, 1, 2]}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: k_list repeats k 1, 2\n"
 
 
 def test_parse_angle_forms():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -218,9 +219,13 @@ def test_fold_steps_one_period_then_the_tail():
     # period, and builds only the first quarter of that period
     eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
     assert not eo.is_rotating                   # 12810 steps + remainder
+    assert _fold(eo, 0.01) == "quarter"
     assert _counted_blocks(eo, 0.01)[0] == [100, 10, 1]  # quarter, partial, remainder
-    assert _counted_blocks(eo, 0.03)[0] == [4270, 1]  # 1/(0.25*0.03) not whole
-    assert _counted_blocks(eo.replace(tau=7.99), 0.01)[0] == [799]  # < two periods
+    # 1/(0.25*0.03) is not whole: every substep, _BLOCK at a time
+    assert _fold(eo, 0.03) is None
+    assert _counted_blocks(eo, 0.03)[0] == [1024] * 4 + [174, 1]
+    assert _fold(eo.replace(tau=7.99), 0.01) is None    # < two periods
+    assert _counted_blocks(eo.replace(tau=7.99), 0.01)[0] == [799]
 
 
 _FULL_PERIOD_FALLBACKS = {  # -> (eo, delta); the base drives x only
@@ -248,9 +253,9 @@ def test_quarter_fold_fallbacks_build_a_full_period(case, method):
 
 @pytest.mark.parametrize("case", ["quarter", "phase"])
 def test_long_periods_are_built_in_chunks(case, monkeypatch):
-    """A quarter period (or a period) longer than _CHUNK substeps is built
-    in blocks of at most _CHUNK substeps, as the tail is."""
-    monkeypatch.setattr(nmrqc.integrator, "_CHUNK", 16)
+    """A quarter period (or a period) longer than _BLOCK substeps is built
+    in blocks of at most _BLOCK substeps, as the tail is."""
+    monkeypatch.setattr(nmrqc.integrator, "_BLOCK", 16)
     eo = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
     eo = eo.replace(phi_x=0.3) if case == "phase" else eo
     sizes, u = _counted_blocks(eo, 0.01)     # quarter 100, period 400
@@ -404,7 +409,7 @@ def test_non_finite_delta_rejected(bad):
 def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
     """A cold walk integrates the classes of its rotating pulses in one
     stack and of its static ones in one stack per drive frequency; a
-    diagonal EO joins none, an EO repeated in another step is integrated
+    diagonal EO joins no stepped stack, an EO repeated in another step is integrated
     once, and each result is read-only and the pulse integrated alone."""
     eos = [pulse_eo(name, k=2) for name in ("X1", "Y2", "X2p")]
     static = [pulse_eo(name, k=2, mode="static_axis") for name in ("Y2", "X2", "Y1")]
@@ -424,31 +429,58 @@ def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
     assert len(kernel_calls) == 3 and info().misses == 7
 
 
-_STACK_FALLBACKS = {  # -> (eo, delta); the base drives x
-    "phase": lambda eo: (eo.replace(phi_x=0.3), 0.01),
-    "static_transverse": lambda eo: (eo.replace(h1y=1e-3), 0.01),
-    "both_axes": lambda eo: (eo.replace(sf1y=0.5 * eo.sf1x, sf2y=0.5 * eo.sf2x),
-                             0.01),
-    "period_not_quarters": lambda eo: (  # spin 1 at delta 0.02: P = 50
-        pulse_eo("Y1", mode="static_axis").replace(tau=8.1037), 0.02),
-    "under_two_periods": lambda eo: (eo.replace(tau=7.99), 0.01),
-    "incommensurate": lambda eo: (eo, 0.03),
-}
+def test_diagonal_eos_are_one_closed_form_stack(kernel_calls, monkeypatch):
+    """A walk's diagonal EOs, at every step size, are one closed-form
+    stack that steps nothing, and each propagator is the EO integrated
+    alone; a duration whose phase is not finite raises, naming it, and
+    nothing of the stack is stored."""
+    ip = ideal_eo_params("Ip")
+    eos = [ip.replace(tau=tau, delta=delta) for tau, delta in
+           ((0.0, 0.01), (1.5, 0.01), (ip.tau, 0.02), (3e5, 1.0), (1e300, 0.01))]
+    stacks = []
+    closed_form = nmrqc.integrator._exact_diagonal_propagators
+    monkeypatch.setattr(nmrqc.integrator, "_exact_diagonal_propagators",
+                        lambda group: stacks.append(len(group)) or closed_form(group))
+    clear_propagator_cache()
+    integrate(eos + [pulse_eo("X1")])
+    assert stacks == [len(eos)] and kernel_calls == [("rotating", 1)]
+    stacked = [eo_propagator(eo) for eo in eos]
+    for eo, u in zip(eos, stacked):
+        clear_propagator_cache()
+        assert np.array_equal(u, eo_propagator(eo))
+        assert np.array_equal(u, np.diag(np.diag(u)))
+    clear_propagator_cache()
+    for bad in (1e308, float("inf")):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"duration {bad!r} is too long")):
+            integrate(eos[:2] + [ip.replace(tau=bad)] + eos[2:])
+        assert not _cached_propagator
+
+
+# -> (eo, delta) and its fold; the base drives x
+_STACK_FALLBACKS = {**{case: (make, "period")
+                       for case, make in _FULL_PERIOD_FALLBACKS.items()},
+                    "under_two_periods": (lambda eo: (eo.replace(tau=7.99), 0.01),
+                                          None),
+                    "incommensurate": (lambda eo: (eo, 0.03), None)}
 
 
 @pytest.mark.parametrize("case", sorted(_STACK_FALLBACKS))
 def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
-    """A static EO that does not fold by quarter periods is integrated
-    alone, even next to pulses of its drive frequency that stack."""
+    """A static EO that does not fold by quarter periods never joins the
+    quarter stack of its drive frequency, even next to pulses of that
+    frequency that stack: it joins the stack of its own fold, a whole
+    period or none."""
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
-    eo, delta = _STACK_FALLBACKS[case](base)
+    make, fold = _STACK_FALLBACKS[case]
+    eo, delta = make(base)
     eo = eo.replace(delta=delta)
     partners = [pulse_eo(name, k=k, mode="static_axis")
                 for name, k in (("X2", 1), ("Y2b", 2))]
     clear_propagator_cache()
     integrate([eo] + [p.replace(delta=delta) for p in partners])
-    assert _fold(eo, delta) is None
-    assert kernel_calls[0] == (None, 1)
+    assert _fold(eo, delta) == fold
+    assert kernel_calls[0] == (fold, 1)
     assert sum(n for _, n in kernel_calls) == 1 + len(partners)
     n_calls = len(kernel_calls)
     u = eo_propagator(eo)
@@ -458,7 +490,7 @@ def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
     del kernel_calls[:]
     clear_propagator_cache()
     integrate(partners + [eo])   # the partners at their own step
-    assert kernel_calls == [("quarter", len(partners)), (None, 1)]
+    assert kernel_calls == [("quarter", len(partners)), (fold, 1)]
 
 
 def test_oracle_propagator_stores_nothing(kernel_calls):

@@ -13,7 +13,7 @@ from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
                    run_experiment)
 import nmrqc.integrator
 from nmrqc.harness import ResultTable, _offset_label
-from nmrqc.integrator import (_STACK_SUBSTEPS, _conjugated, _Drives,
+from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _fold,
                               _product_formula_block, _stepped_propagator,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
@@ -177,24 +177,38 @@ def test_stacked_rotating_kernel(pulses):
         assert np.array_equal(u, alone[0])   # whatever shares its stack
 
 
+# how a designed static pulse is changed: not at all (quarter fold); its
+# drive turned by a phase, or spin 1 at delta 0.02 (P = 50): a whole
+# period; or cut under two periods: every substep
+_STATIC_VARIANTS = {
+    "designed": lambda eo: eo,
+    "phase": lambda eo: eo.replace(phi_x=eo.phi_x + 0.3, phi_y=eo.phi_y + 0.3),
+    "coarse": lambda eo: eo.replace(delta=0.02),
+    "short": lambda eo: eo.replace(tau=1.25 / eo.omega),
+}
+
 static_pulses = st.tuples(
     st.sampled_from([1, 2]), st.sampled_from(["x", "y"]), st.sampled_from([1, -1]),
     st.sampled_from([0.25, 0.5, 0.75]), st.integers(1, 32),
-    st.sampled_from([0.0, 0.0, 0.0, -0.1, 0.1037, 0.5]))  # tails, remainders
+    st.sampled_from([0.0, 0.0, 0.0, -0.1, 0.1037, 0.5]),  # tails, remainders
+    st.sampled_from(["designed"] * 3 + sorted(set(_STATIC_VARIANTS) - {"designed"})))
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(static_pulses, min_size=1, max_size=30).flatmap(st.permutations))
-@example([(2, "x", 1, 0.5, k, 0.0) for k in range(1, 12)])  # split by the cap
+@example([(2, "x", 1, 0.5, k, 0.0, "designed") for k in range(1, 12)])  # split by the cap
+@example([(1, "y", 1, 0.5, k, 0.1037, v) for k in (1, 2, 3)  # one stack per fold
+          for v in ("phase", "coarse", "short")])
 def test_stacked_static_kernel(pulses):
     """Static pulses, shuffled and mixed in one cold walk, are integrated by
-    class (``_z_class``) in stacks of one drive frequency, split so that
-    no block holds more than _STACK_SUBSTEPS substeps; each equals its
-    class integrated alone, conjugated."""
+    class (``_z_class``) in stacks of one step size, fold and drive
+    frequency, split so that no block holds more than _BLOCK substeps;
+    each equals its class integrated alone at its own fold, conjugated."""
     eos = []
-    for spin, axis, direction, turns, k, offset in pulses:
+    for spin, axis, direction, turns, k, offset, variant in pulses:
         _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
                              direction=direction)
+        eo = _STATIC_VARIANTS[variant](eo)
         eos.append(eo.replace(tau=eo.tau + offset))
     blocks, stacks = [], []
     kernel = nmrqc.integrator._stepped_propagator
@@ -212,10 +226,10 @@ def test_stacked_static_kernel(pulses):
         program_unitaries([Program("p", tuple(eos))])
     classes = {_z_class(eo)[0] for eo in eos}
     assert sum(stacks) == len(classes)                # each class integrated once
-    assert max(blocks) <= _STACK_SUBSTEPS
+    assert max(blocks) <= _BLOCK
     for eo in eos:
         u = eo_propagator(eo)
         eo0, q = _z_class(eo)
-        alone = _stepped_propagator(_Drives((eo0,), "quarter"), eo.delta,
-                                    _product_formula_block)
+        alone = _stepped_propagator(_Drives((eo0,), _fold(eo0, eo.delta)),
+                                    eo.delta, _product_formula_block)
         assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
