@@ -13,21 +13,21 @@ from nmrqc import (build_cnot, build_qa, compose, ideal_gate, input_amplitudes,
 np.set_printoptions(precision=3, suppress=True, linewidth=100)
 
 print("pi/2 rotation of spin 1 about x (4x4, block diagonal in spin 2):")
-print(ideal_gate("X1").matrix)
+print(ideal_gate("X1"))
 
 print("\nY2b I Y2 composes to the controlled-NOT (times a global phase):")
 print(compose(["Y2b", "I", "Y2"]))
 
 print("\ntruth table of the composed gate:")
 inputs = ("00", "10", "01", "11")
-outputs = input_amplitudes(inputs) @ ideal_gate("CNOT").matrix.T  # one row per input
+outputs = input_amplitudes(inputs) @ ideal_gate("CNOT").T  # one row per input
 for bits, (a, b) in zip(inputs, readout(outputs)):
     print(f"  |{bits}> -> |{int(a > 0.5)}{int(b > 0.5)}>")
 
 print("\nthe three hardware decompositions agree on idealized hardware:")
 for variant in (1, 2, 3):
     u = program_unitary(build_cnot(variant, "ideal"))
-    dev = np.max(np.abs(np.abs(u) - np.abs(ideal_gate("CNOT").matrix)))
+    dev = np.max(np.abs(np.abs(u) - np.abs(ideal_gate("CNOT"))))
     print(f"  CNOT{variant}: max |element| deviation from exact gate {dev:.2e}")
 
 print("\nfive CNOTs on the singlet, then a pi/2 readout rotation of spin 1:")

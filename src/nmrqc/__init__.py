@@ -12,9 +12,8 @@ answers on physical hardware.
 from .errors import ConfigurationError, NumericalIntegrityError
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, hamiltonian_at
 from .integrator import eo_propagator, oracle_propagator
-from .gates import (GATE_NAMES, IdealGate, PrimedAngles, compose,
-                    coupling_pi_duration, derive_primed_angles, ideal_eo_params,
-                    ideal_gate, phase_gate)
+from .gates import (GATE_NAMES, compose, coupling_pi_duration,
+                    derive_primed_angles, ideal_eo_params, ideal_gate, phase_gate)
 from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityReport,
                      PulseDesign, RationalGamma, commensurability_check_n,
                      commensurability_margin, design_pulse, hypothetical_durations,

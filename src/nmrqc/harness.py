@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from decimal import ROUND_HALF_UP, Decimal
 from functools import partial
 
 import numpy as np
@@ -54,19 +53,14 @@ from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, build_cnot, build_grover, build_qa,
                        convergence_report, input_amplitudes, program_unitaries,
-                       readout, run_inputs, run_program, with_duration_offset)
+                       readout, round2, run_inputs, run_program,
+                       with_duration_offset)
 from .pulses import (ROTATING, STATIC_AXIS, RationalGamma, commensurability_margin,
                      design_pulse, hypothetical_durations)
 
 # The pulses drive at the spins' z-fields; delta times the fastest of
 # them may not exceed this, i.e. at least two steps per drive period.
 MAX_DELTA_TIMES_DRIVE = 0.5
-
-
-def round2(x: float) -> float:
-    """Two-decimal display rounding, halves away from zero."""
-    return float(Decimal(repr(float(x))).quantize(Decimal("0.01"),
-                                                  rounding=ROUND_HALF_UP))
 
 
 @dataclass(frozen=True)

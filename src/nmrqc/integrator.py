@@ -79,10 +79,12 @@ count.  One rule makes the stacks: an EO joins the stack of its step
 size, fold and drive frequency (every rotating EO of one step size
 shares one stack, whatever its frequency), and one bound splits each
 stack into the groups integrated together (``_chunks``): no block holds
-more than _BLOCK = 1024 substep matrices.  A group holds as many EOs as
-their widest run allows, a run being what goes into one block: one
-midpoint for a rotating EO, the quarter period or period and the tail
-for a folded one, every substep for an unfolded one.  A block call
+more than _BLOCK = 1024 substep matrices.  A run is what one EO puts
+into a block: one midpoint for a rotating EO, the quarter period or
+period and the tail for a folded one, every substep for an unfolded
+one.  A stack is ordered by each EO's own widest run, and a group takes
+EOs while that many rows of its widest run fit the bound, so one long
+EO does not split the short ones of its stack.  A block call
 costs more than the 25 or 100 substeps of a quarter period at
 delta = 0.01, so a group pays that cost once for all its EOs; the
 bound keeps a block's temporaries within 256 kB of 4x4 factors and
@@ -478,21 +480,26 @@ def _exact_diagonal_propagators(eos) -> np.ndarray:
 
 
 def _chunks(eos: list, fold: str | None, delta: float) -> list:
-    """The EOs of a stack in the groups integrated together: as many per
-    group as keep every block within _BLOCK substep matrices, counting
-    each EO's widest run of substeps (see the module docstring).  An EO
-    with a run longer than _BLOCK is a group of one, and ``_substeps``
-    builds the run _BLOCK substeps at a time.
+    """The EOs of a stack in the groups integrated together.  Each EO's
+    widest run of substeps (see the module docstring) orders the stack
+    (a stable sort), and each group takes EOs while its block, as many
+    rows as EOs by the widest run among them, stays within _BLOCK
+    substep matrices.  An EO with a run longer than _BLOCK is a group of
+    one, and ``_substeps`` builds the run _BLOCK substeps at a time.
     """
     # one midpoint (and one remainder) per rotating EO; every substep of
-    # an unfolded one; a folded one's quarter period or period, and tail
-    runs = [1] if fold == _ROTATING else [_plan(eo).schedule[0] for eo in eos]
+    # an unfolded one; a folded one's quarter period or period, or tail
+    runs = [1 if fold == _ROTATING else _plan(eo).schedule[0] for eo in eos]
     if fold in (_QUARTER, _PERIOD):
         period = _period_steps(eos[0].omega, delta)
-        runs = ([period // (4 if fold == _QUARTER else 1)]
-                + [n % period for n in runs])
-    size = max(1, _BLOCK // max(1, *runs))
-    return [eos[i:i + size] for i in range(0, len(eos), size)]
+        runs = [max(period // (4 if fold == _QUARTER else 1), n % period) for n in runs]
+    groups = []
+    for run, eo in sorted(zip(runs, eos), key=lambda pair: pair[0]):
+        if groups and (len(groups[-1]) + 1) * max(1, run) <= _BLOCK:
+            groups[-1].append(eo)
+        else:
+            groups.append([eo])
+    return groups
 
 
 class _Plan(NamedTuple):

@@ -27,7 +27,8 @@ input states, and readout, the only code that knows the qubit
 convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report runs one program of EOs per step size through
-them.  Builders take a style name, k and a machine, whose field ratio
+them and compares their prints by round2, the rounding every table
+prints with.  Builders take a style name, k and a machine, whose field ratio
 sets the duration of every pulse.  Gate steps, duration-shifted steps,
 whole gate-sequence expansions, gate matrices and each gate sequence's
 ideal unitary are memoized, so rebuilding a program re-designs no
@@ -36,6 +37,7 @@ pulse, re-shifts no duration and recomposes no gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache
 
 import numpy as np
@@ -273,6 +275,12 @@ def readout(amps: np.ndarray) -> list[tuple[float, float]]:
     return list(zip((w[:, 1] + w[:, 3]).tolist(), (w[:, 2] + w[:, 3]).tolist()))
 
 
+def round2(x: float) -> float:
+    """Two-decimal display rounding, halves away from zero."""
+    return float(Decimal(repr(float(x))).quantize(Decimal("0.01"),
+                                                  rounding=ROUND_HALF_UP))
+
+
 def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
     """Qubit values of each named input under the program's one unitary."""
     states = input_amplitudes(input_specs)
@@ -407,7 +415,7 @@ def convergence_report(eos, input_spec: str, deltas,
         out = run(d)
         (ab,) = readout(out[None])
         rows.append(ConvergenceRow(d, ab, float(np.max(np.abs(out - ref)))))
-    two_digit = {r.delta: tuple(round(v, 2) for v in r.expectations) for r in rows}
+    two_digit = {r.delta: tuple(map(round2, r.expectations)) for r in rows}
     flag = (two_digit[0.01] != two_digit[0.001]
             if {0.01, 0.001} <= two_digit.keys() else None)
     return ConvergenceReport(tuple(rows), reference_delta, flag)

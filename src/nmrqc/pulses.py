@@ -230,6 +230,16 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     return design, eo
 
 
+def _spectator(design: PulseDesign) -> tuple[float, float, float]:
+    """(transverse amplitude, detuning from the drive, duration in
+    radians) of the spin the pulse does not target."""
+    if design.target_spin == 1:
+        amp_spec, detuning = design.amplitude_spin2, design.h2z - design.h1z
+    else:
+        amp_spec, detuning = design.amplitude_spin1, design.h1z - design.h2z
+    return amp_spec, detuning, design.t_over_2pi * TWO_PI
+
+
 def spectator_excess_angle(design: PulseDesign) -> float:
     """t*|v| modulo 4*pi for the spectator spin.
 
@@ -237,13 +247,7 @@ def spectator_excess_angle(design: PulseDesign) -> float:
     the transverse field; the spectator returns exactly when t*|v| is a
     multiple of 4*pi.
     """
-    if design.target_spin == 1:
-        amp_spec = design.amplitude_spin2
-        detuning = design.h2z - design.h1z
-    else:
-        amp_spec = design.amplitude_spin1
-        detuning = design.h1z - design.h2z
-    t = design.t_over_2pi * TWO_PI
+    amp_spec, detuning, t = _spectator(design)
     phase = t * np.hypot(amp_spec, detuning)
     return float(phase % (2.0 * TWO_PI))
 
@@ -258,13 +262,7 @@ def spectator_residual(design: PulseDesign) -> float:
     """
     if design.mode != ROTATING:
         raise ConfigurationError("spectator_residual applies to rotating-mode designs")
-    if design.target_spin == 1:
-        amp_spec = design.amplitude_spin2
-        detuning = design.h2z - design.h1z
-    else:
-        amp_spec = design.amplitude_spin1
-        detuning = design.h1z - design.h2z
-    t = design.t_over_2pi * TWO_PI
+    amp_spec, detuning, t = _spectator(design)
     cx = t * amp_spec if design.axis == "x" else 0.0
     cy = t * amp_spec if design.axis == "y" else 0.0
     u = exp_i_dot_s(cx, cy, t * detuning)

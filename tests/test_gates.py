@@ -3,18 +3,20 @@ import pytest
 
 import nmrqc.reference_tables as ref
 from nmrqc import (ConfigurationError, GATE_NAMES, compose,
-                   coupling_pi_duration, derive_primed_angles, ideal_eo_params,
-                   ideal_gate, input_amplitudes, phase_gate)
+                   coupling_pi_duration, derive_primed_angles, eo_propagator,
+                   ideal_eo_params, ideal_gate, input_amplitudes, phase_gate)
+from nmrqc.gates import _ALIASES, gate_rotation
 from nmrqc.hamiltonian import MachineConfig
-from nmrqc.operators import global_phase_distance, max_unitarity_defect
+from nmrqc.operators import (TWO_PI, embed, global_phase_distance,
+                             max_unitarity_defect, rotation)
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
 def test_pi_half_rotation_matrices():
-    x = ideal_gate("X1").matrix
+    x = ideal_gate("X1")
     assert np.allclose(x[0:2, 0:2], np.array([[1, 1j], [1j, 1]]) * SQ2)
-    y2 = ideal_gate("Y2").matrix
+    y2 = ideal_gate("Y2")
     want = SQ2 * np.array([[1, 0, 1, 0], [0, 1, 0, 1],
                            [-1, 0, 1, 0], [0, -1, 0, 1]])
     assert np.allclose(y2, want)
@@ -22,25 +24,25 @@ def test_pi_half_rotation_matrices():
 
 def test_inverse_is_conjugate_transpose():
     for name in ("X1", "X2", "Y1", "Y2"):
-        g = ideal_gate(name).matrix
-        gb = ideal_gate(name + "b").matrix
+        g = ideal_gate(name)
+        gb = ideal_gate(name + "b")
         assert np.allclose(gb, g.conj().T)
         assert np.allclose(g @ gb, np.eye(4), atol=1e-12)
 
 
 def test_y2_inverse_example():
     # Y2b |11> = (|11> - |10>)/sqrt(2)
-    out = ideal_gate("Y2b").matrix @ input_amplitudes(["11"])[0]
+    out = ideal_gate("Y2b") @ input_amplitudes(["11"])[0]
     assert np.allclose(out, [0, -SQ2, 0, SQ2], atol=1e-12)
 
 
 def test_all_gates_unitary():
     for name in GATE_NAMES:
-        assert max_unitarity_defect(ideal_gate(name).matrix) < 1e-12, name
+        assert max_unitarity_defect(ideal_gate(name)) < 1e-12, name
 
 
 def test_cnot_truth_table():
-    cnot = ideal_gate("CNOT").matrix
+    cnot = ideal_gate("CNOT")
     for bits, out_bits in [("00", "00"), ("10", "11"), ("01", "01"), ("11", "10")]:
         got = cnot @ input_amplitudes([bits])[0]
         want = input_amplitudes([out_bits])[0]
@@ -48,7 +50,7 @@ def test_cnot_truth_table():
 
 
 def test_cnot_squared_is_identity_up_to_phase():
-    cnot = ideal_gate("CNOT").matrix
+    cnot = ideal_gate("CNOT")
     assert global_phase_distance(np.eye(4), cnot @ cnot) < 1e-12
 
 
@@ -59,7 +61,7 @@ def test_phase_gate_zero_is_identity():
 def test_compose_ising_sandwich_is_cnot():
     # Y2b I Y2 = e^{i pi/4} * (the CNOT permutation), exactly
     got = compose(["Y2b", "I", "Y2"])
-    want = ideal_gate("CNOT").matrix
+    want = ideal_gate("CNOT")
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -72,7 +74,7 @@ def test_compose_general_phase_sandwich():
     for _ in range(10):
         phi0, phi1, phi3 = rng.uniform(-np.pi, np.pi, size=3)
         p = phase_gate(phi0, phi1, phi0, phi3)
-        got = compose([ideal_gate("Y2b").matrix, p, ideal_gate("Y2").matrix])
+        got = compose([ideal_gate("Y2b"), p, ideal_gate("Y2")])
         alpha = (phi1 - phi3) / 2.0
         scal = np.exp(1j * (phi1 + phi3) / 2.0)
         want = np.array([
@@ -97,16 +99,13 @@ def test_primed_angles_default_machine():
     f = coupling_pi_duration()
     assert f == pytest.approx(1162790.6977, abs=1e-4)
     # fractional parts cross-checked to the 4-decimal sheet values
-    assert pa.x1p == pytest.approx(0.4477, abs=5e-5)
-    assert pa.x2p == pytest.approx(1.4244, abs=5e-5)
-    assert pa.x1pp == pytest.approx(0.6977, abs=5e-5)
-    assert pa.x2pp == pytest.approx(1.6744, abs=5e-5)
+    assert pa["X1p"] == pytest.approx(0.4477, abs=5e-5)
+    assert pa["X2p"] == pytest.approx(1.4244, abs=5e-5)
+    assert pa["X1pp"] == pytest.approx(0.6977, abs=5e-5)
+    assert pa["X2pp"] == pytest.approx(1.6744, abs=5e-5)
     # full-precision identities: angles are F*h_z - 1/4 (mod 2) and F*h_z (mod 2)
-    assert pa.x1p == pytest.approx((f - 0.25) % 2, abs=1e-12)
-    assert pa.x2p == pytest.approx((0.25 * f - 0.25) % 2, abs=1e-9)
-    amps = pa.field_amplitudes()
-    assert amps["X1p"] == pytest.approx(-0.4477, abs=5e-5)
-    assert amps["X2pp"] == pytest.approx(-1.6744, abs=5e-5)
+    assert pa["X1p"] == pytest.approx((f - 0.25) % 2, abs=1e-12)
+    assert pa["X2p"] == pytest.approx((0.25 * f - 0.25) % 2, abs=1e-9)
 
 
 def test_primed_rotations_absorb_z_phases_exactly():
@@ -129,7 +128,7 @@ def test_primed_rotations_absorb_z_phases_exactly():
 def test_double_primed_expansion_equals_conditional_phase_gate():
     # Y2 X2pp Y2b Y1 X1pp Y1b Ip == G exactly (not just up to phase)
     got = compose(["Y2", "X2pp", "Y2b", "Y1", "X1pp", "Y1b", "Ip"])
-    assert np.max(np.abs(got - ideal_gate("G").matrix)) < 1e-8
+    assert np.max(np.abs(got - ideal_gate("G"))) < 1e-8
 
 
 def test_ideal_eo_parameter_sheet():
@@ -161,11 +160,64 @@ def test_primed_angles_reject_bad_machine():
 
 def test_gate_aliases():
     # aliases share one memoized entry, so they return the very same matrix
-    assert ideal_gate("X1'").matrix is ideal_gate("X1p").matrix
-    assert ideal_gate("I'").matrix is ideal_gate("Ip").matrix
-    assert ideal_gate("Y2bar").matrix is ideal_gate("Y2b").matrix
-    assert not np.allclose(ideal_gate("X2p", MachineConfig(h2z=0.3)).matrix,
-                           ideal_gate("X2p").matrix)
+    assert ideal_gate("X1'") is ideal_gate("X1p")
+    assert ideal_gate("I'") is ideal_gate("Ip")
+    assert ideal_gate("Y2bar") is ideal_gate("Y2b")
+    assert not np.allclose(ideal_gate("X2p", MachineConfig(h2z=0.3)),
+                           ideal_gate("X2p"))
     for name in GATE_NAMES:
         with pytest.raises(ValueError):
-            ideal_gate(name).matrix[0, 0] = 0.0
+            ideal_gate(name)[0, 0] = 0.0
+
+
+# the default machine and two others: another coupling and spin-2 field,
+# and every field changed
+MACHINES = (MachineConfig(), MachineConfig(coupling=-1e-6, h2z=0.3),
+            MachineConfig(coupling=-3e-5, h1z=2, h2z=0.55))
+ROTATIONS = [name for name in GATE_NAMES if name not in ("I", "Ip", "G", "CNOT")]
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_every_gate_is_one_read_only_matrix(machine):
+    for name in GATE_NAMES:
+        m = ideal_gate(name, machine)
+        assert type(m) is np.ndarray and m.shape == (4, 4), name
+        assert not m.flags.writeable, name
+        assert ideal_gate(name, machine) is m, name
+    for alias, name in _ALIASES.items():
+        assert ideal_gate(alias, machine) is ideal_gate(name, machine), alias
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_rotation_table_gives_matrix_and_ideal_eo(machine):
+    """A rotation's EO is one transverse field, direction * turns / tau
+    for tau = 1/4 (base) or 1 (primed), and its matrix the embedded
+    rotation by direction * 2*pi * turns.  (At coupling -1e-6 and
+    h1z = 1, X1pp turns by 0: its one field is -0.0.)"""
+    for name in ROTATIONS:
+        spin, axis, direction, turns = gate_rotation(name, machine)
+        eo = ideal_eo_params(name, machine)
+        field = f"h{spin}{axis}"
+        assert not any(getattr(eo, f) for f in ("h1x", "h1y", "h2x", "h2y")
+                       if f != field), name
+        assert getattr(eo, field) * eo.tau == direction * turns, name
+        assert eo.tau == (1.0 if name in derive_primed_angles(machine) else 0.25)
+        assert np.array_equal(ideal_gate(name, machine),
+                              embed(spin, rotation(axis, direction * TWO_PI * turns)))
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_phase_evolutions_are_their_eos(machine):
+    """I and Ip are their EO's exact diagonal propagator bit for bit; G
+    is the exact phase gate, which its EO gives to rounding."""
+    h = -machine.coupling / 2.0
+    for name, z_fields in (("I", (h, h)), ("Ip", (machine.h1z, machine.h2z)),
+                           ("G", (0.0, 0.0))):
+        eo = ideal_eo_params(name, machine)
+        assert eo.is_diagonal and (eo.h1z, eo.h2z) == z_fields, name
+        assert eo.tau == coupling_pi_duration(machine), name
+        if name != "G":
+            assert np.array_equal(ideal_gate(name, machine), eo_propagator(eo)), name
+    g = ideal_gate("G", machine)
+    assert np.array_equal(g, phase_gate(-np.pi / 4, np.pi / 4, np.pi / 4, -np.pi / 4))
+    assert np.max(np.abs(g - eo_propagator(ideal_eo_params("G", machine)))) <= 1e-15

@@ -81,7 +81,7 @@ def test_rotating_pulse_matches_exact_rotation():
     # at delta 0.01 the splitting error dominates (~3e-4), and vanishes
     # as delta^2 towards the exact rotating-frame solution
     eo = pulse_eo("Y1")
-    y1 = ideal_gate("Y1").matrix
+    y1 = ideal_gate("Y1")
     (state,) = input_amplitudes(["00"])
     out = eo_propagator(eo) @ state
     assert state_phase_distance(out, y1 @ state) < 1e-3
@@ -96,13 +96,13 @@ def test_ideal_eo_matches_gate_matrix():
              "X1p", "X2p", "Y1p", "X1pp", "X2pp", "I", "Ip", "G")
     for name in names:
         eo = ideal_eo_params(name)
-        gate = ideal_gate(name).matrix
+        gate = ideal_gate(name)
         u = oracle_propagator(eo.replace(delta=eo.tau))
         for state in input_amplitudes(["00", "10", "01", "11"]):
             assert state_phase_distance(u @ state, gate @ state) < 1e-6, name
     # G is the bare coupling, so its exact diagonal propagator is G itself
     u = eo_propagator(ideal_eo_params("G"))
-    assert np.max(np.abs(u - ideal_gate("G").matrix)) < 1e-15
+    assert np.max(np.abs(u - ideal_gate("G"))) < 1e-15
 
 
 def test_zero_duration_is_identity():
@@ -173,6 +173,20 @@ def test_convergence_report_flags_and_ratio():
 
     rep3 = convergence_report(eo, "00", [0.01])
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
+
+
+def test_convergence_flag_rounds_as_the_tables_print(monkeypatch):
+    """The two-digit flag compares what the tables print (``round2``,
+    halves away from zero): 0.145 and 0.1451 both print 0.15, though
+    Python's round(0.145, 2) is 0.14."""
+    reads = {0.01: 0.145, 0.001: 0.1451}
+    monkeypatch.setattr("nmrqc.programs.run_program",
+                        lambda program: np.full(4, program.steps[0].delta))
+    monkeypatch.setattr("nmrqc.programs.readout",
+                        lambda amps: [(reads.get(amps[0, 0], 0.5),) * 2])
+    rep = convergence_report(pulse_eo("Y1"), "00", [0.01, 0.001])
+    assert [r.expectations for r in rep.rows] == [(0.145,) * 2, (0.1451,) * 2]
+    assert rep.two_digit_flag is False
 
 
 @pytest.mark.parametrize("method", list(BLOCKS))
@@ -491,6 +505,22 @@ def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
     clear_propagator_cache()
     integrate(partners + [eo])   # the partners at their own step
     assert kernel_calls == [("quarter", len(partners)), (fold, 1)]
+
+
+def test_a_long_run_does_not_split_the_short_ones(kernel_calls):
+    """A stack is grouped by each EO's own run: eight unfolded static
+    pulses of 166-190 substeps share blocks of five and three, and one of
+    1333 substeps of the same stack is a group of one.  Each result is
+    its class integrated alone."""
+    base = pulse_eo("Y2", mode="static_axis")
+    eos = [base.replace(tau=(n + 0.5) * 0.03, delta=0.03)
+           for n in (190, 166, 1333, 183, 170, 186, 173, 176, 180)]
+    assert {_plan(eo).key for eo in eos} == {(0.03, None, base.omega)}
+    clear_propagator_cache()
+    integrate(eos)
+    assert kernel_calls == [(None, 5), (None, 3), (None, 1)]
+    for eo in eos:
+        assert np.array_equal(eo_propagator(eo), _alone(eo))
 
 
 def test_oracle_propagator_stores_nothing(kernel_calls):

@@ -24,7 +24,7 @@ def read_row(amps):
 
 
 def test_ideal_cnot_variants_match_exact_gate():
-    cnot = ideal_gate("CNOT").matrix
+    cnot = ideal_gate("CNOT")
     mats = []
     for variant in (1, 2, 3):
         u = program_unitary(build_cnot(variant, "ideal"))
@@ -286,7 +286,7 @@ def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
 
 
 def test_readout_rejects_an_unnormalized_row():
-    amps = input_amplitudes(["10", "singlet"]) @ ideal_gate("CNOT").matrix.T
+    amps = input_amplitudes(["10", "singlet"]) @ ideal_gate("CNOT").T
     assert readout(amps) == [read_row(a) for a in amps]
     for scale in (1.5, 1.0 + 1e-6, np.nan):
         bad = amps.copy()
@@ -343,7 +343,7 @@ def test_qa_name_rejects_other_forms(which):
 
 def test_program_unitary_long_pulse_close_to_ideal():
     u = program_unitary(build_cnot(1, "rotating_sf", k=32))
-    assert global_phase_distance(ideal_gate("CNOT").matrix, u) < 0.05
+    assert global_phase_distance(ideal_gate("CNOT"), u) < 0.05
 
 
 def test_qpp_witness_at_shortest_pulses():
@@ -374,7 +374,7 @@ def test_final_rotation_style_switch():
     # the ideal Y1 EO without coupling is the exact gate to rounding
     assert exact.steps[-1] == ideal_eo_params("Y1").replace(j=0.0)
     assert np.max(np.abs(eo_propagator(exact.steps[-1])
-                         - ideal_gate("Y1").matrix)) < 1e-15
+                         - ideal_gate("Y1"))) < 1e-15
     pulse = build_qa("QA2", "singlet", 1, "rotating_sf", k=1)
     assert pulse.steps[-1].label == "Y1" and pulse.steps[-1].is_rotating
     # rotating pulses turn the target exactly; both stylings agree closely
@@ -429,7 +429,7 @@ def test_parse_program_gate_expands_per_style(style):
     its exact matrix in ideal style, G_EXPANSION in the pulse styles."""
     p = parse_program_text("gate G", style=style)
     if style == "ideal":
-        assert np.array_equal(program_unitary(p), ideal_gate("G").matrix)
+        assert np.array_equal(program_unitary(p), ideal_gate("G"))
         return
     expansion = parse_program_text("\n".join(f"gate {n}" for n in G_EXPANSION),
                                    style=style)
@@ -486,7 +486,7 @@ def test_pulse_programs_agree_with_closed_form_oracle():
         mats = {}
         for name in set(CNOT_SEQUENCES[variant]) - {"Ip"}:
             mats[name] = _closed_form_rotating_pulse(name, k=1)
-        mats["Ip"] = ideal_gate("Ip").matrix
+        mats["Ip"] = ideal_gate("Ip")
         (amps,) = input_amplitudes([inp])
         for _ in range(5):
             for name in CNOT_SEQUENCES[variant]:

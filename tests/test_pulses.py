@@ -102,7 +102,7 @@ def test_design_counts_spin1_periods(name, mode):
                          direction=d, machine=machine)
     t1, t2 = hypothetical_durations(DEFAULT_GAMMA, 4)
     assert eo.tau * machine.h1z == (t1 if spin == 1 else t2)
-    gate = ideal_gate(name, machine).matrix
+    gate = ideal_gate(name, machine)
     assert global_phase_distance(eo_propagator(eo), gate) < 1e-2
 
 

@@ -59,20 +59,20 @@ def test_expectation_matches_spin_matrix():
 
 def test_apply_x1_rotation_example():
     # X1 |11> = (|11> + i|01>)/sqrt(2)
-    out = ideal_gate("X1").matrix @ input_amplitudes(["11"])[0]
+    out = ideal_gate("X1") @ input_amplitudes(["11"])[0]
     assert np.allclose(out, [0, 0, 1j * SQ2, SQ2], atol=1e-12)
 
 
 def test_apply_y2_rotation_example():
     # Y2 |11> = (|10> + |11>)/sqrt(2)
-    out = ideal_gate("Y2").matrix @ input_amplitudes(["11"])[0]
+    out = ideal_gate("Y2") @ input_amplitudes(["11"])[0]
     assert np.allclose(out, [0, SQ2, 0, SQ2], atol=1e-12)
 
 
 def test_x1_gate_is_block_diagonal_in_second_qubit():
     # the spin-1 rotation must not mix b2 sectors: 2x2 blocks on the
     # (|00>,|10>) and (|01>,|11>) pairs
-    m = ideal_gate("X1").matrix
+    m = ideal_gate("X1")
     assert np.allclose(m[0:2, 2:4], 0) and np.allclose(m[2:4, 0:2], 0)
     assert np.allclose(m[0:2, 0:2], m[2:4, 2:4])
 
