@@ -21,8 +21,9 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, GateImplStyle,
                        Program, build_cnot, build_grover, build_qa,
                        convergence_report, grover_sequence, input_amplitudes,
-                       parse_program_text, program_unitaries, program_unitary,
-                       readout, run_inputs, run_program, with_duration_offset)
+                       parse_program_text, program_states, program_unitaries,
+                       program_unitary, readout, run_inputs, run_program,
+                       with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
                       emit_table, round2, run_experiment, verify_suite)
 

@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -52,15 +53,16 @@ def _write_out(text: str, out: str | None):
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:
-    """Apply the command-line overrides to the spec, run it and emit the table."""
-    d = spec.to_dict()
+    """Apply the command-line overrides to the spec, run it and emit the
+    table.  The spec validates the overrides as it validates any field."""
+    overrides = {}
     if args.delta is not None:
-        d["delta"] = args.delta
+        overrides["delta"] = args.delta
     if args.final_rotation_style:
-        d["final_rotation_style"] = args.final_rotation_style
+        overrides["final_rotation_style"] = args.final_rotation_style
     if getattr(args, "tau_offset", None):
-        d["tau_offsets"] = args.tau_offset
-    table = run_experiment(ExperimentSpec.from_dict(d))
+        overrides["tau_offsets"] = args.tau_offset
+    table = run_experiment(replace(spec, **overrides))
     _write_out(emit_table(table, args.format), args.out)
     return 0
 

@@ -20,13 +20,15 @@ every search item is its own program.  Each program is built once per
 k, and each offset column shifts it (``programs.with_duration_offset``).
 
 A table builds all of its programs before it runs any.  One stacked
-walk (``programs.program_unitaries``) then gives every program's
-unitary, looking each distinct propagator up once; on a cold table it
-integrates every rotating pulse of the table in one stack, and every
-static single-axis pulse of each drive frequency in stacks capped in
-size.  One batched product applies each unitary to the input rows of
-its table rows, another each row's memoized ideal unitary to its first
-input, and one readout of both gives the cells and the ideal values.
+walk (``programs.program_states``) then carries the input row of every
+cell through its program's steps, looking each distinct propagator up
+once; on a cold table it integrates every rotating pulse of the table
+in one stack, and every static single-axis pulse of each drive
+frequency in stacks capped in size.  No program's unitary is formed: a
+unitary is the same walk started from the identity.  One batched
+product applies each row's memoized ideal unitary to its first input,
+and one readout of the walk's rows and those gives the cells and the
+ideal values.
 
 Verification is one list, CHECKS, of named checks: the ideal baseline,
 the integrator's numerical properties, coupling off during pulses, one
@@ -52,7 +54,7 @@ from .integrator import check_delta, eo_propagator, oracle_propagator
 from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
                        STATIC_SF, STYLES, build_cnot, build_grover, build_qa,
-                       convergence_report, input_amplitudes, program_unitaries,
+                       convergence_report, input_amplitudes, program_states,
                        readout, round2, run_inputs, run_program,
                        with_duration_offset)
 from .pulses import (ROTATING, STATIC_AXIS, RationalGamma, commensurability_margin,
@@ -332,13 +334,13 @@ def _program_groups(spec: ExperimentSpec):
 def _record(table: ResultTable, labels: dict, runs) -> None:
     """Run every (column, row keys, inputs, program) of a table in one walk.
 
-    program_unitaries gives every program's unitary at once; one batched
-    product applies each to the inputs of its rows, another applies each
-    row's ideal unitary to the input of the row's first cell, and one
-    readout of both stacks gives the cells and the rows' ideal values.
+    program_states carries the input row of every cell through the
+    steps of its program, all cells in one walk; one batched product
+    applies each row's ideal unitary to the input of the row's first
+    cell, and one readout of both stacks gives the cells and the rows'
+    ideal values.
     """
     programs = [program for *_, program in runs]
-    us = program_unitaries(programs)
     which, specs, cells = [], [], []           # one entry per table cell
     first = {}                                 # row -> index of its first cell
     for p, (col, keys, inputs, _) in enumerate(runs):
@@ -347,10 +349,11 @@ def _record(table: ResultTable, labels: dict, runs) -> None:
             which.append(p)
             specs.append(spec)
             cells.append((labels[key], col))
-    states = input_amplitudes(specs)[..., None]
+    states = input_amplitudes(specs)
     at = list(first.values())
     ideals = np.array([programs[which[i]].ideal_unitary for i in at])
-    values = readout(np.concatenate([us[which] @ states, ideals @ states[at]])[..., 0])
+    values = readout(np.concatenate([program_states(programs, which, states),
+                                     (ideals @ states[at, :, None])[..., 0]]))
     table.cells.update(zip(cells, values))
     table.ideal.update(zip(first, values[len(cells):]))
 

@@ -15,11 +15,14 @@ there is no other kind of step.  Rewriting a program's EOs
 (``with_duration_offset``, another step size by ``eo.replace(delta=d)``)
 gives another program of EOs.
 
-program_unitaries is the one walk over program steps, and it walks a
-whole stack of programs at once: it has the integrator integrate their
-distinct EOs (``integrator.integrate``), so that the cold ones are
-integrated in stacks, looks each one up once, and folds the products
-with one batched 4x4 product per step position.
+There is one walk over program steps, and it walks a whole stack of
+programs at once: it has the integrator integrate their distinct EOs
+(``integrator.integrate``), so that the cold ones are integrated in
+stacks, looks each one up once, and carries a stack of start blocks
+through the steps, one batched product per step position.
+program_states starts it from input rows, one per cell, each carried
+step by step through its own program; program_unitaries is the same
+walk started from the identity.
 
 A state is a row of four complex amplitudes, and a stack of states is
 an (R, 4) array.  input_amplitudes gives the exact rows of the named
@@ -282,16 +285,15 @@ def round2(x: float) -> float:
 
 
 def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
-    """Qubit values of each named input under the program's one unitary."""
+    """Qubit values of each named input carried through the program."""
     states = input_amplitudes(input_specs)
-    return readout((program_unitaries([program]) @ states[..., None])[..., 0])
+    return readout(program_states([program], [0] * len(states), states))
 
 
 def run_program(program: Program) -> np.ndarray:
     """The output amplitudes of the program's declared input, a read-only
     (4,) row."""
-    (state,) = input_amplitudes([program.input_spec])
-    amps = program_unitary(program) @ state
+    (amps,) = program_states([program], [0], input_amplitudes([program.input_spec]))
     amps.setflags(write=False)
     return amps
 
@@ -302,7 +304,25 @@ def program_unitary(program: Program) -> np.ndarray:
 
 
 def program_unitaries(programs) -> np.ndarray:
-    """The 4x4 unitary of each program, stacked (P, 4, 4): one walk for all.
+    """The 4x4 unitary of each program, stacked (P, 4, 4): the walk of
+    program_states started from the identity, one walk for all.  Each
+    unitary is bit-identical to multiplying its program's propagators
+    one by one."""
+    programs = list(programs)
+    return _walk(programs, range(len(programs)),
+                 np.broadcast_to(_EYE, (len(programs), 4, 4)))
+
+
+def program_states(programs, which, rows) -> np.ndarray:
+    """Each input row carried through its program, stacked (C, 4): row c
+    through the steps of programs[which[c]], in one walk for all.  Each
+    output row is bit-identical to applying the program's propagators to
+    its input one by one."""
+    return _walk(programs, which, np.reshape(rows, (-1, 4, 1)))[..., 0]
+
+
+def _walk(programs, which, starts) -> np.ndarray:
+    """starts[c], a (4, K) block, carried through programs[which[c]].
 
     The walk first collects the distinct EOs of all the programs (each
     step object read once, keyed by its id).  In chunks of at most the
@@ -310,10 +330,9 @@ def program_unitaries(programs) -> np.ndarray:
     stored yet integrated in stacks, each at its own step size, in one
     call to ``integrate``, then looks each one up once, through
     eo_propagator.  Every program becomes a row of indices into those
-    matrices, padded with the identity, and the products are folded in
-    application order, one batched product per step position.  Each
-    unitary is bit-identical to multiplying its program's propagators
-    one by one.
+    matrices, padded with the identity; each block takes its program's
+    row, and the blocks are carried through their steps in application
+    order, one batched product per step position.
     """
     programs = list(programs)  # keeps every step alive while keyed by id
     by_step, by_eo = {}, {}    # EO indices from 1; 0 is the identity
@@ -334,10 +353,12 @@ def program_unitaries(programs) -> np.ndarray:
     width = max(map(len, rows), default=0)
     index = np.array([row + [0] * (width - len(row)) for row in rows],
                      dtype=np.intp).reshape(len(rows), width)
-    u = np.repeat(_EYE[None], len(rows), axis=0)
-    for factors in np.array(mats)[index.T]:   # (P, 4, 4) per step position
-        u = factors @ u
-    return u
+    out = np.array(starts, dtype=complex)
+    spare = np.empty_like(out)    # two buffers, so no product allocates
+    for factors in np.array(mats)[index[np.asarray(which, dtype=np.intp)].T]:
+        np.matmul(factors, out, out=spare)   # (C, 4, 4) @ (C, 4, K)
+        out, spare = spare, out
+    return out
 
 
 def with_duration_offset(program: Program, label: str, offset: float) -> Program:

@@ -234,12 +234,13 @@ def test_run_experiment_matches_per_row_reference(case):
 
 
 def _count_runs(monkeypatch):
-    """The program lists the harness passes to program_unitaries, one per call."""
+    """The program lists the harness passes to program_states, one per call."""
     import nmrqc.harness
     calls = []
-    walk = nmrqc.harness.program_unitaries
-    monkeypatch.setattr(nmrqc.harness, "program_unitaries",
-                        lambda ps: calls.append(list(ps)) or walk(calls[-1]))
+    walk = nmrqc.harness.program_states
+    monkeypatch.setattr(nmrqc.harness, "program_states",
+                        lambda ps, which, rows: calls.append(list(ps))
+                        or walk(calls[-1], which, rows))
     return calls
 
 
@@ -693,7 +694,7 @@ def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
 def test_non_finite_delta_is_bad_input(bad, tmp_path, capsys):
     with pytest.raises(ConfigurationError):
         ExperimentSpec(delta=bad)

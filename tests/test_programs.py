@@ -14,7 +14,7 @@ from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
 from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, INPUT_SPECS,
-                            STYLES, program_unitaries, run_inputs)
+                            STYLES, program_states, program_unitaries, run_inputs)
 
 
 def read_row(amps):
@@ -227,23 +227,33 @@ def _lookups():
 
 
 @pytest.mark.parametrize("program", sorted(_PROGRAMS))
-def test_one_propagator_lookup_per_eo_step(program):
-    """One cache lookup per distinct EO step, however often the program
-    repeats it and however many inputs share the unitary."""
+def test_one_propagator_lookup_per_eo_step(program, monkeypatch):
+    """Every walk, from a unitary or from input rows, looks each distinct
+    EO step up once in the store, and through the programs module's
+    eo_propagator (the name the benchmark traces), however often the
+    program repeats it and however many inputs or programs share it."""
+    import nmrqc.programs
+    looked_up = []
+    lookup = nmrqc.programs.eo_propagator
+    monkeypatch.setattr(nmrqc.programs, "eo_propagator",
+                        lambda eo: looked_up.append(eo) or lookup(eo))
     p = _PROGRAMS[program]("rotating_sf")
     distinct = len(set(p.steps))
     assert distinct < len(p.steps)             # five CNOTs repeat their steps
-    before = _lookups()
-    program_unitary(p)
-    assert _lookups() - before == distinct
-    before = _lookups()
-    run_inputs(p, INPUT_SPECS)
-    assert _lookups() - before == distinct
     copy = Program(name="copy",                # equal EOs, distinct objects
                    steps=tuple(s.replace() for s in p.steps))
-    before = _lookups()
-    program_unitaries([p, _PROGRAMS[program]("rotating_sf"), copy, p])
-    assert _lookups() - before == distinct
+    walks = (lambda: program_unitary(p),
+             lambda: run_inputs(p, INPUT_SPECS),
+             lambda: run_program(p),
+             lambda: program_unitaries([p, _PROGRAMS[program]("rotating_sf"),
+                                        copy, p]),
+             lambda: program_states([p, copy], [1, 0, 1, 1],
+                                    input_amplitudes(INPUT_SPECS[:4])))
+    for walk in walks:
+        looked_up.clear()
+        before = _lookups()
+        walk()
+        assert _lookups() - before == len(looked_up) == len(set(looked_up)) == distinct
 
 
 def _unitary_stack():
@@ -265,24 +275,31 @@ def _unitary_stack():
        rows=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(INPUT_SPECS)),
                      max_size=8))
 def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
-    """Bit for bit; from a cold cache, the reference integrates each step
-    alone and the walk in stacks."""
+    """Bit for bit, the unitaries and the input rows carried through the
+    walk; from a cold cache, the reference integrates each step alone and
+    the walk in stacks."""
     programs = [_at_delta(Program(name=f"p{i}", steps=tuple(s)), delta)
                 for i, s in enumerate(steps)]
+    rows = [(i, spec) for i, spec in rows if i < len(programs)]
+    which = [i for i, _ in rows]
+    states = input_amplitudes([spec for _, spec in rows])
     if cold:
         clear_propagator_cache()
     want = [_stepwise(p, amps=np.eye(4, dtype=complex)) for p in programs]
+    want_rows = [_stepwise(programs[i], amps=s) for i, s in zip(which, states)]
     if cold:
         clear_propagator_cache()
     us = program_unitaries(programs)
     assert us.shape == (len(programs), 4, 4)
     for u, w in zip(us, want):
         assert np.array_equal(u, w)
-    rows = [(i, spec) for i, spec in rows if i < len(programs)]
-    which = [i for i, _ in rows]
-    states = input_amplitudes([spec for _, spec in rows])
-    assert readout((us[which] @ states[..., None])[..., 0]) == [
-        read_row(us[i] @ input_amplitudes([spec])[0]) for i, spec in rows]
+    if cold:
+        clear_propagator_cache()
+    got = program_states(programs, which, states)
+    assert got.shape == (len(rows), 4)
+    for g, w in zip(got, want_rows):
+        assert np.array_equal(g, w)
+    assert readout(got) == [read_row(w) for w in want_rows]
 
 
 def test_readout_rejects_an_unnormalized_row():
