@@ -31,6 +31,6 @@ for variant in (1, 2, 3):
     print(f"  CNOT{variant}: max |element| deviation from exact gate {dev:.2e}")
 
 print("\nfive CNOTs on the singlet, then a pi/2 readout rotation of spin 1:")
-out = run_program(build_qa("QA2", "singlet", style="ideal"))
+out = run_program(build_qa("singlet", style="ideal"))
 [(a, b)] = readout(out[None])
 print(f"  qubit expectations (a, b) = ({a:.4f}, {b:.4f})  [ideal answer (1, 1)]")

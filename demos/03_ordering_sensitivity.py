@@ -16,8 +16,7 @@ K_OF_S = {8: 1, 16: 2, 32: 4, 64: 8, 256: 32}
 def row(variant, input_spec):
     cells = []
     for s in S_VALUES:
-        which, inp = ("QA2", "singlet") if input_spec == "singlet" else ("QA1", input_spec)
-        p = build_qa(which, inp, cnot_variant=variant, style="rotating_sf",
+        p = build_qa(input_spec, cnot_variant=variant, style="rotating_sf",
                      k=K_OF_S[s])
         [(a, b)] = readout(run_program(p)[None])
         cells.append(f"({round2(a):.2f},{round2(b):.2f})")

@@ -48,17 +48,15 @@ import numpy as np
 
 from . import reference_tables as ref
 from .errors import ConfigurationError
-from .gates import gate_rotation
 from .hamiltonian import DEFAULT_MACHINE, MachineConfig, is_finite_number
 from .integrator import check_delta, eo_propagator, oracle_propagator
-from .operators import TWO_PI
 from .programs import (CNOT_SEQUENCES, IDEAL, INPUT_SPECS, ROTATING_SF,
-                       STATIC_SF, STYLES, build_cnot, build_grover, build_qa,
-                       convergence_report, input_amplitudes, program_states,
-                       readout, round2, run_inputs, run_program,
-                       with_duration_offset)
-from .pulses import (ROTATING, STATIC_AXIS, RationalGamma, commensurability_margin,
-                     design_pulse, hypothetical_durations)
+                       STATIC_SF, STYLES, GateImplStyle, _gate_step, build_cnot,
+                       build_grover, build_qa, convergence_report,
+                       input_amplitudes, program_states, readout, round2,
+                       run_inputs, run_program, with_duration_offset)
+from .pulses import (PULSE_DELTA, ROTATING, STATIC_AXIS, RationalGamma,
+                     commensurability_margin, hypothetical_durations)
 
 # The pulses drive at the spins' z-fields; delta times the fastest of
 # them may not exceed this, i.e. at least two steps per drive period.
@@ -312,23 +310,23 @@ def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
 def _program_groups(spec: ExperimentSpec):
     """(row keys, their input specs, k -> Program) per program the rows share.
 
-    The basis-state rows of a QA suite all run one QA1 program and the
-    singlet row runs QA2; every search item is its own program on |00>.
+    A QA program follows from its input (``build_qa``), so the
+    basis-state rows of a QA suite all run the QA1 program of the first
+    of them, and the singlet row runs QA2; every search item is its own
+    program on |00>.
     """
     if spec.kind == "grover":
         return [((str(i),), ("00",),
                  partial(build_grover, i, style=spec.style, machine=spec.machine,
                          delta=spec.delta))
                 for i in spec.items]
-    groups = []
-    for which, rows in (("QA1", tuple(r for r in spec.inputs if r != "singlet")),
-                        ("QA2", tuple(r for r in spec.inputs if r == "singlet"))):
-        if rows:
-            groups.append((rows, rows, partial(
-                build_qa, which, rows[0], cnot_variant=spec.cnot_variant,
-                style=spec.style, machine=spec.machine, delta=spec.delta,
-                final_rotation_style=spec.final_rotation_style)))
-    return groups
+    groups = (tuple(r for r in spec.inputs if r != "singlet"),
+              tuple(r for r in spec.inputs if r == "singlet"))
+    return [(rows, rows, partial(build_qa, rows[0], cnot_variant=spec.cnot_variant,
+                                 style=spec.style, machine=spec.machine,
+                                 delta=spec.delta,
+                                 final_rotation_style=spec.final_rotation_style))
+            for rows in groups if rows]
 
 
 def _record(table: ResultTable, labels: dict, runs) -> None:
@@ -375,28 +373,25 @@ def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
 def _durations(spec: ExperimentSpec) -> dict[int, str]:
     """The printed pulse duration s of each k: the spin-1 pulse length
     t1 = 2kMN^2 on the spec's machine ('256' for k=32 at the default
-    ratio 1/4).  The ideal style designs no pulse, so it has none."""
+    ratio 1/4).  The ideal style designs no pulse, so it keeps the first
+    k alone, printed as 'ideal'."""
     if spec.style == IDEAL:
-        return {}
+        return {spec.k_list[0]: "ideal"}
     gamma = RationalGamma.from_machine(spec.machine)
     return {k: str(hypothetical_durations(gamma, k)[0]) for k in spec.k_list}
 
 
 def _columns(spec: ExperimentSpec, s: dict[int, str]) -> list[tuple[str, int, float]]:
     """(label, k, duration offset) of every table column, in table order:
-    one per k, labeled by its duration s[k] ('256'), or in a duration
-    study one block of offsets (tau/2pi) per k, labeled by offset
-    ('+0.05') or, for several k, by offset and duration ('+0.05@s=256').
-    The ideal style has no pulse duration, so it keeps the first k
-    alone: one column ('ideal') or one block of offsets."""
-    k_list = spec.k_list[:1] if spec.style == IDEAL else spec.k_list
+    one per k of s (``_durations``), labeled by its duration s[k]
+    ('256'), or in a duration study one block of offsets (tau/2pi) per k,
+    labeled by offset ('+0.05') or, for several k, by offset and
+    duration ('+0.05@s=256')."""
     if spec.tau_offsets is not None:
-        suffix = len(k_list) > 1
+        suffix = len(s) > 1
         return [(_offset_label(o) + (f"@s={s[k]}" if suffix else ""), k, o)
-                for k in k_list for o in spec.tau_offsets]
-    if spec.style == IDEAL:
-        return [("ideal", k_list[0], 0.0)]
-    return [(s[k], k, 0.0) for k in k_list]
+                for k in s for o in spec.tau_offsets]
+    return [(label, k, 0.0) for k, label in s.items()]
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -405,8 +400,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     s = _durations(spec)
     columns = _columns(spec, s)
     title = (f"{spec.kind}:{spec.style}" if spec.tau_offsets is None
-             else f"duration perturbation (s={', '.join(s.values())})" if s
-             else "duration perturbation (ideal)")
+             else "duration perturbation (ideal)" if spec.style == IDEAL
+             else f"duration perturbation (s={', '.join(s.values())})")
     table = ResultTable(
         title=spec.title or title,
         row_header="Operation" if spec.kind == "qa" else "Item position",
@@ -582,26 +577,18 @@ def _ideal_baseline(notes):
     for v in (1, 2, 3):
         cases += [(build_cnot(v, IDEAL, input_spec=inp), (a, b))
                   for inp, (_, a, b) in ref.CNOT_TRUTH.items()]
-        cases += [(build_qa("QA1", inp, cnot_variant=v, style=IDEAL),
-                   ref.QA_ROTATING_CNOT1[inp][0]) for inp in INPUT_SPECS[:4]]
-        cases.append((build_qa("QA2", "singlet", cnot_variant=v, style=IDEAL),
-                      (1.0, 1.0)))
+        cases += [(build_qa(inp, cnot_variant=v, style=IDEAL),
+                   ref.QA_ROTATING_CNOT1[inp][0]) for inp in INPUT_SPECS]
     worst = max(abs(g - w) for program, want in cases
                 for g, w in zip(run_inputs(program, [program.input_spec])[0], want))
     return worst < 1e-4, f"CNOT, QA1, QA2, search: worst deviation {worst:.2e}"
 
 
-def _pulse(gate: str, mode: str = ROTATING):
-    """(design, EO) of a gate's k=1 pulse."""
-    spin, axis, direction, turns = gate_rotation(gate)
-    return design_pulse(spin, TWO_PI * turns, axis, k=1, mode=mode,
-                        direction=direction, label=gate)
-
-
 def _halving_ratio(notes):
     """Second order: halving the step cuts the deviation from the dense
-    oracle by a factor of 4 +- 0.5."""
-    _, eo = _pulse("Y1")
+    oracle by a factor of 4 +- 0.5, for the Y1 pulse the s=8 rotating
+    tables run."""
+    eo = _gate_step("Y1", GateImplStyle(ROTATING_SF), DEFAULT_MACHINE, PULSE_DELTA)
     oracle = oracle_propagator(eo.replace(delta=0.001))
     dev = [np.max(np.abs(eo_propagator(eo.replace(delta=d)) - oracle))
            for d in (0.04, 0.02)]
@@ -616,7 +603,7 @@ def _norm_preservation(notes):
     which moves with the last bits of every propagator.
     """
     longest = with_duration_offset(
-        build_qa("QA2", "singlet", style=ROTATING_SF, k=32), "Ip", -0.2)
+        build_qa("singlet", style=ROTATING_SF, k=32), "Ip", -0.2)
     dev = abs(float(np.linalg.norm(run_program(longest))) - 1.0)
     if dev < 1e-10:
         return True, "perturbed QA2 s=256: norm within 1e-10 of 1"
@@ -625,7 +612,7 @@ def _norm_preservation(notes):
 
 def _step_size_independence(notes):
     """Two-digit results of QA2 at s=8 match at delta 0.01 and 0.001."""
-    qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
+    qa2 = build_qa("singlet", style=ROTATING_SF, k=1)
     conv = convergence_report(qa2.steps, "singlet", deltas=[0.01, 0.001])
     verdict = "agree" if conv.two_digit_flag is False else "differ"
     return verdict == "agree", f"QA2 s=8, delta 0.01/0.001: two digits {verdict}"
@@ -633,7 +620,7 @@ def _step_size_independence(notes):
 
 def _coupling_off_during_pulses(notes):
     """J=0 inside the pulse EOs changes nothing at two digits."""
-    qa2 = build_qa("QA2", "singlet", style=ROTATING_SF, k=1)
+    qa2 = build_qa("singlet", style=ROTATING_SF, k=1)
     stripped = replace(qa2, steps=tuple(
         s if s.is_diagonal else s.replace(j=0.0) for s in qa2.steps))
     base, got = (tuple(round2(v) for v in run_inputs(p, ["singlet"])[0])
@@ -642,15 +629,18 @@ def _coupling_off_during_pulses(notes):
 
 
 def _pulse_sheet(mode: str, notes) -> tuple[bool, str]:
-    """Every cell of a k=1 pulse parameter sheet, against design_pulse.
+    """Every cell of a k=1 pulse parameter sheet, against each gate's
+    EO as the s=8 tables of that mode run it: the builders' own memoized
+    object (``programs._gate_step``), whose tau is the pulse duration.
 
     Four published rotating spin-2 amplitudes break sf2 = gamma * sf1;
     their constraint values are asserted instead, and noted.
     """
-    sheet = ref.ROTATING_PULSES_K1 if mode == ROTATING else ref.STATIC_PULSES_K1
+    sheet, style = ((ref.ROTATING_PULSES_K1, ROTATING_SF) if mode == ROTATING
+                    else (ref.STATIC_PULSES_K1, STATIC_SF))
     fails = []
     for gate, row in sheet.items():
-        design, eo = _pulse(gate, mode)
+        eo = _gate_step(gate, GateImplStyle(style), DEFAULT_MACHINE, PULSE_DELTA)
         if mode == ROTATING:
             t, omega, s1x, s2x, phx, s1y, s2y, phy = row
             phases = (phx * np.pi, phy * np.pi)
@@ -663,7 +653,7 @@ def _pulse_sheet(mode: str, notes) -> tuple[bool, str]:
         else:
             t, omega, s1x, s2x, s1y, s2y = row
             phases = (0.0, 0.0)
-        values = [("tau/2pi", design.t_over_2pi, t, 0.0),
+        values = [("tau/2pi", eo.tau, t, 0.0),
                   ("omega", eo.omega, omega, 1e-9), ("phi_x", eo.phi_x, phases[0], 1e-12),
                   ("phi_y", eo.phi_y, phases[1], 1e-12)]
         # printed amplitudes carry 7 decimals but mix rounding with

@@ -193,46 +193,40 @@ def build_cnot(variant: int, style: str, k: int = 1,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant 1, 2 or 3)."""
     names = _cnot_names(variant)
+    _check_input(input_spec)
     return Program(name=f"CNOT{variant}[{style},k={k}]",
                    steps=_expand(names, GateImplStyle(style, k), machine, delta),
                    input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
-def build_qa(which, input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
+def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
              k: int = 1, machine: MachineConfig = DEFAULT_MACHINE,
              delta: float = PULSE_DELTA,
              final_rotation_style: str = "program") -> Program:
-    """The two five-fold CNOT test programs.
+    """The five-fold CNOT test program of an input: QA1 or QA2.
 
-    QA1 runs (CNOT)^5 on a basis state.  QA2 runs (CNOT)^5 on the singlet
+    A basis state runs QA1, (CNOT)^5.  The singlet runs QA2, (CNOT)^5
     followed by a pi/2 rotation of spin 1 that turns the surviving
     entangled state into a definite readout; by default that rotation is
     executed in the program's own style, `final_rotation_style="exact"`
     substitutes the ideal EO without coupling, which is exact to rounding.
     """
     impl = GateImplStyle(style, k)
-    qa = str(which).upper()
-    if qa not in ("QA1", "QA2", "1", "2"):
-        raise ConfigurationError(f"which must be QA1 or QA2, got {which!r}")
-    qa = qa[-1]
+    _check_input(input_spec)
     if final_rotation_style not in ("program", "exact"):
         raise ConfigurationError(
             f"final_rotation_style must be 'program' or 'exact', got {final_rotation_style!r}")
-    if qa == "1" and input_spec == "singlet":
-        raise ConfigurationError("QA1 takes a basis-state input")
-    if qa == "2" and input_spec != "singlet":
-        raise ConfigurationError("QA2 takes the singlet input")
-
     names = _cnot_names(cnot_variant) * 5
     steps = _expand(names, impl, machine, delta)
-    if qa == "2":
-        names += ("Y1",)
+    qa = "QA1"
+    if input_spec == "singlet":
+        qa, names = "QA2", names + ("Y1",)
         if final_rotation_style == "exact":
             steps += (ideal_eo_params("Y1", machine).replace(j=0.0),)
         else:
             steps += (_gate_step("Y1", impl, machine, delta),)
-    return Program(name=f"QA{qa}[CNOT{cnot_variant},{style},k={k}]",
+    return Program(name=f"{qa}[CNOT{cnot_variant},{style},k={k}]",
                    steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -254,12 +248,15 @@ def input_amplitudes(input_specs) -> np.ndarray:
     Every name must be one of INPUT_SPECS; each row is a copy of the
     exact row in _INPUTS.
     """
-    specs = list(input_specs)
-    for spec in specs:
-        if spec not in INPUT_SPECS:
-            raise ConfigurationError(
-                f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
-    return _INPUTS[[INPUT_SPECS.index(spec) for spec in specs]]
+    return _INPUTS[[INPUT_SPECS.index(_check_input(spec)) for spec in input_specs]]
+
+
+def _check_input(spec: str) -> str:
+    """The input name, which must be one of INPUT_SPECS."""
+    if spec not in INPUT_SPECS:
+        raise ConfigurationError(
+            f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
+    return spec
 
 
 def readout(amps: np.ndarray) -> list[tuple[float, float]]:
@@ -367,13 +364,10 @@ def with_duration_offset(program: Program, label: str, offset: float) -> Program
     Each distinct EO gets one shifted copy, shared by all its places and
     by every program shifted by the same offset (``_shifted_step``).
     """
-    shifted = {}
-    for s in program.steps:
-        if s.label == label and id(s) not in shifted:
-            shifted[id(s)] = _shifted_step(s, offset)
-    if not shifted:
+    if all(s.label != label for s in program.steps):
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
-    return replace(program, steps=tuple(shifted.get(id(s), s) for s in program.steps),
+    return replace(program, steps=tuple(_shifted_step(s, offset) if s.label == label
+                                        else s for s in program.steps),
                    name=f"{program.name}(d{label}={offset:+g})")
 
 
@@ -477,8 +471,7 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                 raise ConfigurationError(f"{kind} takes {_DIRECTIVE_ARGS[kind]} "
                                          f"argument(s), got {len(args)}")
             if kind == "input":
-                input_amplitudes(args)
-                (input_spec,) = args
+                input_spec = _check_input(args[0])
             elif kind == "gate":
                 steps.extend(_expand((args[0],), impl, machine, delta))
             elif kind == "pulse":

@@ -49,7 +49,7 @@ def per_row_reference(spec):
     """Labels, cells and ideals of spec's table, each row built and run alone.
 
     The reference for the harness, which builds one program per group of
-    rows and applies its unitary to every row of the group.
+    rows and carries every row of the group through it in one walk.
     """
     from nmrqc import (RationalGamma, build_grover, build_qa,
                        hypothetical_durations, readout, run_program,
@@ -78,8 +78,7 @@ def per_row_reference(spec):
     for key, label in rows:
         for col, k, offset in columns:
             if spec.kind == "qa":
-                program = build_qa("QA2" if key == "singlet" else "QA1", key,
-                                   cnot_variant=spec.cnot_variant,
+                program = build_qa(key, cnot_variant=spec.cnot_variant,
                                    style=spec.style, k=k, machine=spec.machine,
                                    delta=spec.delta,
                                    final_rotation_style=spec.final_rotation_style)

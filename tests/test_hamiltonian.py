@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nmrqc import EOParams, MachineConfig, hamiltonian_at
+from nmrqc import EOParams, MachineConfig, hamiltonian_at, integrator
 from nmrqc.hamiltonian import diagonal_energies
 
 J = -0.43e-6
@@ -45,8 +45,16 @@ def test_hermitian_for_random_parameters():
                       h2x=vals[4], h2y=vals[5], h2z=vals[6], sf1x=vals[7],
                       sf1y=vals[8], sf2x=vals[9], sf2y=vals[10],
                       omega=abs(vals[11]), phi_x=vals[12])
-        h = hamiltonian_at(eo, rng.uniform(0, 50))
+        t = rng.uniform(0, 50)
+        h = hamiltonian_at(eo, t)
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
+        # the oracle integrates this Hamiltonian: its block for one
+        # substep of length dt at midpoint t is exp(-i dt H(t))
+        dt = 0.05
+        w, v = np.linalg.eigh(h)
+        block = integrator._dense_block(integrator._Drives((eo,), None),
+                                        np.array([[t]]), dt)[0]
+        assert np.max(np.abs(block - (v * np.exp(-1j * dt * w)) @ v.conj().T)) < 1e-13
 
 
 def test_time_independent_without_sf():

@@ -110,7 +110,7 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError, match="cnot_variant"):
         ExperimentSpec(cnot_variant=4)
     with pytest.raises(ConfigurationError, match="variant"):
-        build_qa("QA1", "00", cnot_variant=4)
+        build_qa("00", cnot_variant=4)
     # the fastest drive (spin 1, frequency 1) needs two steps per period
     assert ExperimentSpec(delta=0.5).delta == 0.5
     with pytest.raises(ConfigurationError, match="does not resolve"):
@@ -382,7 +382,7 @@ def test_cold_walk_stacks_without_the_harness(kernel_calls):
     stacks a table of the same programs would: it has them integrated
     itself."""
     import nmrqc.integrator
-    programs = ([build_qa("QA1", "00", variant, style, k=k)
+    programs = ([build_qa("00", variant, style, k=k)
                  for variant in (1, 2, 3) for style in ("rotating_sf", "static_sf")
                  for k in (1, 2, 3, 4, 5, 6)]
                 + [build_grover(item, "static_sf", k=2) for item in range(4)])

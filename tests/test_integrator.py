@@ -160,7 +160,7 @@ def test_remainder_step_keeps_full_power():
 
 
 def test_convergence_report_flags_and_ratio():
-    qa2 = build_qa("QA2", "singlet", style="rotating_sf", k=1)
+    qa2 = build_qa("singlet", style="rotating_sf", k=1)
     rep = convergence_report(qa2.steps, "singlet", [0.01, 0.001])
     assert rep.two_digit_flag is False
     assert rep.rows[0].delta == 0.01

@@ -1,10 +1,12 @@
 """The README's examples run as shown."""
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from nmrqc import ExperimentSpec, parse_program_text, readout, run_program
+from nmrqc.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -16,7 +18,7 @@ def _blocks(language: str) -> list[str]:
             if lang == language]
 
 
-def test_readme_examples_run():
+def test_readme_examples_run(tmp_path, monkeypatch):
     (quick_start,) = _blocks("python")
     namespace = {}
     exec(compile(quick_start, "README.md", "exec"), namespace)
@@ -32,3 +34,16 @@ def test_readme_examples_run():
     assert program.input_spec == "10" and len(program.steps) == 7
     assert readout(run_program(program)[None])[0] == pytest.approx((1.0, 1.0),
                                                                    abs=1e-5)
+
+    # every command line, run where the JSON block is myspec.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "myspec.json").write_text(spec_text, encoding="utf-8")
+    commands = [shlex.split(line, comments=True)
+                for block in _blocks("bash") for line in block.splitlines()]
+    commands = [argv[1:] if argv[0] == "nmrqc" else argv[3:] for argv in commands
+                if argv[:1] == ["nmrqc"] or argv[:3] == ["python", "-m", "nmrqc"]]
+    assert len(commands) == 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert (tmp_path / "grover.csv").read_text(encoding="utf-8").startswith(
+        "Item position,a,b,")
