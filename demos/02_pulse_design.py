@@ -18,7 +18,7 @@ print("parameter sheet for every gate pulse at k=1 (rotating fields):")
 print("gate  | t/2pi | omega | sf1x        sf2x        phi_x  | sf1y        sf2y        phi_y")
 for name in ("X1", "X2", "Y1", "Y2", "X1p", "X2p", "Y1p", "X1pp", "X2pp"):
     spin, axis, direction, turns = gate_rotation(name)
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=1, direction=direction)
+    eo = design_pulse(spin, TWO_PI * turns, axis, k=1, direction=direction)
     print(f"{name:5s} | {eo.tau:5g} | {eo.omega:5.2f} | "
           f"{eo.sf1x:+.7f}  {eo.sf2x:+.7f}  {eo.phi_x / np.pi:+.2f}pi | "
           f"{eo.sf1y:+.7f}  {eo.sf2y:+.7f}  {eo.phi_y / np.pi:+.2f}pi")
@@ -26,17 +26,17 @@ for name in ("X1", "X2", "Y1", "Y2", "X1p", "X2p", "Y1p", "X1pp", "X2pp"):
 print("\nsingle-axis variant carries double amplitude on one channel:")
 for name in ("X1", "Y2"):
     spin, axis, direction, turns = gate_rotation(name)
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=1, mode="static_axis",
-                         direction=direction)
+    eo = design_pulse(spin, TWO_PI * turns, axis, k=1, mode="static_axis",
+                      direction=direction)
     print(f"  {name}: sf1x={eo.sf1x:+.7f} sf1y={eo.sf1y:+.7f} "
           f"sf2x={eo.sf2x:+.7f} sf2y={eo.sf2y:+.7f}")
 
 print("\naccuracy margin 2kNM(M-N) and spectator residual vs k (gamma=1/4):")
 for k in (1, 2, 4, 8, 16, 32):
     margin, verdict = commensurability_margin(RationalGamma(1, 4), k)
-    design, _ = design_pulse(1, np.pi / 2, "y", k=k)
+    eo = design_pulse(1, np.pi / 2, "y", k=k)
     print(f"  k={k:2d}: margin {margin:5d} ({verdict:8s}) "
-          f"spectator residual {spectator_residual(design):.2e}")
+          f"spectator residual {spectator_residual(eo):.2e}")
 
 print("\na finer rational gamma costs much longer pulses:")
 g = RationalGamma(11, 40)

@@ -15,7 +15,7 @@ from nmrqc.gates import gate_rotation
 from nmrqc.operators import TWO_PI, max_unitarity_defect
 
 spin, axis, d, turns = gate_rotation("Y1")
-_, eo = design_pulse(spin, TWO_PI * turns, axis, k=1, direction=d, label="Y1")
+eo = design_pulse(spin, TWO_PI * turns, axis, k=1, direction=d, label="Y1")
 
 # A defect below the bound is rounding noise, so only the bound is printed.
 UNITARITY_BOUND = 1e-14

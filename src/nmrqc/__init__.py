@@ -15,7 +15,7 @@ from .integrator import eo_propagator, oracle_propagator
 from .gates import (GATE_NAMES, compose, coupling_pi_duration,
                     derive_primed_angles, ideal_eo_params, ideal_gate, phase_gate)
 from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityReport,
-                     PulseDesign, RationalGamma, commensurability_check_n,
+                     RationalGamma, commensurability_check_n,
                      commensurability_margin, design_pulse, hypothetical_durations,
                      spectator_excess_angle, spectator_residual)
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, GateImplStyle,

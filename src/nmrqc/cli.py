@@ -26,7 +26,8 @@ from .errors import ConfigurationError
 from .harness import (ExperimentSpec, canned_names, canned_spec, emit_table,
                       run_experiment, verify_suite)
 from .hamiltonian import MachineConfig
-from .pulses import DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma, design_pulse
+from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma,
+                     commensurability_margin, design_pulse)
 from .programs import ROTATING_SF, STATIC_SF, STYLES
 
 
@@ -79,28 +80,29 @@ def _cmd_tables(args) -> int:
     return _run_spec(canned_spec(args.name), args)
 
 
-def _design_row(name, design, eo) -> str:
+def _design_row(name, eo) -> str:
     def turns(phi):
         return f"{phi / np.pi:+.2f}*pi" if phi else "0"
     return " | ".join([
-        name, f"{design.t_over_2pi:g}", f"{design.omega:.2f}",
+        name, f"{eo.tau:g}", f"{eo.omega:.2f}",
         f"{eo.sf1x:.7f}", f"{eo.sf2x:.7f}", turns(eo.phi_x),
         f"{eo.sf1y:.7f}", f"{eo.sf2y:.7f}", turns(eo.phi_y)])
 
 
 def _cmd_design(args) -> int:
-    """Design on the default machine with h2z = N/M."""
-    gamma = RationalGamma(args.n, args.m)
+    """Design on the default machine with h2z = N/M; the margin is that
+    machine's, whose ratio is N/M in lowest terms."""
+    machine = MachineConfig(h2z=RationalGamma(args.n, args.m).gamma)
     mode = {"rotating": ROTATING, "static": STATIC_AXIS,
             "static_axis": STATIC_AXIS}[args.mode]
     angle = parse_angle(args.angle)
-    design, eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=mode,
-                              machine=MachineConfig(h2z=gamma.gamma))
+    eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=mode,
+                      machine=machine)
+    margin, _ = commensurability_margin(RationalGamma.from_machine(machine), args.k)
     header = " | ".join(["pulse", "tau/2pi", "omega", "sf1x", "sf2x", "phi_x",
                          "sf1y", "sf2y", "phi_y"])
     label = f"spin{args.spin} {args.axis} {angle:g}rad {mode} k={args.k}"
-    lines = [header, _design_row(label, design, eo),
-             f"margin 2kNM(M-N) = {design.margin}"]
+    lines = [header, _design_row(label, eo), f"margin 2kNM(M-N) = {margin}"]
     _write_out("\n".join(lines), args.out)
     return 0
 

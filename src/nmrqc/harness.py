@@ -33,9 +33,9 @@ ideal values.
 Verification is one list, CHECKS, of named checks: the ideal baseline,
 the integrator's numerical properties, coupling off during pulses, one
 check per canned table against its published cells, the two pulse
-parameter sheets and the commensurability cases.  verify_suite (``nmrqc
-verify``) runs them in order, and the acceptance suite runs each as a
-test.
+parameter sheets, the idealized-hardware EO sheet and the
+commensurability cases.  verify_suite (``nmrqc verify``) runs them in
+order, and the acceptance suite runs each as a test.
 """
 from __future__ import annotations
 
@@ -668,6 +668,22 @@ def _pulse_sheet(mode: str, notes) -> tuple[bool, str]:
         f"{len(sheet)} rows: amplitudes at 1e-6 relative, phases at 1e-12")
 
 
+def _ideal_eo_sheet(notes):
+    """The idealized-hardware EO sheet, against each gate's EO as the
+    ideal-style tables run it: the duration exactly, the one field and
+    the phase evolution Ip's duration at the sheet's 4 decimals."""
+    eos = {g: _gate_step(g, GateImplStyle(IDEAL), DEFAULT_MACHINE, PULSE_DELTA)
+           for g in (*ref.IDEAL_EO_FIELDS, "Ip")}
+    cases = [(f"{g} tau/2pi", eos[g].tau, tau)
+             for g, (tau, _, _) in ref.IDEAL_EO_FIELDS.items()]
+    cases += [(f"{g} {f}", round(getattr(eos[g], f), 4), value)
+              for g, (_, f, value) in ref.IDEAL_EO_FIELDS.items()]
+    cases.append(("Ip tau/2pi", round(eos["Ip"].tau, 4), ref.IP_DURATION))
+    fails = [f"{what} got {got!r} want {want!r}"
+             for what, got, want in cases if got != want]
+    return not fails, "; ".join(fails[:4]) or f"{len(cases)} cells match"
+
+
 def _commensurability(notes):
     """The stored commensurability margins and pulse durations."""
     cases = [("margin", key, commensurability_margin(RationalGamma(*key[:2]), key[2])[0],
@@ -689,6 +705,7 @@ CHECKS = (
             runs_tables=True) for name in canned_names()),
     Check("rotating-pulse-sheet", 1e-6, partial(_pulse_sheet, ROTATING)),
     Check("static-pulse-sheet", 1e-6, partial(_pulse_sheet, STATIC_AXIS)),
+    Check("ideal-eo-sheet", 0.0, _ideal_eo_sheet),
     Check("commensurability", 0.0, _commensurability),
 )
 

@@ -127,14 +127,18 @@ class GateImplStyle:
 
 @dataclass(frozen=True)
 class Program:
-    """A named sequence of EOs, the input it declares and, when built
-    from gates, the ideal unitary of its gate sequence."""
+    """A named sequence of EOs, the input it declares (one of
+    INPUT_SPECS, checked when the program is built) and, when built from
+    gates, the ideal unitary of its gate sequence."""
 
     name: str
     steps: tuple[EOParams, ...]   # in application order
     input_spec: str = "00"
     ideal_unitary: np.ndarray | None = field(default=None, repr=False,
                                              compare=False)  # read-only
+
+    def __post_init__(self):
+        _check_input(self.input_spec)
 
     @property
     def ideal_expectations(self) -> tuple[float, float] | None:
@@ -156,10 +160,9 @@ def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
     if cname == "Ip" or style.style == IDEAL:
         return ideal_eo_params(cname, machine)
     spin, axis, direction, turns = gate_rotation(cname, machine)
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=style.k,
-                         mode=_STYLE_MODE[style.style], direction=direction,
-                         machine=machine, label=cname, delta=delta)
-    return eo
+    return design_pulse(spin, TWO_PI * turns, axis, k=style.k,
+                        mode=_STYLE_MODE[style.style], direction=direction,
+                        machine=machine, label=cname, delta=delta)
 
 
 @lru_cache(maxsize=1024)
@@ -193,7 +196,6 @@ def build_cnot(variant: int, style: str, k: int = 1,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant 1, 2 or 3)."""
     names = _cnot_names(variant)
-    _check_input(input_spec)
     return Program(name=f"CNOT{variant}[{style},k={k}]",
                    steps=_expand(names, GateImplStyle(style, k), machine, delta),
                    input_spec=input_spec,
@@ -213,7 +215,6 @@ def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     substitutes the ideal EO without coupling, which is exact to rounding.
     """
     impl = GateImplStyle(style, k)
-    _check_input(input_spec)
     if final_rotation_style not in ("program", "exact"):
         raise ConfigurationError(
             f"final_rotation_style must be 'program' or 'exact', got {final_rotation_style!r}")
@@ -477,9 +478,8 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
             elif kind == "pulse":
                 spin, angle = int(args[0]), float(args[1])
                 axis, mode, kk = args[2], args[3], int(args[4])
-                _, eo = design_pulse(spin, angle, axis, k=kk, mode=mode,
-                                     machine=machine, delta=delta)
-                steps.append(eo)
+                steps.append(design_pulse(spin, angle, axis, k=kk, mode=mode,
+                                          machine=machine, delta=delta))
             elif kind == "diagonal":
                 tau = float(args[0])
                 if not 0 <= tau < np.inf:

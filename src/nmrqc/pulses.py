@@ -17,6 +17,11 @@ scaled by gamma.  The approximation quality grows with the margin
 2 k N M (M - N); exactness is unreachable at finite duration, which is
 the root of every deviation the result tables quantify.
 
+A designed pulse is its elementary operation: design_pulse returns the
+EOParams (duration, drive frequency, channel amplitudes and phases)
+and nothing beside it, and the spectator measures
+(spectator_excess_angle, spectator_residual) read that EO.
+
 Two field geometries are supported.  ``rotating`` drives both transverse
 channels a quarter period apart, producing a circularly rotating field
 that turns the target exactly.  ``static_axis`` drives a single channel;
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
-from .operators import TWO_PI, exp_i_dot_s
+from .operators import TWO_PI
 
 ROTATING = "rotating"
 STATIC_AXIS = "static_axis"
@@ -90,30 +95,6 @@ class RationalGamma:
 DEFAULT_GAMMA = RationalGamma.from_machine(DEFAULT_MACHINE)
 
 
-@dataclass(frozen=True)
-class PulseDesign:
-    """A fully determined pulse: schedule, amplitudes, frequency, phases."""
-
-    target_spin: int
-    angle: float           # radians, in [0, 4*pi)
-    axis: str              # 'x' or 'y'
-    direction: int         # +1 forward, -1 inverse
-    mode: str
-    k: int
-    n: int
-    m: int
-    s: int                 # 2 k M N^2, the duration label of spin-1 pulses
-    t_over_2pi: float
-    amplitude_spin1: float
-    amplitude_spin2: float
-    omega: float
-    phi_x: float
-    phi_y: float
-    h1z: float
-    h2z: float
-    margin: int
-
-
 def parse_axis(axis: str) -> tuple[str, int]:
     """Accepts 'x', 'y', '-x', '-y', 'x-inverse', 'y-inverse'."""
     a = axis.strip().lower()
@@ -153,8 +134,8 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
                  mode: str = ROTATING, direction: int | None = None,
                  machine: MachineConfig = DEFAULT_MACHINE,
                  label: str | None = None,
-                 delta: float = PULSE_DELTA) -> tuple[PulseDesign, EOParams]:
-    """Design the pulse rotating `target_spin` by `angle` about `axis`
+                 delta: float = PULSE_DELTA) -> EOParams:
+    """The EO of the pulse rotating `target_spin` by `angle` about `axis`
     on `machine`, for its own field ratio N/M (RationalGamma.from_machine).
 
     Angles up to 4*pi are legal: a spin-1/2 returns to itself only after
@@ -162,8 +143,10 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     preserve the state-dependent sign.  The spectator-spin channel always
     carries gamma times the target amplitude, as the hardware dictates.
 
-    Returns the design record plus the ready-to-integrate EOParams
-    (machine z-fields and coupling stay on during the pulse).
+    The EO is the whole design: tau is the duration over 2*pi, omega
+    the drive frequency (the target's z-field), sf* and phi_* the
+    channel amplitudes and phases; the machine's z-fields and coupling
+    stay on during the pulse.
     """
     axis, axis_dir = parse_axis(axis)
     direction = axis_dir if direction is None else direction * axis_dir
@@ -215,58 +198,47 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
         sf[f"sf1{channel}"] = 2.0 * sign * amp1
         sf[f"sf2{channel}"] = 2.0 * sign * amp2
 
-    margin, _ = commensurability_margin(gamma, k)
-    design = PulseDesign(
-        target_spin=target_spin, angle=angle, axis=axis, direction=direction,
-        mode=mode, k=k, n=gamma.n, m=gamma.m, s=t1, t_over_2pi=t,
-        amplitude_spin1=amp1, amplitude_spin2=amp2, omega=omega,
-        phi_x=phi_x, phi_y=phi_y, h1z=machine.h1z, h2z=machine.h2z,
-        margin=margin)
-    eo = EOParams(
+    return EOParams(
         label=label or f"pulse(spin{target_spin},{'-' if direction < 0 else ''}{axis},"
                        f"{turns:g}turn,{mode},k={k})",
         tau=t, j=machine.coupling, h1z=machine.h1z, h2z=machine.h2z,
         omega=omega, phi_x=phi_x, phi_y=phi_y, delta=delta, **sf)
-    return design, eo
 
 
-def _spectator(design: PulseDesign) -> tuple[float, float, float]:
-    """(transverse amplitude, detuning from the drive, duration in
-    radians) of the spin the pulse does not target."""
-    if design.target_spin == 1:
-        amp_spec, detuning = design.amplitude_spin2, design.h2z - design.h1z
-    else:
-        amp_spec, detuning = design.amplitude_spin1, design.h1z - design.h2z
-    return amp_spec, detuning, design.t_over_2pi * TWO_PI
+def spectator_excess_angle(eo: EOParams) -> float:
+    """t*|v| modulo 4*pi for the spin a pulse EO does not target.
 
-
-def spectator_excess_angle(design: PulseDesign) -> float:
-    """t*|v| modulo 4*pi for the spectator spin.
-
-    v combines the spectator's detuning from the drive with its share of
-    the transverse field; the spectator returns exactly when t*|v| is a
-    multiple of 4*pi.
+    The target is the spin whose z-field the drive frequency omega
+    matches; an EO resonant with neither spin is rejected.  v combines
+    the spectator's detuning from the drive with its transverse
+    amplitude, (|sf_x| + |sf_y|)/2 in either mode (two equal channels,
+    or one at double amplitude); the spectator returns exactly when
+    t*|v| is a multiple of 4*pi.
     """
-    amp_spec, detuning, t = _spectator(design)
-    phase = t * np.hypot(amp_spec, detuning)
+    if eo.omega == eo.h1z:
+        amp_x, amp_y, detuning = eo.sf2x, eo.sf2y, eo.h2z - eo.omega
+    elif eo.omega == eo.h2z:
+        amp_x, amp_y, detuning = eo.sf1x, eo.sf1y, eo.h1z - eo.omega
+    else:
+        raise ConfigurationError(
+            f"drive frequency {eo.omega!r} of {eo.label!r} matches neither "
+            f"spin's z-field ({eo.h1z!r}, {eo.h2z!r})")
+    phase = eo.tau * TWO_PI * np.hypot((abs(amp_x) + abs(amp_y)) / 2.0, detuning)
     return float(phase % (2.0 * TWO_PI))
 
 
-def spectator_residual(design: PulseDesign) -> float:
+def spectator_residual(eo: EOParams) -> float:
     """Operator distance from identity of the spectator's net rotation.
 
-    Defined for rotating-mode designs, where the pulse's action on the
-    spectator is exactly a rotation about v = (transverse share,
-    detuning).  Returns the spectral norm ||U_spec - 1||; 0 means the
-    spectator is perfectly restored, 2 is the antipodal worst case.
+    Defined for rotating-mode pulses, where the pulse's action on the
+    spectator is exactly a rotation by the excess angle theta about
+    v = (transverse share, detuning).  Returns the spectral norm
+    ||U_spec - 1|| = 2 sin(theta/4) of that spin-1/2 rotation; 0 means
+    the spectator is perfectly restored, 2 is the antipodal worst case.
     """
-    if design.mode != ROTATING:
-        raise ConfigurationError("spectator_residual applies to rotating-mode designs")
-    amp_spec, detuning, t = _spectator(design)
-    cx = t * amp_spec if design.axis == "x" else 0.0
-    cy = t * amp_spec if design.axis == "y" else 0.0
-    u = exp_i_dot_s(cx, cy, t * detuning)
-    return float(np.linalg.norm(u - np.eye(2), ord=2))
+    if not eo.is_rotating:
+        raise ConfigurationError("spectator_residual applies to rotating-mode pulses")
+    return float(2.0 * np.sin(spectator_excess_angle(eo) / 4.0))
 
 
 @dataclass(frozen=True)

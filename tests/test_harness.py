@@ -551,11 +551,21 @@ def test_cli_design_uses_the_machine_of_its_ratio(capsys):
     # carries 40/11 of the target's amplitude
     rc = main(["design", "2", "pi/2", "x", "rotating", "1", "--n", "11", "--m", "40"])
     assert rc == 0
-    row = capsys.readouterr().out.splitlines()[1].split(" | ")
+    lines = capsys.readouterr().out.splitlines()
+    row = lines[1].split(" | ")
     tau, omega, sf1x, sf2x = row[1], row[2], float(row[3]), float(row[4])
     assert (tau, omega) == ("128000", "0.28")
     # each printed amplitude is off by at most half a unit of its 7th decimal
     assert abs(sf1x - 40 / 11 * sf2x) <= (1 + 40 / 11) * 0.5e-7
+    assert lines[2] == "margin 2kNM(M-N) = 25520"
+
+
+def test_cli_design_margin_is_the_machines(capsys):
+    # --n 2 --m 8 is the machine h2z = 1/4, whose ratio in lowest terms
+    # gives the margin 2*1*4*3 = 24, not the arguments' 2*2*8*6 = 192
+    rc = main(["design", "1", "pi/2", "y", "rotating", "1", "--n", "2", "--m", "8"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[2] == "margin 2kNM(M-N) = 24"
 
 
 def test_cli_design_rejects_bad_axis(capsys):

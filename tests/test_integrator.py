@@ -28,9 +28,8 @@ J = -0.43e-6
 def pulse_eo(name="Y1", k=1, mode="rotating"):
     from nmrqc.gates import gate_rotation
     spin, axis, direction, turns = gate_rotation(name)
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
-                         direction=direction, label=name)
-    return eo
+    return design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
+                        direction=direction, label=name)
 
 
 def _alone(eo):
@@ -353,8 +352,8 @@ def test_pulse_is_a_quarter_turn_conjugate_of_its_class(spin, axis, direction,
     """A designed pulse is stored as Z_q U(eo0) Z_q^dagger, with eo0 and q
     from _z_class: exactly that conjugate, within 1e-11 of stepping every
     substep, and far from the conjugate of the other sense (q odd)."""
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
-                         direction=direction, label=f"{axis}{spin}")
+    eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
+                      direction=direction, label=f"{axis}{spin}")
     eo = eo.replace(tau=eo.tau + offset)
     eo0, q = _z_class(eo)
     assert _z_class(eo0) == (eo0, 0)

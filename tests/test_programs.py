@@ -108,7 +108,8 @@ def test_five_cnots_equal_one_on_ideal_hardware():
 def test_qa_input_validation():
     """The input picks the program (QA1 on a basis state, QA2 on the
     singlet), and an unknown input name is rejected where it is declared,
-    by build_qa and build_cnot alike, not when the program runs."""
+    by build_qa, build_cnot and a bare Program alike, not when the
+    program runs."""
     assert build_qa("11").name == "QA1[CNOT1,ideal,k=1]"
     assert build_qa("singlet", 3).name == "QA2[CNOT3,ideal,k=1]"
     for bad in ("xx", "02", "QA1", "Singlet", "", None):
@@ -116,6 +117,8 @@ def test_qa_input_validation():
             build_qa(bad)
         with pytest.raises(ConfigurationError, match="unknown input spec"):
             build_cnot(1, "ideal", input_spec=bad)
+        with pytest.raises(ConfigurationError, match="unknown input spec"):
+            Program("p", build_qa("00").steps, input_spec=bad)
 
 
 def test_grover_ideal_answers():

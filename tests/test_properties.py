@@ -125,8 +125,8 @@ def test_table_json_is_json_dumps_byte_for_byte(table):
        offset=st.floats(-0.5, 0.5))
 def test_folded_pulse_equals_stepped(spin, axis, direction, k, turns, mode,
                                      offset):
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
-                         direction=direction)
+    eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
+                      direction=direction)
     assert eo.is_rotating == (mode == "rotating")
     eo = eo.replace(tau=eo.tau + offset)
     u = eo_propagator(eo)
@@ -144,8 +144,8 @@ def test_quarter_folded_static_pulse_equals_stepped(spin, axis, direction, k,
                                                     turns, offset, method):
     # a designed static pulse drives one axis with phi = 0, its period is
     # 100 or 400 steps and it spans at least two: it folds by quarters
-    _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
-                         direction=direction)
+    eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                      direction=direction)
     eo = eo.replace(tau=eo.tau + offset)
     u = PROPAGATORS[method](eo)
     ref = chained_reference(eo, eo.delta, BLOCKS[method])
@@ -163,7 +163,7 @@ rotating_pulses = st.tuples(
 def test_stacked_rotating_kernel(pulses):
     eos = []
     for spin, axis, direction, turns, k, offset in pulses:
-        _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
+        eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
         eos.append(eo.replace(tau=eo.tau + offset))
     delta = eos[0].delta
     stack = _stepped_propagator(_Drives(eos, "rotating"), delta,
@@ -206,8 +206,8 @@ def test_stacked_static_kernel(pulses):
     each equals its class integrated alone at its own fold, conjugated."""
     eos = []
     for spin, axis, direction, turns, k, offset, variant in pulses:
-        _, eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
-                             direction=direction)
+        eo = design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                          direction=direction)
         eo = _STATIC_VARIANTS[variant](eo)
         eos.append(eo.replace(tau=eo.tau + offset))
     blocks, stacks = [], []

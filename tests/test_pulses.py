@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,8 @@ from nmrqc import (ConfigurationError, MachineConfig, RationalGamma,
                    ideal_gate, spectator_excess_angle, spectator_residual,
                    DEFAULT_MACHINE)
 from nmrqc.gates import gate_rotation
-from nmrqc.operators import global_phase_distance
-from nmrqc.pulses import DEFAULT_GAMMA, STATIC_AXIS, PulseDesign
+from nmrqc.operators import TWO_PI, exp_i_dot_s, global_phase_distance
+from nmrqc.pulses import DEFAULT_GAMMA, STATIC_AXIS
 
 
 def test_rational_gamma_validation():
@@ -25,8 +26,8 @@ def test_rational_gamma_validation():
 
 
 def test_rotating_quarter_turn_design_spin1():
-    design, eo = design_pulse(1, np.pi / 2, "y", k=1)
-    assert design.t_over_2pi == 8
+    eo = design_pulse(1, np.pi / 2, "y", k=1)
+    assert eo.tau == 8
     assert eo.sf1x == pytest.approx(0.03125)
     assert eo.sf1y == pytest.approx(0.03125)
     assert eo.sf2x == pytest.approx(0.0078125)
@@ -36,15 +37,15 @@ def test_rotating_quarter_turn_design_spin1():
     # dictates, at the default machine and at 11/40
     for machine in (DEFAULT_MACHINE, MachineConfig(h2z=0.275)):
         for spin in (1, 2):
-            _, eo = design_pulse(spin, np.pi / 2, "y", k=1, machine=machine)
+            eo = design_pulse(spin, np.pi / 2, "y", k=1, machine=machine)
             for f1, f2 in ((eo.h1z, eo.h2z), (eo.sf1x, eo.sf2x),
                            (eo.sf1y, eo.sf2y)):
                 assert f2 == pytest.approx(machine.gamma * f1, rel=1e-12)
 
 
 def test_static_quarter_turn_design_spin1():
-    design, eo = design_pulse(1, np.pi / 2, "y", k=1, mode=STATIC_AXIS)
-    assert design.t_over_2pi == 8
+    eo = design_pulse(1, np.pi / 2, "y", k=1, mode=STATIC_AXIS)
+    assert eo.tau == 8
     assert eo.sf1x == pytest.approx(0.0625)
     assert eo.sf1y == 0.0
     assert eo.phi_x == 0.0 and eo.phi_y == 0.0
@@ -52,14 +53,15 @@ def test_static_quarter_turn_design_spin1():
 
 
 def test_inverse_x_design_amplitude():
-    design, eo = design_pulse(1, 2 * np.pi * 0.4476744186, "x-inverse", k=1)
+    angle = 2 * np.pi * 0.4476744186
+    eo = design_pulse(1, angle, "x-inverse", k=1)
     assert eo.sf1x == pytest.approx(0.0559593, abs=5e-8)
-    assert design.direction == -1
+    assert eo == design_pulse(1, angle, "x", k=1, direction=-1)
 
 
 def test_spin2_large_angle_design():
-    design, eo = design_pulse(2, 2 * np.pi * 1.4244186046, "x-inverse", k=1)
-    assert design.t_over_2pi == 128
+    eo = design_pulse(2, 2 * np.pi * 1.4244186046, "x-inverse", k=1)
+    assert eo.tau == 128
     assert eo.sf2x == pytest.approx(0.0111283, abs=5e-8)
     assert eo.sf1x == pytest.approx(4 * eo.sf2x)
     assert eo.omega == 0.25
@@ -73,22 +75,21 @@ def test_power_identity(spin, mode):
     rng = np.random.default_rng(11)
     for _ in range(10):
         angle = rng.uniform(0, 2 * np.pi)
-        design, eo = design_pulse(spin, angle, "y", k=int(rng.integers(1, 9)),
-                                  mode=mode)
+        eo = design_pulse(spin, angle, "y", k=int(rng.integers(1, 9)), mode=mode)
         target_amp = abs(eo.sf1x if spin == 1 else eo.sf2x)
         if mode == STATIC_AXIS:
             target_amp /= 2.0
-        power = 2 * np.pi * design.t_over_2pi * target_amp
+        power = 2 * np.pi * eo.tau * target_amp
         assert power == pytest.approx(angle, rel=1e-12, abs=1e-12)
 
 
 def test_resonance_and_phase_freeze():
     for spin, omega in ((1, 1.0), (2, 0.25)):
         for k in (1, 2, 32):
-            design, eo = design_pulse(spin, np.pi / 2, "x", k=k)
+            eo = design_pulse(spin, np.pi / 2, "x", k=k)
             assert eo.omega == omega
             # bare spin-1 precession completes whole turns over the pulse
-            assert design.t_over_2pi * DEFAULT_MACHINE.h1z == int(design.t_over_2pi)
+            assert eo.tau * DEFAULT_MACHINE.h1z == int(eo.tau)
 
 
 @pytest.mark.parametrize("mode", ["rotating", STATIC_AXIS])
@@ -98,8 +99,8 @@ def test_design_counts_spin1_periods(name, mode):
     periods, half the time, and still realizes its gate."""
     machine = MachineConfig(h1z=2.0, h2z=0.5)
     spin, axis, d, turns = gate_rotation(name, machine)
-    _, eo = design_pulse(spin, 2 * np.pi * turns, axis, k=4, mode=mode,
-                         direction=d, machine=machine)
+    eo = design_pulse(spin, 2 * np.pi * turns, axis, k=4, mode=mode,
+                      direction=d, machine=machine)
     t1, t2 = hypothetical_durations(DEFAULT_GAMMA, 4)
     assert eo.tau * machine.h1z == (t1 if spin == 1 else t2)
     gate = ideal_gate(name, machine)
@@ -136,22 +137,20 @@ def test_hypothetical_durations():
 def test_spectator_residual_accurate_hypothetical_machine():
     from nmrqc.hamiltonian import MachineConfig
     machine = MachineConfig(coupling=-0.43e-6, h1z=1.0, h2z=0.275)
-    design, _ = design_pulse(1, np.pi / 2, "y", k=1, machine=machine)
-    assert (design.n, design.m) == (11, 40)
-    assert spectator_residual(design) < 1e-3
+    eo = design_pulse(1, np.pi / 2, "y", k=1, machine=machine)
+    assert eo.tau == 2 * 40 * 11 ** 2   # t1 = 2kMN^2 at N/M = 11/40
+    assert spectator_residual(eo) < 1e-3
 
 
 def test_spectator_residual_antipodal_case():
     # a design whose spectator phase lands at half-period is maximally bad
-    base, _ = design_pulse(1, np.pi / 2, "y", k=1)
+    base = design_pulse(1, np.pi / 2, "y", k=1)
     detuning = base.h2z - base.h1z
-    # choose duration so that t*|v| = 2*pi (mod 4*pi): net spin flip -1
-    t_over_2pi = 1.0 / abs(detuning)
-    bad = PulseDesign(
-        target_spin=1, angle=np.pi / 2, axis="y", direction=1, mode="rotating",
-        k=1, n=1, m=4, s=8, t_over_2pi=t_over_2pi, amplitude_spin1=0.0,
-        amplitude_spin2=0.0, omega=1.0, phi_x=0.0, phi_y=np.pi / 2,
-        h1z=1.0, h2z=0.25, margin=24)
+    # no drive, and a duration such that t*|v| = 2*pi (mod 4*pi): net
+    # spin flip -1
+    bad = base.replace(tau=1.0 / abs(detuning), sf1x=0.0, sf1y=0.0,
+                       sf2x=0.0, sf2y=0.0)
+    assert bad.is_rotating
     assert spectator_excess_angle(bad) == pytest.approx(2 * np.pi, abs=1e-9)
     assert spectator_residual(bad) == pytest.approx(2.0, abs=1e-9)
 
@@ -159,15 +158,42 @@ def test_spectator_residual_antipodal_case():
 def test_spectator_residual_improves_with_k():
     values = []
     for k in (1, 2, 4, 8, 16, 32):
-        design, _ = design_pulse(1, np.pi / 2, "y", k=k)
-        values.append(spectator_residual(design))
+        values.append(spectator_residual(design_pulse(1, np.pi / 2, "y", k=k)))
     assert all(b <= a * (1 + 1e-12) for a, b in zip(values, values[1:]))
 
 
 def test_spectator_residual_rejects_static_mode():
-    design, _ = design_pulse(1, np.pi / 2, "y", k=1, mode=STATIC_AXIS)
+    eo = design_pulse(1, np.pi / 2, "y", k=1, mode=STATIC_AXIS)
     with pytest.raises(ConfigurationError):
-        spectator_residual(design)
+        spectator_residual(eo)
+
+
+@pytest.mark.parametrize("h2z", [0.25, 1 / 3, 0.275])
+def test_spectator_residual_is_the_rotation_norm(h2z):
+    """The residual is the half-angle chord 2 sin(theta/4) of the excess
+    angle, and that is ||U_spec - 1||_2 of the spectator's rotation about
+    (transverse share, detuning), for rotating pulses on either spin."""
+    machine = MachineConfig(h2z=h2z)
+    for spin, axis, k in itertools.product((1, 2), ("x", "-x", "y", "-y"), (1, 2, 4)):
+        eo = design_pulse(spin, np.pi / 2, axis, k=k, machine=machine)
+        theta = spectator_excess_angle(eo)
+        assert spectator_residual(eo) == 2 * np.sin(theta / 4)
+        amp, detuning = ((abs(eo.sf2x), eo.h2z - eo.h1z) if spin == 1
+                         else (abs(eo.sf1x), eo.h1z - eo.h2z))
+        t = TWO_PI * eo.tau
+        c = t * amp
+        u = exp_i_dot_s(c if "x" in axis else 0.0, c if "y" in axis else 0.0,
+                        t * detuning)
+        assert spectator_residual(eo) == pytest.approx(
+            np.linalg.norm(u - np.eye(2), ord=2), rel=0, abs=1e-10)
+
+
+def test_spectator_rejects_an_eo_resonant_with_neither_spin():
+    eo = design_pulse(1, np.pi / 2, "y", k=1).replace(omega=0.5)
+    with pytest.raises(ConfigurationError, match="matches neither"):
+        spectator_excess_angle(eo)
+    with pytest.raises(ConfigurationError, match="matches neither"):
+        spectator_residual(eo)
 
 
 def test_commensurability_check_default_pair():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nmrqc import ExperimentSpec, parse_program_text, readout, run_program
+from nmrqc import EOParams, ExperimentSpec, parse_program_text, readout, run_program
 from nmrqc.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -22,6 +22,8 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     (quick_start,) = _blocks("python")
     namespace = {}
     exec(compile(quick_start, "README.md", "exec"), namespace)
+    eo = namespace["eo"]
+    assert isinstance(eo, EOParams) and (eo.tau, eo.sf1x) == (8, 0.03125)
     (a, b), = readout(namespace["amps"][None])
     assert (a, b) == pytest.approx((0.90, 1.00), abs=0.01)
 
