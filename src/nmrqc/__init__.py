@@ -18,12 +18,11 @@ from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityRepor
                      RationalGamma, commensurability_check_n,
                      commensurability_margin, design_pulse, hypothetical_durations,
                      spectator_excess_angle, spectator_residual)
-from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, GateImplStyle,
-                       Program, build_cnot, build_grover, build_qa,
-                       convergence_report, grover_sequence, input_amplitudes,
-                       parse_program_text, program_states, program_unitaries,
-                       program_unitary, readout, run_inputs, run_program,
-                       with_duration_offset)
+from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, Program, build_cnot,
+                       build_grover, build_qa, convergence_report, grover_sequence,
+                       input_amplitudes, parse_program_text, program_states,
+                       program_unitaries, program_unitary, readout, run_inputs,
+                       run_program, with_duration_offset)
 from .harness import (ExperimentSpec, ResultTable, canned_names, canned_spec,
                       emit_table, round2, run_experiment, verify_suite)
 

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .harness import (ExperimentSpec, canned_names, canned_spec, emit_table,
-                      run_experiment, verify_suite)
+from .harness import (FORMATS, KINDS, ExperimentSpec, canned_names, canned_spec,
+                      emit_table, run_experiment, verify_suite)
 from .hamiltonian import MachineConfig
 from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma,
                      commensurability_margin, design_pulse)
-from .programs import ROTATING_SF, STATIC_SF, STYLES
+from .programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, ROTATING_SF,
+                       STATIC_SF, STYLES)
 
 
 def parse_angle(text: str) -> float:
@@ -135,13 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--format", default="markdown",
-                        choices=["markdown", "csv", "json"])
+        sp.add_argument("--format", default="markdown", choices=FORMATS)
         sp.add_argument("--out", default=None, help="write output to a file")
         sp.add_argument("--delta", type=float, default=None,
                         help="integrator step over 2*pi")
         sp.add_argument("--final-rotation-style", dest="final_rotation_style",
-                        choices=["program", "exact"], default=None)
+                        choices=FINAL_ROTATION_STYLES, default=None)
 
     sp = sub.add_parser("run", help="run an experiment from a JSON spec")
     sp.add_argument("config")
@@ -169,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_design)
 
     sp = sub.add_parser("sweep", help="sweep a program family over k values")
-    sp.add_argument("--kind", choices=["qa", "grover"], default="qa")
+    sp.add_argument("--kind", choices=KINDS, default="qa")
     sp.add_argument("--style", default="rotating",
                     help="rotating, static, or any of " + ", ".join(STYLES))
-    sp.add_argument("--variant", type=int, default=1, choices=[1, 2, 3])
+    sp.add_argument("--variant", type=int, default=1, choices=CNOT_VARIANTS)
     sp.add_argument("--k-list", dest="k_list", default="1,2,4,8,32")
     common(sp)
     sp.set_defaults(func=_cmd_sweep)

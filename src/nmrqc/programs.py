@@ -32,26 +32,33 @@ program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report runs one program of EOs per step size through
 them and compares their prints by round2, the rounding every table
 prints with.  Builders take a style name, k and a machine, whose field ratio
-sets the duration of every pulse.  Gate steps, duration-shifted steps,
-whole gate-sequence expansions, gate matrices and each gate sequence's
-ideal unitary are memoized, so rebuilding a program re-designs no
-pulse, re-shifts no duration and recomposes no gate.
+sets the duration of every pulse.
+
+Each parameter that picks a program has one domain here (STYLES,
+CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES) and one
+check (check_style, check_variant, check_item, check_input,
+check_final_rotation_style; k's is pulses.check_k), which every builder
+and harness.ExperimentSpec call: a bool or a float is no variant, item
+or k.  Gate steps, duration-shifted steps, whole gate-sequence
+expansions, gate matrices and each gate sequence's ideal unitary are
+memoized, so rebuilding a program re-designs no pulse, re-shifts no
+duration and recomposes no gate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalIntegrityError
+from .errors import ConfigurationError, NumericalIntegrityError, check_choice
 from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from . import integrator
 from .integrator import eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
-from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, design_pulse
+from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, check_k, design_pulse
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -61,6 +68,9 @@ STYLES = (IDEAL, STATIC_SF, ROTATING_SF)
 _STYLE_MODE = {STATIC_SF: STATIC_AXIS, ROTATING_SF: ROTATING}
 
 INPUT_SPECS = ("00", "10", "01", "11", "singlet")
+
+# How QA2 runs its final rotation: in the program's style, or exactly.
+FINAL_ROTATION_STYLES = ("program", "exact")
 
 # The exact input states, one row per INPUT_SPECS entry.  Basis state
 # |b1 b2> sits at index b1 + 2*b2 (qubit 1 is the fast index), and the
@@ -90,6 +100,7 @@ CNOT_SEQUENCES = {
     2: ("Y2", "Ip", "Y2b", "Y1b", "X2p", "X1p", "Y1"),
     3: ("Y2", "Ip", "Y2b", "X1", "X2p", "Y1p", "X1b"),
 }
+CNOT_VARIANTS = tuple(CNOT_SEQUENCES)
 
 # Conditional phase gate as an evolution: diagonal core plus the
 # double-primed rotations absorbing the bare precession phases.
@@ -103,26 +114,20 @@ _GROVER_MIDDLE = {
     2: ("X1b", "Y1b", "X2", "Y2b"),
     3: ("X1b", "Y1b", "X2b", "Y2b"),
 }
+SEARCH_ITEMS = tuple(_GROVER_MIDDLE)
+
+# The checks of the domains above; each returns the domain's own entry.
+check_style = partial(check_choice, name="style", domain=STYLES)
+check_variant = partial(check_choice, name="cnot_variant", domain=CNOT_VARIANTS)
+check_item = partial(check_choice, name="item", domain=SEARCH_ITEMS)
+check_final_rotation_style = partial(check_choice, name="final_rotation_style",
+                                     domain=FINAL_ROTATION_STYLES)
 
 
 def grover_sequence(item: int) -> tuple[str, ...]:
     """U_item in operator-product order (apply right to left)."""
-    if item not in _GROVER_MIDDLE:
-        raise ConfigurationError(f"item must be 0..3, got {item!r}")
-    return (("X1", "Y1b", "X2", "Y2b", "G") + _GROVER_MIDDLE[item]
+    return (("X1", "Y1b", "X2", "Y2b", "G") + _GROVER_MIDDLE[check_item(item)]
             + ("G", "X1b", "X1b", "Y1b", "X2b", "X2b", "Y2b"))
-
-
-@dataclass(frozen=True)
-class GateImplStyle:
-    style: str
-    k: int = 1
-
-    def __post_init__(self):
-        if self.style not in STYLES:
-            raise ConfigurationError(f"style must be one of {STYLES}, got {self.style!r}")
-        if self.k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class Program:
                                              compare=False)  # read-only
 
     def __post_init__(self):
-        _check_input(self.input_spec)
+        check_input(self.input_spec)
 
     @property
     def ideal_expectations(self) -> tuple[float, float] | None:
@@ -151,31 +156,32 @@ class Program:
 
 
 @lru_cache(maxsize=1024)
-def _gate_step(name: str, style: GateImplStyle, machine: MachineConfig,
+def _gate_step(name: str, style: str, k: int, machine: MachineConfig,
                delta: float) -> EOParams:
-    """The EO realizing a named gate in the given style."""
+    """The EO realizing a named gate in the given style, with pulses of
+    length k; style and k are checked by the builder."""
     cname = canonical_name(name)
     if cname == "Gcore":
         return ideal_eo_params("Ip", machine).replace(label="Gcore", delta=1.0)
-    if cname == "Ip" or style.style == IDEAL:
+    if cname == "Ip" or style == IDEAL:
         return ideal_eo_params(cname, machine)
     spin, axis, direction, turns = gate_rotation(cname, machine)
-    return design_pulse(spin, TWO_PI * turns, axis, k=style.k,
-                        mode=_STYLE_MODE[style.style], direction=direction,
-                        machine=machine, label=cname, delta=delta)
+    return design_pulse(spin, TWO_PI * turns, axis, k=k, mode=_STYLE_MODE[style],
+                        direction=direction, machine=machine, label=cname,
+                        delta=delta)
 
 
 @lru_cache(maxsize=1024)
-def _expand(names: tuple[str, ...], style: GateImplStyle, machine: MachineConfig,
+def _expand(names: tuple[str, ...], style: str, k: int, machine: MachineConfig,
             delta: float) -> tuple[EOParams, ...]:
     """The EOs of a gate sequence, names in application order; 'G' is
     one EO in ideal style and G_EXPANSION otherwise."""
     steps = []
     for name in names:
-        if name == "G" and style.style != IDEAL:
-            steps.extend(_gate_step(n, style, machine, delta) for n in G_EXPANSION)
+        if name == "G" and style != IDEAL:
+            steps.extend(_gate_step(n, style, k, machine, delta) for n in G_EXPANSION)
         else:
-            steps.append(_gate_step(name, style, machine, delta))
+            steps.append(_gate_step(name, style, k, machine, delta))
     return tuple(steps)
 
 
@@ -185,19 +191,14 @@ def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray
     return frozen_unitary(compose(reversed(names), machine))
 
 
-def _cnot_names(variant: int) -> tuple[str, ...]:
-    if variant not in CNOT_SEQUENCES:
-        raise ConfigurationError(f"variant must be 1, 2 or 3, got {variant!r}")
-    return CNOT_SEQUENCES[variant]
-
-
 def build_cnot(variant: int, style: str, k: int = 1,
                machine: MachineConfig = DEFAULT_MACHINE,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
-    """One controlled-NOT realization (variant 1, 2 or 3)."""
-    names = _cnot_names(variant)
+    """One controlled-NOT realization (variant one of CNOT_VARIANTS)."""
+    variant, style, k = check_variant(variant), check_style(style), check_k(k)
+    names = CNOT_SEQUENCES[variant]
     return Program(name=f"CNOT{variant}[{style},k={k}]",
-                   steps=_expand(names, GateImplStyle(style, k), machine, delta),
+                   steps=_expand(names, style, k, machine, delta),
                    input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -214,20 +215,16 @@ def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     executed in the program's own style, `final_rotation_style="exact"`
     substitutes the ideal EO without coupling, which is exact to rounding.
     """
-    impl = GateImplStyle(style, k)
-    if final_rotation_style not in ("program", "exact"):
-        raise ConfigurationError(
-            f"final_rotation_style must be 'program' or 'exact', got {final_rotation_style!r}")
-    names = _cnot_names(cnot_variant) * 5
-    steps = _expand(names, impl, machine, delta)
+    variant, style, k = check_variant(cnot_variant), check_style(style), check_k(k)
+    exact = check_final_rotation_style(final_rotation_style) == "exact"
+    names = CNOT_SEQUENCES[variant] * 5
+    steps = _expand(names, style, k, machine, delta)
     qa = "QA1"
     if input_spec == "singlet":
         qa, names = "QA2", names + ("Y1",)
-        if final_rotation_style == "exact":
-            steps += (ideal_eo_params("Y1", machine).replace(j=0.0),)
-        else:
-            steps += (_gate_step("Y1", impl, machine, delta),)
-    return Program(name=f"{qa}[CNOT{cnot_variant},{style},k={k}]",
+        steps += (ideal_eo_params("Y1", machine).replace(j=0.0) if exact
+                  else _gate_step("Y1", style, k, machine, delta),)
+    return Program(name=f"{qa}[CNOT{variant},{style},k={k}]",
                    steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -236,9 +233,10 @@ def build_grover(item: int, style: str = IDEAL, k: int = 1,
                  machine: MachineConfig = DEFAULT_MACHINE,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
+    item, style, k = check_item(item), check_style(style), check_k(k)
     names = tuple(reversed(grover_sequence(item)))  # application order
     return Program(name=f"Grover{item}[{style},k={k}]",
-                   steps=_expand(names, GateImplStyle(style, k), machine, delta),
+                   steps=_expand(names, style, k, machine, delta),
                    input_spec="00",
                    ideal_unitary=_ideal_unitary(names, machine))
 
@@ -249,10 +247,10 @@ def input_amplitudes(input_specs) -> np.ndarray:
     Every name must be one of INPUT_SPECS; each row is a copy of the
     exact row in _INPUTS.
     """
-    return _INPUTS[[INPUT_SPECS.index(_check_input(spec)) for spec in input_specs]]
+    return _INPUTS[[INPUT_SPECS.index(check_input(spec)) for spec in input_specs]]
 
 
-def _check_input(spec: str) -> str:
+def check_input(spec: str) -> str:
     """The input name, which must be one of INPUT_SPECS."""
     if spec not in INPUT_SPECS:
         raise ConfigurationError(
@@ -456,7 +454,7 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
     A gate is expanded as a builder expands it ('G' per style), and a
     diagonal duration must be finite and non-negative.
     """
-    impl = GateImplStyle(style, k)
+    style, k = check_style(style), check_k(k)
     steps = []
     input_spec = "00"
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -472,9 +470,9 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                 raise ConfigurationError(f"{kind} takes {_DIRECTIVE_ARGS[kind]} "
                                          f"argument(s), got {len(args)}")
             if kind == "input":
-                input_spec = _check_input(args[0])
+                input_spec = check_input(args[0])
             elif kind == "gate":
-                steps.extend(_expand((args[0],), impl, machine, delta))
+                steps.extend(_expand((args[0],), style, k, machine, delta))
             elif kind == "pulse":
                 spin, angle = int(args[0]), float(args[1])
                 axis, mode, kk = args[2], args[3], int(args[4])

@@ -37,7 +37,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_choice, is_integer
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
 from .operators import TWO_PI
 
@@ -108,6 +108,15 @@ def parse_axis(axis: str) -> tuple[str, int]:
     return a, direction
 
 
+def check_k(k) -> int:
+    """The pulse length multiplier k as an int; it must be an integer
+    >= 1, and a bool or a float is none.  design_pulse and every program
+    builder take k by this one rule."""
+    if is_integer(k) and k >= 1:
+        return int(k)
+    raise ConfigurationError(f"k must be a positive integer, got {k!r}")
+
+
 def commensurability_margin(gamma: RationalGamma, k: int):
     """The figure of merit 2 k N M (M - N) and a qualitative verdict.
 
@@ -155,12 +164,9 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     if not 0.0 <= angle <= 2.0 * TWO_PI + 1e-12:
         raise ConfigurationError(
             f"angle must lie in [0, 4*pi], got {angle!r}")
-    if target_spin not in (1, 2):
-        raise ConfigurationError(f"target_spin must be 1 or 2, got {target_spin}")
-    if k < 1 or not isinstance(k, int):
-        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
-    if mode not in _MODES:
-        raise ConfigurationError(f"mode must be one of {_MODES}, got {mode!r}")
+    check_choice(target_spin, "target_spin", (1, 2))
+    k = check_k(k)
+    check_choice(mode, "mode", _MODES)
     gamma = RationalGamma.from_machine(machine)
 
     t1, t2 = hypothetical_durations(gamma, k)

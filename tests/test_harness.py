@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -739,6 +740,27 @@ def test_norm_preservation_prints_its_bound_not_the_noise():
     result = check([])
     assert result.passed
     assert result.detail == "perturbed QA2 s=256: norm within 1e-10 of 1"
+    wider = replace(check, tolerance=1e-3)([])
+    assert wider.detail == "perturbed QA2 s=256: norm within 0.001 of 1"
+
+
+def test_a_check_judges_with_the_tolerance_it_prints():
+    """Each check is handed its own tolerance: the bound a report prints
+    is the one the check judged with."""
+    (check,) = [c for c in CHECKS if c.name == "halving-ratio"]
+    assert check([]).passed
+    exact = replace(check, tolerance=0.0)([])
+    assert (exact.tolerance, exact.passed) == (0.0, False)
+
+
+def test_cli_tables_final_rotation_style_override(capsys):
+    assert main(["tables", "table5", "--final-rotation-style", "exact",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    spec = canned_spec("table5")
+    assert out == emit_table(run_experiment(
+        replace(spec, final_rotation_style="exact")), "json") + "\n"
+    assert out != emit_table(run_experiment(spec), "json") + "\n"
 
 
 def test_cli_tables_tau_offset_override(capsys):

@@ -172,6 +172,8 @@ def test_convergence_report_flags_and_ratio():
 
     rep3 = convergence_report(eo, "00", [0.01])
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
+    with pytest.raises(ConfigurationError, match="at least one delta"):
+        convergence_report(eo, "00", [])
 
 
 def test_convergence_flag_rounds_as_the_tables_print(monkeypatch):
@@ -186,6 +188,12 @@ def test_convergence_flag_rounds_as_the_tables_print(monkeypatch):
     rep = convergence_report(pulse_eo("Y1"), "00", [0.01, 0.001])
     assert [r.expectations for r in rep.rows] == [(0.145,) * 2, (0.1451,) * 2]
     assert rep.two_digit_flag is False
+    # each row's deviation from the run at the reference step 0.0001
+    assert str(rep).splitlines() == [
+        "     delta  expectations             max amp deviation",
+        "      0.01  0.145000 0.145000        9.900e-03",
+        "     0.001  0.145100 0.145100        9.000e-04",
+        "two-digit results at delta 0.01 vs 0.001: agree"]
 
 
 @pytest.mark.parametrize("method", list(BLOCKS))
@@ -389,6 +397,22 @@ def test_axes_and_senses_of_one_pulse_share_a_class():
     for own in (eo.replace(phi_x=0.3), eo.replace(sf2x=-eo.sf2x),
                 eo.replace(h1x=1e-3), ideal_eo_params("Ip")):
         assert _z_class(own) == (own, 0)
+
+
+@pytest.mark.parametrize("shift", [0.3, 1.0])
+def test_rotating_pulse_off_a_quarter_turn_is_its_own_class(shift):
+    """A rotating EO whose phi_x is no whole number of quarter turns is
+    its own class (q = 0), and its propagator is still the conjugate the
+    module docstring states, taken at its phase shift: U(eo) = Z U(eo0)
+    Z^dagger with Z = exp(i shift S^z_tot), within 1e-11."""
+    base = pulse_eo("X2")
+    eo = base.replace(phi_x=base.phi_x + shift, phi_y=base.phi_y + shift)
+    assert eo.is_rotating
+    assert _z_class(eo) == (eo, 0)
+    z = np.diag([np.exp(1j * shift), 1, 1, np.exp(-1j * shift)])
+    clear_propagator_cache()
+    assert np.max(np.abs(eo_propagator(eo)
+                         - z @ eo_propagator(base) @ z.conj().T)) < 1e-11
 
 
 _NEAR_MISSES = {

@@ -1,7 +1,9 @@
-"""Property-based tests: spec serialization, the batched harness, table
+"""Property-based tests: spec serialization, the batched harness, the
+spec and the builders taking one domain per program parameter, table
 JSON against json.dumps, the folded pulse propagators (static pulses
 folded by quarter periods among them) and the stacked rotating and
 static kernels."""
+import argparse
 import json
 from unittest import mock
 
@@ -9,15 +11,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ExperimentSpec, MachineConfig, design_pulse, eo_propagator,
-                   run_experiment)
+from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
+                   build_qa, design_pulse, eo_propagator, run_experiment)
 import nmrqc.integrator
-from nmrqc.harness import ResultTable, _offset_label
+from nmrqc.cli import build_parser
+from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
 from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _fold,
                               _product_formula_block, _stepped_propagator,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
-from nmrqc.programs import INPUT_SPECS, STYLES, Program, program_unitaries
+from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, INPUT_SPECS, STYLES,
+                            Program, program_unitaries)
 
 from conftest import (BLOCKS, PROPAGATORS, chained_reference, json_reference,
                       per_row_reference)
@@ -72,6 +76,76 @@ def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
     assert (table.row_labels, table.col_labels) == (rows, cols)
     assert table.cells == cells
     assert table.ideal == ideal
+
+
+# Each program parameter: the spec field holding it, the spec's stored
+# value, and a builder that takes it.
+_PARAMETERS = {
+    "cnot_variant": (lambda v: ExperimentSpec(cnot_variant=v),
+                     lambda spec: spec.cnot_variant,
+                     lambda v: build_qa("00", cnot_variant=v)),
+    "items": (lambda v: ExperimentSpec(kind="grover", items=(v,)),
+              lambda spec: spec.items[0], build_grover),
+    "k_list": (lambda v: ExperimentSpec(k_list=(v,)), lambda spec: spec.k_list[0],
+               lambda v: build_qa("00", k=v)),
+    "style": (lambda v: ExperimentSpec(style=v), lambda spec: spec.style,
+              lambda v: build_qa("00", style=v)),
+    "final_rotation_style": (lambda v: ExperimentSpec(final_rotation_style=v),
+                             lambda spec: spec.final_rotation_style,
+                             lambda v: build_qa("singlet", final_rotation_style=v)),
+}
+
+# Values in and out of every domain: integers, whole and fractional
+# floats, bools and strings, the domains' own among them.
+_values = (st.integers(-2, 6) | st.integers(-2, 6).map(float) | st.floats(-2.0, 6.0)
+           | st.booleans() | st.text(max_size=3)
+           | st.sampled_from(STYLES + FINAL_ROTATION_STYLES + INPUT_SPECS))
+
+
+def _accepted(call, value):
+    """(True, the result) if call(value) accepts the value, else (False, None)."""
+    try:
+        return True, call(value)
+    except ConfigurationError:
+        return False, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(parameter=st.sampled_from(sorted(_PARAMETERS)), value=_values)
+@example(parameter="cnot_variant", value=True)
+@example(parameter="cnot_variant", value=2.0)
+@example(parameter="items", value=True)
+@example(parameter="items", value=2.0)
+@example(parameter="k_list", value=1.5)
+@example(parameter="k_list", value=True)
+def test_the_spec_and_the_builders_agree(parameter, value):
+    """The spec accepts a value exactly when the builder accepts the value
+    the spec stores (a whole float as its int); the builder accepts
+    nothing the spec refuses, and the spec stores what it accepts from
+    the builder unchanged."""
+    make_spec, stored, build = _PARAMETERS[parameter]
+    spec_ok, spec = _accepted(make_spec, value)
+    built_ok, _ = _accepted(build, value)
+    if spec_ok:
+        assert type(stored(spec)) in (int, str) and stored(spec) == value
+        assert _accepted(build, stored(spec))[0]
+    assert spec_ok or not built_ok
+    if built_ok:
+        assert type(stored(spec)) is type(value)
+
+
+def test_the_cli_choices_are_the_domains():
+    (commands,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    domains = {"format": FORMATS, "final_rotation_style": FINAL_ROTATION_STYLES,
+               "kind": KINDS, "variant": CNOT_VARIANTS}
+    seen = set()
+    for command in ("run", "tables", "sweep"):
+        for action in commands[command]._actions:
+            if action.dest in domains:
+                assert tuple(action.choices) == domains[action.dest]
+                seen.add(action.dest)
+    assert seen == set(domains)
 
 
 # Table text: quotes, backslashes, control characters, non-ASCII text

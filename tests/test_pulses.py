@@ -119,6 +119,10 @@ def test_angle_domain():
         design_pulse(3, np.pi, "x", k=1)
     with pytest.raises(ConfigurationError):
         design_pulse(1, np.pi, "x", k=0)
+    with pytest.raises(ConfigurationError, match="mode must be one of"):
+        design_pulse(1, np.pi, "x", mode="circular")
+    with pytest.raises(ConfigurationError, match="direction must be"):
+        design_pulse(1, np.pi, "x", direction=2)
 
 
 def test_commensurability_margin_values():
@@ -199,6 +203,8 @@ def test_spectator_rejects_an_eo_resonant_with_neither_spin():
 def test_commensurability_check_default_pair():
     rep = commensurability_check_n([1, Fraction(1, 4)])
     assert rep.k1 == 4
+    # a frequency may be a (numerator, denominator) pair
+    assert commensurability_check_n([(2, 2), (1, 4)]) == rep
 
 
 def test_commensurability_check_equal_frequencies():
@@ -227,3 +233,11 @@ def test_commensurability_check_three_spins_vs_bruteforce():
 def test_commensurability_check_rejects_floats():
     with pytest.raises(ConfigurationError):
         commensurability_check_n([1.0, 0.25])
+
+
+def test_commensurability_check_rejects_a_lone_or_non_positive_base():
+    with pytest.raises(ConfigurationError, match="at least two frequencies"):
+        commensurability_check_n([(1, 4)])
+    for base in (0, (-1, 2)):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            commensurability_check_n([base, 1])
