@@ -17,21 +17,24 @@ so float() of any of them gives the cell back exactly.  JSON keeps the
 layout json.dumps gives the payload with an indent of 2 and sorted keys,
 byte for byte, written without json's pure-Python indenting encoder.
 
-Rows that run the same program share it: in each column, all basis-state
-rows of a QA suite run one QA1 program and the singlet row QA2, while
-every search item is its own program.  Each program is built once per
-k, and each offset column shifts it (``programs.with_duration_offset``).
+A table row is its label, its input and its program (``_rows``, the one
+map from a spec's rows to them), and rows that run the same program
+share its builder: all basis-state rows of a QA suite run one QA1
+program and the singlet row QA2, while every search item is its own
+program.  Each builder is called once per k, and each offset column
+shifts its program once (``programs.with_duration_offset``).
 
-A table builds all of its programs before it runs any.  One stacked
-walk (``programs.program_states``) then carries the input row of every
-cell through its program's steps, looking each distinct propagator up
-once; on a cold table it integrates every rotating pulse of the table
-in one stack, and every static single-axis pulse of each drive
-frequency in stacks capped in size.  No program's unitary is formed: a
-unitary is the same walk started from the identity.  One batched
-product applies each row's memoized ideal unitary to its first input,
-and one readout of the walk's rows and those gives the cells and the
-ideal values.
+A table builds all of its programs before it runs any; a cell is its
+row label, column, input and program.  One stacked walk
+(``programs.program_states``), handed each distinct program once, then
+carries the input row of every cell through its program's steps,
+looking each distinct propagator up once; on a cold table it
+integrates every rotating pulse of the table in one stack, and every
+static single-axis pulse of each drive frequency in stacks capped in
+size.  No program's unitary is formed: a unitary is the same walk
+started from the identity.  One batched product applies each row's
+memoized ideal unitary to its first input, and one readout of the
+walk's rows and those gives the cells and the ideal values.
 
 Verification is one list, CHECKS, of named checks, each judged with the
 tolerance it prints: the ideal baseline, the integrator's numerical
@@ -137,18 +140,12 @@ class ExperimentSpec:
                 f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind, "style": self.style,
-            "cnot_variant": self.cnot_variant, "inputs": list(self.inputs),
-            "items": list(self.items), "k_list": list(self.k_list),
-            "delta": self.delta,
-            "final_rotation_style": self.final_rotation_style,
-            "perturb_label": self.perturb_label,
-            "machine": self.machine.to_dict(), "title": self.title,
-        }
-        if self.tau_offsets is not None:
-            d["tau_offsets"] = list(self.tau_offsets)
-        return d
+        """Every field that is set, a tuple as a list and the machine as
+        its own dict."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else
+                v.to_dict() if isinstance(v, MachineConfig) else v
+                for name, v in values if v is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -312,53 +309,28 @@ def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
     return _RENDER[check_choice(fmt, "format", FORMATS)](table)
 
 
-def _program_groups(spec: ExperimentSpec):
-    """(row keys, their input specs, k -> Program) per program the rows share.
-
-    A QA program follows from its input (``build_qa``), so the
-    basis-state rows of a QA suite all run the QA1 program of the first
-    of them, and the singlet row runs QA2; every search item is its own
-    program on |00>.
-    """
-    if spec.kind == "grover":
-        return [((str(i),), ("00",),
-                 partial(build_grover, i, style=spec.style, machine=spec.machine,
-                         delta=spec.delta))
-                for i in spec.items]
-    groups = (tuple(r for r in spec.inputs if r != "singlet"),
-              tuple(r for r in spec.inputs if r == "singlet"))
-    return [(rows, rows, partial(build_qa, rows[0], cnot_variant=spec.cnot_variant,
-                                 style=spec.style, machine=spec.machine,
-                                 delta=spec.delta,
-                                 final_rotation_style=spec.final_rotation_style))
-            for rows in groups if rows]
-
-
-def _record(table: ResultTable, labels: dict, runs) -> None:
-    """Run every (column, row keys, inputs, program) of a table in one walk.
+def _record(table: ResultTable, runs) -> None:
+    """Run every (row label, column, input, program) cell of a table in
+    one walk.
 
     program_states carries the input row of every cell through the
-    steps of its program, all cells in one walk; one batched product
-    applies each row's ideal unitary to the input of the row's first
-    cell, and one readout of both stacks gives the cells and the rows'
-    ideal values.
+    steps of its program, each distinct program handed over once; one
+    batched product applies each row's ideal unitary to the input of
+    the row's first cell, and one readout of both stacks gives the cells
+    and the rows' ideal values.
     """
-    programs = [program for *_, program in runs]
-    which, specs, cells = [], [], []           # one entry per table cell
-    first = {}                                 # row -> index of its first cell
-    for p, (col, keys, inputs, _) in enumerate(runs):
-        for key, spec in zip(keys, inputs):
-            first.setdefault(labels[key], len(cells))
-            which.append(p)
-            specs.append(spec)
-            cells.append((labels[key], col))
+    labels, cols, specs, programs = zip(*runs)
+    index = {}                                 # id -> index of a distinct program
+    which = [index.setdefault(id(p), len(index)) for p in programs]
+    first = {label: labels.index(label) for label in dict.fromkeys(labels)}
     states = input_amplitudes(specs)
-    at = list(first.values())
-    ideals = np.array([programs[which[i]].ideal_unitary for i in at])
-    values = readout(np.concatenate([program_states(programs, which, states),
-                                     (ideals @ states[at, :, None])[..., 0]]))
-    table.cells.update(zip(cells, values))
-    table.ideal.update(zip(first, values[len(cells):]))
+    at = list(first.values())                  # each row's first cell
+    ideals = np.array([programs[c].ideal_unitary for c in at])
+    values = readout(np.concatenate([
+        program_states(list({id(p): p for p in programs}.values()), which, states),
+        (ideals @ states[at, :, None])[..., 0]]))
+    table.cells.update(zip(zip(labels, cols), values))
+    table.ideal.update(zip(first, values[len(runs):]))
 
 
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
@@ -368,11 +340,25 @@ def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
     return base
 
 
-def _rows(spec: ExperimentSpec) -> list[tuple[str, str]]:
-    """(row key, row label) of every table row, in table order."""
-    if spec.kind == "qa":
-        return [(r, _qa_row_label(spec, r)) for r in spec.inputs]
-    return [(str(i), str(i)) for i in spec.items]
+def _rows(spec: ExperimentSpec) -> list[tuple]:
+    """(row key, row label, input, k -> Program) of every table row, in
+    table order.
+
+    Rows that run one program share one builder: a QA program follows
+    from its input (``build_qa``), so the basis-state rows of a QA suite
+    all run the QA1 program of the first of them, and the singlet row
+    runs QA2; every search item is its own program on |00>.
+    """
+    options = dict(style=spec.style, machine=spec.machine, delta=spec.delta)
+    if spec.kind == "grover":
+        return [(str(i), str(i), "00", partial(build_grover, i, **options))
+                for i in spec.items]
+    qa = partial(build_qa, cnot_variant=spec.cnot_variant,
+                 final_rotation_style=spec.final_rotation_style, **options)
+    first = {r == "singlet": r for r in reversed(spec.inputs)}   # each kind's first input
+    builders = {singlet: partial(qa, r) for singlet, r in first.items()}
+    return [(r, _qa_row_label(spec, r), r, builders[r == "singlet"])
+            for r in spec.inputs]
 
 
 def _durations(spec: ExperimentSpec) -> dict[int, str]:
@@ -410,18 +396,19 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
     table = ResultTable(
         title=spec.title or title,
         row_header="Operation" if spec.kind == "qa" else "Item position",
-        row_labels=[label for _, label in rows],
+        row_labels=[row[1] for row in rows],
         col_labels=[col for col, _, _ in columns])
-    groups = _program_groups(spec)
-    built = {}   # k -> (row keys, inputs, program) per group
-    runs = []
+    builders = dict.fromkeys(row[-1] for row in rows)   # distinct, in row order
+    built, runs = {}, []   # k -> {builder: Program}; one run per cell
     for col, k, offset in columns:
         if k not in built:
-            built[k] = [(keys, inputs, build(k=k)) for keys, inputs, build in groups]
-        runs += [(col, keys, inputs, program if offset == 0.0 else
-                  with_duration_offset(program, spec.perturb_label, offset))
-                 for keys, inputs, program in built[k]]
-    _record(table, dict(rows), runs)
+            built[k] = {build: build(k=k) for build in builders}
+        programs = built[k] if offset == 0.0 else {
+            build: with_duration_offset(p, spec.perturb_label, offset)
+            for build, p in built[k].items()}
+        runs += [(label, col, input_spec, programs[build])
+                 for _, label, input_spec, build in rows]
+    _record(table, runs)
     return table
 
 
@@ -561,7 +548,7 @@ def _published_failures(name: str, tol: float, notes: list) -> tuple[bool, str]:
     """
     spec = canned_spec(name)
     table = run_experiment(spec)
-    label = dict(_rows(spec))
+    label = {key: label for key, label, *_ in _rows(spec)}
     reference, cols, substitutes = _published(name)
     fails = compare_against_reference(table, reference, label.__getitem__, cols, tol,
                                       substitutes.keys())

@@ -31,8 +31,14 @@ convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report runs one program of EOs per step size through
 them and compares their prints by round2, the rounding every table
-prints with.  Builders take a style name, k and a machine, whose field ratio
-sets the duration of every pulse.
+prints with.
+
+A program kind is a gate list: build_cnot, build_qa and build_grover
+each state their list, their name and their input, and one builder
+(_build) realizes it, taking a style name, k and a machine, whose field
+ratio sets the duration of every pulse.  It alone checks style and k,
+expands the gates and attaches the list's ideal unitary; QA2's exact
+final rotation is its one special case.
 
 Each parameter that picks a program has one domain here (STYLES,
 CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES) and one
@@ -191,16 +197,29 @@ def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray
     return frozen_unitary(compose(reversed(names), machine))
 
 
+def _build(name: str, names: tuple[str, ...], style: str, k: int,
+           machine: MachineConfig, delta: float, input_spec: str = "00",
+           exact_last: bool = False) -> Program:
+    """The program of a gate list, names in application order, with the
+    ideal unitary of the list, named by `name` followed by its style and
+    k ('QA1[CNOT1,' gives 'QA1[CNOT1,ideal,k=1]'): the one place that
+    checks style and k and expands gates.  exact_last runs the last gate
+    as its ideal EO without coupling, which is exact to rounding."""
+    style, k = check_style(style), check_k(k)
+    steps = _expand(names[:-1] if exact_last else names, style, k, machine, delta)
+    if exact_last:
+        steps += (ideal_eo_params(names[-1], machine).replace(j=0.0),)
+    return Program(name=f"{name}{style},k={k}]", steps=steps, input_spec=input_spec,
+                   ideal_unitary=_ideal_unitary(names, machine))
+
+
 def build_cnot(variant: int, style: str, k: int = 1,
                machine: MachineConfig = DEFAULT_MACHINE,
                delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
     """One controlled-NOT realization (variant one of CNOT_VARIANTS)."""
-    variant, style, k = check_variant(variant), check_style(style), check_k(k)
-    names = CNOT_SEQUENCES[variant]
-    return Program(name=f"CNOT{variant}[{style},k={k}]",
-                   steps=_expand(names, style, k, machine, delta),
-                   input_spec=input_spec,
-                   ideal_unitary=_ideal_unitary(names, machine))
+    variant = check_variant(variant)
+    return _build(f"CNOT{variant}[", CNOT_SEQUENCES[variant], style, k, machine,
+                  delta, input_spec)
 
 
 def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
@@ -215,30 +234,20 @@ def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     executed in the program's own style, `final_rotation_style="exact"`
     substitutes the ideal EO without coupling, which is exact to rounding.
     """
-    variant, style, k = check_variant(cnot_variant), check_style(style), check_k(k)
+    variant = check_variant(cnot_variant)
     exact = check_final_rotation_style(final_rotation_style) == "exact"
-    names = CNOT_SEQUENCES[variant] * 5
-    steps = _expand(names, style, k, machine, delta)
-    qa = "QA1"
-    if input_spec == "singlet":
-        qa, names = "QA2", names + ("Y1",)
-        steps += (ideal_eo_params("Y1", machine).replace(j=0.0) if exact
-                  else _gate_step("Y1", style, k, machine, delta),)
-    return Program(name=f"{qa}[CNOT{variant},{style},k={k}]",
-                   steps=steps, input_spec=input_spec,
-                   ideal_unitary=_ideal_unitary(names, machine))
+    singlet = input_spec == "singlet"
+    return _build(f"QA{1 + singlet}[CNOT{variant},",
+                  CNOT_SEQUENCES[variant] * 5 + ("Y1",) * singlet, style, k,
+                  machine, delta, input_spec, exact and singlet)
 
 
 def build_grover(item: int, style: str = IDEAL, k: int = 1,
                  machine: MachineConfig = DEFAULT_MACHINE,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
-    item, style, k = check_item(item), check_style(style), check_k(k)
     names = tuple(reversed(grover_sequence(item)))  # application order
-    return Program(name=f"Grover{item}[{style},k={k}]",
-                   steps=_expand(names, style, k, machine, delta),
-                   input_spec="00",
-                   ideal_unitary=_ideal_unitary(names, machine))
+    return _build(f"Grover{item}[", names, style, k, machine, delta)
 
 
 def input_amplitudes(input_specs) -> np.ndarray:

@@ -158,9 +158,8 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     stay on during the pulse.
     """
     axis, axis_dir = parse_axis(axis)
-    direction = axis_dir if direction is None else direction * axis_dir
-    if direction not in (-1, +1):
-        raise ConfigurationError(f"direction must be +1 or -1, got {direction}")
+    direction = axis_dir * (1 if direction is None
+                            else check_choice(direction, "direction", (-1, 1)))
     if not 0.0 <= angle <= 2.0 * TWO_PI + 1e-12:
         raise ConfigurationError(
             f"angle must lie in [0, 4*pi], got {angle!r}")
@@ -254,13 +253,23 @@ class CommensurabilityReport:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
+    """A frequency as a positive Fraction: an integer (not a bool), a
+    Fraction, a string Fraction reads or a (numerator, denominator) pair
+    of integers; ConfigurationError for anything else."""
+    try:
+        if type(value) is tuple and len(value) == 2 and all(map(is_integer, value)):
+            frac = Fraction(*value)
+        elif is_integer(value) or isinstance(value, (Fraction, str)):
+            frac = Fraction(value)
+        else:
+            raise TypeError
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ConfigurationError(
-            f"frequencies must be exact rationals (int, Fraction, str or "
-            f"(num, den)); got float {value!r}")
-    if isinstance(value, tuple):
-        return Fraction(value[0], value[1])
-    return Fraction(value)
+            "frequencies must be exact rationals (int, Fraction, str or (num, "
+            f"den) of ints); got {type(value).__name__} {value!r}") from None
+    if frac <= 0:
+        raise ConfigurationError(f"frequencies must be positive, got {value!r}")
+    return frac
 
 
 def commensurability_check_n(frequencies) -> CommensurabilityReport:
@@ -269,14 +278,16 @@ def commensurability_check_n(frequencies) -> CommensurabilityReport:
     Writing each ratio f_j/f_1 = N_j/M_j in lowest terms, pulse schedules
     exist only when k1 (M_j - N_j) = M_j n_j has integer solutions for
     all j, i.e. k1 must be a multiple of every M_j.  Equal frequencies
-    impose no constraint.
+    impose no constraint.  Each frequency must be a positive exact
+    rational (``_as_fraction``).
     """
+    if not isinstance(frequencies, (list, tuple)):
+        raise ConfigurationError(
+            f"frequencies must be a list, got {type(frequencies).__name__}")
     fracs = [_as_fraction(f) for f in frequencies]
     if len(fracs) < 2:
         raise ConfigurationError("need at least two frequencies")
     base = fracs[0]
-    if base <= 0:
-        raise ConfigurationError("frequencies must be positive")
     k1 = 1
     constraints = []
     for jdx, f in enumerate(fracs[1:], start=2):

@@ -121,8 +121,9 @@ def test_angle_domain():
         design_pulse(1, np.pi, "x", k=0)
     with pytest.raises(ConfigurationError, match="mode must be one of"):
         design_pulse(1, np.pi, "x", mode="circular")
-    with pytest.raises(ConfigurationError, match="direction must be"):
-        design_pulse(1, np.pi, "x", direction=2)
+    for direction in (2, True, 1.0):   # checked before the axis sign applies
+        with pytest.raises(ConfigurationError, match="direction must be"):
+            design_pulse(1, np.pi, "x", direction=direction)
 
 
 def test_commensurability_margin_values():
@@ -241,3 +242,17 @@ def test_commensurability_check_rejects_a_lone_or_non_positive_base():
     for base in (0, (-1, 2)):
         with pytest.raises(ConfigurationError, match="must be positive"):
             commensurability_check_n([base, 1])
+    # every frequency must be positive, not only the base
+    for bad in ("-1/4", (2, -8), 0):
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            commensurability_check_n([1, bad])
+    # no other error gets out, and nothing is read as something else: a
+    # bool, a tuple that is no pair of integers with a non-zero
+    # denominator, a string Fraction cannot read, any other type
+    for freqs in ([(1, 0), 1], ["1", "1/0"], ["abc", 1], [1, (1.5, 2)], [1, None],
+                  [1, (1, 2, 3)], [1, True], [True, 1], [1, (1, True)], [1, [1, 4]]):
+        with pytest.raises(ConfigurationError, match="exact rationals"):
+            commensurability_check_n(freqs)
+    for freqs in ("14", 5, None, {1: 2, 4: 5}):   # no list: not read item by item
+        with pytest.raises(ConfigurationError, match="must be a list"):
+            commensurability_check_n(freqs)
