@@ -21,20 +21,32 @@ A table row is its label, its input and its program (``_rows``, the one
 map from a spec's rows to them), and rows that run the same program
 share its builder: all basis-state rows of a QA suite run one QA1
 program and the singlet row QA2, while every search item is its own
-program.  Each builder is called once per k, and each offset column
-shifts its program once (``programs.with_duration_offset``).
+program.  Compiling a table calls each builder once per k, and each
+offset column shifts its program once (``programs.with_duration_offset``).
 
-A table builds all of its programs before it runs any; a cell is its
-row label, column, input and program.  One stacked walk
-(``programs.program_states``), handed each distinct program once, then
-carries the input row of every cell through its program's steps,
-looking each distinct propagator up once; on a cold table it
-integrates every rotating pulse of the table in one stack, and every
-static single-axis pulse of each drive frequency in stacks capped in
-size.  No program's unitary is formed: a unitary is the same walk
-started from the identity.  One batched product applies each row's
-memoized ideal unitary to its first input, and one readout of the
-walk's rows and those gives the cells and the ideal values.
+A table is compiled once per spec object and run on every call.  The
+first run_experiment of an ExperimentSpec compiles its table
+(``_compile``) and keeps it on that object (``ExperimentSpec._compiled``,
+a cached property: it goes by the object, not by equality, so a new
+spec, even an equal one, compiles again, and the command line, which
+hands run_experiment a new spec per command, compiles every time).  A
+compiled table is what the spec alone decides: the title, header and
+labels; the (row, column) key and the input row of every cell, a cell
+being its row, its column and the program the two give; each row's
+ideal output row, its memoized ideal unitary applied to its first
+cell's input, all rows in one batched product; and the walk of every
+cell through its program in compiled form (``programs.compile_walk``),
+each distinct program handed over once.  It keeps no propagator, cell
+or text, so clearing the propagator store leaves it valid.  Every run
+does what the store decides (``programs.run_walk``): it has the
+table's EOs integrated if missing, looks each distinct propagator up
+once (on a cold table every rotating pulse is integrated in one stack,
+and every static single-axis pulse of each drive frequency in stacks
+capped in size), and carries the input row of every cell through its
+program's steps; one readout of those rows and the ideal rows then
+fills a new ResultTable, whose lists and dicts are its own.  No
+program's unitary is formed: a unitary is the same walk started from
+the identity.
 
 Verification is one list, CHECKS, of named checks, each judged with the
 tolerance it prints: the ideal baseline, the integrator's numerical
@@ -48,20 +60,20 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import reference_tables as ref
 from .errors import ConfigurationError, check_choice
-from .hamiltonian import DEFAULT_MACHINE, MachineConfig, is_finite_number
+from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
 from .integrator import check_delta, eo_propagator, oracle_propagator
 from .programs import (CNOT_VARIANTS, IDEAL, INPUT_SPECS, ROTATING_SF, SEARCH_ITEMS,
                        STATIC_SF, _gate_step, build_cnot, build_grover, build_qa,
                        check_final_rotation_style, check_input, check_item,
-                       check_style, check_variant, convergence_report,
-                       input_amplitudes, program_states, readout, round2,
-                       run_inputs, run_program, with_duration_offset)
+                       check_style, check_variant, compile_walk, convergence_report,
+                       input_amplitudes, readout, round2, run_inputs, run_program,
+                       run_walk, with_duration_offset)
 from .pulses import (PULSE_DELTA, ROTATING, STATIC_AXIS, RationalGamma, check_k,
                      commensurability_margin, hypothetical_durations)
 
@@ -146,6 +158,12 @@ class ExperimentSpec:
         return {name: list(v) if isinstance(v, tuple) else
                 v.to_dict() if isinstance(v, MachineConfig) else v
                 for name, v in values if v is not None}
+
+    @cached_property
+    def _compiled(self) -> "_CompiledTable":
+        """The spec's table, compiled on the first run of this object
+        (``_compile``); a new object, even an equal one, compiles again."""
+        return _compile(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
@@ -309,30 +327,6 @@ def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
     return _RENDER[check_choice(fmt, "format", FORMATS)](table)
 
 
-def _record(table: ResultTable, runs) -> None:
-    """Run every (row label, column, input, program) cell of a table in
-    one walk.
-
-    program_states carries the input row of every cell through the
-    steps of its program, each distinct program handed over once; one
-    batched product applies each row's ideal unitary to the input of
-    the row's first cell, and one readout of both stacks gives the cells
-    and the rows' ideal values.
-    """
-    labels, cols, specs, programs = zip(*runs)
-    index = {}                                 # id -> index of a distinct program
-    which = [index.setdefault(id(p), len(index)) for p in programs]
-    first = {label: labels.index(label) for label in dict.fromkeys(labels)}
-    states = input_amplitudes(specs)
-    at = list(first.values())                  # each row's first cell
-    ideals = np.array([programs[c].ideal_unitary for c in at])
-    values = readout(np.concatenate([
-        program_states(list({id(p): p for p in programs}.values()), which, states),
-        (ideals @ states[at, :, None])[..., 0]]))
-    table.cells.update(zip(zip(labels, cols), values))
-    table.ideal.update(zip(first, values[len(runs):]))
-
-
 def _qa_row_label(spec: ExperimentSpec, input_spec: str) -> str:
     base = f"(CNOT{spec.cnot_variant})^5|{input_spec}>"
     if input_spec == "singlet":
@@ -385,31 +379,85 @@ def _columns(spec: ExperimentSpec, s: dict[int, str]) -> list[tuple[str, int, fl
     return [(label, k, 0.0) for k, label in s.items()]
 
 
-def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    """Execute the grid and tabulate (a, b) per (row, column)."""
+@dataclass(frozen=True)
+class _CompiledTable:
+    """What a spec's table is before any propagator is looked up
+    (``_compile``): its text, the (row, column) key and input row of
+    every cell, in column then row order, each row's ideal output row,
+    and the walk of every cell's input through its program
+    (``programs.compile_walk``).  Its arrays are read-only."""
+
+    title: str
+    row_header: str
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+    keys: tuple[tuple[str, str], ...]
+    inputs: np.ndarray           # (C, 4, 1)
+    ideal: np.ndarray            # (R, 4)
+    eos: tuple[EOParams, ...]
+    gather: np.ndarray           # (step position, C)
+
+
+def _compile(spec: ExperimentSpec) -> _CompiledTable:
+    """The spec's table, compiled.
+
+    Each distinct builder of the rows (``_rows``) is called once per k,
+    and each offset column shifts its programs once; a cell is its row,
+    its column and the program the two give, and each distinct program
+    is handed to compile_walk once, so the walk's work stays per
+    program.  Each row's ideal output is its memoized ideal unitary
+    applied to the input of its first cell, all rows in one batched
+    product.
+    """
     rows = _rows(spec)
     s = _durations(spec)
     columns = _columns(spec, s)
     title = (f"{spec.kind}:{spec.style}" if spec.tau_offsets is None
              else "duration perturbation (ideal)" if spec.style == IDEAL
              else f"duration perturbation (s={', '.join(s.values())})")
-    table = ResultTable(
-        title=spec.title or title,
-        row_header="Operation" if spec.kind == "qa" else "Item position",
-        row_labels=[row[1] for row in rows],
-        col_labels=[col for col, _, _ in columns])
     builders = dict.fromkeys(row[-1] for row in rows)   # distinct, in row order
-    built, runs = {}, []   # k -> {builder: Program}; one run per cell
-    for col, k, offset in columns:
+    built, programs = {}, []   # k -> {builder: Program}; one program per cell
+    for _, k, offset in columns:
         if k not in built:
             built[k] = {build: build(k=k) for build in builders}
-        programs = built[k] if offset == 0.0 else {
+        column = built[k] if offset == 0.0 else {
             build: with_duration_offset(p, spec.perturb_label, offset)
             for build, p in built[k].items()}
-        runs += [(label, col, input_spec, programs[build])
-                 for _, label, input_spec, build in rows]
-    _record(table, runs)
-    return table
+        programs += [column[row[-1]] for row in rows]
+    index = {}                                 # id -> index of a distinct program
+    which = [index.setdefault(id(p), len(index)) for p in programs]
+    eos, gather = compile_walk(list({id(p): p for p in programs}.values()), which)
+    inputs = input_amplitudes([row[2] for row in rows] * len(columns))[..., None]
+    ideals = np.array([p.ideal_unitary for p in programs[:len(rows)]])
+    ideal = (ideals @ inputs[:len(rows)])[..., 0]   # the first column's cells
+    for a in (inputs, ideal):
+        a.setflags(write=False)
+    row_labels = tuple(row[1] for row in rows)
+    col_labels = tuple(col for col, _, _ in columns)
+    return _CompiledTable(
+        title=spec.title or title,
+        row_header="Operation" if spec.kind == "qa" else "Item position",
+        row_labels=row_labels, col_labels=col_labels,
+        keys=tuple((r, c) for c in col_labels for r in row_labels),
+        inputs=inputs, ideal=ideal, eos=eos, gather=gather)
+
+
+def run_experiment(spec: ExperimentSpec) -> ResultTable:
+    """Execute the grid and tabulate (a, b) per (row, column).
+
+    The spec object's compiled table (``ExperimentSpec._compiled``) is
+    walked on the propagator store as it stands: its EOs integrated if
+    missing and each looked up once, every cell's input carried through
+    its program, and one readout of the cells and the rows' ideal rows
+    fills a new table.
+    """
+    t = spec._compiled
+    values = readout(np.concatenate([run_walk(t.eos, t.gather, t.inputs)[..., 0],
+                                     t.ideal]))
+    return ResultTable(title=t.title, row_header=t.row_header,
+                       row_labels=list(t.row_labels), col_labels=list(t.col_labels),
+                       ideal=dict(zip(t.row_labels, values[len(t.keys):])),
+                       cells=dict(zip(t.keys, values)))
 
 
 # ----------------------------------------------------------------------

@@ -470,10 +470,11 @@ def _exact_diagonal_propagators(eos) -> np.ndarray:
     """Per diagonal EO of a stack, its closed-form propagator."""
     with np.errstate(over="ignore", invalid="ignore"):
         phase = TWO_PI * np.array([[e.tau] for e in eos]) * _Drives(eos, None).ez
-    for eo, p in zip(eos, phase):
-        if not np.isfinite(p).all():
-            raise ConfigurationError(f"duration {eo.tau!r} is too long: its "
-                                     "phase is not finite")
+    finite = np.isfinite(phase).all(axis=1)
+    if not finite.all():
+        eo = eos[int(np.argmin(finite))]   # the first whose phase is not
+        raise ConfigurationError(f"duration {eo.tau!r} is too long: its "
+                                 "phase is not finite")
     u = np.zeros((len(eos), 4, 4), dtype=complex)
     u[:, range(4), range(4)] = np.exp(-1j * phase)
     return u

@@ -16,13 +16,17 @@ there is no other kind of step.  Rewriting a program's EOs
 gives another program of EOs.
 
 There is one walk over program steps, and it walks a whole stack of
-programs at once: it has the integrator integrate their distinct EOs
+programs at once, in two parts.  compile_walk reads the programs alone:
+their distinct EOs in first-use order and, per step position, which of
+them each start block takes.  run_walk does what depends on the
+propagator store: it has the integrator integrate those EOs
 (``integrator.integrate``), so that the cold ones are integrated in
-stacks, looks each one up once, and carries a stack of start blocks
-through the steps, one batched product per step position.
-program_states starts it from input rows, one per cell, each carried
-step by step through its own program; program_unitaries is the same
-walk started from the identity.
+stacks, looks each one up once, and carries the start blocks through
+the steps, one batched product per step position.  A compiled walk
+holds no propagator, so it may be run again after the store is
+cleared.  program_states compiles and runs it from input rows, one per
+cell, each carried step by step through its own program;
+program_unitaries is the same walk started from the identity.
 
 A state is a row of four complex amplitudes, and a stack of states is
 an (R, 4) array.  input_amplitudes gives the exact rows of the named
@@ -314,8 +318,8 @@ def program_unitaries(programs) -> np.ndarray:
     unitary is bit-identical to multiplying its program's propagators
     one by one."""
     programs = list(programs)
-    return _walk(programs, range(len(programs)),
-                 np.broadcast_to(_EYE, (len(programs), 4, 4)))
+    return run_walk(*compile_walk(programs, range(len(programs))),
+                    np.broadcast_to(_EYE, (len(programs), 4, 4)))
 
 
 def program_states(programs, which, rows) -> np.ndarray:
@@ -323,22 +327,15 @@ def program_states(programs, which, rows) -> np.ndarray:
     through the steps of programs[which[c]], in one walk for all.  Each
     output row is bit-identical to applying the program's propagators to
     its input one by one."""
-    return _walk(programs, which, np.reshape(rows, (-1, 4, 1)))[..., 0]
+    return run_walk(*compile_walk(programs, which), np.reshape(rows, (-1, 4, 1)))[..., 0]
 
 
-def _walk(programs, which, starts) -> np.ndarray:
-    """starts[c], a (4, K) block, carried through programs[which[c]].
-
-    The walk first collects the distinct EOs of all the programs (each
-    step object read once, keyed by its id).  In chunks of at most the
-    store's size, so that no chunk evicts its own EOs, it has those not
-    stored yet integrated in stacks, each at its own step size, in one
-    call to ``integrate``, then looks each one up once, through
-    eo_propagator.  Every program becomes a row of indices into those
-    matrices, padded with the identity; each block takes its program's
-    row, and the blocks are carried through their steps in application
-    order, one batched product per step position.
-    """
+def compile_walk(programs, which) -> tuple[tuple[EOParams, ...], np.ndarray]:
+    """The walk of block c through programs[which[c]], in the form
+    run_walk takes: the distinct EOs of the programs, in first-use order
+    (each step object read once, keyed by its id), and a read-only
+    (step position, c) index into them, counted from 1, with 0 for the
+    identity that pads a shorter program."""
     programs = list(programs)  # keeps every step alive while keyed by id
     by_step, by_eo = {}, {}    # EO indices from 1; 0 is the identity
     rows = []
@@ -350,17 +347,33 @@ def _walk(programs, which, starts) -> np.ndarray:
                 i = by_step[id(step)] = by_eo.setdefault(step, len(by_eo) + 1)
             row.append(i)
         rows.append(row)
-    eos, mats = list(by_eo), [_EYE]
+    width = max(map(len, rows), default=0)
+    index = np.array([row + [0] * (width - len(row)) for row in rows],
+                     dtype=np.intp).reshape(len(rows), width)
+    gather = index[np.asarray(which, dtype=np.intp)].T
+    gather.setflags(write=False)
+    return tuple(by_eo), gather
+
+
+def run_walk(eos, gather, starts) -> np.ndarray:
+    """starts[c], a (4, K) block, carried through the steps gather[:, c]
+    indexes (``compile_walk``).
+
+    In chunks of at most the store's size, so that no chunk evicts its
+    own EOs, it has those not stored yet integrated in stacks, each at
+    its own step size, in one call to ``integrate``, then looks each one
+    up once, through eo_propagator.  The blocks are carried through
+    their steps in application order, one batched product per step
+    position.
+    """
+    mats = [_EYE]
     size = integrator._CACHE_SIZE
     for lo in range(0, len(eos), size):
         integrate(eos[lo:lo + size])
         mats += [eo_propagator(eo) for eo in eos[lo:lo + size]]
-    width = max(map(len, rows), default=0)
-    index = np.array([row + [0] * (width - len(row)) for row in rows],
-                     dtype=np.intp).reshape(len(rows), width)
     out = np.array(starts, dtype=complex)
     spare = np.empty_like(out)    # two buffers, so no product allocates
-    for factors in np.array(mats)[index[np.asarray(which, dtype=np.intp)].T]:
+    for factors in np.array(mats)[gather]:
         np.matmul(factors, out, out=spare)   # (C, 4, 4) @ (C, 4, K)
         out, spare = spare, out
     return out

@@ -38,7 +38,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ConfigurationError, check_choice, is_integer
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
+from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
 from .operators import TWO_PI
 
 ROTATING = "rotating"
@@ -147,6 +147,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     """The EO of the pulse rotating `target_spin` by `angle` about `axis`
     on `machine`, for its own field ratio N/M (RationalGamma.from_machine).
 
+    The angle is a real number (not a bool) in [0, 4*pi], in radians.
     Angles up to 4*pi are legal: a spin-1/2 returns to itself only after
     two full turns, and designs reduced modulo 2 turns (rather than 1)
     preserve the state-dependent sign.  The spectator-spin channel always
@@ -160,6 +161,8 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     axis, axis_dir = parse_axis(axis)
     direction = axis_dir * (1 if direction is None
                             else check_choice(direction, "direction", (-1, 1)))
+    if not is_finite_number(angle):
+        raise ConfigurationError(f"angle must be a finite number, got {angle!r}")
     if not 0.0 <= angle <= 2.0 * TWO_PI + 1e-12:
         raise ConfigurationError(
             f"angle must lie in [0, 4*pi], got {angle!r}")

@@ -226,22 +226,35 @@ _BATCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
 def test_run_experiment_matches_per_row_reference(case):
+    """The table equals its per-row reference, and so does a rerun of the
+    spec object, which reuses its compiled table, byte for byte in JSON,
+    whatever was done to the lists and dicts of the first table."""
     spec = ExperimentSpec(**_BATCH_CASES[case])
     table = run_experiment(spec)
     rows, cols, cells, ideal = per_row_reference(spec)
     assert (table.row_labels, table.col_labels) == (rows, cols)
     assert table.cells == cells
     assert table.ideal == ideal
+    text = emit_table(table, "json")
+    table.row_labels.reverse()
+    table.col_labels.append("+9")
+    table.cells.clear()
+    table.ideal.clear()
+    rerun = run_experiment(spec)
+    assert (rerun.row_labels, rerun.col_labels) == (rows, cols)
+    assert (rerun.cells, rerun.ideal) == (cells, ideal)
+    assert emit_table(rerun, "json") == text
 
 
 def _count_runs(monkeypatch):
-    """The program lists the harness passes to program_states, one per call."""
+    """The program lists the harness hands to compile_walk, one per
+    compiled table: each list holds the table's distinct programs."""
     import nmrqc.harness
     calls = []
-    walk = nmrqc.harness.program_states
-    monkeypatch.setattr(nmrqc.harness, "program_states",
-                        lambda ps, which, rows: calls.append(list(ps))
-                        or walk(calls[-1], which, rows))
+    walk = nmrqc.harness.compile_walk
+    monkeypatch.setattr(nmrqc.harness, "compile_walk",
+                        lambda ps, which: calls.append(list(ps))
+                        or walk(calls[-1], which))
     return calls
 
 
@@ -254,7 +267,9 @@ def _count_runs(monkeypatch):
 ])
 def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
     """Each group of rows builds its program once per k, and every program
-    of the table (one per column and group) runs once, in one stacked walk."""
+    of the table (one per column and group) runs once, in one stacked walk.
+    A rerun of the spec object builds and compiles nothing, and gives an
+    equal table."""
     import nmrqc.harness
     spec = ExperimentSpec(**fields)
     groups = (len(spec.items) if spec.kind == "grover"
@@ -265,10 +280,12 @@ def test_rows_sharing_a_program_run_it_once(fields, programs, monkeypatch):
         monkeypatch.setattr(nmrqc.harness, name,
                             lambda *a, _b=build, **kw: built.append(a) or _b(*a, **kw))
     calls = _count_runs(monkeypatch)
-    run_experiment(spec)
+    table = run_experiment(spec)
     assert len(built) == groups * len(spec.k_list)
     assert [len(ps) for ps in calls] == [programs]
     assert len({id(p) for p in calls[0]}) == programs
+    assert run_experiment(spec) == table
+    assert (len(built), len(calls)) == (groups * len(spec.k_list), 1)
 
 
 def _expected_stacks(keys) -> list:
@@ -332,12 +349,15 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     lookup wrapped as the benchmark traces it, a cold table through the
     command line and a warm duration study print what they print
     unwrapped, and the wrapper counts the misses and lookups the store
-    counts."""
+    counts.  A rerun of the spec object compiles nothing, and after the
+    store is cleared it misses every key again and integrates the same
+    stacks; every command-line run compiles its own spec."""
     import nmrqc.integrator
     calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
     nmrqc.integrator.clear_propagator_cache()
-    cold = run_experiment(canned_spec(name))
+    spec = replace(canned_spec(name))   # not compiled by an earlier test
+    cold = run_experiment(spec)
     (programs,) = calls
     keys = {eo for p in programs for eo in p.steps}
     assert (info().misses, info().hits) == (len(keys), 0)
@@ -349,10 +369,18 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
         assert sorted(kernel_calls) == expected[name]
 
     n_calls = len(kernel_calls)
-    warm = run_experiment(canned_spec(name))
+    seen = set(keys)
+    warm, counted, stored = _traced(monkeypatch, seen, lambda: run_experiment(spec))
     assert (info().misses, info().hits) == (len(keys), len(keys))
-    assert len(kernel_calls) == n_calls
-    assert warm.to_json() == cold.to_json()
+    assert counted == stored == (0, len(keys))
+    assert len(kernel_calls) == n_calls and len(calls) == 1
+    assert warm == cold and warm.to_json() == cold.to_json()
+
+    nmrqc.integrator.clear_propagator_cache()
+    again = run_experiment(spec)
+    assert (info().misses, info().hits) == (len(keys), 0)
+    assert sorted(kernel_calls[n_calls:]) == sorted(kernel_calls[:n_calls])
+    assert again.cells == cold.cells and len(calls) == 1
 
     out, seen = tmp_path / "table.json", set()
 
@@ -365,6 +393,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     nmrqc.integrator.clear_propagator_cache()
     text, counted, stored = _traced(monkeypatch, seen, cli)
     assert text == plain and counted == stored == (len(keys), len(keys))
+    assert text == cold.to_json() + "\n" and len(calls) == 3
 
     study = ExperimentSpec(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1))
     nmrqc.integrator.clear_propagator_cache()

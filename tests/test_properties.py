@@ -78,6 +78,37 @@ def test_batched_qa_table_equals_per_row_reference(inputs, k, variant, style):
     assert table.ideal == ideal
 
 
+# specs of short pulses, so that every example runs in milliseconds
+short_specs = st.builds(
+    _spec,
+    kind=st.sampled_from(["qa", "grover"]),
+    tau_offsets=st.none() | st.lists(st.sampled_from([-0.1, 0.0, 0.05]), min_size=1,
+                                     max_size=2, unique=True),
+    style=st.sampled_from(STYLES),
+    cnot_variant=st.sampled_from([1, 2, 3]),
+    inputs=st.lists(st.sampled_from(INPUT_SPECS), min_size=1, max_size=5,
+                    unique=True),
+    items=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    k_list=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2, unique=True),
+    delta=st.sampled_from([0.01, 0.02]),
+    final_rotation_style=st.sampled_from(["program", "exact"]),
+    perturb_label=st.sampled_from(["Ip", "Y2"]),
+    machine=st.sampled_from([MachineConfig(), MachineConfig(h1z=2.0, h2z=0.5)]),
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(short_specs)
+def test_a_spec_run_twice_equals_per_row_reference(spec):
+    """The first run of a spec object compiles its table and the second
+    reuses it; both equal the table built and run row by row."""
+    rows, cols, cells, ideal = per_row_reference(spec)
+    for _ in range(2):
+        table = run_experiment(spec)
+        assert (table.row_labels, table.col_labels) == (rows, cols)
+        assert (table.cells, table.ideal) == (cells, ideal)
+
+
 # Each program parameter: the spec field holding it, the spec's stored
 # value, and a builder that takes it.
 _PARAMETERS = {

@@ -121,6 +121,9 @@ def test_angle_domain():
         design_pulse(1, np.pi, "x", k=0)
     with pytest.raises(ConfigurationError, match="mode must be one of"):
         design_pulse(1, np.pi, "x", mode="circular")
+    for angle in (True, "1", None):   # no number, or a bool
+        with pytest.raises(ConfigurationError, match="angle must be a finite number"):
+            design_pulse(1, angle, "x")
     for direction in (2, True, 1.0):   # checked before the axis sign applies
         with pytest.raises(ConfigurationError, match="direction must be"):
             design_pulse(1, np.pi, "x", direction=direction)
