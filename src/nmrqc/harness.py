@@ -51,9 +51,10 @@ the identity.
 Verification is one list, CHECKS, of named checks, each judged with the
 tolerance it prints: the ideal baseline, the integrator's numerical
 properties, coupling off during pulses, one check per canned table
-against its published cells, the two pulse parameter sheets, the
-idealized-hardware EO sheet and the commensurability cases.  verify_suite (``nmrqc verify``) runs them in
-order, and the acceptance suite runs each as a test.
+against its published cells and ideal pairs, the two pulse parameter
+sheets, the idealized-hardware EO sheet and the commensurability cases.
+verify_suite (``nmrqc verify``) runs them in order, and the acceptance
+suite runs each as a test.
 """
 from __future__ import annotations
 
@@ -71,15 +72,11 @@ from .integrator import check_delta, eo_propagator, oracle_propagator
 from .programs import (CNOT_VARIANTS, IDEAL, INPUT_SPECS, ROTATING_SF, SEARCH_ITEMS,
                        STATIC_SF, _gate_step, build_cnot, build_grover, build_qa,
                        check_final_rotation_style, check_input, check_item,
-                       check_style, check_variant, compile_walk, convergence_report,
-                       input_amplitudes, readout, round2, run_inputs, run_program,
-                       run_walk, with_duration_offset)
+                       check_offset, check_style, check_variant, compile_walk,
+                       convergence_report, input_amplitudes, readout, round2,
+                       run_inputs, run_program, run_walk, with_duration_offset)
 from .pulses import (PULSE_DELTA, ROTATING, STATIC_AXIS, RationalGamma, check_k,
                      commensurability_margin, hypothetical_durations)
-
-# The pulses drive at the spins' z-fields; delta times the fastest of
-# them may not exceed this, i.e. at least two steps per drive period.
-MAX_DELTA_TIMES_DRIVE = 0.5
 
 KINDS = ("qa", "grover")   # a QA suite or a search table
 
@@ -144,12 +141,7 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"{name} share the {axis} label {', '.join(sorted(shared))}: "
                     "each entry needs a label of its own")
-        check_delta(self.delta)
-        fastest = max(abs(self.machine.h1z), abs(self.machine.h2z))
-        if self.delta * fastest > MAX_DELTA_TIMES_DRIVE:
-            raise ConfigurationError(
-                f"delta {self.delta} does not resolve the drive at frequency "
-                f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
+        check_delta(self.delta, self.machine)
 
     def to_dict(self) -> dict:
         """Every field that is set, a tuple as a list and the machine as
@@ -194,13 +186,6 @@ def _as_int(x):
     return int(x) if is_finite_number(x) and float(x).is_integer() else x
 
 
-def _finite(x) -> float:
-    """A duration offset, which must be a finite number, as a float."""
-    if not is_finite_number(x):
-        raise ConfigurationError(f"duration offset {x!r} is not a finite number")
-    return float(x)
-
-
 # List fields of ExperimentSpec: (the check that gives an entry as stored,
 # what an entry must be, whether an entry labels a table row or a column,
 # a key two entries share when they print as one label).  No two entries
@@ -209,7 +194,7 @@ _ENTRIES = {
     "inputs": (check_input, f"one of {INPUT_SPECS}", "row", str),
     "items": (lambda i: check_item(_as_int(i)), f"one of {SEARCH_ITEMS}", "row", str),
     "k_list": (lambda k: check_k(_as_int(k)), "whole numbers >= 1", "column", int),
-    "tau_offsets": (_finite, "finite numbers", "column", _offset_label),
+    "tau_offsets": (check_offset, "finite numbers", "column", _offset_label),
 }
 
 
@@ -233,7 +218,6 @@ class ResultTable:
     col_labels: list[str]
     ideal: dict = field(default_factory=dict)          # row -> (a, b)
     cells: dict = field(default_factory=dict)          # (row, col) -> (a, b)
-    notes: list[str] = field(default_factory=list)
 
     def cell(self, row: str, col) -> tuple[float, float]:
         return self.cells[(row, str(col))]
@@ -254,7 +238,6 @@ class ResultTable:
         header, *rows = self._grid(lambda x: f"{round2(x):.2f}")
         lines = [" | ".join(header), " | ".join(["---"] * len(header))]
         lines += [" | ".join(row) for row in rows]
-        lines += [f"note: {n}" for n in self.notes]
         return "\n".join(lines)
 
     def to_csv(self) -> str:
@@ -264,7 +247,7 @@ class ResultTable:
         """The table as JSON, byte for byte what json.dumps writes, with
         an indent of 2 and sorted keys, for the payload {title,
         row_header, columns, rows: [{label, ideal, cells: {column:
-        values}}], notes}; written directly, since json.dumps runs its
+        values}}], notes: []}; written directly, since json.dumps runs its
         pure-Python encoder whenever it indents.  Keys come in string
         order, so column "128" sorts before "16"."""
         text = _json_string
@@ -288,7 +271,7 @@ class ResultTable:
                 '"label": ' + text(r)], 2))
         return _json_block("{}", [
             '"columns": ' + _json_block("[]", list(map(text, self.col_labels)), 1),
-            '"notes": ' + _json_block("[]", list(map(text, self.notes)), 1),
+            '"notes": []',
             '"row_header": ' + text(self.row_header),
             '"rows": ' + _json_block("[]", row_texts, 1),
             '"title": ' + text(self.title)], 0)
@@ -545,10 +528,13 @@ class VerifyReport:
 def compare_against_reference(table: ResultTable, reference: dict,
                               row_label_of, cols, tol: float,
                               suspects=frozenset()):
-    """Yield (row, col, component, got, want) for cells outside tolerance.
+    """The list of (row, col, component, got, want) of the cells outside
+    tolerance.
 
     `suspects` contains (row_key, col_key) pairs excluded from comparison.
-    A cell passes when |got - want| <= tol, with no rounding slack.
+    A cell passes when |got - want| <= tol, with no rounding slack.  The
+    published ideal pairs are not compared here (``_published_failures``
+    compares them).
     """
     failures = []
     for row_key, (_ideal, cells) in reference.items():
@@ -589,7 +575,8 @@ def _published(name: str):
 
 
 def _published_failures(name: str, tol: float, notes: list) -> tuple[bool, str]:
-    """Run a canned table and compare every cell with its published value.
+    """Run a canned table and compare every cell and every row's ideal
+    pair with its published value.
 
     A published cell left out as inconsistent is compared with its
     substitute instead, at the same tolerance, and noted.
@@ -600,6 +587,9 @@ def _published_failures(name: str, tol: float, notes: list) -> tuple[bool, str]:
     reference, cols, substitutes = _published(name)
     fails = compare_against_reference(table, reference, label.__getitem__, cols, tol,
                                       substitutes.keys())
+    fails += [(label[key], "ideal", comp, g, w) for key, (ideal, _) in reference.items()
+              for comp, g, w in zip("ab", table.ideal[label[key]], ideal)
+              if abs(g - w) > tol]
     for (key, col), (comps, want, why) in sorted(substitutes.items()):
         got = dict(zip("ab", table.cell(label[key], col)))
         fails += [(label[key], col, comp, got[comp], w)
@@ -618,15 +608,14 @@ def _g(x: float) -> str:
 
 def _ideal_baseline(tol, notes):
     """Every program family gives the exact answers in the ideal style."""
-    cases = [(build_grover(item, IDEAL), ab)
+    cases = [(run_inputs(build_grover(item, IDEAL), ["00"])[0], ab)
              for item, (ab, _) in ref.GROVER_ROTATING.items()]
-    for v in CNOT_VARIANTS:
-        cases += [(build_cnot(v, IDEAL, input_spec=inp), (a, b))
-                  for inp, (_, a, b) in ref.CNOT_TRUTH.items()]
-        cases += [(build_qa(inp, cnot_variant=v, style=IDEAL),
+    for v in CNOT_VARIANTS:   # one program, every truth-table input
+        cases += zip(run_inputs(build_cnot(v, IDEAL), list(ref.CNOT_TRUTH)),
+                     ref.CNOT_TRUTH.values())
+        cases += [(run_inputs(build_qa(inp, cnot_variant=v, style=IDEAL), [inp])[0],
                    ref.QA_ROTATING_CNOT1[inp][0]) for inp in INPUT_SPECS]
-    worst = max(abs(g - w) for program, want in cases
-                for g, w in zip(run_inputs(program, [program.input_spec])[0], want))
+    worst = max(abs(g - w) for got, want in cases for g, w in zip(got, want))
     return worst < tol, f"CNOT, QA1, QA2, search: worst deviation {worst:.2e}"
 
 

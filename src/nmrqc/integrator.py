@@ -32,7 +32,7 @@ is a different EO, ``eo.replace(delta=d)``.
 
 The product formula and the reference share one loop, which folds the
 substep product by a symmetry of the drive wherever one holds exactly.
-``_fold`` names the fold:
+The EO's plan (``_plan``) names the fold:
 
 * "rotating": a rotating drive (``EOParams.is_rotating``: no static
   transverse field, equal x/y amplitudes, phi_y - phi_x = pi/2) turns
@@ -123,11 +123,13 @@ Every other EO is its own class (q = 0).
 ``integrate`` integrates the classes of the EOs of a list not stored
 yet, in the stacks above, and the diagonal classes in one closed-form
 stack, and stores each EO's conjugate; a program walk calls it, then
-looks each EO up.  What it needs of an EO
-(its class, q, its stack and its step schedule) is the EO's plan,
-computed once per EO (``_plan``), so a cold table pays per stack, not
-per EO.  One store, keyed by the EO, keeps the last _CACHE_SIZE
-propagators used.
+looks each EO up.  The EO's plan (``_plan``) is the one place that
+decides how an EO is integrated: its class and q, the key of its stack
+(step size, fold, drive frequency), its step schedule, the drive period
+its fold folds by and its widest run.  It is computed once per EO, so
+a cold table pays per stack, not per EO, and the stacks, the groups and
+the folded powers all read it.  One store, keyed by the EO, keeps the
+last _CACHE_SIZE propagators used.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -146,7 +148,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError
-from .hamiltonian import EOParams, diagonal_energies, is_finite_number
+from .hamiltonian import EOParams, MachineConfig, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 
 _BLOCK = 1024  # substep matrices per block
@@ -161,12 +163,26 @@ _Z_QUARTER_TURNS = np.array([[1, 1, 1, 1], [1j, 1, 1, -1j], [-1, 1, 1, -1],
                              [-1j, 1, 1, 1j]])
 _CLASS_LABEL = "z-class"  # the label of every class representative eo0
 
+# The pulses drive at the spins' z-fields; delta times the fastest of
+# them may not exceed this, i.e. at least two steps per drive period.
+MAX_DELTA_TIMES_DRIVE = 0.5
 
-def check_delta(delta) -> None:
-    """Raise ConfigurationError unless the step size (over 2*pi) is a
-    positive finite number."""
+
+def check_delta(delta, machine: MachineConfig | None = None):
+    """The step size (over 2*pi), which must be a positive finite number
+    and, given a machine, resolve its fastest drive: delta times the
+    larger |z-field| at most MAX_DELTA_TIMES_DRIVE.  The spec, every
+    program builder, parse_program_text and design_pulse check delta by
+    this one rule; stepping an EO checks only its first part."""
     if not (is_finite_number(delta) and delta > 0):
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
+    if machine is not None:
+        fastest = max(abs(machine.h1z), abs(machine.h2z))
+        if delta * fastest > MAX_DELTA_TIMES_DRIVE:
+            raise ConfigurationError(
+                f"delta {delta} does not resolve the drive at frequency "
+                f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
+    return delta
 
 
 def _check(eo: EOParams) -> None:
@@ -194,22 +210,6 @@ _ROTATING = "rotating"  # the drive turns rigidly about z
 _QUARTER = "quarter"    # a static x drive, folded from a quarter period
 _PERIOD = "period"      # any other periodic drive, folded from a period
 _DIAGONAL = (None, None, None)  # the stack key of every diagonal EO
-
-
-def _fold(eo: EOParams, delta: float) -> str | None:
-    """The symmetry that folds an EO's substeps: _ROTATING, _QUARTER,
-    _PERIOD, or None when every substep is stepped (see the module
-    docstring)."""
-    if eo.is_rotating:
-        return _ROTATING
-    period = _period_steps(eo.omega, delta)
-    if not period or _step_schedule(eo.tau, delta)[0] < 2 * period:
-        return None
-    x_drive = (eo.sf1x or eo.sf2x) and not (eo.sf1y or eo.sf2y)
-    if x_drive and not (period % 4 or any((eo.phi_x, eo.phi_y, eo.h1x, eo.h1y,
-                                           eo.h2x, eo.h2y))):
-        return _QUARTER
-    return _PERIOD
 
 
 def _z_class(eo: EOParams) -> tuple[EOParams, int]:
@@ -249,7 +249,7 @@ def _conjugated(u: np.ndarray, qs) -> np.ndarray:
 
 class _Drives:
     """Field parameters of a stack of EOs, one row per EO, and the fold
-    (``_fold``) they share: the stack's EOs all turn rigidly about z
+    (their plans') they share: the stack's EOs all turn rigidly about z
     (_ROTATING), or have one drive frequency.
     """
 
@@ -427,9 +427,9 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
     and how many substeps that covers; the rest are the EO's tail.
 
     A rotating stack is covered whole.  A quarter stack builds one
-    quarter period per EO and a period stack one whole period, and each
-    EO raises its own to its power (see the module docstring); an
-    unfolded stack covers nothing.
+    quarter period per EO and a period stack one whole period, the
+    period of its EOs' plans, and each EO raises its own to its power
+    (see the module docstring); an unfolded stack covers nothing.
     """
     if d.fold is None or not n_full.any():
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
@@ -440,7 +440,7 @@ def _folded_power(d: _Drives, n_full, delta: float, block):
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           n_full), n_full
-    period = _period_steps(d.omega[0], delta)
+    period = _plan(d.eos[0]).period
     quarter, qs = d.fold == _QUARTER, n_full // period
     u = _substeps(d, np.zeros_like(n_full),
                   np.full_like(n_full, period // 4 if quarter else period), dt, block)
@@ -480,22 +480,16 @@ def _exact_diagonal_propagators(eos) -> np.ndarray:
     return u
 
 
-def _chunks(eos: list, fold: str | None, delta: float) -> list:
+def _chunks(eos: list) -> list:
     """The EOs of a stack in the groups integrated together.  Each EO's
-    widest run of substeps (see the module docstring) orders the stack
-    (a stable sort), and each group takes EOs while its block, as many
-    rows as EOs by the widest run among them, stays within _BLOCK
-    substep matrices.  An EO with a run longer than _BLOCK is a group of
-    one, and ``_substeps`` builds the run _BLOCK substeps at a time.
+    widest run of substeps (its plan's run) orders the stack (a stable
+    sort), and each group takes EOs while its block, as many rows as EOs
+    by the widest run among them, stays within _BLOCK substep matrices.
+    An EO with a run longer than _BLOCK is a group of one, and
+    ``_substeps`` builds the run _BLOCK substeps at a time.
     """
-    # one midpoint (and one remainder) per rotating EO; every substep of
-    # an unfolded one; a folded one's quarter period or period, or tail
-    runs = [1 if fold == _ROTATING else _plan(eo).schedule[0] for eo in eos]
-    if fold in (_QUARTER, _PERIOD):
-        period = _period_steps(eos[0].omega, delta)
-        runs = [max(period // (4 if fold == _QUARTER else 1), n % period) for n in runs]
     groups = []
-    for run, eo in sorted(zip(runs, eos), key=lambda pair: pair[0]):
+    for run, eo in sorted([(_plan(e).run, e) for e in eos], key=lambda pair: pair[0]):
         if groups and (len(groups[-1]) + 1) * max(1, run) <= _BLOCK:
             groups[-1].append(eo)
         else:
@@ -507,34 +501,52 @@ class _Plan(NamedTuple):
     """How ``integrate`` takes one EO: its class (``_z_class``), U(eo) =
     Z_q U(eo0) Z_q^dagger; the key (delta, fold, omega) of the stack eo0
     joins (omega None for a rotating one, _DIAGONAL for a diagonal one);
-    and eo0's step schedule (n_full, rem), None for a diagonal EO, whose
-    exact propagator takes no steps."""
+    eo0's step schedule (n_full, rem); the drive period P in substeps
+    that a quarter or period fold folds by (0 for any other fold); and
+    eo0's widest run, what it puts into one block: 1 (one midpoint) for a
+    rotating EO, every substep for an unfolded one, and max(P/4 or P,
+    n_full mod P) for a folded one.  A diagonal EO, whose exact
+    propagator takes no steps, has no schedule, period 0 and run 0."""
 
     eo0: EOParams
     q: int
     key: tuple
     schedule: tuple[int, float] | None
+    period: int
+    run: int
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _plan(eo: EOParams) -> _Plan:
-    """The EO's plan, computed once per EO and class.
+    """The EO's plan, computed once per EO and class: the one place that
+    decides how an EO is integrated (the fold rules are the module
+    docstring's).
 
     A bad step size or duration raises, on every call (a cache stores no
     exception).  A member takes its representative's plan, so every
     member of a class gets the one eo0 object this memo holds, and
-    dicts keyed by eo0 match it by identity.
+    dicts keyed by eo0 match it by identity; its fold, period and run
+    are the class's, so only a representative is ever stepped.
     """
     _check(eo)
     eo0, q = _z_class(eo)
     if eo0 is not eo:
-        rep = _plan(eo0)
-        return _Plan(rep.eo0, q, rep.key, rep.schedule)
+        return _plan(eo0)._replace(q=q)
     if eo.is_diagonal:
-        return _Plan(eo, 0, _DIAGONAL, None)
-    fold = _fold(eo, eo.delta)
+        return _Plan(eo, 0, _DIAGONAL, None, 0, 0)
+    schedule = n_full, _ = _step_schedule(eo.tau, eo.delta)
+    period = _period_steps(eo.omega, eo.delta)
+    if eo.is_rotating:
+        fold, period, run = _ROTATING, 0, 1
+    elif not period or n_full < 2 * period:
+        fold, period, run = None, 0, n_full
+    elif not (period % 4 or any((eo.sf1y, eo.sf2y, eo.phi_x, eo.phi_y, eo.h1x,
+                                 eo.h1y, eo.h2x, eo.h2y))):   # an x drive at phi = 0
+        fold, run = _QUARTER, max(period // 4, n_full % period)
+    else:
+        fold, run = _PERIOD, max(period, n_full % period)
     return _Plan(eo, 0, (eo.delta, fold, None if fold == _ROTATING else eo.omega),
-                 _step_schedule(eo.tau, eo.delta))
+                 schedule, period, run)
 
 
 class _Store(OrderedDict):
@@ -588,7 +600,7 @@ def integrate(eos) -> None:
             done.update(zip(group, _exact_diagonal_propagators(group)))
             continue
         delta, fold, _ = key
-        for chunk in _chunks(group, fold, delta):
+        for chunk in _chunks(group):
             done.update(zip(chunk, _stepped_propagator(
                 _Drives(chunk, fold), delta, _product_formula_block)))
     plans = members.values()
@@ -617,10 +629,10 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     each substep's midpoint, at the EO's step size, folded as the product
     formula is, and conjugated from its class as the stored propagator
     is.  Integrated alone on every call, and never stored."""
-    eo0, q, (_, fold, _), _ = _plan(eo)
-    drives = _Drives((eo0,), fold)
-    return _conjugated(_stepped_propagator(drives, eo0.delta, _dense_block),
-                       [q])[0]
+    plan = _plan(eo)
+    drives = _Drives((plan.eo0,), plan.key[1])
+    return _conjugated(_stepped_propagator(drives, plan.eo0.delta, _dense_block),
+                       [plan.q])[0]
 
 
 def clear_propagator_cache() -> None:

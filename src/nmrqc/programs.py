@@ -47,12 +47,15 @@ final rotation is its one special case.
 Each parameter that picks a program has one domain here (STYLES,
 CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES) and one
 check (check_style, check_variant, check_item, check_input,
-check_final_rotation_style; k's is pulses.check_k), which every builder
-and harness.ExperimentSpec call: a bool or a float is no variant, item
-or k.  Gate steps, duration-shifted steps, whole gate-sequence
-expansions, gate matrices and each gate sequence's ideal unitary are
-memoized, so rebuilding a program re-designs no pulse, re-shifts no
-duration and recomposes no gate.
+check_final_rotation_style; k's is pulses.check_k and the step size's
+integrator.check_delta), which every builder and harness.ExperimentSpec
+call: a bool or a float is no variant, item or k, and a step size too
+coarse for the machine's drive is refused.  A duration offset has one
+check too (check_offset), and a walk index one rule (compile_walk).
+Gate steps, duration-shifted steps, whole gate-sequence expansions,
+gate matrices and each gate sequence's ideal unitary are memoized, so
+rebuilding a program re-designs no pulse, re-shifts no duration and
+recomposes no gate.
 """
 from __future__ import annotations
 
@@ -62,11 +65,11 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalIntegrityError, check_choice
+from .errors import ConfigurationError, NumericalIntegrityError, check_choice, is_integer
 from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig
+from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
 from . import integrator
-from .integrator import eo_propagator, integrate
+from .integrator import check_delta, eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
 from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, check_k, design_pulse
 
@@ -207,9 +210,11 @@ def _build(name: str, names: tuple[str, ...], style: str, k: int,
     """The program of a gate list, names in application order, with the
     ideal unitary of the list, named by `name` followed by its style and
     k ('QA1[CNOT1,' gives 'QA1[CNOT1,ideal,k=1]'): the one place that
-    checks style and k and expands gates.  exact_last runs the last gate
-    as its ideal EO without coupling, which is exact to rounding."""
-    style, k = check_style(style), check_k(k)
+    checks style, k and the step size on the machine
+    (``integrator.check_delta``) and expands gates.  exact_last runs the
+    last gate as its ideal EO without coupling, which is exact to
+    rounding."""
+    style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
     steps = _expand(names[:-1] if exact_last else names, style, k, machine, delta)
     if exact_last:
         steps += (ideal_eo_params(names[-1], machine).replace(j=0.0),)
@@ -219,11 +224,12 @@ def _build(name: str, names: tuple[str, ...], style: str, k: int,
 
 def build_cnot(variant: int, style: str, k: int = 1,
                machine: MachineConfig = DEFAULT_MACHINE,
-               delta: float = PULSE_DELTA, input_spec: str = "00") -> Program:
-    """One controlled-NOT realization (variant one of CNOT_VARIANTS)."""
+               delta: float = PULSE_DELTA) -> Program:
+    """One controlled-NOT realization (variant one of CNOT_VARIANTS) on
+    |00>; run_inputs carries any other input through it."""
     variant = check_variant(variant)
     return _build(f"CNOT{variant}[", CNOT_SEQUENCES[variant], style, k, machine,
-                  delta, input_spec)
+                  delta)
 
 
 def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
@@ -324,10 +330,15 @@ def program_unitaries(programs) -> np.ndarray:
 
 def program_states(programs, which, rows) -> np.ndarray:
     """Each input row carried through its program, stacked (C, 4): row c
-    through the steps of programs[which[c]], in one walk for all.  Each
-    output row is bit-identical to applying the program's propagators to
-    its input one by one."""
-    return run_walk(*compile_walk(programs, which), np.reshape(rows, (-1, 4, 1)))[..., 0]
+    through the steps of programs[which[c]], in one walk for all; rows
+    must be (C, 4), one row per entry of which.  Each output row is
+    bit-identical to applying the program's propagators to its input one
+    by one."""
+    eos, gather = compile_walk(programs, which)
+    if np.shape(rows) != (gather.shape[1], 4):
+        raise ConfigurationError(f"input rows of shape {np.shape(rows)} for "
+                                 f"{gather.shape[1]} walk entries: need (entries, 4)")
+    return run_walk(eos, gather, np.reshape(rows, (-1, 4, 1)))[..., 0]
 
 
 def compile_walk(programs, which) -> tuple[tuple[EOParams, ...], np.ndarray]:
@@ -335,8 +346,12 @@ def compile_walk(programs, which) -> tuple[tuple[EOParams, ...], np.ndarray]:
     run_walk takes: the distinct EOs of the programs, in first-use order
     (each step object read once, keyed by its id), and a read-only
     (step position, c) index into them, counted from 1, with 0 for the
-    identity that pads a shorter program."""
-    programs = list(programs)  # keeps every step alive while keyed by id
+    identity that pads a shorter program.  Each entry of which must be
+    an integer (not a bool) in range(len(programs))."""
+    programs, which = list(programs), list(which)  # the list keeps every step alive
+    if not all(is_integer(w) and 0 <= w < len(programs) for w in which):
+        raise ConfigurationError(f"walk indices must be integers in "
+                                 f"range({len(programs)}), got {which!r}")
     by_step, by_eo = {}, {}    # EO indices from 1; 0 is the identity
     rows = []
     for program in programs:
@@ -380,16 +395,27 @@ def run_walk(eos, gather, starts) -> np.ndarray:
 
 
 def with_duration_offset(program: Program, label: str, offset: float) -> Program:
-    """Copy of the program with `offset` added to tau of every EO named `label`.
+    """Copy of the program with `offset` (``check_offset``) added to tau
+    of every EO named `label`.
 
     Each distinct EO gets one shifted copy, shared by all its places and
     by every program shifted by the same offset (``_shifted_step``).
     """
+    offset = check_offset(offset)
     if all(s.label != label for s in program.steps):
         raise ConfigurationError(f"no EO labeled {label!r} in program {program.name}")
     return replace(program, steps=tuple(_shifted_step(s, offset) if s.label == label
                                         else s for s in program.steps),
                    name=f"{program.name}(d{label}={offset:+g})")
+
+
+def check_offset(offset) -> float:
+    """A duration offset, which must be a finite number (not a bool), as
+    a float; with_duration_offset and the spec's tau_offsets take it by
+    this one rule."""
+    if not is_finite_number(offset):
+        raise ConfigurationError(f"duration offset {offset!r} is not a finite number")
+    return float(offset)
 
 
 @lru_cache(maxsize=1024)
@@ -423,15 +449,14 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def convergence_report(eos, input_spec: str, deltas,
-                       reference_delta: float | None = None) -> ConvergenceReport:
+def convergence_report(eos, input_spec: str, deltas) -> ConvergenceReport:
     """Re-run an EO sequence at several step sizes and tabulate deviations.
 
     Each step size d runs the EOs on the named input as one program,
     of the EOs ``eo.replace(delta=d)``, through run_program.  Deviations
-    are measured against the run at reference_delta (default:
-    min(deltas)/10).  Diagonal EOs keep the exact propagator throughout,
-    so only pulse steps are swept.
+    are measured against the run at the reference step min(deltas)/10.
+    Diagonal EOs keep the exact propagator throughout, so only pulse
+    steps are swept.
     """
     eos = (eos,) if isinstance(eos, EOParams) else tuple(eos)
 
@@ -443,9 +468,7 @@ def convergence_report(eos, input_spec: str, deltas,
     deltas = sorted(set(float(d) for d in deltas), reverse=True)
     if not deltas:
         raise ConfigurationError("need at least one delta")
-    if reference_delta is None:
-        reference_delta = min(deltas) / 10.0
-    ref = run(reference_delta)
+    ref = run(min(deltas) / 10.0)
     rows = []
     for d in deltas:
         out = run(d)
@@ -454,7 +477,7 @@ def convergence_report(eos, input_spec: str, deltas,
     two_digit = {r.delta: tuple(map(round2, r.expectations)) for r in rows}
     flag = (two_digit[0.01] != two_digit[0.001]
             if {0.01, 0.001} <= two_digit.keys() else None)
-    return ConvergenceReport(tuple(rows), reference_delta, flag)
+    return ConvergenceReport(tuple(rows), min(deltas) / 10.0, flag)
 
 
 # The directives of the program text format and their argument counts.
@@ -463,9 +486,8 @@ _DIRECTIVE_ARGS = {"input": 1, "gate": 1, "pulse": 5, "diagonal": 1}
 
 def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                        machine: MachineConfig = DEFAULT_MACHINE,
-                       delta: float = PULSE_DELTA,
-                       name: str = "custom") -> Program:
-    """Parse the one-EO-per-line program format.
+                       delta: float = PULSE_DELTA) -> Program:
+    """Parse the one-EO-per-line program format into the program 'custom'.
 
     Lines (blank lines and #-comments allowed), each directive with
     exactly the arguments shown:
@@ -473,10 +495,11 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
         gate <name>                         # realized in `style`
         pulse <spin> <angle> <axis> <mode> <k>   # angle in radians
         diagonal <tau_over_2pi>             # machine-field z evolution
-    A gate is expanded as a builder expands it ('G' per style), and a
-    diagonal duration must be finite and non-negative.
+    A gate is expanded as a builder expands it ('G' per style), delta is
+    checked as a builder checks it, and a diagonal duration must be
+    finite and non-negative.
     """
-    style, k = check_style(style), check_k(k)
+    style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
     steps = []
     input_spec = "00"
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -509,4 +532,4 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
                     label=f"diagonal({tau:g})", tau=tau))
         except ValueError as exc:
             raise ConfigurationError(f"line {ln}: cannot parse {raw!r}: {exc}") from exc
-    return Program(name=name, steps=tuple(steps), input_spec=input_spec)
+    return Program(name="custom", steps=tuple(steps), input_spec=input_spec)

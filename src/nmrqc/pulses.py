@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_choice, is_integer
 from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
+from .integrator import check_delta
 from .operators import TWO_PI
 
 ROTATING = "rotating"
@@ -147,7 +148,9 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     """The EO of the pulse rotating `target_spin` by `angle` about `axis`
     on `machine`, for its own field ratio N/M (RationalGamma.from_machine).
 
-    The angle is a real number (not a bool) in [0, 4*pi], in radians.
+    The angle is a real number (not a bool) in [0, 4*pi], in radians,
+    and delta a step size that resolves the machine's drive
+    (``integrator.check_delta``).
     Angles up to 4*pi are legal: a spin-1/2 returns to itself only after
     two full turns, and designs reduced modulo 2 turns (rather than 1)
     preserve the state-dependent sign.  The spectator-spin channel always
@@ -169,6 +172,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     check_choice(target_spin, "target_spin", (1, 2))
     k = check_k(k)
     check_choice(mode, "mode", _MODES)
+    check_delta(delta, machine)
     gamma = RationalGamma.from_machine(machine)
 
     t1, t2 = hypothetical_durations(gamma, k)

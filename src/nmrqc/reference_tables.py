@@ -15,12 +15,12 @@ from __future__ import annotations
 S_VALUES = (8, 16, 32, 64, 256)
 
 # ----------------------------------------------------------------------
-# Controlled-NOT truth table: input -> (output bits, a, b)
+# Controlled-NOT truth table: input -> output qubit values (a, b)
 CNOT_TRUTH = {
-    "00": ("00", 0.0, 0.0),
-    "10": ("11", 1.0, 1.0),
-    "01": ("01", 0.0, 1.0),
-    "11": ("10", 1.0, 0.0),
+    "00": (0.0, 0.0),
+    "10": (1.0, 1.0),
+    "01": (0.0, 1.0),
+    "11": (1.0, 0.0),
 }
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,8 @@ def rng():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """(fold, size) of each stack the stepping kernel integrates, one per
-    call; the fold is "rotating", "quarter" or None (see integrator._fold)."""
+    call; the fold is "rotating", "quarter", "period" or None (see
+    integrator._plan)."""
     import nmrqc.integrator
     calls = []
     kernel = nmrqc.integrator._stepped_propagator
@@ -108,7 +109,7 @@ def json_reference(table) -> str:
             }
             for r in table.row_labels
         ],
-        "notes": table.notes,
+        "notes": [],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

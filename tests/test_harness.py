@@ -843,13 +843,18 @@ def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
     got = run_experiment(spec).cell(_qa_row_label(spec, "singlet"), 8)[0]
     comp, forced, why = ref.SUSPECT_PERTURBATION[("01", 0.0)]
     # a published cell off the print by 0.05, then just outside and just
-    # inside the tolerance; a forced duration-study value off by 0.05
+    # inside the tolerance; a forced duration-study value off by 0.05;
+    # a published ideal pair off by 0.05
     edits = [(ref.QA_ROTATING_CNOT1, "singlet", (ideal, [(moved, b), *rest]), failing)
              for moved, failing in [(a + 0.05, "table5"),
                                     (got + 1.01 * ref.RESULT_TOL, "table5"),
                                     (got - 0.99 * ref.RESULT_TOL, None)]]
     edits.append((ref.SUSPECT_PERTURBATION, ("01", 0.0), (comp, forced - 0.05, why),
                   "table10"))
+    # table6's check alone reads the ideal pairs of CNOT2
+    ideal6, cells6 = ref.QA_ROTATING_CNOT2["00"]
+    edits.append((ref.QA_ROTATING_CNOT2, "00", ((ideal6[0] + 0.05, ideal6[1]), cells6),
+                  "table6"))
     for sheet, key, value, failing in edits:
         with monkeypatch.context() as m:
             m.setitem(sheet, key, value)

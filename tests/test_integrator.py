@@ -13,7 +13,7 @@ from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import canned_spec, run_experiment, verify_suite
 from nmrqc.hamiltonian import diagonal_energies
 from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
-                              _cached_propagator, _fold, _nearest_unitary,
+                              _cached_propagator, _nearest_unitary,
                               _plan, _powers, _product_formula_block,
                               _step_schedule, _stepped_propagator, _z_class,
                               check_delta, clear_propagator_cache, integrate)
@@ -30,6 +30,11 @@ def pulse_eo(name="Y1", k=1, mode="rotating"):
     spin, axis, direction, turns = gate_rotation(name)
     return design_pulse(spin, TWO_PI * turns, axis, k=k, mode=mode,
                         direction=direction, label=name)
+
+
+def _fold(eo, delta):
+    """The fold of the EO's plan at step delta (see integrator._plan)."""
+    return _plan(eo.replace(delta=delta)).key[1]
 
 
 def _alone(eo):
@@ -461,7 +466,7 @@ def test_cold_walk_integrates_in_stacks(kernel_calls, monkeypatch):
     assert not any(u.flags.writeable for u in results)
     for eo, u in zip(eos + static, results):
         assert np.array_equal(u, _alone(eo))
-    monkeypatch.setattr(nmrqc.integrator, "_fold", None)  # a warm walk groups nothing
+    monkeypatch.setattr(nmrqc.integrator, "_period_steps", None)  # a warm walk plans nothing
     program_unitaries([program])
     assert len(kernel_calls) == 3 and info().misses == 7
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, EOParams, NumericalIntegrityError, Program,
-                   build_cnot, build_grover, build_qa, eo_propagator,
+                   build_cnot, build_grover, build_qa, design_pulse, eo_propagator,
                    grover_sequence, ideal_eo_params, ideal_gate, input_amplitudes,
                    parse_program_text, program_unitary, readout, run_program,
                    with_duration_offset)
@@ -98,7 +98,7 @@ def test_qa2_ideal_gives_definite_answer():
 
 
 def test_five_cnots_equal_one_on_ideal_hardware():
-    single = build_cnot(1, "ideal", input_spec="10")
+    single = replace(build_cnot(1, "ideal"), input_spec="10")
     five = build_qa("10", style="ideal")
     a = run_program(single)
     b = run_program(five)
@@ -108,15 +108,12 @@ def test_five_cnots_equal_one_on_ideal_hardware():
 def test_qa_input_validation():
     """The input picks the program (QA1 on a basis state, QA2 on the
     singlet), and an unknown input name is rejected where it is declared,
-    by build_qa, build_cnot and a bare Program alike, not when the
-    program runs."""
+    by build_qa and a bare Program alike, not when the program runs."""
     assert build_qa("11").name == "QA1[CNOT1,ideal,k=1]"
     assert build_qa("singlet", 3).name == "QA2[CNOT3,ideal,k=1]"
     for bad in ("xx", "02", "QA1", "Singlet", "", None):
         with pytest.raises(ConfigurationError, match="unknown input spec"):
             build_qa(bad)
-        with pytest.raises(ConfigurationError, match="unknown input spec"):
-            build_cnot(1, "ideal", input_spec=bad)
         with pytest.raises(ConfigurationError, match="unknown input spec"):
             Program("p", build_qa("00").steps, input_spec=bad)
 
@@ -403,6 +400,54 @@ def test_duration_offset_applies_to_every_labeled_eo():
     assert all(t == pytest.approx(f + 0.1, abs=1e-9) for t in offsets)
     with pytest.raises(ConfigurationError):
         with_duration_offset(p, "nope", 0.1)
+    # no finite number is no offset: True used to shift by 1, and NaN was
+    # refused only when the shifted program was integrated
+    for bad in (True, "0.1", float("nan"), float("inf"), None):
+        with pytest.raises(ConfigurationError, match="duration offset"):
+            with_duration_offset(p, "Ip", bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_inputs(build_qa("00", style="rotating_sf", delta=0.9), ["00", "10"]),
+    lambda: build_cnot(1, "ideal", delta=-0.01),
+    lambda: build_grover(0, "static_sf", delta=True),
+    lambda: parse_program_text("gate X1", style="rotating_sf", delta=2.0),
+    lambda: parse_program_text("gate X1", delta=float("nan")),
+    lambda: design_pulse(1, np.pi / 2, "x", delta=float("nan")),
+    lambda: design_pulse(1, np.pi / 2, "x", delta=0.51),
+])
+def test_the_library_refuses_the_step_sizes_the_spec_refuses(call):
+    """delta must be a positive finite number that resolves the drive
+    (delta * max |z-field| <= 1/2), in every builder, the program text
+    and design_pulse: rotating QA1 at delta 0.9 used to print (0.02,
+    0.51) for |00> and (0.98, 0.47) for |10>, without an error."""
+    with pytest.raises(ConfigurationError, match="delta"):
+        call()
+
+
+_TWO = [build_qa("00"), build_qa("singlet")]
+_ROWS = input_amplitudes(["00", "10"])
+
+
+@pytest.mark.parametrize("which, rows", [
+    ([-1], _ROWS[:1]), ([True], _ROWS[:1]), ([0.0], _ROWS[:1]), ([2], _ROWS[:1]),
+    (["0"], _ROWS[:1]),                                     # no index
+    ([0], _ROWS), ([0, 1], _ROWS[:1]), ([0] * 3, np.ones((4, 3))),   # rows per index
+])
+def test_program_states_refuses_a_bad_walk(which, rows):
+    """Each index must be an integer (not a bool) in range(len(programs)),
+    with one input row of 4 amplitudes per index: [-1] used to run the
+    last program, [True] and [0.0] program 1 and 0, [0] carried two rows
+    by broadcasting, and four rows of 3 were read as three rows of 4."""
+    with pytest.raises(ConfigurationError, match="walk"):
+        program_states(_TWO, which, rows)
+
+
+def test_program_states_takes_numpy_indices_and_the_empty_walk():
+    rows = input_amplitudes(["00", "singlet"])
+    assert np.array_equal(program_states(_TWO, np.arange(2), rows),
+                          program_states(_TWO, [0, 1], rows))
+    assert program_states(_TWO, [], np.empty((0, 4))).shape == (0, 4)
 
 
 def test_parse_program_text_round_trip_semantics():

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
-                   build_qa, design_pulse, eo_propagator, run_experiment)
+                   build_qa, design_pulse, eo_propagator, run_experiment,
+                   with_duration_offset)
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _fold,
+from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _plan,
                               _product_formula_block, _stepped_propagator,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
@@ -109,8 +110,11 @@ def test_a_spec_run_twice_equals_per_row_reference(spec):
         assert (table.cells, table.ideal) == (cells, ideal)
 
 
+# A machine whose fastest drive, at 2.0, refuses every delta above 0.25.
+_FAST = MachineConfig(h1z=2.0, h2z=0.5)
+
 # Each program parameter: the spec field holding it, the spec's stored
-# value, and a builder that takes it.
+# value, and a library call that takes it.
 _PARAMETERS = {
     "cnot_variant": (lambda v: ExperimentSpec(cnot_variant=v),
                      lambda spec: spec.cnot_variant,
@@ -124,6 +128,11 @@ _PARAMETERS = {
     "final_rotation_style": (lambda v: ExperimentSpec(final_rotation_style=v),
                              lambda spec: spec.final_rotation_style,
                              lambda v: build_qa("singlet", final_rotation_style=v)),
+    "delta": (lambda v: ExperimentSpec(delta=v, machine=_FAST), lambda spec: spec.delta,
+              lambda v: build_qa("00", style="rotating_sf", machine=_FAST, delta=v)),
+    "tau_offsets": (lambda v: ExperimentSpec(tau_offsets=(v,)),
+                    lambda spec: spec.tau_offsets[0],
+                    lambda v: with_duration_offset(build_qa("00"), "Ip", v)),
 }
 
 # Values in and out of every domain: integers, whole and fractional
@@ -149,20 +158,30 @@ def _accepted(call, value):
 @example(parameter="items", value=2.0)
 @example(parameter="k_list", value=1.5)
 @example(parameter="k_list", value=True)
+@example(parameter="delta", value=-0.01)
+@example(parameter="delta", value=float("nan"))
+@example(parameter="delta", value=True)
+@example(parameter="delta", value=0.25)
+@example(parameter="delta", value=0.3)    # too coarse for the drive at 2.0
+@example(parameter="tau_offsets", value=True)
+@example(parameter="tau_offsets", value=float("nan"))
+@example(parameter="tau_offsets", value="0.1")
+@example(parameter="tau_offsets", value=2)
 def test_the_spec_and_the_builders_agree(parameter, value):
-    """The spec accepts a value exactly when the builder accepts the value
-    the spec stores (a whole float as its int); the builder accepts
-    nothing the spec refuses, and the spec stores what it accepts from
-    the builder unchanged."""
+    """The spec accepts a value exactly when the library accepts the
+    value the spec stores (a whole float as its int, an offset as its
+    float); the library accepts nothing the spec refuses, and the spec
+    stores what it accepts from the library unchanged, an offset as a
+    float."""
     make_spec, stored, build = _PARAMETERS[parameter]
     spec_ok, spec = _accepted(make_spec, value)
     built_ok, _ = _accepted(build, value)
     if spec_ok:
-        assert type(stored(spec)) in (int, str) and stored(spec) == value
+        assert type(stored(spec)) in (int, float, str) and stored(spec) == value
         assert _accepted(build, stored(spec))[0]
     assert spec_ok or not built_ok
     if built_ok:
-        assert type(stored(spec)) is type(value)
+        assert type(stored(spec)) in (type(value), float)
 
 
 def test_the_cli_choices_are_the_domains():
@@ -201,8 +220,7 @@ def result_tables(draw):
         title=draw(_texts), row_header=draw(_texts), row_labels=rows,
         col_labels=cols,
         ideal={r: draw(values) for r in rows if draw(st.booleans())},
-        cells={(r, c): draw(values) for r in rows for c in cols},
-        notes=draw(st.lists(_texts, max_size=3)))
+        cells={(r, c): draw(values) for r in rows for c in cols})
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,8 +232,7 @@ def result_tables(draw):
     ideal={"(CNOT1)^5|00>": (1, -0.0), "Ψ": (float("nan"), float("inf"))},
     cells={(r, c): (5e-324, -float("inf")) if c == "16" else (0.1, 1.5e308)
            for r in ["(CNOT1)^5|00>", "Ψ", "no ideal"]
-           for c in ["8", "16", "128", "+0.05", "-0.1"]},
-    notes=["ü\n"]))
+           for c in ["8", "16", "128", "+0.05", "-0.1"]}))
 @example(ResultTable(title="", row_header="", row_labels=[], col_labels=[]))
 @example(ResultTable(title="", row_header="", row_labels=["r"], col_labels=[]))
 def test_table_json_is_json_dumps_byte_for_byte(table):
@@ -335,6 +352,6 @@ def test_stacked_static_kernel(pulses):
     for eo in eos:
         u = eo_propagator(eo)
         eo0, q = _z_class(eo)
-        alone = _stepped_propagator(_Drives((eo0,), _fold(eo0, eo.delta)),
+        alone = _stepped_propagator(_Drives((eo0,), _plan(eo0).key[1]),
                                     eo.delta, _product_formula_block)
         assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
