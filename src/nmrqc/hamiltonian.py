@@ -71,6 +71,16 @@ class MachineConfig:
 DEFAULT_MACHINE = MachineConfig()
 
 
+def check_machine(machine) -> MachineConfig:
+    """The machine, which must be a MachineConfig; the spec, every
+    program builder, parse_program_text and design_pulse take it by this
+    one check."""
+    if not isinstance(machine, MachineConfig):
+        raise ConfigurationError(
+            f"machine must be a MachineConfig, got {type(machine).__name__}")
+    return machine
+
+
 @dataclass(frozen=True)
 class EOParams:
     """All Hamiltonian parameters of one elementary operation.

@@ -35,8 +35,8 @@ labels; the (row, column) key and the input row of every cell, a cell
 being its row, its column and the program the two give; each row's
 ideal output row, its memoized ideal unitary applied to its first
 cell's input, all rows in one batched product; and the walk of every
-cell through its program in compiled form (``programs.compile_walk``),
-each distinct program handed over once.  It keeps no propagator, cell
+cell through its program in compiled form (``programs.compile_walk``,
+which reads each distinct program once).  It keeps no propagator, cell
 or text, so clearing the propagator store leaves it valid.  Every run
 does what the store decides (``programs.run_walk``): it has the
 table's EOs integrated if missing, looks each distinct propagator up
@@ -48,11 +48,16 @@ fills a new ResultTable, whose lists and dicts are its own.  No
 program's unitary is formed: a unitary is the same walk started from
 the identity.
 
-Verification is one list, CHECKS, of named checks, each judged with the
-tolerance it prints: the ideal baseline, the integrator's numerical
-properties, coupling off during pulses, one check per canned table
-against its published cells and ideal pairs, the two pulse parameter
-sheets, the idealized-hardware EO sheet and the commensurability cases.
+A canned table is one registry entry (``_CANNED``): its spec, its
+published rows keyed by row key, and the substitutes for published
+cells left out as inconsistent.  Verification is one list, CHECKS, of
+named checks, each judged with the tolerance it prints: the ideal
+baseline, the integrator's numerical properties, coupling off during
+pulses, one check per canned table against its published cells, at
+the table's own column labels, and ideal pairs (at PERTURBATION_TOL for
+a duration study and RESULT_TOL otherwise, as its spec says), the two
+pulse parameter sheets, the idealized-hardware EO sheet and the
+commensurability cases.
 verify_suite (``nmrqc verify``) runs them in order, and the acceptance
 suite runs each as a test.
 """
@@ -67,7 +72,8 @@ import numpy as np
 
 from . import reference_tables as ref
 from .errors import ConfigurationError, check_choice
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
+from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
+                          is_finite_number)
 from .integrator import check_delta, eo_propagator, oracle_propagator
 from .programs import (CNOT_VARIANTS, IDEAL, INPUT_SPECS, ROTATING_SF, SEARCH_ITEMS,
                        STATIC_SF, _gate_step, build_cnot, build_grover, build_qa,
@@ -91,7 +97,7 @@ class ExperimentSpec:
     inputs: tuple = INPUT_SPECS           # qa only
     items: tuple = SEARCH_ITEMS           # grover only
     k_list: tuple = (1, 2, 4, 8, 32)
-    delta: float = 0.01
+    delta: float = PULSE_DELTA
     final_rotation_style: str = "program"
     tau_offsets: tuple | None = None      # duration study (qa only) when set
     perturb_label: str = "Ip"             # which EO the offsets detune
@@ -99,13 +105,16 @@ class ExperimentSpec:
     title: str = ""
 
     def __post_init__(self):
-        """Check every field by the rule the builders apply (``programs``
-        and ``pulses.check_k``), a whole number such as JSON's 2.0 taken
-        as the int 2, and store each as its check returns it."""
+        """Check every field by the rule the builders apply (``programs``,
+        ``pulses.check_k`` and ``hamiltonian.check_machine``), a whole
+        number such as JSON's 2.0 taken as the int 2, and store each as
+        its check returns it; a repeated k is named by the label it
+        prints (``_durations``)."""
         check_choice(self.kind, "kind", KINDS)
         if self.kind != "qa" and self.tau_offsets is not None:
             raise ConfigurationError("perturbation study is defined for QA suites")
         check_style(self.style)
+        check_machine(self.machine)
         object.__setattr__(self, "cnot_variant", check_variant(_as_int(self.cnot_variant)))
         check_final_rotation_style(self.final_rotation_style)
         for name in ("perturb_label", "title"):
@@ -135,9 +144,8 @@ class ExperimentSpec:
                 if name == "k_list" and self.style == IDEAL:   # it prints no k
                     raise ConfigurationError(
                         f"k_list repeats k {', '.join(map(str, sorted(shared)))}")
-                if name == "k_list":   # a k prints as its t1 on the machine (_durations)
-                    gamma = RationalGamma.from_machine(self.machine)
-                    shared = {str(hypothetical_durations(gamma, k)[0]) for k in shared}
+                if name == "k_list":   # a k prints as its duration (_durations)
+                    shared = {_durations(self)[k] for k in shared}
                 raise ConfigurationError(
                     f"{name} share the {axis} label {', '.join(sorted(shared))}: "
                     "each entry needs a label of its own")
@@ -386,11 +394,11 @@ def _compile(spec: ExperimentSpec) -> _CompiledTable:
 
     Each distinct builder of the rows (``_rows``) is called once per k,
     and each offset column shifts its programs once; a cell is its row,
-    its column and the program the two give, and each distinct program
-    is handed to compile_walk once, so the walk's work stays per
-    program.  Each row's ideal output is its memoized ideal unitary
-    applied to the input of its first cell, all rows in one batched
-    product.
+    its column and the program the two give, and the cells' programs go
+    to compile_walk as they are: it reads each distinct program once, so
+    the walk's work stays per program.  Each row's ideal output is its
+    memoized ideal unitary applied to the input of its first cell, all
+    rows in one batched product.
     """
     rows = _rows(spec)
     s = _durations(spec)
@@ -407,9 +415,7 @@ def _compile(spec: ExperimentSpec) -> _CompiledTable:
             build: with_duration_offset(p, spec.perturb_label, offset)
             for build, p in built[k].items()}
         programs += [column[row[-1]] for row in rows]
-    index = {}                                 # id -> index of a distinct program
-    which = [index.setdefault(id(p), len(index)) for p in programs]
-    eos, gather = compile_walk(list({id(p): p for p in programs}.values()), which)
+    eos, gather = compile_walk(programs)
     inputs = input_amplitudes([row[2] for row in rows] * len(columns))[..., None]
     ideals = np.array([p.ideal_unitary for p in programs[:len(rows)]])
     ideal = (ideals @ inputs[:len(rows)])[..., 0]   # the first column's cells
@@ -446,32 +452,53 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
 # ----------------------------------------------------------------------
 # Canned benchmark experiments.
 
-# Named benchmark suites, in table order, built once.
+def _search_reference(published: dict, suspects) -> tuple[dict, dict]:
+    """A search table's published rows keyed by row key ('0'..'3'), and
+    its suspect cells, each asserted at its row's ideal pair."""
+    why = "suspected entry transposition; values converge to the ideal answer"
+    return ({str(i): row for i, row in published.items()},
+            {(str(i), str(s)): ("ab", published[i][0], why) for i, s in suspects})
+
+
+# Named benchmark suites, in table order, built once.  Each is its spec,
+# its published rows, keyed by row key as ``_rows`` gives them, each
+# (ideal pair, one cell per column), and the substitutes for published
+# cells left out as inconsistent: (row key, column) -> (components, the
+# values asserted, why).
 _CANNED = {
-    "table5": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
-                             title="five-fold CNOT1, rotating fields"),
-    "table6": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=2,
-                             title="five-fold CNOT2, rotating fields"),
-    "table7": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=3,
-                             title="five-fold CNOT3, rotating fields"),
-    "table8": ExperimentSpec(kind="qa", style=STATIC_SF, cnot_variant=1,
-                             title="five-fold CNOT1, single-axis fields"),
-    "table9": ExperimentSpec(kind="grover", style=ROTATING_SF,
-                             title="database search, rotating fields"),
-    "table10": ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
-                              k_list=(32,), tau_offsets=ref.PERTURBATION_OFFSETS,
-                              title="duration sensitivity at s=256"),
-    "grover_static": ExperimentSpec(kind="grover", style=STATIC_SF,
-                                    title="database search, single-axis fields"),
+    "table5": (ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
+                              title="five-fold CNOT1, rotating fields"),
+               ref.QA_ROTATING_CNOT1, {}),
+    "table6": (ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=2,
+                              title="five-fold CNOT2, rotating fields"),
+               ref.QA_ROTATING_CNOT2, {}),
+    "table7": (ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=3,
+                              title="five-fold CNOT3, rotating fields"),
+               ref.QA_ROTATING_CNOT3, {}),
+    "table8": (ExperimentSpec(kind="qa", style=STATIC_SF, cnot_variant=1,
+                              title="five-fold CNOT1, single-axis fields"),
+               ref.QA_STATIC_CNOT1, {}),
+    "table9": (ExperimentSpec(kind="grover", style=ROTATING_SF,
+                              title="database search, rotating fields"),
+               *_search_reference(ref.GROVER_ROTATING, ref.SUSPECT_GROVER_ROTATING)),
+    "table10": (ExperimentSpec(kind="qa", style=ROTATING_SF, cnot_variant=1,
+                               k_list=(32,), tau_offsets=ref.PERTURBATION_OFFSETS,
+                               title="duration sensitivity at s=256"),
+                ref.DURATION_PERTURBATION,
+                {(r, _offset_label(o)): (comp, (forced,), why)
+                 for (r, o), (comp, forced, why) in ref.SUSPECT_PERTURBATION.items()}),
+    "grover_static": (ExperimentSpec(kind="grover", style=STATIC_SF,
+                                     title="database search, single-axis fields"),
+                      *_search_reference(ref.GROVER_STATIC, ref.SUSPECT_GROVER_STATIC)),
 }
 
 
 def canned_spec(name: str) -> ExperimentSpec:
-    """Named benchmark suites (table5 .. table10, plus grover_static)."""
+    """The spec of a named benchmark suite, one of canned_names()."""
     if name not in _CANNED:
         raise ConfigurationError(
             f"unknown table {name!r}; available: {', '.join(sorted(_CANNED))}")
-    return _CANNED[name]
+    return _CANNED[name][0]
 
 
 def canned_names() -> tuple[str, ...]:
@@ -549,45 +576,19 @@ def compare_against_reference(table: ResultTable, reference: dict,
     return failures
 
 
-def _published(name: str):
-    """(reference, columns, substitutes) of a canned table.
-
-    The reference maps row key -> (ideal, published cells per column).
-    A substitute replaces a published cell left out as inconsistent:
-    (row key, column) -> (components, the values asserted, why).
-    """
-    s_cols = [str(s) for s in ref.S_VALUES]
-    if name == "table10":
-        return (ref.DURATION_PERTURBATION,
-                [_offset_label(o) for o in ref.PERTURBATION_OFFSETS],
-                {(r, _offset_label(o)): (comp, (forced,), why)
-                 for (r, o), (comp, forced, why) in ref.SUSPECT_PERTURBATION.items()})
-    if name in ("table9", "grover_static"):
-        reference, suspects = ((ref.GROVER_ROTATING, ref.SUSPECT_GROVER_ROTATING)
-                               if name == "table9" else
-                               (ref.GROVER_STATIC, ref.SUSPECT_GROVER_STATIC))
-        why = "suspected entry transposition; values converge to the ideal answer"
-        return ({str(i): v for i, v in reference.items()}, s_cols,
-                {(str(i), str(s)): ("ab", reference[i][0], why) for i, s in suspects})
-    return ({"table5": ref.QA_ROTATING_CNOT1, "table6": ref.QA_ROTATING_CNOT2,
-             "table7": ref.QA_ROTATING_CNOT3, "table8": ref.QA_STATIC_CNOT1}[name],
-            s_cols, {})
-
-
 def _published_failures(name: str, tol: float, notes: list) -> tuple[bool, str]:
-    """Run a canned table and compare every cell and every row's ideal
-    pair with its published value.
+    """Run a canned table and compare every cell, at the table's own
+    column labels, and every row's ideal pair with its published value.
 
     A published cell left out as inconsistent is compared with its
     substitute instead, at the same tolerance, and noted.
     """
-    spec = canned_spec(name)
+    spec, published, substitutes = _CANNED[name]
     table = run_experiment(spec)
     label = {key: label for key, label, *_ in _rows(spec)}
-    reference, cols, substitutes = _published(name)
-    fails = compare_against_reference(table, reference, label.__getitem__, cols, tol,
-                                      substitutes.keys())
-    fails += [(label[key], "ideal", comp, g, w) for key, (ideal, _) in reference.items()
+    fails = compare_against_reference(table, published, label.__getitem__,
+                                      table.col_labels, tol, substitutes.keys())
+    fails += [(label[key], "ideal", comp, g, w) for key, (ideal, _) in published.items()
               for comp, g, w in zip("ab", table.ideal[label[key]], ideal)
               if abs(g - w) > tol]
     for (key, col), (comps, want, why) in sorted(substitutes.items()):
@@ -737,9 +738,9 @@ CHECKS = (
     Check("norm-preservation", 1e-10, _norm_preservation),
     Check("step-size-independence", 0.0, _step_size_independence),
     Check("coupling-off-during-pulses", 0.0, _coupling_off_during_pulses),
-    *(Check(name, ref.PERTURBATION_TOL if name == "table10" else ref.RESULT_TOL,
+    *(Check(name, ref.RESULT_TOL if spec.tau_offsets is None else ref.PERTURBATION_TOL,
             partial(_published_failures, name), runs_tables=True)
-      for name in canned_names()),
+      for name, (spec, *_) in _CANNED.items()),
     Check("rotating-pulse-sheet", 1e-6, partial(_pulse_sheet, ROTATING)),
     Check("static-pulse-sheet", 1e-6, partial(_pulse_sheet, STATIC_AXIS)),
     Check("ideal-eo-sheet", 0.0, _ideal_eo_sheet),

@@ -168,12 +168,14 @@ _CLASS_LABEL = "z-class"  # the label of every class representative eo0
 MAX_DELTA_TIMES_DRIVE = 0.5
 
 
-def check_delta(delta, machine: MachineConfig | None = None):
+def check_delta(delta, machine: MachineConfig | EOParams | None = None):
     """The step size (over 2*pi), which must be a positive finite number
-    and, given a machine, resolve its fastest drive: delta times the
-    larger |z-field| at most MAX_DELTA_TIMES_DRIVE.  The spec, every
-    program builder, parse_program_text and design_pulse check delta by
-    this one rule; stepping an EO checks only its first part."""
+    and, given a machine (or an EO, which carries its machine's
+    z-fields), resolve its fastest drive: delta times the larger
+    |z-field| at most MAX_DELTA_TIMES_DRIVE.  The spec, every program
+    builder, parse_program_text, design_pulse and convergence_report
+    check delta by this one rule; stepping an EO checks only its first
+    part."""
     if not (is_finite_number(delta) and delta > 0):
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
     if machine is not None:

@@ -16,16 +16,17 @@ there is no other kind of step.  Rewriting a program's EOs
 gives another program of EOs.
 
 There is one walk over program steps, and it walks a whole stack of
-programs at once, in two parts.  compile_walk reads the programs alone:
-their distinct EOs in first-use order and, per step position, which of
-them each start block takes.  run_walk does what depends on the
+programs at once, one program per start block (a program may repeat),
+in two parts.  compile_walk reads the programs alone, each distinct one
+once: their distinct EOs in first-use order and, per step position,
+which of them each start block takes.  run_walk does what depends on the
 propagator store: it has the integrator integrate those EOs
 (``integrator.integrate``), so that the cold ones are integrated in
 stacks, looks each one up once, and carries the start blocks through
 the steps, one batched product per step position.  A compiled walk
 holds no propagator, so it may be run again after the store is
-cleared.  program_states compiles and runs it from input rows, one per
-cell, each carried step by step through its own program;
+cleared.  program_states compiles and runs it from input rows, one
+per program, each carried step by step through its program;
 program_unitaries is the same walk started from the identity.
 
 A state is a row of four complex amplitudes, and a stack of states is
@@ -35,23 +36,26 @@ convention, reads the qubit values of every row of a stack.
 program_unitary, run_inputs and run_program are the one-program calls,
 and convergence_report runs one program of EOs per step size through
 them and compares their prints by round2, the rounding every table
-prints with.
+prints with; it checks each step size as a builder does, on the
+z-fields its pulse EOs carry.
 
 A program kind is a gate list: build_cnot, build_qa and build_grover
 each state their list, their name and their input, and one builder
 (_build) realizes it, taking a style name, k and a machine, whose field
-ratio sets the duration of every pulse.  It alone checks style and k,
-expands the gates and attaches the list's ideal unitary; QA2's exact
-final rotation is its one special case.
+ratio sets the duration of every pulse.  It alone checks style, k and
+the machine, expands the gates and attaches the list's ideal unitary;
+QA2's exact final rotation is its one special case.
 
 Each parameter that picks a program has one domain here (STYLES,
 CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES) and one
 check (check_style, check_variant, check_item, check_input,
-check_final_rotation_style; k's is pulses.check_k and the step size's
-integrator.check_delta), which every builder and harness.ExperimentSpec
-call: a bool or a float is no variant, item or k, and a step size too
-coarse for the machine's drive is refused.  A duration offset has one
-check too (check_offset), and a walk index one rule (compile_walk).
+check_final_rotation_style; k's is pulses.check_k, the step size's
+integrator.check_delta and the machine's hamiltonian.check_machine),
+which every builder and harness.ExperimentSpec call: a bool or a float
+is no variant, item or k, a step size too coarse for the machine's
+drive is refused, and so is a machine that is no MachineConfig.  A
+duration offset has one check too (check_offset), and a walk entry
+must be a Program (compile_walk).
 Gate steps, duration-shifted steps, whole gate-sequence expansions,
 gate matrices and each gate sequence's ideal unitary are memoized, so
 rebuilding a program re-designs no pulse, re-shifts no duration and
@@ -65,9 +69,10 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalIntegrityError, check_choice, is_integer
+from .errors import ConfigurationError, NumericalIntegrityError, check_choice
 from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
+from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
+                          is_finite_number)
 from . import integrator
 from .integrator import check_delta, eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
@@ -210,10 +215,11 @@ def _build(name: str, names: tuple[str, ...], style: str, k: int,
     """The program of a gate list, names in application order, with the
     ideal unitary of the list, named by `name` followed by its style and
     k ('QA1[CNOT1,' gives 'QA1[CNOT1,ideal,k=1]'): the one place that
-    checks style, k and the step size on the machine
+    checks style, k, the machine and the step size on it
     (``integrator.check_delta``) and expands gates.  exact_last runs the
     last gate as its ideal EO without coupling, which is exact to
     rounding."""
+    machine = check_machine(machine)
     style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
     steps = _expand(names[:-1] if exact_last else names, style, k, machine, delta)
     if exact_last:
@@ -302,13 +308,13 @@ def round2(x: float) -> float:
 def run_inputs(program: Program, input_specs) -> list[tuple[float, float]]:
     """Qubit values of each named input carried through the program."""
     states = input_amplitudes(input_specs)
-    return readout(program_states([program], [0] * len(states), states))
+    return readout(program_states([program] * len(states), states))
 
 
 def run_program(program: Program) -> np.ndarray:
     """The output amplitudes of the program's declared input, a read-only
     (4,) row."""
-    (amps,) = program_states([program], [0], input_amplitudes([program.input_spec]))
+    (amps,) = program_states([program], input_amplitudes([program.input_spec]))
     amps.setflags(write=False)
     return amps
 
@@ -323,38 +329,39 @@ def program_unitaries(programs) -> np.ndarray:
     program_states started from the identity, one walk for all.  Each
     unitary is bit-identical to multiplying its program's propagators
     one by one."""
-    programs = list(programs)
-    return run_walk(*compile_walk(programs, range(len(programs))),
-                    np.broadcast_to(_EYE, (len(programs), 4, 4)))
+    eos, gather = compile_walk(programs)
+    return run_walk(eos, gather, np.broadcast_to(_EYE, (gather.shape[1], 4, 4)))
 
 
-def program_states(programs, which, rows) -> np.ndarray:
+def program_states(programs, rows) -> np.ndarray:
     """Each input row carried through its program, stacked (C, 4): row c
-    through the steps of programs[which[c]], in one walk for all; rows
-    must be (C, 4), one row per entry of which.  Each output row is
-    bit-identical to applying the program's propagators to its input one
-    by one."""
-    eos, gather = compile_walk(programs, which)
+    through the steps of programs[c], in one walk for all; rows must be
+    (C, 4), one row per program.  Each output row is bit-identical to
+    applying the program's propagators to its input one by one."""
+    eos, gather = compile_walk(programs)
     if np.shape(rows) != (gather.shape[1], 4):
         raise ConfigurationError(f"input rows of shape {np.shape(rows)} for "
                                  f"{gather.shape[1]} walk entries: need (entries, 4)")
     return run_walk(eos, gather, np.reshape(rows, (-1, 4, 1)))[..., 0]
 
 
-def compile_walk(programs, which) -> tuple[tuple[EOParams, ...], np.ndarray]:
-    """The walk of block c through programs[which[c]], in the form
-    run_walk takes: the distinct EOs of the programs, in first-use order
-    (each step object read once, keyed by its id), and a read-only
-    (step position, c) index into them, counted from 1, with 0 for the
-    identity that pads a shorter program.  Each entry of which must be
-    an integer (not a bool) in range(len(programs))."""
-    programs, which = list(programs), list(which)  # the list keeps every step alive
-    if not all(is_integer(w) and 0 <= w < len(programs) for w in which):
-        raise ConfigurationError(f"walk indices must be integers in "
-                                 f"range({len(programs)}), got {which!r}")
-    by_step, by_eo = {}, {}    # EO indices from 1; 0 is the identity
+def compile_walk(programs) -> tuple[tuple[EOParams, ...], np.ndarray]:
+    """The walk of block c through programs[c], in the form run_walk
+    takes: the distinct EOs of the programs, in first-use order (each
+    program read once, keyed by its id, and each step object once), and
+    a read-only (step position, c) index into them, counted from 1, with
+    0 for the identity that pads a shorter program.  Each entry must be
+    a Program, and one may repeat."""
+    programs = list(programs)   # the list keeps every step alive
+    for p in programs:
+        if not isinstance(p, Program):
+            raise ConfigurationError(
+                f"walk entries must be Programs, got {type(p).__name__}")
+    distinct = {}               # id -> (index, program) of a distinct program
+    which = [distinct.setdefault(id(p), (len(distinct), p))[0] for p in programs]
+    by_step, by_eo = {}, {}     # EO indices from 1; 0 is the identity
     rows = []
-    for program in programs:
+    for _, program in distinct.values():
         row = []
         for step in program.steps:
             i = by_step.get(id(step))
@@ -456,16 +463,21 @@ def convergence_report(eos, input_spec: str, deltas) -> ConvergenceReport:
     of the EOs ``eo.replace(delta=d)``, through run_program.  Deviations
     are measured against the run at the reference step min(deltas)/10.
     Diagonal EOs keep the exact propagator throughout, so only pulse
-    steps are swept.
+    steps are swept, and each d must resolve the drive of every pulse EO
+    as a builder's step size must (``integrator.check_delta`` on the
+    EO's own z-fields).
     """
     eos = (eos,) if isinstance(eos, EOParams) else tuple(eos)
+    # each d is checked on the z-fields of every pulse EO (alone if none)
+    pulses = [eo for eo in eos if not eo.is_diagonal] or [None]
 
     def run(d):
         return run_program(Program("convergence",
                                    tuple(eo.replace(delta=d) for eo in eos),
                                    input_spec))
 
-    deltas = sorted(set(float(d) for d in deltas), reverse=True)
+    deltas = sorted({float(check_delta(d, eo)) for d in deltas for eo in pulses},
+                    reverse=True)
     if not deltas:
         raise ConfigurationError("need at least one delta")
     ref = run(min(deltas) / 10.0)
@@ -495,10 +507,11 @@ def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
         gate <name>                         # realized in `style`
         pulse <spin> <angle> <axis> <mode> <k>   # angle in radians
         diagonal <tau_over_2pi>             # machine-field z evolution
-    A gate is expanded as a builder expands it ('G' per style), delta is
-    checked as a builder checks it, and a diagonal duration must be
-    finite and non-negative.
+    A gate is expanded as a builder expands it ('G' per style), the
+    machine and delta are checked as a builder checks them, and a
+    diagonal duration must be finite and non-negative.
     """
+    machine = check_machine(machine)
     style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
     steps = []
     input_spec = "00"

@@ -38,7 +38,8 @@ from math import gcd
 import numpy as np
 
 from .errors import ConfigurationError, check_choice, is_integer
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, is_finite_number
+from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
+                          is_finite_number)
 from .integrator import check_delta
 from .operators import TWO_PI
 
@@ -172,7 +173,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     check_choice(target_spin, "target_spin", (1, 2))
     k = check_k(k)
     check_choice(mode, "mode", _MODES)
-    check_delta(delta, machine)
+    check_delta(delta, check_machine(machine))
     gamma = RationalGamma.from_machine(machine)
 
     t1, t2 = hypothetical_durations(gamma, k)

@@ -15,7 +15,7 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
                    build_qa, canned_names, canned_spec, emit_table,
                    program_unitaries, round2, run_experiment, verify_suite)
 from nmrqc.cli import main, parse_angle
-from nmrqc.harness import CHECKS, _qa_row_label
+from nmrqc.harness import _CANNED, CHECKS, _qa_row_label, _rows
 
 from conftest import json_reference, per_row_reference
 
@@ -167,6 +167,21 @@ def test_canned_specs_exist():
         canned_spec("table99")
 
 
+def test_each_canned_table_states_its_published_rows_and_tolerance():
+    """A canned table's published rows are its own rows, by row key, each
+    with one cell per column of the table, and each substitute names one
+    of its cells; its check compares at PERTURBATION_TOL exactly when
+    its spec is a duration study."""
+    tolerance = {c.name: c.tolerance for c in CHECKS}
+    for name, (spec, published, substitutes) in _CANNED.items():
+        cols = spec._compiled.col_labels
+        assert list(published) == [key for key, *_ in _rows(spec)]
+        assert all(len(cells) == len(cols) for _, cells in published.values())
+        assert substitutes.keys() <= {(r, c) for r in published for c in cols}
+        assert tolerance[name] == (ref.PERTURBATION_TOL if spec.tau_offsets is not None
+                                   else ref.RESULT_TOL)
+
+
 def _sweep_specs() -> dict:
     """Short-pulse tables at s = 8, 16: QA on every CNOT variant and the
     search, in both pulse styles, and a duration study at each k."""
@@ -247,14 +262,14 @@ def test_run_experiment_matches_per_row_reference(case):
 
 
 def _count_runs(monkeypatch):
-    """The program lists the harness hands to compile_walk, one per
-    compiled table: each list holds the table's distinct programs."""
+    """The distinct programs of each walk the harness compiles, one list
+    per compiled table (``compile_walk`` takes one program per cell)."""
     import nmrqc.harness
     calls = []
     walk = nmrqc.harness.compile_walk
     monkeypatch.setattr(nmrqc.harness, "compile_walk",
-                        lambda ps, which: calls.append(list(ps))
-                        or walk(calls[-1], which))
+                        lambda ps: calls.append(list({id(p): p for p in ps}.values()))
+                        or walk(ps))
     return calls
 
 
@@ -841,7 +856,8 @@ def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
     ideal, ((a, b), *rest) = ref.QA_ROTATING_CNOT1["singlet"]
     spec = canned_spec("table5")
     got = run_experiment(spec).cell(_qa_row_label(spec, "singlet"), 8)[0]
-    comp, forced, why = ref.SUSPECT_PERTURBATION[("01", 0.0)]
+    substitutes10 = _CANNED["table10"][2]    # built from the sheet at import
+    comp, (forced,), why = substitutes10[("01", "+0")]
     # a published cell off the print by 0.05, then just outside and just
     # inside the tolerance; a forced duration-study value off by 0.05;
     # a published ideal pair off by 0.05
@@ -849,7 +865,7 @@ def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
              for moved, failing in [(a + 0.05, "table5"),
                                     (got + 1.01 * ref.RESULT_TOL, "table5"),
                                     (got - 0.99 * ref.RESULT_TOL, None)]]
-    edits.append((ref.SUSPECT_PERTURBATION, ("01", 0.0), (comp, forced - 0.05, why),
+    edits.append((substitutes10, ("01", "+0"), (comp, (forced - 0.05,), why),
                   "table10"))
     # table6's check alone reads the ideal pairs of CNOT2
     ideal6, cells6 = ref.QA_ROTATING_CNOT2["00"]

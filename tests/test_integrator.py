@@ -11,7 +11,7 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import canned_spec, run_experiment, verify_suite
-from nmrqc.hamiltonian import diagonal_energies
+from nmrqc.hamiltonian import MachineConfig, diagonal_energies
 from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
                               _cached_propagator, _nearest_unitary,
                               _plan, _powers, _product_formula_block,
@@ -179,6 +179,23 @@ def test_convergence_report_flags_and_ratio():
     assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
     with pytest.raises(ConfigurationError, match="at least one delta"):
         convergence_report(eo, "00", [])
+
+
+@pytest.mark.parametrize("eos, deltas", [
+    (build_qa("00", style="rotating_sf").steps, [0.9]),
+    (build_qa("00", style="rotating_sf").steps, [True]),
+    (build_qa("00", style="rotating_sf").steps, ["0.01"]),
+    (build_qa("00", style="rotating_sf").steps, [0.01, float("nan")]),
+    (build_qa("00", style="rotating_sf",
+              machine=MachineConfig(h1z=2.0, h2z=0.5)).steps, [0.3]),
+    (ideal_eo_params("Ip"), [-0.01]),
+])
+def test_convergence_report_refuses_the_step_sizes_the_spec_refuses(eos, deltas):
+    """Each step size passes the builders' check (``check_delta``) on the
+    z-fields of the pulse EOs it steps: 0.9 used to print (0.976401,
+    0.469457) for an ideal (1, 1), True ran at 1 and "0.01" at 0.01."""
+    with pytest.raises(ConfigurationError, match="delta"):
+        convergence_report(eos, "10", deltas)
 
 
 def test_convergence_flag_rounds_as_the_tables_print(monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ConfigurationError, EOParams, NumericalIntegrityError, Program,
+from nmrqc import (DEFAULT_MACHINE, ConfigurationError, EOParams, ExperimentSpec,
+                   NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_qa, design_pulse, eo_propagator,
                    grover_sequence, ideal_eo_params, ideal_gate, input_amplitudes,
                    parse_program_text, program_unitary, readout, run_program,
@@ -251,7 +252,7 @@ def test_one_propagator_lookup_per_eo_step(program, monkeypatch):
              lambda: run_program(p),
              lambda: program_unitaries([p, _PROGRAMS[program]("rotating_sf"),
                                         copy, p]),
-             lambda: program_states([p, copy], [1, 0, 1, 1],
+             lambda: program_states([copy, p, copy, copy],
                                     input_amplitudes(INPUT_SPECS[:4])))
     for walk in walks:
         looked_up.clear()
@@ -299,7 +300,7 @@ def test_program_unitaries_equal_the_sequential_walk(steps, delta, cold, rows):
         assert np.array_equal(u, w)
     if cold:
         clear_propagator_cache()
-    got = program_states(programs, which, states)
+    got = program_states([programs[i] for i in which], states)
     assert got.shape == (len(rows), 4)
     for g, w in zip(got, want_rows):
         assert np.array_equal(g, w)
@@ -425,29 +426,41 @@ def test_the_library_refuses_the_step_sizes_the_spec_refuses(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ExperimentSpec(machine={"h1z": 1.0}),
+    lambda: ExperimentSpec(machine=None),
+    lambda: build_qa("00", machine=None),
+    lambda: build_cnot(1, "rotating_sf", machine=DEFAULT_MACHINE.to_dict()),
+    lambda: build_grover(0, machine=None),
+    lambda: design_pulse(1, 1.0, "x", machine=None),
+    lambda: parse_program_text("gate X1", machine=None),
+])
+def test_the_library_refuses_a_machine_the_spec_refuses(call):
+    """A machine must be a MachineConfig, in the spec, every builder, the
+    program text and design_pulse: these raised AttributeError, and a
+    spec with machine=None failed only when it ran."""
+    with pytest.raises(ConfigurationError, match="machine must be a MachineConfig"):
+        call()
+
+
 _TWO = [build_qa("00"), build_qa("singlet")]
 _ROWS = input_amplitudes(["00", "10"])
 
 
-@pytest.mark.parametrize("which, rows", [
-    ([-1], _ROWS[:1]), ([True], _ROWS[:1]), ([0.0], _ROWS[:1]), ([2], _ROWS[:1]),
-    (["0"], _ROWS[:1]),                                     # no index
-    ([0], _ROWS), ([0, 1], _ROWS[:1]), ([0] * 3, np.ones((4, 3))),   # rows per index
+@pytest.mark.parametrize("programs, rows", [
+    ([_TWO[0]], _ROWS), (_TWO, _ROWS[:1]), ([_TWO[0]] * 3, np.ones((4, 3))),
+    ([_TWO[0], 0], _ROWS),                                  # no program
 ])
-def test_program_states_refuses_a_bad_walk(which, rows):
-    """Each index must be an integer (not a bool) in range(len(programs)),
-    with one input row of 4 amplitudes per index: [-1] used to run the
-    last program, [True] and [0.0] program 1 and 0, [0] carried two rows
-    by broadcasting, and four rows of 3 were read as three rows of 4."""
+def test_program_states_refuses_a_bad_walk(programs, rows):
+    """One input row of 4 amplitudes per program, and every entry a
+    Program: one program used to carry two rows by broadcasting, and
+    four rows of 3 were read as three rows of 4."""
     with pytest.raises(ConfigurationError, match="walk"):
-        program_states(_TWO, which, rows)
+        program_states(programs, rows)
 
 
-def test_program_states_takes_numpy_indices_and_the_empty_walk():
-    rows = input_amplitudes(["00", "singlet"])
-    assert np.array_equal(program_states(_TWO, np.arange(2), rows),
-                          program_states(_TWO, [0, 1], rows))
-    assert program_states(_TWO, [], np.empty((0, 4))).shape == (0, 4)
+def test_program_states_takes_the_empty_walk():
+    assert program_states([], np.empty((0, 4))).shape == (0, 4)
 
 
 def test_parse_program_text_round_trip_semantics():

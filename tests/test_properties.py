@@ -130,6 +130,8 @@ _PARAMETERS = {
                              lambda v: build_qa("singlet", final_rotation_style=v)),
     "delta": (lambda v: ExperimentSpec(delta=v, machine=_FAST), lambda spec: spec.delta,
               lambda v: build_qa("00", style="rotating_sf", machine=_FAST, delta=v)),
+    "machine": (lambda v: ExperimentSpec(machine=v), lambda spec: spec.machine,
+                lambda v: build_qa("00", machine=v)),
     "tau_offsets": (lambda v: ExperimentSpec(tau_offsets=(v,)),
                     lambda spec: spec.tau_offsets[0],
                     lambda v: with_duration_offset(build_qa("00"), "Ip", v)),
@@ -163,6 +165,8 @@ def _accepted(call, value):
 @example(parameter="delta", value=True)
 @example(parameter="delta", value=0.25)
 @example(parameter="delta", value=0.3)    # too coarse for the drive at 2.0
+@example(parameter="machine", value=None)
+@example(parameter="machine", value={"h1z": 1.0})
 @example(parameter="tau_offsets", value=True)
 @example(parameter="tau_offsets", value=float("nan"))
 @example(parameter="tau_offsets", value="0.1")
