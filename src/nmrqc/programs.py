@@ -291,11 +291,11 @@ def readout(amps: np.ndarray) -> list[tuple[float, float]]:
     is 1: with w = |amplitude|^2, a = w1 + w3 and b = w2 + w3.  A row
     whose norm is off by more than NORM_TOL raises NumericalIntegrityError.
     """
-    norms = np.linalg.norm(amps, axis=-1)
+    w = np.abs(amps) ** 2
+    norms = np.sqrt(w.sum(axis=-1))
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)   # NaN counts as off
     if off.any():
         raise NumericalIntegrityError(f"state norm {norms[off][0]!r} deviates from 1")
-    w = np.abs(amps) ** 2
     return list(zip((w[:, 1] + w[:, 3]).tolist(), (w[:, 2] + w[:, 3]).tolist()))
 
 

@@ -1,8 +1,10 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -590,6 +592,30 @@ def test_cli_design_prints_sheet_row(capsys):
     assert out.splitlines()[0].startswith("pulse | tau/2pi | omega")
 
 
+def test_cli_out_writes_to_a_fifo_and_to_devnull(tmp_path, capsys):
+    """--out writes what stdout would get into a FIFO, whose reader gets
+    every byte, and into the null device; neither is truncated, which
+    ftruncate refuses for them."""
+    argv = ["design", "1", "pi/2", "y", "rotating", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    fifo = tmp_path / "sheet.fifo"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as f:
+            got.append(f.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert main(argv + ["--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert got == [want]
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cli_design_uses_the_machine_of_its_ratio(capsys):
     # --n 11 --m 40 designs on the machine with h2z = 0.275: the drive
     # resonates with spin 2 there, and the spectator channel (spin 1)
@@ -631,9 +657,15 @@ def test_cli_run_with_config(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out_file = tmp_path / "result.csv"
-    rc = main(["run", str(path), "--format", "csv", "--out", str(out_file)])
+    umask = os.umask(0o027)
+    try:
+        rc = main(["run", str(path), "--format", "csv", "--out", str(out_file)])
+    finally:
+        os.umask(umask)
     assert rc == 0
     assert out_file.read_text().startswith("Operation,")
+    # a new file gets the mode open() gives: 0o666 less the umask
+    assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~0o027
 
 
 def test_cli_sweep_small(capsys):
@@ -644,12 +676,18 @@ def test_cli_sweep_small(capsys):
     assert "0.24" in out  # the order-sensitivity signature cell
 
 
-def test_cli_tables_markdown(capsys):
+def test_cli_tables_markdown(tmp_path, capsys):
     rc = main(["tables", "table5", "--format", "markdown"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.splitlines()[0].startswith("Operation | a | b | a_8")
     assert "0.90" in out
+    # --out over the longer JSON of the same table leaves no stale tail:
+    # the file holds exactly what stdout got
+    path = tmp_path / "table5.txt"
+    for fmt in ("json", "markdown"):
+        assert main(["tables", "table5", "--format", fmt, "--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode("utf-8")
 
 
 @pytest.mark.parametrize("argv, status", [(["verify", "--quick"], 0),
@@ -732,6 +770,8 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--k-list", "1,x"],
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
+    ["tables", "table5", "--format", "json", "--out", "{tmp}"],
+    ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}/missing/sheet.txt"],
     ["tables", "table5", "--delta", "5"],
     ["tables", "table5", "--tau-offset", "1e308"],
     ["tables", "table10", "--tau-offset", "0.1", "--tau-offset", "0.1000004",

@@ -8,6 +8,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -208,7 +209,8 @@ _texts = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f,é☃\U0001d11e') | st.cha
                  max_size=6)
 # Column labels whose string order is not their numeric order.
 _labels = st.sampled_from(["8", "16", "128", "+0.05", "-0.1", "ideal"]) | _texts
-_numbers = (st.floats() | st.integers()
+# Bools and np.float64 are numbers whose repr is not json.dumps' spelling.
+_numbers = (st.floats() | st.integers() | st.booleans() | st.floats().map(np.float64)
             | st.sampled_from([5e-324, 1e-300, 1.5e308, -0.0, float("nan"),
                                float("inf"), float("-inf")]))
 
@@ -239,8 +241,34 @@ def result_tables(draw):
            for c in ["8", "16", "128", "+0.05", "-0.1"]}))
 @example(ResultTable(title="", row_header="", row_labels=[], col_labels=[]))
 @example(ResultTable(title="", row_header="", row_labels=["r"], col_labels=[]))
+@example(ResultTable(  # format directives in the text around the numbers
+    title="100% {} %s", row_header="%d {0}", row_labels=["%", "%%s"],
+    col_labels=["%s", "{}"], ideal={"%": (0.5, 1)},
+    cells={(r, c): (0.25, np.float64(0.75)) for r in ["%", "%%s"] for c in ["%s", "{}"]}))
 def test_table_json_is_json_dumps_byte_for_byte(table):
     assert table.to_json() == json_reference(table)
+
+
+_TABLE = dict(title="t", row_header="Operation", row_labels=["00", "11"],
+              col_labels=["8", "16"], ideal={"00": (0.0, 0.0), "11": (1.0, 1.0)},
+              cells={(r, c): (0.5, 0.25) for r in ["00", "11"] for c in ["8", "16"]})
+
+
+@pytest.mark.parametrize("change", [
+    dict(row_labels=["00", "10"],
+         cells={(r, c): (0.5, 0.25) for r in ["00", "10"] for c in ["8", "16"]}),
+    dict(col_labels=["8", "32"],
+         cells={(r, c): (0.5, 0.25) for r in ["00", "11"] for c in ["8", "32"]}),
+    dict(cells={**_TABLE["cells"], ("11", "16"): (0.125, 0.25)}),
+    dict(cells={**_TABLE["cells"], ("11", "16"): (0.125, 0.25, 1.0)}),
+], ids=["row_label", "column_label", "cell", "cell_length"])
+def test_table_json_of_a_changed_table_is_its_own(change):
+    """A table rendered after one of the same title whose label or cell
+    differs prints its own JSON, not the text of the first."""
+    first = ResultTable(**_TABLE)
+    assert first.to_json() == json_reference(first)
+    second = ResultTable(**{**_TABLE, **change})
+    assert second.to_json() == json_reference(second)
 
 
 @settings(max_examples=16, deadline=None)
