@@ -10,7 +10,7 @@ reference is ``oracle_propagator``, which is never stored.
 import numpy as np
 
 from nmrqc import (build_qa, convergence_report, design_pulse, eo_propagator,
-                   oracle_propagator)
+                   oracle_propagator, round2)
 from nmrqc.gates import gate_rotation
 from nmrqc.operators import TWO_PI, max_unitarity_defect
 
@@ -39,3 +39,7 @@ print("on the singlet, shortest pulses):")
 qa2 = build_qa("singlet", style="rotating_sf", k=1)
 report = convergence_report(qa2.steps, "singlet", deltas=[0.1, 0.01, 0.001])
 print(report)
+# the rows as the tables print them: two decimals, halves away from zero
+two_digit = {row.delta: tuple(map(round2, row.expectations)) for row in report.rows}
+status = "agree" if two_digit[0.01] == two_digit[0.001] else "DIFFER"
+print(f"two-digit results at delta 0.01 vs 0.001: {status}")

@@ -14,10 +14,10 @@ from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, hamiltonian_a
 from .integrator import eo_propagator, oracle_propagator
 from .gates import (GATE_NAMES, compose, coupling_pi_duration,
                     derive_primed_angles, ideal_eo_params, ideal_gate, phase_gate)
-from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, CommensurabilityReport,
-                     RationalGamma, commensurability_check_n,
-                     commensurability_margin, design_pulse, hypothetical_durations,
-                     spectator_excess_angle, spectator_residual)
+from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma,
+                     commensurability_check_n, commensurability_margin,
+                     design_pulse, hypothetical_durations, spectator_excess_angle,
+                     spectator_residual)
 from .programs import (IDEAL, ROTATING_SF, STATIC_SF, STYLES, Program, build_cnot,
                        build_grover, build_qa, convergence_report, grover_sequence,
                        input_amplitudes, parse_program_text, program_states,

@@ -7,8 +7,9 @@ Subcommands:
     sweep ...             run a program family over a list of k values
     verify                run the verification suite
 
-Exit status is 0 on success, 1 on verification failure, 2 on bad input,
-and 141 (128 + SIGPIPE) when the reader of the output goes away.
+Exit status is 0 on success, 1 on verification failure, 2 on bad input
+(a bad flag value too), which prints one `error:` line, and 141
+(128 + SIGPIPE) when the reader of the output goes away.
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ def parse_angle(text: str) -> float:
 
 
 def _write_out(text: str, out: str | None):
-    """Print the text, or write it and a newline to the file out, UTF-8.
+    """Print the text, or write it and a newline to the file out, UTF-8,
+    encoded once and written through a binary file.
 
     The file is overwritten in place: opened without O_TRUNC, written,
     then cut to the written length.  Truncating on open costs more than
@@ -67,8 +69,8 @@ def _write_out(text: str, out: str | None):
         print(text)
         return
     fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    with open(fd, "wb") as f:
+        f.write((text + "\n").encode("utf-8"))
         if stat.S_ISREG(os.fstat(fd).st_mode):
             f.truncate()
 
@@ -118,7 +120,7 @@ def _cmd_design(args) -> int:
     angle = parse_angle(args.angle)
     eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=mode,
                       machine=machine)
-    margin, _ = commensurability_margin(RationalGamma.from_machine(machine), args.k)
+    margin = commensurability_margin(RationalGamma.from_machine(machine), args.k)
     header = " | ".join(["pulse", "tau/2pi", "omega", "sf1x", "sf2x", "phi_x",
                          "sf1y", "sf2y", "phi_y"])
     label = f"spin{args.spin} {args.axis} {angle:g}rad {mode} k={args.k}"
@@ -144,14 +146,23 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose bad input is a ConfigurationError, which main
+    reports in one line as it reports any other; its subcommand parsers
+    are of this class too."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process, when this module loads.
 
     Parsing leaves it unchanged: each call gets a fresh namespace.
     """
-    p = argparse.ArgumentParser(prog="nmrqc", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="nmrqc", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -162,18 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--final-rotation-style", dest="final_rotation_style",
                         choices=FINAL_ROTATION_STYLES, default=None)
 
-    sp = sub.add_parser("run", help="run an experiment from a JSON spec")
-    sp.add_argument("config")
-    common(sp)
-    sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append",
-                    help="duration offset for the phase evolution (repeatable)")
-    sp.set_defaults(func=_cmd_run)
-
-    sp = sub.add_parser("tables", help="run a canned benchmark suite")
-    sp.add_argument("name", choices=list(canned_names()))
-    common(sp)
-    sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append")
-    sp.set_defaults(func=_cmd_tables)
+    run = sub.add_parser("run", help="run an experiment from a JSON spec")
+    run.add_argument("config")
+    run.set_defaults(func=_cmd_run)
+    tables = sub.add_parser("tables", help="run a canned benchmark suite")
+    tables.add_argument("name", choices=list(canned_names()))
+    tables.set_defaults(func=_cmd_tables)
+    for sp in (run, tables):
+        common(sp)
+        sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append",
+                        help="duration offset for the phase evolution (repeatable)")
 
     sp = sub.add_parser("design", help="design a single-spin pulse")
     sp.add_argument("spin", type=int, choices=[1, 2])
@@ -208,9 +217,8 @@ build_parser()  # so that no command pays for the build, the first one included
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()   # so that a closed pipe is found here
         return status

@@ -12,8 +12,9 @@ default field ratio 1/4), or, when the spec sets tau_offsets (a duration
 study, QA suites only), a duration offset of the EOs labeled
 perturb_label at each s (``_columns``).  The markdown display rounds
 half away from zero to two decimals.  CSV and JSON carry the same round-trip numbers,
-each spelled as json.dumps spells it (the float's repr, NaN, Infinity),
-so float() of any of them gives the cell back exactly.  JSON keeps the
+each spelled as json.dumps spells it (the float's repr, NaN, Infinity)
+by one function (``_json_numbers``, one call per table), so float() of
+any of them gives the cell back exactly.  JSON keeps the
 layout json.dumps gives the payload with an indent of 2 and sorted keys,
 byte for byte, written without json's pure-Python indenting encoder.
 
@@ -67,6 +68,7 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -230,26 +232,28 @@ class ResultTable:
     def cell(self, row: str, col) -> tuple[float, float]:
         return self.cells[(row, str(col))]
 
-    def _grid(self, fmt) -> list[list[str]]:
-        """Header, then per row its label, ideal (a, b) and every column's (a, b)."""
+    def _grid(self, spell) -> list[list[str]]:
+        """Header, then per row its label, ideal (a, b) and every column's
+        (a, b); spell turns the numbers of all rows into their text in one
+        call."""
         header = [self.row_header, "a", "b"]
         for c in self.col_labels:
             header += [f"a_{c}", f"b_{c}"]
-        grid = [header]
-        for r in self.row_labels:
-            pairs = [self.ideal.get(r, (float("nan"),) * 2)]
-            pairs += [self.cells[(r, c)] for c in self.col_labels]
-            grid.append([r] + [fmt(x) for pair in pairs for x in pair])
-        return grid
+        rows = [[x for values in (self.ideal.get(r, (float("nan"),) * 2),
+                                  *(self.cells[(r, c)] for c in self.col_labels))
+                 for x in values] for r in self.row_labels]
+        words = iter(spell([x for row in rows for x in row]))
+        return [header] + [[r, *islice(words, len(row))]
+                           for r, row in zip(self.row_labels, rows)]
 
     def to_markdown(self) -> str:
-        header, *rows = self._grid(lambda x: f"{round2(x):.2f}")
+        header, *rows = self._grid(lambda xs: [f"{round2(x):.2f}" for x in xs])
         lines = [" | ".join(header), " | ".join(["---"] * len(header))]
         lines += [" | ".join(row) for row in rows]
         return "\n".join(lines)
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(row) for row in self._grid(json.dumps))
+        return "\n".join(",".join(row) for row in self._grid(_json_numbers))
 
     def to_json(self) -> str:
         """The table as JSON, byte for byte what json.dumps writes, with
@@ -673,10 +677,13 @@ def _norm_preservation(tol, notes):
 
 
 def _step_size_independence(tol, notes):
-    """Two-digit results of QA2 at s=8 match at delta 0.01 and 0.001."""
+    """Two-digit results of QA2 at s=8 match at delta 0.01 and 0.001: the
+    rows of its convergence report (coarsest first) print alike by
+    round2, as the tables print."""
     qa2 = build_qa("singlet", style=ROTATING_SF, k=1)
-    conv = convergence_report(qa2.steps, "singlet", deltas=[0.01, 0.001])
-    verdict = "agree" if conv.two_digit_flag is False else "differ"
+    coarse, fine = (tuple(map(round2, row.expectations)) for row in
+                    convergence_report(qa2.steps, "singlet", deltas=[0.01, 0.001]).rows)
+    verdict = "agree" if coarse == fine else "differ"
     return verdict == "agree", f"QA2 s=8, delta 0.01/0.001: two digits {verdict}"
 
 
@@ -749,7 +756,7 @@ def _ideal_eo_sheet(tol, notes):
 
 def _commensurability(tol, notes):
     """The stored commensurability margins and pulse durations."""
-    cases = [("margin", key, commensurability_margin(RationalGamma(*key[:2]), key[2])[0],
+    cases = [("margin", key, commensurability_margin(RationalGamma(*key[:2]), key[2]),
               want) for key, want in ref.MARGIN_CASES.items()]
     cases += [("durations", key, hypothetical_durations(RationalGamma(*key[:2]), key[2]),
                want) for key, want in ref.DURATION_CASES.items()]

@@ -16,11 +16,15 @@ the target amplitude fixed by the angle and the spectator channel
 scaled by gamma.  The approximation quality grows with the margin
 2 k N M (M - N); exactness is unreachable at finite duration, which is
 the root of every deviation the result tables quantify.
+commensurability_margin returns that margin and commensurability_check_n
+the smallest schedule multiplier k1 of several precession frequencies,
+each as a plain int.
 
 A designed pulse is its elementary operation: design_pulse returns the
 EOParams (duration, drive frequency, channel amplitudes and phases)
 and nothing beside it, and the spectator measures
-(spectator_excess_angle, spectator_residual) read that EO.
+(spectator_excess_angle, spectator_residual) read that EO.  Its axis is
+'x' or 'y', and '-x' or '-y' for the opposite direction.
 
 Two field geometries are supported.  ``rotating`` drives both transverse
 channels a quarter period apart, producing a circularly rotating field
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -48,10 +52,6 @@ STATIC_AXIS = "static_axis"
 _MODES = (ROTATING, STATIC_AXIS)
 
 PULSE_DELTA = 0.01  # default integrator step (over 2*pi) for pulse EOs
-
-# margin verdict thresholds for "much greater than one"
-_MARGIN_POOR = 50
-_MARGIN_GOOD = 500
 
 # Largest denominator M of a machine's field ratio.  A spin-2 pulse lasts
 # 2kM^3 spin-1 periods (524288k at M = 64), and a static one whose drive
@@ -98,13 +98,10 @@ DEFAULT_GAMMA = RationalGamma.from_machine(DEFAULT_MACHINE)
 
 
 def parse_axis(axis: str) -> tuple[str, int]:
-    """Accepts 'x', 'y', '-x', '-y', 'x-inverse', 'y-inverse'."""
+    """The axis and its direction (+1 or -1) of 'x', 'y', '-x' or '-y'."""
     a = axis.strip().lower()
-    direction = +1
-    if a.startswith("-"):
-        direction, a = -1, a[1:]
-    if a.endswith("-inverse"):
-        direction, a = -direction, a[: -len("-inverse")]
+    direction = -1 if a.startswith("-") else 1
+    a = a.removeprefix("-")
     if a not in ("x", "y"):
         raise ConfigurationError(f"axis must be x or y (optionally inverted), got {axis!r}")
     return a, direction
@@ -119,21 +116,10 @@ def check_k(k) -> int:
     raise ConfigurationError(f"k must be a positive integer, got {k!r}")
 
 
-def commensurability_margin(gamma: RationalGamma, k: int):
-    """The figure of merit 2 k N M (M - N) and a qualitative verdict.
-
-    The design conditions hold only in the limit margin >> 1; the
-    verdict thresholds (poor < 50 <= marginal < 500 <= good) are a
-    package convention for flagging obviously short pulses.
-    """
-    value = 2 * k * gamma.n * gamma.m * (gamma.m - gamma.n)
-    if value < _MARGIN_POOR:
-        verdict = "poor"
-    elif value < _MARGIN_GOOD:
-        verdict = "marginal"
-    else:
-        verdict = "good"
-    return value, verdict
+def commensurability_margin(gamma: RationalGamma, k: int) -> int:
+    """The figure of merit 2 k N M (M - N), an int; the design conditions
+    hold only in the limit margin >> 1."""
+    return 2 * k * gamma.n * gamma.m * (gamma.m - gamma.n)
 
 
 def hypothetical_durations(gamma: RationalGamma, k: int) -> tuple[int, int]:
@@ -254,12 +240,6 @@ def spectator_residual(eo: EOParams) -> float:
     return float(2.0 * np.sin(spectator_excess_angle(eo) / 4.0))
 
 
-@dataclass(frozen=True)
-class CommensurabilityReport:
-    k1: int | None
-    constraints: tuple[str, ...]
-
-
 def _as_fraction(value) -> Fraction:
     """A frequency as a positive Fraction: an integer (not a bool), a
     Fraction, a string Fraction reads or a (numerator, denominator) pair
@@ -280,14 +260,15 @@ def _as_fraction(value) -> Fraction:
     return frac
 
 
-def commensurability_check_n(frequencies) -> CommensurabilityReport:
-    """Smallest k1 freezing the bare precession of every spin at once.
+def commensurability_check_n(frequencies) -> int:
+    """Smallest k1 freezing the bare precession of every spin at once, an
+    int.
 
     Writing each ratio f_j/f_1 = N_j/M_j in lowest terms, pulse schedules
     exist only when k1 (M_j - N_j) = M_j n_j has integer solutions for
-    all j, i.e. k1 must be a multiple of every M_j.  Equal frequencies
-    impose no constraint.  Each frequency must be a positive exact
-    rational (``_as_fraction``).
+    all j, i.e. k1 must be a multiple of every M_j (an equal frequency
+    has M_j = 1 and adds no constraint).  Each frequency must be a
+    positive exact rational (``_as_fraction``).
     """
     if not isinstance(frequencies, (list, tuple)):
         raise ConfigurationError(
@@ -295,15 +276,4 @@ def commensurability_check_n(frequencies) -> CommensurabilityReport:
     fracs = [_as_fraction(f) for f in frequencies]
     if len(fracs) < 2:
         raise ConfigurationError("need at least two frequencies")
-    base = fracs[0]
-    k1 = 1
-    constraints = []
-    for jdx, f in enumerate(fracs[1:], start=2):
-        ratio = f / base
-        if ratio == 1:
-            constraints.append(f"spin {jdx}: equal frequency, no constraint")
-            continue
-        m = ratio.denominator
-        constraints.append(f"spin {jdx}: ratio {ratio}, k1 must be a multiple of {m}")
-        k1 = k1 * m // gcd(k1, m)
-    return CommensurabilityReport(k1=k1, constraints=tuple(constraints))
+    return lcm(*((f / fracs[0]).denominator for f in fracs[1:]))

@@ -645,10 +645,19 @@ def test_cli_design_rejects_bad_axis(capsys):
 
 
 def test_cli_bad_tau_offset_is_bad_input(capsys):
+    assert main(["tables", "table10", "--tau-offset", "ab"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument --tau-offset: invalid float value: 'ab'\n")
+
+
+@pytest.mark.parametrize("command", ["run", "tables"])
+def test_cli_help_of_tau_offset(command, capsys):
+    """Both commands that take --tau-offset show its help; -h still exits 0."""
     with pytest.raises(SystemExit) as exc:
-        main(["tables", "table10", "--tau-offset", "ab"])
-    assert exc.value.code == 2
-    assert "invalid float value: 'ab'" in capsys.readouterr().err
+        main([command, "-h"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--tau-offset TAU_OFFSET duration offset for the phase evolution" in help_text
 
 
 def test_cli_run_with_config(tmp_path, capsys):
@@ -781,12 +790,31 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["design", "1", "pi/0", "x", "rotating", "1"],
     ["design", "1", "pi/.", "x", "rotating", "1"],
     ["design", "1", "1.2.3pi", "x", "rotating", "1"],
+    # flags and arguments the parser refuses: no usage block either
+    ["run"],
+    ["run", "spec.json", "--format", "yaml"],
+    ["run", "spec.json", "--tau-offset"],
+    ["tables", "nope"],
+    ["tables", "table5", "--delta", "x"],
+    ["tables", "table5", "--final-rotation-style", "bogus"],
+    ["tables", "table5", "--bogus"],
+    ["sweep", "--variant", "4"],
+    ["sweep", "--kind", "bell"],
+    ["sweep", "--variant", "1.0"],
+    ["design", "3", "pi/2", "y", "rotating", "1"],
+    ["design", "1", "pi/2", "y", "rotating", "x"],
+    ["design", "1", "pi/2", "y", "circular", "1"],
+    ["design", "1", "pi/2", "y", "rotating", "1", "--n", "x"],
+    ["design", "1", "pi/2"],
+    ["verify", "--quick", "extra"],
+    ["nope"],
+    [],
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])

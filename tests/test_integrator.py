@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -10,14 +11,15 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    eo_propagator, ideal_eo_params, ideal_gate, input_amplitudes,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.harness import canned_spec, run_experiment, verify_suite
+from nmrqc.harness import CHECKS, canned_spec, run_experiment, verify_suite
 from nmrqc.hamiltonian import MachineConfig, diagonal_energies
 from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
                               _cached_propagator, _nearest_unitary,
                               _plan, _powers, _product_formula_block,
                               _step_schedule, _stepped_propagator, _z_class,
                               check_delta, clear_propagator_cache, integrate)
-from nmrqc.programs import Program, program_unitaries
+from nmrqc.programs import (ConvergenceReport, ConvergenceRow, Program,
+                            program_unitaries, readout, run_program)
 from nmrqc.operators import TWO_PI, max_unitarity_defect, state_phase_distance
 
 from conftest import BLOCKS, PROPAGATORS, chained_reference, split_block
@@ -164,21 +166,47 @@ def test_remainder_step_keeps_full_power():
 
 
 def test_convergence_report_flags_and_ratio():
+    """A report holds its rows, coarsest step first, and nothing else."""
     qa2 = build_qa("singlet", style="rotating_sf", k=1)
-    rep = convergence_report(qa2.steps, "singlet", [0.01, 0.001])
-    assert rep.two_digit_flag is False
-    assert rep.rows[0].delta == 0.01
+    rep = convergence_report(qa2.steps, "singlet", [0.001, 0.01])
+    assert [r.delta for r in rep.rows] == [0.01, 0.001]
+    assert [f.name for f in dataclasses.fields(rep)] == ["rows"]
 
     eo = pulse_eo("Y1")
     rep2 = convergence_report(eo, "00", [0.1, 0.01])
     devs = {r.delta: r.max_amplitude_deviation for r in rep2.rows}
     assert 50 < devs[0.1] / devs[0.01] < 200  # ~100x per 10x step refinement
-    assert rep2.two_digit_flag is None
 
     rep3 = convergence_report(eo, "00", [0.01])
-    assert len(rep3.rows) == 1 and rep3.two_digit_flag is None
+    assert len(rep3.rows) == 1
     with pytest.raises(ConfigurationError, match="at least one delta"):
         convergence_report(eo, "00", [])
+
+
+def test_convergence_report_is_one_walk(monkeypatch):
+    """One call compiles one walk, of every step size and the reference
+    step, and each row is bit for bit the run_program of its step size."""
+    qa2 = build_qa("singlet", style="rotating_sf", k=1)
+    deltas = [0.02, 0.01, 0.005]
+    walks = []
+    compile_walk = nmrqc.programs.compile_walk
+
+    def counted(programs):
+        walks.append(len(programs))
+        return compile_walk(programs)
+
+    monkeypatch.setattr("nmrqc.programs.compile_walk", counted)
+    rep = convergence_report(qa2.steps, "singlet", deltas)
+    assert walks == [len(deltas) + 1]
+    monkeypatch.undo()
+    ref = run_program(Program("ref", tuple(eo.replace(delta=min(deltas) / 10)
+                                           for eo in qa2.steps), "singlet"))
+    for row, d in zip(rep.rows, deltas):
+        out = run_program(Program("one", tuple(eo.replace(delta=d) for eo in qa2.steps),
+                                  "singlet"))
+        assert row.delta == d
+        assert row.expectations == readout(out[None])[0]
+        assert row.max_amplitude_deviation == float(np.max(np.abs(out - ref)))
 
 
 @pytest.mark.parametrize("eos, deltas", [
@@ -199,23 +227,29 @@ def test_convergence_report_refuses_the_step_sizes_the_spec_refuses(eos, deltas)
 
 
 def test_convergence_flag_rounds_as_the_tables_print(monkeypatch):
-    """The two-digit flag compares what the tables print (``round2``,
-    halves away from zero): 0.145 and 0.1451 both print 0.15, though
-    Python's round(0.145, 2) is 0.14."""
+    """The step-size-independence check compares what the tables print
+    (``round2``, halves away from zero): rows reading 0.145 and 0.1451
+    both print 0.15, though Python's round(0.145, 2) is 0.14."""
+    (check,) = [c for c in CHECKS if c.name == "step-size-independence"]
     reads = {0.01: 0.145, 0.001: 0.1451}
-    monkeypatch.setattr("nmrqc.programs.run_program",
-                        lambda program: np.full(4, program.steps[0].delta))
-    monkeypatch.setattr("nmrqc.programs.readout",
-                        lambda amps: [(reads.get(amps[0, 0], 0.5),) * 2])
-    rep = convergence_report(pulse_eo("Y1"), "00", [0.01, 0.001])
-    assert [r.expectations for r in rep.rows] == [(0.145,) * 2, (0.1451,) * 2]
-    assert rep.two_digit_flag is False
-    # each row's deviation from the run at the reference step 0.0001
-    assert str(rep).splitlines() == [
+
+    def report(eos, input_spec, deltas):
+        return ConvergenceReport(tuple(ConvergenceRow(d, (reads[d],) * 2, 0.0)
+                                       for d in deltas))
+
+    monkeypatch.setattr("nmrqc.harness.convergence_report", report)
+    result = check([])
+    assert result.passed
+    assert result.detail == "QA2 s=8, delta 0.01/0.001: two digits agree"
+    reads[0.001] = 0.1449   # prints 0.14
+    result = check([])
+    assert not result.passed
+    assert result.detail == "QA2 s=8, delta 0.01/0.001: two digits differ"
+    # the report prints its rows and nothing else
+    assert str(report(None, "00", [0.01, 0.001])).splitlines() == [
         "     delta  expectations             max amp deviation",
-        "      0.01  0.145000 0.145000        9.900e-03",
-        "     0.001  0.145100 0.145100        9.000e-04",
-        "two-digit results at delta 0.01 vs 0.001: agree"]
+        "      0.01  0.145000 0.145000        0.000e+00",
+        "     0.001  0.144900 0.144900        0.000e+00"]
 
 
 @pytest.mark.parametrize("method", list(BLOCKS))

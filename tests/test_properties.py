@@ -249,6 +249,30 @@ def test_table_json_is_json_dumps_byte_for_byte(table):
     assert table.to_json() == json_reference(table)
 
 
+def _csv_reference(table) -> str:
+    """The table's CSV with each number spelled by its own json.dumps."""
+    lines = [",".join([table.row_header, "a", "b",
+                       *(f"{ab}_{c}" for c in table.col_labels for ab in "ab")])]
+    for r in table.row_labels:
+        values = [*table.ideal.get(r, (float("nan"),) * 2)]
+        values += [x for c in table.col_labels for x in table.cells[(r, c)]]
+        lines.append(",".join([r, *map(json.dumps, values)]))
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(result_tables())
+@example(ResultTable(
+    title="t", row_header="Operation", row_labels=["r", "no ideal"],
+    col_labels=["8", "16"], ideal={"r": (True, np.float64(0.1))},
+    cells={(r, c): (float("nan"), -0.0, float("inf"), np.float64(-0.0), False)
+           for r in ["r", "no ideal"] for c in ["8", "16"]}))
+def test_table_csv_spells_each_number_as_json_dumps(table):
+    """One spelling call per table gives every number the text json.dumps
+    gives it alone, whatever the number's type or the cell's length."""
+    assert table.to_csv() == _csv_reference(table)
+
+
 _TABLE = dict(title="t", row_header="Operation", row_labels=["00", "11"],
               col_labels=["8", "16"], ideal={"00": (0.0, 0.0), "11": (1.0, 1.0)},
               cells={(r, c): (0.5, 0.25) for r in ["00", "11"] for c in ["8", "16"]})
