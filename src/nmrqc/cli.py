@@ -76,8 +76,11 @@ def _write_out(text: str, out: str | None):
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:
-    """Apply the command-line overrides to the spec, run it and emit the
-    table.  The spec validates the overrides as it validates any field."""
+    """Run the spec, with the command-line overrides applied, and emit the
+    table.  With no override the spec object itself runs, so a canned
+    table named again in one process reuses the compiled table kept on
+    its registry spec; an override makes a new spec, which validates it
+    as it validates any field and compiles its own table."""
     overrides = {}
     if args.delta is not None:
         overrides["delta"] = args.delta
@@ -85,7 +88,7 @@ def _run_spec(spec: ExperimentSpec, args) -> int:
         overrides["final_rotation_style"] = args.final_rotation_style
     if getattr(args, "tau_offset", None):
         overrides["tau_offsets"] = args.tau_offset
-    table = run_experiment(replace(spec, **overrides))
+    table = run_experiment(replace(spec, **overrides) if overrides else spec)
     _write_out(emit_table(table, args.format), args.out)
     return 0
 
@@ -187,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("design", help="design a single-spin pulse")
     sp.add_argument("spin", type=int, choices=[1, 2])
     sp.add_argument("angle", help="rotation angle in radians (e.g. pi/2)")
-    sp.add_argument("axis", help="x, y, -x, -y")
+    sp.add_argument("axis", help="x, y, -x or -y; a negative axis goes after --, "
+                    "which ends the options: design 1 pi/2 -- -x rotating 1")
     sp.add_argument("mode", choices=["rotating", "static", "static_axis"])
     sp.add_argument("k", type=int)
     sp.add_argument("--n", type=int, default=DEFAULT_GAMMA.n,

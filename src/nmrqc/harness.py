@@ -29,8 +29,10 @@ A table is compiled once per spec object and run on every call.  The
 first run_experiment of an ExperimentSpec compiles its table
 (``_compile``) and keeps it on that object (``ExperimentSpec._compiled``,
 a cached property: it goes by the object, not by equality, so a new
-spec, even an equal one, compiles again, and the command line, which
-hands run_experiment a new spec per command, compiles every time).  A
+spec, even an equal one, compiles again).  The command line runs a
+canned table's registry spec itself when no flag overrides a field, so
+a process compiles each canned table once; an override makes a new
+spec, which compiles its own table.  A
 compiled table is what the spec alone decides: the title, header and
 labels; the (row, column) key and the input row of every cell, a cell
 being its row, its column and the program the two give; each row's

@@ -368,7 +368,10 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     unwrapped, and the wrapper counts the misses and lookups the store
     counts.  A rerun of the spec object compiles nothing, and after the
     store is cleared it misses every key again and integrates the same
-    stacks; every command-line run compiles its own spec."""
+    stacks.  The command line compiles the registry's spec at most once:
+    a second run compiles nothing and prints the same bytes after a
+    store clear, while a run with --delta compiles a spec of its own and
+    leaves the registry's spec as it was."""
     import nmrqc.integrator
     calls = _count_runs(monkeypatch)
     info = nmrqc.integrator._cached_propagator.cache_info
@@ -405,12 +408,16 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
         assert main(["tables", name, "--format", "json", "--out", str(out)]) == 0
         return out.read_text(encoding="utf-8")
 
+    registry = canned_spec(name).to_dict()
     nmrqc.integrator.clear_propagator_cache()
     plain = cli()
+    compiled = len(calls)
     nmrqc.integrator.clear_propagator_cache()
     text, counted, stored = _traced(monkeypatch, seen, cli)
     assert text == plain and counted == stored == (len(keys), len(keys))
-    assert text == cold.to_json() + "\n" and len(calls) == 3
+    assert text == cold.to_json() + "\n" and len(calls) == compiled
+    assert main(["tables", name, "--delta", "0.01", "--out", os.devnull]) == 0
+    assert len(calls) == compiled + 1 and canned_spec(name).to_dict() == registry
 
     study = ExperimentSpec(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1))
     nmrqc.integrator.clear_propagator_cache()
@@ -422,6 +429,34 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     text, counted, stored = _traced(
         monkeypatch, seen, lambda: emit_table(run_experiment(study), "json"))
     assert text == plain and counted == stored == (0, len(seen))
+
+
+@pytest.mark.parametrize("name", canned_names())
+def test_the_command_line_compiles_a_canned_table_once(name, monkeypatch, tmp_path):
+    """`nmrqc tables NAME` with no flag overriding a field runs the
+    registry's spec object, so a process compiles each canned table once:
+    later runs compile nothing and print the same bytes, also after the
+    propagator store is cleared.  An override (--delta, even at the
+    default step) makes a spec of its own, which compiles, and leaves the
+    registry's spec and its compiled table as they were."""
+    import nmrqc.integrator
+    spec, *entry = _CANNED[name]
+    want = (emit_table(run_experiment(spec), "json") + "\n").encode("utf-8")
+    fresh = replace(spec)   # not compiled by an earlier test
+    monkeypatch.setitem(_CANNED, name, (fresh, *entry))
+    calls = _count_runs(monkeypatch)
+    out = tmp_path / "table.json"
+    argv = ["tables", name, "--format", "json", "--out", str(out)]
+    texts = []
+    for _ in range(3):
+        nmrqc.integrator.clear_propagator_cache()
+        assert main(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts == [want] * 3 and len(calls) == 1
+    compiled = fresh._compiled
+    assert main(argv + ["--delta", "0.01"]) == 0
+    assert out.read_bytes() == want and len(calls) == 2
+    assert canned_spec(name) is fresh and fresh == spec and fresh._compiled is compiled
 
 
 def test_cold_walk_stacks_without_the_harness(kernel_calls):
@@ -642,6 +677,24 @@ def test_cli_design_margin_is_the_machines(capsys):
 def test_cli_design_rejects_bad_axis(capsys):
     rc = main(["design", "1", "pi/2", "q", "rotating", "1"])
     assert rc == 2
+
+
+def test_cli_design_takes_a_negative_axis_as_its_help_shows(capsys):
+    """A bare -x reads as an option, so the axis help shows a negative
+    axis after --; that form prints the -x sheet, whose amplitudes are
+    the x pulse's negated."""
+    with pytest.raises(SystemExit) as exc:
+        main(["design", "-h"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "x, y, -x or -y; a negative axis goes after --" in help_text
+    assert "design 1 pi/2 -- -x rotating 1" in help_text
+    assert main(["design", "1", "pi/2", "--", "-x", "rotating", "1"]) == 0
+    assert capsys.readouterr() == (
+        "pulse | tau/2pi | omega | sf1x | sf2x | phi_x | sf1y | sf2y | phi_y\n"
+        "spin1 -x 1.5708rad rotating k=1 | 8 | 1.00 | 0.0312500 | 0.0078125"
+        " | -0.50*pi | 0.0312500 | 0.0078125 | 0\n"
+        "margin 2kNM(M-N) = 24\n", "")
 
 
 def test_cli_bad_tau_offset_is_bad_input(capsys):
