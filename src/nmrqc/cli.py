@@ -51,7 +51,8 @@ def parse_angle(text: str) -> float:
 
 def _write_out(text: str, out: str | None):
     """Print the text, or write it and a newline to the file out, UTF-8,
-    encoded once and written through a binary file.
+    encoded once and written by os.write on the descriptor, until every
+    byte is written (a buffered file object costs more than the write).
 
     The file is overwritten in place: opened without O_TRUNC, written,
     then cut to the written length.  Truncating on open costs more than
@@ -68,11 +69,16 @@ def _write_out(text: str, out: str | None):
     if not out:
         print(text)
         return
+    data = (text + "\n").encode("utf-8")
     fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as f:
-        f.write((text + "\n").encode("utf-8"))
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            f.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _run_spec(spec: ExperimentSpec, args) -> int:
@@ -149,6 +155,17 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+class _BareNegativeAxis(argparse.Action):
+    """A negative axis typed where an option may go, which argparse would
+    take for an unknown option, shifting the positionals after it: bad
+    input that names the axis and shows the form that works."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ConfigurationError(
+            f"axis {option_string} goes after --, which ends the options: "
+            f"nmrqc design 1 pi/2 -- {option_string} rotating 1")
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser whose bad input is a ConfigurationError, which main
     reports in one line as it reports any other; its subcommand parsers
@@ -193,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("axis", help="x, y, -x or -y; a negative axis goes after --, "
                     "which ends the options: design 1 pi/2 -- -x rotating 1")
     sp.add_argument("mode", choices=["rotating", "static", "static_axis"])
+    sp.add_argument("-x", "-y", nargs=0, action=_BareNegativeAxis, help=argparse.SUPPRESS)
     sp.add_argument("k", type=int)
     sp.add_argument("--n", type=int, default=DEFAULT_GAMMA.n,
                     help="design on the machine with h2z/h1z = N/M")

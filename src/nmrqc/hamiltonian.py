@@ -87,7 +87,10 @@ class EOParams:
 
     tau and delta are durations over 2*pi.  sf* are the sinusoidal-field
     amplitudes; omega and phi_x/phi_y their frequency and phases.  The
-    instance is frozen (hashable), which lets propagators be cached.
+    instance is frozen (hashable), which lets propagators be cached; its
+    hash is computed once, and ``replace`` copies the field dict rather
+    than going through the frozen __init__, since the integrator's class
+    rule and every duration shift or step-size change make new EOs.
     """
 
     label: str = "eo"
@@ -138,7 +141,19 @@ class EOParams:
         return EOParams, tuple(self.to_dict().values())
 
     def replace(self, **kw) -> "EOParams":
-        return dataclasses.replace(self, **kw)
+        """The EO with the given fields changed, as dataclasses.replace
+        gives it: a copy of the field dict, updated, then __post_init__,
+        which is less than half the cost of the frozen __init__ setting
+        each field through object.__setattr__."""
+        if not _EO_FIELDS.issuperset(kw):
+            raise TypeError(f"EOParams has no field {min(kw.keys() - _EO_FIELDS)!r}")
+        new = object.__new__(type(self))
+        fields = new.__dict__
+        fields.update(vars(self))
+        del fields["_hash"]
+        fields.update(kw)
+        new.__post_init__()
+        return new
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -147,6 +162,8 @@ class EOParams:
     def from_dict(cls, d: dict) -> "EOParams":
         return cls(**d)
 
+
+_EO_FIELDS = frozenset(f.name for f in dataclasses.fields(EOParams))
 
 # S1z and S2z eigenvalues of |00>, |10>, |01>, |11>.
 _S1Z_EIG = np.array([0.5, -0.5, 0.5, -0.5])

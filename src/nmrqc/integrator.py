@@ -131,6 +131,24 @@ a cold table pays per stack, not per EO, and the stacks, the groups and
 the folded powers all read it.  One store, keyed by the EO, keeps the
 last _CACHE_SIZE propagators used.
 
+How the EOs a list misses are integrated is planned once per such list
+too: its layout (``_layout``), memoized for the last _LAYOUTS lists of
+missed EOs, keyed by those EOs in walk order, holds the groups of
+``_chunks`` as ``_Drives`` stacks that carry their step schedules, the
+diagonal stack's durations and energies (as the phases 2 pi tau E of its
+states), and, per missed EO, the row of its class propagator and its q.
+A cold run of a list seen before then does only the store-membership
+pass, the kernels, one gather and conjugation, and the store update: a
+table run cold again in one process plans nothing.  A stored EO costs
+one store lookup, so a warm walk builds no layout.  Like the plans, the
+layouts outlive ``clear_propagator_cache``, which only forgets numbers:
+a layout holds EO parameters and their arrangement, never a propagator
+or a product of a kernel, so every run after a store clear integrates
+afresh, bit for bit as a run with no layout memoized.  A bad step size
+or duration, or a diagonal phase that is not finite, raises while a
+layout is built, so it is never memoized and raises on every run, before
+anything is integrated or stored.
+
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
 rotation angle, which is exactly the sensitivity under study.  The field
@@ -153,6 +171,7 @@ from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 
 _BLOCK = 1024  # substep matrices per block
 _CACHE_SIZE = 1024  # propagators kept by the store
+_LAYOUTS = 64  # layouts kept, one per list of missed EOs
 _PERIOD_RTOL = 1e-12  # how close 1/(omega*delta) must be to a whole number
 _MAX_STEPS = 2.0 ** 53  # beyond it, a float no longer counts steps one by one
 _SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])  # S1z + S2z, |00>,|10>,|01>,|11>
@@ -250,22 +269,27 @@ def _conjugated(u: np.ndarray, qs) -> np.ndarray:
 
 
 class _Drives:
-    """Field parameters of a stack of EOs, one row per EO, and the fold
-    (their plans') they share: the stack's EOs all turn rigidly about z
-    (_ROTATING), or have one drive frequency.
+    """Field parameters of a stack of EOs, one row per EO, read-only, and
+    the fold (their plans') they share: the stack's EOs all turn rigidly
+    about z (_ROTATING), or have one drive frequency.  A stack of a
+    layout (``_layout``) also carries its step schedule, the arrays
+    (n_full, rem) of its EOs' plans; any other has none.
     """
 
-    def __init__(self, eos, fold: str | None):
+    def __init__(self, eos, fold: str | None, schedule=None):
         p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
                        e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
                       for e in eos])
+        p.setflags(write=False)
         self.eos = tuple(eos)
         self.omega = p[:, 0]
         self.phi = p[:, 1:3]                          # x, y
         self.static = p[:, 3:7].reshape(-1, 2, 2)     # [spin, axis]
         self.amp = p[:, 7:11].reshape(-1, 2, 2)       # [spin, axis]
         self.ez = diagonal_energies(p[:, 11:12], p[:, 12:13], p[:, 13:14])
+        self.ez.setflags(write=False)
         self.fold = fold
+        self.schedule = schedule
 
 
 def _fields_at(d: _Drives, mids):
@@ -455,9 +479,7 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     """Per EO, the product of `block` over its substep schedule, folded by
     symmetry and polar-projected: a stack of 4x4 propagators.  delta is
     the step size of every EO of the stack, each EO's own."""
-    # a diagonal EO, stepped only as a reference, has no planned schedule
-    schedules = [_plan(e).schedule or _step_schedule(e.tau, delta) for e in d.eos]
-    n_full, rem = map(np.array, zip(*schedules))
+    n_full, rem = d.schedule or _schedule(d.eos, delta)
     dt = delta * TWO_PI
     u, start = _folded_power(d, n_full, delta, block)
     u = _substeps(d, start, n_full - start, dt, block, u)
@@ -468,8 +490,17 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     return _nearest_unitary(u)
 
 
-def _exact_diagonal_propagators(eos) -> np.ndarray:
-    """Per diagonal EO of a stack, its closed-form propagator."""
+def _schedule(eos, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (n_full, rem) of a stack's step schedules: its EOs'
+    plans', or, for a diagonal EO stepped only as a reference, which has
+    none, the EO's schedule at step delta."""
+    schedules = [_plan(e).schedule or _step_schedule(e.tau, delta) for e in eos]
+    return tuple(map(np.array, zip(*schedules)))
+
+
+def _diagonal_phases(eos) -> np.ndarray:
+    """Per diagonal EO of a stack, read-only, the phases 2 pi tau E of its
+    four states; a duration whose phase is not finite raises."""
     with np.errstate(over="ignore", invalid="ignore"):
         phase = TWO_PI * np.array([[e.tau] for e in eos]) * _Drives(eos, None).ez
     finite = np.isfinite(phase).all(axis=1)
@@ -477,8 +508,15 @@ def _exact_diagonal_propagators(eos) -> np.ndarray:
         eo = eos[int(np.argmin(finite))]   # the first whose phase is not
         raise ConfigurationError(f"duration {eo.tau!r} is too long: its "
                                  "phase is not finite")
-    u = np.zeros((len(eos), 4, 4), dtype=complex)
-    u[:, range(4), range(4)] = np.exp(-1j * phase)
+    phase.setflags(write=False)
+    return phase
+
+
+def _exact_diagonal_propagators(phases) -> np.ndarray:
+    """Per diagonal EO of a stack, its closed-form propagator, from the
+    phases of its states (``_diagonal_phases``)."""
+    u = np.zeros((len(phases), 4, 4), dtype=complex)
+    u.reshape(len(phases), 16)[:, ::5] = np.exp(-1j * phases)   # the diagonal
     return u
 
 
@@ -500,15 +538,16 @@ def _chunks(eos: list) -> list:
 
 
 class _Plan(NamedTuple):
-    """How ``integrate`` takes one EO: its class (``_z_class``), U(eo) =
-    Z_q U(eo0) Z_q^dagger; the key (delta, fold, omega) of the stack eo0
-    joins (omega None for a rotating one, _DIAGONAL for a diagonal one);
-    eo0's step schedule (n_full, rem); the drive period P in substeps
-    that a quarter or period fold folds by (0 for any other fold); and
-    eo0's widest run, what it puts into one block: 1 (one midpoint) for a
-    rotating EO, every substep for an unfolded one, and max(P/4 or P,
-    n_full mod P) for a folded one.  A diagonal EO, whose exact
-    propagator takes no steps, has no schedule, period 0 and run 0."""
+    """How one EO is integrated (``_layout`` reads it): its class
+    (``_z_class``), U(eo) = Z_q U(eo0) Z_q^dagger; the key (delta, fold,
+    omega) of the stack eo0 joins (omega None for a rotating one,
+    _DIAGONAL for a diagonal one); eo0's step schedule (n_full, rem);
+    the drive period P in substeps that a quarter or period fold folds
+    by (0 for any other fold); and eo0's widest run, what it puts into
+    one block: 1 (one midpoint) for a rotating EO, every substep for an
+    unfolded one, and max(P/4 or P, n_full mod P) for a folded one.  A
+    diagonal EO, whose exact propagator takes no steps, has no schedule,
+    period 0 and run 0."""
 
     eo0: EOParams
     q: int
@@ -568,48 +607,74 @@ class _Store(OrderedDict):
 _cached_propagator = _Store()
 
 
+class _Layout(NamedTuple):
+    """How ``integrate`` takes one list of missed EOs: the diagonal
+    classes as one closed-form stack, by their phases (None if there are
+    none), then the stepped groups, each (step size, stack with its
+    schedule), and, per missed EO, the row of its class among the class
+    propagators in that order and its q."""
+
+    diagonal: np.ndarray | None
+    groups: tuple[tuple[float, _Drives], ...]
+    rows: np.ndarray
+    qs: np.ndarray
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(misses: tuple[EOParams, ...]) -> _Layout:
+    """The layout of the missed EOs, in walk order, computed once per
+    list: each EO is mapped to its class by its plan (``_plan``), and
+    each class joins the stack of its step size, fold and drive frequency
+    (every rotating class of one step size shares one), split into the
+    groups of ``_chunks``; the diagonal classes are one stack.  A bad
+    step size or duration, or a diagonal phase that is not finite,
+    raises, on every call."""
+    plans = [_plan(eo) for eo in misses]
+    stacks: dict[tuple, dict] = {}
+    for plan in plans:
+        stacks.setdefault(plan.key, {})[plan.eo0] = None
+    diagonal = stacks.pop(_DIAGONAL, None)
+    classes = list(diagonal or ())
+    groups = []
+    for (delta, fold, _), stack in stacks.items():
+        for chunk in _chunks(list(stack)):
+            groups.append((delta, _Drives(chunk, fold, _schedule(chunk, delta))))
+            classes += chunk
+    row = {eo0: i for i, eo0 in enumerate(classes)}
+    return _Layout(diagonal and _diagonal_phases(list(diagonal)), tuple(groups),
+                   np.array([row[p.eo0] for p in plans], dtype=np.intp),
+                   np.array([p.q for p in plans], dtype=np.intp))
+
+
 def integrate(eos) -> None:
     """Store the propagator of each EO not stored yet; a stored EO counts
     as used.
 
-    Each missed EO is mapped to its class by its plan (``_plan``), and
-    each class is integrated once, by one rule: it joins the stack of
-    its step size, fold and drive frequency (every rotating class of one
-    step size shares one), and each stack is integrated in the groups of
-    ``_chunks``; the diagonal classes are one closed-form stack.  One
-    stacked product then conjugates each class propagator into those of
-    its member EOs, which are stored.  A bad step size or duration raises
-    before any EO is integrated, and a diagonal EO whose phase is not
-    finite before any is stored.
+    The missed EOs' layout (``_layout``, memoized per list of missed
+    EOs) says which class propagators to integrate and how; each is
+    integrated once, and one stacked product then conjugates them into
+    those of the missed EOs, which are stored.  A bad step size or
+    duration, or a diagonal EO whose phase is not finite, raises before
+    any EO is integrated.
     """
     store = _cached_propagator
-    members: dict[EOParams, _Plan] = {}
-    stacks: dict[tuple, dict] = {}
+    misses = {}
     for eo in eos:
         try:
             store.move_to_end(eo)
-            continue
         except KeyError:
-            pass
-        plan = members[eo] = _plan(eo)
-        stacks.setdefault(plan.key, {})[plan.eo0] = None
-    if not members:
+            misses[eo] = None
+    if not misses:
         return
-    done = {}
-    for key, stack in stacks.items():
-        group = list(stack)
-        if key == _DIAGONAL:
-            done.update(zip(group, _exact_diagonal_propagators(group)))
-            continue
-        delta, fold, _ = key
-        for chunk in _chunks(group):
-            done.update(zip(chunk, _stepped_propagator(
-                _Drives(chunk, fold), delta, _product_formula_block)))
-    plans = members.values()
-    mats = _conjugated(np.array([done[p.eo0] for p in plans]), [p.q for p in plans])
+    layout = _layout(tuple(misses))
+    classes = [_stepped_propagator(d, delta, _product_formula_block)
+               for delta, d in layout.groups]
+    if layout.diagonal is not None:
+        classes.insert(0, _exact_diagonal_propagators(layout.diagonal))
+    mats = _conjugated(np.concatenate(classes)[layout.rows], layout.qs)
     mats.setflags(write=False)
-    store.update(zip(members, mats))
-    store.integrated += len(members)
+    store.update(zip(misses, mats))
+    store.integrated += len(misses)
     while len(store) > _CACHE_SIZE:
         store.popitem(last=False)
 

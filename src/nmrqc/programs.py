@@ -61,18 +61,21 @@ must be a Program (compile_walk).
 Gate steps, duration-shifted steps, whole gate-sequence expansions,
 gate matrices and each gate sequence's ideal unitary are memoized, so
 rebuilding a program re-designs no pulse, re-shifts no duration and
-recomposes no gate.
+recomposes no gate.  A sequence's first expansion realizes each distinct
+gate name once, and its first ideal unitary looks each distinct gate
+matrix up once, so a fresh process pays per distinct gate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalIntegrityError, check_choice
-from .gates import canonical_name, compose, gate_rotation, ideal_eo_params
+from .gates import canonical_name, compose, gate_rotation, ideal_eo_params, ideal_gate
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
 from . import integrator
@@ -195,20 +198,20 @@ def _gate_step(name: str, style: str, k: int, machine: MachineConfig,
 def _expand(names: tuple[str, ...], style: str, k: int, machine: MachineConfig,
             delta: float) -> tuple[EOParams, ...]:
     """The EOs of a gate sequence, names in application order; 'G' is
-    one EO in ideal style and G_EXPANSION otherwise."""
-    steps = []
-    for name in names:
-        if name == "G" and style != IDEAL:
-            steps.extend(_gate_step(n, style, k, machine, delta) for n in G_EXPANSION)
-        else:
-            steps.append(_gate_step(name, style, k, machine, delta))
-    return tuple(steps)
+    one EO in ideal style and G_EXPANSION otherwise.  Each distinct name
+    is realized once."""
+    steps = {name: tuple(_gate_step(n, style, k, machine, delta) for n in
+                         (G_EXPANSION if name == "G" and style != IDEAL else (name,)))
+             for name in dict.fromkeys(names)}
+    return tuple(chain.from_iterable(map(steps.__getitem__, names)))
 
 
 @lru_cache(maxsize=256)
 def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray:
-    """Read-only product of the ideal gates, names in application order."""
-    return frozen_unitary(compose(reversed(names), machine))
+    """Read-only product of the ideal gates, names in application order,
+    each distinct gate's matrix looked up once."""
+    gates = {name: ideal_gate(name, machine) for name in dict.fromkeys(names)}
+    return frozen_unitary(compose(map(gates.__getitem__, reversed(names)), machine))
 
 
 def _build(name: str, names: tuple[str, ...], style: str, k: int,

@@ -102,6 +102,30 @@ def test_eoparams_hash_follows_equality():
     assert hash(eo.replace(tau=8.5)) != hash(eo)
 
 
+def test_replace_is_dataclasses_replace():
+    """replace copies the field dict and rehashes; the EO it gives has
+    the fields, the vars() order, the hash and the equality that
+    dataclasses.replace gives, and survives a pickle round trip.  An
+    unknown field, the stored hash among them, is a TypeError."""
+    import dataclasses
+    import pickle
+    eo = EOParams(label="pulse", tau=8.0, j=J, sf1x=0.03125, sf1y=0.03125,
+                  omega=1.0, phi_y=np.pi / 2)
+    for change in ({}, {"tau": 8.5}, {"label": "z-class", "sf1x": 0.5, "phi_y": 0.0},
+                   {"delta": 0.02, "j": 0.0}, {"sf2y": 1}):
+        got, want = eo.replace(**change), dataclasses.replace(eo, **change)
+        assert type(got) is EOParams and got is not eo
+        assert list(vars(got).items()) == list(vars(want).items())
+        assert got == want and hash(got) == hash(want)
+        assert pickle.loads(pickle.dumps(got)) == want
+        assert (got == eo) == (not change)
+    for bad in ({"nope": 1.0}, {"_hash": 0}, {"tau": 9.0, "Tau": 9.0}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(eo, **bad)
+        with pytest.raises(TypeError):
+            eo.replace(**bad)
+
+
 def test_is_diagonal_flag():
     assert EOParams(j=J, h1z=1.0, h2z=0.25).is_diagonal
     assert not EOParams(sf1x=0.1).is_diagonal

@@ -697,6 +697,20 @@ def test_cli_design_takes_a_negative_axis_as_its_help_shows(capsys):
         "margin 2kNM(M-N) = 24\n", "")
 
 
+@pytest.mark.parametrize("argv", [["1", "pi/2", "-x", "rotating", "1"],
+                                  ["2", "pi/2", "-y", "static", "1", "--n", "11"],
+                                  ["1", "pi/2", "y", "rotating", "1", "-x"]])
+def test_cli_design_names_a_bare_negative_axis(argv, capsys):
+    """A negative axis typed without -- would read as an unknown option
+    and shift the mode and k; it is bad input, in one line that names the
+    axis and shows the -- form."""
+    assert main(["design", *argv]) == 2
+    axis = next(a for a in argv if a in ("-x", "-y"))
+    assert capsys.readouterr() == (
+        "", f"error: axis {axis} goes after --, which ends the options: "
+        f"nmrqc design 1 pi/2 -- {axis} rotating 1\n")
+
+
 def test_cli_bad_tau_offset_is_bad_input(capsys):
     assert main(["tables", "table10", "--tau-offset", "ab"]) == 2
     assert capsys.readouterr().err == (

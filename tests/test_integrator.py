@@ -11,10 +11,13 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    eo_propagator, ideal_eo_params, ideal_gate, input_amplitudes,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.harness import CHECKS, canned_spec, run_experiment, verify_suite
+from nmrqc.harness import (CHECKS, canned_names, canned_spec, run_experiment,
+                           verify_suite)
 from nmrqc.hamiltonian import MachineConfig, diagonal_energies
-from nmrqc.integrator import (_CACHE_SIZE, _chain, _conjugated, _Drives,
-                              _cached_propagator, _nearest_unitary,
+from nmrqc.integrator import (_CACHE_SIZE, _LAYOUTS, _chain, _conjugated, _Drives,
+                              _cached_propagator, _diagonal_phases,
+                              _exact_diagonal_propagators,
+                              _layout, _nearest_unitary,
                               _plan, _powers, _product_formula_block,
                               _step_schedule, _stepped_propagator, _z_class,
                               check_delta, clear_propagator_cache, integrate)
@@ -526,7 +529,8 @@ def test_diagonal_eos_are_one_closed_form_stack(kernel_calls, monkeypatch):
     """A walk's diagonal EOs, at every step size, are one closed-form
     stack that steps nothing, and each propagator is the EO integrated
     alone; a duration whose phase is not finite raises, naming it, and
-    nothing of the stack is stored."""
+    nothing of the stack is integrated or stored, on every run: a list
+    that raises leaves no layout."""
     ip = ideal_eo_params("Ip")
     eos = [ip.replace(tau=tau, delta=delta) for tau, delta in
            ((0.0, 0.01), (1.5, 0.01), (ip.tau, 0.02), (3e5, 1.0), (1e300, 0.01))]
@@ -544,10 +548,13 @@ def test_diagonal_eos_are_one_closed_form_stack(kernel_calls, monkeypatch):
         assert np.array_equal(u, np.diag(np.diag(u)))
     clear_propagator_cache()
     for bad in (1e308, float("inf")):
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"duration {bad!r} is too long")):
-            integrate(eos[:2] + [ip.replace(tau=bad)] + eos[2:])
-        assert not _cached_propagator
+        layouts = _layout.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"duration {bad!r} is too long")):
+                integrate(eos[:2] + [ip.replace(tau=bad)] + eos[2:])
+            assert not _cached_propagator
+        assert _layout.cache_info().currsize == layouts
 
 
 # -> (eo, delta) and its fold; the base drives x
@@ -724,11 +731,16 @@ def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
     """A bad step size, or a negative or NaN duration, raises with its own
     message in a walk, in integrate and in a lookup of either propagator,
     for a pulse and a diagonal EO, every time, and nothing is integrated
-    or stored: every key is checked before any is integrated."""
+    or stored: every key is checked before any is integrated, also with
+    the layouts of valid lists of one and of two EOs memoized."""
     match = ("delta must be positive" if field == "delta"
              else f"duration must be non-negative, got {bad!r}")
     good = pulse_eo("X1")
     clear_propagator_cache()
+    integrate([good])
+    integrate([ideal_eo_params("Ip"), pulse_eo("Y2")])
+    clear_propagator_cache()
+    del kernel_calls[:]
     for eo in (pulse_eo("Y2"), ideal_eo_params("Ip")):
         eo = eo.replace(**{field: bad})
         for _ in range(2):
@@ -738,6 +750,58 @@ def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
                 with pytest.raises(ConfigurationError, match=match):
                     call()
     assert not _cached_propagator and not kernel_calls
+
+
+def _alone_or_closed_form(eo):
+    """The EO's propagator integrated alone: its class stepped in a stack
+    of one (``_alone``), or the closed form of a diagonal EO."""
+    if eo.is_diagonal:
+        return _exact_diagonal_propagators(_diagonal_phases((eo,)))[0]
+    return _alone(eo)
+
+
+def test_a_cold_rerun_reuses_the_layout_of_its_misses(kernel_calls):
+    """Every canned table, run cold one after another, then again after
+    each store clear, then with the layouts forgotten before each: the
+    rerun takes each table's layout from the memo, which outlives the
+    store, and all three store the same propagators, each the EO
+    integrated alone, from the same stacks; a warm rerun plans nothing."""
+    info = _layout.cache_info
+    _layout.cache_clear()
+    runs = []
+    for forget in (False, False, True):
+        runs.append({})
+        for name in canned_names():
+            if forget:
+                _layout.cache_clear()
+            clear_propagator_cache()
+            before, n_calls = info(), len(kernel_calls)
+            run_experiment(canned_spec(name))
+            after = info()
+            runs[-1][name] = (dict(_cached_propagator), sorted(kernel_calls[n_calls:]),
+                              after.hits - before.hits, after.misses - before.misses)
+            if forget:
+                run_experiment(canned_spec(name))   # warm: no layout
+                assert info() == after
+    first, rerun, fresh = runs
+    for name, (store, stacks, hits, misses) in first.items():
+        assert store and stacks and (hits, misses) == (0, 1), name
+        assert rerun[name][2:] == (1, 0) and fresh[name][2:] == (0, 1), name
+        for other, other_stacks, _, _ in (rerun[name], fresh[name]):
+            assert other_stacks == stacks and list(other) == list(store)
+            assert all(np.array_equal(other[eo], u) for eo, u in store.items())
+        for eo, u in store.items():
+            assert np.array_equal(u, _alone_or_closed_form(eo)), (name, eo.label)
+
+
+def test_the_layout_memo_is_bounded():
+    """The memo keeps at most _LAYOUTS layouts."""
+    ip = ideal_eo_params("Ip")
+    assert _layout.cache_info().maxsize == _LAYOUTS
+    for tau in range(_LAYOUTS + 8):
+        clear_propagator_cache()
+        integrate([ip.replace(tau=float(tau))])
+    assert _layout.cache_info().currsize == _LAYOUTS
 
 
 def test_a_bad_eo_raises_on_every_plan_and_leaves_no_trace():

@@ -73,6 +73,15 @@ def test_ideal_unitary_is_memoized_and_read_only():
     want = read_row(compose(names) @ input_amplitudes(["11"])[0])
     assert b.ideal_expectations == want
     assert parse_program_text("gate X1").ideal_expectations is None
+    # each distinct gate looked up once, folded as compose folds the names
+    for variant, names in CNOT_SEQUENCES.items():
+        for program, seq in ((build_cnot(variant, "ideal"), names),
+                             (build_qa("00", variant), names * 5),
+                             (build_qa("singlet", variant), names * 5 + ("Y1",))):
+            assert np.array_equal(program.ideal_unitary, compose(reversed(seq)))
+    for item in range(4):
+        program = build_grover(item, "static_sf", k=2)
+        assert np.array_equal(program.ideal_unitary, compose(grover_sequence(item)))
 
 
 def test_input_states_are_memoized_and_read_only():
