@@ -66,7 +66,7 @@ def _write_out(text: str, out: str | None):
     tail of the old one, where a truncating open would leave that head
     alone.
     """
-    if not out:
+    if out is None:
         print(text)
         return
     data = (text + "\n").encode("utf-8")

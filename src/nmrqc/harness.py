@@ -113,7 +113,9 @@ class ExperimentSpec:
         ``pulses.check_k`` and ``hamiltonian.check_machine``), a whole
         number such as JSON's 2.0 taken as the int 2, and store each as
         its check returns it; a repeated k is named by the label it
-        prints (``_durations``)."""
+        prints (``_durations``).  A field the table does not read keeps
+        its default: inputs, cnot_variant and final_rotation_style on a
+        search, items on a QA suite, perturb_label without tau_offsets."""
         check_choice(self.kind, "kind", KINDS)
         if self.kind != "qa" and self.tau_offsets is not None:
             raise ConfigurationError("perturbation study is defined for QA suites")
@@ -154,6 +156,14 @@ class ExperimentSpec:
                     f"{name} share the {axis} label {', '.join(sorted(shared))}: "
                     "each entry needs a label of its own")
         check_delta(self.delta, self.machine)
+        unread = {"items": "in a QA suite"} if self.kind == "qa" else dict.fromkeys(
+            ("inputs", "cnot_variant", "final_rotation_style"), "in a search table")
+        if self.tau_offsets is None:
+            unread["perturb_label"] = "without tau_offsets"
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ConfigurationError(f"{f.name} changes nothing {unread[f.name]}: "
+                                         "leave it at its default")
 
     def to_dict(self) -> dict:
         """Every field that is set, a tuple as a list and the machine as
@@ -249,7 +259,8 @@ class ResultTable:
                            for r, row in zip(self.row_labels, rows)]
 
     def to_markdown(self) -> str:
-        header, *rows = self._grid(lambda xs: [f"{round2(x):.2f}" for x in xs])
+        header, *rows = ([cell.replace("|", "\\|") for cell in row]   # a pipe in a label
+                         for row in self._grid(lambda xs: [f"{round2(x):.2f}" for x in xs]))
         lines = [" | ".join(header), " | ".join(["---"] * len(header))]
         lines += [" | ".join(row) for row in rows]
         return "\n".join(lines)

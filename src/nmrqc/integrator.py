@@ -125,18 +125,20 @@ yet, in the stacks above, and the diagonal classes in one closed-form
 stack, and stores each EO's conjugate; a program walk calls it, then
 looks each EO up.  The EO's plan (``_plan``) is the one place that
 decides how an EO is integrated: its class and q, the key of its stack
-(step size, fold, drive frequency), its step schedule, the drive period
-its fold folds by and its widest run.  It is computed once per EO, so
-a cold table pays per stack, not per EO, and the stacks, the groups and
-the folded powers all read it.  One store, keyed by the EO, keeps the
+(step size, fold, drive frequency) and its widest run.  It is computed
+once per EO, so a cold table pays per stack, not per EO; the stacks and
+the groups read it.  A stack (``_Drives``, built from its EOs alone) is
+the one record the kernels read: its fields, step size, fold, drive
+period and step schedule.  No kernel takes a step size or a fold from
+its caller, or looks a plan up.  One store, keyed by the EO, keeps the
 last _CACHE_SIZE propagators used.
 
 How the EOs a list misses are integrated is planned once per such list
 too: its layout (``_layout``), memoized for the last _LAYOUTS lists of
 missed EOs, keyed by those EOs in walk order, holds the groups of
-``_chunks`` as ``_Drives`` stacks that carry their step schedules, the
-diagonal stack's durations and energies (as the phases 2 pi tau E of its
-states), and, per missed EO, the row of its class propagator and its q.
+``_chunks`` as ``_Drives`` stacks, the diagonal stack's durations and
+energies (as the phases 2 pi tau E of its states), and, per missed EO,
+the row of its class propagator and its q.
 A cold run of a list seen before then does only the store-membership
 pass, the kernels, one gather and conjugation, and the store update: a
 table run cold again in one process plans nothing.  A stored EO costs
@@ -269,14 +271,16 @@ def _conjugated(u: np.ndarray, qs) -> np.ndarray:
 
 
 class _Drives:
-    """Field parameters of a stack of EOs, one row per EO, read-only, and
-    the fold (their plans') they share: the stack's EOs all turn rigidly
-    about z (_ROTATING), or have one drive frequency.  A stack of a
-    layout (``_layout``) also carries its step schedule, the arrays
-    (n_full, rem) of its EOs' plans; any other has none.
+    """A stack of EOs of one step size, the one record the kernels read:
+    the field parameters, one row per EO, read-only; the step size delta
+    and the fold of its first EO's plan (``_plan``), which the stack's EOs
+    share: they all turn rigidly about z (_ROTATING), or have one drive
+    frequency; the drive period P in substeps that a quarter or period
+    fold folds by (0 for any other fold); and the step schedule, the
+    arrays (n_full, rem) of its EOs (``_step_schedule``).
     """
 
-    def __init__(self, eos, fold: str | None, schedule=None):
+    def __init__(self, eos):
         p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
                        e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
                       for e in eos])
@@ -288,8 +292,11 @@ class _Drives:
         self.amp = p[:, 7:11].reshape(-1, 2, 2)       # [spin, axis]
         self.ez = diagonal_energies(p[:, 11:12], p[:, 12:13], p[:, 13:14])
         self.ez.setflags(write=False)
-        self.fold = fold
-        self.schedule = schedule
+        self.delta, self.fold = self.eos[0].delta, _plan(self.eos[0]).key[1]
+        self.period = (_period_steps(self.eos[0].omega, self.delta)
+                       if self.fold in (_QUARTER, _PERIOD) else 0)
+        self.schedule = tuple(map(np.array, zip(*(_step_schedule(e.tau, e.delta)
+                                                   for e in self.eos))))
 
 
 def _fields_at(d: _Drives, mids):
@@ -431,7 +438,7 @@ def _powers(base: np.ndarray, ns) -> np.ndarray:
     return out
 
 
-def _substeps(d: _Drives, start, count, dt: float, block, u=None):
+def _substeps(d: _Drives, start, count, block, u=None):
     """Per EO e, its substeps start[e] .. start[e] + count[e] - 1 at their
     midpoints, multiplied onto u (none: their product alone).
 
@@ -439,6 +446,7 @@ def _substeps(d: _Drives, start, count, dt: float, block, u=None):
     of its own count, an EO takes substeps of length 0.
     """
     start, count = np.asarray(start), np.asarray(count)
+    dt = d.delta * TWO_PI
     ragged = (count != count[0]).any()
     for lo in range(0, count.max(), _BLOCK):
         steps = lo + np.arange(min(_BLOCK, count.max() - lo))
@@ -448,41 +456,40 @@ def _substeps(d: _Drives, start, count, dt: float, block, u=None):
     return u
 
 
-def _folded_power(d: _Drives, n_full, delta: float, block):
+def _folded_power(d: _Drives, n_full, block):
     """Per EO, the product of its leading substeps folded by symmetry,
     and how many substeps that covers; the rest are the EO's tail.
 
     A rotating stack is covered whole.  A quarter stack builds one
     quarter period per EO and a period stack one whole period, the
-    period of its EOs' plans, and each EO raises its own to its power
-    (see the module docstring); an unfolded stack covers nothing.
+    stack's period, and each EO raises its own to its power (see the
+    module docstring); an unfolded stack covers nothing.
     """
     if d.fold is None or not n_full.any():
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
-    dt = delta * TWO_PI
+    dt = d.delta * TWO_PI
     if d.fold == _ROTATING:
         first = block(d, np.full((len(n_full), 1), dt / 2.0), dt)
         # Z(dt) and Z(n dt) of each EO
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           n_full), n_full
-    period = _plan(d.eos[0]).period
-    quarter, qs = d.fold == _QUARTER, n_full // period
+    quarter, qs = d.fold == _QUARTER, n_full // d.period
     u = _substeps(d, np.zeros_like(n_full),
-                  np.full_like(n_full, period // 4 if quarter else period), dt, block)
+                  np.full_like(n_full, d.period // 4 if quarter else d.period), block)
     if quarter:   # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
         u = _Z_PI[:, None] * (np.swapaxes(u, -1, -2) @ u)
-    return _powers(u, (2 if quarter else 1) * qs), qs * period
+    return _powers(u, (2 if quarter else 1) * qs), qs * d.period
 
 
-def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
-    """Per EO, the product of `block` over its substep schedule, folded by
-    symmetry and polar-projected: a stack of 4x4 propagators.  delta is
-    the step size of every EO of the stack, each EO's own."""
-    n_full, rem = d.schedule or _schedule(d.eos, delta)
-    dt = delta * TWO_PI
-    u, start = _folded_power(d, n_full, delta, block)
-    u = _substeps(d, start, n_full - start, dt, block, u)
+def _stepped_propagator(d: _Drives, block) -> np.ndarray:
+    """Per EO, the product of `block` over the stack's step schedule,
+    folded by the stack's fold and polar-projected: a stack of 4x4
+    propagators.  Everything it steps by, it reads from the stack."""
+    n_full, rem = d.schedule
+    dt = d.delta * TWO_PI
+    u, start = _folded_power(d, n_full, block)
+    u = _substeps(d, start, n_full - start, block, u)
     if rem.any():   # an EO without a remainder keeps its u
         dt_rem = rem[:, None] * TWO_PI
         u = np.where(dt_rem[..., None] > 0.0, block(
@@ -490,19 +497,12 @@ def _stepped_propagator(d: _Drives, delta: float, block) -> np.ndarray:
     return _nearest_unitary(u)
 
 
-def _schedule(eos, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays (n_full, rem) of a stack's step schedules: its EOs'
-    plans', or, for a diagonal EO stepped only as a reference, which has
-    none, the EO's schedule at step delta."""
-    schedules = [_plan(e).schedule or _step_schedule(e.tau, delta) for e in eos]
-    return tuple(map(np.array, zip(*schedules)))
-
-
 def _diagonal_phases(eos) -> np.ndarray:
     """Per diagonal EO of a stack, read-only, the phases 2 pi tau E of its
     four states; a duration whose phase is not finite raises."""
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = TWO_PI * np.array([[e.tau] for e in eos]) * _Drives(eos, None).ez
+        p = np.array([(e.tau, e.j, e.h1z, e.h2z) for e in eos])
+        phase = TWO_PI * p[:, :1] * diagonal_energies(p[:, 1:2], p[:, 2:3], p[:, 3:4])
     finite = np.isfinite(phase).all(axis=1)
     if not finite.all():
         eo = eos[int(np.argmin(finite))]   # the first whose phase is not
@@ -538,22 +538,19 @@ def _chunks(eos: list) -> list:
 
 
 class _Plan(NamedTuple):
-    """How one EO is integrated (``_layout`` reads it): its class
-    (``_z_class``), U(eo) = Z_q U(eo0) Z_q^dagger; the key (delta, fold,
-    omega) of the stack eo0 joins (omega None for a rotating one,
-    _DIAGONAL for a diagonal one); eo0's step schedule (n_full, rem);
-    the drive period P in substeps that a quarter or period fold folds
-    by (0 for any other fold); and eo0's widest run, what it puts into
-    one block: 1 (one midpoint) for a rotating EO, every substep for an
-    unfolded one, and max(P/4 or P, n_full mod P) for a folded one.  A
-    diagonal EO, whose exact propagator takes no steps, has no schedule,
-    period 0 and run 0."""
+    """How one EO is integrated (``_layout`` and ``_Drives`` read it): its
+    class (``_z_class``), U(eo) = Z_q U(eo0) Z_q^dagger; the key (delta,
+    fold, omega) of the stack eo0 joins (omega None for a rotating one,
+    _DIAGONAL for a diagonal one); and eo0's widest run, what it puts
+    into one block: 1 (one midpoint) for a rotating EO, every substep
+    (n_full) for an unfolded one, and max(P/4 or P, n_full mod P) for
+    one folded by the drive period P.  A diagonal EO, whose exact
+    propagator takes no steps, has run 0.  The stack gives the step
+    schedule and the period (``_Drives``)."""
 
     eo0: EOParams
     q: int
     key: tuple
-    schedule: tuple[int, float] | None
-    period: int
     run: int
 
 
@@ -566,28 +563,27 @@ def _plan(eo: EOParams) -> _Plan:
     A bad step size or duration raises, on every call (a cache stores no
     exception).  A member takes its representative's plan, so every
     member of a class gets the one eo0 object this memo holds, and
-    dicts keyed by eo0 match it by identity; its fold, period and run
-    are the class's, so only a representative is ever stepped.
+    dicts keyed by eo0 match it by identity; its key and run are the
+    class's, so only a representative is ever stepped.
     """
     _check(eo)
     eo0, q = _z_class(eo)
     if eo0 is not eo:
         return _plan(eo0)._replace(q=q)
     if eo.is_diagonal:
-        return _Plan(eo, 0, _DIAGONAL, None, 0, 0)
-    schedule = n_full, _ = _step_schedule(eo.tau, eo.delta)
+        return _Plan(eo, 0, _DIAGONAL, 0)
+    n_full, _ = _step_schedule(eo.tau, eo.delta)
     period = _period_steps(eo.omega, eo.delta)
     if eo.is_rotating:
-        fold, period, run = _ROTATING, 0, 1
+        fold, run = _ROTATING, 1
     elif not period or n_full < 2 * period:
-        fold, period, run = None, 0, n_full
+        fold, run = None, n_full
     elif not (period % 4 or any((eo.sf1y, eo.sf2y, eo.phi_x, eo.phi_y, eo.h1x,
                                  eo.h1y, eo.h2x, eo.h2y))):   # an x drive at phi = 0
         fold, run = _QUARTER, max(period // 4, n_full % period)
     else:
         fold, run = _PERIOD, max(period, n_full % period)
-    return _Plan(eo, 0, (eo.delta, fold, None if fold == _ROTATING else eo.omega),
-                 schedule, period, run)
+    return _Plan(eo, 0, (eo.delta, fold, None if fold == _ROTATING else eo.omega), run)
 
 
 class _Store(OrderedDict):
@@ -610,12 +606,12 @@ _cached_propagator = _Store()
 class _Layout(NamedTuple):
     """How ``integrate`` takes one list of missed EOs: the diagonal
     classes as one closed-form stack, by their phases (None if there are
-    none), then the stepped groups, each (step size, stack with its
-    schedule), and, per missed EO, the row of its class among the class
-    propagators in that order and its q."""
+    none), then the stepped groups, each a stack (``_Drives``), and, per
+    missed EO, the row of its class among the class propagators in that
+    order and its q."""
 
     diagonal: np.ndarray | None
-    groups: tuple[tuple[float, _Drives], ...]
+    groups: tuple[_Drives, ...]
     rows: np.ndarray
     qs: np.ndarray
 
@@ -636,9 +632,9 @@ def _layout(misses: tuple[EOParams, ...]) -> _Layout:
     diagonal = stacks.pop(_DIAGONAL, None)
     classes = list(diagonal or ())
     groups = []
-    for (delta, fold, _), stack in stacks.items():
+    for stack in stacks.values():
         for chunk in _chunks(list(stack)):
-            groups.append((delta, _Drives(chunk, fold, _schedule(chunk, delta))))
+            groups.append(_Drives(chunk))
             classes += chunk
     row = {eo0: i for i, eo0 in enumerate(classes)}
     return _Layout(diagonal and _diagonal_phases(list(diagonal)), tuple(groups),
@@ -667,8 +663,7 @@ def integrate(eos) -> None:
     if not misses:
         return
     layout = _layout(tuple(misses))
-    classes = [_stepped_propagator(d, delta, _product_formula_block)
-               for delta, d in layout.groups]
+    classes = [_stepped_propagator(d, _product_formula_block) for d in layout.groups]
     if layout.diagonal is not None:
         classes.insert(0, _exact_diagonal_propagators(layout.diagonal))
     mats = _conjugated(np.concatenate(classes)[layout.rows], layout.qs)
@@ -697,8 +692,7 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     formula is, and conjugated from its class as the stored propagator
     is.  Integrated alone on every call, and never stored."""
     plan = _plan(eo)
-    drives = _Drives((plan.eo0,), plan.key[1])
-    return _conjugated(_stepped_propagator(drives, plan.eo0.delta, _dense_block),
+    return _conjugated(_stepped_propagator(_Drives((plan.eo0,)), _dense_block),
                        [plan.q])[0]
 
 

@@ -32,9 +32,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = nmrqc.integrator._stepped_propagator
 
-    def counting(drives, delta, block):
+    def counting(drives, block):
         calls.append((drives.fold, len(drives.eos)))
-        return kernel(drives, delta, block)
+        return kernel(drives, block)
 
     monkeypatch.setattr(nmrqc.integrator, "_stepped_propagator", counting)
     return calls
@@ -117,7 +117,7 @@ def json_reference(table) -> str:
 def single_eo(block):
     """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4."""
     def one(eo, mids, dt):
-        drives = _Drives((eo,), None)  # a block ignores the fold
+        drives = _Drives((eo,))  # a block reads only the fields
         return block(drives, np.reshape(mids, (1, -1)), dt)[0]
     return one
 

@@ -18,6 +18,7 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
                    program_unitaries, round2, run_experiment, verify_suite)
 from nmrqc.cli import main, parse_angle
 from nmrqc.harness import _CANNED, CHECKS, _qa_row_label, _rows
+from nmrqc.programs import INPUT_SPECS
 
 from conftest import json_reference, per_row_reference
 
@@ -152,10 +153,27 @@ def test_spec_validation():
                         "k_list share the column label 16, 8:"),
                        ({"final_rotation_style": "bogus"}, "final_rotation_style"),
                        ({"kind": "grover", "tau_offsets": [0.1]},
-                        "perturbation study is defined for QA suites")]:
+                        "perturbation study is defined for QA suites"),
+                       # a field the table does not read, at a value of its own
+                       ({"kind": "grover", "inputs": ["singlet"]},
+                        "^inputs changes nothing in a search table"),
+                       ({"kind": "grover", "cnot_variant": 3},
+                        "^cnot_variant changes nothing in a search table"),
+                       ({"kind": "grover", "final_rotation_style": "exact"},
+                        "^final_rotation_style changes nothing in a search table"),
+                       ({"kind": "qa", "items": [2]},
+                        "^items changes nothing in a QA suite"),
+                       ({"kind": "qa", "perturb_label": "Y2"},
+                        "^perturb_label changes nothing without tau_offsets"),
+                       ({"kind": "grover", "perturb_label": "Y2"},
+                        "^perturb_label changes nothing without tau_offsets")]:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentSpec.from_dict(bad)
-    assert ExperimentSpec(items=(2.0,)).items == (2,)
+    assert ExperimentSpec(kind="grover", items=(2.0,)).items == (2,)
+    # the default value of a field the table does not read is no value of its own
+    assert ExperimentSpec.from_dict({"kind": "grover", "inputs": list(INPUT_SPECS),
+                                     "cnot_variant": 1.0}).cnot_variant == 1
+    assert ExperimentSpec(perturb_label="Y2", tau_offsets=(0.1,)).perturb_label == "Y2"
 
 
 def test_canned_specs_exist():
@@ -163,6 +181,9 @@ def test_canned_specs_exist():
                               "table10", "grover_static")
     for name in canned_names():
         assert canned_spec(name) is canned_spec(name)   # built once
+    # to_dict states every field, those the table does not read at their defaults
+    for spec in [*map(canned_spec, canned_names()), *_sweep_specs().values()]:
+        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
     with pytest.raises(ConfigurationError, match=re.escape(
             "unknown table 'table99'; available: grover_static, table10, "
             "table5, table6, table7, table8, table9")):
@@ -489,8 +510,7 @@ def test_cache_fill_integrates_each_rotating_key_once(monkeypatch):
     kernel = nmrqc.integrator._stepped_propagator
     monkeypatch.setattr(
         nmrqc.integrator, "_stepped_propagator",
-        lambda d, delta, block: stacks.append((d.fold, d.eos))
-        or kernel(d, delta, block))
+        lambda d, block: stacks.append((d.fold, d.eos)) or kernel(d, block))
     calls = _count_runs(monkeypatch)
     nmrqc.integrator.clear_propagator_cache()
     for style in ("rotating_sf", "static_sf"):
@@ -709,6 +729,27 @@ def test_cli_design_names_a_bare_negative_axis(argv, capsys):
     assert capsys.readouterr() == (
         "", f"error: axis {axis} goes after --, which ends the options: "
         f"nmrqc design 1 pi/2 -- {axis} rotating 1\n")
+
+
+@pytest.mark.parametrize("argv", [["tables", "table9", "--final-rotation-style", "exact"],
+                                  ["sweep", "--kind", "grover", "--variant", "3"],
+                                  ["sweep", "--k-list", "1", "--out", ""]])
+def test_cli_bad_input_is_one_error_line(argv, capsys):
+    """A flag the table does not read, and an empty --out path, are bad
+    input: exit status 2, nothing on stdout and one `error:` line."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_markdown_of_every_canned_table_has_one_cell_per_header_cell():
+    """A pipe in a row label, as in (CNOT1)^5|00>, is escaped, so that
+    every line of the markdown splits into as many cells as its header."""
+    for name in canned_names():
+        lines = emit_table(run_experiment(canned_spec(name))).splitlines()
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {
+            len(lines[0].split("|"))}, name
+    assert "\n(CNOT1)^5\\|00> | " in emit_table(run_experiment(canned_spec("table5")))
 
 
 def test_cli_bad_tau_offset_is_bad_input(capsys):

@@ -11,13 +11,13 @@ from nmrqc import (ConfigurationError, EOParams, convergence_report,
                    eo_propagator, ideal_eo_params, ideal_gate, input_amplitudes,
                    oracle_propagator, build_qa, design_pulse)
 from nmrqc.gates import coupling_pi_duration
-from nmrqc.harness import (CHECKS, canned_names, canned_spec, run_experiment,
-                           verify_suite)
+from nmrqc.harness import (CHECKS, canned_names, canned_spec, emit_table,
+                           run_experiment, verify_suite)
 from nmrqc.hamiltonian import MachineConfig, diagonal_energies
 from nmrqc.integrator import (_CACHE_SIZE, _LAYOUTS, _chain, _conjugated, _Drives,
                               _cached_propagator, _diagonal_phases,
                               _exact_diagonal_propagators,
-                              _layout, _nearest_unitary,
+                              _layout, _nearest_unitary, _period_steps,
                               _plan, _powers, _product_formula_block,
                               _step_schedule, _stepped_propagator, _z_class,
                               check_delta, clear_propagator_cache, integrate)
@@ -46,8 +46,7 @@ def _alone(eo):
     """The EO's product-formula propagator: its class (``_z_class``)
     integrated in a stack of one, and conjugated."""
     eo0, q = _z_class(eo)
-    u = _stepped_propagator(_Drives((eo0,), _fold(eo0, eo0.delta)), eo0.delta,
-                            _product_formula_block)
+    u = _stepped_propagator(_Drives((eo0,)), _product_formula_block)
     return _conjugated(u, [q])[0]
 
 
@@ -289,8 +288,7 @@ def _counted_blocks(eo, delta):
         sizes.append(mids.size)
         return _product_formula_block(drives, mids, dt)
 
-    u = _stepped_propagator(_Drives((eo,), _fold(eo, delta)), delta,
-                            counting_block)
+    u = _stepped_propagator(_Drives((eo,)), counting_block)
     return sizes, u[0]
 
 
@@ -794,6 +792,50 @@ def test_a_cold_rerun_reuses_the_layout_of_its_misses(kernel_calls):
             assert np.array_equal(u, _alone_or_closed_form(eo)), (name, eo.label)
 
 
+def test_a_cold_rerun_of_a_memoized_layout_looks_no_plan_up(monkeypatch):
+    """Every canned table, run cold, then cold again with every plan
+    lookup raising: the stacks of its memoized layout carry all that the
+    kernels read, and each table comes out bit for bit the same."""
+    _layout.cache_clear()
+    tables = {}
+    for name in canned_names():
+        clear_propagator_cache()
+        tables[name] = emit_table(run_experiment(canned_spec(name)), "json")
+
+    def no_plan(eo):
+        raise AssertionError(f"the plan of {eo.label} looked up")
+
+    monkeypatch.setattr(nmrqc.integrator, "_plan", no_plan)
+    for name in canned_names():
+        clear_propagator_cache()
+        assert emit_table(run_experiment(canned_spec(name)), "json") == tables[name], name
+    clear_propagator_cache()
+
+
+def test_each_stack_of_a_canned_layout_states_what_its_members_give(monkeypatch):
+    """Every stack of a canned table's layout has the step size and fold
+    of its members' plans, their drive period for a quarter or period
+    fold (else 0), and their step schedules."""
+    layouts, memo = [], _layout
+    monkeypatch.setattr(nmrqc.integrator, "_layout",
+                        lambda misses: layouts.append(memo(misses)) or layouts[-1])
+    for name in canned_names():
+        clear_propagator_cache()
+        run_experiment(canned_spec(name))
+    stacks = [d for layout in layouts for d in layout.groups]
+    assert {"rotating", "quarter"} <= {d.fold for d in stacks}
+    for d in stacks:
+        assert isinstance(d, _Drives)
+        assert {_plan(eo).key[:2] for eo in d.eos} == {(d.delta, d.fold)}
+        folded = d.fold in ("quarter", "period")
+        assert {_period_steps(eo.omega, eo.delta) if folded else 0
+                for eo in d.eos} == {d.period}
+        assert d.period > 0 or not folded
+        n_full, rem = zip(*(_step_schedule(eo.tau, eo.delta) for eo in d.eos))
+        assert np.array_equal(d.schedule[0], n_full) and np.array_equal(d.schedule[1], rem)
+    clear_propagator_cache()
+
+
 def test_the_layout_memo_is_bounded():
     """The memo keeps at most _LAYOUTS layouts."""
     ip = ideal_eo_params("Ip")
@@ -873,7 +915,7 @@ def test_merged_half_steps_match_the_split_on_a_rotating_stack():
     eos = [pulse_eo(name, k) for name in ("Y1", "X1p", "Y2b", "X2p")
            for k in (1, 2, 32)]
     dt = 0.01 * TWO_PI
-    drives = _Drives(eos, "rotating")
+    drives = _Drives(eos)
     mids = np.full((len(eos), 1), dt / 2.0)   # one midpoint per EO
     assert _split_gap(drives, mids, dt) < 2e-14
     # and the first 10 substeps, whose half-steps do not commute
@@ -897,7 +939,7 @@ def test_zero_length_substeps_of_a_ragged_block_stay_the_identity(monkeypatch):
     got = _product_formula_block(d, mids, ragged)
     assert np.array_equal(got[-1], np.eye(4))
     for e, count in enumerate(counts[:-1]):   # as its own substeps alone
-        alone = _product_formula_block(_Drives(d.eos[e:e + 1], None),
+        alone = _product_formula_block(_Drives(d.eos[e:e + 1]),
                                        mids[e:e + 1, :count], dt)
         assert np.array_equal(got[e], alone[0]), count
 

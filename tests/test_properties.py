@@ -18,7 +18,7 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _plan,
+from nmrqc.integrator import (_BLOCK, _conjugated, _Drives,
                               _product_formula_block, _stepped_propagator,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
@@ -34,9 +34,15 @@ _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=
 
 
 def _spec(kind, tau_offsets, **fields):
-    """A spec; a duration study (tau_offsets set) is defined for QA suites only."""
-    return ExperimentSpec(kind=kind, tau_offsets=tau_offsets if kind == "qa" else None,
-                          **fields)
+    """A spec; a duration study (tau_offsets set) is defined for QA suites
+    only, and a field the spec's table does not read keeps its default."""
+    tau_offsets = tau_offsets if kind == "qa" else None
+    unread = ({"items"} if kind == "qa"
+              else {"inputs", "cnot_variant", "final_rotation_style"})
+    if tau_offsets is None:
+        unread.add("perturb_label")
+    return ExperimentSpec(kind=kind, tau_offsets=tau_offsets,
+                          **{k: v for k, v in fields.items() if k not in unread})
 
 
 specs = st.builds(
@@ -344,14 +350,12 @@ def test_stacked_rotating_kernel(pulses):
         eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
         eos.append(eo.replace(tau=eo.tau + offset))
     delta = eos[0].delta
-    stack = _stepped_propagator(_Drives(eos, "rotating"), delta,
-                                _product_formula_block)
+    stack = _stepped_propagator(_Drives(eos), _product_formula_block)
     for eo, u in zip(eos, stack):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         ref = chained_reference(eo, delta, BLOCKS["product_formula"])
         assert np.max(np.abs(u - ref)) < 1e-11
-        alone = _stepped_propagator(_Drives((eo,), "rotating"), delta,
-                                    _product_formula_block)
+        alone = _stepped_propagator(_Drives((eo,)), _product_formula_block)
         assert np.array_equal(u, alone[0])   # whatever shares its stack
 
 
@@ -395,9 +399,9 @@ def test_stacked_static_kernel(pulses):
         blocks.append(mids.size)
         return _product_formula_block(d, mids, dt)
 
-    def counting(d, delta, _block):
+    def counting(d, _block):
         stacks.append(len(d.eos))
-        return kernel(d, delta, block)
+        return kernel(d, block)
 
     clear_propagator_cache()
     with mock.patch.object(nmrqc.integrator, "_stepped_propagator", counting):
@@ -408,6 +412,5 @@ def test_stacked_static_kernel(pulses):
     for eo in eos:
         u = eo_propagator(eo)
         eo0, q = _z_class(eo)
-        alone = _stepped_propagator(_Drives((eo0,), _plan(eo0).key[1]),
-                                    eo.delta, _product_formula_block)
+        alone = _stepped_propagator(_Drives((eo0,)), _product_formula_block)
         assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
