@@ -25,7 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .hamiltonian import DEFAULT_MACHINE, EOParams, MachineConfig, diagonal_energies
+from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, diagonal_energies,
+                          new_eo)
 from .operators import TWO_PI, embed, frozen_unitary, rotation
 
 _ROTATIONS = {
@@ -118,15 +119,14 @@ def ideal_gate(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> np.ndarra
 
 @lru_cache(maxsize=1024)
 def _ideal_gate(cname: str, machine: MachineConfig) -> np.ndarray:
-    z_fields = _z_fields(machine)
     if cname in _ROTATIONS:
         spin, axis, direction, turns = gate_rotation(cname, machine)
         m = embed(spin, rotation(axis, direction * TWO_PI * turns))
     elif cname == "G":
         m = phase_gate(-np.pi / 4, np.pi / 4, np.pi / 4, -np.pi / 4)
-    elif cname in z_fields:
+    elif cname in ("I", "Ip"):
         tau = TWO_PI * coupling_pi_duration(machine)
-        energies = diagonal_energies(machine.coupling, *z_fields[cname])
+        energies = diagonal_energies(machine.coupling, *_z_fields(machine)[cname])
         m = np.diag(np.exp(-1j * tau * energies))
     elif cname == "CNOT":
         perm = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
@@ -167,10 +167,10 @@ def ideal_eo_params(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> EOPa
     if cname in _ROTATIONS:
         spin, axis, direction, turns = gate_rotation(cname, machine)
         tau = 1.0 if cname.endswith("p") else 0.25
-        return EOParams(label=cname, tau=tau, j=machine.coupling, delta=1.0,
-                        **{f"h{spin}{axis}": direction * turns / tau})
+        return new_eo(label=cname, tau=tau, j=machine.coupling, delta=1.0,
+                      **{f"h{spin}{axis}": direction * turns / tau})
     fields = _z_fields(machine).get(cname)
     if fields is None:
         raise ConfigurationError(f"no EO realization for gate {name!r}")
-    return EOParams(label=cname, tau=coupling_pi_duration(machine), j=machine.coupling,
-                    h1z=fields[0], h2z=fields[1], delta=1.0)
+    return new_eo(label=cname, tau=coupling_pi_duration(machine), j=machine.coupling,
+                  h1z=fields[0], h2z=fields[1], delta=1.0)

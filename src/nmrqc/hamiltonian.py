@@ -27,7 +27,8 @@ from .operators import S1X, S1Y, S1Z, S2X, S2Y, S2Z, SZZ
 
 def is_finite_number(x) -> bool:
     """A finite real number; a bool is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    return ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
+            and math.isfinite(x))
 
 
 @dataclass(frozen=True)
@@ -164,6 +165,16 @@ class EOParams:
 
 
 _EO_FIELDS = frozenset(f.name for f in dataclasses.fields(EOParams))
+_BLANK_EO = EOParams()
+
+
+def new_eo(**fields) -> EOParams:
+    """EOParams(**fields), equal and hashing alike, built as
+    ``EOParams.replace`` builds an EO (from the all-default EO), at less
+    than the frozen __init__ costs: the pulse designs and ideal EOs of a
+    first compile are built this way."""
+    return _BLANK_EO.replace(**fields)
+
 
 # S1z and S2z eigenvalues of |00>, |10>, |01>, |11>.
 _S1Z_EIG = np.array([0.5, -0.5, 0.5, -0.5])

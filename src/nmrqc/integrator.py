@@ -42,7 +42,9 @@ The EO's plan (``_plan``) names the fold:
   Z(theta) = exp(+i omega theta S^z_tot), and the n full substeps give
   exactly U = Z(n dt) (Z(dt)^dagger B(dt/2))^n (the rotating frame;
   Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
-  single-midpoint block is built and raised to the n-th power.
+  single-midpoint block is built and raised to the n-th power; the
+  product formula builds it directly as T D T (``_midpoint_block``),
+  bit for bit its one-substep block.
 * "period": otherwise, when the drive period 1/omega (over 2*pi) is a
   whole number P of steps, i.e. 1/(omega*delta) is an integer to a
   relative 1e-12, and the EO spans at least 2P full substeps, the
@@ -69,9 +71,9 @@ The EO's plan (``_plan``) names the fold:
   number of steps or is shorter than one step, a static pulse shorter
   than two periods) every substep is stepped.
 
-Powers are taken by repeated squaring (``_powers``), and the finished
-propagator is polar-projected onto the unitary group once, by one
-Newton-Schulz step.
+Powers are taken by repeated squaring (``_powers``), by a plan the
+stack holds (``_power_plan``), and the finished propagator is
+polar-projected onto the unitary group once, by one Newton-Schulz step.
 
 The loop runs on a stack of EOs: the field parameters, the blocks and
 every step above carry a leading EO axis, and each EO has its own step
@@ -92,11 +94,12 @@ still keeps the ten spin-2 classes (10 x 100 substeps) of a canned
 static table in one group.  An EO whose run is longer is a group of
 one, and every run (a period, a tail, all the substeps) is built _BLOCK
 substeps at a time.  A group is integrated in one pass:
-- rotating: one single-midpoint block per EO, the frame factors, the
-  powers (one squaring pass over the bits of the largest n, then each
-  EO's product of its own set-bit squares, gathered into one batched
-  product per set bit after the first), the remainder blocks and one
-  stacked Newton-Schulz step;
+- rotating: one single-midpoint block per EO, built directly, the
+  frame factors, the powers (one squaring pass over the bits of the
+  largest n, then each EO's product of its own set-bit squares: one
+  take and one batched product per set-bit round after the first, an
+  EO past its last set bit taking the identity), the remainder blocks
+  and one stacked Newton-Schulz step (a rotating stack has no tail);
 - quarter or period: one quarter-period block (then Zpi placed per EO)
   or one period block over all the EOs, each EO's own power, 2q or q,
   the tails (an EO whose tail is shorter takes substeps of length 0,
@@ -129,8 +132,8 @@ decides how an EO is integrated: its class and q, the key of its stack
 once per EO, so a cold table pays per stack, not per EO; the stacks and
 the groups read it.  A stack (``_Drives``, built from its EOs alone) is
 the one record the kernels read: its fields, step size, fold, drive
-period and step schedule.  No kernel takes a step size or a fold from
-its caller, or looks a plan up.  One store, keyed by the EO, keeps the
+period, step schedule and power plan.  No kernel takes a step size or
+a fold from its caller, or looks a plan up.  One store, keyed by the EO, keeps the
 last _CACHE_SIZE propagators used.
 
 How the EOs a list misses are integrated is planned once per such list
@@ -276,8 +279,11 @@ class _Drives:
     and the fold of its first EO's plan (``_plan``), which the stack's EOs
     share: they all turn rigidly about z (_ROTATING), or have one drive
     frequency; the drive period P in substeps that a quarter or period
-    fold folds by (0 for any other fold); and the step schedule, the
-    arrays (n_full, rem) of its EOs (``_step_schedule``).
+    fold folds by (0 for any other fold); the step schedule, the arrays
+    (n_full, rem) of its EOs (``_step_schedule``); and, for a folded
+    stack, how ``_powers`` raises its blocks to the fold's powers (n_full
+    for a rotating stack, 2q or q for a quarter or period one,
+    ``_power_plan``), None for an unfolded one.
     """
 
     def __init__(self, eos):
@@ -297,6 +303,10 @@ class _Drives:
                        if self.fold in (_QUARTER, _PERIOD) else 0)
         self.schedule = tuple(map(np.array, zip(*(_step_schedule(e.tau, e.delta)
                                                    for e in self.eos))))
+        n_full = self.schedule[0]
+        self.powers = None if self.fold is None else _power_plan(
+            n_full if self.fold == _ROTATING
+            else (2 if self.fold == _QUARTER else 1) * (n_full // self.period))
 
 
 def _fields_at(d: _Drives, mids):
@@ -405,36 +415,80 @@ def _period_steps(omega: float, delta: float) -> int:
     return p if p >= 1 and abs(steps - p) <= _PERIOD_RTOL * steps else 0
 
 
+def _midpoint_block(d: _Drives, dt: float) -> np.ndarray:
+    """Per EO, T(dt/2) D(dt) T(dt/2) at the midpoint dt/2 of its first
+    substep: ``_product_formula_block`` of that one substep, built
+    directly as the product of T and the rows of T scaled by D, the two
+    factors that block's merged half-steps give for one substep (the
+    rotating fold's one block)."""
+    n_eo = len(d.omega)
+    s = np.sin(d.omega[:, None] * (dt / 2.0) + d.phi)              # [EO, axis]
+    f = d.static + d.amp * s[:, None, :]                          # [EO, spin, axis]
+    a, b = _halfstep_rotations(f[..., 0], f[..., 1], dt / 4.0)    # [EO, spin]
+    r = np.empty((n_eo, 2, 2, 2), dtype=complex)                  # [EO, spin, row, col]
+    r[..., 0, 0] = r[..., 1, 1] = a
+    r[..., 0, 1], r[..., 1, 0] = b, -b.conj()
+    k2 = r[:, 1, :, None, :, None]                                # [EO, s2, ., t2, .]
+    k1 = r[:, 0, None, :, None, :]                                # [EO, ., s1, ., t1]
+    phases = np.exp(-1j * (d.ez * dt)).reshape(n_eo, 2, 2, 1, 1)  # D[s2, s1]
+    return ((k2 * k1).reshape(n_eo, 4, 4)
+            @ (k2 * phases * k1).reshape(n_eo, 4, 4))
+
+
 def _frame(d: _Drives, theta) -> np.ndarray:
     """Diagonals of Z(theta) = exp(+i omega theta S^z_tot); theta[..., EO]."""
     return np.exp(1j * d.omega[:, None] * theta[..., None] * _SZ_TOTAL)
 
 
-def _powers(base: np.ndarray, ns) -> np.ndarray:
-    """base[e] ** ns[e] for a stack, by repeated squaring.
+class _PowerPlan(NamedTuple):
+    """How ``_powers`` raises a stack to its exponents ns[e] >= 0
+    (``_power_plan``): the number of squarings, the bits of the largest
+    n, and per round r, for each EO, the row of the r-th set bit of its
+    n, ascending, among the stacked squares [1, base, base^2, base^4,
+    ...] flattened by (square, EO); an EO past its last set bit takes
+    the identity (row e)."""
 
-    Each n >= 0, and at least one n >= 1; n = 0 gives the identity.  One
-    pass squares the whole stack once per bit of the largest n, into
-    squares[b] = base ** 2^b; then each EO multiplies its own set-bit
-    squares in ascending order, as gathered batched products: one call
-    per set bit after the first (two for the designed n = 25 * 2^s).
-    Each EO gets the products of the binary method (those of
-    np.linalg.matrix_power for n != 3), whatever else is in the stack.
-    """
+    bits: int
+    rows: np.ndarray   # [round, EO]
+
+
+def _power_plan(ns) -> _PowerPlan:
+    """The plan of ``_powers`` for the exponents ns, each >= 0."""
     ns = np.asarray(ns)
-    squares = np.empty((int(ns.max()).bit_length(),) + base.shape, dtype=complex)
-    squares[0] = base
-    for b in range(1, len(squares)):
-        np.matmul(squares[b - 1], squares[b - 1], out=squares[b])
-    has = (ns[:, None] >> np.arange(len(squares))) & 1 == 1    # [EO, bit]
-    order = np.argsort(~has, axis=1, kind="stable")   # set bits first, ascending
+    bits = int(ns.max()).bit_length()
+    has = (ns[:, None] >> np.arange(max(bits, 1))) & 1 == 1       # [EO, bit]
     counts = has.sum(axis=1)
-    rows = np.arange(len(ns))
-    out = squares[order[:, 0], rows]
-    out[counts == 0] = _EYE
-    for j in range(1, counts.max()):
-        e = rows[counts > j]
-        out[e] = out[e] @ squares[order[e, j], e]
+    rounds = np.arange(max(1, counts.max()))
+    order = np.argsort(~has, axis=1, kind="stable")[:, rounds]    # set bits first
+    square = np.where(rounds < counts[:, None], order + 1, 0)     # 0: the identity
+    rows = (square * len(ns) + np.arange(len(ns))[:, None]).T
+    rows.setflags(write=False)
+    return _PowerPlan(bits, rows)
+
+
+def _powers(base: np.ndarray, plan: _PowerPlan) -> np.ndarray:
+    """base[e] ** ns[e] for a stack, by repeated squaring, as its plan
+    (``_power_plan``) gives the exponents ns.
+
+    At least one n >= 1; n = 0 gives the identity.  One pass squares
+    the whole stack once per bit of the largest n, into
+    squares[b + 1] = base ** 2^b, under squares[0] = 1; then each EO
+    multiplies its own set-bit squares in ascending order: one take and
+    one batched product per round after the first (two for the designed
+    n = 25 * 2^s), an EO past its last set bit multiplying by the
+    identity, which is exact.  Each EO gets the products of the binary
+    method (those of np.linalg.matrix_power for n != 3), whatever else
+    is in the stack.
+    """
+    squares = np.empty((plan.bits + 1,) + base.shape, dtype=complex)
+    squares[0] = _EYE
+    squares[1] = base
+    for b in range(2, plan.bits + 1):
+        np.matmul(squares[b - 1], squares[b - 1], out=squares[b])
+    flat = squares.reshape(-1, 4, 4)
+    out = flat.take(plan.rows[0], axis=0)
+    for rows in plan.rows[1:]:
+        out = out @ flat.take(rows, axis=0)
     return out
 
 
@@ -469,17 +523,18 @@ def _folded_power(d: _Drives, n_full, block):
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
     dt = d.delta * TWO_PI
     if d.fold == _ROTATING:
-        first = block(d, np.full((len(n_full), 1), dt / 2.0), dt)
+        first = (_midpoint_block(d, dt) if block is _product_formula_block
+                 else block(d, np.full((len(n_full), 1), dt / 2.0), dt))
         # Z(dt) and Z(n dt) of each EO
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
-                                          n_full), n_full
-    quarter, qs = d.fold == _QUARTER, n_full // d.period
+                                          d.powers), n_full
+    quarter = d.fold == _QUARTER
     u = _substeps(d, np.zeros_like(n_full),
                   np.full_like(n_full, d.period // 4 if quarter else d.period), block)
     if quarter:   # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
         u = _Z_PI[:, None] * (np.swapaxes(u, -1, -2) @ u)
-    return _powers(u, (2 if quarter else 1) * qs), qs * d.period
+    return _powers(u, d.powers), n_full // d.period * d.period
 
 
 def _stepped_propagator(d: _Drives, block) -> np.ndarray:
@@ -489,7 +544,8 @@ def _stepped_propagator(d: _Drives, block) -> np.ndarray:
     n_full, rem = d.schedule
     dt = d.delta * TWO_PI
     u, start = _folded_power(d, n_full, block)
-    u = _substeps(d, start, n_full - start, block, u)
+    if (n_full > start).any():   # a rotating stack has no tail
+        u = _substeps(d, start, n_full - start, block, u)
     if rem.any():   # an EO without a remainder keeps its u
         dt_rem = rem[:, None] * TWO_PI
         u = np.where(dt_rem[..., None] > 0.0, block(
@@ -569,7 +625,8 @@ def _plan(eo: EOParams) -> _Plan:
     _check(eo)
     eo0, q = _z_class(eo)
     if eo0 is not eo:
-        return _plan(eo0)._replace(q=q)
+        eo0, _, key, run = _plan(eo0)
+        return _Plan(eo0, q, key, run)
     if eo.is_diagonal:
         return _Plan(eo, 0, _DIAGONAL, 0)
     n_full, _ = _step_schedule(eo.tau, eo.delta)

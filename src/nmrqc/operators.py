@@ -30,13 +30,13 @@ def embed(spin: int, u: np.ndarray) -> np.ndarray:
     """Embed a 2x2 operator acting on the given spin into the 4x4 space.
 
     Qubit 1 is the fast index, so spin 1 embeds as kron(I, u) and spin 2
-    as kron(u, I).
+    as kron(u, I), each entry the product np.kron forms, without its
+    general-shape set-up.
     """
-    if spin == 1:
-        return np.kron(IDENTITY_2, u)
-    if spin == 2:
-        return np.kron(u, IDENTITY_2)
-    raise ValueError(f"spin must be 1 or 2, got {spin}")
+    if spin not in (1, 2):
+        raise ValueError(f"spin must be 1 or 2, got {spin}")
+    a, b = (IDENTITY_2, u) if spin == 1 else (u, IDENTITY_2)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 # Embedded spin components and the Ising product, used all over.

@@ -62,26 +62,27 @@ Gate steps, duration-shifted steps, whole gate-sequence expansions,
 gate matrices and each gate sequence's ideal unitary are memoized, so
 rebuilding a program re-designs no pulse, re-shifts no duration and
 recomposes no gate.  A sequence's first expansion realizes each distinct
-gate name once, and its first ideal unitary looks each distinct gate
+gate name once, designing each pulse without checking again what the
+builder checked, and its first ideal unitary looks each distinct gate
 matrix up once, so a fresh process pays per distinct gate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalIntegrityError, check_choice
-from .gates import canonical_name, compose, gate_rotation, ideal_eo_params, ideal_gate
+from .gates import canonical_name, gate_rotation, ideal_eo_params, ideal_gate
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
 from . import integrator
 from .integrator import check_delta, eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
-from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, check_k, design_pulse
+from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, _pulse_eo, check_k, design_pulse
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -182,16 +183,16 @@ class Program:
 def _gate_step(name: str, style: str, k: int, machine: MachineConfig,
                delta: float) -> EOParams:
     """The EO realizing a named gate in the given style, with pulses of
-    length k; style and k are checked by the builder."""
+    length k: design_pulse's EO, designed without checking again the
+    style, k, machine and step size the builder checked."""
     cname = canonical_name(name)
     if cname == "Gcore":
         return ideal_eo_params("Ip", machine).replace(label="Gcore", delta=1.0)
     if cname == "Ip" or style == IDEAL:
         return ideal_eo_params(cname, machine)
     spin, axis, direction, turns = gate_rotation(cname, machine)
-    return design_pulse(spin, TWO_PI * turns, axis, k=k, mode=_STYLE_MODE[style],
-                        direction=direction, machine=machine, label=cname,
-                        delta=delta)
+    return _pulse_eo(spin, TWO_PI * turns, axis, direction, k, _STYLE_MODE[style],
+                     machine, cname, delta)
 
 
 @lru_cache(maxsize=1024)
@@ -209,9 +210,11 @@ def _expand(names: tuple[str, ...], style: str, k: int, machine: MachineConfig,
 @lru_cache(maxsize=256)
 def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray:
     """Read-only product of the ideal gates, names in application order,
-    each distinct gate's matrix looked up once."""
+    each distinct gate's matrix looked up once: the products of compose,
+    left to right from the last gate applied, each by ndarray.dot, which
+    gives np.matmul's product of two 4x4 matrices with less dispatch."""
     gates = {name: ideal_gate(name, machine) for name in dict.fromkeys(names)}
-    return frozen_unitary(compose(map(gates.__getitem__, reversed(names)), machine))
+    return frozen_unitary(reduce(np.ndarray.dot, map(gates.__getitem__, reversed(names))))
 
 
 def _build(name: str, names: tuple[str, ...], style: str, k: int,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_choice, is_integer
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
-                          is_finite_number)
+                          is_finite_number, new_eo)
 from .integrator import check_delta
 from .operators import TWO_PI
 
@@ -160,8 +160,18 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     k = check_k(k)
     check_choice(mode, "mode", _MODES)
     check_delta(delta, check_machine(machine))
-    gamma = RationalGamma.from_machine(machine)
+    return _pulse_eo(target_spin, angle, axis, direction, k, mode, machine, label, delta)
 
+
+def _pulse_eo(target_spin: int, angle: float, axis: str, direction: int, k: int,
+              mode: str, machine: MachineConfig, label: str | None,
+              delta: float) -> EOParams:
+    """design_pulse's EO from arguments it has checked: axis 'x' or 'y'
+    and its direction +1 or -1 apart.  A program builder's gate steps
+    call it on the values the builder checked, with a rotation from
+    ``gates.gate_rotation``; the machine's field ratio is checked here
+    (RationalGamma.from_machine)."""
+    gamma = RationalGamma.from_machine(machine)
     t1, t2 = hypothetical_durations(gamma, k)
     turns = angle / TWO_PI
     if target_spin == 1:
@@ -197,7 +207,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
         sf[f"sf1{channel}"] = 2.0 * sign * amp1
         sf[f"sf2{channel}"] = 2.0 * sign * amp2
 
-    return EOParams(
+    return new_eo(
         label=label or f"pulse(spin{target_spin},{'-' if direction < 0 else ''}{axis},"
                        f"{turns:g}turn,{mode},k={k})",
         tau=t, j=machine.coupling, h1z=machine.h1z, h2z=machine.h2z,

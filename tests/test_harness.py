@@ -1054,3 +1054,101 @@ def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
                 [failing] if failing else [])
             assert main(["verify"]) == (1 if failing else 0)
             assert (f"[FAIL] {failing} " in capsys.readouterr().out) == bool(failing)
+
+
+# Every memo a compile or a plan fills, by module and name; with the
+# compiled table of each canned spec (``ExperimentSpec._compiled``), they
+# are everything a process's first run of a table builds that a rerun
+# reuses.
+_MEMOS = {"nmrqc.programs": ("_gate_step", "_expand", "_ideal_unitary", "_shifted_step"),
+          "nmrqc.gates": ("_ideal_gate",),
+          "nmrqc.integrator": ("_plan", "_layout"),
+          "nmrqc.harness": ("_json_layout",)}
+
+
+def _memos():
+    import importlib
+    return [getattr(importlib.import_module(module), name)
+            for module, names in _MEMOS.items() for name in names]
+
+
+def _forget_every_compile_and_plan():
+    for memo in _memos():
+        memo.cache_clear()
+    for name in canned_names():
+        canned_spec(name).__dict__.pop("_compiled", None)
+
+
+@pytest.mark.parametrize("name", canned_names())
+def test_a_first_run_equals_a_rerun(name, tmp_path):
+    """A canned table run with every compile and plan memo empty, as a
+    fresh process runs it, prints the bytes of a warm run and stores the
+    same propagators, EO by EO."""
+    from nmrqc.integrator import _cached_propagator, clear_propagator_cache
+    out = tmp_path / "table.json"
+    runs = []
+    for first in (True, False, False):
+        if first:
+            _forget_every_compile_and_plan()
+        if len(runs) < 2:   # the third run is warm: its propagators are stored
+            clear_propagator_cache()
+        assert main(["tables", name, "--format", "json", "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), dict(_cached_propagator)))
+    (first_text, first_store), (rerun_text, rerun_store), (warm_text, _) = runs
+    assert first_text == rerun_text == warm_text
+    assert list(first_store) == list(rerun_store)
+    for eo, u in first_store.items():
+        assert np.array_equal(u, rerun_store[eo]), eo.label
+
+
+def test_every_canned_gate_step_is_its_checked_design():
+    """A builder designs its gate steps without checking again what it
+    checked; each canned one equals design_pulse's EO (or the gate's
+    ideal EO), the same EO built by EOParams' own __init__, and hashes
+    alike."""
+    from nmrqc import design_pulse, ideal_eo_params
+    from nmrqc.gates import GATE_NAMES, gate_rotation
+    from nmrqc.hamiltonian import EOParams
+    from nmrqc.operators import TWO_PI
+    from nmrqc.programs import _STYLE_MODE, IDEAL, _gate_step
+    names = [n for n in GATE_NAMES if n not in ("I", "G", "CNOT")] + ["Gcore"]
+    for spec in (canned_spec(name) for name in canned_names()):
+        for k in spec.k_list:
+            for name in names:
+                step = _gate_step(name, spec.style, k, spec.machine, spec.delta)
+                if name in ("Ip", "Gcore") or spec.style == IDEAL:
+                    want = ideal_eo_params("Ip" if name == "Gcore" else name,
+                                           spec.machine)
+                    if name == "Gcore":
+                        want = want.replace(label="Gcore")
+                else:
+                    spin, axis, direction, turns = gate_rotation(name, spec.machine)
+                    want = design_pulse(spin, TWO_PI * turns, axis, k=k,
+                                        mode=_STYLE_MODE[spec.style],
+                                        direction=direction, machine=spec.machine,
+                                        label=name, delta=spec.delta)
+                built = EOParams(**step.to_dict())
+                assert step == want == built, (name, spec.style, k)
+                assert hash(step) == hash(want) == hash(built), (name, spec.style, k)
+
+
+def test_importing_the_command_line_compiles_and_plans_nothing():
+    """`import nmrqc.cli` leaves every compile and plan memo empty and
+    compiles no canned spec: a first run pays for all of it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import importlib, json, nmrqc.cli\n"
+        "from nmrqc.harness import canned_names, canned_spec\n"
+        f"memos = {_MEMOS!r}\n"
+        "sizes = {f'{m}.{n}': getattr(importlib.import_module(m), n).cache_info().currsize\n"
+        "         for m, names in memos.items() for n in names}\n"
+        "compiled = [n for n in canned_names() if '_compiled' in vars(canned_spec(n))]\n"
+        "print(json.dumps([sizes, compiled]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    sizes, compiled = json.loads(done.stdout)
+    assert sizes == {f"{m}.{n}": 0 for m, names in _MEMOS.items() for n in names}
+    assert compiled == []

@@ -18,7 +18,8 @@ from nmrqc.integrator import (_CACHE_SIZE, _LAYOUTS, _chain, _conjugated, _Drive
                               _cached_propagator, _diagonal_phases,
                               _exact_diagonal_propagators,
                               _layout, _nearest_unitary, _period_steps,
-                              _plan, _powers, _product_formula_block,
+                              _plan, _power_plan, _powers,
+                              _product_formula_block,
                               _step_schedule, _stepped_propagator, _z_class,
                               check_delta, clear_propagator_cache, integrate)
 from nmrqc.programs import (ConvergenceReport, ConvergenceRow, Program,
@@ -867,7 +868,7 @@ def test_stacked_powers_equal_matrix_power(rng):
     # quarter-folded static pulses of the canned tables
     ns = [0, 1, 2, 5, 6, 800, 801, 409600, 16, 32, 64, 128, 256, 512, 2048]
     base = np.stack([random_unitary(rng) for _ in ns])
-    for i, u in enumerate(_powers(base, ns)):   # no EO's product is touched
+    for i, u in enumerate(_powers(base, _power_plan(ns))):   # no EO's product is touched
         assert np.array_equal(u, np.linalg.matrix_power(base[i], ns[i])), ns[i]
 
 
@@ -880,14 +881,14 @@ def test_powers_of_a_shuffled_stack_equal_matrix_power(rng):
                 | {25 * 2 ** s for s in range(15)})
     ns = [ns[i] for i in rng.permutation(len(ns))]
     base = np.stack([random_unitary(rng) for _ in ns])
-    stacked = _powers(base, ns)
+    stacked = _powers(base, _power_plan(ns))
     for i, n in enumerate(ns):
         want = np.linalg.matrix_power(base[i], n)
         if n == 3:   # which matrix_power multiplies as (b b) b
             want = base[i] @ (base[i] @ base[i])
         assert np.array_equal(stacked[i], want), n
         if n:   # a stack of one needs an n >= 1
-            assert np.array_equal(_powers(base[i:i + 1], [n])[0], want), n
+            assert np.array_equal(_powers(base[i:i + 1], _power_plan([n]))[0], want), n
 
 
 def _table8_quarter_blocks(monkeypatch):

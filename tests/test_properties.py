@@ -1,8 +1,9 @@
 """Property-based tests: spec serialization, the batched harness, the
 spec and the builders taking one domain per program parameter, table
 JSON against json.dumps, the folded pulse propagators (static pulses
-folded by quarter periods among them) and the stacked rotating and
-static kernels."""
+folded by quarter periods among them), the stacked rotating and
+static kernels, the rotating fold's direct midpoint block and the
+powers by a stack's plan."""
 import argparse
 import json
 from unittest import mock
@@ -18,8 +19,8 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _conjugated, _Drives,
-                              _product_formula_block, _stepped_propagator,
+from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _midpoint_block,
+                              _powers, _product_formula_block, _stepped_propagator,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, INPUT_SPECS, STYLES,
@@ -357,6 +358,57 @@ def test_stacked_rotating_kernel(pulses):
         assert np.max(np.abs(u - ref)) < 1e-11
         alone = _stepped_propagator(_Drives((eo,)), _product_formula_block)
         assert np.array_equal(u, alone[0])   # whatever shares its stack
+
+
+designed_rotating_pulses = st.tuples(
+    st.sampled_from([1, 2]), st.floats(0.0, 2.0 * TWO_PI),
+    st.sampled_from(["x", "y", "-x", "-y"]), st.integers(1, 8),
+    st.sampled_from([1, -1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(designed_rotating_pulses, min_size=1, max_size=6),
+       st.sampled_from([0.01, 0.003, 0.02, 0.1]))
+def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
+    """The rotating fold's one block, built directly as T D T, is bit for
+    bit the product-formula block of the one substep at dt/2."""
+    eos = [design_pulse(spin, angle, axis, k=k, direction=direction, delta=delta)
+           for spin, angle, axis, k, direction in pulses]
+    d = _Drives(eos)
+    dt = delta * TWO_PI
+    assert np.array_equal(_midpoint_block(d, dt), _product_formula_block(
+        d, np.full((len(eos), 1), dt / 2.0), dt))
+
+
+# exponent shapes the squaring pass gathers: 0, 1, all bits set (2^b - 1),
+# one bit (2^b) and the designed 25 * 2^s
+_EXPONENTS = sorted({0, 1} | {n for b in range(1, 20) for n in (2 ** b - 1, 2 ** b)}
+                    | {25 * 2 ** s for s in range(12)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_EXPONENTS), min_size=1, max_size=12)
+       .filter(any).flatmap(st.permutations), st.integers(0, 2 ** 32 - 1))
+def test_powers_by_the_plan_a_stack_holds(ns, seed):
+    """A rotating stack of durations n * delta raises each block to its
+    own n by the plan the stack holds: np.linalg.matrix_power (b (b b)
+    for n = 3) per row, and each row as it is alone."""
+    from conftest import random_unitary
+    rng = np.random.default_rng(seed)
+    pulse = design_pulse(1, TWO_PI / 4.0, "x")
+    eos = [pulse.replace(tau=n * pulse.delta) for n in ns]
+    d = _Drives(eos)
+    assert d.schedule[0].tolist() == ns
+    base = np.stack([random_unitary(rng) for _ in ns])
+    stacked = _powers(base, d.powers)
+    for i, (eo, n) in enumerate(zip(eos, ns)):
+        want = np.linalg.matrix_power(base[i], n)
+        if n == 3:   # which matrix_power multiplies as (b b) b
+            want = base[i] @ (base[i] @ base[i])
+        assert np.array_equal(stacked[i], want), n
+        if n:   # a stack of one needs an n >= 1
+            alone = _powers(base[i:i + 1], _Drives((eo,)).powers)
+            assert np.array_equal(alone[0], want), n
 
 
 # how a designed static pulse is changed: not at all (quarter fold); its
