@@ -65,6 +65,12 @@ The EO's plan (``_plan``) names the fold:
     order.  An x drive makes H real, so every substep block is
     complex-symmetric (for the Strang split T D T as for the dense
     exponential) and U_{T/2} = Q^T Q.
+  The product formula builds Q in the eigenbasis of S^x
+  (``_quarter_block``): an x drive at phi = 0 makes every half-step an
+  x rotation of each spin, and W = H (x) H diagonalizes them all, so Q
+  is the same Strang product regrouped as W E_m (M E_{m-1}) ... (M E_0) W
+  with M = W D W once per EO and each E_j diagonal; the reference, like
+  any other block, steps the quarter's substeps as it steps a period.
   Any other periodic drive (phi != 0, a static transverse field, a y
   drive, both axes driven or P not a multiple of 4) folds by period.
 * None: in every other case (omega = 0, a period that is not a whole
@@ -435,6 +441,57 @@ def _midpoint_block(d: _Drives, dt: float) -> np.ndarray:
             @ (k2 * phases * k1).reshape(n_eo, 4, 4))
 
 
+# W = H (x) H, real and its own inverse: its column k is an eigenvector of
+# S1^x and S2^x, of signs (-1)^(bit 0 of k) and (-1)^(bit 1 of k), which
+# _X_SIGNS[spin, k] holds for k = 0, 1; column 3 - k has those of k negated.
+_W = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
+               [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]) / 2.0
+_X_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
+
+
+def _quarter_block(d: _Drives) -> np.ndarray:
+    """Per EO of a quarter stack, the product Q of its first P/4 substeps:
+    ``_product_formula_block``'s m + 1 factors D K_j regrouped in the
+    eigenbasis of S^x (the quarter fold's one block).
+
+    An x drive at phi = 0 makes every half-step an x rotation of each
+    spin, and W diagonalizes them all: K_j = W E_j W with
+    E_j = diag(exp(i u_j lambda)), u_j = (dt/4) (s_j + s_{j-1}),
+    s_j = sin(omega t_j) (s_{-1} = s_m = 0) and lambda the eigenvalues of
+    2 (a1 S1^x + a2 S2^x), a the x amplitudes.  So
+
+        Q = W E_m (M E_{m-1}) ... (M E_1) (M E_0) W,   M = W D W,
+
+    and a pair of factors is (M E_{2i+1} M) E_{2i}, with
+    M E M = sum_k e_k M[:, k] M[k, :]: one batched product builds every
+    pair from the phases e, and one broadcast product scales its columns.
+    The sines are taken once for the stack, which shares omega, and
+    `_chain` multiplies the pairs of at most _BLOCK substeps at a time.
+    """
+    n_eo, m, dt = len(d.eos), d.period // 4, d.delta * TWO_PI
+    s = np.zeros(m + 2)                                             # s_{-1} .. s_m
+    s[1:-1] = np.sin(d.omega[0] * ((np.arange(m) + 0.5) * dt))
+    u = (dt / 4.0) * (s[1:] + s[:-1])                               # [j]
+    angle = u[:, None] * (d.amp[:, None, :, 0] @ _X_SIGNS)          # [EO, j, k < 2]
+    e = np.empty((n_eo, m + 1, 4), dtype=complex)                   # [EO, j, k]
+    e.real[..., :2], e.imag[..., :2] = np.cos(angle), np.sin(angle)
+    e[..., 2:] = e[..., 1::-1].conj()              # lambda_{3-k} = -lambda_k
+    mixer = (_W * np.exp(-1j * (d.ez * dt))[:, None, :]) @ _W       # M
+    outer = (mixer.transpose(0, 2, 1)[..., None]                    # [EO, k, 16]
+             * mixer[:, :, None, :]).reshape(n_eo, 4, 16)
+    q = None
+    for lo in range(0, m, _BLOCK):
+        hi = min(m, lo + _BLOCK)
+        pairs = (e[:, lo + 1:hi:2] @ outer).reshape(n_eo, -1, 4, 4)
+        pairs *= e[:, lo:hi - 1:2, None, :]
+        if (hi - lo) % 2:   # the last factor M E_{hi-1} alone
+            last = mixer[:, None] * e[:, hi - 1:hi, None, :]
+            pairs = np.concatenate([pairs, last], axis=1)
+        p = _chain(pairs)
+        q = p if q is None else p @ q
+    return (_W * e[:, m, None, :]) @ q @ _W
+
+
 def _frame(d: _Drives, theta) -> np.ndarray:
     """Diagonals of Z(theta) = exp(+i omega theta S^z_tot); theta[..., EO]."""
     return np.exp(1j * d.omega[:, None] * theta[..., None] * _SZ_TOTAL)
@@ -515,9 +572,10 @@ def _folded_power(d: _Drives, n_full, block):
     and how many substeps that covers; the rest are the EO's tail.
 
     A rotating stack is covered whole.  A quarter stack builds one
-    quarter period per EO and a period stack one whole period, the
-    stack's period, and each EO raises its own to its power (see the
-    module docstring); an unfolded stack covers nothing.
+    quarter period per EO (the product formula by ``_quarter_block``,
+    any other block substep by substep) and a period stack one whole
+    period, the stack's period, and each EO raises its own to its power
+    (see the module docstring); an unfolded stack covers nothing.
     """
     if d.fold is None or not n_full.any():
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
@@ -530,8 +588,11 @@ def _folded_power(d: _Drives, n_full, block):
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           d.powers), n_full
     quarter = d.fold == _QUARTER
-    u = _substeps(d, np.zeros_like(n_full),
-                  np.full_like(n_full, d.period // 4 if quarter else d.period), block)
+    if quarter and block is _product_formula_block:
+        u = _quarter_block(d)
+    else:
+        u = _substeps(d, np.zeros_like(n_full),
+                      np.full_like(n_full, d.period // 4 if quarter else d.period), block)
     if quarter:   # Zpi U_{T/2} = Zpi Q^T Q from Q, the first P/4 substeps
         u = _Z_PI[:, None] * (np.swapaxes(u, -1, -2) @ u)
     return _powers(u, d.powers), n_full // d.period * d.period

@@ -231,6 +231,38 @@ def test_json_is_json_dumps_byte_for_byte(name):
     assert emit_table(table, "json") == json_reference(table)
 
 
+_STATIC_TABLES = {name: spec for name, spec in _JSON_SPECS.items()
+                  if spec.style == "static_sf"}
+
+
+@pytest.mark.parametrize("name", list(_STATIC_TABLES))
+def test_a_static_table_is_the_general_blocks_table(name, monkeypatch):
+    """Every cell of a static table, whose quarter stacks take the
+    quarter fold's own block, is within 1e-10 of the table integrated
+    through the general block (a wrapped block, which the quarter fold
+    steps substep by substep), and prints the same two decimals."""
+    import nmrqc.integrator
+    spec = _STATIC_TABLES[name]
+    nmrqc.integrator.clear_propagator_cache()
+    table = run_experiment(spec)
+    folds, kernel = [], nmrqc.integrator._stepped_propagator
+
+    def general(d, block):
+        folds.append(d.fold)
+        return kernel(d, lambda *args: block(*args))
+
+    monkeypatch.setattr(nmrqc.integrator, "_stepped_propagator", general)
+    nmrqc.integrator.clear_propagator_cache()
+    reference = run_experiment(spec)
+    nmrqc.integrator.clear_propagator_cache()
+    assert "quarter" in folds
+    assert table.cells.keys() == reference.cells.keys()
+    gap = max(np.max(np.abs(np.subtract(table.cells[key], reference.cells[key])))
+              for key in table.cells)
+    assert gap < 1e-10
+    assert emit_table(table, "markdown") == emit_table(reference, "markdown")
+
+
 def test_one_readout_per_table(monkeypatch):
     """The cells and the rows' ideal values come from one readout call."""
     import nmrqc.harness

@@ -891,19 +891,16 @@ def test_powers_of_a_shuffled_stack_equal_matrix_power(rng):
             assert np.array_equal(_powers(base[i:i + 1], _power_plan([n]))[0], want), n
 
 
-def _table8_quarter_blocks(monkeypatch):
-    """(drives, mids, dt) of each quarter-period block of a cold table8."""
+def _table8_quarter_blocks():
+    """(drives, mids, dt) of each quarter-period block of a cold table8:
+    each quarter stack of the table's layout and the midpoints of its
+    first P/4 substeps."""
     blocks = []
-
-    def recording(d, mids, dt):
-        if d.fold == "quarter" and np.ndim(dt) == 0 and mids[0, 0] < dt:
-            blocks.append((d, mids, dt))
-        return _product_formula_block(d, mids, dt)
-
-    clear_propagator_cache()
-    monkeypatch.setattr(nmrqc.integrator, "_product_formula_block", recording)
-    run_experiment(canned_spec("table8"))
-    clear_propagator_cache()
+    for d in _layout(canned_spec("table8")._compiled.eos).groups:
+        if d.fold == "quarter":
+            dt = d.delta * TWO_PI
+            mids = (np.arange(d.period // 4) + 0.5) * dt
+            blocks.append((d, np.tile(mids, (len(d.eos), 1)), dt))
     return blocks
 
 
@@ -924,15 +921,15 @@ def test_merged_half_steps_match_the_split_on_a_rotating_stack():
     assert _split_gap(drives, mids, dt) < 2e-14
 
 
-def test_merged_half_steps_match_the_split_on_table8(monkeypatch):
-    blocks = _table8_quarter_blocks(monkeypatch)
+def test_merged_half_steps_match_the_split_on_table8():
+    blocks = _table8_quarter_blocks()
     assert {mids.shape for _, mids, _ in blocks} == {(10, 100), (10, 25)}
     for d, mids, dt in blocks:
         assert _split_gap(d, mids, dt) < 2e-14, mids.shape
 
 
-def test_zero_length_substeps_of_a_ragged_block_stay_the_identity(monkeypatch):
-    d, mids, dt = next(b for b in _table8_quarter_blocks(monkeypatch)
+def test_zero_length_substeps_of_a_ragged_block_stay_the_identity():
+    d, mids, dt = next(b for b in _table8_quarter_blocks()
                        if b[1].shape == (10, 100))
     counts = np.array([100, 73, 50, 1, 100, 99, 26, 25, 2, 0])
     ragged = np.where(np.arange(100) < counts[:, None], dt, 0.0)

@@ -2,8 +2,9 @@
 spec and the builders taking one domain per program parameter, table
 JSON against json.dumps, the folded pulse propagators (static pulses
 folded by quarter periods among them), the stacked rotating and
-static kernels, the rotating fold's direct midpoint block and the
-powers by a stack's plan."""
+static kernels, the rotating fold's direct midpoint block, the quarter
+fold's block in the eigenbasis of S^x and the powers by a stack's
+plan."""
 import argparse
 import json
 from unittest import mock
@@ -14,14 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
-                   build_qa, design_pulse, eo_propagator, run_experiment,
+                   build_qa, canned_spec, design_pulse, eo_propagator, run_experiment,
                    with_duration_offset)
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _midpoint_block,
-                              _powers, _product_formula_block, _stepped_propagator,
-                              _z_class, clear_propagator_cache)
+from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _layout, _midpoint_block,
+                              _plan, _powers, _product_formula_block, _quarter_block,
+                              _stepped_propagator, _substeps, _z_class,
+                              clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, INPUT_SPECS, STYLES,
                             Program, program_unitaries)
@@ -380,6 +382,58 @@ def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
         d, np.full((len(eos), 1), dt / 2.0), dt))
 
 
+def _check_quarter_block(d):
+    """The quarter fold's block of stack d is the product of the general
+    block over its first P/4 substeps, each row is that of its EO as a
+    stack of one, and built 16 substeps at a time it is the same product,
+    with no chain of more than 16 factors."""
+    assert d.fold == "quarter"
+    n, m = len(d.eos), d.period // 4
+    got = _quarter_block(d)
+    ref = _substeps(d, np.zeros(n, dtype=int), np.full(n, m), _product_formula_block)
+    assert np.max(np.abs(got - ref)) < 1e-13
+    for e in range(n):   # whatever shares its stack
+        assert np.array_equal(got[e], _quarter_block(_Drives(d.eos[e:e + 1]))[0]), e
+    chains, chain = [], nmrqc.integrator._chain
+
+    def counting(mats):
+        chains.append(mats.shape[1])
+        return chain(mats)
+
+    with mock.patch.object(nmrqc.integrator, "_BLOCK", 16), \
+            mock.patch.object(nmrqc.integrator, "_chain", counting):
+        chunked = _quarter_block(d)
+    assert len(chains) == -(-m // 16) and max(chains) <= 16
+    assert np.max(np.abs(chunked - got)) < 1e-13
+
+
+def test_the_quarter_block_of_table8():
+    stacks = [d for d in _layout(canned_spec("table8")._compiled.eos).groups
+              if d.fold == "quarter"]
+    assert sorted((len(d.eos), d.period // 4) for d in stacks) == [(10, 25), (10, 100)]
+    for d in stacks:
+        _check_quarter_block(d)
+
+
+# members of a quarter stack: axis, sign, turns and k of a designed pulse
+quarter_members = st.tuples(st.sampled_from(["x", "y"]), st.sampled_from([1, -1]),
+                            st.sampled_from([0.25, 0.5, 0.75]), st.integers(1, 32))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 40),
+       st.lists(quarter_members, min_size=1, max_size=10))
+@example(1, 1, [("x", 1, 0.25, 1)])   # P = 4: a quarter of one substep
+def test_the_quarter_block_is_the_general_blocks_first_quarter(spin, n, members):
+    """Designed static pulses at delta = 1/(4n) (P = 4n steps for spin 1,
+    16n for spin 2), each as its class, in one quarter stack."""
+    delta = 1.0 / (4 * n)
+    eos = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                              direction=direction, delta=delta)).eo0
+           for axis, direction, turns, k in members]
+    _check_quarter_block(_Drives(eos))
+
+
 # exponent shapes the squaring pass gathers: 0, 1, all bits set (2^b - 1),
 # one bit (2^b) and the designed 25 * 2^s
 _EXPONENTS = sorted({0, 1} | {n for b in range(1, 20) for n in (2 ** b - 1, 2 ** b)}
@@ -464,5 +518,5 @@ def test_stacked_static_kernel(pulses):
     for eo in eos:
         u = eo_propagator(eo)
         eo0, q = _z_class(eo)
-        alone = _stepped_propagator(_Drives((eo0,)), _product_formula_block)
+        alone = _stepped_propagator(_Drives((eo0,)), block)   # the stack's own kernel
         assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
