@@ -169,7 +169,12 @@ class _BareNegativeAxis(argparse.Action):
 class _Parser(argparse.ArgumentParser):
     """A parser whose bad input is a ConfigurationError, which main
     reports in one line as it reports any other; its subcommand parsers
-    are of this class too."""
+    are of this class too.  A negative number, or a negative angle in pi
+    form (-pi/2), is a value, never an option: the angle check names it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-[0-9.]*\*?pi", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigurationError(message)

@@ -5,21 +5,17 @@ A propagator is a function of its EO alone: the EO's own step size
 holds two:
 
 * product formula (an EO with transverse fields) -- symmetric (Strang)
-  operator splitting.  Each substep freezes the fields at the substep
-  midpoint and applies
+  operator splitting (Strang, SIAM J. Numer. Anal. 5, 506 (1968)).
+  Each substep freezes the fields at the substep midpoint and applies
 
       U_step = T(dt/2) D(dt) T(dt/2)
 
   where T is the exact exponential of the transverse part (a kron of two
   single-spin rotations; the two spins' transverse terms commute) and D
   the exact diagonal exponential of the Ising and z terms.  Every factor
-  is exactly unitary; the global error is O(delta^2).  Adjacent
-  half-steps are multiplied once (Strang, SIAM J. Numer. Anal. 5, 506
-  (1968)): m substeps are the product of m + 1 factors
-
-      T_{m-1} D_{m-1} (T_{m-1} T_{m-2}) ... D_1 (T_1 T_0) D_0 T_0,
-
-  each T_j T_{j-1} one 2x2 product per spin.
+  is exactly unitary; the global error is O(delta^2).  One function
+  builds that step for any stack of substeps (``_strang_step``); every
+  block but an x drive's eigenbasis block (below) is made of its steps.
 
 * exact diagonal (an EO with no transverse fields) -- closed-form
   phases.  Used for the long conditional-phase evolutions, which would
@@ -43,8 +39,8 @@ The EO's plan (``_plan``) names the fold:
   exactly U = Z(n dt) (Z(dt)^dagger B(dt/2))^n (the rotating frame;
   Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
   single-midpoint block is built and raised to the n-th power; the
-  product formula builds it directly as T D T (``_midpoint_block``),
-  bit for bit its one-substep block.
+  product formula builds it as the one Strang step at dt/2
+  (``_midpoint_block``), bit for bit its one-substep block.
 * "period": otherwise, when the drive period 1/omega (over 2*pi) is a
   whole number P of steps, i.e. 1/(omega*delta) is an integer to a
   relative 1e-12, and the EO spans at least 2P full substeps, the
@@ -52,10 +48,17 @@ The EO's plan (``_plan``) names the fold:
   138, B979 (1965)), so one period's product U_T is raised to
   q = n_full // P; the n_full mod P leftover substeps are stepped at
   their true midpoints.
-* "quarter": an x drive (only the x channel driven, phi_x = phi_y = 0,
-  no static transverse field) that folds by period, with P a multiple
-  of 4, has two more exact symmetries, so only its first P/4 substeps
-  are built, as their product Q:
+* "quarter" and "x period": an x drive (only the x channel driven,
+  phi_x = phi_y = 0, no static transverse field) that folds by period
+  is built in the eigenbasis of S^x (``_quarter_block``): every
+  half-step is an x rotation of each spin, and W = H (x) H diagonalizes
+  them all, so the product of its first m substeps is the same Strang
+  product, adjacent half-steps merged and regrouped as
+  W E_m (M E_{m-1}) ... (M E_0) W with M = W D W once per EO and each
+  E_j diagonal.  With P not a multiple of 4 ("x period") that block is
+  the period, m = P, raised to q.  With P a multiple of 4 ("quarter"),
+  two more exact symmetries leave only the first P/4 substeps to build,
+  as their product Q:
   - half period: the field at t + T/2 is minus the field at t, and
     Zpi = exp(i pi S^z_tot) = diag(-1, 1, 1, -1) flips both transverse
     operators while commuting with the rest, so
@@ -65,14 +68,9 @@ The EO's plan (``_plan``) names the fold:
     order.  An x drive makes H real, so every substep block is
     complex-symmetric (for the Strang split T D T as for the dense
     exponential) and U_{T/2} = Q^T Q.
-  The product formula builds Q in the eigenbasis of S^x
-  (``_quarter_block``): an x drive at phi = 0 makes every half-step an
-  x rotation of each spin, and W = H (x) H diagonalizes them all, so Q
-  is the same Strang product regrouped as W E_m (M E_{m-1}) ... (M E_0) W
-  with M = W D W once per EO and each E_j diagonal; the reference, like
-  any other block, steps the quarter's substeps as it steps a period.
-  Any other periodic drive (phi != 0, a static transverse field, a y
-  drive, both axes driven or P not a multiple of 4) folds by period.
+  The reference, like any other block, steps those m substeps one by
+  one.  Any other periodic drive (phi != 0, a static transverse field,
+  a y drive or both axes driven) folds by period, "period".
 * None: in every other case (omega = 0, a period that is not a whole
   number of steps or is shorter than one step, a static pulse shorter
   than two periods) every substep is stepped.
@@ -106,8 +104,9 @@ substeps at a time.  A group is integrated in one pass:
   take and one batched product per set-bit round after the first, an
   EO past its last set bit taking the identity), the remainder blocks
   and one stacked Newton-Schulz step (a rotating stack has no tail);
-- quarter or period: one quarter-period block (then Zpi placed per EO)
-  or one period block over all the EOs, each EO's own power, 2q or q,
+- quarter, x period or period: one quarter-period block (then Zpi
+  placed per EO) or one period block over all the EOs, each EO's own
+  power, 2q or q,
   the tails (an EO whose tail is shorter takes substeps of length 0,
   exactly the identity, at its end), the remainders and one
   Newton-Schulz step;
@@ -240,6 +239,7 @@ def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
 
 _ROTATING = "rotating"  # the drive turns rigidly about z
 _QUARTER = "quarter"    # a static x drive, folded from a quarter period
+_X_PERIOD = "x period"  # a static x drive, folded from a period (P % 4 != 0)
 _PERIOD = "period"      # any other periodic drive, folded from a period
 _DIAGONAL = (None, None, None)  # the stack key of every diagonal EO
 
@@ -284,11 +284,11 @@ class _Drives:
     the field parameters, one row per EO, read-only; the step size delta
     and the fold of its first EO's plan (``_plan``), which the stack's EOs
     share: they all turn rigidly about z (_ROTATING), or have one drive
-    frequency; the drive period P in substeps that a quarter or period
-    fold folds by (0 for any other fold); the step schedule, the arrays
+    frequency; the drive period P in substeps that a quarter, x period or
+    period fold folds by (0 for any other fold); the step schedule, the arrays
     (n_full, rem) of its EOs (``_step_schedule``); and, for a folded
     stack, how ``_powers`` raises its blocks to the fold's powers (n_full
-    for a rotating stack, 2q or q for a quarter or period one,
+    for a rotating stack, 2q for a quarter one, q for any other,
     ``_power_plan``), None for an unfolded one.
     """
 
@@ -306,7 +306,7 @@ class _Drives:
         self.ez.setflags(write=False)
         self.delta, self.fold = self.eos[0].delta, _plan(self.eos[0]).key[1]
         self.period = (_period_steps(self.eos[0].omega, self.delta)
-                       if self.fold in (_QUARTER, _PERIOD) else 0)
+                       if self.fold not in (None, _ROTATING) else 0)
         self.schedule = tuple(map(np.array, zip(*(_step_schedule(e.tau, e.delta)
                                                    for e in self.eos))))
         n_full = self.schedule[0]
@@ -362,40 +362,34 @@ def _nearest_unitary(m: np.ndarray) -> np.ndarray:
     return m + (m @ defect) * 0.5
 
 
+def _strang_step(f, ez, dt) -> np.ndarray:
+    """The Strang step T(dt/2) D(dt) T(dt/2) of each substep of a stack:
+    fields f[..., spin, axis], diagonal energies ez[..., state] and the
+    step length dt, a scalar or an array [..., 1], broadcast together.
+    T = R2 (x) R1 is built elementwise from the two 2x2 rotations, and
+    the step is the product of T and the rows of T scaled by D."""
+    a, b = _halfstep_rotations(f[..., 0], f[..., 1], dt / 4.0)      # [..., spin]
+    r = np.empty(a.shape + (2, 2), dtype=complex)                   # [..., spin, row, col]
+    r[..., 0, 0] = r[..., 1, 1] = a
+    r[..., 0, 1], r[..., 1, 0] = b, -b.conj()
+    k2 = r[..., 1, :, None, :, None]                                # [..., s2, ., t2, .]
+    k1 = r[..., 0, None, :, None, :]                                # [..., ., s1, ., t1]
+    phases = np.exp(-1j * (ez * dt))
+    phases = phases.reshape(phases.shape[:-1] + (2, 2, 1, 1))       # D[s2, s1]
+    shape = a.shape[:-1] + (4, 4)
+    return (k2 * k1).reshape(shape) @ (k2 * phases * k1).reshape(shape)
+
+
 def _product_formula_block(d: _Drives, mids, dt) -> np.ndarray:
-    """Per EO, the propagator of equal-length substeps at mids[EO, substep].
+    """Per EO, the propagator of equal-length substeps at mids[EO, substep]:
+    the product (``_chain``) of their Strang steps (``_strang_step``).
 
     dt is one step length, one per EO as an (EO, 1) array, or one per
     substep as an (EO, substep) array; a substep of length 0 is exactly
     the identity.
-
-    The m substeps T_j D_j T_j are regrouped into m + 1 factors D_j K_j,
-    each substep's closing half-step merged into the next one's opening
-    half-step: K_j = T_j T_{j-1}, with T_{-1} = T_m = 1 (substeps of
-    length 0 at both ends) and D_m = 1.  T = R2 (x) R1, so K_j is the
-    kron of two 2x2 products, built elementwise with its rows scaled by
-    D_j, and `_chain` multiplies the factors.
     """
-    n_eo, m = mids.shape
-    f = _fields_at(d, mids).transpose(2, 3, 0, 1)   # [spin, axis, EO, substep]
-    a = np.ones((2, n_eo, m + 2))
-    b = np.zeros((2, n_eo, m + 2), dtype=complex)
-    a[..., 1:-1], b[..., 1:-1] = _halfstep_rotations(f[:, 0], f[:, 1], dt / 4.0)
-    # K_j = T_j T_{j-1} per spin: [[ka, kb], [-kb*, ka*]]
-    ka = a[..., 1:] * a[..., :-1] - b[..., 1:] * b[..., :-1].conj()
-    kb = a[..., 1:] * b[..., :-1] + b[..., 1:] * a[..., :-1]
-    k1, k2 = (np.array([[ka[s], kb[s]], [-kb[s].conj(), ka[s].conj()]])
-              for s in (0, 1))                              # [row, col, EO, j]
-    phases = np.ones((2, 2, n_eo, m + 1), dtype=complex)    # D_j[s2, s1]
-    phases[..., :m] = np.exp(-1j * (d.ez.T.reshape(2, 2, n_eo, 1) * dt))
-    # (D_j K_j)[s2 s1, t2 t1] = D_j[s2, s1] K2[s2, t2] K1[s1, t1], one s2 at
-    # a time: a temporary half the size of the factors took fresh pages,
-    # and their page faults, on every call
-    out = np.empty((n_eo, m + 1, 2, 2, 2, 2), dtype=complex)
-    rows = out.transpose(2, 4, 3, 5, 0, 1)                  # [s2, t2, s1, t1, EO, j]
-    for s2 in range(2):
-        np.multiply((k2[s2][:, None] * phases[s2])[:, :, None], k1, out=rows[s2])
-    return _chain(out.reshape(n_eo, m + 1, 4, 4))
+    return _chain(_strang_step(_fields_at(d, mids), d.ez[:, None],
+                               np.asarray(dt)[..., None]))
 
 
 _TRANSVERSE = np.array([[S1X, S1Y], [S2X, S2Y]])  # [spin, axis]
@@ -422,23 +416,11 @@ def _period_steps(omega: float, delta: float) -> int:
 
 
 def _midpoint_block(d: _Drives, dt: float) -> np.ndarray:
-    """Per EO, T(dt/2) D(dt) T(dt/2) at the midpoint dt/2 of its first
-    substep: ``_product_formula_block`` of that one substep, built
-    directly as the product of T and the rows of T scaled by D, the two
-    factors that block's merged half-steps give for one substep (the
-    rotating fold's one block)."""
-    n_eo = len(d.omega)
+    """Per EO, the Strang step of its first substep, at the midpoint
+    dt/2: ``_product_formula_block`` of that one substep, bit for bit,
+    with no substep axis (the rotating fold's one block)."""
     s = np.sin(d.omega[:, None] * (dt / 2.0) + d.phi)              # [EO, axis]
-    f = d.static + d.amp * s[:, None, :]                          # [EO, spin, axis]
-    a, b = _halfstep_rotations(f[..., 0], f[..., 1], dt / 4.0)    # [EO, spin]
-    r = np.empty((n_eo, 2, 2, 2), dtype=complex)                  # [EO, spin, row, col]
-    r[..., 0, 0] = r[..., 1, 1] = a
-    r[..., 0, 1], r[..., 1, 0] = b, -b.conj()
-    k2 = r[:, 1, :, None, :, None]                                # [EO, s2, ., t2, .]
-    k1 = r[:, 0, None, :, None, :]                                # [EO, ., s1, ., t1]
-    phases = np.exp(-1j * (d.ez * dt)).reshape(n_eo, 2, 2, 1, 1)  # D[s2, s1]
-    return ((k2 * k1).reshape(n_eo, 4, 4)
-            @ (k2 * phases * k1).reshape(n_eo, 4, 4))
+    return _strang_step(d.static + d.amp * s[:, None, :], d.ez, dt)
 
 
 # W = H (x) H, real and its own inverse: its column k is an eigenvector of
@@ -450,15 +432,19 @@ _X_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
 def _quarter_block(d: _Drives) -> np.ndarray:
-    """Per EO of a quarter stack, the product Q of its first P/4 substeps:
-    ``_product_formula_block``'s m + 1 factors D K_j regrouped in the
-    eigenbasis of S^x (the quarter fold's one block).
+    """Per EO of an x drive's stack, the product of its first m substeps
+    in the eigenbasis of S^x: m = P/4 for the quarter fold, m = P for
+    the x period fold (the block of both).
 
-    An x drive at phi = 0 makes every half-step an x rotation of each
-    spin, and W diagonalizes them all: K_j = W E_j W with
-    E_j = diag(exp(i u_j lambda)), u_j = (dt/4) (s_j + s_{j-1}),
-    s_j = sin(omega t_j) (s_{-1} = s_m = 0) and lambda the eigenvalues of
-    2 (a1 S1^x + a2 S2^x), a the x amplitudes.  So
+    The Strang steps T_j D T_j of the m substeps are regrouped into
+    m + 1 factors D K_j, each substep's closing half-step merged into the
+    next one's opening half-step: K_j = T_j T_{j-1}, with
+    T_{-1} = T_m = 1 (and D_m = 1).  An x drive at phi = 0 makes every
+    half-step an x rotation of each spin, and W diagonalizes them all:
+    K_j = W E_j W with E_j = diag(exp(i u_j lambda)),
+    u_j = (dt/4) (s_j + s_{j-1}), s_j = sin(omega t_j) (s_{-1} = s_m = 0)
+    and lambda the eigenvalues of 2 (a1 S1^x + a2 S2^x), a the x
+    amplitudes.  So
 
         Q = W E_m (M E_{m-1}) ... (M E_1) (M E_0) W,   M = W D W,
 
@@ -468,7 +454,8 @@ def _quarter_block(d: _Drives) -> np.ndarray:
     The sines are taken once for the stack, which shares omega, and
     `_chain` multiplies the pairs of at most _BLOCK substeps at a time.
     """
-    n_eo, m, dt = len(d.eos), d.period // 4, d.delta * TWO_PI
+    n_eo, dt = len(d.eos), d.delta * TWO_PI
+    m = d.period // 4 if d.fold == _QUARTER else d.period
     s = np.zeros(m + 2)                                             # s_{-1} .. s_m
     s[1:-1] = np.sin(d.omega[0] * ((np.arange(m) + 0.5) * dt))
     u = (dt / 4.0) * (s[1:] + s[:-1])                               # [j]
@@ -571,10 +558,10 @@ def _folded_power(d: _Drives, n_full, block):
     """Per EO, the product of its leading substeps folded by symmetry,
     and how many substeps that covers; the rest are the EO's tail.
 
-    A rotating stack is covered whole.  A quarter stack builds one
-    quarter period per EO (the product formula by ``_quarter_block``,
-    any other block substep by substep) and a period stack one whole
-    period, the stack's period, and each EO raises its own to its power
+    A rotating stack is covered whole.  A quarter stack builds its first
+    quarter period per EO, an x period or period stack its first period
+    (an x drive's by ``_quarter_block`` in the product formula, any other
+    block substep by substep), and each EO raises its own to its power
     (see the module docstring); an unfolded stack covers nothing.
     """
     if d.fold is None or not n_full.any():
@@ -588,7 +575,7 @@ def _folded_power(d: _Drives, n_full, block):
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,
                                           d.powers), n_full
     quarter = d.fold == _QUARTER
-    if quarter and block is _product_formula_block:
+    if d.fold != _PERIOD and block is _product_formula_block:   # an x drive
         u = _quarter_block(d)
     else:
         u = _substeps(d, np.zeros_like(n_full),
@@ -696,11 +683,12 @@ def _plan(eo: EOParams) -> _Plan:
         fold, run = _ROTATING, 1
     elif not period or n_full < 2 * period:
         fold, run = None, n_full
-    elif not (period % 4 or any((eo.sf1y, eo.sf2y, eo.phi_x, eo.phi_y, eo.h1x,
-                                 eo.h1y, eo.h2x, eo.h2y))):   # an x drive at phi = 0
-        fold, run = _QUARTER, max(period // 4, n_full % period)
-    else:
+    elif any((eo.sf1y, eo.sf2y, eo.phi_x, eo.phi_y, eo.h1x, eo.h1y, eo.h2x, eo.h2y)):
         fold, run = _PERIOD, max(period, n_full % period)
+    elif period % 4:   # an x drive at phi = 0
+        fold, run = _X_PERIOD, max(period, n_full % period)
+    else:
+        fold, run = _QUARTER, max(period // 4, n_full % period)
     return _Plan(eo, 0, (eo.delta, fold, None if fold == _ROTATING else eo.omega), run)
 
 

@@ -143,10 +143,10 @@ def chained_reference(eo, delta, block):
 
 
 def split_block(d, mids, dt):
-    """As integrator._product_formula_block, with each substep built alone
-    as T(dt/2) D(dt) T(dt/2) by one three-operand einsum: the Strang split
-    before adjacent half-steps were merged.  The reference for the merged
-    factors."""
+    """As integrator._product_formula_block, with each substep's
+    T(dt/2) D(dt) T(dt/2) built by one three-operand einsum, not by the
+    integrator's one Strang step builder (``_strang_step``): the
+    reference for that builder."""
     dt = np.atleast_2d(dt)
     f = _fields_at(d, mids)
     fx, fy, alpha = f[..., 0], f[..., 1], (dt / 4.0)[..., None]

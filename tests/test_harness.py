@@ -231,18 +231,23 @@ def test_json_is_json_dumps_byte_for_byte(name):
     assert emit_table(table, "json") == json_reference(table)
 
 
-_STATIC_TABLES = {name: spec for name, spec in _JSON_SPECS.items()
-                  if spec.style == "static_sf"}
+# -> (spec, the folds its eigenbasis blocks take); at delta 0.02 and 0.004
+# spin 1's period, 50 or 250 steps, is not a multiple of 4
+_STATIC_TABLES = {**{name: (spec, {"quarter"}) for name, spec in _JSON_SPECS.items()
+                     if spec.style == "static_sf"},
+                  **{f"{name}@{delta}": (replace(canned_spec(name), delta=delta),
+                                         {"quarter", "x period"})
+                     for name in ("table8", "grover_static") for delta in (0.02, 0.004)}}
 
 
 @pytest.mark.parametrize("name", list(_STATIC_TABLES))
 def test_a_static_table_is_the_general_blocks_table(name, monkeypatch):
-    """Every cell of a static table, whose quarter stacks take the
-    quarter fold's own block, is within 1e-10 of the table integrated
-    through the general block (a wrapped block, which the quarter fold
-    steps substep by substep), and prints the same two decimals."""
+    """Every cell of a static table, whose quarter and x period stacks
+    take their own eigenbasis block, is within 1e-10 of the table
+    integrated through the general block (a wrapped block, which those
+    folds step substep by substep), and prints the same two decimals."""
     import nmrqc.integrator
-    spec = _STATIC_TABLES[name]
+    spec, eigenbasis_folds = _STATIC_TABLES[name]
     nmrqc.integrator.clear_propagator_cache()
     table = run_experiment(spec)
     folds, kernel = [], nmrqc.integrator._stepped_propagator
@@ -255,7 +260,7 @@ def test_a_static_table_is_the_general_blocks_table(name, monkeypatch):
     nmrqc.integrator.clear_propagator_cache()
     reference = run_experiment(spec)
     nmrqc.integrator.clear_propagator_cache()
-    assert "quarter" in folds
+    assert eigenbasis_folds <= set(folds)
     assert table.cells.keys() == reference.cells.keys()
     gap = max(np.max(np.abs(np.subtract(table.cells[key], reference.cells[key])))
               for key in table.cells)
@@ -765,13 +770,19 @@ def test_cli_design_names_a_bare_negative_axis(argv, capsys):
 
 @pytest.mark.parametrize("argv", [["tables", "table9", "--final-rotation-style", "exact"],
                                   ["sweep", "--kind", "grover", "--variant", "3"],
-                                  ["sweep", "--k-list", "1", "--out", ""]])
+                                  ["sweep", "--k-list", "1", "--out", ""],
+                                  ["design", "1", "-pi/2", "x", "rotating", "1"],
+                                  ["design", "2", "-pi", "y", "static", "1"]])
 def test_cli_bad_input_is_one_error_line(argv, capsys):
-    """A flag the table does not read, and an empty --out path, are bad
-    input: exit status 2, nothing on stdout and one `error:` line."""
+    """A flag the table does not read, an empty --out path, and a
+    negative angle in pi form (a value, not an option, which the angle
+    check names) are bad input: exit status 2, nothing on stdout and one
+    `error:` line."""
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "design":
+        assert err == f"error: angle must lie in [0, 4*pi], got {parse_angle(argv[2])!r}\n"
 
 
 def test_markdown_of_every_canned_table_has_one_cell_per_header_cell():

@@ -556,9 +556,12 @@ def test_diagonal_eos_are_one_closed_form_stack(kernel_calls, monkeypatch):
         assert _layout.cache_info().currsize == layouts
 
 
-# -> (eo, delta) and its fold; the base drives x
+# -> (eo, delta) and its fold; the base drives x, and an x drive whose
+# period is not a multiple of 4 steps folds by its own whole period
 _STACK_FALLBACKS = {**{case: (make, "period")
                        for case, make in _FULL_PERIOD_FALLBACKS.items()},
+                    "period_not_quarters": (_FULL_PERIOD_FALLBACKS["period_not_quarters"],
+                                            "x period"),
                     "under_two_periods": (lambda eo: (eo.replace(tau=7.99), 0.01),
                                           None),
                     "incommensurate": (lambda eo: (eo, 0.03), None)}
@@ -569,7 +572,7 @@ def test_static_fallbacks_never_join_a_stack(case, kernel_calls):
     """A static EO that does not fold by quarter periods never joins the
     quarter stack of its drive frequency, even next to pulses of that
     frequency that stack: it joins the stack of its own fold, a whole
-    period or none."""
+    period (an x drive's or any other) or none."""
     base = pulse_eo("Y2", mode="static_axis").replace(tau=128.1037)
     make, fold = _STACK_FALLBACKS[case]
     eo, delta = make(base)
@@ -910,6 +913,9 @@ def _split_gap(d, mids, dt):
 
 
 def test_merged_half_steps_match_the_split_on_a_rotating_stack():
+    """The one Strang step builder (``_strang_step``, through
+    ``_product_formula_block``) against conftest's ``split_block``, each
+    substep's T D T by one einsum, on rotating pulses."""
     eos = [pulse_eo(name, k) for name in ("Y1", "X1p", "Y2b", "X2p")
            for k in (1, 2, 32)]
     dt = 0.01 * TWO_PI
@@ -922,6 +928,8 @@ def test_merged_half_steps_match_the_split_on_a_rotating_stack():
 
 
 def test_merged_half_steps_match_the_split_on_table8():
+    """The one Strang step builder against ``split_block`` on the
+    substeps of table8's quarter blocks."""
     blocks = _table8_quarter_blocks()
     assert {mids.shape for _, mids, _ in blocks} == {(10, 100), (10, 25)}
     for d, mids, dt in blocks:

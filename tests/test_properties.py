@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
@@ -372,8 +372,10 @@ designed_rotating_pulses = st.tuples(
 @given(st.lists(designed_rotating_pulses, min_size=1, max_size=6),
        st.sampled_from([0.01, 0.003, 0.02, 0.1]))
 def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
-    """The rotating fold's one block, built directly as T D T, is bit for
-    bit the product-formula block of the one substep at dt/2."""
+    """The rotating fold's one block, its fields taken directly at dt/2,
+    is bit for bit the product-formula block of the one substep at dt/2,
+    whose fields ``_fields_at`` takes: two field paths into the one
+    Strang step builder."""
     eos = [design_pulse(spin, angle, axis, k=k, direction=direction, delta=delta)
            for spin, angle, axis, k, direction in pulses]
     d = _Drives(eos)
@@ -382,13 +384,14 @@ def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
         d, np.full((len(eos), 1), dt / 2.0), dt))
 
 
-def _check_quarter_block(d):
-    """The quarter fold's block of stack d is the product of the general
-    block over its first P/4 substeps, each row is that of its EO as a
-    stack of one, and built 16 substeps at a time it is the same product,
-    with no chain of more than 16 factors."""
-    assert d.fold == "quarter"
-    n, m = len(d.eos), d.period // 4
+def _check_quarter_block(d, fold="quarter"):
+    """The eigenbasis block of stack d, of the fold given, is the product
+    of the general block over its first m substeps (P/4 for the quarter
+    fold, P for the x period fold), each row is that of its EO as a stack
+    of one, and built 16 substeps at a time it is the same product, with
+    no chain of more than 16 factors."""
+    assert d.fold == fold
+    n, m = len(d.eos), d.period // 4 if fold == "quarter" else d.period
     got = _quarter_block(d)
     ref = _substeps(d, np.zeros(n, dtype=int), np.full(n, m), _product_formula_block)
     assert np.max(np.abs(got - ref)) < 1e-13
@@ -432,6 +435,25 @@ def test_the_quarter_block_is_the_general_blocks_first_quarter(spin, n, members)
                               direction=direction, delta=delta)).eo0
            for axis, direction, turns, k in members]
     _check_quarter_block(_Drives(eos))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(2, 100).filter(lambda n: n % 4),
+       st.lists(quarter_members, min_size=1, max_size=10))
+@example(1, 2, [("x", 1, 0.25, 1)])   # P = 2 at delta = 0.5, the coarsest step
+@example(2, 99, [("y", -1, 0.75, 3), ("x", 1, 0.5, 1)])
+def test_the_x_period_block_is_the_general_blocks_first_period(spin, n, members):
+    """Designed static pulses at delta = 1/(n omega), so P = n steps, not
+    a multiple of 4, each as its class, in one x period stack: the
+    eigenbasis block builds the whole period."""
+    omega = design_pulse(spin, TWO_PI / 4.0, "x", mode="static_axis").omega
+    delta = 1.0 / (n * omega)
+    assume(delta <= 0.5)   # spin 1's drive, the fastest (omega = 1), resolved
+    eos = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                              direction=direction, delta=delta)).eo0
+           for axis, direction, turns, k in members]
+    assert {_plan(eo).key for eo in eos} == {(delta, "x period", omega)}
+    _check_quarter_block(_Drives(eos), "x period")
 
 
 # exponent shapes the squaring pass gathers: 0, 1, all bits set (2^b - 1),
