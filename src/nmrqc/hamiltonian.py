@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,10 @@ from .operators import S1X, S1Y, S1Z, S2X, S2Y, S2Z, SZZ
 
 
 def is_finite_number(x) -> bool:
-    """A finite real number; a bool is not one."""
+    """A finite real number; a bool is not one, nor an int past the
+    largest float."""
     return ((type(x) is float or isinstance(x, numbers.Real) and not isinstance(x, bool))
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

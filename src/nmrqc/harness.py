@@ -191,7 +191,7 @@ class ExperimentSpec:
     def from_json(cls, text: str) -> "ExperimentSpec":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or an int too long to read
             raise ConfigurationError(f"spec is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigurationError("spec is nested too deeply to parse") from exc

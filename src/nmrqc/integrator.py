@@ -133,13 +133,17 @@ yet, in the stacks above, and the diagonal classes in one closed-form
 stack, and stores each EO's conjugate; a program walk calls it, then
 looks each EO up.  The EO's plan (``_plan``) is the one place that
 decides how an EO is integrated: its class and q, the key of its stack
-(step size, fold, drive frequency) and its widest run.  It is computed
-once per EO, so a cold table pays per stack, not per EO; the stacks and
-the groups read it.  A stack (``_Drives``, built from its EOs alone) is
+(step size, fold, drive frequency) and its widest run.  Plans flow one
+way: a cold walk looks each missed EO's plan up once, in its layout
+(below), which keeps each class with its plan and hands those plans on;
+``_chunks`` groups them by their runs and ``_Drives`` builds each
+group's stack from them, and neither looks a plan up.  So a layout runs
+``_plan``'s body once per missed EO and once per class the plan memo
+does not hold, however many EOs it misses.  A stack (``_Drives``) is
 the one record the kernels read: its fields, step size, fold, drive
 period, step schedule and power plan.  No kernel takes a step size or
-a fold from its caller, or looks a plan up.  One store, keyed by the EO, keeps the
-last _CACHE_SIZE propagators used.
+a fold from its caller, or looks a plan up.  One store, keyed by the
+EO, keeps the last _CACHE_SIZE propagators used.
 
 How the EOs a list misses are integrated is planned once per such list
 too: its layout (``_layout``), memoized for the last _LAYOUTS lists of
@@ -280,31 +284,33 @@ def _conjugated(u: np.ndarray, qs) -> np.ndarray:
 
 
 class _Drives:
-    """A stack of EOs of one step size, the one record the kernels read:
-    the field parameters, one row per EO, read-only; the step size delta
-    and the fold of its first EO's plan (``_plan``), which the stack's EOs
-    share: they all turn rigidly about z (_ROTATING), or have one drive
-    frequency; the drive period P in substeps that a quarter, x period or
-    period fold folds by (0 for any other fold); the step schedule, the arrays
+    """A stack of EOs of one step size, the one record the kernels read,
+    built from the plans (``_plan``) of its EOs: the field parameters of
+    each plan's class eo0, one row per EO, read-only; the step size delta
+    and the fold of its first plan, which the stack's EOs share: they all
+    turn rigidly about z (_ROTATING), or have one drive frequency; the
+    drive period P in substeps that a quarter, x period or period fold
+    folds by (0 for any other fold); the step schedule, the arrays
     (n_full, rem) of its EOs (``_step_schedule``); and, for a folded
     stack, how ``_powers`` raises its blocks to the fold's powers (n_full
     for a rotating stack, 2q for a quarter one, q for any other,
-    ``_power_plan``), None for an unfolded one.
+    ``_power_plan``), None for an unfolded one.  Of a plan it reads only
+    eo0 and the fold of its key.
     """
 
-    def __init__(self, eos):
+    def __init__(self, plans):
+        self.eos = tuple(plan.eo0 for plan in plans)
         p = np.array([(e.omega, e.phi_x, e.phi_y, e.h1x, e.h1y, e.h2x, e.h2y,
                        e.sf1x, e.sf1y, e.sf2x, e.sf2y, e.j, e.h1z, e.h2z)
-                      for e in eos])
+                      for e in self.eos])
         p.setflags(write=False)
-        self.eos = tuple(eos)
         self.omega = p[:, 0]
         self.phi = p[:, 1:3]                          # x, y
         self.static = p[:, 3:7].reshape(-1, 2, 2)     # [spin, axis]
         self.amp = p[:, 7:11].reshape(-1, 2, 2)       # [spin, axis]
         self.ez = diagonal_energies(p[:, 11:12], p[:, 12:13], p[:, 13:14])
         self.ez.setflags(write=False)
-        self.delta, self.fold = self.eos[0].delta, _plan(self.eos[0]).key[1]
+        self.delta, self.fold = self.eos[0].delta, plans[0].key[1]
         self.period = (_period_steps(self.eos[0].omega, self.delta)
                        if self.fold not in (None, _ROTATING) else 0)
         self.schedule = tuple(map(np.array, zip(*(_step_schedule(e.tau, e.delta)
@@ -425,10 +431,10 @@ def _midpoint_block(d: _Drives, dt: float) -> np.ndarray:
 
 # W = H (x) H, real and its own inverse: its column k is an eigenvector of
 # S1^x and S2^x, of signs (-1)^(bit 0 of k) and (-1)^(bit 1 of k), which
-# _X_SIGNS[spin, k] holds for k = 0, 1; column 3 - k has those of k negated.
+# _X_SIGNS[spin, k] holds; column 3 - k has those of k negated.
 _W = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0],
                [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]) / 2.0
-_X_SIGNS = np.array([[1.0, -1.0], [1.0, 1.0]])
+_X_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 def _quarter_block(d: _Drives) -> np.ndarray:
@@ -444,7 +450,8 @@ def _quarter_block(d: _Drives) -> np.ndarray:
     K_j = W E_j W with E_j = diag(exp(i u_j lambda)),
     u_j = (dt/4) (s_j + s_{j-1}), s_j = sin(omega t_j) (s_{-1} = s_m = 0)
     and lambda the eigenvalues of 2 (a1 S1^x + a2 S2^x), a the x
-    amplitudes.  So
+    amplitudes: lambda = a _X_SIGNS, so the phases e of all m + 1
+    factors and their EOs are one exponential.  So
 
         Q = W E_m (M E_{m-1}) ... (M E_1) (M E_0) W,   M = W D W,
 
@@ -459,10 +466,7 @@ def _quarter_block(d: _Drives) -> np.ndarray:
     s = np.zeros(m + 2)                                             # s_{-1} .. s_m
     s[1:-1] = np.sin(d.omega[0] * ((np.arange(m) + 0.5) * dt))
     u = (dt / 4.0) * (s[1:] + s[:-1])                               # [j]
-    angle = u[:, None] * (d.amp[:, None, :, 0] @ _X_SIGNS)          # [EO, j, k < 2]
-    e = np.empty((n_eo, m + 1, 4), dtype=complex)                   # [EO, j, k]
-    e.real[..., :2], e.imag[..., :2] = np.cos(angle), np.sin(angle)
-    e[..., 2:] = e[..., 1::-1].conj()              # lambda_{3-k} = -lambda_k
+    e = np.exp(1j * u[:, None] * (d.amp[:, None, :, 0] @ _X_SIGNS))  # [EO, j, k]
     mixer = (_W * np.exp(-1j * (d.ez * dt))[:, None, :]) @ _W       # M
     outer = (mixer.transpose(0, 2, 1)[..., None]                    # [EO, k, 16]
              * mixer[:, :, None, :]).reshape(n_eo, 4, 16)
@@ -624,33 +628,33 @@ def _exact_diagonal_propagators(phases) -> np.ndarray:
     return u
 
 
-def _chunks(eos: list) -> list:
-    """The EOs of a stack in the groups integrated together.  Each EO's
-    widest run of substeps (its plan's run) orders the stack (a stable
-    sort), and each group takes EOs while its block, as many rows as EOs
-    by the widest run among them, stays within _BLOCK substep matrices.
-    An EO with a run longer than _BLOCK is a group of one, and
-    ``_substeps`` builds the run _BLOCK substeps at a time.
+def _chunks(plans) -> list:
+    """The plans of a stack's classes in the groups integrated together.
+    Each plan's run, its class's widest run of substeps, orders the stack
+    (a stable sort), and each group takes plans while its block, as many
+    rows as plans by the widest run among them, stays within _BLOCK
+    substep matrices.  A plan with a run longer than _BLOCK is a group of
+    one, and ``_substeps`` builds the run _BLOCK substeps at a time.
     """
     groups = []
-    for run, eo in sorted([(_plan(e).run, e) for e in eos], key=lambda pair: pair[0]):
-        if groups and (len(groups[-1]) + 1) * max(1, run) <= _BLOCK:
-            groups[-1].append(eo)
+    for plan in sorted(plans, key=lambda plan: plan.run):
+        if groups and (len(groups[-1]) + 1) * max(1, plan.run) <= _BLOCK:
+            groups[-1].append(plan)
         else:
-            groups.append([eo])
+            groups.append([plan])
     return groups
 
 
 class _Plan(NamedTuple):
-    """How one EO is integrated (``_layout`` and ``_Drives`` read it): its
-    class (``_z_class``), U(eo) = Z_q U(eo0) Z_q^dagger; the key (delta,
-    fold, omega) of the stack eo0 joins (omega None for a rotating one,
-    _DIAGONAL for a diagonal one); and eo0's widest run, what it puts
-    into one block: 1 (one midpoint) for a rotating EO, every substep
-    (n_full) for an unfolded one, and max(P/4 or P, n_full mod P) for
-    one folded by the drive period P.  A diagonal EO, whose exact
-    propagator takes no steps, has run 0.  The stack gives the step
-    schedule and the period (``_Drives``)."""
+    """How one EO is integrated (``_layout``, ``_chunks`` and ``_Drives``
+    read it): its class (``_z_class``), U(eo) = Z_q U(eo0) Z_q^dagger;
+    the key (delta, fold, omega) of the stack eo0 joins (omega None for
+    a rotating one, _DIAGONAL for a diagonal one); and eo0's widest run,
+    what it puts into one block: 1 (one midpoint) for a rotating EO,
+    every substep (n_full) for an unfolded one, and max(P/4 or P,
+    n_full mod P) for one folded by the drive period P.  A diagonal EO,
+    whose exact propagator takes no steps, has run 0.  The stack gives
+    the step schedule and the period (``_Drives``)."""
 
     eo0: EOParams
     q: int
@@ -725,25 +729,24 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=_LAYOUTS)
 def _layout(misses: tuple[EOParams, ...]) -> _Layout:
     """The layout of the missed EOs, in walk order, computed once per
-    list: each EO is mapped to its class by its plan (``_plan``), and
-    each class joins the stack of its step size, fold and drive frequency
-    (every rotating class of one step size shares one), split into the
-    groups of ``_chunks``; the diagonal classes are one stack.  A bad
+    list, and the one place a cold walk plans: each EO's plan (``_plan``)
+    is looked up once, and maps it to its class; each class, kept with
+    the first plan that names it, joins the stack of its step size, fold
+    and drive frequency (every rotating class of one step size shares
+    one), split into the groups of ``_chunks``, and each group's stack is
+    built from those plans; the diagonal classes are one stack.  A bad
     step size or duration, or a diagonal phase that is not finite,
     raises, on every call."""
     plans = [_plan(eo) for eo in misses]
     stacks: dict[tuple, dict] = {}
     for plan in plans:
-        stacks.setdefault(plan.key, {})[plan.eo0] = None
+        stacks.setdefault(plan.key, {}).setdefault(plan.eo0, plan)
     diagonal = stacks.pop(_DIAGONAL, None)
-    classes = list(diagonal or ())
-    groups = []
-    for stack in stacks.values():
-        for chunk in _chunks(list(stack)):
-            groups.append(_Drives(chunk))
-            classes += chunk
+    groups = tuple(_Drives(chunk) for stack in stacks.values()
+                   for chunk in _chunks(stack.values()))
+    classes = [*(diagonal or ()), *(eo0 for d in groups for eo0 in d.eos)]
     row = {eo0: i for i, eo0 in enumerate(classes)}
-    return _Layout(diagonal and _diagonal_phases(list(diagonal)), tuple(groups),
+    return _Layout(diagonal and _diagonal_phases(list(diagonal)), groups,
                    np.array([row[p.eo0] for p in plans], dtype=np.intp),
                    np.array([p.q for p in plans], dtype=np.intp))
 
@@ -798,7 +801,7 @@ def oracle_propagator(eo: EOParams) -> np.ndarray:
     formula is, and conjugated from its class as the stored propagator
     is.  Integrated alone on every call, and never stored."""
     plan = _plan(eo)
-    return _conjugated(_stepped_propagator(_Drives((plan.eo0,)), _dense_block),
+    return _conjugated(_stepped_propagator(_Drives((plan,)), _dense_block),
                        [plan.q])[0]
 
 

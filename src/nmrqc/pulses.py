@@ -35,9 +35,10 @@ and the counter-rotating half adds a small uncorrected wobble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import inf, isfinite, lcm
 
 import numpy as np
 
@@ -170,18 +171,20 @@ def _pulse_eo(target_spin: int, angle: float, axis: str, direction: int, k: int,
     and its direction +1 or -1 apart.  A program builder's gate steps
     call it on the values the builder checked, with a rotation from
     ``gates.gate_rotation``; the machine's field ratio is checked here
-    (RationalGamma.from_machine)."""
+    (RationalGamma.from_machine), and so is the duration, which must be
+    a finite float (a huge k makes it none)."""
     gamma = RationalGamma.from_machine(machine)
-    t1, t2 = hypothetical_durations(gamma, k)
+    periods = hypothetical_durations(gamma, k)[target_spin - 1]
+    t = periods / machine.h1z if is_finite_number(periods) else inf
+    if not isfinite(t):
+        raise ConfigurationError(f"pulse duration {Decimal(periods) / Decimal(machine.h1z):.3g}"
+                                 " is too long: it is not a finite float")
     turns = angle / TWO_PI
+    amp_target = turns / t
     if target_spin == 1:
-        t = t1 / machine.h1z
-        amp_target = turns / t
         amp1, amp2 = amp_target, amp_target * machine.gamma
         omega = machine.h1z
     else:
-        t = t2 / machine.h1z
-        amp_target = turns / t
         amp1, amp2 = amp_target / machine.gamma, amp_target
         omega = machine.h2z
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import settings
 
 from nmrqc import eo_propagator, oracle_propagator
-from nmrqc.integrator import (_chain, _dense_block, _Drives, _fields_at,
-                              _product_formula_block, _step_schedule)
+from nmrqc.integrator import (_chain, _conjugated, _dense_block, _Drives, _fields_at,
+                              _plan, _Plan, _product_formula_block, _step_schedule,
+                              _stepped_propagator)
 from nmrqc.operators import TWO_PI
 
 
@@ -115,11 +116,21 @@ def json_reference(table) -> str:
 
 
 def single_eo(block):
-    """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4."""
+    """The stacked block as a function of one EO: (eo, mids, dt) -> 4x4,
+    of the EO's own fields.  A block reads only the fields, so its stack
+    is built from a plan that takes the EO as its own class, unfolded."""
     def one(eo, mids, dt):
-        drives = _Drives((eo,))  # a block reads only the fields
+        drives = _Drives((_Plan(eo, 0, (eo.delta, None, eo.omega), 0),))
         return block(drives, np.reshape(mids, (1, -1)), dt)[0]
     return one
+
+
+def stacked(eos, block=_product_formula_block):
+    """Each EO's propagator by `block`: the EOs' classes integrated in one
+    stack built from their plans, as ``integrate`` builds a group's, each
+    conjugated back to its EO."""
+    plans = [_plan(eo) for eo in eos]
+    return _conjugated(_stepped_propagator(_Drives(plans), block), [p.q for p in plans])
 
 
 # The stored propagator and the unstored reference, each with its block.

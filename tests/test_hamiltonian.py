@@ -52,7 +52,7 @@ def test_hermitian_for_random_parameters():
         # substep of length dt at midpoint t is exp(-i dt H(t))
         dt = 0.05
         w, v = np.linalg.eigh(h)
-        block = integrator._dense_block(integrator._Drives((eo,)),
+        block = integrator._dense_block(integrator._Drives((integrator._plan(eo),)),
                                         np.array([[t]]), dt)[0]
         assert np.max(np.abs(block - (v * np.exp(-1j * dt * w)) @ v.conj().T)) < 1e-13
 

@@ -129,6 +129,9 @@ def test_spec_validation():
         ExperimentSpec.from_dict([1, 2])
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         ExperimentSpec.from_json('{"kind": "qa",')
+    for text in ('{"k_list": [1' + "0" * 5000 + ']}', '{"delta": 1' + "0" * 5000 + '}'):
+        with pytest.raises(ConfigurationError, match="not valid JSON"):   # too long for int()
+            ExperimentSpec.from_json(text)
     for bad, match in [({"inputs": 5}, "inputs must be a list"),
                        ({"inputs": "00"}, "inputs must be a list"),
                        ({"items": 5}, "items must be a list"),
@@ -768,21 +771,36 @@ def test_cli_design_names_a_bare_negative_axis(argv, capsys):
         f"nmrqc design 1 pi/2 -- {axis} rotating 1\n")
 
 
+_HUGE_K = str(10 ** 308)
+
+
 @pytest.mark.parametrize("argv", [["tables", "table9", "--final-rotation-style", "exact"],
                                   ["sweep", "--kind", "grover", "--variant", "3"],
                                   ["sweep", "--k-list", "1", "--out", ""],
                                   ["design", "1", "-pi/2", "x", "rotating", "1"],
-                                  ["design", "2", "-pi", "y", "static", "1"]])
-def test_cli_bad_input_is_one_error_line(argv, capsys):
-    """A flag the table does not read, an empty --out path, and a
-    negative angle in pi form (a value, not an option, which the angle
-    check names) are bad input: exit status 2, nothing on stdout and one
+                                  ["design", "2", "-pi", "y", "static", "1"],
+                                  ["run", '{"k_list": [1e308]}'],
+                                  ["sweep", "--k-list", _HUGE_K],
+                                  ["design", "1", "pi", "x", "rotating", _HUGE_K]])
+def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    """A flag the table does not read, an empty --out path, a negative
+    angle in pi form (a value, not an option, which the angle check
+    names), and a k whose pulse duration is no finite float (from a
+    spec, here written to a file, or a flag; the error names the
+    duration) are bad input: exit status 2, nothing on stdout and one
     `error:` line."""
+    if argv[0] == "run":
+        spec = tmp_path / "spec.json"
+        spec.write_text(argv[1])
+        argv = ["run", str(spec)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    if argv[0] == "design":
+    if argv[0] == "design" and argv[2].startswith("-"):
         assert err == f"error: angle must lie in [0, 4*pi], got {parse_angle(argv[2])!r}\n"
+    if argv[0] == "run" or _HUGE_K in argv:
+        assert re.fullmatch(r"error: pulse duration \d\.\d\de\+3\d\d is too long: "
+                            r"it is not a finite float\n", err)
 
 
 def test_markdown_of_every_canned_table_has_one_cell_per_header_cell():
@@ -912,6 +930,14 @@ def test_cli_missing_config_file(capsys):
                                   '{"kind": "grover", "items": [3, 3]}',
                                   '{"inputs": ["00", "00"]}',
                                   '{"k_list": [1], "tau_offsets": [0, 0.0]}',
+                                  '{"delta": 1' + "0" * 400 + '}',
+                                  '{"k_list": [1], "tau_offsets": [1' + "0" * 400 + ']}',
+                                  '{"machine": {"h1z": 1' + "0" * 400 + '}}',
+                                  '{"k_list": [1e308]}',
+                                  pytest.param('{"k_list": [1' + "0" * 5000 + ']}',
+                                               id="k_past_the_int_digit_limit"),
+                                  pytest.param('{"delta": 1' + "0" * 5000 + '}',
+                                               id="delta_past_the_int_digit_limit"),
                                   pytest.param(b"\xff\xfe", id="not_utf8"),
                                   pytest.param("[" * 100000 + "]" * 100000,
                                                id="nested_too_deeply")])

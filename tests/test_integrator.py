@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import re
 
@@ -14,19 +15,19 @@ from nmrqc.gates import coupling_pi_duration
 from nmrqc.harness import (CHECKS, canned_names, canned_spec, emit_table,
                            run_experiment, verify_suite)
 from nmrqc.hamiltonian import MachineConfig, diagonal_energies
-from nmrqc.integrator import (_CACHE_SIZE, _LAYOUTS, _chain, _conjugated, _Drives,
+from nmrqc.integrator import (_CACHE_SIZE, _LAYOUTS, _chain, _Drives,
                               _cached_propagator, _diagonal_phases,
                               _exact_diagonal_propagators,
                               _layout, _nearest_unitary, _period_steps,
                               _plan, _power_plan, _powers,
                               _product_formula_block,
-                              _step_schedule, _stepped_propagator, _z_class,
+                              _step_schedule, _z_class,
                               check_delta, clear_propagator_cache, integrate)
 from nmrqc.programs import (ConvergenceReport, ConvergenceRow, Program,
                             program_unitaries, readout, run_program)
 from nmrqc.operators import TWO_PI, max_unitarity_defect, state_phase_distance
 
-from conftest import BLOCKS, PROPAGATORS, chained_reference, split_block
+from conftest import BLOCKS, PROPAGATORS, chained_reference, split_block, stacked
 
 J = -0.43e-6
 
@@ -46,9 +47,7 @@ def _fold(eo, delta):
 def _alone(eo):
     """The EO's product-formula propagator: its class (``_z_class``)
     integrated in a stack of one, and conjugated."""
-    eo0, q = _z_class(eo)
-    u = _stepped_propagator(_Drives((eo0,)), _product_formula_block)
-    return _conjugated(u, [q])[0]
+    return stacked((eo,))[0]
 
 
 def test_step_schedule_exact_and_remainder():
@@ -289,8 +288,7 @@ def _counted_blocks(eo, delta):
         sizes.append(mids.size)
         return _product_formula_block(drives, mids, dt)
 
-    u = _stepped_propagator(_Drives((eo,)), counting_block)
-    return sizes, u[0]
+    return sizes, stacked((eo,), counting_block)[0]
 
 
 def test_fold_steps_one_period_then_the_tail():
@@ -816,6 +814,78 @@ def test_a_cold_rerun_of_a_memoized_layout_looks_no_plan_up(monkeypatch):
     clear_propagator_cache()
 
 
+def _counted_plan_bodies(monkeypatch) -> list:
+    """The EOs whose plan ``_plan``'s body computes from now on, one
+    entry per run: a fresh memo of the same size over ``_plan.__wrapped__``
+    (the body's own lookup of a class goes through it too)."""
+    runs, body = [], nmrqc.integrator._plan.__wrapped__
+
+    def counting(eo):
+        runs.append(eo)
+        return body(eo)
+
+    monkeypatch.setattr(nmrqc.integrator, "_plan",
+                        functools.lru_cache(maxsize=_CACHE_SIZE)(counting))
+    return runs
+
+
+def _planned_once(eos) -> int:
+    """How many plan bodies a cold walk of the EOs may run: one per
+    distinct EO and one per class that is none of them."""
+    return len(set(eos) | {_z_class(eo)[0] for eo in eos})
+
+
+def test_a_layout_plans_each_missed_eo_once(monkeypatch):
+    """Building the layout of a fresh list of missed EOs (a static and a
+    rotating table's) runs _plan's body once per missed EO and once per
+    class not planned before.  Built again from those plans, it looks
+    each missed EO's plan up once, in walk order, and nothing else does:
+    ``_chunks`` and ``_Drives`` read the plans they are handed."""
+    eos = canned_spec("table8")._compiled.eos + canned_spec("table9")._compiled.eos
+    runs = _counted_plan_bodies(monkeypatch)
+    layout = _layout.__wrapped__(eos)
+    assert len(runs) == _planned_once(eos) > len(eos)
+    plans, lookups = {eo: nmrqc.integrator._plan(eo) for eo in eos}, []
+    monkeypatch.setattr(nmrqc.integrator, "_plan",
+                        lambda eo: lookups.append(eo) or plans[eo])
+    again = _layout.__wrapped__(eos)
+    assert lookups == list(eos)
+    assert [(d.eos, d.fold) for d in again.groups] == [(d.eos, d.fold) for d in layout.groups]
+    assert np.array_equal(again.rows, layout.rows) and np.array_equal(again.qs, layout.qs)
+
+
+def _jittered(program, rng, scale=0.01):
+    """The program with the amplitudes of each pulse step scaled by its
+    own 1 + scale N(0, 1)."""
+    steps = []
+    for eo in program.steps:
+        f = 1.0 + scale * rng.standard_normal()
+        steps.append(eo if eo.is_diagonal else eo.replace(
+            sf1x=eo.sf1x * f, sf1y=eo.sf1y * f, sf2x=eo.sf2x * f, sf2y=eo.sf2y * f))
+    return Program(program.name, tuple(steps), program.input_spec, program.ideal_unitary)
+
+
+def test_a_walk_past_the_store_size_plans_each_eo_once(monkeypatch):
+    """Seven 1% amplitude jitters of the six rotating QA programs, more
+    distinct EOs than the plan memo holds, walked cold at once: each
+    unitary is that of its program walked alone, bit for bit, and the
+    walk runs no more plan bodies than one per EO and per class."""
+    rng = np.random.default_rng(18)
+    base = [build_qa(spec, cnot_variant=v, style="rotating_sf")
+            for v in (1, 2, 3) for spec in ("00", "singlet")]
+    programs = [_jittered(p, rng) for _ in range(7) for p in base]
+    eos = {eo for p in programs for eo in p.steps}
+    assert len(eos) > _CACHE_SIZE
+    runs = _counted_plan_bodies(monkeypatch)
+    clear_propagator_cache()
+    walked = program_unitaries(programs)
+    assert len(runs) <= _planned_once(eos)
+    for program, u in zip(programs, walked):
+        clear_propagator_cache()
+        assert np.array_equal(program_unitaries([program])[0], u), program.name
+    clear_propagator_cache()
+
+
 def test_each_stack_of_a_canned_layout_states_what_its_members_give(monkeypatch):
     """Every stack of a canned table's layout has the step size and fold
     of its members' plans, their drive period for a quarter or period
@@ -919,7 +989,7 @@ def test_merged_half_steps_match_the_split_on_a_rotating_stack():
     eos = [pulse_eo(name, k) for name in ("Y1", "X1p", "Y2b", "X2p")
            for k in (1, 2, 32)]
     dt = 0.01 * TWO_PI
-    drives = _Drives(eos)
+    drives = _Drives([_plan(eo) for eo in eos])
     mids = np.full((len(eos), 1), dt / 2.0)   # one midpoint per EO
     assert _split_gap(drives, mids, dt) < 2e-14
     # and the first 10 substeps, whose half-steps do not commute
@@ -945,7 +1015,7 @@ def test_zero_length_substeps_of_a_ragged_block_stay_the_identity():
     got = _product_formula_block(d, mids, ragged)
     assert np.array_equal(got[-1], np.eye(4))
     for e, count in enumerate(counts[:-1]):   # as its own substeps alone
-        alone = _product_formula_block(_Drives(d.eos[e:e + 1]),
+        alone = _product_formula_block(_Drives([_plan(d.eos[e])]),
                                        mids[e:e + 1, :count], dt)
         assert np.array_equal(got[e], alone[0]), count
 

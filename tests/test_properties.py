@@ -20,16 +20,15 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grov
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _conjugated, _Drives, _layout, _midpoint_block,
+from nmrqc.integrator import (_BLOCK, _Drives, _layout, _midpoint_block,
                               _plan, _powers, _product_formula_block, _quarter_block,
-                              _stepped_propagator, _substeps, _z_class,
-                              clear_propagator_cache)
+                              _substeps, _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, INPUT_SPECS, STYLES,
                             Program, program_unitaries)
 
 from conftest import (BLOCKS, PROPAGATORS, chained_reference, json_reference,
-                      per_row_reference)
+                      per_row_reference, stacked)
 
 # list entries whose row or column labels differ, as ExperimentSpec requires
 _offsets = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=4,
@@ -353,13 +352,12 @@ def test_stacked_rotating_kernel(pulses):
         eo = design_pulse(spin, TWO_PI * turns, axis, k=k, direction=direction)
         eos.append(eo.replace(tau=eo.tau + offset))
     delta = eos[0].delta
-    stack = _stepped_propagator(_Drives(eos), _product_formula_block)
+    stack = stacked(eos)
     for eo, u in zip(eos, stack):
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
         ref = chained_reference(eo, delta, BLOCKS["product_formula"])
         assert np.max(np.abs(u - ref)) < 1e-11
-        alone = _stepped_propagator(_Drives((eo,)), _product_formula_block)
-        assert np.array_equal(u, alone[0])   # whatever shares its stack
+        assert np.array_equal(u, stacked((eo,))[0])   # whatever shares its stack
 
 
 designed_rotating_pulses = st.tuples(
@@ -378,7 +376,7 @@ def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
     Strang step builder."""
     eos = [design_pulse(spin, angle, axis, k=k, direction=direction, delta=delta)
            for spin, angle, axis, k, direction in pulses]
-    d = _Drives(eos)
+    d = _Drives([_plan(eo) for eo in eos])
     dt = delta * TWO_PI
     assert np.array_equal(_midpoint_block(d, dt), _product_formula_block(
         d, np.full((len(eos), 1), dt / 2.0), dt))
@@ -396,7 +394,7 @@ def _check_quarter_block(d, fold="quarter"):
     ref = _substeps(d, np.zeros(n, dtype=int), np.full(n, m), _product_formula_block)
     assert np.max(np.abs(got - ref)) < 1e-13
     for e in range(n):   # whatever shares its stack
-        assert np.array_equal(got[e], _quarter_block(_Drives(d.eos[e:e + 1]))[0]), e
+        assert np.array_equal(got[e], _quarter_block(_Drives([_plan(d.eos[e])]))[0]), e
     chains, chain = [], nmrqc.integrator._chain
 
     def counting(mats):
@@ -431,10 +429,10 @@ def test_the_quarter_block_is_the_general_blocks_first_quarter(spin, n, members)
     """Designed static pulses at delta = 1/(4n) (P = 4n steps for spin 1,
     16n for spin 2), each as its class, in one quarter stack."""
     delta = 1.0 / (4 * n)
-    eos = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
-                              direction=direction, delta=delta)).eo0
-           for axis, direction, turns, k in members]
-    _check_quarter_block(_Drives(eos))
+    plans = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                                direction=direction, delta=delta))
+             for axis, direction, turns, k in members]
+    _check_quarter_block(_Drives(plans))
 
 
 @settings(max_examples=25, deadline=None)
@@ -449,11 +447,11 @@ def test_the_x_period_block_is_the_general_blocks_first_period(spin, n, members)
     omega = design_pulse(spin, TWO_PI / 4.0, "x", mode="static_axis").omega
     delta = 1.0 / (n * omega)
     assume(delta <= 0.5)   # spin 1's drive, the fastest (omega = 1), resolved
-    eos = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
-                              direction=direction, delta=delta)).eo0
-           for axis, direction, turns, k in members]
-    assert {_plan(eo).key for eo in eos} == {(delta, "x period", omega)}
-    _check_quarter_block(_Drives(eos), "x period")
+    plans = [_plan(design_pulse(spin, TWO_PI * turns, axis, k=k, mode="static_axis",
+                                direction=direction, delta=delta))
+             for axis, direction, turns, k in members]
+    assert {plan.key for plan in plans} == {(delta, "x period", omega)}
+    _check_quarter_block(_Drives(plans), "x period")
 
 
 # exponent shapes the squaring pass gathers: 0, 1, all bits set (2^b - 1),
@@ -473,7 +471,7 @@ def test_powers_by_the_plan_a_stack_holds(ns, seed):
     rng = np.random.default_rng(seed)
     pulse = design_pulse(1, TWO_PI / 4.0, "x")
     eos = [pulse.replace(tau=n * pulse.delta) for n in ns]
-    d = _Drives(eos)
+    d = _Drives([_plan(eo) for eo in eos])
     assert d.schedule[0].tolist() == ns
     base = np.stack([random_unitary(rng) for _ in ns])
     stacked = _powers(base, d.powers)
@@ -483,7 +481,7 @@ def test_powers_by_the_plan_a_stack_holds(ns, seed):
             want = base[i] @ (base[i] @ base[i])
         assert np.array_equal(stacked[i], want), n
         if n:   # a stack of one needs an n >= 1
-            alone = _powers(base[i:i + 1], _Drives((eo,)).powers)
+            alone = _powers(base[i:i + 1], _Drives((_plan(eo),)).powers)
             assert np.array_equal(alone[0], want), n
 
 
@@ -539,6 +537,5 @@ def test_stacked_static_kernel(pulses):
     assert max(blocks) <= _BLOCK
     for eo in eos:
         u = eo_propagator(eo)
-        eo0, q = _z_class(eo)
-        alone = _stepped_propagator(_Drives((eo0,)), block)   # the stack's own kernel
-        assert np.array_equal(u, _conjugated(alone, [q])[0])  # whatever shares its stack
+        alone = stacked((eo,), block)[0]   # the stack's own kernel
+        assert np.array_equal(u, alone)    # whatever shares its stack

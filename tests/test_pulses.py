@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nmrqc.reference_tables as ref
-from nmrqc import (ConfigurationError, MachineConfig, RationalGamma,
+from nmrqc import (ConfigurationError, MachineConfig, RationalGamma, build_qa,
                    commensurability_check_n, commensurability_margin,
                    design_pulse, eo_propagator, hypothetical_durations,
                    ideal_gate, spectator_excess_angle, spectator_residual,
@@ -131,6 +131,20 @@ def test_angle_domain():
     for direction in (2, True, 1.0):   # checked before the axis sign applies
         with pytest.raises(ConfigurationError, match="direction must be"):
             design_pulse(1, np.pi, "x", direction=direction)
+
+
+@pytest.mark.parametrize("call", [lambda k: design_pulse(1, 1.0, "x", k=k),
+                                  lambda k: design_pulse(2, np.pi, "y", k=k, mode=STATIC_AXIS),
+                                  lambda k: build_qa("00", style="rotating_sf", k=k)],
+                         ids=["design_pulse", "design_pulse_static", "build_qa"])
+def test_a_k_whose_duration_is_no_float_is_bad_input(call):
+    """A k whose pulse lasts longer than the largest float (an int
+    duration that float() cannot take) is bad input that names the
+    duration, not an OverflowError; one just short of it designs."""
+    for k in (10 ** 308, 10 ** 5000):
+        with pytest.raises(ConfigurationError, match=r"pulse duration \d\.\d\de\+\d+ is too long"):
+            call(k)
+    assert design_pulse(1, 1.0, "x", k=10 ** 300).tau == 8e300   # 2kMN^2, N/M = 1/4
 
 
 def test_commensurability_margin_values():
