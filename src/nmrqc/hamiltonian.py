@@ -76,8 +76,7 @@ DEFAULT_MACHINE = MachineConfig()
 
 def check_machine(machine) -> MachineConfig:
     """The machine, which must be a MachineConfig; the spec, every
-    program builder, parse_program_text and design_pulse take it by this
-    one check."""
+    program builder and design_pulse take it by this one check."""
     if not isinstance(machine, MachineConfig):
         raise ConfigurationError(
             f"machine must be a MachineConfig, got {type(machine).__name__}")

@@ -206,9 +206,8 @@ def check_delta(delta, machine: MachineConfig | EOParams | None = None):
     and, given a machine (or an EO, which carries its machine's
     z-fields), resolve its fastest drive: delta times the larger
     |z-field| at most MAX_DELTA_TIMES_DRIVE.  The spec, every program
-    builder, parse_program_text, design_pulse and convergence_report
-    check delta by this one rule; stepping an EO checks only its first
-    part."""
+    builder, design_pulse and convergence_report check delta by this one
+    rule; stepping an EO checks only its first part."""
     if not (is_finite_number(delta) and delta > 0):
         raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
     if machine is not None:

@@ -11,9 +11,9 @@ expand G the same way (G_EXPANSION).
 
 A Program's steps are EOs (``EOParams``, each an evolution carrying its
 own label and step size) in application order (element 0 acts first);
-there is no other kind of step.  Rewriting a program's EOs
-(``with_duration_offset``, another step size by ``eo.replace(delta=d)``)
-gives another program of EOs.
+there is no other kind of step, and Program refuses any other.
+Rewriting a program's EOs (``with_duration_offset``, another step size
+by ``eo.replace(delta=d)``) gives another program of EOs.
 
 There is one walk over program steps, and it walks a whole stack of
 programs at once, one program per start block (a program may repeat),
@@ -41,23 +41,26 @@ as a builder does, on the z-fields its pulse EOs carry.  Judging the
 rows (the verify check compares their round2 prints, the rounding
 every table prints with) is left to the reader of the report.
 
-A program kind is a gate list: build_cnot, build_qa and build_grover
-each state their list, their name and their input, and one builder
-(_build) realizes it, taking a style name, k and a machine, whose field
-ratio sets the duration of every pulse.  It alone checks style, k and
-the machine, expands the gates and attaches the list's ideal unitary;
-QA2's exact final rotation is its one special case.
+A program is a gate list, and one builder, build_program, realizes
+any list of gate names, taking a style name, k and a machine, whose
+field ratio sets the duration of every pulse.  It alone checks style,
+k, the machine and the list, expands the gates and attaches the list's
+ideal unitary.  build_cnot, build_qa and build_grover each state their
+list, their name and their input and call it; build_qa swaps QA2's
+final rotation for its exact EO when asked.  An EO no gate names (a
+pulse of design_pulse, an EO of ideal_eo_params rewritten) goes into a
+Program by hand.
 
 Each parameter that picks a program has one domain here (STYLES,
-CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES) and one
-check (check_style, check_variant, check_item, check_input,
-check_final_rotation_style; k's is pulses.check_k, the step size's
-integrator.check_delta and the machine's hamiltonian.check_machine),
-which every builder and harness.ExperimentSpec call: a bool or a float
-is no variant, item or k, a step size too coarse for the machine's
-drive is refused, and so is a machine that is no MachineConfig.  A
-duration offset has one check too (check_offset), and a walk entry
-must be a Program (compile_walk).
+CNOT_VARIANTS, SEARCH_ITEMS, INPUT_SPECS, FINAL_ROTATION_STYLES, the
+gates of a list) and one check (check_style, check_variant, check_item,
+check_input, check_final_rotation_style, check_gates; k's is
+pulses.check_k, the step size's integrator.check_delta and the
+machine's hamiltonian.check_machine), which every builder and
+harness.ExperimentSpec call: a bool or a float is no variant, item or
+k, a step size too coarse for the machine's drive is refused, and so
+is a machine that is no MachineConfig.  A duration offset has one check
+too (check_offset), and a walk entry must be a Program (compile_walk).
 Gate steps, duration-shifted steps, whole gate-sequence expansions,
 gate matrices and each gate sequence's ideal unitary are memoized, so
 rebuilding a program re-designs no pulse, re-shifts no duration and
@@ -76,13 +79,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, NumericalIntegrityError, check_choice
-from .gates import canonical_name, gate_rotation, ideal_eo_params, ideal_gate
+from .gates import GATE_NAMES, canonical_name, gate_rotation, ideal_eo_params, ideal_gate
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
 from . import integrator
 from .integrator import check_delta, eo_propagator, integrate
 from .operators import TWO_PI, frozen_unitary
-from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, _pulse_eo, check_k, design_pulse
+from .pulses import PULSE_DELTA, ROTATING, STATIC_AXIS, _pulse_eo, check_k
 
 IDEAL = "ideal"
 STATIC_SF = "static_sf"
@@ -140,6 +143,9 @@ _GROVER_MIDDLE = {
 }
 SEARCH_ITEMS = tuple(_GROVER_MIDDLE)
 
+# The gates a program may list: every gate but CNOT, which has no EO.
+_EO_GATES = tuple(name for name in GATE_NAMES if name != "CNOT")
+
 # The checks of the domains above; each returns the domain's own entry.
 check_style = partial(check_choice, name="style", domain=STYLES)
 check_variant = partial(check_choice, name="cnot_variant", domain=CNOT_VARIANTS)
@@ -168,6 +174,10 @@ class Program:
 
     def __post_init__(self):
         check_input(self.input_spec)
+        object.__setattr__(self, "steps", tuple(self.steps))
+        for step in self.steps:
+            if not isinstance(step, EOParams):
+                raise ConfigurationError(f"program step {step!r} is no EOParams")
 
     @property
     def ideal_expectations(self) -> tuple[float, float] | None:
@@ -217,23 +227,35 @@ def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray
     return frozen_unitary(reduce(np.ndarray.dot, map(gates.__getitem__, reversed(names))))
 
 
-def _build(name: str, names: tuple[str, ...], style: str, k: int,
-           machine: MachineConfig, delta: float, input_spec: str = "00",
-           exact_last: bool = False) -> Program:
-    """The program of a gate list, names in application order, with the
-    ideal unitary of the list, named by `name` followed by its style and
-    k ('QA1[CNOT1,' gives 'QA1[CNOT1,ideal,k=1]'): the one place that
-    checks style, k, the machine and the step size on it
-    (``integrator.check_delta``) and expands gates.  exact_last runs the
-    last gate as its ideal EO without coupling, which is exact to
-    rounding."""
+def build_program(gates, style: str = IDEAL, k: int = 1,
+                  machine: MachineConfig = DEFAULT_MACHINE, delta: float = PULSE_DELTA,
+                  input_spec: str = "00", name: str = "custom[") -> Program:
+    """The program of a gate list, names in application order (element 0
+    acts first), with the ideal unitary of the list, named by `name`
+    followed by its style and k ('QA1[CNOT1,' gives
+    'QA1[CNOT1,ideal,k=1]').  Each gate is realized as in every builder:
+    its ideal EO in ideal style, a designed pulse otherwise, 'Ip' as its
+    ideal EO and 'G' per style (G_EXPANSION).  It is the one place that
+    checks style, k, the machine, the step size on it
+    (``integrator.check_delta``) and the gate list (``check_gates``), and
+    expands gates."""
     machine = check_machine(machine)
     style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
-    steps = _expand(names[:-1] if exact_last else names, style, k, machine, delta)
-    if exact_last:
-        steps += (ideal_eo_params(names[-1], machine).replace(j=0.0),)
+    names = check_gates(gates)
+    steps = _expand(names, style, k, machine, delta)
     return Program(name=f"{name}{style},k={k}]", steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
+
+
+def check_gates(gates) -> tuple[str, ...]:
+    """The gate list as a tuple: a non-empty list or tuple of gate names,
+    each one of GATE_NAMES (or an alias) but CNOT, which has no EO."""
+    if not isinstance(gates, (list, tuple)) or not gates:
+        raise ConfigurationError(f"gates must be a non-empty list, got {gates!r}")
+    for gate in gates:
+        if not (isinstance(gate, str) and canonical_name(gate) in _EO_GATES):
+            raise ConfigurationError(f"gate {gate!r} has no EO: not one of {_EO_GATES}")
+    return tuple(gates)
 
 
 def build_cnot(variant: int, style: str, k: int = 1,
@@ -242,8 +264,8 @@ def build_cnot(variant: int, style: str, k: int = 1,
     """One controlled-NOT realization (variant one of CNOT_VARIANTS) on
     |00>; run_inputs carries any other input through it."""
     variant = check_variant(variant)
-    return _build(f"CNOT{variant}[", CNOT_SEQUENCES[variant], style, k, machine,
-                  delta)
+    return build_program(CNOT_SEQUENCES[variant], style, k, machine, delta,
+                         name=f"CNOT{variant}[")
 
 
 def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
@@ -261,9 +283,12 @@ def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     variant = check_variant(cnot_variant)
     exact = check_final_rotation_style(final_rotation_style) == "exact"
     singlet = input_spec == "singlet"
-    return _build(f"QA{1 + singlet}[CNOT{variant},",
-                  CNOT_SEQUENCES[variant] * 5 + ("Y1",) * singlet, style, k,
-                  machine, delta, input_spec, exact and singlet)
+    program = build_program(CNOT_SEQUENCES[variant] * 5 + ("Y1",) * singlet, style, k,
+                            machine, delta, input_spec, f"QA{1 + singlet}[CNOT{variant},")
+    if exact and singlet:   # the ideal Y1 without coupling: exact to rounding
+        final = ideal_eo_params("Y1", machine).replace(j=0.0)
+        program = replace(program, steps=program.steps[:-1] + (final,))
+    return program
 
 
 def build_grover(item: int, style: str = IDEAL, k: int = 1,
@@ -271,7 +296,7 @@ def build_grover(item: int, style: str = IDEAL, k: int = 1,
                  delta: float = PULSE_DELTA) -> Program:
     """Four-item database search for the given item position; input |00>."""
     names = tuple(reversed(grover_sequence(item)))  # application order
-    return _build(f"Grover{item}[", names, style, k, machine, delta)
+    return build_program(names, style, k, machine, delta, name=f"Grover{item}[")
 
 
 def input_amplitudes(input_specs) -> np.ndarray:
@@ -303,7 +328,7 @@ def readout(amps: np.ndarray) -> list[tuple[float, float]]:
     norms = np.sqrt(w.sum(axis=-1))
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)   # NaN counts as off
     if off.any():
-        raise NumericalIntegrityError(f"state norm {norms[off][0]!r} deviates from 1")
+        raise NumericalIntegrityError(f"state norm {float(norms[off][0])} deviates from 1")
     return list(zip((w[:, 1] + w[:, 3]).tolist(), (w[:, 2] + w[:, 3]).tolist()))
 
 
@@ -487,59 +512,3 @@ def convergence_report(eos, input_spec: str, deltas) -> ConvergenceReport:
     return ConvergenceReport(tuple(
         ConvergenceRow(d, ab, float(np.max(np.abs(out - ref))))
         for d, out, ab in zip(deltas, outs, readout(outs))))
-
-
-# The directives of the program text format and their argument counts.
-_DIRECTIVE_ARGS = {"input": 1, "gate": 1, "pulse": 5, "diagonal": 1}
-
-
-def parse_program_text(text: str, style: str = IDEAL, k: int = 1,
-                       machine: MachineConfig = DEFAULT_MACHINE,
-                       delta: float = PULSE_DELTA) -> Program:
-    """Parse the one-EO-per-line program format into the program 'custom'.
-
-    Lines (blank lines and #-comments allowed), each directive with
-    exactly the arguments shown:
-        input <00|10|01|11|singlet>
-        gate <name>                         # realized in `style`
-        pulse <spin> <angle> <axis> <mode> <k>   # angle in radians
-        diagonal <tau_over_2pi>             # machine-field z evolution
-    A gate is expanded as a builder expands it ('G' per style), the
-    machine and delta are checked as a builder checks them, and a
-    diagonal duration must be finite and non-negative.
-    """
-    machine = check_machine(machine)
-    style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
-    steps = []
-    input_spec = "00"
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        kind, args = tokens[0].lower(), tokens[1:]
-        try:
-            if kind not in _DIRECTIVE_ARGS:
-                raise ConfigurationError(f"unknown directive {kind!r}")
-            if len(args) != _DIRECTIVE_ARGS[kind]:
-                raise ConfigurationError(f"{kind} takes {_DIRECTIVE_ARGS[kind]} "
-                                         f"argument(s), got {len(args)}")
-            if kind == "input":
-                input_spec = check_input(args[0])
-            elif kind == "gate":
-                steps.extend(_expand((args[0],), style, k, machine, delta))
-            elif kind == "pulse":
-                spin, angle = int(args[0]), float(args[1])
-                axis, mode, kk = args[2], args[3], int(args[4])
-                steps.append(design_pulse(spin, angle, axis, k=kk, mode=mode,
-                                          machine=machine, delta=delta))
-            elif kind == "diagonal":
-                tau = float(args[0])
-                if not 0 <= tau < np.inf:
-                    raise ConfigurationError("diagonal duration must be finite "
-                                             f"and non-negative, got {tau!r}")
-                steps.append(ideal_eo_params("Ip", machine).replace(
-                    label=f"diagonal({tau:g})", tau=tau))
-        except ValueError as exc:
-            raise ConfigurationError(f"line {ln}: cannot parse {raw!r}: {exc}") from exc
-    return Program(name="custom", steps=tuple(steps), input_spec=input_spec)

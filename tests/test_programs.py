@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from nmrqc import (DEFAULT_MACHINE, ConfigurationError, EOParams, ExperimentSpec,
                    NumericalIntegrityError, Program,
-                   build_cnot, build_grover, build_qa, design_pulse, eo_propagator,
-                   grover_sequence, ideal_eo_params, ideal_gate, input_amplitudes,
-                   parse_program_text, program_unitary, readout, run_program,
+                   build_cnot, build_grover, build_program, build_qa, design_pulse,
+                   eo_propagator, grover_sequence, ideal_eo_params, ideal_gate,
+                   input_amplitudes, program_unitary, readout, run_program,
                    with_duration_offset)
 from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
@@ -72,7 +74,7 @@ def test_ideal_unitary_is_memoized_and_read_only():
     names = list(reversed(CNOT_SEQUENCES[1] * 5))
     want = read_row(compose(names) @ input_amplitudes(["11"])[0])
     assert b.ideal_expectations == want
-    assert parse_program_text("gate X1").ideal_expectations is None
+    assert Program("p", (ideal_eo_params("X1"),)).ideal_expectations is None
     # each distinct gate looked up once, folded as compose folds the names
     for variant, names in CNOT_SEQUENCES.items():
         for program, seq in ((build_cnot(variant, "ideal"), names),
@@ -163,14 +165,14 @@ def test_program_unitary_identity_for_empty():
 
 @pytest.mark.parametrize("style", STYLES)
 def test_every_program_step_is_an_eo(style):
-    """Builders and the program text give programs of EOs only, the
-    conditional phase gate and the exact final rotation included."""
+    """Builders give programs of EOs only, the conditional phase gate
+    and the exact final rotation included."""
     programs = [build_cnot(v, style) for v in CNOT_SEQUENCES]
     programs += [build_qa("00", v, style) for v in CNOT_SEQUENCES]
     programs += [build_qa("singlet", v, style, final_rotation_style=f)
                  for v in CNOT_SEQUENCES for f in ("program", "exact")]
     programs += [build_grover(item, style) for item in range(4)]
-    programs.append(parse_program_text("gate G", style=style))
+    programs.append(build_program(["G"], style))
     for p in programs:
         assert p.steps and all(type(s) is EOParams for s in p.steps), p.name
 
@@ -324,6 +326,11 @@ def test_readout_rejects_an_unnormalized_row():
         bad[1] *= scale
         with pytest.raises(NumericalIntegrityError, match="deviates from 1"):
             readout(bad)
+    # the first bad row's norm as a plain float, not np.float64(nan)
+    for scale, norm in ((1.5, "1.5"), (np.nan, "nan")):
+        with pytest.raises(NumericalIntegrityError,
+                           match=f"^state norm {re.escape(norm)} deviates from 1$"):
+            readout(amps * scale)
     assert readout(amps[:0]) == []
 
 
@@ -356,7 +363,7 @@ def test_negative_diagonal_duration_is_rejected():
         for _ in range(2):  # nothing is cached for a bad key
             with pytest.raises(ConfigurationError, match="must be non-negative"):
                 run_program(p)
-    assert run_program(parse_program_text("diagonal 0"))[0] == 1.0
+    assert run_program(Program("p", (ideal_eo_params("Ip").replace(tau=0.0),)))[0] == 1.0
 
 
 def test_program_unitary_long_pulse_close_to_ideal():
@@ -421,15 +428,15 @@ def test_duration_offset_applies_to_every_labeled_eo():
     lambda: run_inputs(build_qa("00", style="rotating_sf", delta=0.9), ["00", "10"]),
     lambda: build_cnot(1, "ideal", delta=-0.01),
     lambda: build_grover(0, "static_sf", delta=True),
-    lambda: parse_program_text("gate X1", style="rotating_sf", delta=2.0),
-    lambda: parse_program_text("gate X1", delta=float("nan")),
+    lambda: build_program(["X1"], "rotating_sf", delta=2.0),
+    lambda: build_program(["X1"], delta=float("nan")),
     lambda: design_pulse(1, np.pi / 2, "x", delta=float("nan")),
     lambda: design_pulse(1, np.pi / 2, "x", delta=0.51),
 ])
 def test_the_library_refuses_the_step_sizes_the_spec_refuses(call):
     """delta must be a positive finite number that resolves the drive
-    (delta * max |z-field| <= 1/2), in every builder, the program text
-    and design_pulse: rotating QA1 at delta 0.9 used to print (0.02,
+    (delta * max |z-field| <= 1/2), in every builder and design_pulse:
+    rotating QA1 at delta 0.9 used to print (0.02,
     0.51) for |00> and (0.98, 0.47) for |10>, without an error."""
     with pytest.raises(ConfigurationError, match="delta"):
         call()
@@ -442,12 +449,12 @@ def test_the_library_refuses_the_step_sizes_the_spec_refuses(call):
     lambda: build_cnot(1, "rotating_sf", machine=DEFAULT_MACHINE.to_dict()),
     lambda: build_grover(0, machine=None),
     lambda: design_pulse(1, 1.0, "x", machine=None),
-    lambda: parse_program_text("gate X1", machine=None),
+    lambda: build_program(["X1"], machine=None),
 ])
 def test_the_library_refuses_a_machine_the_spec_refuses(call):
-    """A machine must be a MachineConfig, in the spec, every builder, the
-    program text and design_pulse: these raised AttributeError, and a
-    spec with machine=None failed only when it ran."""
+    """A machine must be a MachineConfig, in the spec, every builder and
+    design_pulse: these raised AttributeError, and a spec with
+    machine=None failed only when it ran."""
     with pytest.raises(ConfigurationError, match="machine must be a MachineConfig"):
         call()
 
@@ -472,56 +479,107 @@ def test_program_states_takes_the_empty_walk():
     assert program_states([], np.empty((0, 4))).shape == (0, 4)
 
 
-def test_parse_program_text_round_trip_semantics():
-    text = """
-    # flip qubit 2 conditioned on qubit 1
-    input 10
-    gate Y2
-    diagonal 1162790.6976744186
-    gate Y2b
-    gate X2p
-    gate Y1b
-    gate X1p
-    gate Y1
-    """
-    p = parse_program_text(text, style="ideal")
-    got = read_row(run_program(p))
-    assert got == pytest.approx((1.0, 1.0), abs=1e-5)
+def test_build_program_runs_a_gate_list():
+    """CNOT1's gate list on |10> flips qubit 2, and its program is the
+    builder's, step for step."""
+    p = build_program(CNOT_SEQUENCES[1], input_spec="10")
+    assert p.name == "custom[ideal,k=1]" and p.input_spec == "10"
+    assert read_row(run_program(p)) == pytest.approx((1.0, 1.0), abs=1e-5)
+    assert p.steps == build_cnot(1, "ideal").steps
+    assert p.ideal_unitary is build_cnot(1, "ideal").ideal_unitary
 
-    with pytest.raises(ConfigurationError):
-        parse_program_text("warp 9")
-    with pytest.raises(ConfigurationError):
-        parse_program_text("pulse 1 x y z")
-    # every directive takes exactly its arguments; trailing tokens are
-    # errors, and so is a diagonal duration that is not finite and >= 0
-    for bad in ("gate X1 junk", "input 00 extra", "diagonal 1 2", "input",
-                "pulse 1 1.5707963267948966 y rotating 1 9",
-                "diagonal nan", "diagonal -1", "diagonal inf"):
-        with pytest.raises(ConfigurationError, match="line 2: "):
-            parse_program_text(f"gate X1\n{bad}")
+
+@pytest.mark.parametrize("gates", [
+    "X1",                 # a bare string is no list
+    [], (),               # nothing to run
+    [1], ["X1", None],    # no name
+    [["X1"]],             # a list is no name
+    ["Z1"], ["Gcore"],    # no gate of the library
+    ["CNOT"],             # a gate with no EO
+    None, {"X1": 1},
+])
+def test_build_program_refuses_a_malformed_gate_list(gates):
+    """Each raised TypeError or AttributeError from deep inside the
+    builder (the empty list from the ideal product), or built a program
+    of the characters of a string; now one line names what is wrong."""
+    with pytest.raises(ConfigurationError, match="gate") as info:
+        build_program(gates)
+    assert "\n" not in str(info.value)
+
+
+def test_build_program_checks_its_settings_first():
+    """Style, k, machine and delta are checked as the builders check
+    them, before the list; a k whose pulses are too long still names the
+    pulse duration, not the digits of k."""
+    for call, match in [(lambda: build_program(["X1"], "pulsed"), "style"),
+                        (lambda: build_program(["X1"], k=0), "k must be"),
+                        (lambda: build_program([], machine=None), "machine"),
+                        (lambda: build_program([], delta=0), "delta"),
+                        (lambda: build_program(["X1"], input_spec="2"), "input spec"),
+                        (lambda: build_program(["X1"], "rotating_sf", 10 ** 5000),
+                         "pulse duration")]:
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+
+
+def test_program_refuses_a_step_that_is_no_eo():
+    """A step that is no EO used to fail deep in the walk
+    (AttributeError: 'int' object has no attribute 'delta'); now the
+    Program names it, and keeps its steps as a tuple."""
+    for steps in ((1, 2), [ideal_eo_params("X1"), "Y1"], "ab"):
+        with pytest.raises(ConfigurationError, match="is no EOParams"):
+            Program("p", steps)
+    eos = [ideal_eo_params("X1"), design_pulse(1, np.pi / 2, "y")]
+    p = Program("p", eos)
+    assert type(p.steps) is tuple and p.steps == tuple(eos)
+    assert p == Program("p", tuple(eos)) and hash(p) == hash(Program("p", tuple(eos)))
 
 
 @pytest.mark.parametrize("style", STYLES)
-def test_parse_program_gate_expands_per_style(style):
-    """`gate G` is the conditional phase gate as the builders realize it:
-    its exact matrix in ideal style, G_EXPANSION in the pulse styles."""
-    p = parse_program_text("gate G", style=style)
+def test_build_program_gate_expands_per_style(style):
+    """`G` is the conditional phase gate as the builders realize it: its
+    exact matrix in ideal style, G_EXPANSION in the pulse styles."""
+    p = build_program(["G"], style)
     if style == "ideal":
         assert np.array_equal(program_unitary(p), ideal_gate("G"))
         return
-    expansion = parse_program_text("\n".join(f"gate {n}" for n in G_EXPANSION),
-                                   style=style)
+    expansion = build_program(G_EXPANSION[1:], style)
     assert [s.label for s in p.steps] == list(G_EXPANSION)
-    assert p.steps == expansion.steps
+    assert p.steps[1:] == expansion.steps
     assert p.steps == build_grover(0, style).steps[6:13]
 
 
-def test_parse_program_pulse_line():
-    p = parse_program_text("pulse 1 1.5707963267948966 y rotating 1",
-                           style="rotating_sf")
-    assert len(p.steps) == 1
-    (eo,) = p.steps
-    assert eo.tau == 8 and eo.sf1x == pytest.approx(0.03125)
+def test_a_designed_pulse_is_a_step_of_its_own():
+    """A hand-made EO goes into a Program as it is: the pulse of
+    design_pulse runs as one step, the EO of the gate it realizes but
+    for its label."""
+    eo = design_pulse(1, np.pi / 2, "y", k=1, mode="rotating")
+    p = Program("pulse", (eo,))
+    (step,) = p.steps
+    assert step is eo and eo.tau == 8 and eo.sf1x == pytest.approx(0.03125)
+    assert step.replace(label="Y1") == build_program(["Y1"], "rotating_sf").steps[0]
+
+
+def _interleavings(a, b):
+    """Every merge of the sequences a and b that keeps each one's order."""
+    n = len(a) + len(b)
+    for spots in combinations(range(n), len(b)):
+        ia, ib = iter(a), iter(b)
+        yield tuple(next(ib) if i in spots else next(ia) for i in range(n))
+
+
+def test_the_commutation_class_of_cnot_is_one_unitary():
+    """After Y2 and Ip, ideal gates on different spins commute: each of
+    the 10 interleavings of (Y1b, X1p, Y1) with (Y2b, X2p), and of the 10
+    of (X1, Y1p, X1b) with (Y2b, X2p), is CNOT1's ideal unitary up to a
+    global phase, and CNOT1, CNOT2 and CNOT3 are three of them."""
+    lists = [("Y2", "Ip") + order for spin1 in (("Y1b", "X1p", "Y1"), ("X1", "Y1p", "X1b"))
+             for order in _interleavings(spin1, ("Y2b", "X2p"))]
+    assert len(set(lists)) == 20
+    assert set(CNOT_SEQUENCES.values()) <= set(lists)
+    want = build_cnot(1, "ideal").ideal_unitary
+    for gates in lists:
+        assert global_phase_distance(build_program(gates).ideal_unitary, want) < 1e-12
 
 
 def _closed_form_rotating_pulse(name, k):

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_grover,
-                   build_qa, canned_spec, design_pulse, eo_propagator, run_experiment,
-                   with_duration_offset)
+from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_cnot,
+                   build_grover, build_program, build_qa, canned_spec, compose,
+                   design_pulse, eo_propagator, run_experiment, with_duration_offset)
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
@@ -24,8 +24,8 @@ from nmrqc.integrator import (_BLOCK, _Drives, _layout, _midpoint_block,
                               _plan, _powers, _product_formula_block, _quarter_block,
                               _substeps, _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
-from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, INPUT_SPECS, STYLES,
-                            Program, program_unitaries)
+from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, G_EXPANSION, INPUT_SPECS,
+                            STYLES, Program, program_unitaries)
 
 from conftest import (BLOCKS, PROPAGATORS, chained_reference, json_reference,
                       per_row_reference, stacked)
@@ -195,6 +195,25 @@ def test_the_spec_and_the_builders_agree(parameter, value):
     assert spec_ok or not built_ok
     if built_ok:
         assert type(stored(spec)) in (type(value), float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), style=st.sampled_from(STYLES), k=st.integers(1, 3))
+def test_build_program_realizes_each_gate_as_the_builders_do(data, style, k):
+    """A list of the gates the builders' programs realize in a style
+    (rotations, Ip and G) has each gate's steps in those programs as its
+    steps, object for object ('G' is G_EXPANSION in the pulse styles),
+    and the product of its ideal gates as its ideal unitary."""
+    realized = {step.label: step for p in [build_cnot(v, style, k) for v in CNOT_VARIANTS]
+                + [build_grover(item, style, k) for item in range(4)] for step in p.steps}
+    names = sorted(set(realized) - {"Gcore"} | {"G"})
+    gates = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=12))
+    want = [realized[name] for gate in gates
+            for name in (G_EXPANSION if gate == "G" and style != "ideal" else (gate,))]
+    program = build_program(gates, style, k)
+    assert len(program.steps) == len(want)
+    assert all(got is step for got, step in zip(program.steps, want))
+    assert np.max(np.abs(program.ideal_unitary - compose(reversed(gates)))) < 1e-12
 
 
 def test_the_cli_choices_are_the_domains():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nmrqc import EOParams, ExperimentSpec, parse_program_text, readout, run_program
+from nmrqc import EOParams, ExperimentSpec, readout
 from nmrqc.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -19,7 +19,7 @@ def _blocks(language: str) -> list[str]:
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
-    (quick_start,) = _blocks("python")
+    quick_start, custom = _blocks("python")
     namespace = {}
     exec(compile(quick_start, "README.md", "exec"), namespace)
     eo = namespace["eo"]
@@ -31,11 +31,12 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     spec = ExperimentSpec.from_json(spec_text)
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
-    (program_text,) = _blocks("")
-    program = parse_program_text(program_text)
+    namespace = {}
+    exec(compile(custom, "README.md", "exec"), namespace)
+    program = namespace["program"]
     assert program.input_spec == "10" and len(program.steps) == 7
-    assert readout(run_program(program)[None])[0] == pytest.approx((1.0, 1.0),
-                                                                   abs=1e-5)
+    assert readout(namespace["run_program"](program)[None])[0] == pytest.approx(
+        (1.0, 1.0), abs=1e-5)
 
     # every command line, run where the JSON block is myspec.json
     monkeypatch.chdir(tmp_path)
