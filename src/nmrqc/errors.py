@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the checks of an integer
-and of a choice that every parameter check is built on."""
+"""Exception types shared across the package, the checks of an integer
+and of a choice that every parameter check is built on, and the text
+that names a refused value."""
 from numbers import Integral
 
 
@@ -22,4 +23,17 @@ def check_choice(value, name: str, domain: tuple):
     matches: neither True nor 2.0 is 2."""
     if (type(value) is str or is_integer(value)) and value in domain:
         return domain[domain.index(value)]
-    raise ConfigurationError(f"{name} must be one of {domain}, got {value!r}")
+    raise ConfigurationError(f"{name} must be one of {domain}, got {shown(value)}")
+
+
+TOO_LONG = "an integer too long to print"
+
+
+def shown(value) -> str:
+    """repr(value) for an error message, or TOO_LONG for an integer of
+    more digits than Python turns into text (sys.get_int_max_str_digits),
+    whose repr raises ValueError: a message names it without its digits."""
+    try:
+        return repr(value)
+    except ValueError:
+        return TOO_LONG

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, shown
 from .operators import S1X, S1Y, S1Z, S2X, S2Y, S2Z, SZZ
 
 
@@ -54,7 +54,7 @@ class MachineConfig:
             value = getattr(self, f.name)
             if not is_finite_number(value):
                 raise ConfigurationError(
-                    f"machine {f.name} must be a finite number, got {value!r}")
+                    f"machine {f.name} must be a finite number, got {shown(value)}")
         if self.h1z == 0:
             raise ConfigurationError("machine h1z must be non-zero")
 
@@ -62,13 +62,6 @@ class MachineConfig:
     def gamma(self) -> float:
         """Gyromagnetic ratio of spin 2 relative to spin 1."""
         return self.h2z / self.h1z
-
-    def to_dict(self) -> dict:
-        return {"coupling": self.coupling, "h1z": self.h1z, "h2z": self.h2z}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MachineConfig":
-        return cls(**d)
 
 
 DEFAULT_MACHINE = MachineConfig()
@@ -140,7 +133,7 @@ class EOParams:
         return self._hash
 
     def __reduce__(self):  # rebuilt: a str hashes differently in another process
-        return EOParams, tuple(self.to_dict().values())
+        return EOParams, dataclasses.astuple(self)
 
     def replace(self, **kw) -> "EOParams":
         """The EO with the given fields changed, as dataclasses.replace
@@ -156,13 +149,6 @@ class EOParams:
         fields.update(kw)
         new.__post_init__()
         return new
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EOParams":
-        return cls(**d)
 
 
 _EO_FIELDS = frozenset(f.name for f in dataclasses.fields(EOParams))

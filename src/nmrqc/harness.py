@@ -75,7 +75,7 @@ from itertools import islice
 import numpy as np
 
 from . import reference_tables as ref
-from .errors import ConfigurationError, check_choice
+from .errors import ConfigurationError, check_choice, shown
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
 from .integrator import check_delta, eo_propagator, oracle_propagator
@@ -142,7 +142,7 @@ class ExperimentSpec:
                     entries.append(check(v))
                 except ConfigurationError:
                     raise ConfigurationError(
-                        f"{name} entries must be {what}, got {v!r}") from None
+                        f"{name} entries must be {what}, got {shown(v)}") from None
             object.__setattr__(self, name, tuple(entries))
             labels = [label(v) for v in entries]
             shared = {c for c in labels if labels.count(c) > 1}
@@ -165,14 +165,6 @@ class ExperimentSpec:
                 raise ConfigurationError(f"{f.name} changes nothing {unread[f.name]}: "
                                          "leave it at its default")
 
-    def to_dict(self) -> dict:
-        """Every field that is set, a tuple as a list and the machine as
-        its own dict."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: list(v) if isinstance(v, tuple) else
-                v.to_dict() if isinstance(v, MachineConfig) else v
-                for name, v in values if v is not None}
-
     @cached_property
     def _compiled(self) -> "_CompiledTable":
         """The spec's table, compiled on the first run of this object
@@ -183,8 +175,7 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         d = _known_keys(cls, d, "spec")
         if "machine" in d:
-            d["machine"] = MachineConfig.from_dict(
-                _known_keys(MachineConfig, d["machine"], "machine"))
+            d["machine"] = MachineConfig(**_known_keys(MachineConfig, d["machine"], "machine"))
         return cls(**d)
 
     @classmethod

@@ -39,8 +39,8 @@ The EO's plan (``_plan``) names the fold:
   exactly U = Z(n dt) (Z(dt)^dagger B(dt/2))^n (the rotating frame;
   Vandersypen & Chuang, Rev. Mod. Phys. 76, 1037 (2004)).  One
   single-midpoint block is built and raised to the n-th power; the
-  product formula builds it as the one Strang step at dt/2
-  (``_midpoint_block``), bit for bit its one-substep block.
+  product formula builds it as the one-substep
+  ``_product_formula_block``, the Strang step at dt/2.
 * "period": otherwise, when the drive period 1/omega (over 2*pi) is a
   whole number P of steps, i.e. 1/(omega*delta) is an integer to a
   relative 1e-12, and the EO spans at least 2P full substeps, the
@@ -98,12 +98,13 @@ still keeps the ten spin-2 classes (10 x 100 substeps) of a canned
 static table in one group.  An EO whose run is longer is a group of
 one, and every run (a period, a tail, all the substeps) is built _BLOCK
 substeps at a time.  A group is integrated in one pass:
-- rotating: one single-midpoint block per EO, built directly, the
-  frame factors, the powers (one squaring pass over the bits of the
-  largest n, then each EO's product of its own set-bit squares: one
-  take and one batched product per set-bit round after the first, an
-  EO past its last set bit taking the identity), the remainder blocks
-  and one stacked Newton-Schulz step (a rotating stack has no tail);
+- rotating: one single-midpoint block per EO (the one-substep
+  ``_product_formula_block``), the frame factors, the powers (one
+  squaring pass over the bits of the largest n, then each EO's product
+  of its own set-bit squares: one take and one batched product per
+  set-bit round after the first, an EO past its last set bit taking
+  the identity), the remainder blocks and one stacked Newton-Schulz
+  step (a rotating stack has no tail);
 - quarter, x period or period: one quarter-period block (then Zpi
   placed per EO) or one period block over all the EOs, each EO's own
   power, 2q or q,
@@ -179,7 +180,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, shown
 from .hamiltonian import EOParams, MachineConfig, diagonal_energies, is_finite_number
 from .operators import S1X, S1Y, S2X, S2Y, TWO_PI
 
@@ -209,7 +210,7 @@ def check_delta(delta, machine: MachineConfig | EOParams | None = None):
     builder, design_pulse and convergence_report check delta by this one
     rule; stepping an EO checks only its first part."""
     if not (is_finite_number(delta) and delta > 0):
-        raise ConfigurationError(f"delta must be positive and finite, got {delta!r}")
+        raise ConfigurationError(f"delta must be positive and finite, got {shown(delta)}")
     if machine is not None:
         fastest = max(abs(machine.h1z), abs(machine.h2z))
         if delta * fastest > MAX_DELTA_TIMES_DRIVE:
@@ -420,14 +421,6 @@ def _period_steps(omega: float, delta: float) -> int:
     return p if p >= 1 and abs(steps - p) <= _PERIOD_RTOL * steps else 0
 
 
-def _midpoint_block(d: _Drives, dt: float) -> np.ndarray:
-    """Per EO, the Strang step of its first substep, at the midpoint
-    dt/2: ``_product_formula_block`` of that one substep, bit for bit,
-    with no substep axis (the rotating fold's one block)."""
-    s = np.sin(d.omega[:, None] * (dt / 2.0) + d.phi)              # [EO, axis]
-    return _strang_step(d.static + d.amp * s[:, None, :], d.ez, dt)
-
-
 # W = H (x) H, real and its own inverse: its column k is an eigenvector of
 # S1^x and S2^x, of signs (-1)^(bit 0 of k) and (-1)^(bit 1 of k), which
 # _X_SIGNS[spin, k] holds; column 3 - k has those of k negated.
@@ -571,8 +564,7 @@ def _folded_power(d: _Drives, n_full, block):
         return np.broadcast_to(_EYE, (len(n_full), 4, 4)), np.zeros_like(n_full)
     dt = d.delta * TWO_PI
     if d.fold == _ROTATING:
-        first = (_midpoint_block(d, dt) if block is _product_formula_block
-                 else block(d, np.full((len(n_full), 1), dt / 2.0), dt))
+        first = block(d, np.full((len(n_full), 1), dt / 2.0), dt)
         # Z(dt) and Z(n dt) of each EO
         z_step, z_all = _frame(d, dt * np.array([[1] * len(n_full), n_full]))
         return z_all[..., None] * _powers(z_step.conj()[..., None] * first,

@@ -78,7 +78,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalIntegrityError, check_choice
+from .errors import TOO_LONG, ConfigurationError, NumericalIntegrityError, check_choice, shown
 from .gates import GATE_NAMES, canonical_name, gate_rotation, ideal_eo_params, ideal_gate
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
@@ -241,20 +241,27 @@ def build_program(gates, style: str = IDEAL, k: int = 1,
     expands gates."""
     machine = check_machine(machine)
     style, k, delta = check_style(style), check_k(k), check_delta(delta, machine)
-    names = check_gates(gates)
+    names = check_gates(gates, style)
     steps = _expand(names, style, k, machine, delta)
+    if shown(k) == TOO_LONG:   # a pulse style names its pulse duration first
+        raise ConfigurationError(f"k is {TOO_LONG} in the program name")
     return Program(name=f"{name}{style},k={k}]", steps=steps, input_spec=input_spec,
                    ideal_unitary=_ideal_unitary(names, machine))
 
 
-def check_gates(gates) -> tuple[str, ...]:
+def check_gates(gates, style: str) -> tuple[str, ...]:
     """The gate list as a tuple: a non-empty list or tuple of gate names,
-    each one of GATE_NAMES (or an alias) but CNOT, which has no EO."""
+    each one of GATE_NAMES (or an alias) but CNOT, which has no EO, and
+    I only in the ideal style."""
     if not isinstance(gates, (list, tuple)) or not gates:
-        raise ConfigurationError(f"gates must be a non-empty list, got {gates!r}")
+        raise ConfigurationError(f"gates must be a non-empty list, got {shown(gates)}")
     for gate in gates:
         if not (isinstance(gate, str) and canonical_name(gate) in _EO_GATES):
-            raise ConfigurationError(f"gate {gate!r} has no EO: not one of {_EO_GATES}")
+            raise ConfigurationError(f"gate {shown(gate)} has no EO: not one of {_EO_GATES}")
+        if style != IDEAL and canonical_name(gate) == "I":
+            raise ConfigurationError(f"gate I has no {style} realization: the equal-field "
+                                     "evolution has none on spins of different static "
+                                     "fields; pulse styles run Ip, at the machine's fields")
     return tuple(gates)
 
 
@@ -312,7 +319,7 @@ def check_input(spec: str) -> str:
     """The input name, which must be one of INPUT_SPECS."""
     if spec not in INPUT_SPECS:
         raise ConfigurationError(
-            f"unknown input spec {spec!r}; expected one of {INPUT_SPECS}")
+            f"unknown input spec {shown(spec)}; expected one of {INPUT_SPECS}")
     return spec
 
 
@@ -454,7 +461,7 @@ def check_offset(offset) -> float:
     a float; with_duration_offset and the spec's tau_offsets take it by
     this one rule."""
     if not is_finite_number(offset):
-        raise ConfigurationError(f"duration offset {offset!r} is not a finite number")
+        raise ConfigurationError(f"duration offset {shown(offset)} is not a finite number")
     return float(offset)
 
 

@@ -42,7 +42,7 @@ from math import inf, isfinite, lcm
 
 import numpy as np
 
-from .errors import ConfigurationError, check_choice, is_integer
+from .errors import ConfigurationError, check_choice, is_integer, shown
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number, new_eo)
 from .integrator import check_delta
@@ -114,7 +114,7 @@ def check_k(k) -> int:
     builder take k by this one rule."""
     if is_integer(k) and k >= 1:
         return int(k)
-    raise ConfigurationError(f"k must be a positive integer, got {k!r}")
+    raise ConfigurationError(f"k must be a positive integer, got {shown(k)}")
 
 
 def commensurability_margin(gamma: RationalGamma, k: int) -> int:
@@ -153,7 +153,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
     direction = axis_dir * (1 if direction is None
                             else check_choice(direction, "direction", (-1, 1)))
     if not is_finite_number(angle):
-        raise ConfigurationError(f"angle must be a finite number, got {angle!r}")
+        raise ConfigurationError(f"angle must be a finite number, got {shown(angle)}")
     if not 0.0 <= angle <= 2.0 * TWO_PI + 1e-12:
         raise ConfigurationError(
             f"angle must lie in [0, 4*pi], got {angle!r}")

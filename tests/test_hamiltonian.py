@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -86,7 +89,7 @@ def test_eoparams_json_round_trip():
     eo = EOParams(label="pulse", tau=8.0, j=J, h1z=1.0, h2z=0.25,
                   sf1x=0.03125, sf1y=0.03125, sf2x=0.0078125, sf2y=0.0078125,
                   omega=1.0, phi_x=0.0, phi_y=np.pi / 2, delta=0.01)
-    assert EOParams.from_dict(eo.to_dict()) == eo
+    assert EOParams(**json.loads(json.dumps(dataclasses.asdict(eo)))) == eo
 
 
 def test_eoparams_hash_follows_equality():
@@ -95,10 +98,10 @@ def test_eoparams_hash_follows_equality():
     import copy
     import pickle
     eo = EOParams(label="pulse", tau=8.0, sf1x=0.03125, omega=1.0)
-    for twin in (EOParams.from_dict(eo.to_dict()), eo.replace(tau=8.0),
+    for twin in (EOParams(*dataclasses.astuple(eo)), eo.replace(tau=8.0),
                  copy.deepcopy(eo), pickle.loads(pickle.dumps(eo))):
         assert twin == eo and hash(twin) == hash(eo)
-    assert eo.to_dict() == pickle.loads(pickle.dumps(eo)).to_dict()
+    assert dataclasses.astuple(eo) == dataclasses.astuple(pickle.loads(pickle.dumps(eo)))
     assert hash(eo.replace(tau=8.5)) != hash(eo)
 
 

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,7 @@ def test_determinism(small_spec):
 
 
 def test_spec_json_round_trip(small_spec):
-    spec2 = ExperimentSpec.from_json(json.dumps(small_spec.to_dict()))
+    spec2 = ExperimentSpec.from_json(json.dumps(asdict(small_spec)))
     assert spec2 == small_spec
 
 
@@ -184,9 +184,9 @@ def test_canned_specs_exist():
                               "table10", "grover_static")
     for name in canned_names():
         assert canned_spec(name) is canned_spec(name)   # built once
-    # to_dict states every field, those the table does not read at their defaults
+    # a spec file states every field, those the table does not read at their defaults
     for spec in [*map(canned_spec, canned_names()), *_sweep_specs().values()]:
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_json(json.dumps(asdict(spec))) == spec
     with pytest.raises(ConfigurationError, match=re.escape(
             "unknown table 'table99'; available: grover_static, table10, "
             "table5, table6, table7, table8, table9")):
@@ -469,7 +469,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
         assert main(["tables", name, "--format", "json", "--out", str(out)]) == 0
         return out.read_text(encoding="utf-8")
 
-    registry = canned_spec(name).to_dict()
+    registry = asdict(canned_spec(name))
     nmrqc.integrator.clear_propagator_cache()
     plain = cli()
     compiled = len(calls)
@@ -478,7 +478,7 @@ def test_cold_table_cache_contract(name, monkeypatch, kernel_calls, tmp_path):
     assert text == plain and counted == stored == (len(keys), len(keys))
     assert text == cold.to_json() + "\n" and len(calls) == compiled
     assert main(["tables", name, "--delta", "0.01", "--out", os.devnull]) == 0
-    assert len(calls) == compiled + 1 and canned_spec(name).to_dict() == registry
+    assert len(calls) == compiled + 1 and asdict(canned_spec(name)) == registry
 
     study = ExperimentSpec(k_list=(1,), tau_offsets=(-0.1, 0.0, 0.1))
     nmrqc.integrator.clear_propagator_cache()
@@ -1196,7 +1196,7 @@ def test_every_canned_gate_step_is_its_checked_design():
                                         mode=_STYLE_MODE[spec.style],
                                         direction=direction, machine=spec.machine,
                                         label=name, delta=spec.delta)
-                built = EOParams(**step.to_dict())
+                built = EOParams(**asdict(step))
                 assert step == want == built, (name, spec.style, k)
                 assert hash(step) == hash(want) == hash(built), (name, spec.style, k)
 

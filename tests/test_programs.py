@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nmrqc import (DEFAULT_MACHINE, ConfigurationError, EOParams, ExperimentSpec,
-                   NumericalIntegrityError, Program,
+                   MachineConfig, NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_program, build_qa, design_pulse,
                    eo_propagator, grover_sequence, ideal_eo_params, ideal_gate,
                    input_amplitudes, program_unitary, readout, run_program,
@@ -16,8 +16,10 @@ from nmrqc import (DEFAULT_MACHINE, ConfigurationError, EOParams, ExperimentSpec
 from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
-from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, INPUT_SPECS,
-                            STYLES, program_states, program_unitaries, run_inputs)
+from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, IDEAL, INPUT_SPECS,
+                            STYLES, _expand, program_states, program_unitaries,
+                            run_inputs)
+from nmrqc.pulses import check_k
 
 
 def read_row(amps):
@@ -446,7 +448,7 @@ def test_the_library_refuses_the_step_sizes_the_spec_refuses(call):
     lambda: ExperimentSpec(machine={"h1z": 1.0}),
     lambda: ExperimentSpec(machine=None),
     lambda: build_qa("00", machine=None),
-    lambda: build_cnot(1, "rotating_sf", machine=DEFAULT_MACHINE.to_dict()),
+    lambda: build_cnot(1, "rotating_sf", machine=asdict(DEFAULT_MACHINE)),
     lambda: build_grover(0, machine=None),
     lambda: design_pulse(1, 1.0, "x", machine=None),
     lambda: build_program(["X1"], machine=None),
@@ -457,6 +459,55 @@ def test_the_library_refuses_a_machine_the_spec_refuses(call):
     machine=None failed only when it ran."""
     with pytest.raises(ConfigurationError, match="machine must be a MachineConfig"):
         call()
+
+
+_HUGE = 10 ** 5000   # more digits than Python turns into text (4300)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: check_k(-_HUGE), "k must"),
+    (lambda: build_cnot(1, "rotating_sf", k=-_HUGE), "k must"),
+    (lambda: build_cnot(_HUGE, "ideal"), "cnot_variant"),
+    (lambda: ExperimentSpec(k_list=(-_HUGE,)), "k_list"),
+    (lambda: build_program(["X1"], k=_HUGE), "k is"),
+    (lambda: build_qa("00", k=_HUGE), "k is"),
+    (lambda: ExperimentSpec(kind="grover", items=(_HUGE,)), "items"),
+    (lambda: build_grover(_HUGE), "item"),
+    (lambda: build_qa(_HUGE), "input spec"),
+    (lambda: build_program(_HUGE), "gates"),
+    (lambda: build_program([_HUGE]), "gate"),
+    (lambda: build_program(["X1"], delta=_HUGE), "delta"),
+    (lambda: MachineConfig(h2z=-_HUGE), "machine h2z"),
+    (lambda: design_pulse(1, _HUGE, "x"), "angle"),
+    (lambda: with_duration_offset(build_qa("00"), "Ip", _HUGE), "duration offset"),
+])
+def test_the_library_names_a_huge_integer_without_its_digits(call, name):
+    """Each raised Python's ValueError "Exceeds the limit (4300 digits)
+    for integer string conversion" while writing its message (the ideal
+    style while naming the program by its k); now one ConfigurationError
+    line names the parameter, and not the integer's digits.  No command
+    line reaches these: argparse and the spec reader refuse such an
+    integer first."""
+    with pytest.raises(ConfigurationError, match=name) as info:
+        call()
+    message = str(info.value)
+    assert "an integer too long to print" in message
+    assert "\n" not in message and "0000" not in message
+
+
+@pytest.mark.parametrize("style", [s for s in STYLES if s != IDEAL])
+def test_a_pulse_style_refuses_the_equal_field_evolution(style):
+    """I failed inside gates.gate_rotation ("'I' is not a single-spin
+    rotation gate"); now the builder refuses it, before any gate is
+    expanded, and says why.  The ideal style realizes it."""
+    expanded = _expand.cache_info()
+    with pytest.raises(ConfigurationError) as info:
+        build_program(["X1", "I"], style, k=3)
+    assert str(info.value) == (
+        f"gate I has no {style} realization: the equal-field evolution has none on "
+        "spins of different static fields; pulse styles run Ip, at the machine's fields")
+    assert _expand.cache_info() == expanded
+    assert build_program(["I"]).steps == (ideal_eo_params("I"),)
 
 
 _TWO = [build_qa("00"), build_qa("singlet")]

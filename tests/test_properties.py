@@ -2,11 +2,11 @@
 spec and the builders taking one domain per program parameter, table
 JSON against json.dumps, the folded pulse propagators (static pulses
 folded by quarter periods among them), the stacked rotating and
-static kernels, the rotating fold's direct midpoint block, the quarter
-fold's block in the eigenbasis of S^x and the powers by a stack's
-plan."""
+static kernels, the quarter fold's block in the eigenbasis of S^x and
+the powers by a stack's plan."""
 import argparse
 import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -20,9 +20,9 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_cnot
 import nmrqc.integrator
 from nmrqc.cli import build_parser
 from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
-from nmrqc.integrator import (_BLOCK, _Drives, _layout, _midpoint_block,
-                              _plan, _powers, _product_formula_block, _quarter_block,
-                              _substeps, _z_class, clear_propagator_cache)
+from nmrqc.integrator import (_BLOCK, _Drives, _layout, _plan, _powers,
+                              _product_formula_block, _quarter_block, _substeps,
+                              _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, G_EXPANSION, INPUT_SPECS,
                             STYLES, Program, program_unitaries)
@@ -68,8 +68,8 @@ specs = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(specs)
 def test_spec_dict_and_json_round_trip(spec):
-    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-    assert ExperimentSpec.from_json(json.dumps(spec.to_dict())) == spec
+    assert ExperimentSpec.from_dict(asdict(spec)) == spec
+    assert ExperimentSpec.from_json(json.dumps(asdict(spec))) == spec
 
 
 @settings(max_examples=12, deadline=None)
@@ -377,28 +377,6 @@ def test_stacked_rotating_kernel(pulses):
         ref = chained_reference(eo, delta, BLOCKS["product_formula"])
         assert np.max(np.abs(u - ref)) < 1e-11
         assert np.array_equal(u, stacked((eo,))[0])   # whatever shares its stack
-
-
-designed_rotating_pulses = st.tuples(
-    st.sampled_from([1, 2]), st.floats(0.0, 2.0 * TWO_PI),
-    st.sampled_from(["x", "y", "-x", "-y"]), st.integers(1, 8),
-    st.sampled_from([1, -1]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(designed_rotating_pulses, min_size=1, max_size=6),
-       st.sampled_from([0.01, 0.003, 0.02, 0.1]))
-def test_the_direct_midpoint_block_is_the_one_substep_block(pulses, delta):
-    """The rotating fold's one block, its fields taken directly at dt/2,
-    is bit for bit the product-formula block of the one substep at dt/2,
-    whose fields ``_fields_at`` takes: two field paths into the one
-    Strang step builder."""
-    eos = [design_pulse(spin, angle, axis, k=k, direction=direction, delta=delta)
-           for spin, angle, axis, k, direction in pulses]
-    d = _Drives([_plan(eo) for eo in eos])
-    dt = delta * TWO_PI
-    assert np.array_equal(_midpoint_block(d, dt), _product_formula_block(
-        d, np.full((len(eos), 1), dt / 2.0), dt))
 
 
 def _check_quarter_block(d, fold="quarter"):

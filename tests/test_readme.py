@@ -1,4 +1,6 @@
 """The README's examples run as shown."""
+import dataclasses
+import json
 import re
 import shlex
 from pathlib import Path
@@ -29,7 +31,9 @@ def test_readme_examples_run(tmp_path, monkeypatch):
 
     (spec_text,) = _blocks("json")
     spec = ExperimentSpec.from_json(spec_text)
-    assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+    (write,) = re.findall(r"`(json\.dumps\(dataclasses\..*?\))`", README)
+    written = eval(write, {"json": json, "dataclasses": dataclasses, "spec": spec})
+    assert ExperimentSpec.from_json(written) == spec
 
     namespace = {}
     exec(compile(custom, "README.md", "exec"), namespace)
@@ -38,9 +42,11 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     assert readout(namespace["run_program"](program)[None])[0] == pytest.approx(
         (1.0, 1.0), abs=1e-5)
 
-    # every command line, run where the JSON block is myspec.json
+    # every command line, run where the JSON block is myspec.json; the
+    # spec file written from the spec object runs the same table
     monkeypatch.chdir(tmp_path)
     (tmp_path / "myspec.json").write_text(spec_text, encoding="utf-8")
+    (tmp_path / "written.json").write_text(written, encoding="utf-8")
     commands = [shlex.split(line, comments=True)
                 for block in _blocks("bash") for line in block.splitlines()]
     commands = [argv[1:] if argv[0] == "nmrqc" else argv[3:] for argv in commands
@@ -50,3 +56,6 @@ def test_readme_examples_run(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
     assert (tmp_path / "grover.csv").read_text(encoding="utf-8").startswith(
         "Item position,a,b,")
+    for name in ("myspec", "written"):
+        assert main(["run", f"{name}.json", "--format", "json", "--out", f"{name}.out"]) == 0
+    assert (tmp_path / "written.out").read_bytes() == (tmp_path / "myspec.out").read_bytes()
