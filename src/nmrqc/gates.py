@@ -17,16 +17,24 @@ spins, Ip at the machine's own fields, G at none.  The exact matrices
 (ideal_gate), the idealized-hardware EOs (ideal_eo_params) and the
 designed pulses (programs) all read these two tables; only G's matrix
 is written out, as the exact phase gate its z-fields give to rounding.
+
+A gate has one name, spelled as in GATE_NAMES (check_gate); any other
+value, a padded or otherwise respelled name included, is refused before
+any table or memo is read.  Each public function is a thin check of its
+gate name and machine (``hamiltonian.check_machine``) in front of a
+private one that reads checked values: _pi_duration, _primed_turns,
+_rotation, _ideal_gate (a memo) and _ideal_eo.  A program builder's
+gate steps call the private ones on the values the builder checked.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, diagonal_energies,
-                          new_eo)
+from .errors import ConfigurationError, check_choice, shown
+from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
+                          diagonal_energies, new_eo)
 from .operators import TWO_PI, embed, frozen_unitary, rotation
 
 _ROTATIONS = {
@@ -42,22 +50,19 @@ _ROTATIONS = {
     "X2pp": (2, "x", -1, None),
 }
 
-_ALIASES = {
-    "X1'": "X1p", "X2'": "X2p", "Y1'": "Y1p",
-    "X1''": "X1pp", "X2''": "X2pp", "I'": "Ip",
-    "X1bar": "X1b", "X2bar": "X2b", "Y1bar": "Y1b", "Y2bar": "Y2b",
-}
-
 GATE_NAMES = tuple(_ROTATIONS) + ("I", "Ip", "G", "CNOT")
 
-
-def canonical_name(name: str) -> str:
-    name = name.strip()
-    return _ALIASES.get(name, name)
+# The name of a gate, which must be one of GATE_NAMES as spelled there;
+# check_choice scans the tuple, so an unhashable value is refused too.
+check_gate = partial(check_choice, name="gate", domain=GATE_NAMES)
 
 
 def coupling_pi_duration(machine: MachineConfig = DEFAULT_MACHINE) -> float:
     """Duration (over 2*pi) for which tau * J = -pi."""
+    return _pi_duration(check_machine(machine))
+
+
+def _pi_duration(machine: MachineConfig) -> float:
     if machine.coupling == 0:
         raise ConfigurationError(
             "machine coupling must be non-zero: without it no duration "
@@ -87,23 +92,28 @@ def derive_primed_angles(machine: MachineConfig = DEFAULT_MACHINE) -> dict[str, 
     precision is kept: rounding these angles to four digits measurably
     corrupts the long runs.
     """
+    return _primed_turns(check_machine(machine))
+
+
+def _primed_turns(machine: MachineConfig) -> dict[str, float]:
     if machine.coupling >= 0 or machine.h1z <= 0:
         raise ConfigurationError("machine must have negative coupling and positive h1z")
-    f = coupling_pi_duration(machine)
+    f = _pi_duration(machine)
     x1p = (f * machine.h1z - 0.25) % 2.0
     return {"X1p": x1p, "Y1p": x1p, "X2p": (f * machine.h2z - 0.25) % 2.0,
             "X1pp": (f * machine.h1z) % 2.0, "X2pp": (f * machine.h2z) % 2.0}
 
 
 def gate_rotation(name: str, machine: MachineConfig = DEFAULT_MACHINE):
-    """(spin, axis, direction, turns) for any single-spin gate name."""
-    name = canonical_name(name)
-    if name not in _ROTATIONS:
+    """(spin, axis, direction, turns) of a single-spin rotation gate."""
+    if check_gate(name) not in _ROTATIONS:
         raise ConfigurationError(f"{name!r} is not a single-spin rotation gate")
+    return _rotation(name, check_machine(machine))
+
+
+def _rotation(name: str, machine: MachineConfig):
     spin, axis, direction, turns = _ROTATIONS[name]
-    if turns is None:
-        turns = derive_primed_angles(machine)[name]
-    return spin, axis, direction, turns
+    return spin, axis, direction, _primed_turns(machine)[name] if turns is None else turns
 
 
 def phase_gate(phi0: float, phi1: float, phi2: float, phi3: float) -> np.ndarray:
@@ -112,39 +122,37 @@ def phase_gate(phi0: float, phi1: float, phi2: float, phi3: float) -> np.ndarray
 
 
 def ideal_gate(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> np.ndarray:
-    """The exact unitary for a named gate, read-only (memoized; aliases
-    share one entry and so return the same array)."""
-    return _ideal_gate(canonical_name(name), machine)
+    """The exact unitary for a named gate, read-only (memoized)."""
+    return _ideal_gate(check_gate(name), check_machine(machine))
 
 
 @lru_cache(maxsize=1024)
-def _ideal_gate(cname: str, machine: MachineConfig) -> np.ndarray:
-    if cname in _ROTATIONS:
-        spin, axis, direction, turns = gate_rotation(cname, machine)
+def _ideal_gate(name: str, machine: MachineConfig) -> np.ndarray:
+    if name in _ROTATIONS:
+        spin, axis, direction, turns = _rotation(name, machine)
         m = embed(spin, rotation(axis, direction * TWO_PI * turns))
-    elif cname == "G":
+    elif name == "G":
         m = phase_gate(-np.pi / 4, np.pi / 4, np.pi / 4, -np.pi / 4)
-    elif cname in ("I", "Ip"):
-        tau = TWO_PI * coupling_pi_duration(machine)
-        energies = diagonal_energies(machine.coupling, *_z_fields(machine)[cname])
-        m = np.diag(np.exp(-1j * tau * energies))
-    elif cname == "CNOT":
+    elif name == "CNOT":
         perm = np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                          [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
         m = np.exp(1j * np.pi / 4) * perm
-    else:
-        raise ConfigurationError(f"unknown gate name {cname!r}")
+    else:   # I or Ip
+        tau = TWO_PI * _pi_duration(machine)
+        energies = diagonal_energies(machine.coupling, *_z_fields(machine)[name])
+        m = np.diag(np.exp(-1j * tau * energies))
     return frozen_unitary(m)
 
 
 def compose(sequence, machine: MachineConfig = DEFAULT_MACHINE) -> np.ndarray:
     """Matrix product of gates written left to right; the rightmost acts first.
 
-    Items may be gate names or explicit 4x4 matrices.
+    Items may be gate names or explicit 4x4 matrices; a bare string is no
+    sequence of gates, as in build_program.
     """
-    items = list(sequence)
+    items = [] if isinstance(sequence, str) else list(sequence)
     if not items:
-        raise ConfigurationError("empty gate sequence")
+        raise ConfigurationError(f"gates must be a non-empty list, got {shown(sequence)}")
     out = np.eye(4, dtype=complex)
     for item in items:
         m = item if isinstance(item, np.ndarray) else ideal_gate(item, machine)
@@ -153,7 +161,7 @@ def compose(sequence, machine: MachineConfig = DEFAULT_MACHINE) -> np.ndarray:
 
 
 def ideal_eo_params(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> EOParams:
-    """The idealized-hardware EO realizing a gate.
+    """The idealized-hardware EO realizing a gate: every gate but CNOT.
 
     A rotation is one transverse field, direction*turns/tau, for tau = 1/4
     (a base gate: a unit field) or 1 (a primed gate, whose name ends in
@@ -163,14 +171,17 @@ def ideal_eo_params(name: str, machine: MachineConfig = DEFAULT_MACHINE) -> EOPa
     (its effect during the short rotations is ~1e-7).  The step hint is
     one period per substep.
     """
-    cname = canonical_name(name)
-    if cname in _ROTATIONS:
-        spin, axis, direction, turns = gate_rotation(cname, machine)
-        tau = 1.0 if cname.endswith("p") else 0.25
-        return new_eo(label=cname, tau=tau, j=machine.coupling, delta=1.0,
+    if check_gate(name) == "CNOT":
+        raise ConfigurationError("no EO realization for gate 'CNOT'")
+    return _ideal_eo(name, check_machine(machine))
+
+
+def _ideal_eo(name: str, machine: MachineConfig) -> EOParams:
+    if name in _ROTATIONS:
+        spin, axis, direction, turns = _rotation(name, machine)
+        tau = 1.0 if name.endswith("p") else 0.25
+        return new_eo(label=name, tau=tau, j=machine.coupling, delta=1.0,
                       **{f"h{spin}{axis}": direction * turns / tau})
-    fields = _z_fields(machine).get(cname)
-    if fields is None:
-        raise ConfigurationError(f"no EO realization for gate {name!r}")
-    return new_eo(label=cname, tau=coupling_pi_duration(machine), j=machine.coupling,
-                  h1z=fields[0], h2z=fields[1], delta=1.0)
+    h1z, h2z = _z_fields(machine)[name]
+    return new_eo(label=name, tau=_pi_duration(machine), j=machine.coupling,
+                  h1z=h1z, h2z=h2z, delta=1.0)

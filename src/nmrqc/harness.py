@@ -9,8 +9,8 @@ rendering mirrors the benchmark layout: ideal (a, b) first, then one
 (a_s, b_s) pair per column.  A column is a pulse
 duration s (the spin-1 pulse length on the spec's machine, 8k at the
 default field ratio 1/4), or, when the spec sets tau_offsets (a duration
-study, QA suites only), a duration offset of the EOs labeled
-perturb_label at each s (``_columns``).  The markdown display rounds
+study, QA suites only), a duration offset of the machine-field phase
+evolution Ip at each s (``_columns``).  The markdown display rounds
 half away from zero to two decimals.  CSV and JSON carry the same round-trip numbers,
 each spelled as json.dumps spells it (the float's repr, NaN, Infinity)
 by one function (``_json_numbers``, one call per table), so float() of
@@ -103,8 +103,7 @@ class ExperimentSpec:
     k_list: tuple = (1, 2, 4, 8, 32)
     delta: float = PULSE_DELTA
     final_rotation_style: str = "program"
-    tau_offsets: tuple | None = None      # duration study (qa only) when set
-    perturb_label: str = "Ip"             # which EO the offsets detune
+    tau_offsets: tuple | None = None      # duration study (qa only): detunes Ip
     machine: MachineConfig = DEFAULT_MACHINE
     title: str = ""
 
@@ -115,7 +114,7 @@ class ExperimentSpec:
         its check returns it; a repeated k is named by the label it
         prints (``_durations``).  A field the table does not read keeps
         its default: inputs, cnot_variant and final_rotation_style on a
-        search, items on a QA suite, perturb_label without tau_offsets."""
+        search, items on a QA suite."""
         check_choice(self.kind, "kind", KINDS)
         if self.kind != "qa" and self.tau_offsets is not None:
             raise ConfigurationError("perturbation study is defined for QA suites")
@@ -123,10 +122,8 @@ class ExperimentSpec:
         check_machine(self.machine)
         object.__setattr__(self, "cnot_variant", check_variant(_as_int(self.cnot_variant)))
         check_final_rotation_style(self.final_rotation_style)
-        for name in ("perturb_label", "title"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigurationError(f"{name} must be a string, got "
-                                         f"{type(getattr(self, name)).__name__}")
+        if not isinstance(self.title, str):
+            raise ConfigurationError(f"title must be a string, got {type(self.title).__name__}")
         for name, (check, what, axis, label) in _ENTRIES.items():
             value = getattr(self, name)
             if name == "tau_offsets" and value is None:
@@ -158,8 +155,6 @@ class ExperimentSpec:
         check_delta(self.delta, self.machine)
         unread = {"items": "in a QA suite"} if self.kind == "qa" else dict.fromkeys(
             ("inputs", "cnot_variant", "final_rotation_style"), "in a search table")
-        if self.tau_offsets is None:
-            unread["perturb_label"] = "without tau_offsets"
         for f in fields(self):
             if f.name in unread and getattr(self, f.name) != f.default:
                 raise ConfigurationError(f"{f.name} changes nothing {unread[f.name]}: "
@@ -446,7 +441,7 @@ def _compile(spec: ExperimentSpec) -> _CompiledTable:
         if k not in built:
             built[k] = {build: build(k=k) for build in builders}
         column = built[k] if offset == 0.0 else {
-            build: with_duration_offset(p, spec.perturb_label, offset)
+            build: with_duration_offset(p, "Ip", offset)
             for build, p in built[k].items()}
         programs += [column[row[-1]] for row in rows]
     eos, gather = compile_walk(programs)

@@ -160,9 +160,11 @@ layouts outlive ``clear_propagator_cache``, which only forgets numbers:
 a layout holds EO parameters and their arrangement, never a propagator
 or a product of a kernel, so every run after a store clear integrates
 afresh, bit for bit as a run with no layout memoized.  A bad step size
-or duration, or a diagonal phase that is not finite, raises while a
-layout is built, so it is never memoized and raises on every run, before
-anything is integrated or stored.
+or duration, a field that is not a finite number (``_check``, once per
+plan, so no warm walk pays for it), or a diagonal phase that is not
+finite raises while a layout is built, so it is never memoized and
+raises on every run, before anything is integrated or stored; the
+reference plans its EO alike, and raises likewise.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -174,6 +176,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from dataclasses import fields
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -220,12 +223,24 @@ def check_delta(delta, machine: MachineConfig | EOParams | None = None):
     return delta
 
 
+# The fields of an EO that must be finite numbers, besides delta and tau,
+# whose own checks come first.
+_FINITE = tuple(f.name for f in fields(EOParams) if f.name not in ("label", "tau", "delta"))
+
+
 def _check(eo: EOParams) -> None:
     """Raise ConfigurationError unless the EO's step size is a positive
-    finite number and its duration is non-negative (NaN is neither)."""
+    finite number, its duration a non-negative number (NaN is none; one
+    too long to step raises later) and each other field a finite number
+    (``hamiltonian.is_finite_number``), which the error names with the
+    EO's label."""
     check_delta(eo.delta)
-    if not eo.tau >= 0:
-        raise ConfigurationError(f"duration must be non-negative, got {eo.tau!r}")
+    if not (is_finite_number(eo.tau) and eo.tau >= 0 or eo.tau == math.inf):
+        raise ConfigurationError(f"duration must be non-negative, got {shown(eo.tau)}")
+    for name in _FINITE:
+        if not is_finite_number(getattr(eo, name)):
+            raise ConfigurationError(f"EO {eo.label!r}: {name} must be a finite number, "
+                                     f"got {shown(getattr(eo, name))}")
 
 
 def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
@@ -659,7 +674,7 @@ def _plan(eo: EOParams) -> _Plan:
     decides how an EO is integrated (the fold rules are the module
     docstring's).
 
-    A bad step size or duration raises, on every call (a cache stores no
+    A bad step size, duration or field raises, on every call (a cache stores no
     exception).  A member takes its representative's plan, so every
     member of a class gets the one eo0 object this memo holds, and
     dicts keyed by eo0 match it by identity; its key and run are the
@@ -726,7 +741,7 @@ def _layout(misses: tuple[EOParams, ...]) -> _Layout:
     and drive frequency (every rotating class of one step size shares
     one), split into the groups of ``_chunks``, and each group's stack is
     built from those plans; the diagonal classes are one stack.  A bad
-    step size or duration, or a diagonal phase that is not finite,
+    step size, duration or field, or a diagonal phase that is not finite,
     raises, on every call."""
     plans = [_plan(eo) for eo in misses]
     stacks: dict[tuple, dict] = {}
@@ -749,8 +764,8 @@ def integrate(eos) -> None:
     The missed EOs' layout (``_layout``, memoized per list of missed
     EOs) says which class propagators to integrate and how; each is
     integrated once, and one stacked product then conjugates them into
-    those of the missed EOs, which are stored.  A bad step size or
-    duration, or a diagonal EO whose phase is not finite, raises before
+    those of the missed EOs, which are stored.  A bad step size, duration
+    or field, or a diagonal EO whose phase is not finite, raises before
     any EO is integrated.
     """
     store = _cached_propagator
@@ -778,11 +793,11 @@ def eo_propagator(eo: EOParams) -> np.ndarray:
     """The unitary carrying a state across one EO, read-only, from the
     store; an EO not stored is integrated alone first."""
     store = _cached_propagator
-    store.lookups += 1
     try:
         store.move_to_end(eo)
     except KeyError:
         integrate((eo,))
+    store.lookups += 1   # a lookup that raised is none
     return store[eo]
 
 

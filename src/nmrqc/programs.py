@@ -65,9 +65,10 @@ Gate steps, duration-shifted steps, whole gate-sequence expansions,
 gate matrices and each gate sequence's ideal unitary are memoized, so
 rebuilding a program re-designs no pulse, re-shifts no duration and
 recomposes no gate.  A sequence's first expansion realizes each distinct
-gate name once, designing each pulse without checking again what the
-builder checked, and its first ideal unitary looks each distinct gate
-matrix up once, so a fresh process pays per distinct gate.
+gate name once and its first ideal unitary looks each distinct gate
+matrix up once, so a fresh process pays per distinct gate; neither
+checks again what the builder checked (they call gates' private
+functions and pulses._pulse_eo).
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import TOO_LONG, ConfigurationError, NumericalIntegrityError, check_choice, shown
-from .gates import GATE_NAMES, canonical_name, gate_rotation, ideal_eo_params, ideal_gate
+from .gates import GATE_NAMES, _ideal_eo, _ideal_gate, _rotation
 from .hamiltonian import (DEFAULT_MACHINE, EOParams, MachineConfig, check_machine,
                           is_finite_number)
 from . import integrator
@@ -194,15 +195,14 @@ def _gate_step(name: str, style: str, k: int, machine: MachineConfig,
                delta: float) -> EOParams:
     """The EO realizing a named gate in the given style, with pulses of
     length k: design_pulse's EO, designed without checking again the
-    style, k, machine and step size the builder checked."""
-    cname = canonical_name(name)
-    if cname == "Gcore":
-        return ideal_eo_params("Ip", machine).replace(label="Gcore", delta=1.0)
-    if cname == "Ip" or style == IDEAL:
-        return ideal_eo_params(cname, machine)
-    spin, axis, direction, turns = gate_rotation(cname, machine)
+    gate, style, k, machine and step size the builder checked."""
+    if name == "Gcore":
+        return _ideal_eo("Ip", machine).replace(label="Gcore", delta=1.0)
+    if name == "Ip" or style == IDEAL:
+        return _ideal_eo(name, machine)
+    spin, axis, direction, turns = _rotation(name, machine)
     return _pulse_eo(spin, TWO_PI * turns, axis, direction, k, _STYLE_MODE[style],
-                     machine, cname, delta)
+                     machine, name, delta)
 
 
 @lru_cache(maxsize=1024)
@@ -223,7 +223,7 @@ def _ideal_unitary(names: tuple[str, ...], machine: MachineConfig) -> np.ndarray
     each distinct gate's matrix looked up once: the products of compose,
     left to right from the last gate applied, each by ndarray.dot, which
     gives np.matmul's product of two 4x4 matrices with less dispatch."""
-    gates = {name: ideal_gate(name, machine) for name in dict.fromkeys(names)}
+    gates = {name: _ideal_gate(name, machine) for name in dict.fromkeys(names)}
     return frozen_unitary(reduce(np.ndarray.dot, map(gates.__getitem__, reversed(names))))
 
 
@@ -251,14 +251,14 @@ def build_program(gates, style: str = IDEAL, k: int = 1,
 
 def check_gates(gates, style: str) -> tuple[str, ...]:
     """The gate list as a tuple: a non-empty list or tuple of gate names,
-    each one of GATE_NAMES (or an alias) but CNOT, which has no EO, and
-    I only in the ideal style."""
+    each one of GATE_NAMES as spelled there but CNOT, which has no EO,
+    and I only in the ideal style."""
     if not isinstance(gates, (list, tuple)) or not gates:
         raise ConfigurationError(f"gates must be a non-empty list, got {shown(gates)}")
     for gate in gates:
-        if not (isinstance(gate, str) and canonical_name(gate) in _EO_GATES):
+        if not (isinstance(gate, str) and gate in _EO_GATES):
             raise ConfigurationError(f"gate {shown(gate)} has no EO: not one of {_EO_GATES}")
-        if style != IDEAL and canonical_name(gate) == "I":
+        if style != IDEAL and gate == "I":
             raise ConfigurationError(f"gate I has no {style} realization: the equal-field "
                                      "evolution has none on spins of different static "
                                      "fields; pulse styles run Ip, at the machine's fields")
@@ -293,7 +293,7 @@ def build_qa(input_spec: str, cnot_variant: int = 1, style: str = IDEAL,
     program = build_program(CNOT_SEQUENCES[variant] * 5 + ("Y1",) * singlet, style, k,
                             machine, delta, input_spec, f"QA{1 + singlet}[CNOT{variant},")
     if exact and singlet:   # the ideal Y1 without coupling: exact to rounding
-        final = ideal_eo_params("Y1", machine).replace(j=0.0)
+        final = _ideal_eo("Y1", machine).replace(j=0.0)
         program = replace(program, steps=program.steps[:-1] + (final,))
     return program
 

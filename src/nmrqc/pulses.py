@@ -100,7 +100,7 @@ DEFAULT_GAMMA = RationalGamma.from_machine(DEFAULT_MACHINE)
 
 def parse_axis(axis: str) -> tuple[str, int]:
     """The axis and its direction (+1 or -1) of 'x', 'y', '-x' or '-y'."""
-    a = axis.strip().lower()
+    a = axis.strip().lower() if isinstance(axis, str) else ""
     direction = -1 if a.startswith("-") else 1
     a = a.removeprefix("-")
     if a not in ("x", "y"):
@@ -118,13 +118,18 @@ def check_k(k) -> int:
 
 
 def commensurability_margin(gamma: RationalGamma, k: int) -> int:
-    """The figure of merit 2 k N M (M - N), an int; the design conditions
-    hold only in the limit margin >> 1."""
-    return 2 * k * gamma.n * gamma.m * (gamma.m - gamma.n)
+    """The figure of merit 2 k N M (M - N), an int, for k by check_k; the
+    design conditions hold only in the limit margin >> 1."""
+    return 2 * check_k(k) * gamma.n * gamma.m * (gamma.m - gamma.n)
 
 
 def hypothetical_durations(gamma: RationalGamma, k: int) -> tuple[int, int]:
-    """Pulse durations (t1, t2) over 2*pi for spin-1 and spin-2 rotations."""
+    """Pulse durations (t1, t2) over 2*pi for spin-1 and spin-2 rotations,
+    for k by check_k."""
+    return _periods(gamma, check_k(k))
+
+
+def _periods(gamma: RationalGamma, k: int) -> tuple[int, int]:
     return 2 * k * gamma.m * gamma.n ** 2, 2 * k * gamma.m ** 3
 
 
@@ -170,11 +175,11 @@ def _pulse_eo(target_spin: int, angle: float, axis: str, direction: int, k: int,
     """design_pulse's EO from arguments it has checked: axis 'x' or 'y'
     and its direction +1 or -1 apart.  A program builder's gate steps
     call it on the values the builder checked, with a rotation from
-    ``gates.gate_rotation``; the machine's field ratio is checked here
+    ``gates._rotation``; the machine's field ratio is checked here
     (RationalGamma.from_machine), and so is the duration, which must be
     a finite float (a huge k makes it none)."""
     gamma = RationalGamma.from_machine(machine)
-    periods = hypothetical_durations(gamma, k)[target_spin - 1]
+    periods = _periods(gamma, k)[target_spin - 1]
     t = periods / machine.h1z if is_finite_number(periods) else inf
     if not isfinite(t):
         raise ConfigurationError(f"pulse duration {Decimal(periods) / Decimal(machine.h1z):.3g}"

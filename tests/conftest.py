@@ -88,7 +88,7 @@ def per_row_reference(spec):
                 program = build_grover(int(key), style=spec.style, k=k,
                                        machine=spec.machine, delta=spec.delta)
             if offset != 0.0:
-                program = with_duration_offset(program, spec.perturb_label, offset)
+                program = with_duration_offset(program, "Ip", offset)
             (cells[(label, col)],) = readout(run_program(program)[None])
             ideal[label] = program.ideal_expectations
     return [label for _, label in rows], [c for c, _, _ in columns], cells, ideal

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import nmrqc.reference_tables as ref
-from nmrqc import (ConfigurationError, GATE_NAMES, compose,
+from nmrqc import (ConfigurationError, GATE_NAMES, build_program, compose,
                    coupling_pi_duration, derive_primed_angles, eo_propagator,
                    ideal_eo_params, ideal_gate, input_amplitudes, phase_gate)
-from nmrqc.gates import _ALIASES, gate_rotation
+from nmrqc.gates import gate_rotation
 from nmrqc.hamiltonian import MachineConfig
 from nmrqc.operators import (TWO_PI, embed, global_phase_distance,
                              max_unitarity_defect, rotation)
@@ -159,10 +159,22 @@ def test_primed_angles_reject_bad_machine():
 
 
 def test_gate_aliases():
-    # aliases share one memoized entry, so they return the very same matrix
-    assert ideal_gate("X1'") is ideal_gate("X1p")
-    assert ideal_gate("I'") is ideal_gate("Ip")
-    assert ideal_gate("Y2bar") is ideal_gate("Y2b")
+    """A gate has one spelling, GATE_NAMES': an alias, a padded name or a
+    value that is no string is refused in one line by every function
+    that takes a gate name, never with TypeError or AttributeError, and
+    before any memo is read."""
+    from nmrqc.gates import _ideal_gate
+    funcs = (ideal_gate, gate_rotation, ideal_eo_params,
+             lambda gate: compose([gate]), lambda gate: build_program([gate]))
+    for bad in ("X1'", "X1''", "I'", "X1bar", "Y2bar", " X1", "X1 ", "x1", 5, None,
+                ["X1"], ("X1",)):
+        filled = _ideal_gate.cache_info()
+        for func in funcs:
+            with pytest.raises(ConfigurationError) as err:
+                func(bad)
+            assert len(str(err.value).splitlines()) == 1, bad
+        assert _ideal_gate.cache_info() == filled, bad
+    # the memo is keyed by machine
     assert not np.allclose(ideal_gate("X2p", MachineConfig(h2z=0.3)),
                            ideal_gate("X2p"))
     for name in GATE_NAMES:
@@ -184,8 +196,6 @@ def test_every_gate_is_one_read_only_matrix(machine):
         assert type(m) is np.ndarray and m.shape == (4, 4), name
         assert not m.flags.writeable, name
         assert ideal_gate(name, machine) is m, name
-    for alias, name in _ALIASES.items():
-        assert ideal_gate(alias, machine) is ideal_gate(name, machine), alias
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -221,3 +231,29 @@ def test_phase_evolutions_are_their_eos(machine):
     g = ideal_gate("G", machine)
     assert np.array_equal(g, phase_gate(-np.pi / 4, np.pi / 4, np.pi / 4, -np.pi / 4))
     assert np.max(np.abs(g - eo_propagator(ideal_eo_params("G", machine)))) <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda machine: ideal_gate("X1", machine),
+    lambda machine: ideal_eo_params("X1", machine),
+    lambda machine: gate_rotation("X1p", machine),
+    coupling_pi_duration, derive_primed_angles],
+    ids=["ideal_gate", "ideal_eo_params", "gate_rotation", "coupling_pi_duration",
+         "derive_primed_angles"])
+def test_the_gate_layer_takes_a_machine_by_check_machine(call):
+    """A machine that is no MachineConfig is refused in one line, as the
+    builders refuse it (``hamiltonian.check_machine``)."""
+    for machine in (None, {"coupling": -1e-6}):
+        with pytest.raises(ConfigurationError,
+                           match="^machine must be a MachineConfig, got [A-Za-z]+$"):
+            call(machine)
+
+
+def test_compose_refuses_a_bare_string():
+    """A string is no gate list, as in build_program: "X1" is not the
+    gates "X" and "1"."""
+    for gates in ("X1", ""):
+        with pytest.raises(ConfigurationError,
+                           match=f"^gates must be a non-empty list, got {gates!r}$"):
+            compose(gates)
+    assert np.array_equal(compose(("X1",)), ideal_gate("X1"))

@@ -166,17 +166,15 @@ def test_spec_validation():
                         "^final_rotation_style changes nothing in a search table"),
                        ({"kind": "qa", "items": [2]},
                         "^items changes nothing in a QA suite"),
-                       ({"kind": "qa", "perturb_label": "Y2"},
-                        "^perturb_label changes nothing without tau_offsets"),
-                       ({"kind": "grover", "perturb_label": "Y2"},
-                        "^perturb_label changes nothing without tau_offsets")]:
+                       # a duration study detunes Ip: no field names another EO
+                       ({"kind": "qa", "perturb_label": "Y2", "tau_offsets": [0.1]},
+                        "^unknown spec keys: perturb_label$")]:
         with pytest.raises(ConfigurationError, match=match):
             ExperimentSpec.from_dict(bad)
     assert ExperimentSpec(kind="grover", items=(2.0,)).items == (2,)
     # the default value of a field the table does not read is no value of its own
     assert ExperimentSpec.from_dict({"kind": "grover", "inputs": list(INPUT_SPECS),
                                      "cnot_variant": 1.0}).cnot_variant == 1
-    assert ExperimentSpec(perturb_label="Y2", tau_offsets=(0.1,)).perturb_label == "Y2"
 
 
 def test_canned_specs_exist():
@@ -919,13 +917,9 @@ def test_cli_missing_config_file(capsys):
                                   '{"cnot_variant": true}', '{"k_list": [true]}',
                                   '{"k_list": [1], "tau_offsets": [1e308]}',
                                   '{"k_list": [1], "tau_offsets": [1e308, -1e308]}',
-                                  '{"k_list": [1], "perturb_label": "Y2", '
-                                  '"tau_offsets": [1e308]}',
-                                  '{"k_list": [1], "perturb_label": "Y2", '
-                                  '"tau_offsets": [1e300]}',
+                                  '{"k_list": [1000000000000000]}',
                                   '{"title": ["x"], "k_list": [1], "style": "ideal"}',
-                                  '{"perturb_label": 5, "k_list": [1], '
-                                  '"style": "ideal"}',
+                                  '{"perturb_label": "Ip"}',
                                   '{"k_list": [1, 1]}',
                                   '{"kind": "grover", "items": [3, 3]}',
                                   '{"inputs": ["00", "00"]}',
@@ -1128,11 +1122,17 @@ def test_verify_fails_the_table_whose_published_cell_moves(monkeypatch, capsys):
 # Every memo a compile or a plan fills, by module and name; with the
 # compiled table of each canned spec (``ExperimentSpec._compiled``), they
 # are everything a process's first run of a table builds that a rerun
-# reuses.
+# reuses.  CI's five-runs step clears them through
+# _forget_every_compile_and_plan, and test_every_memo_is_listed keeps the
+# list complete.
 _MEMOS = {"nmrqc.programs": ("_gate_step", "_expand", "_ideal_unitary", "_shifted_step"),
           "nmrqc.gates": ("_ideal_gate",),
           "nmrqc.integrator": ("_plan", "_layout"),
           "nmrqc.harness": ("_json_layout",)}
+# The memos their module fills when it loads, so that no run fills them:
+# the command-line parser and the default machine's field ratio.
+_FILLED_AT_IMPORT = {"nmrqc.cli": ("build_parser",),
+                     "nmrqc.pulses": ("RationalGamma.from_machine",)}
 
 
 def _memos():
@@ -1146,6 +1146,42 @@ def _forget_every_compile_and_plan():
         memo.cache_clear()
     for name in canned_names():
         canned_spec(name).__dict__.pop("_compiled", None)
+
+
+def _lru_caches() -> dict[str, set]:
+    """The functools.lru_cache wrappers defined in each nmrqc module, by
+    module: the name of each, a method's as Class.method, found among the
+    module's globals and its classes' attributes."""
+    import functools
+    import importlib
+    import pkgutil
+
+    import nmrqc
+    found = {}
+    for info in pkgutil.iter_modules(nmrqc.__path__, "nmrqc."):
+        if info.name == "nmrqc.__main__":   # importing it runs the command line
+            continue
+        module = importlib.import_module(info.name)
+        for obj in list(vars(module).values()):
+            for attr in [obj, *(vars(obj).values() if isinstance(obj, type) else ())]:
+                attr = getattr(attr, "__func__", attr)   # a classmethod's function
+                if (isinstance(attr, functools._lru_cache_wrapper)
+                        and attr.__module__ == info.name):
+                    found.setdefault(info.name, set()).add(attr.__qualname__)
+    return found
+
+
+def test_every_memo_is_listed():
+    """Every lru_cache of the package is a memo a first run fills
+    (_MEMOS, which the first-run tests and CI clear) or one filled at
+    import (_FILLED_AT_IMPORT), and no entry of either names a memo that
+    is gone: a new memo fails here until it is listed."""
+    listed = {}
+    for memos in (_MEMOS, _FILLED_AT_IMPORT):
+        for module, names in memos.items():
+            assert not listed.get(module, set()) & set(names), module
+            listed.setdefault(module, set()).update(names)
+    assert _lru_caches() == listed
 
 
 @pytest.mark.parametrize("name", canned_names())
@@ -1203,15 +1239,17 @@ def test_every_canned_gate_step_is_its_checked_design():
 
 def test_importing_the_command_line_compiles_and_plans_nothing():
     """`import nmrqc.cli` leaves every compile and plan memo empty and
-    compiles no canned spec: a first run pays for all of it."""
+    compiles no canned spec: a first run pays for all of it.  Each memo
+    filled at import holds one entry."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
-        "import importlib, json, nmrqc.cli\n"
+        "import functools, importlib, json, nmrqc.cli\n"
         "from nmrqc.harness import canned_names, canned_spec\n"
-        f"memos = {_MEMOS!r}\n"
-        "sizes = {f'{m}.{n}': getattr(importlib.import_module(m), n).cache_info().currsize\n"
+        f"memos = {({**_MEMOS, **_FILLED_AT_IMPORT})!r}\n"
+        "sizes = {f'{m}.{n}': functools.reduce(getattr, n.split('.'),\n"
+        "                                      importlib.import_module(m)).cache_info().currsize\n"
         "         for m, names in memos.items() for n in names}\n"
         "compiled = [n for n in canned_names() if '_compiled' in vars(canned_spec(n))]\n"
         "print(json.dumps([sizes, compiled]))\n")
@@ -1219,5 +1257,6 @@ def test_importing_the_command_line_compiles_and_plans_nothing():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     sizes, compiled = json.loads(done.stdout)
-    assert sizes == {f"{m}.{n}": 0 for m, names in _MEMOS.items() for n in names}
+    assert {k: v for k, v in sizes.items() if v} == {
+        f"{m}.{n}": 1 for m, names in _FILLED_AT_IMPORT.items() for n in names}
     assert compiled == []

@@ -1107,3 +1107,39 @@ def test_stored_propagators_against_extended_precision():
         eo = pulse_eo(name, k, mode)
         gap = float(np.max(np.abs(eo_propagator(eo) - _extended_strang(eo))))
         assert gap < (2e-11 if mode == "rotating" else 2e-12), (name, k, mode)
+
+
+# The EOs of a non-finite field: the ideal X1, a rotating and a static pulse.
+_FIELD_EOS = {"ideal": lambda: ideal_eo_params("X1"),
+              "rotating": lambda: pulse_eo("X1"),
+              "static": lambda: pulse_eo("X1", mode="static_axis")}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EOParams)
+                                   if f.name != "label"])
+@pytest.mark.parametrize("eo", sorted(_FIELD_EOS))
+def test_an_eo_field_that_is_no_finite_number_is_refused(eo, field):
+    """A field that is NaN, infinite or no number is refused with one
+    ConfigurationError by a lookup of either propagator and by a program
+    walk, every time, before anything is integrated, stored or planned:
+    the store's statistics and the layouts stay as they were.  A field
+    other than the step size and the duration, whose own messages name
+    them, is named with the EO's label; an infinite duration is one too
+    long to step or whose phase is not finite."""
+    clear_propagator_cache()
+    eo_propagator(pulse_eo("Y2"))
+    for bad in (float("nan"), float("inf"), "1"):
+        broken = _FIELD_EOS[eo]().replace(**{field: bad})
+        info, layouts = vars(_cached_propagator.cache_info()), _layout.cache_info()
+        for _ in range(2):
+            for call in (lambda: eo_propagator(broken), lambda: oracle_propagator(broken),
+                         lambda: program_unitaries([Program("p", (broken,))])):
+                with pytest.raises(ConfigurationError) as err:
+                    call()
+                assert len(str(err.value).splitlines()) == 1
+                if field not in ("tau", "delta"):
+                    assert str(err.value) == (f"EO {broken.label!r}: {field} must be a "
+                                              f"finite number, got {bad!r}")
+        assert vars(_cached_propagator.cache_info()) == info, bad
+        assert _layout.cache_info().currsize == layouts.currsize, bad
+        assert len(_cached_propagator) == 1

@@ -687,3 +687,33 @@ def test_pulse_programs_agree_with_closed_form_oracle():
             build_qa(inp, cnot_variant=variant, style="rotating_sf", k=1)))
         assert integrated[0] == pytest.approx(a, abs=0.01)
         assert integrated[1] == pytest.approx(b, abs=0.01)
+
+
+def test_a_first_build_checks_nothing_twice(monkeypatch):
+    """A builder checks its gate list, machine, style, k and step size
+    once; realizing the gates (``_gate_step``) and composing their ideal
+    unitary call none of the gate layer's or the pulse designer's checks
+    again, even with every memo of a build empty."""
+    import nmrqc.gates
+    import nmrqc.pulses
+    from nmrqc.gates import _ideal_gate
+    from nmrqc.programs import _gate_step, _ideal_unitary
+    checked = []
+
+    def recorded(name):
+        return lambda value, *args: checked.append(name) or value
+    for module, names in ((nmrqc.gates, ("check_gate", "check_machine")),
+                          (nmrqc.pulses, ("check_k", "check_machine", "check_delta",
+                                          "parse_axis", "check_choice"))):
+        for name in names:
+            monkeypatch.setattr(module, name, recorded(f"{module.__name__}.{name}"))
+    for memo in (_gate_step, _expand, _ideal_unitary, _ideal_gate):
+        memo.cache_clear()
+    for style in STYLES:
+        for variant in CNOT_SEQUENCES:
+            build_qa("singlet", variant, style, final_rotation_style="exact")
+        for item in range(4):
+            build_grover(item, style, k=2)
+    assert checked == []
+    ideal_gate("X1")   # the public functions do check
+    assert checked == ["nmrqc.gates.check_gate", "nmrqc.gates.check_machine"]

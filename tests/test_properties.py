@@ -41,8 +41,6 @@ def _spec(kind, tau_offsets, **fields):
     tau_offsets = tau_offsets if kind == "qa" else None
     unread = ({"items"} if kind == "qa"
               else {"inputs", "cnot_variant", "final_rotation_style"})
-    if tau_offsets is None:
-        unread.add("perturb_label")
     return ExperimentSpec(kind=kind, tau_offsets=tau_offsets,
                           **{k: v for k, v in fields.items() if k not in unread})
 
@@ -59,7 +57,6 @@ specs = st.builds(
     k_list=st.lists(st.integers(1, 64), min_size=1, max_size=5, unique=True),
     delta=st.floats(1e-4, 0.25),
     final_rotation_style=st.sampled_from(["program", "exact"]),
-    perturb_label=st.sampled_from(["Ip", "Y2"]),
     machine=st.sampled_from([MachineConfig(), MachineConfig(h1z=2.0, h2z=0.5)]),
     title=st.text(max_size=20),
 )
@@ -102,7 +99,6 @@ short_specs = st.builds(
     k_list=st.lists(st.sampled_from([1, 2]), min_size=1, max_size=2, unique=True),
     delta=st.sampled_from([0.01, 0.02]),
     final_rotation_style=st.sampled_from(["program", "exact"]),
-    perturb_label=st.sampled_from(["Ip", "Y2"]),
     machine=st.sampled_from([MachineConfig(), MachineConfig(h1z=2.0, h2z=0.5)]),
 )
 

@@ -278,3 +278,20 @@ def test_commensurability_check_rejects_a_lone_or_non_positive_base():
     for freqs in ("14", 5, None, {1: 2, 4: 5}):   # no list: not read item by item
         with pytest.raises(ConfigurationError, match="must be a list"):
             commensurability_check_n(freqs)
+
+
+@pytest.mark.parametrize("axis", [5, None, ["x"]])
+def test_design_pulse_refuses_an_axis_that_is_no_string(axis):
+    with pytest.raises(ConfigurationError,
+                       match=r"^axis must be x or y \(optionally inverted\), got "):
+        design_pulse(1, np.pi / 2, axis)
+
+
+@pytest.mark.parametrize("k", [-1, 0, True, 1.0, None])
+def test_pulse_durations_take_k_by_check_k(k):
+    """The duration and margin formulas take k by the rule of every
+    builder: no negative margin or duration, and a bool is no k."""
+    for formula in (hypothetical_durations, commensurability_margin):
+        with pytest.raises(ConfigurationError, match="^k must be a positive integer, got "):
+            formula(DEFAULT_GAMMA, k)
+    assert hypothetical_durations(DEFAULT_GAMMA, np.int64(2)) == (16, 256)
