@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands:
-    run <config.json>     execute an experiment spec from a JSON file
+    run <config.json>     execute an experiment spec from a JSON file, as written
     tables <name>         run a canned benchmark suite (table5 .. table10)
     design ...            print pulse parameters in the parameter-sheet layout
-    sweep ...             run a program family over a list of k values
     verify                run the verification suite
+
+A spec file is the one statement of a table: a sweep over k is a spec
+with a k_list, and `run` takes only --format and --out.  `tables`
+alone takes --delta, --final-rotation-style and --tau-offset, which
+override its registry spec's fields.
 
 Exit status is 0 on success, 1 on verification failure, 2 on bad input
 (a bad flag value too), which prints one `error:` line, and 141
@@ -25,13 +29,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .harness import (FORMATS, KINDS, ExperimentSpec, canned_names, canned_spec,
-                      emit_table, run_experiment, verify_suite)
+from .harness import (FORMATS, ExperimentSpec, canned_names, canned_spec, emit_table,
+                      run_experiment, verify_suite)
 from .hamiltonian import MachineConfig
-from .pulses import (DEFAULT_GAMMA, ROTATING, STATIC_AXIS, RationalGamma,
-                     commensurability_margin, design_pulse)
-from .programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, ROTATING_SF,
-                       STATIC_SF, STYLES)
+from .pulses import (DEFAULT_GAMMA, MODES, RationalGamma, commensurability_margin,
+                     design_pulse)
+from .programs import FINAL_ROTATION_STYLES
 
 
 def parse_angle(text: str) -> float:
@@ -81,21 +84,9 @@ def _write_out(text: str, out: str | None):
         os.close(fd)
 
 
-def _run_spec(spec: ExperimentSpec, args) -> int:
-    """Run the spec, with the command-line overrides applied, and emit the
-    table.  With no override the spec object itself runs, so a canned
-    table named again in one process reuses the compiled table kept on
-    its registry spec; an override makes a new spec, which validates it
-    as it validates any field and compiles its own table."""
-    overrides = {}
-    if args.delta is not None:
-        overrides["delta"] = args.delta
-    if args.final_rotation_style:
-        overrides["final_rotation_style"] = args.final_rotation_style
-    if getattr(args, "tau_offset", None):
-        overrides["tau_offsets"] = args.tau_offset
-    table = run_experiment(replace(spec, **overrides) if overrides else spec)
-    _write_out(emit_table(table, args.format), args.out)
+def _emit(spec: ExperimentSpec, args) -> int:
+    """Run the spec and emit its table."""
+    _write_out(emit_table(run_experiment(spec), args.format), args.out)
     return 0
 
 
@@ -104,11 +95,24 @@ def _cmd_run(args) -> int:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"spec file is not UTF-8: {exc}") from exc
-    return _run_spec(ExperimentSpec.from_json(text), args)
+    return _emit(ExperimentSpec.from_json(text), args)
 
 
 def _cmd_tables(args) -> int:
-    return _run_spec(canned_spec(args.name), args)
+    """Run the canned spec with the command-line overrides applied.  With
+    no override the registry's spec object itself runs, so a canned
+    table named again in one process reuses the compiled table kept on
+    it; an override makes a new spec, which validates it as it validates
+    any field and compiles its own table."""
+    spec = canned_spec(args.name)
+    overrides = {}
+    if args.delta is not None:
+        overrides["delta"] = args.delta
+    if args.final_rotation_style:
+        overrides["final_rotation_style"] = args.final_rotation_style
+    if args.tau_offset:
+        overrides["tau_offsets"] = args.tau_offset
+    return _emit(replace(spec, **overrides) if overrides else spec, args)
 
 
 def _design_row(name, eo) -> str:
@@ -124,29 +128,16 @@ def _cmd_design(args) -> int:
     """Design on the default machine with h2z = N/M; the margin is that
     machine's, whose ratio is N/M in lowest terms."""
     machine = MachineConfig(h2z=RationalGamma(args.n, args.m).gamma)
-    mode = {"rotating": ROTATING, "static": STATIC_AXIS,
-            "static_axis": STATIC_AXIS}[args.mode]
     angle = parse_angle(args.angle)
-    eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=mode,
+    eo = design_pulse(args.spin, angle, args.axis, k=args.k, mode=args.mode,
                       machine=machine)
     margin = commensurability_margin(RationalGamma.from_machine(machine), args.k)
     header = " | ".join(["pulse", "tau/2pi", "omega", "sf1x", "sf2x", "phi_x",
                          "sf1y", "sf2y", "phi_y"])
-    label = f"spin{args.spin} {args.axis} {angle:g}rad {mode} k={args.k}"
+    label = f"spin{args.spin} {args.axis} {angle:g}rad {args.mode} k={args.k}"
     lines = [header, _design_row(label, eo), f"margin 2kNM(M-N) = {margin}"]
     _write_out("\n".join(lines), args.out)
     return 0
-
-
-def _cmd_sweep(args) -> int:
-    style = {"rotating": ROTATING_SF, "static": STATIC_SF}.get(args.style, args.style)
-    try:
-        k_list = tuple(int(k) for k in args.k_list.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"--k-list must be comma-separated whole numbers, got {args.k_list!r}") from exc
-    return _run_spec(ExperimentSpec(kind=args.kind, style=style,
-                                    cnot_variant=args.variant, k_list=k_list), args)
 
 
 def _cmd_verify(args) -> int:
@@ -190,31 +181,31 @@ def build_parser() -> argparse.ArgumentParser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def output(sp):
         sp.add_argument("--format", default="markdown", choices=FORMATS)
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--delta", type=float, default=None,
-                        help="integrator step over 2*pi")
-        sp.add_argument("--final-rotation-style", dest="final_rotation_style",
-                        choices=FINAL_ROTATION_STYLES, default=None)
 
-    run = sub.add_parser("run", help="run an experiment from a JSON spec")
+    run = sub.add_parser("run", help="run an experiment from a JSON spec, as written")
     run.add_argument("config")
+    output(run)
     run.set_defaults(func=_cmd_run)
     tables = sub.add_parser("tables", help="run a canned benchmark suite")
     tables.add_argument("name", choices=list(canned_names()))
-    tables.set_defaults(func=_cmd_tables)
-    for sp in (run, tables):
-        common(sp)
-        sp.add_argument("--tau-offset", dest="tau_offset", type=float, action="append",
+    output(tables)
+    tables.add_argument("--delta", type=float, default=None,
+                        help="integrator step over 2*pi")
+    tables.add_argument("--final-rotation-style", dest="final_rotation_style",
+                        choices=FINAL_ROTATION_STYLES, default=None)
+    tables.add_argument("--tau-offset", dest="tau_offset", type=float, action="append",
                         help="duration offset for the phase evolution (repeatable)")
+    tables.set_defaults(func=_cmd_tables)
 
     sp = sub.add_parser("design", help="design a single-spin pulse")
     sp.add_argument("spin", type=int, choices=[1, 2])
     sp.add_argument("angle", help="rotation angle in radians (e.g. pi/2)")
     sp.add_argument("axis", help="x, y, -x or -y; a negative axis goes after --, "
                     "which ends the options: design 1 pi/2 -- -x rotating 1")
-    sp.add_argument("mode", choices=["rotating", "static", "static_axis"])
+    sp.add_argument("mode", choices=MODES)
     sp.add_argument("-x", "-y", nargs=0, action=_BareNegativeAxis, help=argparse.SUPPRESS)
     sp.add_argument("k", type=int)
     sp.add_argument("--n", type=int, default=DEFAULT_GAMMA.n,
@@ -222,15 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=DEFAULT_GAMMA.m)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_design)
-
-    sp = sub.add_parser("sweep", help="sweep a program family over k values")
-    sp.add_argument("--kind", choices=KINDS, default="qa")
-    sp.add_argument("--style", default="rotating",
-                    help="rotating, static, or any of " + ", ".join(STYLES))
-    sp.add_argument("--variant", type=int, default=1, choices=CNOT_VARIANTS)
-    sp.add_argument("--k-list", dest="k_list", default="1,2,4,8,32")
-    common(sp)
-    sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the verification suite")
     sp.add_argument("--quick", action="store_true",

@@ -229,18 +229,25 @@ _FINITE = tuple(f.name for f in fields(EOParams) if f.name not in ("label", "tau
 
 
 def _check(eo: EOParams) -> None:
-    """Raise ConfigurationError unless the EO's step size is a positive
-    finite number, its duration a non-negative number (NaN is none; one
-    too long to step raises later) and each other field a finite number
-    (``hamiltonian.is_finite_number``), which the error names with the
-    EO's label."""
-    check_delta(eo.delta)
-    if not (is_finite_number(eo.tau) and eo.tau >= 0 or eo.tau == math.inf):
-        raise ConfigurationError(f"duration must be non-negative, got {shown(eo.tau)}")
+    """Raise ConfigurationError, in one line that names the EO's label,
+    unless its step size is a positive finite number, its duration a
+    non-negative finite number or inf (one too long to step raises
+    later; NaN and an integer past the largest float are no finite
+    number) and each other field a finite number
+    (``hamiltonian.is_finite_number``)."""
+    def refuse(what, value):
+        raise ConfigurationError(f"EO {eo.label!r}: {what}, got {shown(value)}")
+
+    if not (is_finite_number(eo.delta) and eo.delta > 0):
+        refuse("delta must be positive and finite", eo.delta)
+    if not (is_finite_number(eo.tau) or eo.tau == math.inf):
+        refuse("duration is not a finite number", eo.tau)
+    if eo.tau < 0:
+        refuse("duration must be non-negative", eo.tau)
     for name in _FINITE:
-        if not is_finite_number(getattr(eo, name)):
-            raise ConfigurationError(f"EO {eo.label!r}: {name} must be a finite number, "
-                                     f"got {shown(getattr(eo, name))}")
+        value = getattr(eo, name)
+        if not is_finite_number(value):
+            refuse(f"{name} must be a finite number", value)
 
 
 def _step_schedule(tau: float, delta: float) -> tuple[int, float]:

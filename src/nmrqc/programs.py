@@ -151,6 +151,7 @@ _EO_GATES = tuple(name for name in GATE_NAMES if name != "CNOT")
 check_style = partial(check_choice, name="style", domain=STYLES)
 check_variant = partial(check_choice, name="cnot_variant", domain=CNOT_VARIANTS)
 check_item = partial(check_choice, name="item", domain=SEARCH_ITEMS)
+check_input = partial(check_choice, name="input_spec", domain=INPUT_SPECS)
 check_final_rotation_style = partial(check_choice, name="final_rotation_style",
                                      domain=FINAL_ROTATION_STYLES)
 
@@ -315,22 +316,17 @@ def input_amplitudes(input_specs) -> np.ndarray:
     return _INPUTS[[INPUT_SPECS.index(check_input(spec)) for spec in input_specs]]
 
 
-def check_input(spec: str) -> str:
-    """The input name, which must be one of INPUT_SPECS."""
-    if spec not in INPUT_SPECS:
-        raise ConfigurationError(
-            f"unknown input spec {shown(spec)}; expected one of {INPUT_SPECS}")
-    return spec
-
-
 def readout(amps: np.ndarray) -> list[tuple[float, float]]:
     """Qubit values (a, b) of each row of amplitudes, shape (R, 4).
 
     Qubit j reads 0 when its spin points up, so its value is
     <Q_j> = <1/2 - S_j^z>, the weight of the basis states whose j-th bit
     is 1: with w = |amplitude|^2, a = w1 + w3 and b = w2 + w3.  A row
-    whose norm is off by more than NORM_TOL raises NumericalIntegrityError.
+    whose norm is off by more than NORM_TOL raises NumericalIntegrityError,
+    and any other shape ConfigurationError.
     """
+    if np.shape(amps)[1:] != (4,):
+        raise ConfigurationError(f"amplitude rows of shape {np.shape(amps)}: need (R, 4)")
     w = np.abs(amps) ** 2
     norms = np.sqrt(w.sum(axis=-1))
     off = ~(np.abs(norms - 1.0) <= NORM_TOL)   # NaN counts as off
@@ -503,8 +499,10 @@ def convergence_report(eos, input_spec: str, deltas) -> ConvergenceReport:
     Diagonal EOs keep the exact propagator throughout, so only pulse
     steps are swept, and each d must resolve the drive of every pulse EO
     as a builder's step size must (``integrator.check_delta`` on the
-    EO's own z-fields).
+    EO's own z-fields); deltas must be a list or a tuple.
     """
+    if not isinstance(deltas, (list, tuple)):
+        raise ConfigurationError(f"deltas must be a list, got {shown(deltas)}")
     eos = (eos,) if isinstance(eos, EOParams) else tuple(eos)
     # each d is checked on the z-fields of every pulse EO (alone if none)
     pulses = [eo for eo in eos if not eo.is_diagonal] or [None]

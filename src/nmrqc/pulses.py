@@ -50,7 +50,7 @@ from .operators import TWO_PI
 
 ROTATING = "rotating"
 STATIC_AXIS = "static_axis"
-_MODES = (ROTATING, STATIC_AXIS)
+MODES = (ROTATING, STATIC_AXIS)
 
 PULSE_DELTA = 0.01  # default integrator step (over 2*pi) for pulse EOs
 
@@ -68,8 +68,13 @@ class RationalGamma:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
-            raise ConfigurationError("N and M must be integers")
+        """N and M are integers (``is_integer``: a numpy integer is one, a
+        bool none), stored as int."""
+        if not (is_integer(self.n) and is_integer(self.m)):
+            raise ConfigurationError(
+                f"N and M must be integers, got N={shown(self.n)}, M={shown(self.m)}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "m", int(self.m))
         if not 0 < self.n < self.m:
             raise ConfigurationError(f"need 0 < N < M, got N={self.n}, M={self.m}")
 
@@ -98,14 +103,13 @@ class RationalGamma:
 DEFAULT_GAMMA = RationalGamma.from_machine(DEFAULT_MACHINE)
 
 
+# Each axis design_pulse takes, spelled as here, and its (axis, direction).
+_AXES = {"x": ("x", 1), "y": ("y", 1), "-x": ("x", -1), "-y": ("y", -1)}
+
+
 def parse_axis(axis: str) -> tuple[str, int]:
     """The axis and its direction (+1 or -1) of 'x', 'y', '-x' or '-y'."""
-    a = axis.strip().lower() if isinstance(axis, str) else ""
-    direction = -1 if a.startswith("-") else 1
-    a = a.removeprefix("-")
-    if a not in ("x", "y"):
-        raise ConfigurationError(f"axis must be x or y (optionally inverted), got {axis!r}")
-    return a, direction
+    return _AXES[check_choice(axis, "axis", tuple(_AXES))]
 
 
 def check_k(k) -> int:
@@ -117,16 +121,25 @@ def check_k(k) -> int:
     raise ConfigurationError(f"k must be a positive integer, got {shown(k)}")
 
 
+def _check_gamma(gamma) -> RationalGamma:
+    """The field ratio, which must be a RationalGamma."""
+    if not isinstance(gamma, RationalGamma):
+        raise ConfigurationError(f"gamma must be a RationalGamma, got {shown(gamma)}")
+    return gamma
+
+
 def commensurability_margin(gamma: RationalGamma, k: int) -> int:
-    """The figure of merit 2 k N M (M - N), an int, for k by check_k; the
-    design conditions hold only in the limit margin >> 1."""
+    """The figure of merit 2 k N M (M - N), an int, for a RationalGamma
+    and k by check_k; the design conditions hold only in the limit
+    margin >> 1."""
+    gamma = _check_gamma(gamma)
     return 2 * check_k(k) * gamma.n * gamma.m * (gamma.m - gamma.n)
 
 
 def hypothetical_durations(gamma: RationalGamma, k: int) -> tuple[int, int]:
     """Pulse durations (t1, t2) over 2*pi for spin-1 and spin-2 rotations,
-    for k by check_k."""
-    return _periods(gamma, check_k(k))
+    for a RationalGamma and k by check_k."""
+    return _periods(_check_gamma(gamma), check_k(k))
 
 
 def _periods(gamma: RationalGamma, k: int) -> tuple[int, int]:
@@ -164,7 +177,7 @@ def design_pulse(target_spin: int, angle: float, axis: str, k: int = 1,
             f"angle must lie in [0, 4*pi], got {angle!r}")
     check_choice(target_spin, "target_spin", (1, 2))
     k = check_k(k)
-    check_choice(mode, "mode", _MODES)
+    check_choice(mode, "mode", MODES)
     check_delta(delta, check_machine(machine))
     return _pulse_eo(target_spin, angle, axis, direction, k, mode, machine, label, delta)
 

@@ -756,7 +756,7 @@ def test_cli_design_takes_a_negative_axis_as_its_help_shows(capsys):
 
 
 @pytest.mark.parametrize("argv", [["1", "pi/2", "-x", "rotating", "1"],
-                                  ["2", "pi/2", "-y", "static", "1", "--n", "11"],
+                                  ["2", "pi/2", "-y", "static_axis", "1", "--n", "11"],
                                   ["1", "pi/2", "y", "rotating", "1", "-x"]])
 def test_cli_design_names_a_bare_negative_axis(argv, capsys):
     """A negative axis typed without -- would read as an unknown option
@@ -773,30 +773,31 @@ _HUGE_K = str(10 ** 308)
 
 
 @pytest.mark.parametrize("argv", [["tables", "table9", "--final-rotation-style", "exact"],
-                                  ["sweep", "--kind", "grover", "--variant", "3"],
-                                  ["sweep", "--k-list", "1", "--out", ""],
+                                  ["run", '{"kind": "grover", "cnot_variant": 3}'],
+                                  ["run", '{"k_list": [1]}', "--out", ""],
                                   ["design", "1", "-pi/2", "x", "rotating", "1"],
-                                  ["design", "2", "-pi", "y", "static", "1"],
+                                  ["design", "2", "-pi", "y", "static_axis", "1"],
                                   ["run", '{"k_list": [1e308]}'],
-                                  ["sweep", "--k-list", _HUGE_K],
+                                  ["run", '{"k_list": [%s]}' % _HUGE_K],
                                   ["design", "1", "pi", "x", "rotating", _HUGE_K]])
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
-    """A flag the table does not read, an empty --out path, a negative
-    angle in pi form (a value, not an option, which the angle check
-    names), and a k whose pulse duration is no finite float (from a
-    spec, here written to a file, or a flag; the error names the
-    duration) are bad input: exit status 2, nothing on stdout and one
-    `error:` line."""
+    """A field the table does not read (a flag of `tables` or a spec
+    field), an empty --out path, a negative angle in pi form (a value,
+    not an option, which the angle check names), and a k whose pulse
+    duration is no finite float (from a spec, here written to a file, or
+    a flag; the error names the duration) are bad input: exit status 2,
+    nothing on stdout and one `error:` line."""
+    huge = any("1e308" in a or _HUGE_K in a for a in argv)
     if argv[0] == "run":
         spec = tmp_path / "spec.json"
         spec.write_text(argv[1])
-        argv = ["run", str(spec)]
+        argv = ["run", str(spec), *argv[2:]]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     if argv[0] == "design" and argv[2].startswith("-"):
         assert err == f"error: angle must lie in [0, 4*pi], got {parse_angle(argv[2])!r}\n"
-    if argv[0] == "run" or _HUGE_K in argv:
+    if huge:
         assert re.fullmatch(r"error: pulse duration \d\.\d\de\+3\d\d is too long: "
                             r"it is not a finite float\n", err)
 
@@ -819,12 +820,16 @@ def test_cli_bad_tau_offset_is_bad_input(capsys):
 
 @pytest.mark.parametrize("command", ["run", "tables"])
 def test_cli_help_of_tau_offset(command, capsys):
-    """Both commands that take --tau-offset show its help; -h still exits 0."""
+    """`tables`, the one command that takes --tau-offset, shows its help;
+    `run` runs its spec file as written and shows no field flag.  -h
+    still exits 0."""
     with pytest.raises(SystemExit) as exc:
         main([command, "-h"])
     assert exc.value.code == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "--tau-offset TAU_OFFSET duration offset for the phase evolution" in help_text
+    flags = ("--tau-offset TAU_OFFSET duration offset for the phase evolution",
+             "--delta DELTA", "--final-rotation-style")
+    assert [flag in help_text for flag in flags] == [command == "tables"] * 3
 
 
 def test_cli_run_with_config(tmp_path, capsys):
@@ -844,9 +849,11 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert stat.S_IMODE(out_file.stat().st_mode) == 0o666 & ~0o027
 
 
-def test_cli_sweep_small(capsys):
-    rc = main(["sweep", "--kind", "qa", "--style", "rotating",
-               "--variant", "2", "--k-list", "1", "--format", "markdown"])
+def test_cli_sweep_small(tmp_path, capsys):
+    """A sweep is a spec file."""
+    path = tmp_path / "sweep.json"
+    path.write_text('{"cnot_variant": 2, "k_list": [1]}')
+    rc = main(["run", str(path), "--format", "markdown"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "0.24" in out  # the order-sensitivity signature cell
@@ -948,7 +955,7 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--k-list", "1,x"],
+    ["sweep"],   # a sweep is a spec file: no such command
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}"],
     ["tables", "table5", "--format", "json", "--out", "{tmp}"],
     ["design", "1", "pi/2", "y", "rotating", "1", "--out", "{tmp}/missing/sheet.txt"],
@@ -956,8 +963,8 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["tables", "table5", "--tau-offset", "1e308"],
     ["tables", "table10", "--tau-offset", "0.1", "--tau-offset", "0.1000004",
      "--format", "csv"],
-    ["sweep", "--k-list", "1,1", "--kind", "grover", "--format", "json"],
-    ["sweep", "--k-list", "2,1,2"],
+    ["run", '{"kind": "grover", "k_list": [1, 1]}', "--format", "json"],
+    ["run", '{"k_list": [2, 1, 2]}'],
     ["design", "1", "pi/0", "x", "rotating", "1"],
     ["design", "1", "pi/.", "x", "rotating", "1"],
     ["design", "1", "1.2.3pi", "x", "rotating", "1"],
@@ -969,9 +976,10 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["tables", "table5", "--delta", "x"],
     ["tables", "table5", "--final-rotation-style", "bogus"],
     ["tables", "table5", "--bogus"],
-    ["sweep", "--variant", "4"],
-    ["sweep", "--kind", "bell"],
-    ["sweep", "--variant", "1.0"],
+    # `run` runs its file as written: it takes no field flag
+    ["run", '{"k_list": [1]}', "--delta", "0.02"],
+    ["run", '{"k_list": [1]}', "--final-rotation-style", "exact"],
+    ["run", '{"k_list": [1]}', "--tau-offset", "0.1"],
     ["design", "3", "pi/2", "y", "rotating", "1"],
     ["design", "1", "pi/2", "y", "rotating", "x"],
     ["design", "1", "pi/2", "y", "circular", "1"],
@@ -983,6 +991,11 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
 ])
 @pytest.mark.filterwarnings("error")
 def test_cli_bad_arguments_are_bad_input(argv, tmp_path, capsys):
+    """A spec given as JSON text is written to a file, which `run` reads."""
+    if argv[1:2] and argv[1].startswith("{"):
+        spec = tmp_path / "spec.json"
+        spec.write_text(argv[1])
+        argv = ["run", str(spec), *argv[2:]]
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
@@ -1005,7 +1018,7 @@ def test_cli_negative_phase_evolution_is_bad_input(tmp_path, capsys):
                                 "tau_offsets": [-2000000.0], "inputs": ["00"]}))
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: duration must be non-negative")
+    assert err.startswith("error: EO 'Ip': duration must be non-negative")
     assert len(err.splitlines()) == 1
 
 

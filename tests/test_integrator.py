@@ -729,12 +729,14 @@ def test_a_walk_larger_than_the_store_integrates_each_eo_once(monkeypatch):
 def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
                                                             kernel_calls):
     """A bad step size, or a negative or NaN duration, raises with its own
-    message in a walk, in integrate and in a lookup of either propagator,
-    for a pulse and a diagonal EO, every time, and nothing is integrated
-    or stored: every key is checked before any is integrated, also with
-    the layouts of valid lists of one and of two EOs memoized."""
+    message, which names the EO, in a walk, in integrate and in a lookup
+    of either propagator, for a pulse and a diagonal EO, every time, and
+    nothing is integrated or stored: every key is checked before any is
+    integrated, also with the layouts of valid lists of one and of two
+    EOs memoized."""
     match = ("delta must be positive" if field == "delta"
-             else f"duration must be non-negative, got {bad!r}")
+             else f"duration must be non-negative, got {bad!r}" if bad < 0
+             else f"duration is not a finite number, got {bad!r}")
     good = pulse_eo("X1")
     clear_propagator_cache()
     integrate([good])
@@ -747,9 +749,27 @@ def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
             for call in (lambda: program_unitaries([Program("p", (good, eo))]),
                          lambda: integrate([good, eo]),
                          lambda: eo_propagator(eo), lambda: oracle_propagator(eo)):
-                with pytest.raises(ConfigurationError, match=match):
+                with pytest.raises(ConfigurationError, match=match) as info:
                     call()
+                assert str(info.value).startswith(f"EO {eo.label!r}: ")
     assert not _cached_propagator and not kernel_calls
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("tau", 10 ** 400, "duration is not a finite number"),
+    ("tau", -10 ** 400, "duration is not a finite number"),
+    ("delta", 10 ** 400, "delta must be positive and finite"),
+    ("delta", -1.0, "delta must be positive and finite")])
+def test_a_bad_duration_or_step_names_the_eo(field, bad, message):
+    """A duration past the largest float is no finite number, whatever
+    its sign (it used to be "duration must be non-negative, got 1000..."),
+    and the duration's and the step size's messages name the EO's label,
+    as every other field's does."""
+    eo = ideal_eo_params("Ip").replace(**{field: bad})
+    for propagator in (eo_propagator, oracle_propagator):
+        with pytest.raises(ConfigurationError) as info:
+            propagator(eo)
+        assert str(info.value) == f"EO 'Ip': {message}, got {bad!r}"
 
 
 def _alone_or_closed_form(eo):

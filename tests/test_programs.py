@@ -11,8 +11,8 @@ from nmrqc import (DEFAULT_MACHINE, ConfigurationError, EOParams, ExperimentSpec
                    MachineConfig, NumericalIntegrityError, Program,
                    build_cnot, build_grover, build_program, build_qa, design_pulse,
                    eo_propagator, grover_sequence, ideal_eo_params, ideal_gate,
-                   input_amplitudes, program_unitary, readout, run_program,
-                   with_duration_offset)
+                   convergence_report, input_amplitudes, program_unitary, readout,
+                   run_program, with_duration_offset)
 from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
@@ -97,7 +97,7 @@ def test_input_states_are_memoized_and_read_only():
     assert np.array_equal(input_amplitudes(["00", "00"]), _INPUTS[[0, 0]])
     assert np.array_equal(input_amplitudes(["10"]), [[0, 1, 0, 0]])
     for bad in ("2", "0 0", ["00"], None):
-        with pytest.raises(ConfigurationError, match="unknown input spec"):
+        with pytest.raises(ConfigurationError, match="input_spec must be one of"):
             input_amplitudes([bad])
 
 
@@ -126,9 +126,9 @@ def test_qa_input_validation():
     assert build_qa("11").name == "QA1[CNOT1,ideal,k=1]"
     assert build_qa("singlet", 3).name == "QA2[CNOT3,ideal,k=1]"
     for bad in ("xx", "02", "QA1", "Singlet", "", None):
-        with pytest.raises(ConfigurationError, match="unknown input spec"):
+        with pytest.raises(ConfigurationError, match="input_spec must be one of"):
             build_qa(bad)
-        with pytest.raises(ConfigurationError, match="unknown input spec"):
+        with pytest.raises(ConfigurationError, match="input_spec must be one of"):
             Program("p", build_qa("00").steps, input_spec=bad)
 
 
@@ -336,6 +336,25 @@ def test_readout_rejects_an_unnormalized_row():
     assert readout(amps[:0]) == []
 
 
+@pytest.mark.parametrize("shape", [(4,), (), (2, 3), (2, 4, 1), (1, 4, 4)])
+def test_readout_refuses_any_shape_but_rows_of_four(shape):
+    """A lone (4,) row raised IndexError; every shape but (R, 4) is
+    refused in one line, as program_states refuses its input rows."""
+    amps = np.zeros(shape, dtype=complex)
+    with pytest.raises(ConfigurationError, match=re.escape(f"shape {shape}: need (R, 4)")):
+        readout(amps)
+    with pytest.raises(ConfigurationError, match="need"):
+        readout(input_amplitudes(["00"])[0])
+
+
+@pytest.mark.parametrize("deltas", ["0.01", 0.01, None, {0.01}, np.array([0.01])])
+def test_convergence_report_refuses_deltas_that_are_no_list(deltas):
+    """A string was read as the step sizes '0', '.', ... ("delta ... got
+    '0'"); deltas must be a list or a tuple, as the gates of a list must."""
+    with pytest.raises(ConfigurationError, match="^deltas must be a list, got "):
+        convergence_report(ideal_eo_params("Ip"), "00", deltas)
+
+
 def test_duration_offset_copies_each_distinct_step_once():
     p = build_qa("00", 1, "rotating_sf", k=1)
     q = with_duration_offset(p, "Ip", 0.1)
@@ -360,10 +379,11 @@ def test_shifted_steps_are_memoized_across_rebuilds():
 
 
 def test_negative_diagonal_duration_is_rejected():
-    for tau in (-3.0, float("nan")):
+    for tau, match in ((-3.0, "duration must be non-negative"),
+                       (float("nan"), "duration is not a finite number")):
         p = Program("p", (ideal_eo_params("Ip").replace(tau=tau),))
         for _ in range(2):  # nothing is cached for a bad key
-            with pytest.raises(ConfigurationError, match="must be non-negative"):
+            with pytest.raises(ConfigurationError, match=match):
                 run_program(p)
     assert run_program(Program("p", (ideal_eo_params("Ip").replace(tau=0.0),)))[0] == 1.0
 
@@ -473,7 +493,7 @@ _HUGE = 10 ** 5000   # more digits than Python turns into text (4300)
     (lambda: build_qa("00", k=_HUGE), "k is"),
     (lambda: ExperimentSpec(kind="grover", items=(_HUGE,)), "items"),
     (lambda: build_grover(_HUGE), "item"),
-    (lambda: build_qa(_HUGE), "input spec"),
+    (lambda: build_qa(_HUGE), "input_spec"),
     (lambda: build_program(_HUGE), "gates"),
     (lambda: build_program([_HUGE]), "gate"),
     (lambda: build_program(["X1"], delta=_HUGE), "delta"),
@@ -566,7 +586,7 @@ def test_build_program_checks_its_settings_first():
                         (lambda: build_program(["X1"], k=0), "k must be"),
                         (lambda: build_program([], machine=None), "machine"),
                         (lambda: build_program([], delta=0), "delta"),
-                        (lambda: build_program(["X1"], input_spec="2"), "input spec"),
+                        (lambda: build_program(["X1"], input_spec="2"), "input_spec"),
                         (lambda: build_program(["X1"], "rotating_sf", 10 ** 5000),
                          "pulse duration")]:
         with pytest.raises(ConfigurationError, match=match):

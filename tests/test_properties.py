@@ -19,13 +19,14 @@ from nmrqc import (ConfigurationError, ExperimentSpec, MachineConfig, build_cnot
                    design_pulse, eo_propagator, run_experiment, with_duration_offset)
 import nmrqc.integrator
 from nmrqc.cli import build_parser
-from nmrqc.harness import FORMATS, KINDS, ResultTable, _offset_label
+from nmrqc.harness import FORMATS, ResultTable, _offset_label
 from nmrqc.integrator import (_BLOCK, _Drives, _layout, _plan, _powers,
                               _product_formula_block, _quarter_block, _substeps,
                               _z_class, clear_propagator_cache)
 from nmrqc.operators import TWO_PI
 from nmrqc.programs import (CNOT_VARIANTS, FINAL_ROTATION_STYLES, G_EXPANSION, INPUT_SPECS,
                             STYLES, Program, program_unitaries)
+from nmrqc.pulses import ROTATING, STATIC_AXIS
 
 from conftest import (BLOCKS, PROPAGATORS, chained_reference, json_reference,
                       per_row_reference, stacked)
@@ -215,10 +216,11 @@ def test_build_program_realizes_each_gate_as_the_builders_do(data, style, k):
 def test_the_cli_choices_are_the_domains():
     (commands,) = [a.choices for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(commands) == ("run", "tables", "design", "verify")
     domains = {"format": FORMATS, "final_rotation_style": FINAL_ROTATION_STYLES,
-               "kind": KINDS, "variant": CNOT_VARIANTS}
+               "mode": (ROTATING, STATIC_AXIS)}
     seen = set()
-    for command in ("run", "tables", "sweep"):
+    for command in ("run", "tables", "design"):
         for action in commands[command]._actions:
             if action.dest in domains:
                 assert tuple(action.choices) == domains[action.dest]

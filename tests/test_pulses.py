@@ -25,6 +25,27 @@ def test_rational_gamma_validation():
     assert RationalGamma.from_machine(DEFAULT_MACHINE) == RationalGamma(1, 4)
 
 
+def test_rational_gamma_takes_n_and_m_by_is_integer():
+    """A numpy integer is an integer and is stored as int; a bool or a
+    float is none (RationalGamma(True, 4) used to be accepted, and
+    RationalGamma(np.int64(1), 4) refused)."""
+    g = RationalGamma(np.int64(1), np.int32(4))
+    assert g == RationalGamma(1, 4) and type(g.n) is int and type(g.m) is int
+    assert hash(g) == hash(RationalGamma(1, 4))
+    for n, m in ((True, 4), (1, 4.0), (1.0, 4), ("1", 4), (None, 4)):
+        with pytest.raises(ConfigurationError, match="^N and M must be integers, got "):
+            RationalGamma(n, m)
+
+
+@pytest.mark.parametrize("gamma", [0.25, None, (1, 4), "1/4"])
+def test_pulse_formulas_refuse_a_gamma_that_is_no_rational_gamma(gamma):
+    """These raised AttributeError."""
+    for formula in (hypothetical_durations, commensurability_margin):
+        with pytest.raises(ConfigurationError,
+                           match="^gamma must be a RationalGamma, got "):
+            formula(gamma, 1)
+
+
 def test_rotating_quarter_turn_design_spin1():
     eo = design_pulse(1, np.pi / 2, "y", k=1)
     assert eo.tau == 8
@@ -59,7 +80,7 @@ def test_inverse_x_design_amplitude():
     assert eo == design_pulse(1, angle, "x", k=1, direction=-1)
     # '-x' is the one spelling of the negative axis
     for axis in ("x-inverse", "-x-inverse", "--x"):
-        with pytest.raises(ConfigurationError, match="axis must be x or y"):
+        with pytest.raises(ConfigurationError, match="axis must be one of"):
             design_pulse(1, angle, axis, k=1)
 
 
@@ -283,8 +304,17 @@ def test_commensurability_check_rejects_a_lone_or_non_positive_base():
 @pytest.mark.parametrize("axis", [5, None, ["x"]])
 def test_design_pulse_refuses_an_axis_that_is_no_string(axis):
     with pytest.raises(ConfigurationError,
-                       match=r"^axis must be x or y \(optionally inverted\), got "):
+                       match=r"^axis must be one of \('x', 'y', '-x', '-y'\), got "):
         design_pulse(1, np.pi / 2, axis)
+
+
+@pytest.mark.parametrize("axis", ["X", " x", "x ", "-X", "Y", "+x"])
+def test_design_pulse_takes_each_axis_in_one_spelling(axis):
+    """An axis is 'x', 'y', '-x' or '-y' as spelled there, as a gate name
+    is spelled one way: no case folding and no blanks stripped."""
+    with pytest.raises(ConfigurationError) as info:
+        design_pulse(1, np.pi / 2, axis)
+    assert str(info.value) == f"axis must be one of ('x', 'y', '-x', '-y'), got {axis!r}"
 
 
 @pytest.mark.parametrize("k", [-1, 0, True, 1.0, None])

@@ -51,7 +51,7 @@ def test_readme_examples_run(tmp_path, monkeypatch):
                 for block in _blocks("bash") for line in block.splitlines()]
     commands = [argv[1:] if argv[0] == "nmrqc" else argv[3:] for argv in commands
                 if argv[:1] == ["nmrqc"] or argv[:3] == ["python", "-m", "nmrqc"]]
-    assert len(commands) == 8
+    assert len(commands) == 7
     for argv in commands:
         assert main(argv) == 0, argv
     assert (tmp_path / "grover.csv").read_text(encoding="utf-8").startswith(

@@ -24,7 +24,7 @@ def test_basis_state_index_layout(bits, expected):
 
 def test_basis_state_length_mismatch():
     for bad in ("011", "02", "0"):
-        with pytest.raises(ConfigurationError, match="unknown input spec"):
+        with pytest.raises(ConfigurationError, match="input_spec must be one of"):
             input_amplitudes([bad])
 
 
