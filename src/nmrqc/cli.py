@@ -141,7 +141,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_suite(include_tables=not args.quick)
+    report = verify_suite()
     _write_out(str(report), args.out)
     return 0 if report.passed else 1
 
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_design)
 
     sp = sub.add_parser("verify", help="run the verification suite")
-    sp.add_argument("--quick", action="store_true",
-                    help="skip the benchmark-table comparisons")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_verify)
     return p

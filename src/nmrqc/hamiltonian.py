@@ -86,6 +86,13 @@ class EOParams:
     hash is computed once, and ``replace`` copies the field dict rather
     than going through the frozen __init__, since the integrator's class
     rule and every duration shift or step-size change make new EOs.
+
+    An EO checks its own fields when it is made (``_check``): the
+    dataclass __init__, dataclasses.replace and unpickling check them
+    all, ``replace`` (and so ``new_eo``) those it is given, the others
+    having been checked when their EO was made.  So no bad EO exists for
+    a memo or store keyed by EOs to serve, not even one that compares
+    and hashes equal to a good one (a bool duration True equals 1.0).
     """
 
     label: str = "eo"
@@ -125,7 +132,8 @@ class EOParams:
                 and self.sf1x == self.sf1y and self.sf2x == self.sf2y
                 and self.phi_y - self.phi_x == math.pi / 2.0)
 
-    def __post_init__(self):
+    def __post_init__(self, changed=None):
+        _check(self.label, vars(self) if changed is None else changed)   # None: every field
         # Lookups hash EOs often; the fields, here all of vars(self), are fixed.
         object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
 
@@ -138,8 +146,9 @@ class EOParams:
     def replace(self, **kw) -> "EOParams":
         """The EO with the given fields changed, as dataclasses.replace
         gives it: a copy of the field dict, updated, then __post_init__,
-        which is less than half the cost of the frozen __init__ setting
-        each field through object.__setattr__."""
+        which checks the given fields alone; that is less than half the
+        cost of the frozen __init__ setting each field through
+        object.__setattr__."""
         if not _EO_FIELDS.issuperset(kw):
             raise TypeError(f"EOParams has no field {min(kw.keys() - _EO_FIELDS)!r}")
         new = object.__new__(type(self))
@@ -147,11 +156,35 @@ class EOParams:
         fields.update(vars(self))
         del fields["_hash"]
         fields.update(kw)
-        new.__post_init__()
+        new.__post_init__(kw)
         return new
 
 
 _EO_FIELDS = frozenset(f.name for f in dataclasses.fields(EOParams))
+
+
+def _check(label, fields: dict) -> None:
+    """Raise ConfigurationError, in one line that names the EO's label,
+    unless, of the given fields (name: value), the step size is a
+    positive finite number, the duration a non-negative finite number or
+    inf (one too long to step raises when it is integrated; NaN and an
+    integer past the largest float are no finite number) and each other
+    field but the label a finite number (``is_finite_number``)."""
+    for name, value in fields.items():
+        if name == "delta":
+            bad = (not (is_finite_number(value) and value > 0)
+                   and "delta must be positive and finite")
+        elif name == "tau":
+            number = is_finite_number(value) or value == math.inf   # inf included
+            bad = ("duration is not a finite number" if not number
+                   else value < 0 and "duration must be non-negative")
+        else:
+            bad = (name != "label" and not is_finite_number(value)
+                   and f"{name} must be a finite number")
+        if bad:
+            raise ConfigurationError(f"EO {label!r}: {bad}, got {shown(value)}")
+
+
 _BLANK_EO = EOParams()
 
 
@@ -159,7 +192,8 @@ def new_eo(**fields) -> EOParams:
     """EOParams(**fields), equal and hashing alike, built as
     ``EOParams.replace`` builds an EO (from the all-default EO), at less
     than the frozen __init__ costs: the pulse designs and ideal EOs of a
-    first compile are built this way."""
+    first compile are built this way.  The fields given are checked as
+    EOParams checks them, and a bad one raises here."""
     return _BLANK_EO.replace(**fields)
 
 
@@ -182,8 +216,7 @@ def hamiltonian_at(eo: EOParams, t: float) -> np.ndarray:
     """The 4x4 Hamiltonian matrix of an EO at (radian) time t."""
     sx = np.sin(eo.omega * t + eo.phi_x)
     sy = np.sin(eo.omega * t + eo.phi_y)
-    h = (-eo.j * SZZ
-         - eo.h1z * S1Z - eo.h2z * S2Z
-         - (eo.h1x + eo.sf1x * sx) * S1X - (eo.h1y + eo.sf1y * sy) * S1Y
-         - (eo.h2x + eo.sf2x * sx) * S2X - (eo.h2y + eo.sf2y * sy) * S2Y)
-    return h
+    return (-eo.j * SZZ
+            - eo.h1z * S1Z - eo.h2z * S2Z
+            - (eo.h1x + eo.sf1x * sx) * S1X - (eo.h1y + eo.sf1y * sy) * S1Y
+            - (eo.h2x + eo.sf2x * sx) * S2X - (eo.h2y + eo.sf2y * sy) * S2Y)

@@ -523,11 +523,13 @@ _CANNED = {
 
 
 def canned_spec(name: str) -> ExperimentSpec:
-    """The spec of a named benchmark suite, one of canned_names()."""
-    if name not in _CANNED:
-        raise ConfigurationError(
-            f"unknown table {name!r}; available: {', '.join(sorted(_CANNED))}")
-    return _CANNED[name][0]
+    """The spec of a named benchmark suite, one of canned_names()
+    (``check_choice``, with a message of its own)."""
+    try:
+        return _CANNED[check_choice(name, "table", canned_names())][0]
+    except ConfigurationError:
+        raise ConfigurationError(f"unknown table {shown(name)}; available: "
+                                 f"{', '.join(sorted(_CANNED))}") from None
 
 
 def canned_names() -> tuple[str, ...]:
@@ -556,7 +558,6 @@ class Check:
     name: str
     tolerance: float
     measure: Callable[[float, list], tuple[bool, str]]
-    runs_tables: bool = False            # runs canned tables; skipped by --quick
 
     def __call__(self, notes: list) -> CheckResult:
         passed, detail = self.measure(self.tolerance, notes)
@@ -771,7 +772,7 @@ CHECKS = (
     Check("step-size-independence", 0.0, _step_size_independence),
     Check("coupling-off-during-pulses", 0.0, _coupling_off_during_pulses),
     *(Check(name, ref.RESULT_TOL if spec.tau_offsets is None else ref.PERTURBATION_TOL,
-            partial(_published_failures, name), runs_tables=True)
+            partial(_published_failures, name))
       for name, (spec, *_) in _CANNED.items()),
     Check("rotating-pulse-sheet", 1e-6, partial(_pulse_sheet, ROTATING)),
     Check("static-pulse-sheet", 1e-6, partial(_pulse_sheet, STATIC_AXIS)),
@@ -780,14 +781,9 @@ CHECKS = (
 )
 
 
-def verify_suite(include_tables: bool = True) -> VerifyReport:
-    """Run CHECKS in order and report one line per check, then the notes.
-
-    include_tables=False (``nmrqc verify --quick``) skips the checks that
-    run canned tables, which take most of the time.
-    """
+def verify_suite() -> VerifyReport:
+    """Run CHECKS in order and report one line per check, then the notes."""
     report = VerifyReport()
     for check in CHECKS:
-        if include_tables or not check.runs_tables:
-            report.checks.append(check(report.notes))
+        report.checks.append(check(report.notes))
     return report

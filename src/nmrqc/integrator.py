@@ -159,12 +159,16 @@ one store lookup, so a warm walk builds no layout.  Like the plans, the
 layouts outlive ``clear_propagator_cache``, which only forgets numbers:
 a layout holds EO parameters and their arrangement, never a propagator
 or a product of a kernel, so every run after a store clear integrates
-afresh, bit for bit as a run with no layout memoized.  A bad step size
-or duration, a field that is not a finite number (``_check``, once per
-plan, so no warm walk pays for it), or a diagonal phase that is not
-finite raises while a layout is built, so it is never memoized and
-raises on every run, before anything is integrated or stored; the
-reference plans its EO alike, and raises likewise.
+afresh, bit for bit as a run with no layout memoized.
+
+No field of an EO is checked here: an EO checks its own fields when it
+is made (``hamiltonian.EOParams``), so no plan, layout or store ever
+holds a bad one.  What integrating asks of a good EO is checked here: a
+key that is no EOParams (``_plan``), a duration too long to step
+(``_step_schedule``) or a diagonal phase that is not finite raises while
+a layout is built, so it is never memoized and raises on every run,
+before anything is integrated or stored; the reference plans its EO
+alike, and raises likewise.
 
 If the duration is not an integer multiple of the step, the final substep
 shrinks to the remainder: silently truncating a pulse would corrupt its
@@ -176,7 +180,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import fields
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -211,7 +214,8 @@ def check_delta(delta, machine: MachineConfig | EOParams | None = None):
     z-fields), resolve its fastest drive: delta times the larger
     |z-field| at most MAX_DELTA_TIMES_DRIVE.  The spec, every program
     builder, design_pulse and convergence_report check delta by this one
-    rule; stepping an EO checks only its first part."""
+    rule; an EO checks only its first part, when it is made
+    (``hamiltonian.EOParams``)."""
     if not (is_finite_number(delta) and delta > 0):
         raise ConfigurationError(f"delta must be positive and finite, got {shown(delta)}")
     if machine is not None:
@@ -221,33 +225,6 @@ def check_delta(delta, machine: MachineConfig | EOParams | None = None):
                 f"delta {delta} does not resolve the drive at frequency "
                 f"{fastest:g}: need delta * {fastest:g} <= {MAX_DELTA_TIMES_DRIVE}")
     return delta
-
-
-# The fields of an EO that must be finite numbers, besides delta and tau,
-# whose own checks come first.
-_FINITE = tuple(f.name for f in fields(EOParams) if f.name not in ("label", "tau", "delta"))
-
-
-def _check(eo: EOParams) -> None:
-    """Raise ConfigurationError, in one line that names the EO's label,
-    unless its step size is a positive finite number, its duration a
-    non-negative finite number or inf (one too long to step raises
-    later; NaN and an integer past the largest float are no finite
-    number) and each other field a finite number
-    (``hamiltonian.is_finite_number``)."""
-    def refuse(what, value):
-        raise ConfigurationError(f"EO {eo.label!r}: {what}, got {shown(value)}")
-
-    if not (is_finite_number(eo.delta) and eo.delta > 0):
-        refuse("delta must be positive and finite", eo.delta)
-    if not (is_finite_number(eo.tau) or eo.tau == math.inf):
-        refuse("duration is not a finite number", eo.tau)
-    if eo.tau < 0:
-        refuse("duration must be non-negative", eo.tau)
-    for name in _FINITE:
-        value = getattr(eo, name)
-        if not is_finite_number(value):
-            refuse(f"{name} must be a finite number", value)
 
 
 def _step_schedule(tau: float, delta: float) -> tuple[int, float]:
@@ -369,9 +346,7 @@ def _chain(mats: np.ndarray) -> np.ndarray:
     while mats.shape[1] > 1:
         n = mats.shape[1]
         paired = mats[:, 1:n - (n % 2):2] @ mats[:, 0:n - (n % 2):2]
-        if n % 2:
-            paired = np.concatenate([paired, mats[:, -1:]], axis=1)
-        mats = paired
+        mats = np.concatenate([paired, mats[:, -1:]], axis=1) if n % 2 else paired
     return mats[:, 0]
 
 
@@ -556,12 +531,12 @@ def _powers(base: np.ndarray, plan: _PowerPlan) -> np.ndarray:
 
 def _substeps(d: _Drives, start, count, block, u=None):
     """Per EO e, its substeps start[e] .. start[e] + count[e] - 1 at their
-    midpoints, multiplied onto u (none: their product alone).
+    midpoints, multiplied onto u (none: their product alone); start and
+    count are arrays, one entry per EO.
 
     At most _BLOCK substeps of each EO go into one block; past the end
     of its own count, an EO takes substeps of length 0.
     """
-    start, count = np.asarray(start), np.asarray(count)
     dt = d.delta * TWO_PI
     ragged = (count != count[0]).any()
     for lo in range(0, count.max(), _BLOCK):
@@ -681,13 +656,15 @@ def _plan(eo: EOParams) -> _Plan:
     decides how an EO is integrated (the fold rules are the module
     docstring's).
 
-    A bad step size, duration or field raises, on every call (a cache stores no
-    exception).  A member takes its representative's plan, so every
-    member of a class gets the one eo0 object this memo holds, and
-    dicts keyed by eo0 match it by identity; its key and run are the
+    A key that is no EOParams, or a duration too long to step, raises,
+    on every call (a cache stores no exception); the EO checked its own
+    fields when it was made.  A member takes its representative's plan,
+    so every member of a class gets the one eo0 object this memo holds,
+    and dicts keyed by eo0 match it by identity; its key and run are the
     class's, so only a representative is ever stepped.
     """
-    _check(eo)
+    if not isinstance(eo, EOParams):
+        raise ConfigurationError(f"an EO must be an EOParams, got {type(eo).__name__}")
     eo0, q = _z_class(eo)
     if eo0 is not eo:
         eo0, _, key, run = _plan(eo0)
@@ -747,9 +724,9 @@ def _layout(misses: tuple[EOParams, ...]) -> _Layout:
     the first plan that names it, joins the stack of its step size, fold
     and drive frequency (every rotating class of one step size shares
     one), split into the groups of ``_chunks``, and each group's stack is
-    built from those plans; the diagonal classes are one stack.  A bad
-    step size, duration or field, or a diagonal phase that is not finite,
-    raises, on every call."""
+    built from those plans; the diagonal classes are one stack.  A key
+    that is no EOParams, a duration too long to step or a diagonal phase
+    that is not finite raises, on every call."""
     plans = [_plan(eo) for eo in misses]
     stacks: dict[tuple, dict] = {}
     for plan in plans:
@@ -771,10 +748,13 @@ def integrate(eos) -> None:
     The missed EOs' layout (``_layout``, memoized per list of missed
     EOs) says which class propagators to integrate and how; each is
     integrated once, and one stacked product then conjugates them into
-    those of the missed EOs, which are stored.  A bad step size, duration
-    or field, or a diagonal EO whose phase is not finite, raises before
-    any EO is integrated.
+    those of the missed EOs, which are stored.  A lone EOParams, which
+    is no list, a key that is no EOParams, a duration too long to step or
+    a diagonal EO whose phase is not finite raises before any EO is
+    integrated.
     """
+    if isinstance(eos, EOParams):
+        raise ConfigurationError("eos must be a list of EOs, got one EOParams")
     store = _cached_propagator
     misses = {}
     for eo in eos:

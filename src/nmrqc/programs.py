@@ -310,9 +310,11 @@ def build_grover(item: int, style: str = IDEAL, k: int = 1,
 def input_amplitudes(input_specs) -> np.ndarray:
     """The named input states stacked as rows, shape (R, 4).
 
-    Every name must be one of INPUT_SPECS; each row is a copy of the
-    exact row in _INPUTS.
+    input_specs is a list of names, each one of INPUT_SPECS (a bare
+    string is no list); each row is a copy of the exact row in _INPUTS.
     """
+    if isinstance(input_specs, str):
+        raise ConfigurationError(f"input_specs must be a list, got {shown(input_specs)}")
     return _INPUTS[[INPUT_SPECS.index(check_input(spec)) for spec in input_specs]]
 
 
@@ -386,8 +388,11 @@ def compile_walk(programs) -> tuple[tuple[EOParams, ...], np.ndarray]:
     takes: the distinct EOs of the programs, in first-use order (each
     program read once, keyed by its id, and each step object once), and
     a read-only (step position, c) index into them, counted from 1, with
-    0 for the identity that pads a shorter program.  Each entry must be
-    a Program, and one may repeat."""
+    0 for the identity that pads a shorter program.  programs is a list
+    (a lone Program is none); each entry must be a Program, and one may
+    repeat."""
+    if isinstance(programs, Program):
+        raise ConfigurationError("programs must be a list, got one Program")
     programs = list(programs)   # the list keeps every step alive
     for p in programs:
         if not isinstance(p, Program):

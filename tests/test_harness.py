@@ -191,6 +191,16 @@ def test_canned_specs_exist():
         canned_spec("table99")
 
 
+@pytest.mark.parametrize("name", [["table5"], ("table5",), None, 5, True])
+def test_canned_spec_refuses_a_name_that_is_no_table_name(name):
+    """A table name is one of canned_names(): a list, a tuple or any
+    other value is refused in one line, with the unknown-name message."""
+    with pytest.raises(ConfigurationError) as err:
+        canned_spec(name)
+    assert str(err.value) == (f"unknown table {name!r}; available: grover_static, "
+                              "table10, table5, table6, table7, table8, table9")
+
+
 def test_each_canned_table_states_its_published_rows_and_tolerance():
     """A canned table's published rows are its own rows, by row key, each
     with one cell per column of the table, and each substitute names one
@@ -873,7 +883,7 @@ def test_cli_tables_markdown(tmp_path, capsys):
     assert path.read_bytes() == out.encode("utf-8")
 
 
-@pytest.mark.parametrize("argv, status", [(["verify", "--quick"], 0),
+@pytest.mark.parametrize("argv, status", [(["verify"], 0),
                                           (["tables", "nope"], 2)])
 def test_python_m_nmrqc_passes_the_exit_status_on(argv, status):
     """`python -m nmrqc` runs the command line and exits with its status."""
@@ -986,6 +996,7 @@ def test_cli_run_bad_spec_is_bad_input(text, tmp_path, capsys):
     ["design", "1", "pi/2", "y", "rotating", "1", "--n", "x"],
     ["design", "1", "pi/2"],
     ["verify", "--quick", "extra"],
+    ["verify", "--quick"],                  # the flag is gone
     ["nope"],
     [],
 ])
@@ -1023,11 +1034,12 @@ def test_cli_negative_phase_evolution_is_bad_input(tmp_path, capsys):
 
 
 def test_cli_verify_quick(capsys):
-    rc = main(["verify", "--quick"])
+    """`nmrqc verify` prints every check, the canned tables included:
+    there is no quick report (`verify --quick` is bad input)."""
+    rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == [
-        c.name for c in CHECKS if not c.runs_tables]
+    assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == [c.name for c in CHECKS]
     assert out.strip().endswith("verification PASSED")
 
 
@@ -1091,7 +1103,7 @@ def test_grover_static_suite_spot_cells():
 
 
 def test_verify_suite_passes_and_logs_exclusions():
-    report = verify_suite(include_tables=True)
+    report = verify_suite()
     text = str(report)
     assert report.passed, text
     names = [c.name for c in report.checks]

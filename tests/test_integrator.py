@@ -1,7 +1,12 @@
 import dataclasses
 import functools
 import itertools
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,7 +635,7 @@ def test_store_is_keyed_by_the_eo_alone():
     """Every propagator the checks and a table store is keyed by its EO,
     at whatever step size the EO carries."""
     clear_propagator_cache()
-    verify_suite(include_tables=False)
+    verify_suite()
     run_experiment(canned_spec("table8"))
     keys = list(_cached_propagator)
     assert keys and all(type(key) is EOParams for key in keys)
@@ -722,18 +727,32 @@ def test_a_walk_larger_than_the_store_integrates_each_eo_once(monkeypatch):
     assert len(_cached_propagator) == 7
 
 
+def _made(eo, **changes):
+    """Each way of making the EO with the given fields changed:
+    EOParams.replace, dataclasses.replace and the dataclass __init__."""
+    return (lambda: eo.replace(**changes),
+            lambda: dataclasses.replace(eo, **changes),
+            lambda: EOParams(**{**dataclasses.asdict(eo), **changes}))
+
+
+def _untouched():
+    """What making a refused EO must leave as it was: the store and its
+    statistics, and the plan and layout memos."""
+    return (list(_cached_propagator), vars(_cached_propagator.cache_info()),
+            _plan.cache_info(), _layout.cache_info())
+
+
 @pytest.mark.parametrize("field, bad", [
     ("delta", float("inf")), ("delta", float("nan")),
     ("tau", float("nan")), ("tau", -1.0)],
     ids=["inf", "nan", "tau_nan", "tau_negative"])
 def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
                                                             kernel_calls):
-    """A bad step size, or a negative or NaN duration, raises with its own
-    message, which names the EO, in a walk, in integrate and in a lookup
-    of either propagator, for a pulse and a diagonal EO, every time, and
-    nothing is integrated or stored: every key is checked before any is
-    integrated, also with the layouts of valid lists of one and of two
-    EOs memoized."""
+    """A bad step size, or a negative or NaN duration, is refused with its
+    own message, which names the EO, when the EO is made, each way, for a
+    pulse and a diagonal EO, every time: no walk, integrate or lookup ever
+    sees it, so nothing is integrated, stored or planned, also with the
+    layouts of valid lists of one and of two EOs memoized."""
     match = ("delta must be positive" if field == "delta"
              else f"duration must be non-negative, got {bad!r}" if bad < 0
              else f"duration is not a finite number, got {bad!r}")
@@ -743,15 +762,14 @@ def test_bad_delta_raises_on_every_lookup_and_stores_nothing(field, bad,
     integrate([ideal_eo_params("Ip"), pulse_eo("Y2")])
     clear_propagator_cache()
     del kernel_calls[:]
+    before = _untouched()
     for eo in (pulse_eo("Y2"), ideal_eo_params("Ip")):
-        eo = eo.replace(**{field: bad})
         for _ in range(2):
-            for call in (lambda: program_unitaries([Program("p", (good, eo))]),
-                         lambda: integrate([good, eo]),
-                         lambda: eo_propagator(eo), lambda: oracle_propagator(eo)):
+            for make in _made(eo, **{field: bad}):
                 with pytest.raises(ConfigurationError, match=match) as info:
-                    call()
+                    make()
                 assert str(info.value).startswith(f"EO {eo.label!r}: ")
+    assert _untouched() == before
     assert not _cached_propagator and not kernel_calls
 
 
@@ -764,12 +782,100 @@ def test_a_bad_duration_or_step_names_the_eo(field, bad, message):
     """A duration past the largest float is no finite number, whatever
     its sign (it used to be "duration must be non-negative, got 1000..."),
     and the duration's and the step size's messages name the EO's label,
-    as every other field's does."""
-    eo = ideal_eo_params("Ip").replace(**{field: bad})
-    for propagator in (eo_propagator, oracle_propagator):
+    as every other field's does; each way of making the EO refuses it,
+    and leaves the store and the memos as they were."""
+    clear_propagator_cache()
+    eo_propagator(pulse_eo("Y2"))
+    before = _untouched()
+    for make in _made(ideal_eo_params("Ip"), **{field: bad}):
         with pytest.raises(ConfigurationError) as info:
-            propagator(eo)
+            make()
         assert str(info.value) == f"EO 'Ip': {message}, got {bad!r}"
+    assert _untouched() == before
+
+
+# (make, message) of EOs that are refused: a bool where a good EO has
+# 1.0, which compares and hashes equal to it, and a NaN duration and a
+# zero step size made by the dataclass __init__ and dataclasses.replace.
+_EQUAL_BUT_REFUSED = (
+    (lambda: ideal_eo_params("Ip").replace(tau=True),
+     "EO 'Ip': duration is not a finite number, got True"),
+    (lambda: ideal_eo_params("X1").replace(h1x=True),
+     "EO 'X1': h1x must be a finite number, got True"),
+    (lambda: EOParams(tau=float("nan")),
+     "EO 'eo': duration is not a finite number, got nan"),
+    (lambda: dataclasses.replace(ideal_eo_params("X1"), delta=0.0),
+     "EO 'X1': delta must be positive and finite, got 0.0"),
+)
+
+
+def _refusals() -> list[str]:
+    """The message each EO of _EQUAL_BUT_REFUSED is refused with."""
+    messages = []
+    for make, _ in _EQUAL_BUT_REFUSED:
+        with pytest.raises(ConfigurationError) as info:
+            make()
+        messages.append(str(info.value))
+    return messages
+
+
+def test_an_eo_equal_to_a_planned_one_is_refused_all_the_same():
+    """A bool duration of 1.0's compared and hashed equal to tau=1.0, so
+    once that EO was planned and integrated, the plan memo and the store
+    served it, even after the store was cleared, while a fresh process
+    refused it.  An EO now checks itself when it is made: it is refused
+    in a fresh process, and alike after the EOs it equals were
+    integrated, planned and the store cleared."""
+    want = [message for _, message in _EQUAL_BUT_REFUSED]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import test_integrator as t; "
+              "print(*t._refusals(), sep='\\n')")
+    done = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == want
+    equal = [ideal_eo_params("Ip").replace(tau=1.0), ideal_eo_params("X1")]
+    assert equal[1].h1x == 1.0
+    for eo in equal:
+        eo_propagator(eo)
+        _plan(eo)
+    clear_propagator_cache()
+    assert _refusals() == want
+    for eo in equal:
+        eo_propagator(eo)
+    assert _refusals() == want
+
+
+@pytest.mark.parametrize("eo", [lambda: ideal_eo_params("Ip"), lambda: pulse_eo("Y2"),
+                                lambda: pulse_eo("X1", mode="static_axis"),
+                                lambda: EOParams(tau=float("inf"))],
+                         ids=["ideal", "rotating", "static", "inf_duration"])
+def test_an_eo_survives_a_pickle_round_trip(eo):
+    """Unpickling makes the EO again, checking it, equal and hashing
+    alike."""
+    eo = eo()
+    again = pickle.loads(pickle.dumps(eo))
+    assert again == eo and hash(again) == hash(eo) and again is not eo
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: eo_propagator(None), "an EO must be an EOParams, got NoneType"),
+    (lambda: oracle_propagator("x"), "an EO must be an EOParams, got str"),
+    (lambda: integrate([ideal_eo_params("Ip"), 1.0]), "an EO must be an EOParams, got float"),
+    (lambda: integrate(ideal_eo_params("Ip")), "eos must be a list of EOs, got one EOParams")],
+    ids=["eo_propagator", "oracle_propagator", "integrate_entry", "integrate_lone"])
+def test_a_key_that_is_no_eo_is_refused(call, message, kernel_calls):
+    """A lookup of a key that is no EOParams raised AttributeError, and
+    integrate of a lone EOParams TypeError: each is refused in one line,
+    every time, and nothing is integrated or stored."""
+    clear_propagator_cache()
+    for _ in range(2):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == message
+    assert not _cached_propagator and not kernel_calls
 
 
 def _alone_or_closed_form(eo):
@@ -941,18 +1047,24 @@ def test_the_layout_memo_is_bounded():
 
 
 def test_a_bad_eo_raises_on_every_plan_and_leaves_no_trace():
-    """A plan of a NaN step size or a negative duration raises each time
-    it is asked for; neither the plans nor the store keep anything."""
+    """An EO of a NaN step size or a negative duration is refused each
+    time it is made, so no plan is ever asked for; a key that is no
+    EOParams, which a plan refuses, raises on every plan.  Neither the
+    plans, the layouts nor the store keep anything."""
     clear_propagator_cache()
-    before = _plan.cache_info().currsize
-    for bad in (pulse_eo("Y2").replace(delta=float("nan")),
-                pulse_eo("Y2").replace(tau=-1.0)):
-        for _ in range(2):
+    before = _untouched()
+    y2 = pulse_eo("Y2")
+    for _ in range(2):
+        for changes in ({"delta": float("nan")}, {"tau": -1.0}):
             with pytest.raises(ConfigurationError):
-                _plan(bad)
-            with pytest.raises(ConfigurationError):
-                integrate([bad])
-    assert _plan.cache_info().currsize == before and not _cached_propagator
+                y2.replace(**changes)
+        with pytest.raises(ConfigurationError, match="^an EO must be an EOParams"):
+            _plan(None)
+        with pytest.raises(ConfigurationError, match="^an EO must be an EOParams"):
+            integrate([None])
+    after = _untouched()
+    assert after[:2] == before[:2] and not _cached_propagator
+    assert [m.currsize for m in after[2:]] == [m.currsize for m in before[2:]]
 
 
 def test_stacked_powers_equal_matrix_power(rng):
@@ -1138,28 +1250,37 @@ _FIELD_EOS = {"ideal": lambda: ideal_eo_params("X1"),
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EOParams)
                                    if f.name != "label"])
 @pytest.mark.parametrize("eo", sorted(_FIELD_EOS))
-def test_an_eo_field_that_is_no_finite_number_is_refused(eo, field):
+def test_an_eo_field_that_is_no_finite_number_is_refused(eo, field, kernel_calls):
     """A field that is NaN, infinite or no number is refused with one
-    ConfigurationError by a lookup of either propagator and by a program
-    walk, every time, before anything is integrated, stored or planned:
-    the store's statistics and the layouts stay as they were.  A field
-    other than the step size and the duration, whose own messages name
-    them, is named with the EO's label; an infinite duration is one too
-    long to step or whose phase is not finite."""
+    ConfigurationError when the EO is made, each way, every time, before
+    anything is integrated, stored or planned: the store, its statistics
+    and the memos stay as they were.  A field other than the step size
+    and the duration, whose own messages name them, is named with the
+    EO's label.  An infinite duration is made, and is one too long to
+    step or whose phase is not finite: a lookup of either propagator and
+    a program walk refuse it in one line, every time, and store nothing."""
     clear_propagator_cache()
     eo_propagator(pulse_eo("Y2"))
+    del kernel_calls[:]
     for bad in (float("nan"), float("inf"), "1"):
-        broken = _FIELD_EOS[eo]().replace(**{field: bad})
-        info, layouts = vars(_cached_propagator.cache_info()), _layout.cache_info()
+        before = _untouched()
+        source = _FIELD_EOS[eo]()
+        if field == "tau" and bad == float("inf"):
+            broken = source.replace(tau=bad)
+            calls = (lambda: eo_propagator(broken), lambda: oracle_propagator(broken),
+                     lambda: program_unitaries([Program("p", (broken,))]))
+        else:
+            calls = _made(source, **{field: bad})
         for _ in range(2):
-            for call in (lambda: eo_propagator(broken), lambda: oracle_propagator(broken),
-                         lambda: program_unitaries([Program("p", (broken,))])):
+            for call in calls:
                 with pytest.raises(ConfigurationError) as err:
                     call()
                 assert len(str(err.value).splitlines()) == 1
                 if field not in ("tau", "delta"):
-                    assert str(err.value) == (f"EO {broken.label!r}: {field} must be a "
+                    assert str(err.value) == (f"EO {source.label!r}: {field} must be a "
                                               f"finite number, got {bad!r}")
-        assert vars(_cached_propagator.cache_info()) == info, bad
-        assert _layout.cache_info().currsize == layouts.currsize, bad
+        after = _untouched()
+        assert after[:2] == before[:2], bad
+        assert after[3].currsize == before[3].currsize, bad
         assert len(_cached_propagator) == 1
+    assert not kernel_calls

@@ -17,8 +17,8 @@ from nmrqc.integrator import _cached_propagator, clear_propagator_cache
 from nmrqc.gates import compose, coupling_pi_duration
 from nmrqc.operators import global_phase_distance, state_phase_distance
 from nmrqc.programs import (_INPUTS, CNOT_SEQUENCES, G_EXPANSION, IDEAL, INPUT_SPECS,
-                            STYLES, _expand, program_states, program_unitaries,
-                            run_inputs)
+                            STYLES, _expand, compile_walk, program_states,
+                            program_unitaries, run_inputs)
 from nmrqc.pulses import check_k
 
 
@@ -379,13 +379,46 @@ def test_shifted_steps_are_memoized_across_rebuilds():
 
 
 def test_negative_diagonal_duration_is_rejected():
+    """A negative or NaN duration is refused when the EO is made, by
+    replace or by a duration offset, every time, so no program holds it
+    and nothing is integrated or stored."""
+    clear_propagator_cache()
+    ip = ideal_eo_params("Ip")
+    qa = build_qa("00", 1, "rotating_sf", k=1)
     for tau, match in ((-3.0, "duration must be non-negative"),
                        (float("nan"), "duration is not a finite number")):
-        p = Program("p", (ideal_eo_params("Ip").replace(tau=tau),))
-        for _ in range(2):  # nothing is cached for a bad key
-            with pytest.raises(ConfigurationError, match=match):
-                run_program(p)
-    assert run_program(Program("p", (ideal_eo_params("Ip").replace(tau=0.0),)))[0] == 1.0
+        for _ in range(2):  # nothing is cached for a bad EO
+            with pytest.raises(ConfigurationError, match=f"^EO 'Ip': {match}, got "):
+                ip.replace(tau=tau)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError,
+                           match="^EO 'Ip': duration must be non-negative, got "):
+            with_duration_offset(qa, "Ip", -1e12)
+    assert not _cached_propagator and _cached_propagator.cache_info().misses == 0
+    assert run_program(Program("p", (ip.replace(tau=0.0),)))[0] == 1.0
+
+
+@pytest.mark.parametrize("call", [lambda: input_amplitudes("00"),
+                                  lambda: run_inputs(build_qa("00"), "singlet")],
+                         ids=["input_amplitudes", "run_inputs"])
+def test_a_bare_input_name_is_no_list_of_names(call):
+    """A string was read as the names '0', '0' or 's', 'i', ... ("got 's'");
+    the input names are a list, as the gates of a list are."""
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert len(str(err.value).splitlines()) == 1
+    assert re.fullmatch(r"input_specs must be a list, got '(00|singlet)'", str(err.value))
+
+
+@pytest.mark.parametrize("walk", [lambda p: program_states(p, input_amplitudes(["00"])),
+                                  program_unitaries, compile_walk],
+                         ids=["program_states", "program_unitaries", "compile_walk"])
+def test_a_lone_program_is_no_walk(walk):
+    """A lone Program raised TypeError ("not iterable"); a walk takes a
+    list of programs and refuses one alone in one line."""
+    with pytest.raises(ConfigurationError) as err:
+        walk(build_qa("00"))
+    assert str(err.value) == "programs must be a list, got one Program"
 
 
 def test_program_unitary_long_pulse_close_to_ideal():
